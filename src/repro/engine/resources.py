@@ -7,8 +7,14 @@ Two abstractions cover every contended structure in the simulator:
   buses).  Callers ask for the earliest grant time at-or-after their arrival
   and the resource books it, so no per-cycle polling is needed.
 * :class:`WaitQueue` -- an explicit waiter list used for blocking conditions
-  such as "all ways in this set are busy" or "no MSHR free".  Waiters are
-  woken in FIFO order when the owner signals that capacity became available.
+  such as "all ways in this set are busy" or "this DRAM bank queue is
+  full".  Waiters are woken in FIFO order when the owner signals that
+  capacity became available.
+
+MSHR exhaustion is the one blocking condition that uses neither: a request
+that finds no free MSHR polls for one every 64 cycles (see
+``Cache._block``), because a released MSHR may be consumed by a request
+that then hits or coalesces, which could strand an event-driven waiter.
 """
 
 from __future__ import annotations
@@ -88,9 +94,11 @@ class WaitQueue:
     """FIFO list of blocked continuations.
 
     Used for structural hazards that cannot be expressed as a fixed
-    throughput: blocked cache allocation (busy set), exhausted MSHRs, full
-    DRAM bank queues.  The owner calls :meth:`wake_one` / :meth:`wake_all`
-    when capacity frees up; each waiter callback receives the wake-up time.
+    throughput: blocked cache allocation (busy set) and full DRAM bank
+    queues.  Exhausted MSHRs do not wait here; blocked requests poll
+    instead (see the module docstring).  The owner calls :meth:`wake_one` /
+    :meth:`wake_all` when capacity frees up; each waiter callback receives
+    the wake-up time.
     """
 
     __slots__ = ("name", "_waiters", "total_enqueued")

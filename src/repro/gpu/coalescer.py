@@ -60,7 +60,26 @@ def coalesced_lines_for_stride(
     lanes: int,
     line_bytes: int = 64,
 ) -> tuple[int, ...]:
-    """Convenience composition of the two helpers above."""
-    return coalesce_addresses(
-        strided_lane_addresses(base, element_bytes, stride_elements, lanes), line_bytes
-    )
+    """Lines of a strided run, computed without visiting each lane.
+
+    Equal to ``coalesce_addresses(strided_lane_addresses(...), line_bytes)``
+    -- same lines, same first-touch order, same errors.  Consecutive lanes
+    move ``step = stride_elements * element_bytes`` bytes, so the lane
+    addresses are monotonic: when ``|step| <= line_bytes`` no line in
+    between is skipped and the result is every line from the first lane's
+    to the last lane's; otherwise every lane lands on a line of its own.
+    """
+    if element_bytes <= 0 or lanes <= 0:
+        raise ValueError("element_bytes and lanes must be positive")
+    if line_bytes <= 0:
+        raise ValueError("line_bytes must be positive")
+    step = stride_elements * element_bytes
+    last = base + (lanes - 1) * step
+    if min(base, last) < 0:
+        raise ValueError("lane addresses must be non-negative")
+    if -line_bytes <= step <= line_bytes:
+        direction = line_bytes if step > 0 else -line_bytes
+        return tuple(
+            range(base - base % line_bytes, last - last % line_bytes + direction, direction)
+        )
+    return tuple(address - address % line_bytes for address in range(base, last + step, step))

@@ -274,19 +274,20 @@ class RnnForwardBackward(RnnForward):
         saved_gates = space.allocate("saved_gates", self.num_gates * self.hidden)
         grad_state = space.allocate("grad_state", state_len)
         grad_weights = space.allocate("grad_weights", 4 * self.wavefront_size)
+        # like the forward kernels, every timestep's backward kernel is the
+        # same program over the same tensors: build it once and alias it
+        backward = rnn_backward_kernel(
+            f"miopen_rnn_{self.cell}_bwd",
+            weights=weights,
+            saved_gates=saved_gates,
+            grad_state=grad_state,
+            grad_weights=grad_weights,
+            hidden=self.hidden,
+            num_gates=self.num_gates,
+            wavefront_size=self.wavefront_size,
+        )
         for _timestep in range(self.sequence_length):
-            trace.add_kernel(
-                rnn_backward_kernel(
-                    f"miopen_rnn_{self.cell}_bwd",
-                    weights=weights,
-                    saved_gates=saved_gates,
-                    grad_state=grad_state,
-                    grad_weights=grad_weights,
-                    hidden=self.hidden,
-                    num_gates=self.num_gates,
-                    wavefront_size=self.wavefront_size,
-                )
-            )
+            trace.add_kernel(backward)
         return trace
 
     def profile(self) -> WorkloadProfile:

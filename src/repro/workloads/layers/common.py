@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.gpu.coalescer import coalesce_addresses
+from repro.gpu.coalescer import coalesce_addresses, coalesced_lines_for_stride
 from repro.memory.request import AccessType
 from repro.workloads.tensor import Tensor
 from repro.workloads.trace import ComputeInstr, MemInstr, WavefrontProgram
@@ -102,17 +102,31 @@ class ProgramBuilder:
         Counts larger than the wavefront size are split into multiple
         instructions (the same static site / PC), which is how a loop over a
         per-thread chunk appears in hardware.
+
+        A chunk whose elements stay within one pass over the tensor is a
+        single strided run, so its lines are computed arithmetically; only a
+        chunk that wraps past the tensor's end is coalesced lane by lane.
         """
         lanes_total = self.wavefront_size if count is None else count
         if lanes_total <= 0:
             raise ValueError("count must be positive")
         pc = self.pcs.pc(site)
+        num_elements = tensor.num_elements
+        element_bytes = tensor.element_bytes
         for offset, lanes in chunks(lanes_total, self.wavefront_size):
-            addresses = [
-                tensor.address_of(start_element + (offset + lane) * stride)
-                for lane in range(lanes)
-            ]
-            lines = coalesce_addresses(addresses, self.line_bytes)
+            first = start_element + offset * stride
+            last = first + (lanes - 1) * stride
+            low, high = (first, last) if stride >= 0 else (last, first)
+            if low // num_elements == high // num_elements:
+                lines = coalesced_lines_for_stride(
+                    tensor.base_address + first % num_elements * element_bytes,
+                    element_bytes,
+                    stride,
+                    lanes,
+                    self.line_bytes,
+                )
+            else:
+                lines = self._lane_lines(tensor, range(first, last + stride, stride))
             self.program.append(MemInstr(access=access, line_addresses=lines, pc=pc))
         return self
 
@@ -144,14 +158,7 @@ class ProgramBuilder:
         """Emit loads of arbitrary (possibly divergent) element indices."""
         if not element_indices:
             raise ValueError("gather needs at least one element index")
-        pc = self.pcs.pc(site)
-        for offset, lanes in chunks(len(element_indices), self.wavefront_size):
-            addresses = [
-                tensor.address_of(element_indices[offset + lane]) for lane in range(lanes)
-            ]
-            lines = coalesce_addresses(addresses, self.line_bytes)
-            self.program.append(MemInstr(access=AccessType.LOAD, line_addresses=lines, pc=pc))
-        return self
+        return self._indexed(site, AccessType.LOAD, tensor, element_indices)
 
     def scatter(
         self, site: str, tensor: Tensor, element_indices: Sequence[int]
@@ -159,14 +166,22 @@ class ProgramBuilder:
         """Emit stores to arbitrary (possibly divergent) element indices."""
         if not element_indices:
             raise ValueError("scatter needs at least one element index")
+        return self._indexed(site, AccessType.STORE, tensor, element_indices)
+
+    def _indexed(
+        self, site: str, access: AccessType, tensor: Tensor, element_indices: Sequence[int]
+    ) -> "ProgramBuilder":
         pc = self.pcs.pc(site)
         for offset, lanes in chunks(len(element_indices), self.wavefront_size):
-            addresses = [
-                tensor.address_of(element_indices[offset + lane]) for lane in range(lanes)
-            ]
-            lines = coalesce_addresses(addresses, self.line_bytes)
-            self.program.append(MemInstr(access=AccessType.STORE, line_addresses=lines, pc=pc))
+            lines = self._lane_lines(tensor, element_indices[offset : offset + lanes])
+            self.program.append(MemInstr(access=access, line_addresses=lines, pc=pc))
         return self
+
+    def _lane_lines(self, tensor: Tensor, element_indices: Iterable[int]) -> tuple[int, ...]:
+        """Coalesce per-lane element indices (wrapping modulo the tensor)."""
+        return coalesce_addresses(
+            [tensor.address_of(index) for index in element_indices], self.line_bytes
+        )
 
     # ------------------------------------------------------------------
     def build(self) -> WavefrontProgram:

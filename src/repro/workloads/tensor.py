@@ -43,8 +43,6 @@ class Tensor:
 
     def address_of(self, index: int) -> int:
         """Byte address of element ``index`` (supports wrap-around indexing)."""
-        if self.num_elements == 0:
-            raise ValueError("empty tensor")
         wrapped = index % self.num_elements
         return self.base_address + wrapped * self.element_bytes
 
