@@ -2,8 +2,8 @@
 
 A CU owns an instruction-issue port (finite issue bandwidth shared by the
 wavefronts resident on it), a SIMD pool (finite vector throughput), and a
-set of resident-wavefront slots.  It forwards memory requests to its private
-L1 through the memory hierarchy.
+set of resident-wavefront slots.  Its wavefronts send memory requests to
+the CU's private L1 through the memory hierarchy.
 
 The SIMD pool is modelled as a single throughput resource: with
 ``simd_per_cu`` SIMD units executing 64-wide wavefront operations over
@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.config import GpuConfig
 from repro.engine import Simulator, ThroughputResource
 from repro.gpu.wavefront import Wavefront
-from repro.memory.request import MemoryRequest
 from repro.stats import StatsCollector
 from repro.workloads.trace import WavefrontProgram
 
@@ -118,12 +117,6 @@ class ComputeUnit:
     def book_compute(self, now: int, vector_ops: int) -> int:
         """Occupy the SIMD pool for ``vector_ops`` wavefront-wide operations."""
         return self.simd_pool.grant_duration(now, vector_ops * self._cycles_per_vector_op)
-
-    def issue_memory_request(
-        self, request: MemoryRequest, on_done: Callable[[MemoryRequest], None]
-    ) -> None:
-        """Send one line request into the memory hierarchy."""
-        self.hierarchy.access(self.cu_id, request, on_done)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ComputeUnit(id={self.cu_id}, resident={self.resident_wavefronts})"

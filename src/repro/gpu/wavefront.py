@@ -11,6 +11,7 @@ hidden turns into lost issue slots and, ultimately, execution time.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 from repro.memory.request import MemoryRequest
@@ -102,9 +103,9 @@ class Wavefront:
         instruction = instructions[self._next_instr]
         self._next_instr += 1
         if isinstance(instruction, ComputeInstr):
-            self._schedule_at(grant, lambda: self._execute_compute(instruction))
+            self._schedule_at(grant, partial(self._execute_compute, instruction))
         else:
-            self._schedule_at(grant, lambda: self._execute_memory(instruction))
+            self._schedule_at(grant, partial(self._execute_memory, instruction))
 
     def _execute_compute(self, instruction: ComputeInstr) -> None:
         cu = self.cu
@@ -125,21 +126,19 @@ class Wavefront:
         cu._c_mem_instructions.add()
         access = instruction.access
         pc = instruction.pc
+        cu_id = cu.cu_id
+        wavefront_id = self.wavefront_id
+        kernel_id = self.kernel_id
+        stream_id = self.stream_id
+        hierarchy_access = cu.hierarchy.access
+        # one response callback serves every line of this instruction
+        on_response = partial(self._on_response, index)
+        self.issued_lines += len(line_addresses)
         for address in line_addresses:
             request = MemoryRequest(
-                access=access,
-                address=address,
-                pc=pc,
-                cu_id=cu.cu_id,
-                wavefront_id=self.wavefront_id,
-                kernel_id=self.kernel_id,
-                stream_id=self.stream_id,
-                issue_cycle=now,
+                access, address, pc, cu_id, wavefront_id, kernel_id, stream_id, now
             )
-            self.issued_lines += 1
-            cu.issue_memory_request(
-                request, lambda req, idx=index: self._on_response(idx, req)
-            )
+            hierarchy_access(cu_id, request, on_response)
         # keep issuing unless the in-flight window is now full
         if self._inflight_mem < cu.max_outstanding_mem:
             self._schedule(1, self._issue_next)

@@ -53,19 +53,29 @@ class AddressMapping:
         self.config = config
         self.line_bytes = line_bytes
         self.lines_per_row = config.row_bytes // line_bytes
+        self._channels = config.channels
+        self._banks = config.banks_per_channel
+
+    def split(self, address: int) -> tuple[int, int, int, int]:
+        """``(channel, bank, row, column)`` of the line containing ``address``.
+
+        The same arithmetic as :meth:`locate` as a plain tuple: the DRAM
+        access path calls this once per request and has no use for a
+        frozen coordinates object.
+        """
+        if address < 0:
+            raise ValueError("address must be non-negative")
+        channels = self._channels
+        banks = self._banks
+        lines_per_row = self.lines_per_row
+        line_index = address // self.line_bytes
+        rest = line_index // channels
+        bank_row = rest // lines_per_row
+        return line_index % channels, bank_row % banks, bank_row // banks, rest % lines_per_row
 
     def locate(self, address: int) -> DramCoordinates:
         """Coordinates of the line containing ``address``."""
-        if address < 0:
-            raise ValueError("address must be non-negative")
-        line_index = address // self.line_bytes
-        channel = line_index % self.config.channels
-        rest = line_index // self.config.channels
-        column = rest % self.lines_per_row
-        rest //= self.lines_per_row
-        bank = rest % self.config.banks_per_channel
-        row = rest // self.config.banks_per_channel
-        return DramCoordinates(channel=channel, bank=bank, row=row, column=column)
+        return DramCoordinates(*self.split(address))
 
     def address_of(self, coordinates: DramCoordinates) -> int:
         """Line address at ``coordinates`` (the inverse of :meth:`locate`).
@@ -98,10 +108,8 @@ class AddressMapping:
         and only if they live in the same row of the same bank of the same
         channel, so rinsing them together produces consecutive row hits.
         """
-        loc = self.locate(address)
-        banks = self.config.banks_per_channel
-        channels = self.config.channels
-        return (loc.row * banks + loc.bank) * channels + loc.channel
+        channel, bank, row, _column = self.split(address)
+        return (row * self._banks + bank) * self._channels + channel
 
 
 class DeviceInterleave:

@@ -32,11 +32,15 @@ keeps a ``tag -> way`` dict maintained on fill/evict/invalidate, so lookups
 never scan ways linearly), all statistics are pre-bound
 :class:`~repro.stats.counters.Counter` handles resolved once in
 ``__init__``, and event scheduling goes straight to the shared event queue.
+Scheduled callbacks are ``functools.partial`` objects over the target
+method rather than lambdas, so firing an event runs one Python frame
+instead of two.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import CacheConfig
@@ -168,6 +172,10 @@ class Cache:
         #: per-set tag -> way index, maintained on fill/evict/invalidate so
         #: lookups are one dict probe instead of a scan over the ways
         self._tag_to_way: list[dict[int, int]] = [{} for _ in range(config.num_sets)]
+        #: indices of the sets that may hold dirty lines (a superset: every
+        #: transition to DIRTY adds its set, a flush prunes), so a flush
+        #: visits those sets instead of every line of the cache
+        self._dirty_sets: set[int] = set()
         self.replacement = make_replacement(replacement, config.num_sets, config.assoc)
         self.mshrs = MshrFile(config.mshrs)
         self.bypass_pending = MshrFile(capacity=None)
@@ -187,6 +195,7 @@ class Cache:
         # geometry constants and event-queue entry points, resolved once
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
+        self._assoc = config.assoc
         self._hit_latency = config.hit_latency
         queue = sim.queue
         self._queue = queue
@@ -228,7 +237,9 @@ class Cache:
     def access(self, request: MemoryRequest, on_done: Callable[[MemoryRequest], None]) -> None:
         """Handle ``request`` arriving at this cache at the current cycle."""
         self._c_accesses.add()
-        if self._is_bypass(request):
+        if (request.bypass_l1 if self._is_l1 else request.bypass_l2) or (
+            self.reuse_predictor is not None and self._predicted_dead(request)
+        ):
             self._bypass_access(request, on_done)
             return
         now = self._queue.now
@@ -237,7 +248,7 @@ class Cache:
         if wait > 0:
             self._c_stall_cycles_port.add(wait)
             self._c_stall_cycles.add(wait)
-        self._schedule_at(grant, lambda: self._lookup(request, on_done, first_attempt=True))
+        self._schedule_at(grant, partial(self._lookup, request, on_done, True))
 
     def invalidate_clean(self, stream_id: Optional[int] = None) -> int:
         """Self-invalidate valid (clean) lines; returns the count dropped.
@@ -287,12 +298,16 @@ class Cache:
                 kernel boundary); ``None`` flushes every dirty line.
         """
         dirty: list[tuple[int, int]] = []  # (set_index, way)
-        for set_index, ways in enumerate(self.sets):
-            for way, line in enumerate(ways):
-                if line.state is _DIRTY and (
-                    stream_id is None or line.stream_id == stream_id
-                ):
-                    dirty.append((set_index, way))
+        other_streams: set[int] = set()  # sets left holding another stream's dirt
+        sets = self.sets
+        for set_index in sorted(self._dirty_sets):
+            for way, line in enumerate(sets[set_index]):
+                if line.state is _DIRTY:
+                    if stream_id is None or line.stream_id == stream_id:
+                        dirty.append((set_index, way))
+                    else:
+                        other_streams.add(set_index)
+        self._dirty_sets = other_streams
         if not dirty:
             self._schedule(0, on_complete)
             return 0
@@ -338,17 +353,17 @@ class Cache:
     # ------------------------------------------------------------------
     # lookup path
     # ------------------------------------------------------------------
-    def _is_bypass(self, request: MemoryRequest) -> bool:
-        """Decide whether this request uses the bypass path at this level."""
-        if self._is_l1:
-            if request.bypass_l1:
-                return True
-        elif request.bypass_l2:
+    def _predicted_dead(self, request: MemoryRequest) -> bool:
+        """Whether the reuse predictor sends this request around the cache.
+
+        Only consulted when a predictor is attached and the policy flags
+        did not already bypass this level; sampler sets always cache.
+        """
+        if self._is_sampler_set(request):
+            return False
+        if self.reuse_predictor.should_bypass(request.pc):
+            self._c_predictor_bypasses.add()
             return True
-        if self.reuse_predictor is not None and not self._is_sampler_set(request):
-            if self.reuse_predictor.should_bypass(request.pc):
-                self._c_predictor_bypasses.add()
-                return True
         return False
 
     def _is_sampler_set(self, request: MemoryRequest) -> bool:
@@ -414,6 +429,7 @@ class Cache:
         if request.is_store:
             if self.config.writeback:
                 line.state = _DIRTY
+                self._dirty_sets.add(set_index)
                 # the dirty data belongs to the storing stream: its own
                 # release (kernel boundary) must write it back
                 line.stream_id = request.stream_id
@@ -427,9 +443,9 @@ class Cache:
                     self._hit_latency,
                     lambda: self.downstream(request, lambda r: None),
                 )
-                self._schedule(self._hit_latency, lambda: on_done(request))
+                self._schedule(self._hit_latency, partial(on_done, request))
                 return
-        self._schedule(self._hit_latency, lambda: on_done(request))
+        self._schedule(self._hit_latency, partial(on_done, request))
 
     def _load_miss(
         self,
@@ -469,11 +485,12 @@ class Cache:
         if self.reuse_predictor is not None:
             self.reuse_predictor.record_insertion(request.pc)
 
-        miss_request = request
         self._schedule(
             self._hit_latency,
-            lambda: self.downstream(
-                miss_request, lambda resp: self._fill(line_address, set_index, victim_way)
+            partial(
+                self.downstream,
+                request,
+                partial(self._fill, line_address, set_index, victim_way),
             ),
         )
 
@@ -497,6 +514,7 @@ class Cache:
         self._evict(set_index, victim_way)
         line = self.sets[set_index][victim_way]
         line.state = _DIRTY
+        self._dirty_sets.add(set_index)
         line.tag = line_address
         line.inserted_pc = request.pc
         line.reused = False
@@ -508,7 +526,7 @@ class Cache:
         if self.reuse_predictor is not None:
             self.reuse_predictor.record_insertion(request.pc)
         self._c_store_allocates.add()
-        self._schedule(self._hit_latency, lambda: on_done(request))
+        self._schedule(self._hit_latency, partial(on_done, request))
 
     # ------------------------------------------------------------------
     # blocking / waking
@@ -583,21 +601,37 @@ class Cache:
     # ------------------------------------------------------------------
     # fills, evictions, writebacks
     # ------------------------------------------------------------------
-    def _fill(self, line_address: int, set_index: int, way: int) -> None:
-        """Downstream response arrived: install the line, answer waiters."""
+    def _fill(
+        self,
+        line_address: int,
+        set_index: int,
+        way: int,
+        _response: Optional[MemoryRequest] = None,
+    ) -> None:
+        """Downstream response arrived: install the line, answer waiters.
+
+        Bound with ``partial`` as the downstream response callback, so the
+        response request arrives as the (unused) last argument.
+        """
         now = self._queue.now
         entry = self.mshrs.release(line_address)
         line = self.sets[set_index][way]
-        requests = entry.all_requests
-        any_store = any(r.is_store for r in requests)
-        line.state = _DIRTY if (any_store and self.config.writeback) else _VALID
-        if line.state is _DIRTY:
-            # a store coalesced from another stream dirties the line on its
-            # behalf: the release duty follows the (first) storing stream
+        waiters = entry.waiters
+        requests = [entry.primary, *waiters] if waiters else [entry.primary]
+        # a store coalesced from another stream dirties the line on its
+        # behalf: the release duty follows the (first) storing stream
+        storer = None
+        if self.config.writeback:
             for req in requests:
                 if req.is_store:
-                    line.stream_id = req.stream_id
+                    storer = req
                     break
+        if storer is not None:
+            line.state = _DIRTY
+            self._dirty_sets.add(set_index)
+            line.stream_id = storer.stream_id
+        else:
+            line.state = _VALID
         line.tag = line_address
         self.replacement.on_fill(set_index, way, now)
         if line.state is _DIRTY and self.dbi is not None:
@@ -611,28 +645,23 @@ class Cache:
         for req in requests:
             callback = self._pop_waiter_callback(req)
             if callback is not None:
-                schedule(0, lambda r=req, cb=callback: cb(r))
+                schedule(0, partial(callback, req))
         self._wake_after_fill(set_index)
 
     def _find_victim(self, set_index: int) -> Optional[int]:
         """Pick a victim way, or None if every way is busy (pending fill).
 
-        Single pass, no intermediate lists: the first invalid way wins
-        immediately; otherwise the non-busy ways are collected lazily for
-        the replacement policy.
+        The first invalid way wins; otherwise the replacement policy picks
+        among the ways that are not busy.  The set's tag map holds exactly
+        its non-invalid lines, so a full map skips the invalid-way scan.
         """
         ways = self.sets[set_index]
-        candidates: Optional[list[int]] = None
-        for way, line in enumerate(ways):
-            state = line.state
-            if state is _INVALID:
-                return way
-            if state is not _PENDING:
-                if candidates is None:
-                    candidates = [way]
-                else:
-                    candidates.append(way)
-        if candidates is None:
+        if len(self._tag_to_way[set_index]) < self._assoc:
+            for way, line in enumerate(ways):
+                if line.state is _INVALID:
+                    return way
+        candidates = [way for way, line in enumerate(ways) if line.state is not _PENDING]
+        if not candidates:
             return None
         return self.replacement.select_victim(set_index, candidates)
 
@@ -733,7 +762,7 @@ class Cache:
             self._record_waiter_callback(request, on_done)
             self._schedule(
                 BYPASS_LATENCY,
-                lambda: self.downstream(request, lambda resp: self._bypass_fill(line_address)),
+                partial(self.downstream, request, partial(self._bypass_fill, line_address)),
             )
             return
         # bypassed store: fire and forward; completion when downstream accepts
@@ -741,15 +770,17 @@ class Cache:
             self.set_monitor.record_bypass(
                 (address // self._line_bytes) % self._num_sets, True
             )
-        self._schedule(BYPASS_LATENCY, lambda: self.downstream(request, on_done))
+        self._schedule(BYPASS_LATENCY, partial(self.downstream, request, on_done))
 
-    def _bypass_fill(self, line_address: int) -> None:
+    def _bypass_fill(
+        self, line_address: int, _response: Optional[MemoryRequest] = None
+    ) -> None:
         entry = self.bypass_pending.release(line_address)
         schedule = self._schedule
         for req in entry.all_requests:
             callback = self._pop_waiter_callback(req)
             if callback is not None:
-                schedule(0, lambda r=req, cb=callback: cb(r))
+                schedule(0, partial(callback, req))
 
     # ------------------------------------------------------------------
     # waiter-callback bookkeeping

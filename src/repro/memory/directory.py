@@ -12,6 +12,7 @@ synchronization points (the CPU only touches data around kernel launches).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.engine import Simulator, ThroughputResource
@@ -60,19 +61,16 @@ class Directory:
         self._c_lookups.add()
         if request.is_load:
             self._c_read_requests.add()
+            forward = partial(self.dram.access, request, on_done)
         else:
+            # acknowledge the store when the DRAM bank queue accepts it;
+            # the write itself still consumes DRAM bandwidth afterwards
+            forward = partial(
+                self.dram.access, request, _ignore_response, partial(on_done, request)
+            )
             self._c_write_requests.add()
-
-        def forward() -> None:
-            if request.is_load:
-                self.dram.access(request, on_done)
-            else:
-                # acknowledge the store when the DRAM bank queue accepts it;
-                # the write itself still consumes DRAM bandwidth afterwards
-                self.dram.access(
-                    request,
-                    on_done=lambda r: None,
-                    on_accepted=lambda: on_done(request),
-                )
-
         self._schedule_at(grant + self.LOOKUP_LATENCY + self.dram_latency, forward)
+
+
+def _ignore_response(_request: MemoryRequest) -> None:
+    """Completion sink for acknowledged stores."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.config import DramConfig
@@ -32,7 +33,10 @@ __all__ = ["DramBank", "DramChannel", "DramSystem"]
 FR_FCFS_STARVATION_LIMIT = 8
 
 
-@dataclass(slots=True)
+# eq=False: the scheduler removes the selected entry from its bank queue,
+# and identity comparison keeps that removal in C instead of a generated
+# field-by-field __eq__ per entry it scans past
+@dataclass(slots=True, eq=False)
 class _QueuedAccess:
     request: MemoryRequest
     row: int
@@ -81,17 +85,11 @@ class DramBank:
         self._schedule = queue.schedule
         self._schedule_at = queue.schedule_at
 
-    @property
-    def queue_full(self) -> bool:
-        return len(self.queue) >= self.config.queue_depth
-
     def enqueue(
         self, request: MemoryRequest, row: int, on_done: Callable[[MemoryRequest], None]
     ) -> None:
         """Add an access to the bank queue and kick the scheduler."""
-        self.queue.append(
-            _QueuedAccess(request=request, row=row, arrival=self._queue.now, on_done=on_done)
-        )
+        self.queue.append(_QueuedAccess(request, row, self._queue.now, on_done))
         self._c_enqueued.add()
         if not self.busy:
             self._schedule_service()
@@ -120,7 +118,10 @@ class DramBank:
             self.busy = False
             return
         access = self._select()
-        self.queue.remove(access)
+        if access is self.queue[0]:
+            self.queue.popleft()
+        else:
+            self.queue.remove(access)
         now = self._queue.now
 
         if self.open_row is None:
@@ -151,14 +152,13 @@ class DramBank:
         # the data transfer occupies the shared channel bus after the array access
         bus_start = self.data_bus.grant(now + latency)
         finish = bus_start + self.config.burst_cycles
+        self._schedule_at(finish, partial(self._done, access))
 
-        def done() -> None:
-            access.on_done(access.request)
-            # space freed in the queue: wake a blocked producer, then continue
-            self.full_waiters.wake_one(self._queue.now)
-            self._service_next()
-
-        self._schedule_at(finish, done)
+    def _done(self, access: _QueuedAccess) -> None:
+        access.on_done(access.request)
+        # space freed in the queue: wake a blocked producer, then continue
+        self.full_waiters.wake_one(self._queue.now)
+        self._service_next()
 
     def pending(self) -> int:
         return len(self.queue) + (1 if self.busy else 0)
@@ -180,6 +180,7 @@ class DramChannel:
         self.stats = stats
         self._queue = sim.queue
         self._c_queue_full_stalls = stats.counter("dram.queue_full_stalls")
+        self._queue_depth = config.queue_depth
         self.data_bus = ThroughputResource(
             f"dram.ch{channel_id}.bus", cycles_per_grant=config.burst_cycles
         )
@@ -203,7 +204,7 @@ class DramChannel:
         stores, which gives the producer back-pressure when banks are full.
         """
         target = self.banks[bank]
-        if target.queue_full:
+        if len(target.queue) >= self._queue_depth:
             self._c_queue_full_stalls.add()
 
             def retry(_wake_time: int) -> None:
@@ -239,8 +240,8 @@ class DramSystem:
         on_accepted: Optional[Callable[[], None]] = None,
     ) -> None:
         """Issue one line access; ``on_done`` fires when the burst completes."""
-        loc = self.mapping.locate(request.address)
-        self.channels[loc.channel].access(request, loc.bank, loc.row, on_done, on_accepted)
+        channel, bank, row, _column = self.mapping.split(request.address)
+        self.channels[channel].access(request, bank, row, on_done, on_accepted)
 
     def row_id(self, address: int) -> int:
         """Expose the row mapping for the dirty-block index."""

@@ -32,6 +32,7 @@ is what makes it bit-identical (enforced by
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import SystemConfig
@@ -227,7 +228,7 @@ class MemoryHierarchy:
             l2 = self.l2
 
             def forward(request: MemoryRequest, on_done: Callable[[MemoryRequest], None]) -> None:
-                link.send(request, lambda r: l2.access(r, on_done))
+                link.send(request, partial(l2.access, on_done=on_done))
 
             return forward
 
@@ -284,7 +285,7 @@ class MemoryHierarchy:
         def to_directory(
             request: MemoryRequest, on_done: Callable[[MemoryRequest], None]
         ) -> None:
-            link.send(request, lambda r: directory.access(r, on_done))
+            link.send(request, partial(directory.access, on_done=on_done))
 
         return to_directory
 
@@ -298,8 +299,8 @@ class MemoryHierarchy:
         on_done: Callable[[MemoryRequest], None],
     ) -> None:
         """Issue one coalesced line request from CU ``cu_id``."""
-        if not (0 <= cu_id < len(self.l1s)):
-            raise IndexError(f"cu_id {cu_id} out of range (have {len(self.l1s)} CUs)")
+        if not (0 <= cu_id < self.total_cus):
+            raise IndexError(f"cu_id {cu_id} out of range (have {self.total_cus} CUs)")
         self.policy_engine.annotate(request)
         self._c_mem_requests.add()
         if request.is_load:

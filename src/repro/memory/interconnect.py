@@ -8,6 +8,7 @@ directory -> DRAM.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.engine import Simulator, ThroughputResource
@@ -67,4 +68,4 @@ class Link:
         wait = grant - now
         if wait > 0:
             self._c_contention_cycles.add(wait)
-        self._schedule_at(grant + latency, lambda: deliver(request))
+        self._schedule_at(grant + latency, partial(deliver, request))

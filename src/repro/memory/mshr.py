@@ -82,19 +82,17 @@ class MshrFile:
         allocate_way: Optional[int] = None,
     ) -> MshrEntry:
         """Allocate a new entry.  The caller must have checked :attr:`full`."""
-        if line_address in self._entries:
+        entries = self._entries
+        if line_address in entries:
             raise RuntimeError(f"MSHR already allocated for line 0x{line_address:x}")
-        if self.full:
+        occupancy = len(entries)
+        if self.capacity is not None and occupancy >= self.capacity:
             raise RuntimeError("MSHR file is full")
-        entry = MshrEntry(
-            line_address=line_address,
-            primary=primary,
-            allocate_way=allocate_way,
-            issued_cycle=cycle,
-        )
-        self._entries[line_address] = entry
+        entry = MshrEntry(line_address, primary, allocate_way, cycle)
+        entries[line_address] = entry
         self.total_allocations += 1
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
+        if occupancy >= self.peak_occupancy:
+            self.peak_occupancy = occupancy + 1
         return entry
 
     def coalesce(self, line_address: int, request: MemoryRequest) -> MshrEntry:

@@ -46,8 +46,7 @@ class LruReplacement(ReplacementPolicy):
     def select_victim(self, set_index: int, candidate_ways: Sequence[int]) -> int:
         if not candidate_ways:
             raise ValueError("no candidate ways to evict")
-        stamps = self._stamps[set_index]
-        return min(candidate_ways, key=lambda way: stamps[way])
+        return min(candidate_ways, key=self._stamps[set_index].__getitem__)
 
 
 class RandomReplacement(ReplacementPolicy):

@@ -39,7 +39,7 @@ class AccessType(enum.Enum):
         return self is AccessType.STORE
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class MemoryRequest:
     """A single cache-line access travelling through the hierarchy.
 
@@ -83,7 +83,8 @@ class MemoryRequest:
     converted_bypass: bool = False
     on_complete: Optional[Callable[["MemoryRequest"], None]] = None
     complete_cycle: Optional[int] = None
-    req_id: int = field(default_factory=lambda: next(_request_ids))
+    #: unique per request; drawn from a process-wide counter when not given
+    req_id: int = -1
     is_load: bool = field(init=False, repr=False, compare=False)
     is_store: bool = field(init=False, repr=False, compare=False)
     #: per-cache completion callbacks keyed by cache name (coalesced
@@ -93,13 +94,49 @@ class MemoryRequest:
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.address < 0:
-            raise ValueError(f"address must be non-negative, got {self.address}")
-        if self.size <= 0:
-            raise ValueError(f"size must be positive, got {self.size}")
-        self.is_load = self.access is AccessType.LOAD
-        self.is_store = not self.is_load
+    # Hand-written rather than generated: requests are built once per line
+    # access, and the generated initializer would add a __post_init__ call
+    # and a default-factory call to every construction.
+    def __init__(
+        self,
+        access: AccessType,
+        address: int,
+        pc: int = 0,
+        cu_id: int = 0,
+        wavefront_id: int = 0,
+        kernel_id: int = 0,
+        stream_id: int = 0,
+        issue_cycle: int = 0,
+        size: int = 64,
+        bypass_l1: bool = False,
+        bypass_l2: bool = False,
+        converted_bypass: bool = False,
+        on_complete: Optional[Callable[["MemoryRequest"], None]] = None,
+        complete_cycle: Optional[int] = None,
+        req_id: Optional[int] = None,
+    ) -> None:
+        if address < 0:
+            raise ValueError(f"address must be non-negative, got {address}")
+        if size <= 0:
+            raise ValueError(f"size must be positive, got {size}")
+        self.access = access
+        self.address = address
+        self.pc = pc
+        self.cu_id = cu_id
+        self.wavefront_id = wavefront_id
+        self.kernel_id = kernel_id
+        self.stream_id = stream_id
+        self.issue_cycle = issue_cycle
+        self.size = size
+        self.bypass_l1 = bypass_l1
+        self.bypass_l2 = bypass_l2
+        self.converted_bypass = converted_bypass
+        self.on_complete = on_complete
+        self.complete_cycle = complete_cycle
+        self.req_id = next(_request_ids) if req_id is None else req_id
+        self.is_load = is_load = access is AccessType.LOAD
+        self.is_store = not is_load
+        self._cache_callbacks = None
 
     def line_address(self, line_bytes: int) -> int:
         """Address of the cache line containing this access."""

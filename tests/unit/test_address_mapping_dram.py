@@ -51,6 +51,14 @@ class TestAddressMapping:
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             AddressMapping(_dram_config()).locate(-1)
+        with pytest.raises(ValueError):
+            AddressMapping(_dram_config()).split(-1)
+
+    def test_split_matches_locate(self):
+        mapping = AddressMapping(_dram_config(), line_bytes=64)
+        for address in (0, 63, 64, 1000, 64 * 2 * 16, 123_456, 2**30 + 5):
+            loc = mapping.locate(address)
+            assert mapping.split(address) == (loc.channel, loc.bank, loc.row, loc.column)
 
     def test_row_bytes_must_be_line_multiple(self):
         with pytest.raises(ValueError):

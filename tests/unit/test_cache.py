@@ -319,6 +319,49 @@ class TestInvalidationAndFlush:
         sim.run()
         assert cache.contents().get(0) == LineState.VALID
 
+    def test_flush_writes_back_in_set_order(self, sim, stats):
+        # small_config has 16 sets; store to sets 15, 3, 7 (way 0 each)
+        config = small_config(writeback=True)
+        cache, backend = build_cache(sim, stats, config=config)
+        for set_index in (15, 3, 7):
+            run_access(sim, cache, store(set_index * 64))
+        sim.run()
+        cache.flush_dirty(lambda: None)
+        sim.run()
+        assert [r.address for r in backend.requests] == [3 * 64, 7 * 64, 15 * 64]
+
+    def test_flush_finds_line_dirtied_by_a_store_merged_into_a_fill(self, sim, stats):
+        config = small_config(writeback=True)
+        cache, backend = build_cache(sim, stats, config=config)
+        run_access(sim, cache, load(0))
+        sim.run(until=config.hit_latency + 1)  # load miss outstanding
+        run_access(sim, cache, store(0))
+        sim.run()
+        assert stats.get("l1.store_coalesced_on_miss") == 1
+        assert cache.dirty_line_count() == 1
+        cache.flush_dirty(lambda: None)
+        sim.run()
+        assert [r.address for r in backend.requests if r.is_store] == [0]
+        assert cache.dirty_line_count() == 0
+
+    def test_stream_scoped_flush_leaves_other_streams_for_later(self, sim, stats):
+        config = small_config(writeback=True)
+        cache, backend = build_cache(sim, stats, config=config)
+        for address, stream in ((0, 0), (16 * 64, 1), (64, 1)):
+            request = store(address)
+            request.stream_id = stream
+            run_access(sim, cache, request)
+        sim.run()
+        cache.flush_dirty(lambda: None, stream_id=0)
+        sim.run()
+        assert [r.address for r in backend.requests] == [0]
+        assert cache.dirty_line_count() == 2
+        # set 0 still holds stream 1's dirty line: a later flush must find it
+        cache.flush_dirty(lambda: None, stream_id=1)
+        sim.run()
+        assert [r.address for r in backend.requests] == [0, 16 * 64, 64]
+        assert cache.dirty_line_count() == 0
+
     def test_flush_with_nothing_dirty_completes_immediately(self, sim, stats):
         cache, backend = build_cache(sim, stats)
         called = []
@@ -406,6 +449,18 @@ class TestIndexedGeometry:
             assert inline_line == config.line_address(address), hex(address)
         assert cache._num_sets == config.num_sets
         assert cache._line_bytes == config.line_bytes
+
+    def test_victim_is_first_invalid_way_after_invalidation(self, sim, stats):
+        # fill all 4 ways of set 0, drop them, then miss into the set again
+        cache, _ = build_cache(sim, stats)
+        for way in range(4):
+            run_access(sim, cache, load(way * 16 * 64))
+            sim.run()
+        assert len(cache._tag_to_way[0]) == 4
+        cache.invalidate_clean()
+        run_access(sim, cache, load(64 * 64))
+        sim.run()
+        assert cache._tag_to_way[0] == {64 * 64: 0}
 
     def test_tag_map_tracks_installed_lines(self, sim, stats):
         cache, _ = build_cache(sim, stats)

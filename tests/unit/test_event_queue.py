@@ -172,6 +172,75 @@ class TestExecution:
         assert queue.step() is False
 
 
+class TestCycleBuckets:
+    """Events of one cycle share a bucket; the firing order must still be
+    exactly (time, scheduling order), whatever interrupts a drain."""
+
+    def test_zero_delay_event_fires_after_queued_same_cycle_events(self):
+        queue = EventQueue()
+        order = []
+
+        def a():
+            order.append(("a", queue.now))
+            queue.schedule(0, lambda: order.append(("c", queue.now)))
+
+        queue.schedule(5, a)
+        queue.schedule(5, lambda: order.append(("b", queue.now)))
+        queue.schedule(6, lambda: order.append(("d", queue.now)))
+        queue.run()
+        assert order == [("a", 5), ("b", 5), ("c", 5), ("d", 6)]
+
+    def test_max_events_stop_mid_cycle_resumes_in_order(self):
+        queue = EventQueue()
+        order = []
+        for label in "abcde":
+            queue.schedule(3, lambda label=label: order.append(label))
+        queue.run(max_events=2)
+        assert order == ["a", "b"]
+        assert queue.pending == 3 and queue.now == 3
+        queue.schedule(0, lambda: order.append("f"))
+        assert queue.pending == 4
+        queue.run()
+        assert order == list("abcdef")
+        assert queue.pending == 0
+
+    def test_step_and_run_interleave(self):
+        queue = EventQueue()
+        order = []
+        for label, time in (("a", 1), ("b", 1), ("c", 2)):
+            queue.schedule(time, lambda label=label: order.append(label))
+        assert queue.step() is True
+        assert order == ["a"] and queue.pending == 2
+        queue.run()
+        assert order == ["a", "b", "c"]
+
+    def test_cancel_within_the_same_cycle(self):
+        queue = EventQueue()
+        fired = []
+        later = queue.schedule_cancellable(4, lambda: fired.append("later"))
+        queue.schedule_at(2, later.cancel)
+        queue.schedule(4, lambda: fired.append("kept"))
+        queue.run()
+        assert fired == ["kept"]
+        assert queue.executed == 2
+        assert queue._cancelled == set()
+
+    def test_raising_callback_consumes_its_event(self):
+        queue = EventQueue()
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        queue.schedule(1, boom)
+        queue.schedule(1, lambda: fired.append("next"))
+        with pytest.raises(RuntimeError):
+            queue.run()
+        queue.run()
+        assert fired == ["next"]
+        assert queue.executed == 2
+
+
 class TestFastPath:
     def test_schedule_is_fire_and_forget(self):
         queue = EventQueue()

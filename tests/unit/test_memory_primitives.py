@@ -43,6 +43,20 @@ class TestMemoryRequest:
         with pytest.raises(ValueError):
             MemoryRequest(access=AccessType.LOAD, address=-4)
 
+    def test_non_positive_size_rejected(self):
+        with pytest.raises(ValueError):
+            MemoryRequest(access=AccessType.LOAD, address=0, size=0)
+
+    def test_positional_construction_matches_keywords(self):
+        positional = MemoryRequest(AccessType.STORE, 128, 7, 1, 2, 3, 4, 50, req_id=9)
+        keywords = MemoryRequest(
+            access=AccessType.STORE, address=128, pc=7, cu_id=1, wavefront_id=2,
+            kernel_id=3, stream_id=4, issue_cycle=50, req_id=9,
+        )
+        assert positional == keywords
+        assert positional.is_store and not positional.is_load
+        assert positional._cache_callbacks is None
+
 
 class TestLruReplacement:
     def test_victim_is_least_recently_used(self):
