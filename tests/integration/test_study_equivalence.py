@@ -1,0 +1,208 @@
+"""Output pins for the study drivers and their CLI commands.
+
+The studies (static sweeps, Figure 14, device scaling, interference,
+resilience) and the CLI commands that print them share one grid path.
+Two things must survive any change to that path:
+
+* the store keys: the sorted fingerprints of the jobs each study hands to
+  the executor's backend, so existing result stores stay warm;
+* the CLI output: stdout, the ``--json-out`` artifact and the stderr
+  ``simulated=`` accounting line of ``sweep-all``, ``adaptive``,
+  ``topology``, ``serve`` and ``faults``.
+
+Store keys embed a digest of every ``repro`` source file, so the tests pin
+:func:`repro.fingerprint.code_digest` to a constant.  If a change alters
+these outputs on purpose, re-record with
+``PYTHONPATH=src python tests/integration/test_study_equivalence.py`` and
+say so in the commit.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+from typing import Callable
+
+import pytest
+
+import repro.fingerprint
+from repro import cli
+from repro.adaptive import AdaptiveConfig
+from repro.config import scaled_config
+from repro.core.policies import CACHE_R, CACHE_RW, UNCACHED
+from repro.experiments import (
+    ExperimentRunner,
+    SerialBackend,
+    SweepExecutor,
+    figure14_adaptive,
+    figure_interference,
+    figure_resilience,
+    figure_scaling,
+)
+from repro.faults import FAULT_PLANS
+from repro.streams import mix_by_name
+
+TINY = scaled_config(2)
+FAST = AdaptiveConfig(epoch_cycles=500, min_leader_accesses=8)
+FIXED_CODE_DIGEST = "0" * 64
+
+
+class RecordingBackend(SerialBackend):
+    """A serial backend that remembers the store key of every job it runs."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.keys: list[str] = []
+
+    def run_jobs(self, jobs, on_result=None):
+        self.keys.extend(job.fingerprint() for job in jobs)
+        return super().run_jobs(jobs, on_result)
+
+
+def _digest(obj: object) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _sweep(runner: ExperimentRunner, _tmp: Path) -> object:
+    sweep = runner.sweep(policies=(UNCACHED, CACHE_RW), workload_names=("FwSoft", "SGEMM"))
+    return {f"{w}/{p}": report.to_dict() for (w, p), report in sweep.reports.items()}
+
+
+def _figure14(runner: ExperimentRunner, _tmp: Path) -> object:
+    return figure14_adaptive(runner, FAST, ("FwSoft", "SGEMM"))
+
+
+def _scaling(runner: ExperimentRunner, _tmp: Path) -> object:
+    return figure_scaling(
+        runner, devices=(1, 2), policies=(CACHE_R, CACHE_RW), workload_names=("FwSoft",)
+    )
+
+
+def _interference(runner: ExperimentRunner, _tmp: Path) -> object:
+    mixes = [mix_by_name("mha+fwlstm"), mix_by_name("gemm-burst")]
+    return figure_interference(runner, mixes=mixes, policies=(CACHE_RW,))
+
+
+def _resilience(runner: ExperimentRunner, tmp: Path) -> object:
+    checkpoint = tmp / "checkpoint.json"
+    figure = figure_resilience(
+        runner,
+        mixes=[mix_by_name("mha+fwlstm"), mix_by_name("gemm-burst")],
+        policies=(CACHE_RW,),
+        plans=[FAULT_PLANS[name] for name in ("none", "link-brownout", "tenant-churn")],
+        checkpoint_path=checkpoint,
+    )
+    blob = json.loads(checkpoint.read_text(encoding="utf-8"))
+    return {"figure": figure, "checkpoint": [blob["sweep"], blob["total"]]}
+
+
+STUDIES: dict[str, Callable[[ExperimentRunner, Path], object]] = {
+    "sweep": _sweep,
+    "figure14_adaptive": _figure14,
+    "figure_scaling": _scaling,
+    "figure_interference": _interference,
+    "figure_resilience": _resilience,
+}
+
+#: argv per CLI command (--no-cache keeps the stderr line free of paths);
+#: JSON_OUT / TRACE_OUT are replaced by files under a temporary directory
+COMMON = ["--scale", "0.2", "--cus", "2"]
+COMMANDS: dict[str, list[str]] = {
+    "sweep-all": [
+        *COMMON, "sweep-all", "--no-cache", "--workloads", "FwSoft", "SGEMM",
+    ],
+    "adaptive": [
+        *COMMON, "adaptive", "--no-cache", "--workloads", "FwSoft",
+        "--epoch-cycles", "500", "--json-out", "JSON_OUT",
+    ],
+    "topology": [
+        *COMMON, "topology", "--no-cache", "--workloads", "FwSoft",
+        "--policies", "CacheR", "--devices", "1", "2", "--json-out", "JSON_OUT",
+    ],
+    "serve": [
+        *COMMON, "serve", "--no-cache", "--mix", "mha+fwlstm", "--policies", "CacheRW",
+        "--trace-out", "TRACE_OUT", "--json-out", "JSON_OUT",
+    ],
+    "faults": [
+        *COMMON, "faults", "--no-cache", "--mix", "mha+fwlstm",
+        "--plans", "none", "link-brownout", "--policies", "CacheRW",
+        "--json-out", "JSON_OUT",
+    ],
+}
+
+#: study -> (submitted jobs, digest of their sorted fingerprints,
+#: digest of the study's result)
+EXPECTED_STUDIES: dict[str, tuple[int, str, str]] = {
+    "sweep": (4, "38a0ce9de13275ba31cd29da4ab1cc1ee919a38c6542c58396b178f9f89e222b", "bf06c69fa634fff257868fab63a49c283c5fe175cfea189eb27583499e6d1ac8"),
+    "figure14_adaptive": (10, "187b9b53b9496c612a64fbbf920278d9b6ee47e2f1c410dd7b13e22604ab474f", "fa5b47e82c1d8ef4738497034b465093e5db8348820f41f0dda0292d0a6ea10b"),
+    "figure_scaling": (4, "ffd718d4e57d1ba7102d34608ca66ab68b1f832f81efa40c3d61147c2687ce43", "2fa552075ded7402b69b0582b4ee9605d85d5f26857e9d99199f50b71d82db53"),
+    "figure_interference": (8, "c64615a8929b57261051289e14dbb88b11f6b56244cf5747918da84ef34a515c", "d037bcf8efa2ddf18d8c826691ca9a1b46d6c38d54aaa2be2a34b18bd577abef"),
+    "figure_resilience": (6, "548d0f791fb652fdb23f568c03250441e31b3c5ae8fd987e60ba15b7b3343ee5", "f33569240ff7dce3b9f5a01486b402754d9d3feffa19842b2008e3a72f8438d4"),
+}
+
+#: command -> (stdout digest, --json-out digest or None, stderr stats line)
+EXPECTED_COMMANDS: dict[str, tuple[str, str | None, str]] = {
+    "sweep-all": ("1d8cb442f8cb8887bc5421578dbba18fdc7d3adcf36a818af7c75a2d61199778", None, "[sweep-all] grid=2x6 jobs=1 store=disabled simulated=12 loaded=0"),
+    "adaptive": ("4cafb9b3054ac0ec75b52e6df178b2d3e645a9cf8c68cea953ef998cee971abc", "307e046f69ecc032ca848f7d5ebd16b15843c677c7595d701e4f485987c3272d", "[adaptive] workloads=1 jobs=1 store=disabled simulated=5 loaded=0"),
+    "topology": ("d436af60c2e00c0d5c1caa1f9a3dc0725198391e2110030d66e7c2a873b20c96", "0ceeebd6c8dd246d7461710434c22f914bb302e016a894a188468bfa5bce242c", "[topology] grid=1x1x2 jobs=1 store=disabled simulated=2 loaded=0"),
+    "serve": ("85cb3f0bca54c393caa04bcc8dc072816c9ed6ff98e79e39e68945a07064aedd", "2c1923410122a5d5b4d9ecaca0b6abb2f1f0b8d6137be39f005a76766f5a20dd", "[serve] grid=1x1x2 jobs=1 store=disabled simulated=4 loaded=0"),
+    "faults": ("8fc3c63e4c9e4dbdadf8a9dc31088739a29e1f791bf216c1d62777424e3e746a", "ba0aaa26b0a2739ebc61781226e0eb20dfa2b825fda6e5ccdc9f3ac5d5118b36", "[faults] grid=1x1x2 topology=dual-chiplet jobs=1 store=disabled simulated=2 loaded=0 failed=0"),
+}
+
+
+def record_study(name: str, tmp: Path) -> tuple[int, str, str]:
+    backend = RecordingBackend()
+    runner = ExperimentRunner(scale=0.1, config=TINY, executor=SweepExecutor(backend))
+    result = STUDIES[name](runner, tmp)
+    keys = sorted(backend.keys)
+    return len(keys), _digest(keys), _digest(result)
+
+
+def record_command(name: str, tmp: Path) -> tuple[str, str | None, str]:
+    json_out, trace_out = tmp / "out.json", tmp / "trace.json"
+    argv = [
+        {"JSON_OUT": str(json_out), "TRACE_OUT": str(trace_out)}.get(arg, arg)
+        for arg in COMMANDS[name]
+    ]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert cli.main(argv) == 0
+    stats = [line for line in stderr.getvalue().splitlines() if " simulated=" in line]
+    assert len(stats) == 1, stderr.getvalue()
+    json_digest = (
+        hashlib.sha256(json_out.read_bytes()).hexdigest() if "JSON_OUT" in COMMANDS[name] else None
+    )
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest(), json_digest, stats[0]
+
+
+@pytest.fixture(autouse=True)
+def fixed_code_digest(monkeypatch):
+    monkeypatch.setattr(repro.fingerprint, "code_digest", lambda: FIXED_CODE_DIGEST)
+
+
+@pytest.mark.parametrize("name", list(STUDIES))
+def test_study_store_keys_and_results_are_pinned(name: str, tmp_path: Path) -> None:
+    assert record_study(name, tmp_path) == EXPECTED_STUDIES[name]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_cli_output_bytes_are_pinned(name: str, tmp_path: Path) -> None:
+    assert record_command(name, tmp_path) == EXPECTED_COMMANDS[name]
+
+
+if __name__ == "__main__":  # re-record the pins
+    repro.fingerprint.code_digest = lambda: FIXED_CODE_DIGEST  # type: ignore[assignment]
+    with tempfile.TemporaryDirectory() as scratch:
+        print("EXPECTED_STUDIES = {")
+        for study in STUDIES:
+            print(f"    {study!r}: {record_study(study, Path(scratch))!r},")
+        print("}")
+        print("EXPECTED_COMMANDS = {")
+        for command in COMMANDS:
+            print(f"    {command!r}: {record_command(command, Path(scratch))!r},")
+        print("}")
