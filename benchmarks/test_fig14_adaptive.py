@@ -20,7 +20,12 @@ import pytest
 
 from repro.adaptive import AdaptiveConfig
 from repro.core.classification import PAPER_CATEGORIES, WorkloadCategory
-from repro.experiments import adaptive_summary, figure14_adaptive, render_series_table
+from repro.experiments import (
+    adaptive_summary,
+    artifact,
+    figure14_adaptive,
+    render_series_table,
+)
 from repro.experiments.adaptive import DYNAMIC
 from repro.experiments.optimizations import STATIC_WORST
 from repro.workloads.registry import WORKLOAD_NAMES
@@ -53,12 +58,12 @@ def test_figure14_dynamic_policy(benchmark, bench_runner, adaptive_config):
     print(render_series_table("Figure 14 geomean summary", summary))
     FIG14_PATH.write_text(
         json.dumps(
-            {
-                "schema": 1,
-                "adaptive_fingerprint": adaptive_config.fingerprint(),
-                "figure14": data,
-                "summary": {group: dict(series) for group, series in summary.items()},
-            },
+            artifact(
+                "figure14",
+                data,
+                summary,
+                adaptive_fingerprint=adaptive_config.fingerprint(),
+            ),
             indent=1,
             sort_keys=True,
         )

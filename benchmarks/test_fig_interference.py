@@ -16,16 +16,14 @@ import json
 from pathlib import Path
 
 from repro.experiments import (
+    INTERFERENCE_COLUMNS,
+    artifact,
     figure_interference,
-    interference_series,
-    interference_summary,
     render_series_table,
+    series,
+    summarize,
 )
-from repro.experiments.interference import (
-    CU_MODES,
-    INTERFERENCE_POLICIES,
-    interference_artifact,
-)
+from repro.experiments.interference import CU_MODES, INTERFERENCE_POLICIES
 from repro.streams import SERVING_MIXES
 
 from benchmarks.conftest import run_once
@@ -44,30 +42,35 @@ def test_figure_interference(benchmark, bench_runner):
         policies=INTERFERENCE_POLICIES,
         modes=CU_MODES,
     )
-    summary = interference_summary(data)
+    summary = summarize(data, INTERFERENCE_COLUMNS)
     print()
     print(render_series_table(
         "Multi-tenant interference: mean per-tenant slowdown vs solo",
-        interference_series(data, "mean_slowdown"),
+        series(data, "mean_slowdown"),
     ))
     print(render_series_table(
         "Multi-tenant interference: unfairness (max/min tenant slowdown)",
-        interference_series(data, "unfairness"),
+        series(data, "unfairness"),
     ))
     print(render_series_table(
         "Serving summary (geomean slowdown / mean unfairness)", summary
     ))
     INTERFERENCE_PATH.write_text(
         json.dumps(
-            interference_artifact(data, summary, mixes=mixes),
+            artifact(
+                "figure_interference",
+                data,
+                summary,
+                mixes={mix.name: mix.describe() for mix in mixes},
+            ),
             indent=1,
             sort_keys=True,
         )
         + "\n"
     )
 
-    for mix_name, series in data.items():
-        for cell_name, cell in series.items():
+    for mix_name, cells in data.items():
+        for cell_name, cell in cells.items():
             # a tenant sharing the GPU can only lose time to contention;
             # tiny scheduling wiggle room is the only tolerated exception
             assert cell["max_slowdown"] > 0.0
@@ -82,8 +85,8 @@ def test_figure_interference(benchmark, bench_runner):
     # cell shows a real slowdown over solo execution
     worst = max(
         cell["max_slowdown"]
-        for series in data.values()
-        for name, cell in series.items()
+        for cells in data.values()
+        for name, cell in cells.items()
         if name.endswith("@shared")
     )
     assert worst > 1.01, f"no mix showed measurable interference ({worst:.3f})"

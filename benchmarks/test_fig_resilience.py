@@ -16,17 +16,18 @@ import json
 from pathlib import Path
 
 from repro.experiments import (
+    RESILIENCE_COLUMNS,
+    artifact,
     figure_resilience,
     render_series_table,
-    resilience_series,
-    resilience_summary,
+    series,
+    summarize,
 )
 from repro.experiments.resilience import (
     DEFAULT_RESILIENCE_MIXES,
     DEFAULT_RESILIENCE_PLANS,
     RESILIENCE_POLICIES,
     default_resilience_topology,
-    resilience_artifact,
 )
 from repro.faults import FAULT_PLANS
 from repro.streams import SERVING_MIXES
@@ -50,23 +51,30 @@ def test_figure_resilience(benchmark, bench_runner):
         plans=plans,
         topology=topology,
     )
-    summary = resilience_summary(data)
+    summary = summarize(data, RESILIENCE_COLUMNS)
     print()
     print(render_series_table(
         "Resilience: slowdown vs healthy baseline (same policy)",
-        resilience_series(data, "slowdown"),
+        series(data, "slowdown"),
     ))
     print(render_series_table(
         "Resilience: availability (fraction of run with no fault active)",
-        resilience_series(data, "availability"),
+        series(data, "availability"),
     ))
     print(render_series_table(
         "Resilience summary (geomean slowdown / mean availability)", summary
     ))
     RESILIENCE_PATH.write_text(
         json.dumps(
-            resilience_artifact(
-                data, summary, plans, topology=topology.label
+            artifact(
+                "figure_resilience",
+                data,
+                summary,
+                plans={
+                    plan.label: {"events": len(plan.events), "description": plan.description}
+                    for plan in plans
+                },
+                topology=topology.label,
             ),
             indent=1,
             sort_keys=True,
@@ -74,9 +82,9 @@ def test_figure_resilience(benchmark, bench_runner):
         + "\n"
     )
 
-    for mix_name, series in data.items():
-        assert len(series) == len(RESILIENCE_POLICIES) * len(plans)
-        for cell_name, cell in series.items():
+    for mix_name, cells in data.items():
+        assert len(cells) == len(RESILIENCE_POLICIES) * len(plans)
+        for cell_name, cell in cells.items():
             assert cell["cycles"] > 0
             if cell_name.endswith("@none"):
                 # the healthy baseline is its own denominator and never
@@ -96,8 +104,8 @@ def test_figure_resilience(benchmark, bench_runner):
     # reduce cache contention -- but not the whole grid)
     worst = max(
         cell["slowdown"]
-        for series in data.values()
-        for name, cell in series.items()
+        for cells in data.values()
+        for name, cell in cells.items()
         if not name.endswith("@none")
     )
     assert worst > 1.01, f"no fault plan showed measurable slowdown ({worst:.3f})"

@@ -19,13 +19,15 @@ import json
 from pathlib import Path
 
 from repro.core.policies import STATIC_POLICIES
-from repro.experiments import figure_scaling, render_series_table, scaling_summary
-from repro.experiments.scaling import (
-    SCALING_DEVICES,
-    SCALING_WORKLOADS,
-    scaling_artifact,
-    scaling_series,
+from repro.experiments import (
+    SCALING_COLUMNS,
+    artifact,
+    figure_scaling,
+    render_series_table,
+    series,
+    summarize,
 )
+from repro.experiments.scaling import SCALING_DEVICES, SCALING_WORKLOADS
 
 from benchmarks.conftest import run_once
 
@@ -42,23 +44,27 @@ def test_figure_scaling(benchmark, bench_runner):
         policies=STATIC_POLICIES,
         workload_names=SCALING_WORKLOADS,
     )
-    summary = scaling_summary(data)
+    summary = summarize(data, SCALING_COLUMNS)
     print()
     print(render_series_table(
         "Device scaling: speedup over the same policy at 1 device",
-        scaling_series(data, "speedup"),
+        series(data, "speedup"),
     ))
     print(render_series_table(
         "Device scaling: remote traffic fraction",
-        scaling_series(data, "remote_fraction"),
+        series(data, "remote_fraction"),
     ))
     print(render_series_table(
         "Device scaling summary (geomean speedup / mean remote fraction)", summary
     ))
     SCALING_PATH.write_text(
         json.dumps(
-            scaling_artifact(
-                data, summary, devices=SCALING_DEVICES, workload_names=SCALING_WORKLOADS
+            artifact(
+                "figure_scaling",
+                data,
+                summary,
+                devices=list(SCALING_DEVICES),
+                workloads=list(SCALING_WORKLOADS),
             ),
             indent=1,
             sort_keys=True,
@@ -66,13 +72,13 @@ def test_figure_scaling(benchmark, bench_runner):
         + "\n"
     )
 
-    for workload, series in data.items():
+    for workload, cells in data.items():
         for policy in STATIC_POLICIES:
             # the 1-device cells anchor the normalization
-            assert series[f"{policy.name}@1dev"]["speedup"] == 1.0
-            assert series[f"{policy.name}@1dev"]["remote_fraction"] == 0.0
+            assert cells[f"{policy.name}@1dev"]["speedup"] == 1.0
+            assert cells[f"{policy.name}@1dev"]["remote_fraction"] == 0.0
             for count in SCALING_DEVICES[1:]:
-                cell = series[f"{policy.name}@{count}dev"]
+                cell = cells[f"{policy.name}@{count}dev"]
                 # interleaved partitions must produce cross-device traffic...
                 assert cell["remote_fraction"] > 0.0, (
                     f"{workload} {policy.name}@{count}dev saw no remote traffic"

@@ -68,6 +68,7 @@ from repro.core.policies import ALL_POLICIES, STATIC_POLICIES, policy_by_name
 from repro.experiments import (
     ExperimentRunner,
     adaptive_summary,
+    artifact,
     figure14_adaptive,
     figure4_gvops,
     figure5_gmrs,
@@ -80,37 +81,34 @@ from repro.experiments import (
     figure12_cache_stalls,
     figure13_row_hit_rate,
     render_series_table,
+    series,
+    summarize,
     table1_system_configuration,
     table2_workloads,
 )
 from repro.experiments.render import render_kv_table
 from repro.experiments.scaling import (
+    SCALING_COLUMNS,
     SCALING_DEVICES,
     SCALING_WORKLOADS,
     figure_scaling,
-    scaling_artifact,
-    scaling_series,
-    scaling_summary,
 )
 from repro.experiments.interference import (
     CU_MODES,
+    INTERFERENCE_COLUMNS,
     INTERFERENCE_POLICIES,
     figure_interference,
-    interference_artifact,
-    interference_series,
-    interference_summary,
     mix_is_partitionable,
 )
 from repro.experiments.resilience import (
     DEFAULT_RESILIENCE_MIXES,
     DEFAULT_RESILIENCE_PLANS,
+    RESILIENCE_COLUMNS,
     RESILIENCE_POLICIES,
     figure_resilience,
     plan_is_runnable,
-    resilience_artifact,
-    resilience_series,
-    resilience_summary,
 )
+from repro.experiments.study import Column, Figure
 from repro.experiments.store import ResultStore, default_cache_dir
 from repro.faults import FAULT_PLAN_NAMES, FAULT_PLANS, fault_plan_by_name
 from repro.ioutil import atomic_write_json
@@ -156,61 +154,65 @@ _FIGURES = {
 }
 
 
-def _add_executor_options(parser: argparse.ArgumentParser) -> None:
-    """Accept the executor flags after the subcommand as well.
+#: registry spellings every --policy/--policies/--candidates option accepts
+_POLICY_NAMES = [policy.name for policy in ALL_POLICIES]
 
-    ``SUPPRESS`` keeps an unset subcommand-level flag from clobbering the
-    value the global parser already recorded, so both
-    ``repro-gpu-cache --jobs 4 sweep-all`` and
-    ``repro-gpu-cache sweep-all --jobs 4`` work.
-    """
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=argparse.SUPPRESS,
-        metavar="N",
-        help="worker processes for sweeps (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=argparse.SUPPRESS,
-        metavar="SECS",
-        help="with --jobs > 1, abandon a batch's stragglers after SECS seconds",
-    )
-    parser.add_argument(
-        "--job-retries",
-        type=int,
-        default=argparse.SUPPRESS,
-        metavar="N",
-        help="with --jobs > 1, retry dead or hung jobs N times on a fresh pool",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=argparse.SUPPRESS,
+
+def _policy_name(text: str) -> str:
+    """The registry spelling of a policy name, matched case-insensitively
+    (unknown names pass through for ``choices`` to reject)."""
+    return next((name for name in _POLICY_NAMES if name.lower() == text.lower()), text)
+
+
+#: the executor flags, accepted before and after the subcommand:
+#: (flag, value before the subcommand when unset, add_argument keywords)
+_EXECUTOR_FLAGS: tuple[tuple[str, object, dict[str, object]], ...] = (
+    ("--jobs", 1, dict(
+        type=int, metavar="N", help="worker processes for sweeps (default: 1, serial)",
+    )),
+    ("--job-timeout", None, dict(
+        type=float, metavar="SECS",
+        help="with --jobs > 1, abandon a batch's stragglers after SECS "
+        "seconds (default: no timeout)",
+    )),
+    ("--job-retries", 0, dict(
+        type=int, metavar="N",
+        help="with --jobs > 1, retry dead or hung jobs N times on a "
+        "fresh pool (default: 0)",
+    )),
+    ("--cache-dir", None, dict(
         metavar="DIR",
-        help="persistent result store directory",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="disable the persistent result store",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        default=argparse.SUPPRESS,
+        help="persistent result store directory (default: none for run, "
+        "sweep and figure; the conventional store for the studies)",
+    )),
+    ("--no-cache", False, dict(
+        action="store_true", help="disable the persistent result store",
+    )),
+    ("--telemetry-out", None, dict(
         metavar="FILE",
         help="write executor telemetry (per-job wall times, worker "
         "utilization, store hits, retries) as JSON",
-    )
-    parser.add_argument(
-        "--ledger",
-        default=argparse.SUPPRESS,
+    )),
+    ("--ledger", None, dict(
         metavar="FILE",
-        help="append provenance entries for every simulated cell (plus a "
-        "sweep aggregate) to this JSONL run ledger",
-    )
+        help="append run/job provenance entries (plus a sweep aggregate) "
+        "to this JSONL run ledger (inspect with the 'ledger' subcommand)",
+    )),
+)
+
+
+def _add_executor_options(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
+    """Add the executor flags to the global parser or to one subcommand.
+
+    On a subcommand the default is ``SUPPRESS``, which keeps an unset
+    flag from clobbering the value the global parser already recorded, so
+    both ``repro-gpu-cache --jobs 4 sweep-all`` and
+    ``repro-gpu-cache sweep-all --jobs 4`` work.
+    """
+    for flag, default, options in _EXECUTOR_FLAGS:
+        parser.add_argument(
+            flag, default=default if top_level else argparse.SUPPRESS, **options
+        )
 
 
 def _add_trace_options(parser: argparse.ArgumentParser, replay: bool = False) -> None:
@@ -252,54 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
     parser.add_argument("--cus", type=int, default=None, help="number of compute units")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for sweeps (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECS",
-        help="with --jobs > 1, abandon a batch's stragglers after SECS "
-        "seconds (default: no timeout)",
-    )
-    parser.add_argument(
-        "--job-retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="with --jobs > 1, retry dead or hung jobs N times on a "
-        "fresh pool (default: 0)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent result store directory (default: none, except sweep-all)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent result store even for sweep-all",
-    )
-    parser.add_argument(
-        "--telemetry-out",
-        default=None,
-        metavar="FILE",
-        help="write executor telemetry (per-job wall times, worker "
-        "utilization, store hits, retries) as JSON",
-    )
-    parser.add_argument(
-        "--ledger",
-        default=None,
-        metavar="FILE",
-        help="append run/job provenance entries to this JSONL run ledger "
-        "(inspect with the 'ledger' subcommand)",
-    )
+    _add_executor_options(parser, top_level=True)
     parser.add_argument(
         "--log-level",
         default=None,
@@ -330,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subparsers.add_parser("run", help="simulate one workload under one policy")
     run.add_argument("--workload", required=True, choices=list(WORKLOAD_NAMES))
-    run.add_argument("--policy", required=True)
+    run.add_argument("--policy", required=True, type=_policy_name, choices=_POLICY_NAMES)
     run.add_argument(
         "--topology", default=None, choices=list(TOPOLOGY_NAMES),
         help="simulate on a registered multi-device topology",
@@ -353,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--policies",
         nargs="+",
+        type=_policy_name,
+        choices=_POLICY_NAMES,
         default=[p.name for p in STATIC_POLICIES],
         help="policy names (default: the three static policies)",
     )
@@ -363,11 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="materialize the full workload x policy grid and print its figures",
     )
     sweep_all.add_argument(
-        "--workloads", nargs="+", default=None, help="subset of workloads (default: all 17)"
+        "--workloads", nargs="+", default=None, choices=list(WORKLOAD_NAMES),
+        help="subset of workloads (default: all 18)",
     )
     sweep_all.add_argument(
         "--policies",
         nargs="+",
+        type=_policy_name,
+        choices=_POLICY_NAMES,
         default=[p.name for p in ALL_POLICIES],
         help="policy names (default: all six policies)",
     )
@@ -386,12 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the online dynamic-policy study (Figure 14)",
     )
     adaptive.add_argument(
-        "--workloads", nargs="+", default=None,
+        "--workloads", nargs="+", default=None, choices=list(WORKLOAD_NAMES),
         help="subset of workloads (default: all 18, including MHA)",
     )
     adaptive.add_argument(
         "--candidates",
         nargs="+",
+        type=_policy_name,
+        choices=_POLICY_NAMES,
         default=[p.name for p in STATIC_POLICIES],
         help="candidate policies the duel arbitrates (default: the static three)",
     )
@@ -428,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     topology.add_argument(
         "--policies",
         nargs="+",
+        type=_policy_name,
+        choices=_POLICY_NAMES,
         default=[p.name for p in STATIC_POLICIES],
         help="policy names (default: the three static policies)",
     )
@@ -468,6 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--policies",
         nargs="+",
+        type=_policy_name,
+        choices=_POLICY_NAMES,
         default=[p.name for p in INTERFERENCE_POLICIES],
         help="policy names (default: CacheRW plus the AB/CR optimizations)",
     )
@@ -500,6 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--policies",
         nargs="+",
+        type=_policy_name,
+        choices=_POLICY_NAMES,
         default=[p.name for p in RESILIENCE_POLICIES],
         help="policy names (default: CacheRW plus the AB/CR optimizations)",
     )
@@ -534,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serving mix to trace (concurrent streams)",
     )
     trace.add_argument(
-        "--policy", default="CacheRW",
+        "--policy", default="CacheRW", type=_policy_name, choices=_POLICY_NAMES,
         help="policy name (default: CacheRW)",
     )
     trace.add_argument(
@@ -587,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     figure = subparsers.add_parser("figure", help="regenerate one of the paper's figures")
     figure.add_argument("number", choices=sorted(_FIGURES, key=int))
     figure.add_argument(
-        "--workloads", nargs="+", default=None, help="subset of workloads (default: all 17)"
+        "--workloads", nargs="+", default=None, choices=list(WORKLOAD_NAMES),
+        help="subset of workloads (default: all 18)",
     )
     _add_executor_options(figure)
 
@@ -707,15 +676,22 @@ def _cache_dir(args: argparse.Namespace, default_to_conventional: bool = False) 
 
 
 def _runner(
-    args: argparse.Namespace, workload_names: Sequence[str] | None = None
+    args: argparse.Namespace,
+    workload_names: Sequence[str] | None = None,
+    default_store: bool = True,
 ) -> ExperimentRunner:
-    """Build the experiment runner the sweep-style commands share."""
+    """Build the experiment runner every sweep-style command shares.
+
+    With neither ``--cache-dir`` nor ``--no-cache``, ``default_store``
+    picks the conventional persistent store (the studies); ``sweep`` and
+    ``figure`` keep results in-process unless asked.
+    """
     return ExperimentRunner(
         scale=args.scale,
         config=_system_config(args),
         workload_names=workload_names,
         jobs=args.jobs,
-        cache_dir=_cache_dir(args),
+        cache_dir=_cache_dir(args, default_to_conventional=default_store),
         job_timeout=args.job_timeout,
         job_retries=args.job_retries,
         ledger_path=args.ledger,
@@ -798,26 +774,85 @@ def _write_trace(path: str, session: SimulationSession, command: str) -> None:
         )
 
 
-def _write_executor_telemetry(args: argparse.Namespace, runner: ExperimentRunner) -> None:
-    """Write the ``--telemetry-out`` executor artifact, when requested.
+def _print_study(
+    figure: Figure,
+    columns: dict[str, Column],
+    tables: Sequence[tuple[str, str]],
+    summary_title: str,
+) -> dict[str, dict[str, float]]:
+    """Print one table per (title, metric) and the summary; return the summary."""
+    for title, metric in tables:
+        print(render_series_table(title, series(figure, metric)))
+    summary = summarize(figure, columns)
+    print(render_series_table(summary_title, summary))
+    return summary
 
-    Also the single point where a ledger-carrying sweep appends its
-    aggregate entry (store hit-rate, worker utilization, retry pressure) --
-    every sweep-style command funnels through here after its grid runs.
+
+def _replay(args: argparse.Namespace, label: str, **session_args: object) -> None:
+    """Re-simulate one study cell inline for ``--trace-out``/``--alerts``.
+
+    The study's cells ran in workers (or came from the store), so the
+    trace and alert observers attach to one designated replay instead.
     """
+    session = SimulationSession(
+        config=_system_config(args),
+        telemetry=_telemetry_config(args),
+        obs=_obs_config(args),
+        **session_args,  # type: ignore[arg-type]
+    )
+    report = session.run()
+    if args.trace_out:
+        _write_trace(args.trace_out, session, args.command)
+    verb = "traced" if args.trace_out else "replayed"
+    print(f"[{args.command}] {verb} {label}", file=sys.stderr)
+    if args.alerts:
+        _print_alerts(report, args.command)
+
+
+def _finish(
+    args: argparse.Namespace,
+    runner: ExperimentRunner,
+    grid: str | None = None,
+    blob: dict[str, object] | None = None,
+    failed: bool = False,
+) -> int:
+    """The closing step every sweep-style command shares; returns 0.
+
+    Writes ``blob`` to ``--json-out``; when ``grid`` describes the study,
+    prints the stats line on stderr (so stdout stays byte-identical
+    between cold and warm runs; only the studies pass ``grid``, and they
+    all default to the conventional store); appends the sweep aggregate
+    to the ledger; writes the ``--telemetry-out`` executor artifact.
+    """
+    json_out = getattr(args, "json_out", None)
+    if json_out and blob is not None:
+        atomic_write_json(json_out, blob)
+        print(f"[{args.command}] wrote figure data to {json_out}", file=sys.stderr)
     executor = runner.executor
-    if getattr(executor, "ledger", None) is not None:
+    if grid is not None:
+        stats = executor.stats
+        store = _cache_dir(args, default_to_conventional=True) or "disabled"
+        line = (
+            f"[{args.command}] {grid} jobs={args.jobs} store={store} "
+            f"simulated={stats.runs_simulated} loaded={stats.runs_loaded}"
+        )
+        if failed:
+            line += f" failed={stats.runs_failed}"
+        print(line, file=sys.stderr)
+    if executor.ledger is not None:
         executor.record_sweep(label=args.command, workers=args.jobs)
-    path = getattr(args, "telemetry_out", None)
-    if not path:
-        return
-    blob = {
-        "schema": 1,
-        "command": args.command,
-        "executor": runner.executor.stats.telemetry(workers=args.jobs),
-    }
-    atomic_write_json(path, blob)
-    print(f"[{args.command}] wrote executor telemetry to {path}", file=sys.stderr)
+    if args.telemetry_out:
+        telemetry = {
+            "schema": 1,
+            "command": args.command,
+            "executor": executor.stats.telemetry(workers=args.jobs),
+        }
+        atomic_write_json(args.telemetry_out, telemetry)
+        print(
+            f"[{args.command}] wrote executor telemetry to {args.telemetry_out}",
+            file=sys.stderr,
+        )
+    return 0
 
 
 def _list_payload() -> dict[str, object]:
@@ -967,7 +1002,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     workload_name = args.workload
-    runner = _runner(args, workload_names=[workload_name])
+    runner = _runner(args, [workload_name], default_store=False)
     sweep = runner.sweep(policies=[policy_by_name(name) for name in args.policies])
     comparison = sweep.comparison(workload_name)
     data = {
@@ -978,17 +1013,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(render_series_table(f"Execution time for {workload_name} (normalized)", data))
     dram = {workload_name: comparison.metric(lambda r: float(r.dram_accesses))}
     print(render_series_table(f"DRAM accesses for {workload_name}", dram, value_format="{:.0f}"))
-    _write_executor_telemetry(args, runner)
-    return 0
+    return _finish(args, runner)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     title, builder, fmt = _FIGURES[args.number]
-    runner = _runner(args, workload_names=args.workloads)
-    data = builder(runner)
-    print(render_series_table(title, data, value_format=fmt))
-    _write_executor_telemetry(args, runner)
-    return 0
+    runner = _runner(args, args.workloads, default_store=False)
+    print(render_series_table(title, builder(runner), value_format=fmt))
+    return _finish(args, runner)
 
 
 def _cmd_sweep_all(args: argparse.Namespace) -> int:
@@ -997,43 +1029,22 @@ def _cmd_sweep_all(args: argparse.Namespace) -> int:
     The sweep submits the whole (workload x policy) grid to the executor in
     one batch, so ``--jobs N`` runs up to N grid cells concurrently; with
     the persistent store warm, a repeat invocation simulates nothing and
-    prints identical figures.  The cache-effectiveness summary goes to
-    stderr so stdout stays byte-identical between cold and warm runs.
+    prints identical figures.
     """
-    cache_dir = _cache_dir(args, default_to_conventional=True)
-    runner = ExperimentRunner(
-        scale=args.scale,
-        config=_system_config(args),
-        workload_names=args.workloads,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
-        ledger_path=args.ledger,
-    )
+    runner = _runner(args, args.workloads)
     policies = [policy_by_name(name) for name in args.policies]
     runner.sweep(policies=policies)
     for number in args.figures:
         title, builder, fmt = _FIGURES[number]
         print(render_series_table(title, builder(runner), value_format=fmt))
-    stats = runner.stats()
-    print(
-        f"[sweep-all] grid={len(runner.workload_names)}x{len(policies)} "
-        f"jobs={args.jobs} store={cache_dir or 'disabled'} "
-        f"simulated={stats['runs_simulated']} loaded={stats['runs_loaded']}",
-        file=sys.stderr,
-    )
-    _write_executor_telemetry(args, runner)
-    return 0
+    return _finish(args, runner, f"grid={len(runner.workload_names)}x{len(policies)}")
 
 
 def _cmd_adaptive(args: argparse.Namespace) -> int:
     """Run the dynamic-vs-static comparison and print/record Figure 14.
 
-    Like ``sweep-all``, the command defaults to the conventional persistent
-    store, so the static envelope (shared with Figures 6-13) and finished
-    dynamic cells are never re-simulated; the cache-effectiveness line goes
-    to stderr so stdout stays identical between cold and warm runs.
+    The static envelope is shared with Figures 6-13 through the store, so
+    a warm repeat re-simulates neither it nor the dynamic cells.
     """
     overrides: dict[str, object] = {
         "candidates": tuple(policy_by_name(name) for name in args.candidates),
@@ -1045,17 +1056,7 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
         overrides["leader_sets_per_policy"] = args.leader_sets
     adaptive_config = AdaptiveConfig(**overrides)  # type: ignore[arg-type]
 
-    cache_dir = _cache_dir(args, default_to_conventional=True)
-    runner = ExperimentRunner(
-        scale=args.scale,
-        config=_system_config(args),
-        workload_names=args.workloads,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
-        ledger_path=args.ledger,
-    )
+    runner = _runner(args, args.workloads)
     figure = figure14_adaptive(runner, adaptive_config=adaptive_config)
     summary = adaptive_summary(figure)
     print(
@@ -1066,43 +1067,28 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
         )
     )
     print(render_series_table("Figure 14 geomean summary", summary))
-
-    if args.json_out:
-        blob = {
-            "schema": 1,
-            "adaptive": {
-                "fingerprint": adaptive_config.fingerprint(),
-                "candidates": [p.name for p in adaptive_config.candidates],
-                "epoch_cycles": adaptive_config.epoch_cycles,
-                "leader_sets_per_policy": adaptive_config.leader_sets_per_policy,
-                "mid_kernel_switching": adaptive_config.mid_kernel_switching,
-            },
-            "scale": args.scale,
-            "num_cus": runner.config.gpu.num_cus,
-            "figure14": figure,
-            "summary": summary,
-        }
-        atomic_write_json(args.json_out, blob)
-        print(f"[adaptive] wrote figure data to {args.json_out}", file=sys.stderr)
-
-    stats = runner.stats()
-    print(
-        f"[adaptive] workloads={len(figure)} jobs={args.jobs} "
-        f"store={cache_dir or 'disabled'} "
-        f"simulated={stats['runs_simulated']} loaded={stats['runs_loaded']}",
-        file=sys.stderr,
+    blob = artifact(
+        "figure14",
+        figure,
+        summary,
+        adaptive={
+            "fingerprint": adaptive_config.fingerprint(),
+            "candidates": [p.name for p in adaptive_config.candidates],
+            "epoch_cycles": adaptive_config.epoch_cycles,
+            "leader_sets_per_policy": adaptive_config.leader_sets_per_policy,
+            "mid_kernel_switching": adaptive_config.mid_kernel_switching,
+        },
+        scale=args.scale,
+        num_cus=runner.config.gpu.num_cus,
     )
-    _write_executor_telemetry(args, runner)
-    return 0
+    return _finish(args, runner, f"workloads={len(figure)}", blob)
 
 
 def _cmd_topology(args: argparse.Namespace) -> int:
     """Run the device-scaling study and print/record its figure.
 
-    Like ``sweep-all`` and ``adaptive``, the command defaults to the
-    conventional persistent store: every cell's fingerprint includes the
-    :class:`TopologyConfig`, so a warm repeat simulates nothing and the
-    cache-effectiveness line on stderr proves it.
+    Every cell's fingerprint includes the :class:`TopologyConfig`, so a
+    warm repeat simulates nothing and the stderr stats line proves it.
     """
     devices = sorted(set(args.devices))
     if 1 not in devices:
@@ -1128,18 +1114,8 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     if overrides:
         base = dataclasses.replace(base, **overrides)
 
-    cache_dir = _cache_dir(args, default_to_conventional=True)
     workload_names = tuple(args.workloads) if args.workloads else SCALING_WORKLOADS
-    runner = ExperimentRunner(
-        scale=args.scale,
-        config=_system_config(args),
-        workload_names=workload_names,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
-        ledger_path=args.ledger,
-    )
+    runner = _runner(args, workload_names)
     policies = [policy_by_name(name) for name in args.policies]
     figure = figure_scaling(
         runner,
@@ -1148,89 +1124,56 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         workload_names=workload_names,
         topology=base,
     )
-    summary = scaling_summary(figure)
-    print(
-        render_series_table(
-            "Device scaling: speedup over the same policy at 1 device",
-            scaling_series(figure, "speedup"),
-        )
+    summary = _print_study(
+        figure,
+        SCALING_COLUMNS,
+        [
+            ("Device scaling: speedup over the same policy at 1 device", "speedup"),
+            ("Device scaling: remote traffic fraction", "remote_fraction"),
+        ],
+        "Device scaling summary (geomean speedup / mean remote fraction)",
     )
-    print(
-        render_series_table(
-            "Device scaling: remote traffic fraction",
-            scaling_series(figure, "remote_fraction"),
-        )
+    blob = artifact(
+        "figure_scaling",
+        figure,
+        summary,
+        devices=devices,
+        workloads=list(workload_names),
+        fabric=base.describe(),
+        fingerprints={
+            str(count): base.with_devices(count).fingerprint() for count in devices
+        },
+        scale=args.scale,
+        cus_per_device=runner.config.gpu.num_cus,
+        policies=[p.name for p in policies],
     )
-    print(
-        render_series_table(
-            "Device scaling summary (geomean speedup / mean remote fraction)",
-            summary,
-        )
-    )
-
-    if args.json_out:
-        blob = scaling_artifact(
-            figure,
-            summary,
-            devices=devices,
-            workload_names=workload_names,
-            fabric=base.describe(),
-            fingerprints={
-                str(count): base.with_devices(count).fingerprint()
-                for count in devices
-            },
-            scale=args.scale,
-            cus_per_device=runner.config.gpu.num_cus,
-            policies=[p.name for p in policies],
-        )
-        atomic_write_json(args.json_out, blob)
-        print(f"[topology] wrote figure data to {args.json_out}", file=sys.stderr)
-
-    stats = runner.stats()
-    print(
-        f"[topology] grid={len(workload_names)}x{len(policies)}x{len(devices)} "
-        f"jobs={args.jobs} store={cache_dir or 'disabled'} "
-        f"simulated={stats['runs_simulated']} loaded={stats['runs_loaded']}",
-        file=sys.stderr,
-    )
-    _write_executor_telemetry(args, runner)
-    return 0
+    grid = f"grid={len(workload_names)}x{len(policies)}x{len(devices)}"
+    return _finish(args, runner, grid, blob)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the multi-tenant interference study and print/record its figure.
 
-    Like the other sweep commands, ``serve`` defaults to the conventional
-    persistent store: every cell's fingerprint covers the full stream
-    configurations, and the solo baselines are plain single-workload
-    cells shared with the ordinary sweeps, so a warm repeat simulates
-    nothing and the cache-effectiveness line on stderr proves it.
+    Every cell's fingerprint covers the full stream configurations, and
+    the solo baselines are plain single-workload cells shared with the
+    ordinary sweeps, so a warm repeat simulates nothing.
     """
     mixes = [mix_by_name(name) for name in (args.mix or MIX_NAMES)]
     policies = [policy_by_name(name) for name in args.policies]
     modes = list(CU_MODES) if args.cu_partition == "both" else [args.cu_partition]
-
-    cache_dir = _cache_dir(args, default_to_conventional=True)
-    runner = ExperimentRunner(
-        scale=args.scale,
-        config=_system_config(args),
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
-        ledger_path=args.ledger,
-    )
+    runner = _runner(args)
+    cus = runner.config.gpu.num_cus
     if "partitioned" in modes:
         for mix in mixes:
-            if not mix_is_partitionable(mix, runner.config.gpu.num_cus):
+            if not mix_is_partitionable(mix, cus):
                 print(
                     f"[serve] note: {mix.name} has {mix.num_streams} streams but "
-                    f"the system has {runner.config.gpu.num_cus} CUs per device; "
+                    f"the system has {cus} CUs per device; "
                     "its partitioned cells are skipped",
                     file=sys.stderr,
                 )
         if modes == ["partitioned"] and not any(
-            mix_is_partitionable(mix, runner.config.gpu.num_cus) for mix in mixes
+            mix_is_partitionable(mix, cus) for mix in mixes
         ):
             print(
                 "error: no requested mix fits a CU partition on this system; "
@@ -1239,83 +1182,42 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
             return 2
     figure = figure_interference(runner, mixes=mixes, policies=policies, modes=modes)
-    summary = interference_summary(figure)
-    print(
-        render_series_table(
-            "Multi-tenant interference: mean per-tenant slowdown vs solo",
-            interference_series(figure, "mean_slowdown"),
-        )
+    summary = _print_study(
+        figure,
+        INTERFERENCE_COLUMNS,
+        [
+            ("Multi-tenant interference: mean per-tenant slowdown vs solo", "mean_slowdown"),
+            ("Multi-tenant interference: unfairness (max/min tenant slowdown)", "unfairness"),
+        ],
+        "Serving summary (geomean slowdown / mean unfairness)",
     )
-    print(
-        render_series_table(
-            "Multi-tenant interference: unfairness (max/min tenant slowdown)",
-            interference_series(figure, "unfairness"),
-        )
-    )
-    print(
-        render_series_table(
-            "Serving summary (geomean slowdown / mean unfairness)", summary
-        )
-    )
-
-    if args.json_out:
-        blob = interference_artifact(
-            figure,
-            summary,
-            mixes=mixes,
-            modes=modes,
-            policies=[p.name for p in policies],
-            scale=args.scale,
-            num_cus=runner.config.gpu.num_cus,
-        )
-        atomic_write_json(args.json_out, blob)
-        print(f"[serve] wrote figure data to {args.json_out}", file=sys.stderr)
-
     if args.trace_out or args.alerts:
-        # the sweep's cells ran in workers (or came from the store), so the
-        # trace/alert observers attach to an inline replay of the first
-        # runnable cell of the grid
-        cell = next(
-            (
-                (mix, mode)
-                for mix in mixes
-                for mode in modes
-                if mode != "partitioned"
-                or mix_is_partitionable(mix, runner.config.gpu.num_cus)
-            ),
-            None,
+        # the first runnable cell of the grid (figure_interference has
+        # already rejected a grid without one)
+        mix, mode = next(
+            (mix, mode)
+            for mix in mixes
+            for mode in modes
+            if mode != "partitioned" or mix_is_partitionable(mix, cus)
         )
-        if cell is None:  # pragma: no cover - figure_interference errors first
-            print("[serve] note: no runnable cell to trace", file=sys.stderr)
-        else:
-            mix, mode = cell
-            session = SimulationSession(
-                policy=policies[0],
-                config=_system_config(args),
-                streams=mix.with_cu_share(mode).scaled(args.scale),
-                telemetry=_telemetry_config(args),
-                obs=_obs_config(args),
-            )
-            replay = session.run()
-            if args.trace_out:
-                _write_trace(args.trace_out, session, "serve")
-            print(
-                f"[serve] {'traced' if args.trace_out else 'replayed'} "
-                f"{mix.name} under {policies[0].name} ({mode} CUs)",
-                file=sys.stderr,
-            )
-            if args.alerts:
-                _print_alerts(replay, "serve")
-
-    stats = runner.stats()
-    print(
-        f"[serve] grid={len(mixes)}x{len(policies)}x{len(modes)} "
-        f"jobs={args.jobs} store={cache_dir or 'disabled'} "
-        f"simulated={stats['runs_simulated']} loaded={stats['runs_loaded']}",
-        file=sys.stderr,
+        _replay(
+            args,
+            f"{mix.name} under {policies[0].name} ({mode} CUs)",
+            policy=policies[0],
+            streams=mix.with_cu_share(mode).scaled(args.scale),
+        )
+    blob = artifact(
+        "figure_interference",
+        figure,
+        summary,
+        mixes={mix.name: mix.describe() for mix in mixes},
+        modes=modes,
+        policies=[p.name for p in policies],
+        scale=args.scale,
+        num_cus=cus,
     )
-    _write_executor_telemetry(args, runner)
-    return 0
+    grid = f"grid={len(mixes)}x{len(policies)}x{len(modes)}"
+    return _finish(args, runner, grid, blob)
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -1325,9 +1227,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     up front (exit 2: the user asked for something the system cannot
     host); plans that merely target streams a narrow mix lacks skip that
     mix's cell with a note on stderr, matching how ``serve`` treats
-    unpartitionable mixes.  Determinism makes chaos cacheable, so like the
-    other sweep commands ``faults`` defaults to the conventional
-    persistent store -- a warm repeat simulates nothing.
+    unpartitionable mixes.  Determinism makes chaos cacheable, so a warm
+    repeat simulates nothing.
     """
     mixes = [mix_by_name(name) for name in (args.mix or DEFAULT_RESILIENCE_MIXES)]
     policies = [policy_by_name(name) for name in args.policies]
@@ -1360,16 +1261,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
 
-    cache_dir = _cache_dir(args, default_to_conventional=True)
-    runner = ExperimentRunner(
-        scale=args.scale,
-        config=_system_config(args),
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
-        ledger_path=args.ledger,
-    )
+    runner = _runner(args)
     try:
         figure = figure_resilience(
             runner,
@@ -1382,43 +1274,22 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = resilience_summary(figure)
-    print(
-        render_series_table(
-            "Resilience: slowdown vs the healthy baseline (same policy)",
-            resilience_series(figure, "slowdown"),
-        )
+    summary = _print_study(
+        figure,
+        RESILIENCE_COLUMNS,
+        [
+            ("Resilience: slowdown vs the healthy baseline (same policy)", "slowdown"),
+            (
+                "Resilience: availability (fraction of the run with no fault active)",
+                "availability",
+            ),
+        ],
+        "Resilience summary (geomean slowdown / mean availability)",
     )
-    print(
-        render_series_table(
-            "Resilience: availability (fraction of the run with no fault active)",
-            resilience_series(figure, "availability"),
-        )
-    )
-    print(
-        render_series_table(
-            "Resilience summary (geomean slowdown / mean availability)", summary
-        )
-    )
-
-    if args.json_out:
-        blob = resilience_artifact(
-            figure,
-            summary,
-            plans=plans,
-            policies=[p.name for p in policies],
-            topology=topology.describe(),
-            scale=args.scale,
-            num_cus=runner.config.gpu.num_cus,
-        )
-        atomic_write_json(args.json_out, blob)
-        print(f"[faults] wrote figure data to {args.json_out}", file=sys.stderr)
-
     if args.trace_out or args.alerts:
-        # inline replay of the first mix's first runnable cell, preferring a
-        # plan that actually injects faults so the trace shows degraded
-        # intervals (and the availability detector has something to judge);
-        # falls back to the healthy baseline
+        # the first mix's first runnable plan, preferring one that injects
+        # faults so the trace shows degraded intervals (and the
+        # availability detector has something to judge)
         mix = mixes[0]
         runnable = [
             plan
@@ -1434,37 +1305,29 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            session = SimulationSession(
+            _replay(
+                args,
+                f"{mix.name} under {policies[0].name} with plan {plan.label}",
                 policy=policies[0],
-                config=_system_config(args),
                 streams=mix.scaled(args.scale),
                 topology=topology,
                 faults=plan,
-                telemetry=_telemetry_config(args),
-                obs=_obs_config(args),
             )
-            replay = session.run()
-            if args.trace_out:
-                _write_trace(args.trace_out, session, "faults")
-            print(
-                f"[faults] {'traced' if args.trace_out else 'replayed'} "
-                f"{mix.name} under {policies[0].name} with plan {plan.label}",
-                file=sys.stderr,
-            )
-            if args.alerts:
-                _print_alerts(replay, "faults")
-
-    stats = runner.stats()
-    print(
-        f"[faults] grid={len(mixes)}x{len(policies)}x{len(plans)} "
-        f"topology={topology.label} jobs={args.jobs} "
-        f"store={cache_dir or 'disabled'} "
-        f"simulated={stats['runs_simulated']} loaded={stats['runs_loaded']} "
-        f"failed={stats['runs_failed']}",
-        file=sys.stderr,
+    blob = artifact(
+        "figure_resilience",
+        figure,
+        summary,
+        plans={
+            plan.label: {"events": len(plan.events), "description": plan.description}
+            for plan in plans
+        },
+        policies=[p.name for p in policies],
+        topology=topology.describe(),
+        scale=args.scale,
+        num_cus=runner.config.gpu.num_cus,
     )
-    _write_executor_telemetry(args, runner)
-    return 0
+    grid = f"grid={len(mixes)}x{len(policies)}x{len(plans)} topology={topology.label}"
+    return _finish(args, runner, grid, blob, failed=True)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

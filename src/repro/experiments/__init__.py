@@ -24,6 +24,9 @@ Each module corresponds to a block of the paper's evaluation:
 * :mod:`repro.experiments.resilience` -- the chaos study: serving mixes
   under deterministic fault plans (link brownouts, device outages, DRAM
   storms, tenant churn), reporting slowdown and availability per cell.
+* :mod:`repro.experiments.study` -- the output helpers every study
+  shares: ``series`` (one metric as a table), ``summarize`` (per-series
+  statistics) and ``artifact`` (the ``--json-out`` blob).
 * :mod:`repro.experiments.jobs` -- the job-based sweep executor:
   :class:`JobSpec` grid cells, serial and process-pool backends, and the
   store-aware :class:`SweepExecutor`.
@@ -31,6 +34,9 @@ Each module corresponds to a block of the paper's evaluation:
   keyed by job fingerprints.
 * :mod:`repro.experiments.runner` -- :class:`ExperimentRunner`, the
   memoizing front-end used by all of the above and the benchmark harness.
+  Its one grid method, :meth:`ExperimentRunner.run`, takes the
+  :class:`JobSpec` cells a study builds and returns their reports in
+  order; ``sweep`` and ``run_one`` are static-grid shorthands over it.
 """
 
 from repro.experiments.jobs import (
@@ -65,20 +71,13 @@ from repro.experiments.adaptive import (
     figure14_adaptive,
 )
 from repro.experiments.scaling import (
+    SCALING_COLUMNS,
     figure_scaling,
-    scaling_summary,
     scaling_topologies,
 )
-from repro.experiments.interference import (
-    figure_interference,
-    interference_summary,
-    interference_series,
-)
-from repro.experiments.resilience import (
-    figure_resilience,
-    resilience_series,
-    resilience_summary,
-)
+from repro.experiments.interference import INTERFERENCE_COLUMNS, figure_interference
+from repro.experiments.resilience import RESILIENCE_COLUMNS, figure_resilience
+from repro.experiments.study import artifact, series, summarize
 from repro.experiments.tables import table1_system_configuration, table2_workloads
 from repro.experiments.render import render_series_table
 
@@ -110,14 +109,15 @@ __all__ = [
     "figure14_adaptive",
     "adaptive_summary",
     "figure_scaling",
-    "scaling_summary",
     "scaling_topologies",
+    "SCALING_COLUMNS",
     "figure_interference",
-    "interference_summary",
-    "interference_series",
+    "INTERFERENCE_COLUMNS",
     "figure_resilience",
-    "resilience_summary",
-    "resilience_series",
+    "RESILIENCE_COLUMNS",
+    "series",
+    "summarize",
+    "artifact",
     "table1_system_configuration",
     "table2_workloads",
     "render_series_table",

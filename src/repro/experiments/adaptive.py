@@ -21,14 +21,15 @@ in the result store exactly like static runs.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.adaptive.config import AdaptiveConfig
 from repro.core.classification import PAPER_CATEGORIES, WorkloadCategory
 from repro.core.policies import CACHE_RW_PCBY, STATIC_POLICIES
+from repro.experiments.jobs import JobSpec
 from repro.experiments.optimizations import STATIC_BEST, STATIC_WORST
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.study import geomean
 from repro.stats.report import RunReport
 
 __all__ = [
@@ -43,16 +44,6 @@ __all__ = [
 DYNAMIC = "Dynamic"
 
 
-def geomean(values: Iterable[float]) -> float:
-    """Geometric mean (the paper's summary statistic for ratios)."""
-    values = list(values)
-    if not values:
-        raise ValueError("geomean needs at least one value")
-    if any(value <= 0 for value in values):
-        raise ValueError("geomean is only defined for positive values")
-    return math.exp(sum(math.log(value) for value in values) / len(values))
-
-
 def adaptive_sweep(
     runner: ExperimentRunner,
     adaptive_config: Optional[AdaptiveConfig] = None,
@@ -62,10 +53,22 @@ def adaptive_sweep(
 
     The jobs are submitted as a single batch, so a process-pool backend
     runs them concurrently and the persistent store caches them under the
-    adaptive configuration's fingerprint.
+    adaptive configuration's fingerprint.  Each job records the initial
+    policy; differently tuned adaptive studies never share a cell.
     """
     config = adaptive_config or AdaptiveConfig()
-    return runner.adaptive_sweep(config, workload_names)
+    names = tuple(workload_names or runner.workload_names)
+    jobs = [
+        JobSpec(
+            workload=name,
+            policy=config.initial_policy,
+            scale=runner.scale,
+            config=runner.config,
+            adaptive=config,
+        )
+        for name in names
+    ]
+    return dict(zip(names, runner.run(jobs)))
 
 
 def figure14_adaptive(

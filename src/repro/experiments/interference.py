@@ -25,21 +25,20 @@ sweeps of the same (workload, scale, policy, configuration).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.policies import CACHE_RW, CACHE_RW_AB, CACHE_RW_CR, PolicySpec
-from repro.experiments.adaptive import geomean
+from repro.experiments.jobs import JobSpec
 from repro.experiments.runner import ExperimentRunner
-from repro.streams.config import SERVING_MIXES, ServingMix
+from repro.experiments.study import Column, geomean, mean
+from repro.streams.config import SERVING_MIXES, ServingMix, StreamConfig
 
 __all__ = [
+    "INTERFERENCE_COLUMNS",
     "INTERFERENCE_POLICIES",
     "CU_MODES",
     "mix_is_partitionable",
     "figure_interference",
-    "interference_summary",
-    "interference_series",
-    "interference_artifact",
 ]
 
 #: default policy axis: the caching baseline plus the two optimizations
@@ -49,6 +48,13 @@ INTERFERENCE_POLICIES: tuple[PolicySpec, ...] = (CACHE_RW, CACHE_RW_AB, CACHE_RW
 
 #: CU-share modes of the study's isolation axis
 CU_MODES: tuple[str, ...] = ("shared", "partitioned")
+
+#: the serving summary (what the benchmark asserts on and the CLI prints
+#: last): geomean slowdown and mean unfairness of every ``policy@mode``
+INTERFERENCE_COLUMNS: dict[str, Column] = {
+    "slowdown_geomean": (geomean, "mean_slowdown"),
+    "unfairness_mean": (mean, "unfairness"),
+}
 
 
 def mix_is_partitionable(mix: ServingMix, num_cus_per_device: int) -> bool:
@@ -72,9 +78,8 @@ def figure_interference(
 
     Returns ``{mix: {"<policy>@<mode>": {"mean_slowdown": s,
     "max_slowdown": m, "unfairness": u, "cycles": c,
-    "tenants": {label: slowdown}}}}``.  Mix cells and solo baselines each
-    go to the runner's executor as one memoized batch (the parallel
-    fan-out points).
+    "tenants": {label: slowdown}}}}``.  Mix cells and solo baselines go
+    to the runner as one memoized batch (the parallel fan-out point).
     """
     runner = runner or ExperimentRunner()
     mix_list = list(mixes) if mixes is not None else list(SERVING_MIXES.values())
@@ -83,8 +88,7 @@ def figure_interference(
     if not mix_list:
         raise ValueError("the interference study needs at least one serving mix")
 
-    # one cell per (mix, policy, mode); the runner dedupes the solo
-    # baselines of tenants shared between mixes.  Partitioning needs one
+    # one cell per (mix, policy, mode).  Partitioning needs one
     # CU per stream (per device): mixes too wide for the configured system
     # drop their partitioned cells (an absent column in the figure, which
     # the CLI calls out on stderr) rather than abort the whole study.
@@ -104,31 +108,43 @@ def figure_interference(
             f"{cus_per_device} CUs per device a partition could split -- add "
             "CUs, narrow the mixes, or include the shared mode"
         )
-    unique_mode_mixes: dict[str, ServingMix] = {
-        mode_mix.fingerprint(): mode_mix for _mix, _policy, _mode, mode_mix in mix_cells
-    }
-    mix_reports = runner.serving_sweep(list(unique_mode_mixes.values()), policy_list)
+
+    def mix_job(mode_mix: ServingMix, policy: PolicySpec) -> JobSpec:
+        # the runner's scale multiplies every stream's scale; the mix name
+        # is only the job's display label
+        return JobSpec(
+            workload=mode_mix.name,
+            policy=policy,
+            config=runner.config,
+            streams=mode_mix.scaled(runner.scale).streams,
+        )
+
+    def solo_job(stream: StreamConfig, policy: PolicySpec) -> JobSpec:
+        # a plain static cell, so solo baselines share store entries with
+        # the ordinary sweeps of the same (workload, scale, policy, config)
+        return JobSpec(
+            workload=stream.workload,
+            policy=policy,
+            scale=stream.scale * runner.scale,
+            config=runner.config,
+        )
+
     # solo baselines only for tenants whose mix actually produced cells --
-    # a fully skipped mix must not cost discarded simulations
-    active_mixes: dict[str, ServingMix] = {
-        mix.name: mix for mix, _policy, _mode, _mode_mix in mix_cells
-    }
-    solo_reports = runner.solo_sweep(
-        [
-            (stream.workload, stream.scale)
-            for mix in active_mixes.values()
-            for stream in mix.streams
-        ],
-        policy_list,
+    # a fully skipped mix must not cost discarded simulations; tenants
+    # shared between mixes get one baseline
+    jobs = [mix_job(mode_mix, policy) for _mix, policy, _mode, mode_mix in mix_cells]
+    jobs += dict.fromkeys(
+        solo_job(stream, policy)
+        for mix, *_ in mix_cells
+        for stream in mix.streams
+        for policy in policy_list
     )
+    reports = dict(zip(jobs, runner.run(jobs)))
 
     figure: dict[str, dict[str, dict[str, object]]] = {}
     for mix, policy, mode, mode_mix in mix_cells:
-        report = mix_reports[(mode_mix.fingerprint(), policy.name)]
-        solo_cycles = [
-            solo_reports[(stream.workload, stream.scale, policy.name)].cycles
-            for stream in mix.streams
-        ]
+        report = reports[mix_job(mode_mix, policy)]
+        solo_cycles = [reports[solo_job(stream, policy)].cycles for stream in mix.streams]
         metrics = report.interference(solo_cycles)
         cell: dict[str, object] = {
             "mean_slowdown": metrics["mean_slowdown"],
@@ -139,62 +155,3 @@ def figure_interference(
         }
         figure.setdefault(mix.name, {})[f"{policy.name}@{mode}"] = cell
     return figure
-
-
-def interference_series(
-    figure: Mapping[str, Mapping[str, Mapping[str, object]]], metric: str
-) -> dict[str, dict[str, float]]:
-    """Project one scalar metric out of the interference figure, in the
-    shape ``render_series_table`` takes (shared by the CLI and benchmark)."""
-    return {
-        mix: {series: float(cell[metric]) for series, cell in data.items()}
-        for mix, data in figure.items()
-    }
-
-
-def interference_summary(
-    figure: Mapping[str, Mapping[str, Mapping[str, object]]],
-) -> dict[str, dict[str, float]]:
-    """Geomean slowdown and mean unfairness of every ``policy@mode`` series.
-
-    What the serving benchmark asserts on and what the CLI prints last.
-    """
-    series_names: list[str] = []
-    for data in figure.values():
-        for name in data:
-            if name not in series_names:
-                series_names.append(name)
-    summary: dict[str, dict[str, float]] = {}
-    for name in series_names:
-        cells = [data[name] for data in figure.values() if name in data]
-        summary[name] = {
-            "slowdown_geomean": geomean(float(cell["mean_slowdown"]) for cell in cells),
-            "unfairness_mean": sum(float(cell["unfairness"]) for cell in cells)
-            / len(cells),
-        }
-    return summary
-
-
-def interference_artifact(
-    figure: Mapping[str, Mapping[str, Mapping[str, object]]],
-    summary: Mapping[str, Mapping[str, float]],
-    mixes: Sequence[ServingMix],
-    **extra: object,
-) -> dict[str, object]:
-    """The JSON blob recorded for the interference figure (CI artifact).
-
-    One schema for both producers (``repro-gpu-cache serve --json-out``
-    and ``benchmarks/test_fig_interference.py``); ``extra`` attaches
-    context (scale, CU count, policies) without changing the core shape.
-    """
-    blob: dict[str, object] = {
-        "schema": 1,
-        "mixes": {mix.name: mix.describe() for mix in mixes},
-        "figure_interference": {
-            mix: {series: dict(cell) for series, cell in data.items()}
-            for mix, data in figure.items()
-        },
-        "summary": {series: dict(values) for series, values in summary.items()},
-    }
-    blob.update(extra)
-    return blob

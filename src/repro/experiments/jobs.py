@@ -128,6 +128,15 @@ class JobSpec:
     sampling: Optional[SamplingConfig] = None
     shards: Optional[ShardConfig] = None
 
+    def __post_init__(self) -> None:
+        # an empty fault plan, disabled sampling and a single shard are
+        # bit-identical to no config at all: store them as None, so equal
+        # simulations compare (and memoize) equal and fingerprint alike
+        for name in ("faults", "sampling", "shards"):
+            value = getattr(self, name)
+            if value is not None and value.empty:
+                object.__setattr__(self, name, None)
+
     def fingerprint(self) -> str:
         """Stable key over every input that can affect the result.
 
@@ -154,26 +163,9 @@ class JobSpec:
                     if self.streams is None
                     else [stream.describe() for stream in self.streams]
                 ),
-                # the empty plan is bit-identical to no plan: both hash as
-                # None so resilience baselines reuse healthy store entries
-                "faults": (
-                    None
-                    if self.faults is None or self.faults.empty
-                    else self.faults.describe()
-                ),
-                # same idiom for the fast modes: exact mode (sampling
-                # disabled, one shard) hashes as None, so sampled/sharded
-                # runs never collide with exact baselines in the store
-                "sampling": (
-                    None
-                    if self.sampling is None or self.sampling.empty
-                    else self.sampling.describe()
-                ),
-                "shards": (
-                    None
-                    if self.shards is None or self.shards.empty
-                    else self.shards.describe()
-                ),
+                "faults": None if self.faults is None else self.faults.describe(),
+                "sampling": None if self.sampling is None else self.sampling.describe(),
+                "shards": None if self.shards is None else self.shards.describe(),
             },
             kind="JobSpec",
         )
@@ -194,12 +186,12 @@ class JobSpec:
             summary["num_devices"] = self.topology.num_devices
         if self.streams is not None:
             summary["streams"] = [stream.describe() for stream in self.streams]
-        if self.faults is not None and not self.faults.empty:
+        if self.faults is not None:
             summary["faults"] = self.faults.label
             summary["fault_events"] = len(self.faults.events)
-        if self.sampling is not None and not self.sampling.empty:
+        if self.sampling is not None:
             summary["sampling"] = self.sampling.describe()
-        if self.shards is not None and not self.shards.empty:
+        if self.shards is not None:
             summary["shards"] = self.shards.describe()
         return summary
 

@@ -26,26 +26,24 @@ entries with the interference study's healthy serving runs.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.core.policies import CACHE_RW, CACHE_RW_AB, CACHE_RW_CR, PolicySpec
-from repro.experiments.adaptive import geomean
-from repro.experiments.jobs import SweepCheckpoint
+from repro.experiments.jobs import JobSpec, SweepCheckpoint
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.study import Column, geomean, mean
 from repro.faults.config import FAULT_PLANS, FaultPlan
 from repro.streams.config import SERVING_MIXES, ServingMix
 from repro.topology.config import TopologyConfig, topology_by_name
 
 __all__ = [
+    "RESILIENCE_COLUMNS",
     "RESILIENCE_POLICIES",
     "DEFAULT_RESILIENCE_MIXES",
     "DEFAULT_RESILIENCE_PLANS",
     "default_resilience_topology",
     "plan_is_runnable",
     "figure_resilience",
-    "resilience_series",
-    "resilience_summary",
-    "resilience_artifact",
 ]
 
 #: default policy axis: the caching baseline plus the two paper
@@ -66,6 +64,14 @@ DEFAULT_RESILIENCE_PLANS: tuple[str, ...] = (
     "dram-storm",
     "tenant-churn",
 )
+
+#: the resilience summary (what the benchmark asserts on and the CLI
+#: prints last): geomean slowdown and mean availability of every
+#: ``policy@plan`` series
+RESILIENCE_COLUMNS: dict[str, Column] = {
+    "slowdown_geomean": (geomean, "slowdown"),
+    "availability_mean": (mean, "availability"),
+}
 
 
 def default_resilience_topology() -> TopologyConfig:
@@ -120,8 +126,8 @@ def figure_resilience(
     width) are dropped per cell rather than aborting the study; the CLI
     reports the skips on stderr via :func:`plan_is_runnable`.
 
-    Each mix's cells go to the runner's executor as one batch -- the
-    parallel fan-out point.  With ``checkpoint_path`` given, a
+    Every cell goes to the runner as one batch -- the parallel fan-out
+    point.  With ``checkpoint_path`` given, a
     :class:`~repro.experiments.jobs.SweepCheckpoint` over the whole grid
     tracks every completion, so a killed sweep re-run against the same
     path resumes without re-simulating finished cells.
@@ -156,40 +162,38 @@ def figure_resilience(
             "-- widen the topology/mixes or pick other plans"
         )
 
-    checkpoint: Optional[SweepCheckpoint] = None
-    if checkpoint_path is not None:
-        checkpoint = SweepCheckpoint(
-            checkpoint_path,
-            [
-                runner.resilience_job_for(mix, policy, topology, plan).fingerprint()
-                for mix in mix_list
-                if mix.name in runnable
-                for policy in policy_list
-                for plan in runnable[mix.name]
-            ],
+    def job(mix: ServingMix, policy: PolicySpec, plan: FaultPlan) -> JobSpec:
+        return JobSpec(
+            workload=mix.name,
+            policy=policy,
+            config=runner.config,
+            streams=mix.scaled(runner.scale).streams,
+            topology=topology,
+            faults=plan,
         )
 
-    # per-mix plan subsets can differ, so sweep mix by mix; the runner's
-    # memo and the shared checkpoint keep the accounting unified
-    reports: dict[tuple[str, str, str], object] = {}
-    for mix in mix_list:
-        if mix.name not in runnable:
-            continue
-        reports.update(
-            runner.resilience_sweep(
-                [mix], policy_list, runnable[mix.name], topology, checkpoint
-            )
-        )
+    jobs = [
+        job(mix, policy, plan)
+        for mix in mix_list
+        if mix.name in runnable
+        for policy in policy_list
+        for plan in runnable[mix.name]
+    ]
+    checkpoint = (
+        None
+        if checkpoint_path is None
+        else SweepCheckpoint(checkpoint_path, [spec.fingerprint() for spec in jobs])
+    )
+    reports = dict(zip(jobs, runner.run(jobs, checkpoint=checkpoint)))
 
     figure: dict[str, dict[str, dict[str, object]]] = {}
     for mix in mix_list:
         if mix.name not in runnable:
             continue
-        mix_tag = mix.fingerprint()
         for policy in policy_list:
-            base = reports[(mix_tag, policy.name, baseline.fingerprint())]
+            base = reports[job(mix, policy, baseline)]
             for plan in runnable[mix.name]:
-                report = reports[(mix_tag, policy.name, plan.fingerprint())]
+                report = reports[job(mix, policy, plan)]
                 cell: dict[str, object] = {
                     "cycles": float(report.cycles),
                     "slowdown": report.cycles / base.cycles if base.cycles else 0.0,
@@ -200,63 +204,3 @@ def figure_resilience(
                 }
                 figure.setdefault(mix.name, {})[f"{policy.name}@{plan.label}"] = cell
     return figure
-
-
-def resilience_series(
-    figure: Mapping[str, Mapping[str, Mapping[str, object]]], metric: str
-) -> dict[str, dict[str, float]]:
-    """Project one scalar metric out of the resilience figure, in the
-    shape ``render_series_table`` takes (shared by the CLI and benchmark)."""
-    return {
-        mix: {series: float(cell[metric]) for series, cell in data.items()}
-        for mix, data in figure.items()
-    }
-
-
-def resilience_summary(
-    figure: Mapping[str, Mapping[str, Mapping[str, object]]],
-) -> dict[str, dict[str, float]]:
-    """Geomean slowdown and mean availability of every ``policy@plan``
-    series -- what the benchmark asserts on and the CLI prints last."""
-    series_names: list[str] = []
-    for data in figure.values():
-        for name in data:
-            if name not in series_names:
-                series_names.append(name)
-    summary: dict[str, dict[str, float]] = {}
-    for name in series_names:
-        cells = [data[name] for data in figure.values() if name in data]
-        summary[name] = {
-            "slowdown_geomean": geomean(float(cell["slowdown"]) for cell in cells),
-            "availability_mean": sum(float(cell["availability"]) for cell in cells)
-            / len(cells),
-        }
-    return summary
-
-
-def resilience_artifact(
-    figure: Mapping[str, Mapping[str, Mapping[str, object]]],
-    summary: Mapping[str, Mapping[str, float]],
-    plans: Sequence[FaultPlan],
-    **extra: object,
-) -> dict[str, object]:
-    """The JSON blob recorded for the resilience figure (CI artifact).
-
-    One schema for both producers (``repro-gpu-cache faults --json-out``
-    and ``benchmarks/test_fig_resilience.py``); ``extra`` attaches context
-    (scale, CU count, topology, policies) without changing the core shape.
-    """
-    blob: dict[str, object] = {
-        "schema": 1,
-        "plans": {
-            plan.label: {"events": len(plan.events), "description": plan.description}
-            for plan in plans
-        },
-        "figure_resilience": {
-            mix: {series: dict(cell) for series, cell in data.items()}
-            for mix, data in figure.items()
-        },
-        "summary": {series: dict(values) for series, values in summary.items()},
-    }
-    blob.update(extra)
-    return blob

@@ -1,15 +1,17 @@
 """Shared sweep executor for the experiment drivers and benchmarks.
 
 Running the full evaluation requires simulating every workload under up to
-six policies.  :class:`ExperimentRunner` turns (workload, policy) requests
-into :class:`~repro.experiments.jobs.JobSpec` jobs and delegates them to a
-:class:`~repro.experiments.jobs.SweepExecutor`, which can fan independent
+six policies, and every study adds one axis to that grid (adaptive
+candidates, device counts, serving mixes, fault plans).  Each study builds
+its own :class:`~repro.experiments.jobs.JobSpec` jobs and hands them to
+:meth:`ExperimentRunner.run`, the one grid method, which delegates them to
+a :class:`~repro.experiments.jobs.SweepExecutor` that can fan independent
 grid cells out across worker processes and persist finished reports in an
 on-disk :class:`~repro.experiments.store.ResultStore`.  The runner keeps
-its own in-process memo as an L1 over the store, so figures that share
-data (e.g. Figures 6-9 all use the static-policy sweep) only pay for each
-simulation once within a process -- and, with a store attached, only once
-*ever* for a given configuration.
+its own in-process memo, keyed by the job itself, as an L1 over the store,
+so figures that share data (e.g. Figures 6-9 all use the static-policy
+sweep) only pay for each simulation once within a process -- and, with a
+store attached, only once *ever* for a given configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.adaptive.config import AdaptiveConfig
 from repro.config import SystemConfig, default_config
 from repro.core.policies import STATIC_POLICIES, PolicySpec
 from repro.experiments.jobs import (
@@ -28,12 +29,9 @@ from repro.experiments.jobs import (
     SweepExecutor,
 )
 from repro.experiments.store import ResultStore
-from repro.faults.config import FaultPlan
 from repro.obs.ledger import RunLedger
 from repro.stats.comparison import PolicyComparison
 from repro.stats.report import RunReport
-from repro.streams.config import ServingMix
-from repro.topology.config import TopologyConfig
 from repro.workloads.registry import WORKLOAD_NAMES
 
 __all__ = ["ExperimentRunner", "SweepResult"]
@@ -83,7 +81,7 @@ class SweepResult:
 
 
 class ExperimentRunner:
-    """Runs and memoizes (workload, policy) simulations.
+    """Runs and memoizes simulations, one :class:`JobSpec` per grid cell.
 
     Args:
         scale: workload scale factor passed to the trace generators.
@@ -134,326 +132,56 @@ class ExperimentRunner:
             ledger = RunLedger(ledger_path) if ledger_path is not None else None
             executor = SweepExecutor(backend=backend, store=store, ledger=ledger)
         self.executor = executor
-        self._cache: dict[tuple[str, str], RunReport] = {}
+        self._cache: dict[JobSpec, RunReport] = {}
         self._memo_hits = 0
 
     # ------------------------------------------------------------------
-    def job_for(self, workload_name: str, policy: PolicySpec) -> JobSpec:
-        """The :class:`JobSpec` this runner submits for one grid cell."""
-        return JobSpec(
-            workload=workload_name,
-            policy=policy,
-            scale=self.scale,
-            config=self.config,
+    def run(
+        self,
+        jobs: Iterable[JobSpec],
+        checkpoint: Optional[SweepCheckpoint] = None,
+    ) -> list[RunReport]:
+        """Resolve every job to a report, in input order, memoized in-process.
+
+        The memo is keyed by the frozen :class:`JobSpec` itself, so two
+        requests for the same simulation share one report whichever study
+        asked.  Jobs already memoized, and repeats within the batch, count
+        as memo hits; the rest go to the executor as one batch -- the
+        parallel fan-out point -- with ``checkpoint`` (when given)
+        recording each completion.
+        """
+        jobs = list(jobs)
+        reports = [self._cache.get(job) for job in jobs]
+        pending = list(
+            dict.fromkeys(job for job, report in zip(jobs, reports) if report is None)
         )
+        self._memo_hits += len(jobs) - len(pending)
+        if not pending:
+            return reports  # type: ignore[return-value]
+        self._cache.update(zip(pending, self.executor.run(pending, checkpoint=checkpoint)))
+        return [self._cache[job] for job in jobs]
 
     def run_one(self, workload_name: str, policy: PolicySpec) -> RunReport:
         """Simulate one (workload, policy) pair, memoized."""
-        key = (workload_name, policy.name)
-        if key in self._cache:
-            self._memo_hits += 1
-            return self._cache[key]
-        report = self.executor.run_one(self.job_for(workload_name, policy))
-        self._cache[key] = report
-        return report
+        job = JobSpec(workload=workload_name, policy=policy, scale=self.scale, config=self.config)
+        return self.run([job])[0]
 
     def sweep(
         self,
         policies: Iterable[PolicySpec] = STATIC_POLICIES,
         workload_names: Optional[Sequence[str]] = None,
     ) -> SweepResult:
-        """Simulate every requested workload under every requested policy.
-
-        The cells missing from the in-process memo are submitted to the
-        executor as one batch, which is what lets a process-pool backend
-        run the whole grid concurrently.
-        """
+        """Simulate every requested workload under every requested policy."""
         names = tuple(workload_names or self.workload_names)
         policy_list = tuple(policies)
-        grid = [(name, policy) for name in names for policy in policy_list]
-        pending = [
-            (name, policy)
-            for name, policy in grid
-            if (name, policy.name) not in self._cache
-        ]
-        self._memo_hits += len(grid) - len(pending)
-        if pending:
-            reports = self.executor.run(
-                [self.job_for(name, policy) for name, policy in pending]
-            )
-            for (name, policy), report in zip(pending, reports):
-                self._cache[(name, policy.name)] = report
         result = SweepResult()
-        for name, policy in grid:
-            result.add(self._cache[(name, policy.name)])
-        return result
-
-    # ------------------------------------------------------------------
-    def adaptive_job_for(self, workload_name: str, adaptive: AdaptiveConfig) -> JobSpec:
-        """The :class:`JobSpec` for one online-adaptive (dynamic) run."""
-        return JobSpec(
-            workload=workload_name,
-            policy=adaptive.initial_policy,
-            scale=self.scale,
-            config=self.config,
-            adaptive=adaptive,
-        )
-
-    def adaptive_sweep(
-        self,
-        adaptive: AdaptiveConfig,
-        workload_names: Optional[Sequence[str]] = None,
-    ) -> dict[str, RunReport]:
-        """One dynamic run per workload, memoized like the static cells.
-
-        The in-process memo keys dynamic cells by the adaptive
-        configuration's fingerprint, so two differently-tuned adaptive
-        studies sharing one runner never collide, and the executor
-        accounting (`runs_simulated + runs_loaded == cached_runs`) holds
-        for mixed static/dynamic usage.
-        """
-        names = tuple(workload_names or self.workload_names)
-        memo_tag = f"adaptive:{adaptive.fingerprint()}"
-        pending = [name for name in names if (name, memo_tag) not in self._cache]
-        self._memo_hits += len(names) - len(pending)
-        if pending:
-            reports = self.executor.run(
-                [self.adaptive_job_for(name, adaptive) for name in pending]
-            )
-            for name, report in zip(pending, reports):
-                self._cache[(name, memo_tag)] = report
-        return {name: self._cache[(name, memo_tag)] for name in names}
-
-    # ------------------------------------------------------------------
-    def topology_job_for(
-        self, workload_name: str, policy: PolicySpec, topology: TopologyConfig
-    ) -> JobSpec:
-        """The :class:`JobSpec` for one multi-device (topology) run."""
-        return JobSpec(
-            workload=workload_name,
-            policy=policy,
-            scale=self.scale,
-            config=self.config,
-            topology=topology,
-        )
-
-    def topology_sweep(
-        self,
-        policies: Iterable[PolicySpec],
-        topologies: Sequence[TopologyConfig],
-        workload_names: Optional[Sequence[str]] = None,
-    ) -> dict[tuple[str, str, str], RunReport]:
-        """One run per (workload, policy, topology) cell, memoized.
-
-        Returns reports keyed by ``(workload, policy name, topology
-        fingerprint)``.  Cells missing from the in-process memo are
-        submitted to the executor as a single batch -- the parallel
-        fan-out point -- and, with a store attached, persist under
-        fingerprints that include the :class:`TopologyConfig`, so a warm
-        repeat of a scaling sweep performs zero simulations.
-        """
-        names = tuple(workload_names or self.workload_names)
-        policy_list = tuple(policies)
-        grid: list[tuple[str, PolicySpec, TopologyConfig, str]] = [
-            (name, policy, topology, topology.fingerprint())
+        for report in self.run(
+            JobSpec(workload=name, policy=policy, scale=self.scale, config=self.config)
             for name in names
             for policy in policy_list
-            for topology in topologies
-        ]
-        pending = [
-            cell
-            for cell in grid
-            if (cell[0], f"{cell[1].name}@topo:{cell[3]}") not in self._cache
-        ]
-        self._memo_hits += len(grid) - len(pending)
-        if pending:
-            reports = self.executor.run(
-                [
-                    self.topology_job_for(name, policy, topology)
-                    for name, policy, topology, _tag in pending
-                ]
-            )
-            for (name, policy, _topology, tag), report in zip(pending, reports):
-                self._cache[(name, f"{policy.name}@topo:{tag}")] = report
-        return {
-            (name, policy.name, tag): self._cache[(name, f"{policy.name}@topo:{tag}")]
-            for name, policy, _topology, tag in grid
-        }
-
-    # ------------------------------------------------------------------
-    def serving_job_for(self, mix: ServingMix, policy: PolicySpec) -> JobSpec:
-        """The :class:`JobSpec` for one multi-tenant serving (mix) run.
-
-        The mix's per-stream scales are multiplied by the runner's scale
-        (the same knob that scales every other cell), and the mix name is
-        recorded as the job's display label.
-        """
-        scaled = mix.scaled(self.scale)
-        return JobSpec(
-            workload=mix.name,
-            policy=policy,
-            config=self.config,
-            streams=scaled.streams,
-        )
-
-    def solo_job_for(self, workload_name: str, scale: float, policy: PolicySpec) -> JobSpec:
-        """The single-workload baseline cell of one serving tenant.
-
-        A plain static job -- its fingerprint coincides with the ordinary
-        sweep cells of the same (workload, scale, policy, config), so solo
-        baselines are shared with every other experiment through the store.
-        """
-        return JobSpec(
-            workload=workload_name,
-            policy=policy,
-            scale=scale * self.scale,
-            config=self.config,
-        )
-
-    def solo_sweep(
-        self,
-        tenants: Sequence[tuple[str, float]],
-        policies: Iterable[PolicySpec],
-    ) -> dict[tuple[str, float, str], RunReport]:
-        """One single-workload baseline per (workload, scale, policy), memoized.
-
-        ``tenants`` are (workload, per-stream scale) pairs as they appear
-        in serving mixes; the runner's own scale multiplies on top, the
-        same way it does for the mix cells.  Returns reports keyed by
-        ``(workload, scale, policy name)``.  The jobs are ordinary static
-        cells, so with a store attached they share entries with the plain
-        sweeps of the same configuration.
-        """
-        cells = sorted(set(tenants))
-        policy_list = tuple(policies)
-        grid = [(w, s, policy) for (w, s) in cells for policy in policy_list]
-        pending = [
-            cell
-            for cell in grid
-            if (cell[0], f"{cell[2].name}@solo:{cell[1]}") not in self._cache
-        ]
-        self._memo_hits += len(grid) - len(pending)
-        if pending:
-            reports = self.executor.run(
-                [self.solo_job_for(w, s, policy) for w, s, policy in pending]
-            )
-            for (w, s, policy), report in zip(pending, reports):
-                self._cache[(w, f"{policy.name}@solo:{s}")] = report
-        return {
-            (w, s, policy.name): self._cache[(w, f"{policy.name}@solo:{s}")]
-            for w, s, policy in grid
-        }
-
-    def serving_sweep(
-        self,
-        mixes: Sequence[ServingMix],
-        policies: Iterable[PolicySpec],
-    ) -> dict[tuple[str, str], RunReport]:
-        """One run per (mix, policy) cell, memoized.
-
-        Returns reports keyed by ``(mix fingerprint, policy name)``.
-        Cells missing from the in-process memo are submitted to the
-        executor as a single batch; with a store attached they persist
-        under fingerprints that include every stream configuration, so a
-        warm repeat of an interference sweep performs zero simulations.
-        """
-        policy_list = tuple(policies)
-        grid = [
-            (mix, policy, mix.fingerprint()) for mix in mixes for policy in policy_list
-        ]
-        pending = [
-            cell
-            for cell in grid
-            if (f"mix:{cell[2]}", cell[1].name) not in self._cache
-        ]
-        self._memo_hits += len(grid) - len(pending)
-        if pending:
-            reports = self.executor.run(
-                [self.serving_job_for(mix, policy) for mix, policy, _tag in pending]
-            )
-            for (_mix, policy, tag), report in zip(pending, reports):
-                self._cache[(f"mix:{tag}", policy.name)] = report
-        return {
-            (tag, policy.name): self._cache[(f"mix:{tag}", policy.name)]
-            for _mix, policy, tag in grid
-        }
-
-    # ------------------------------------------------------------------
-    def resilience_job_for(
-        self,
-        mix: ServingMix,
-        policy: PolicySpec,
-        topology: Optional[TopologyConfig],
-        faults: Optional[FaultPlan],
-    ) -> JobSpec:
-        """The :class:`JobSpec` for one chaos cell: a serving mix on a
-        (possibly multi-device) system with a fault plan injected.
-
-        With an empty plan (or ``None``) the job fingerprints identically
-        to the corresponding healthy serving run, so the baseline column
-        of a resilience figure is shared with the interference study
-        through the store.
-        """
-        scaled = mix.scaled(self.scale)
-        return JobSpec(
-            workload=mix.name,
-            policy=policy,
-            config=self.config,
-            streams=scaled.streams,
-            topology=topology,
-            faults=faults,
-        )
-
-    def resilience_sweep(
-        self,
-        mixes: Sequence[ServingMix],
-        policies: Iterable[PolicySpec],
-        plans: Sequence[FaultPlan],
-        topology: Optional[TopologyConfig] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
-    ) -> dict[tuple[str, str, str], RunReport]:
-        """One run per (mix, policy, fault plan) cell, memoized.
-
-        Returns reports keyed by ``(mix fingerprint, policy name, plan
-        fingerprint)``.  Cells missing from the in-process memo go to the
-        executor as one batch (optionally progress-tracked by
-        ``checkpoint``); with a store attached, a warm repeat of a chaos
-        sweep performs zero simulations -- determinism makes even fault
-        injection cacheable.
-        """
-        policy_list = tuple(policies)
-        topo_tag = "" if topology is None else topology.fingerprint()
-        grid = [
-            (mix, policy, plan, mix.fingerprint(), plan.fingerprint())
-            for mix in mixes
-            for policy in policy_list
-            for plan in plans
-        ]
-
-        def memo_key(cell: tuple) -> tuple[str, str]:
-            _mix, policy, _plan, mix_tag, plan_tag = cell
-            return (
-                f"mix:{mix_tag}",
-                f"{policy.name}@topo:{topo_tag}@faults:{plan_tag}",
-            )
-
-        pending = [cell for cell in grid if memo_key(cell) not in self._cache]
-        self._memo_hits += len(grid) - len(pending)
-        if pending:
-            reports = self.executor.run(
-                [
-                    self.resilience_job_for(mix, policy, topology, plan)
-                    for mix, policy, plan, _mix_tag, _plan_tag in pending
-                ],
-                checkpoint=checkpoint,
-            )
-            for cell, report in zip(pending, reports):
-                self._cache[memo_key(cell)] = report
-        return {
-            (mix_tag, policy.name, plan_tag): self._cache[memo_key(cell)]
-            for cell in grid
-            for _mix, policy, _plan, mix_tag, plan_tag in [cell]
-        }
+        ):
+            result.add(report)
+        return result
 
     # ------------------------------------------------------------------
     def cached_runs(self) -> int:

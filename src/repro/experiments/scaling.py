@@ -23,21 +23,20 @@ Two quantities are reported per cell:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.policies import STATIC_POLICIES, PolicySpec
-from repro.experiments.adaptive import geomean
+from repro.experiments.jobs import JobSpec
 from repro.experiments.runner import ExperimentRunner
+from repro.experiments.study import Column, geomean, mean
 from repro.topology.config import TopologyConfig
 
 __all__ = [
+    "SCALING_COLUMNS",
     "SCALING_DEVICES",
     "SCALING_WORKLOADS",
     "scaling_topologies",
     "figure_scaling",
-    "scaling_summary",
-    "scaling_series",
-    "scaling_artifact",
 ]
 
 #: device counts of the scaling axis (1 is the baseline)
@@ -47,6 +46,13 @@ SCALING_DEVICES: tuple[int, ...] = (1, 2, 4)
 #: one many-kernel RNN, and the transformer attention layer the NUMA
 #: literature singles out as fabric-sensitive
 SCALING_WORKLOADS: tuple[str, ...] = ("DGEMM", "SGEMM", "FwLSTM", "MHA")
+
+#: the scaling summary (what the benchmark asserts on and the CLI prints
+#: last): geomean speedup and mean remote fraction of every series
+SCALING_COLUMNS: dict[str, Column] = {
+    "speedup_geomean": (geomean, "speedup"),
+    "remote_fraction_mean": (mean, "remote_fraction"),
+}
 
 
 def scaling_topologies(
@@ -82,18 +88,27 @@ def figure_scaling(
     names = tuple(workload_names or SCALING_WORKLOADS)
     policy_list = tuple(policies)
     topologies = scaling_topologies(devices, template=topology)
-    by_devices = dict(zip(devices, topologies))
-    reports = runner.topology_sweep(policy_list, topologies, workload_names=names)
+    jobs = {
+        (name, policy.name, count): JobSpec(
+            workload=name,
+            policy=policy,
+            scale=runner.scale,
+            config=runner.config,
+            topology=device_topology,
+        )
+        for name in names
+        for policy in policy_list
+        for count, device_topology in zip(devices, topologies)
+    }
+    reports = dict(zip(jobs, runner.run(jobs.values())))
 
     result: dict[str, dict[str, dict[str, float]]] = {}
     for workload in names:
         series: dict[str, dict[str, float]] = {}
         for policy in policy_list:
-            baseline = reports[
-                (workload, policy.name, by_devices[1].fingerprint())
-            ].cycles
+            baseline = reports[(workload, policy.name, 1)].cycles
             for count in devices:
-                report = reports[(workload, policy.name, by_devices[count].fingerprint())]
+                report = reports[(workload, policy.name, count)]
                 series[f"{policy.name}@{count}dev"] = {
                     "speedup": baseline / report.cycles if report.cycles else 0.0,
                     "remote_fraction": report.remote_fraction,
@@ -101,69 +116,3 @@ def figure_scaling(
                 }
         result[workload] = series
     return result
-
-
-def scaling_series(
-    figure: Mapping[str, Mapping[str, Mapping[str, float]]], metric: str
-) -> dict[str, dict[str, float]]:
-    """Project one metric (``"speedup"``/``"remote_fraction"``/``"cycles"``)
-    out of the scaling figure, in the shape ``render_series_table`` takes.
-
-    Shared by the CLI and the benchmark so their tables can never drift.
-    """
-    return {
-        workload: {series: cell[metric] for series, cell in data.items()}
-        for workload, data in figure.items()
-    }
-
-
-def scaling_artifact(
-    figure: Mapping[str, Mapping[str, Mapping[str, float]]],
-    summary: Mapping[str, Mapping[str, float]],
-    devices: Sequence[int],
-    workload_names: Sequence[str],
-    **extra: object,
-) -> dict[str, object]:
-    """The JSON blob recorded for the scaling figure (CI artifact schema).
-
-    One schema for every producer (``repro-gpu-cache topology --json-out``
-    and ``benchmarks/test_fig_scaling.py``); producers may attach
-    additional context via ``extra`` (fabric parameters, scale, policies)
-    without changing the core shape consumers read.
-    """
-    blob: dict[str, object] = {
-        "schema": 1,
-        "devices": list(devices),
-        "workloads": list(workload_names),
-        "figure_scaling": {
-            workload: {series: dict(cell) for series, cell in data.items()}
-            for workload, data in figure.items()
-        },
-        "summary": {series: dict(values) for series, values in summary.items()},
-    }
-    blob.update(extra)
-    return blob
-
-
-def scaling_summary(
-    figure: Mapping[str, Mapping[str, Mapping[str, float]]],
-) -> dict[str, dict[str, float]]:
-    """Geomean speedup and mean remote fraction of every series.
-
-    Keyed like the figure's series (``"<policy>@<n>dev"``); the summary is
-    what the scaling benchmark asserts on and what the CLI prints last.
-    """
-    series_names: list[str] = []
-    for series in figure.values():
-        for name in series:
-            if name not in series_names:
-                series_names.append(name)
-    summary: dict[str, dict[str, float]] = {}
-    for name in series_names:
-        cells = [series[name] for series in figure.values() if name in series]
-        summary[name] = {
-            "speedup_geomean": geomean(cell["speedup"] for cell in cells),
-            "remote_fraction_mean": sum(cell["remote_fraction"] for cell in cells)
-            / len(cells),
-        }
-    return summary

@@ -87,6 +87,14 @@ class TestAdaptiveJobs:
         )
         cold = adaptive_sweep(runner, FAST)
         assert runner.runs_simulated == 1
+        # the study's cell is an ordinary job: asking the runner for it
+        # again is a memo hit
+        job = JobSpec(
+            workload="FwSoft", policy=FAST.initial_policy, scale=0.2, config=TINY,
+            adaptive=FAST,
+        )
+        assert runner.run([job]) == [cold["FwSoft"]]
+        assert runner.runs_simulated == 1 and runner.memo_hits == 1
         warm_runner = ExperimentRunner(
             scale=0.2, config=TINY, workload_names=("FwSoft",),
             cache_dir=str(tmp_path / "store"),

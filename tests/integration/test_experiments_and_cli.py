@@ -187,6 +187,41 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli.main(["run", "--workload", "Nope", "--policy", "CacheR"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--workload", "FwSoft", "--policy", "Bogus"],
+            ["trace", "--workload", "FwSoft", "--policy", "Bogus"],
+            ["sweep", "--workload", "FwSoft", "--policies", "Bogus"],
+            ["sweep-all", "--policies", "CacheR", "Bogus"],
+            ["sweep-all", "--workloads", "Bogus"],
+            ["figure", "6", "--workloads", "Bogus"],
+            ["adaptive", "--candidates", "Bogus"],
+            ["adaptive", "--workloads", "Bogus"],
+            ["topology", "--policies", "Bogus"],
+            ["serve", "--policies", "Bogus"],
+            ["faults", "--policies", "Bogus"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:-1]),
+    )
+    def test_unknown_registry_name_exits_2_before_simulating(
+        self, argv, monkeypatch, capsys
+    ):
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("simulated before rejecting the arguments")
+
+        monkeypatch.setattr(cli.SimulationSession, "run", no_simulation)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--no-cache", *argv])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'Bogus'" in capsys.readouterr().err
+
+    def test_policy_names_stay_case_insensitive(self, capsys):
+        code = cli.main(["--scale", "0.1", "--cus", "2", "sweep", "--workload", "FwSoft",
+                         "--policies", "cacher", "UNCACHED"])
+        assert code == 0
+        assert "CacheR" in capsys.readouterr().out
+
     def test_list_json_includes_fault_plans(self, capsys):
         assert cli.main(["list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

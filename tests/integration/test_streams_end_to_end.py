@@ -16,13 +16,11 @@ import pytest
 
 from repro.config import scaled_config
 from repro.core.policies import CACHE_RW, UNCACHED
-from repro.experiments.interference import (
-    figure_interference,
-    interference_summary,
-)
+from repro.experiments.interference import INTERFERENCE_COLUMNS, figure_interference
 from repro.experiments.jobs import JobSpec, SweepExecutor, execute_job
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore
+from repro.experiments.study import summarize
 from repro.session import SimulationSession, simulate
 from repro.streams import (
     MIX_NAMES,
@@ -382,8 +380,14 @@ class TestServingJobsAndStore:
     def test_serving_sweep_memoizes_in_process(self):
         runner = ExperimentRunner(config=TINY)
         mix = ServingMix(name="tiny", streams=TWO_TENANTS)
-        first = runner.serving_sweep([mix], [CACHE_RW])
-        again = runner.serving_sweep([mix], [CACHE_RW])
+        job = lambda: JobSpec(  # noqa: E731 - a fresh but equal spec per call
+            workload=mix.name,
+            policy=CACHE_RW,
+            config=TINY,
+            streams=mix.scaled(runner.scale).streams,
+        )
+        first = runner.run([job()])
+        again = runner.run([job()])
         assert first == again
         assert runner.runs_simulated == 1
         assert runner.memo_hits == 1
@@ -404,7 +408,7 @@ class TestServingJobsAndStore:
             "tenants",
         }
         assert len(cell["tenants"]) == 2
-        summary = interference_summary(figure)
+        summary = summarize(figure, INTERFERENCE_COLUMNS)
         assert f"{CACHE_RW.name}@shared" in summary
 
 

@@ -22,7 +22,7 @@ from repro import cli
 from repro.config import scaled_config
 from repro.adaptive import AdaptiveConfig
 from repro.core.policies import CACHE_R, CACHE_RW, STATIC_POLICIES, UNCACHED
-from repro.experiments import ExperimentRunner, figure_scaling, scaling_summary
+from repro.experiments import ExperimentRunner, SCALING_COLUMNS, figure_scaling, summarize
 from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.store import ResultStore
 from repro.session import SimulationSession, simulate
@@ -200,7 +200,7 @@ class TestScalingSweep:
                 assert series[f"{policy.name}@1dev"]["remote_fraction"] == 0.0
                 for count in (2, 4):
                     assert series[f"{policy.name}@{count}dev"]["remote_fraction"] > 0.0
-        summary = scaling_summary(figure)
+        summary = summarize(figure, SCALING_COLUMNS)
         assert set(summary) == {
             f"{policy.name}@{count}dev"
             for policy in STATIC_POLICIES

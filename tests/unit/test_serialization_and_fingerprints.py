@@ -7,10 +7,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.accel.config import SamplingConfig, ShardConfig
 from repro.config import default_config, paper_config, scaled_config
 from repro.core.policies import ALL_POLICIES, CACHE_R, CACHE_RW, UNCACHED
 from repro.core.reuse_predictor import PredictorConfig
 from repro.experiments.jobs import JobSpec
+from repro.faults.config import FAULT_PLANS
 from repro.fingerprint import canonical_payload, code_digest, fingerprint
 from repro.stats.report import RunReport
 
@@ -128,6 +130,25 @@ class TestJobSpecFingerprints:
     def test_any_changed_input_changes_key(self, change):
         base = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.5, config=scaled_config(2))
         assert replace(base, **change).fingerprint() != base.fingerprint()
+
+    @pytest.mark.parametrize(
+        "axis,empty,active",
+        [
+            ("faults", FAULT_PLANS["none"], FAULT_PLANS["link-brownout"]),
+            ("sampling", SamplingConfig(enabled=False), SamplingConfig()),
+            ("shards", ShardConfig(num_shards=1), ShardConfig(num_shards=2)),
+        ],
+    )
+    def test_empty_axis_normalises_to_none(self, axis, empty, active):
+        base = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.5, config=scaled_config(2))
+        normalised = replace(base, **{axis: empty})
+        assert getattr(normalised, axis) is None
+        assert normalised == base and hash(normalised) == hash(base)
+        assert normalised.fingerprint() == base.fingerprint()
+        assert normalised.summary() == base.summary()
+        # a non-empty config of the same axis stays a distinct job
+        assert replace(base, **{axis: active}) != base
+        assert replace(base, **{axis: active}).fingerprint() != base.fingerprint()
 
     def test_key_is_hex_sha256(self):
         key = JobSpec(workload="FwSoft", policy=CACHE_R).fingerprint()
