@@ -25,6 +25,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -40,6 +41,13 @@ BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 BENCH_CACHE_DIR = os.environ.get(
     "REPRO_BENCH_CACHE_DIR", str(Path(__file__).parent / ".bench_store")
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any benchmark that leaves a live ``multiprocessing`` child."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

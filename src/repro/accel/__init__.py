@@ -5,8 +5,8 @@ Two composable ways to trade a little fidelity for a lot of wall-clock:
 * :class:`SamplingConfig` -- skip steady-state kernel repeats and
   extrapolate their counters with per-counter error estimates
   (:mod:`repro.accel.sampling`).
-* :class:`ShardConfig` -- split a serving mix or multi-device run into
-  per-shard worker processes synchronized at epoch boundaries
+* :class:`ShardConfig` -- split a serving mix of partitioned tenants
+  into independent per-shard worker processes and merge their reports
   (:mod:`repro.accel.shard`).
 
 Both default to *off*; exact mode (sampling disabled, one shard) is

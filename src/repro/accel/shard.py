@@ -1,36 +1,22 @@
-"""Sharded multi-process simulation: one big run, many event queues.
+"""Sharded multi-process simulation: one serving mix, independent shards.
 
-A serving mix of N tenants or an N-device topology run is one monolithic
-event queue today.  :func:`run_sharded` splits it along those natural
-seams into per-shard :class:`~repro.session.SimulationSession` instances
-living in dedicated worker processes, advances them in lock-stepped
-*epochs* (``ShardConfig.epoch_cycles`` of simulated time per step), and
-exchanges boundary-traffic aggregates at every epoch barrier -- recorded
-as ``shard.*`` counters on the merged report.
+A serving mix of N partitioned tenants is one monolithic event queue.
+:func:`run_sharded` splits it along its streams: each shard owns a
+subset of the streams on a proportional slice of the machine (CUs, L2
+capacity, DRAM channels and L2 banks scale with the shard's stream
+share, mirroring :func:`repro.config.scaled_config`).  Every stream must
+use ``cu_share="partitioned"``: shared dispatch couples tenants through
+the CU scheduler, which a process boundary cannot reproduce.
 
-Axes:
-
-* **streams** -- each shard owns a subset of the serving streams on a
-  proportional slice of the machine (CUs, L2 capacity, DRAM channels and
-  L2 banks scale with the shard's stream share, mirroring
-  :func:`repro.config.scaled_config`).  Requires every stream to use
-  ``cu_share="partitioned"``: shared dispatch couples tenants through
-  the CU scheduler, which a process boundary cannot reproduce.
-* **devices** -- one shard per topology device: the workload is
-  partitioned exactly as the monolithic NUMA run partitions it, then
-  each device's wavefronts run on a single-device session.  Fabric
-  latency between devices is not modelled across shards (remote lines
-  are served by each shard's own memory), which is the declared
-  approximation of this axis.
-
-Worker lifecycle reuses the :class:`~repro.experiments.jobs`
-process-pool idioms: one single-worker pool per shard (task->process
-affinity for the session registry), per-call timeouts, structured
-:class:`~repro.experiments.jobs.JobFailure` records on every failure
-path, and pools that are *always* released without waiting when a shard
-fails -- a stuck worker can never leak into later work
-(:class:`contextlib.ExitStack`-managed, the fix PR 10 also applies to
-``ProcessPoolBackend``).
+Nothing crosses a shard boundary while the shards run, so each shard is
+an ordinary :class:`~repro.experiments.jobs.JobSpec` executed to
+completion on the sweep backend
+(:class:`~repro.experiments.jobs.ProcessPoolBackend`, one worker per
+shard).  The backend's lifecycle contract carries over unchanged:
+timeouts, no worker left running once the run returns or fails, and
+structured :class:`~repro.experiments.jobs.JobFailure` records on a
+:class:`ShardExecutionError`.  :func:`_merge_reports` then folds the
+per-shard reports into one.
 
 Exact mode (``num_shards == 1``) never reaches this module:
 :func:`repro.session.simulate` only dispatches here for a non-empty
@@ -40,9 +26,6 @@ Exact mode (``num_shards == 1``) never reaches this module:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
-from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from typing import Optional, Sequence, Union
 
@@ -50,15 +33,14 @@ from repro.accel.config import SamplingConfig, ShardConfig
 from repro.config import SystemConfig, default_config
 from repro.core.policies import PolicySpec, policy_by_name
 from repro.core.reuse_predictor import PredictorConfig
-from repro.fingerprint import fingerprint
+from repro.experiments.jobs import JobSpec, ProcessPoolBackend
 from repro.stats.report import RunReport
 from repro.streams.config import ServingMix, StreamConfig
 from repro.topology.config import TopologyConfig
-from repro.topology.partition import partition_trace
 from repro.workloads.base import Workload
-from repro.workloads.trace import KernelTrace, WorkloadTrace
+from repro.workloads.trace import WorkloadTrace
 
-__all__ = ["ShardExecutionError", "ShardTask", "run_sharded"]
+__all__ = ["ShardExecutionError", "run_sharded"]
 
 #: per-stream counters with absolute (not additive) semantics; they are
 #: remapped to the stream's global index but never summed
@@ -66,7 +48,7 @@ _STREAM_PREFIX = "stream"
 
 
 class ShardExecutionError(RuntimeError):
-    """A shard failed (crash, timeout, deadlock) during a sharded run.
+    """A shard failed (crash, timeout, error) during a sharded run.
 
     Carries structured :class:`~repro.experiments.jobs.JobFailure`
     records on :attr:`failures`, one per shard that could not complete --
@@ -79,97 +61,6 @@ class ShardExecutionError(RuntimeError):
         self.failures = list(failures)
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """Picklable description of one shard's session (the worker input)."""
-
-    shard_id: int
-    policy: Optional[PolicySpec]
-    config: SystemConfig
-    predictor_config: Optional[PredictorConfig]
-    dbi_max_rows: Optional[int]
-    sampling: Optional[SamplingConfig]
-    #: streams axis: this shard's streams (local order)
-    streams: Optional[tuple[StreamConfig, ...]] = None
-    #: devices axis: this shard's slice of the partitioned workload
-    trace: Optional[WorkloadTrace] = None
-
-    def describe(self) -> dict[str, object]:
-        return {
-            "shard": self.shard_id,
-            "streams": (
-                None
-                if self.streams is None
-                else [stream.describe() for stream in self.streams]
-            ),
-            "workload": None if self.trace is None else self.trace.name,
-            "num_cus": self.config.gpu.num_cus,
-        }
-
-
-# ----------------------------------------------------------------------
-# worker side: one session per shard, kept alive across epoch calls.
-# Each shard gets its own single-worker pool, so every call for shard i
-# lands in the same process and finds its session here.
-# ----------------------------------------------------------------------
-_WORKER_SESSIONS: dict[int, object] = {}
-
-
-def _shard_begin(task: ShardTask) -> dict[str, object]:
-    """Build the shard's session and schedule its work (no time advances)."""
-    # imported here, not at module level: the session module imports this
-    # package's config, and workers fork with the parent's modules anyway
-    from repro.session import SimulationSession
-
-    session = SimulationSession(
-        policy=task.policy,
-        config=task.config,
-        predictor_config=task.predictor_config,
-        dbi_max_rows=task.dbi_max_rows,
-        streams=task.streams,
-        sampling=task.sampling,
-    )
-    session.begin(task.trace)
-    _WORKER_SESSIONS[task.shard_id] = session
-    return {"shard": task.shard_id}
-
-
-def _shard_step(shard_id: int, until: int) -> dict[str, object]:
-    """Advance one epoch; report progress and boundary-traffic deltas."""
-    session = _WORKER_SESSIONS[shard_id]
-    dram_before = session.stats.get("dram.accesses")
-    remote_before = session.stats.get("topo.remote_requests")
-    done = session.step(until)
-    if not done and session.sim.queue.pending == 0:
-        raise RuntimeError(
-            f"shard {shard_id} deadlocked: its event queue drained with "
-            "work outstanding"
-        )
-    return {
-        "shard": shard_id,
-        "done": done,
-        "now": session.sim.now,
-        "executed": session.sim.queue.executed,
-        "boundary_dram": session.stats.get("dram.accesses") - dram_before,
-        "boundary_remote": session.stats.get("topo.remote_requests") - remote_before,
-    }
-
-
-def _shard_finish(shard_id: int) -> dict[str, object]:
-    """Drain trailing events, finalize, and ship the report back."""
-    session = _WORKER_SESSIONS.pop(shard_id)
-    session.sim.run()  # leftover post-completion events + finish hooks
-    report = session.finish()
-    return {
-        "shard": shard_id,
-        "report": report.to_dict(),
-        "executed": session.sim.queue.executed,
-    }
-
-
-# ----------------------------------------------------------------------
-# coordinator side
-# ----------------------------------------------------------------------
 def _share_config(config: SystemConfig, share: int, total: int) -> SystemConfig:
     """The slice of the machine a shard owning ``share`` of ``total`` CUs
     gets: shared resources scale proportionally with the same floors as
@@ -193,53 +84,17 @@ def _share_config(config: SystemConfig, share: int, total: int) -> SystemConfig:
     )
 
 
-def _task_failure(task: ShardTask, exc: BaseException, phase: str):
-    from repro.experiments.jobs import JobFailure
-
-    return JobFailure(
-        index=task.shard_id,
-        fingerprint=fingerprint(task.describe(), kind="ShardTask"),
-        job=dict(task.describe(), phase=phase),
-        error=repr(exc),
-        attempts=1,
-    )
-
-
-def _resolve_axis(
-    axis: str,
-    streams: Optional[tuple[StreamConfig, ...]],
-    topology: Optional[TopologyConfig],
-) -> str:
-    if streams is not None and topology is not None:
-        raise ValueError(
-            "sharding a run that is both multi-stream and multi-device is "
-            "not supported; shard along one seam at a time"
-        )
-    if axis == "auto":
-        if streams is not None:
-            return "streams"
-        if topology is not None:
-            return "devices"
-        raise ValueError(
-            "nothing to shard along: sharding needs a serving mix "
-            "(streams axis) or a multi-device topology (devices axis)"
-        )
-    if axis == "streams" and streams is None:
-        raise ValueError("axis='streams' needs a serving mix (streams=...)")
-    if axis == "devices" and topology is None:
-        raise ValueError("axis='devices' needs a multi-device topology")
-    return axis
-
-
 def _stream_tasks(
     shards: ShardConfig,
     streams: tuple[StreamConfig, ...],
-    policy: Optional[PolicySpec],
+    label: str,
+    policy: PolicySpec,
     config: SystemConfig,
     predictor_config: Optional[PredictorConfig],
     dbi_max_rows: Optional[int],
     sampling: Optional[SamplingConfig],
-) -> tuple[list[ShardTask], list[list[int]]]:
+) -> tuple[list[JobSpec], list[list[int]]]:
+    """One job per shard, plus each shard's global stream indices."""
     num_streams = len(streams)
     if shards.num_shards > num_streams:
         raise ValueError(
@@ -263,69 +118,19 @@ def _stream_tasks(
         list(range(shard_id, num_streams, shards.num_shards))
         for shard_id in range(shards.num_shards)
     ]
-    tasks = []
-    for shard_id, indices in enumerate(assignment):
-        shard_streams = tuple(streams[index] for index in indices)
-        tasks.append(
-            ShardTask(
-                shard_id=shard_id,
-                policy=policy,
-                config=_share_config(
-                    config, cus_per_stream * len(indices), total_cus
-                ),
-                predictor_config=predictor_config,
-                dbi_max_rows=dbi_max_rows,
-                sampling=sampling,
-                streams=shard_streams,
-            )
+    jobs = [
+        JobSpec(
+            workload=label,
+            policy=policy,
+            config=_share_config(config, cus_per_stream * len(indices), total_cus),
+            predictor_config=predictor_config,
+            dbi_max_rows=dbi_max_rows,
+            streams=tuple(streams[index] for index in indices),
+            sampling=sampling,
         )
-    return tasks, assignment
-
-
-def _device_tasks(
-    shards: ShardConfig,
-    workload: Union[Workload, WorkloadTrace, None],
-    topology: TopologyConfig,
-    policy: Optional[PolicySpec],
-    config: SystemConfig,
-    predictor_config: Optional[PredictorConfig],
-    dbi_max_rows: Optional[int],
-    sampling: Optional[SamplingConfig],
-) -> list[ShardTask]:
-    if workload is None:
-        raise ValueError("devices-axis sharding needs a workload")
-    if shards.num_shards != topology.num_devices:
-        raise ValueError(
-            f"devices-axis sharding needs one shard per device: got "
-            f"{shards.num_shards} shards for {topology.num_devices} devices"
-        )
-    trace = workload.build_trace() if isinstance(workload, Workload) else workload
-    partitioned = partition_trace(
-        trace, topology, line_bytes=config.l2.line_bytes
-    )
-    tasks = []
-    for device in range(topology.num_devices):
-        kernels = []
-        for kernel in partitioned.kernels:
-            wavefronts = [
-                dc_replace(program, device=None)
-                for program in kernel.wavefronts
-                if program.device == device
-            ]
-            if wavefronts:
-                kernels.append(KernelTrace(name=kernel.name, wavefronts=wavefronts))
-        tasks.append(
-            ShardTask(
-                shard_id=device,
-                policy=policy,
-                config=config,  # topology configs describe one device already
-                predictor_config=predictor_config,
-                dbi_max_rows=dbi_max_rows,
-                sampling=sampling,
-                trace=WorkloadTrace(name=trace.name, kernels=kernels),
-            )
-        )
-    return tasks
+        for indices in assignment
+    ]
+    return jobs, assignment
 
 
 def _remap_stream_counter(name: str, local_to_global: dict[int, int]) -> str:
@@ -340,35 +145,20 @@ def _remap_stream_counter(name: str, local_to_global: dict[int, int]) -> str:
 
 
 def _merge_reports(
-    payloads: list[dict[str, object]],
-    tasks: list[ShardTask],
-    assignment: Optional[list[list[int]]],
+    reports: list[RunReport],
+    assignment: list[list[int]],
     label: str,
     config: SystemConfig,
-    shards: ShardConfig,
-    epochs: int,
-    boundary_dram: int,
-    boundary_remote: int,
-    max_skew: int,
 ) -> RunReport:
-    reports = [RunReport.from_dict(payload["report"]) for payload in payloads]
     counters: dict[str, int] = {}
     error_estimates: dict[str, float] = {}
     executed_kernels = skipped_kernels = 0
     executed_events = represented_events = 0
     sampled = False
-    for task, payload, report in zip(tasks, payloads, reports):
-        local_to_global = (
-            {local: global_ for local, global_ in enumerate(assignment[task.shard_id])}
-            if assignment is not None
-            else {}
-        )
+    for indices, report in zip(assignment, reports):
+        local_to_global = dict(enumerate(indices))
         for name, value in report.counters.items():
-            merged_name = (
-                _remap_stream_counter(name, local_to_global)
-                if local_to_global
-                else name
-            )
+            merged_name = _remap_stream_counter(name, local_to_global)
             if merged_name == "gpu.finish_cycle":
                 counters[merged_name] = max(counters.get(merged_name, 0), value)
             else:
@@ -376,36 +166,23 @@ def _merge_reports(
                 # summation is also a remap-preserving copy for them
                 counters[merged_name] = counters.get(merged_name, 0) + value
         for name, value in report.error_estimates.items():
-            merged_name = (
-                _remap_stream_counter(name, local_to_global)
-                if local_to_global
-                else name
-            )
+            merged_name = _remap_stream_counter(name, local_to_global)
             error_estimates[merged_name] = max(
                 error_estimates.get(merged_name, 0.0), value
             )
-        shard_events = int(payload["executed"])
-        executed_events += shard_events
         if report.sampling:
             sampled = True
-            executed_kernels += int(report.sampling.get("executed_kernels", 0))
-            skipped_kernels += int(report.sampling.get("skipped_kernels", 0))
-            represented_events += int(
-                report.sampling.get("represented_events", shard_events)
-            )
+            executed_kernels += int(report.sampling["executed_kernels"])
+            skipped_kernels += int(report.sampling["skipped_kernels"])
+            executed_events += int(report.sampling["executed_events"])
+            represented_events += int(report.sampling["represented_events"])
         else:
             executed_kernels += report.get("gpu.kernels_launched")
-            represented_events += shard_events
     cycles = max(report.cycles for report in reports)
     counters["gpu.finish_cycle"] = max(
         counters.get("gpu.finish_cycle", 0), cycles
     )
-    counters["shard.count"] = len(tasks)
-    counters["shard.epochs"] = epochs
-    counters["shard.boundary_dram"] = boundary_dram
-    if boundary_remote:
-        counters["shard.boundary_remote"] = boundary_remote
-    counters["shard.max_skew_cycles"] = max_skew
+    counters["shard.count"] = len(reports)
     total_kernels = executed_kernels + skipped_kernels
     merged = RunReport(
         workload=label,
@@ -418,15 +195,16 @@ def _merge_reports(
     merged.error_estimates = error_estimates
     merged.sampling = {
         "mode": "phase_sampled+sharded" if sampled else "sharded",
-        "shards": len(tasks),
+        "shards": len(reports),
         "executed_kernels": executed_kernels,
         "skipped_kernels": skipped_kernels,
         "skipped_fraction": (
             skipped_kernels / total_kernels if total_kernels else 0.0
         ),
-        "executed_events": executed_events,
-        "represented_events": represented_events,
     }
+    if sampled:
+        merged.sampling["executed_events"] = executed_events
+        merged.sampling["represented_events"] = represented_events
     return merged
 
 
@@ -445,12 +223,13 @@ def run_sharded(
     telemetry=None,
     obs=None,
 ) -> RunReport:
-    """Execute one run as epoch-synchronized shard processes and merge.
+    """Execute one serving run as independent shard processes and merge.
 
     Mirrors :func:`repro.session.simulate`'s signature (it dispatches
     here when ``shards`` is non-empty); global subsystems that a process
-    boundary cannot split -- adaptive control, fault plans with events,
-    telemetry observers, the obs layer -- are rejected explicitly.
+    boundary cannot split -- adaptive control, a multi-device topology,
+    fault plans with events, telemetry observers, the obs layer -- are
+    rejected explicitly.
     """
     if shards is None or shards.empty:
         raise ValueError("run_sharded needs a ShardConfig with num_shards > 1")
@@ -458,6 +237,11 @@ def run_sharded(
         raise ValueError(
             "sharded execution does not compose with adaptive policy "
             "control: the controller's duel state is global to the run"
+        )
+    if topology is not None:
+        raise ValueError(
+            "sharded execution does not compose with a multi-device "
+            "topology: run the topology unsharded"
         )
     if faults is not None and not getattr(faults, "empty", False):
         raise ValueError(
@@ -470,129 +254,43 @@ def run_sharded(
         raise ValueError("sharded execution does not support the obs layer")
     if policy is None:
         raise ValueError("a sharded run needs a policy")
+    if streams is None:
+        raise ValueError(
+            "nothing to shard along: sharding needs a serving mix (streams=...)"
+        )
+    if workload is not None:
+        raise ValueError(
+            "a sharded serving run derives its workloads from the "
+            "stream configurations; pass no workload"
+        )
     resolved_policy = policy_by_name(policy) if isinstance(policy, str) else policy
     config = config or default_config()
-    sampling = sampling if sampling is not None and not sampling.empty else None
 
-    if streams is None:
-        stream_tuple: Optional[tuple[StreamConfig, ...]] = None
-        label = ""
-    elif isinstance(streams, ServingMix):
+    if isinstance(streams, ServingMix):
         stream_tuple = streams.streams
         label = streams.name
     else:
         stream_tuple = tuple(streams)
         label = "+".join(stream.display for stream in stream_tuple)
 
-    axis = _resolve_axis(shards.axis, stream_tuple, topology)
-    assignment: Optional[list[list[int]]] = None
-    if axis == "streams":
-        if workload is not None:
-            raise ValueError(
-                "a sharded serving run derives its workloads from the "
-                "stream configurations; pass no workload"
-            )
-        tasks, assignment = _stream_tasks(
-            shards,
-            stream_tuple,
-            resolved_policy,
-            config,
-            predictor_config,
-            dbi_max_rows,
-            sampling,
-        )
-    else:
-        tasks = _device_tasks(
-            shards,
-            workload,
-            topology,
-            resolved_policy,
-            config,
-            predictor_config,
-            dbi_max_rows,
-            sampling,
-        )
-        label = tasks[0].trace.name if tasks[0].trace is not None else label
-
-    timeout = shards.timeout_seconds
-    epochs = 0
-    boundary_dram = boundary_remote = 0
-    max_skew = 0
-    payloads: list[Optional[dict[str, object]]] = [None] * len(tasks)
-    with ExitStack() as stack:
-        pools: list[ProcessPoolExecutor] = []
-        for task in tasks:
-            pool = ProcessPoolExecutor(max_workers=1)
-            # released unconditionally, without waiting: a failed or stuck
-            # shard must never leak its worker process past this run
-            stack.callback(pool.shutdown, wait=False, cancel_futures=True)
-            pools.append(pool)
-
-        def call(task: ShardTask, phase: str, fn, *args):
-            try:
-                return pools[task.shard_id].submit(fn, *args).result(timeout=timeout)
-            except BaseException as exc:
-                failure = _task_failure(task, exc, phase)
-                raise ShardExecutionError(
-                    f"shard {task.shard_id} failed during {phase}: {exc!r}",
-                    [failure],
-                ) from exc
-
-        # startup barrier: every shard builds its session and schedules
-        # its work before any simulated time advances
-        begin_futures = [
-            pools[task.shard_id].submit(_shard_begin, task) for task in tasks
-        ]
-        for task, future in zip(tasks, begin_futures):
-            try:
-                future.result(timeout=timeout)
-            except BaseException as exc:
-                failure = _task_failure(task, exc, "begin")
-                raise ShardExecutionError(
-                    f"shard {task.shard_id} failed during begin: {exc!r}", [failure]
-                ) from exc
-
-        active = {task.shard_id for task in tasks}
-        until = shards.epoch_cycles
-        while active:
-            epochs += 1
-            step_futures = {
-                shard_id: pools[shard_id].submit(_shard_step, shard_id, until)
-                for shard_id in sorted(active)
-            }
-            fronts: list[int] = []
-            for shard_id, future in step_futures.items():
-                try:
-                    result = future.result(timeout=timeout)
-                except BaseException as exc:
-                    failure = _task_failure(tasks[shard_id], exc, "step")
-                    raise ShardExecutionError(
-                        f"shard {shard_id} failed during epoch {epochs}: {exc!r}",
-                        [failure],
-                    ) from exc
-                boundary_dram += int(result["boundary_dram"])
-                boundary_remote += int(result["boundary_remote"])
-                if result["done"]:
-                    active.discard(shard_id)
-                else:
-                    fronts.append(int(result["now"]))
-            if len(fronts) > 1:
-                max_skew = max(max_skew, max(fronts) - min(fronts))
-            until += shards.epoch_cycles
-
-        for task in tasks:
-            payloads[task.shard_id] = call(task, "finish", _shard_finish, task.shard_id)
-
-    assert all(payload is not None for payload in payloads)
-    return _merge_reports(
-        payloads,  # type: ignore[arg-type]
-        tasks,
-        assignment,
-        label,
-        config,
+    jobs, assignment = _stream_tasks(
         shards,
-        epochs,
-        boundary_dram,
-        boundary_remote,
-        max_skew,
+        stream_tuple,
+        label,
+        resolved_policy,
+        config,
+        predictor_config,
+        dbi_max_rows,
+        sampling,
     )
+    backend = ProcessPoolBackend(
+        max_workers=len(jobs), timeout=shards.timeout_seconds
+    )
+    try:
+        reports = backend.run_jobs(jobs)
+    except Exception as exc:
+        raise ShardExecutionError(
+            f"{len(backend.failures)} of {len(jobs)} shard(s) failed: {exc!r}",
+            backend.failures,
+        ) from exc
+    return _merge_reports(reports, assignment, label, config)

@@ -9,12 +9,11 @@ structures such as cache ports, SIMD issue slots and DRAM data buses
 without per-cycle polling.
 """
 
-from repro.engine.event_queue import Event, EventQueue
+from repro.engine.event_queue import EventQueue
 from repro.engine.resources import ThroughputResource, WaitQueue
 from repro.engine.simulator import Simulator
 
 __all__ = [
-    "Event",
     "EventQueue",
     "Simulator",
     "ThroughputResource",

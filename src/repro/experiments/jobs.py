@@ -107,12 +107,13 @@ class JobSpec:
             one in the store.  A *disabled* config fingerprints
             identically to no config (exact mode is bit-identical by
             construction), so exact baselines keep their warm cells.
-        shards: when given (and ``num_shards > 1``), the run executes as
-            epoch-synchronized worker processes
-            (:mod:`repro.accel.shard`).  Merged shard reports differ
-            from monolithic ones (``shard.*`` counters, merge rounding),
-            so the shard geometry is fingerprinted the same way: a
-            single-shard config hashes as ``None``.
+        shards: when given (and ``num_shards > 1``), the serving mix
+            runs as independent per-shard worker processes whose reports
+            are merged (:mod:`repro.accel.shard`).  Merged shard reports
+            differ from monolithic ones (each shard simulates its own
+            slice of the machine, plus a ``shard.count`` counter), so the
+            shard count is fingerprinted the same way: a single-shard
+            config hashes as ``None``.
     """
 
     workload: str
@@ -350,8 +351,8 @@ class ProcessPoolBackend:
             core).
         timeout: wall-clock seconds the whole batch may go without any job
             finishing before the remaining jobs are declared hung and the
-            pool abandoned (``None`` waits forever).  Hung jobs are
-            retried like crashed ones.
+            pool abandoned, its workers stopped (``None`` waits forever).
+            Hung jobs are retried like crashed ones.
         retries: extra whole-pool attempts for jobs that crash, hang or
             raise.  A worker killed by the OS (OOM, SIGKILL) poisons the
             entire pool, so each retry starts a fresh pool containing only
@@ -537,8 +538,14 @@ class ProcessPoolBackend:
                 raise
         finally:
             # never hold the sweep hostage for a pool being discarded:
-            # on timeout or any escaping exception, shut down without
-            # waiting and let a fresh pool run the retry
+            # on timeout or any escaping exception, stop its workers (a
+            # hung one would otherwise outlive the sweep), shut down
+            # without waiting and let a fresh pool run the retry
+            if abandon:
+                # no public API stops running workers before 3.14's terminate_workers()
+                for process in list(pool._processes.values()):
+                    process.terminate()
+                    process.join()
             pool.shutdown(wait=not abandon, cancel_futures=True)
         return errors
 

@@ -7,6 +7,8 @@ the whole suite runs in well under a minute; the benchmark harness under
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.config import SystemConfig, scaled_config
@@ -20,6 +22,13 @@ from repro.workloads.trace import (
     WavefrontProgram,
     WorkloadTrace,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a live ``multiprocessing`` child behind."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -193,17 +193,17 @@ class TestPoolRelease:
     Regression: an ``on_result`` callback raising out of the drain loop
     used to reach ``pool.shutdown(wait=True)``, blocking the sweep on
     still-running -- possibly stuck -- workers and leaking the pool past
-    the attempt.  The abandon path now shuts down without waiting and
-    cancels unstarted futures.
+    the attempt.  The abandon path now stops the pool's workers, shuts
+    down without waiting and cancels unstarted futures.
     """
 
     @staticmethod
     def _recording_pool():
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
         calls: list[dict[str, bool]] = []
 
-        class RecordingPool(ThreadPoolExecutor):
+        class RecordingPool(ProcessPoolExecutor):
             def shutdown(self, wait=True, *, cancel_futures=False):
                 calls.append({"wait": wait, "cancel_futures": cancel_futures})
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)

@@ -77,15 +77,6 @@ class TestExecution:
         assert order == ["first", "second"]
         assert queue.now == 6
 
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule_cancellable(10, lambda: fired.append("cancelled"))
-        queue.schedule(20, lambda: fired.append("kept"))
-        event.cancel()
-        queue.run()
-        assert fired == ["kept"]
-
     def test_run_until_leaves_later_events_pending(self):
         queue = EventQueue()
         fired = []
@@ -106,70 +97,6 @@ class TestExecution:
         queue.schedule(1, reschedule)
         queue.run(max_events=25)
         assert queue.executed == 25
-
-    def test_executed_counts_only_real_events(self):
-        queue = EventQueue()
-        event = queue.schedule_cancellable(1, lambda: None)
-        event.cancel()
-        queue.schedule(2, lambda: None)
-        queue.run()
-        assert queue.executed == 1
-
-    def test_cancel_is_idempotent(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule_cancellable(1, lambda: fired.append("a"))
-        event.cancel()
-        event.cancel()
-        queue.schedule(2, lambda: fired.append("b"))
-        queue.run()
-        assert fired == ["b"]
-        assert queue.executed == 1
-
-    def test_cancel_after_fire_does_not_skip_later_events(self):
-        # cancelling an already-fired event must not poison the seq set
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule_cancellable(1, lambda: fired.append("a"))
-        queue.run()
-        event.cancel()
-        queue.schedule(1, lambda: fired.append("b"))
-        queue.run()
-        assert fired == ["a", "b"]
-        # the side set must not leak stale sequence numbers either
-        assert queue._cancelled == set()
-
-    def test_drained_queue_clears_cancelled_side_set(self):
-        queue = EventQueue()
-        fired = []
-        # same-cycle cancel-after-fire: the guard in cancel() cannot tell,
-        # so the drain path must clean the stale entry up
-        event = queue.schedule_cancellable(0, lambda: fired.append("a"))
-        queue.run()
-        event.cancel()
-        assert fired == ["a"]
-        queue.schedule(1, lambda: fired.append("b"))
-        queue.run()
-        assert fired == ["a", "b"]
-        assert queue._cancelled == set()
-
-    def test_cancellable_events_keep_tie_order(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(5, lambda: order.append("plain"))
-        queue.schedule_cancellable(5, lambda: order.append("cancellable"))
-        queue.run()
-        assert order == ["plain", "cancellable"]
-
-    def test_step_skips_cancelled_events(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule_cancellable(1, lambda: fired.append("a"))
-        queue.schedule(2, lambda: fired.append("b"))
-        event.cancel()
-        assert queue.step() is True
-        assert fired == ["b"]
-        assert queue.step() is False
 
 
 class TestCycleBuckets:
@@ -213,17 +140,6 @@ class TestCycleBuckets:
         assert order == ["a"] and queue.pending == 2
         queue.run()
         assert order == ["a", "b", "c"]
-
-    def test_cancel_within_the_same_cycle(self):
-        queue = EventQueue()
-        fired = []
-        later = queue.schedule_cancellable(4, lambda: fired.append("later"))
-        queue.schedule_at(2, later.cancel)
-        queue.schedule(4, lambda: fired.append("kept"))
-        queue.run()
-        assert fired == ["kept"]
-        assert queue.executed == 2
-        assert queue._cancelled == set()
 
     def test_raising_callback_consumes_its_event(self):
         queue = EventQueue()
