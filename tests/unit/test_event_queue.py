@@ -184,3 +184,55 @@ class TestFastPath:
         queue.schedule(True, lambda: seen.append(queue.now))
         queue.run()
         assert seen == [1]
+
+
+class TestProfiledRun:
+    """``run_profiled`` is a timed copy of ``run``: same firing order,
+    same stops, same executed accounting."""
+
+    @staticmethod
+    def _schedule(queue, order):
+        def a():
+            order.append(("a", queue.now))
+            queue.schedule(0, lambda: order.append(("c", queue.now)))
+
+        queue.schedule(5, a)
+        queue.schedule(5, lambda: order.append(("b", queue.now)))
+        queue.schedule(9, lambda: order.append(("d", queue.now)))
+
+    def test_fires_in_the_same_order_as_run(self):
+        from repro.telemetry.profiler import SimProfiler
+
+        plain, profiled = EventQueue(), EventQueue()
+        plain_order, profiled_order = [], []
+        self._schedule(plain, plain_order)
+        self._schedule(profiled, profiled_order)
+        assert profiled.run_profiled(SimProfiler()) == plain.run()
+        assert profiled_order == plain_order
+        assert profiled.executed == plain.executed == 4
+
+    def test_every_event_is_charged_to_the_profiler(self):
+        from repro.telemetry.profiler import SimProfiler
+
+        queue = EventQueue()
+        self._schedule(queue, [])
+        profiler = SimProfiler()
+        queue.run_profiled(profiler)
+        assert profiler.events == queue.executed == 4
+        assert profiler.wall_seconds > 0
+
+    def test_stops_like_run_and_resumes_mid_cycle(self):
+        from repro.telemetry.profiler import SimProfiler
+
+        queue = EventQueue()
+        order = []
+        self._schedule(queue, order)
+        assert queue.run_profiled(SimProfiler(), until=7) == 7
+        assert [label for label, _ in order] == ["a", "b", "c"]
+        assert queue.pending == 1
+        queue.schedule(0, lambda: order.append(("e", queue.now)))
+        queue.run_profiled(SimProfiler(), max_events=1)
+        assert order[-1] == ("e", 7)
+        queue.run_profiled(SimProfiler())
+        assert order[-1] == ("d", 9)
+        assert queue.pending == 0
