@@ -81,6 +81,7 @@ from repro.faults import (
     generate_fault_plan,
 )
 from repro.session import SimulationSession, simulate
+from repro.spec import JobSpec
 from repro.stats import PolicyComparison, RunReport
 from repro.telemetry import (
     MetricsSampler,
@@ -170,6 +171,7 @@ __all__ = [
     "SamplingConfig",
     "ShardConfig",
     # simulation
+    "JobSpec",
     "SimulationSession",
     "simulate",
     "RunReport",

@@ -1,7 +1,7 @@
 """Configuration of the fast simulation modes.
 
 Two composable accelerations, both off by default and both fingerprinted
-into :class:`~repro.experiments.jobs.JobSpec` identities:
+into :class:`~repro.spec.JobSpec` identities:
 
 * :class:`SamplingConfig` -- phase-sampled fast-forward.  Repeated
   instances of the same kernel are measured a few times; once their

@@ -9,8 +9,8 @@ use ``cu_share="partitioned"``: shared dispatch couples tenants through
 the CU scheduler, which a process boundary cannot reproduce.
 
 Nothing crosses a shard boundary while the shards run, so each shard is
-an ordinary :class:`~repro.experiments.jobs.JobSpec` executed to
-completion on the sweep backend
+an ordinary, unsharded copy of the run's :class:`~repro.spec.JobSpec`
+executed to completion on the sweep backend
 (:class:`~repro.experiments.jobs.ProcessPoolBackend`, one worker per
 shard).  The backend's lifecycle contract carries over unchanged:
 timeouts, no worker left running once the run returns or fails, and
@@ -18,27 +18,22 @@ structured :class:`~repro.experiments.jobs.JobFailure` records on a
 :class:`ShardExecutionError`.  :func:`_merge_reports` then folds the
 per-shard reports into one.
 
-Exact mode (``num_shards == 1``) never reaches this module:
-:func:`repro.session.simulate` only dispatches here for a non-empty
-:class:`~repro.accel.config.ShardConfig`.
+Exact mode (``num_shards == 1``) never reaches this module: the spec
+stores a single shard as ``None``, and :func:`repro.session.simulate`
+only dispatches here for a sharded spec, which has already rejected the
+axes a process boundary cannot split.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace as dc_replace
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
-from repro.accel.config import SamplingConfig, ShardConfig
-from repro.config import SystemConfig, default_config
-from repro.core.policies import PolicySpec, policy_by_name
-from repro.core.reuse_predictor import PredictorConfig
-from repro.experiments.jobs import JobSpec, ProcessPoolBackend
+from repro.config import SystemConfig
+from repro.experiments.jobs import ProcessPoolBackend
+from repro.spec import JobSpec
 from repro.stats.report import RunReport
-from repro.streams.config import ServingMix, StreamConfig
-from repro.topology.config import TopologyConfig
-from repro.workloads.base import Workload
-from repro.workloads.trace import WorkloadTrace
 
 __all__ = ["ShardExecutionError", "run_sharded"]
 
@@ -84,49 +79,25 @@ def _share_config(config: SystemConfig, share: int, total: int) -> SystemConfig:
     )
 
 
-def _stream_tasks(
-    shards: ShardConfig,
-    streams: tuple[StreamConfig, ...],
-    label: str,
-    policy: PolicySpec,
-    config: SystemConfig,
-    predictor_config: Optional[PredictorConfig],
-    dbi_max_rows: Optional[int],
-    sampling: Optional[SamplingConfig],
-) -> tuple[list[JobSpec], list[list[int]]]:
-    """One job per shard, plus each shard's global stream indices."""
-    num_streams = len(streams)
-    if shards.num_shards > num_streams:
-        raise ValueError(
-            f"cannot split {num_streams} stream(s) into {shards.num_shards} "
-            "shards; each shard needs at least one stream"
-        )
-    if any(stream.cu_share != "partitioned" for stream in streams):
-        raise ValueError(
-            "streams-axis sharding requires cu_share='partitioned' on every "
-            "stream: shared dispatch couples tenants through the CU "
-            "scheduler, which a process boundary cannot reproduce"
-        )
-    total_cus = config.gpu.num_cus
-    if total_cus % num_streams:
-        raise ValueError(
-            f"{total_cus} CUs do not divide evenly among {num_streams} "
-            "partitioned streams; sharding needs the exact per-stream share"
-        )
-    cus_per_stream = total_cus // num_streams
+def _stream_tasks(job: JobSpec) -> tuple[list[JobSpec], list[list[int]]]:
+    """One unsharded job per shard, plus each shard's global stream indices.
+
+    The spec has already checked that the streams are partitioned, that
+    every shard gets one and that the CUs divide evenly among them.
+    """
+    assert job.streams is not None and job.shards is not None
+    streams, num_shards = job.streams, job.shards.num_shards
+    total_cus = job.config.gpu.num_cus
+    cus_per_stream = total_cus // len(streams)
     assignment = [
-        list(range(shard_id, num_streams, shards.num_shards))
-        for shard_id in range(shards.num_shards)
+        list(range(shard_id, len(streams), num_shards)) for shard_id in range(num_shards)
     ]
     jobs = [
-        JobSpec(
-            workload=label,
-            policy=policy,
-            config=_share_config(config, cus_per_stream * len(indices), total_cus),
-            predictor_config=predictor_config,
-            dbi_max_rows=dbi_max_rows,
+        dc_replace(
+            job,
+            config=_share_config(job.config, cus_per_stream * len(indices), total_cus),
             streams=tuple(streams[index] for index in indices),
-            sampling=sampling,
+            shards=None,
         )
         for indices in assignment
     ]
@@ -208,83 +179,15 @@ def _merge_reports(
     return merged
 
 
-def run_sharded(
-    workload: Union[Workload, WorkloadTrace, None] = None,
-    policy: Union[PolicySpec, str, None] = None,
-    config: Optional[SystemConfig] = None,
-    predictor_config: Optional[PredictorConfig] = None,
-    dbi_max_rows: Optional[int] = None,
-    adaptive=None,
-    topology: Optional[TopologyConfig] = None,
-    streams: Union[ServingMix, Sequence[StreamConfig], None] = None,
-    faults=None,
-    sampling: Optional[SamplingConfig] = None,
-    shards: Optional[ShardConfig] = None,
-    telemetry=None,
-    obs=None,
-) -> RunReport:
-    """Execute one serving run as independent shard processes and merge.
-
-    Mirrors :func:`repro.session.simulate`'s signature (it dispatches
-    here when ``shards`` is non-empty); global subsystems that a process
-    boundary cannot split -- adaptive control, a multi-device topology,
-    fault plans with events, telemetry observers, the obs layer -- are
-    rejected explicitly.
-    """
-    if shards is None or shards.empty:
-        raise ValueError("run_sharded needs a ShardConfig with num_shards > 1")
-    if adaptive is not None:
-        raise ValueError(
-            "sharded execution does not compose with adaptive policy "
-            "control: the controller's duel state is global to the run"
-        )
-    if topology is not None:
-        raise ValueError(
-            "sharded execution does not compose with a multi-device "
-            "topology: run the topology unsharded"
-        )
-    if faults is not None and not getattr(faults, "empty", False):
-        raise ValueError(
-            "sharded execution does not compose with fault injection: the "
-            "fault schedule addresses the whole system"
-        )
-    if telemetry is not None and getattr(telemetry, "enabled", True):
-        raise ValueError("sharded execution does not support telemetry observers")
-    if obs is not None and getattr(obs, "enabled", True):
-        raise ValueError("sharded execution does not support the obs layer")
-    if policy is None:
-        raise ValueError("a sharded run needs a policy")
-    if streams is None:
-        raise ValueError(
-            "nothing to shard along: sharding needs a serving mix (streams=...)"
-        )
-    if workload is not None:
-        raise ValueError(
-            "a sharded serving run derives its workloads from the "
-            "stream configurations; pass no workload"
-        )
-    resolved_policy = policy_by_name(policy) if isinstance(policy, str) else policy
-    config = config or default_config()
-
-    if isinstance(streams, ServingMix):
-        stream_tuple = streams.streams
-        label = streams.name
-    else:
-        stream_tuple = tuple(streams)
-        label = "+".join(stream.display for stream in stream_tuple)
-
-    jobs, assignment = _stream_tasks(
-        shards,
-        stream_tuple,
-        label,
-        resolved_policy,
-        config,
-        predictor_config,
-        dbi_max_rows,
-        sampling,
-    )
+def run_sharded(job: JobSpec) -> RunReport:
+    """Execute one sharded serving spec as independent shard processes and
+    merge their reports (:func:`repro.session.simulate` dispatches here
+    for a spec with ``shards``)."""
+    if job.shards is None:
+        raise ValueError("run_sharded needs a JobSpec with shards (num_shards > 1)")
+    jobs, assignment = _stream_tasks(job)
     backend = ProcessPoolBackend(
-        max_workers=len(jobs), timeout=shards.timeout_seconds
+        max_workers=len(jobs), timeout=job.shards.timeout_seconds
     )
     try:
         reports = backend.run_jobs(jobs)
@@ -293,4 +196,4 @@ def run_sharded(
             f"{len(backend.failures)} of {len(jobs)} shard(s) failed: {exc!r}",
             backend.failures,
         ) from exc
-    return _merge_reports(reports, assignment, label, config)
+    return _merge_reports(reports, assignment, job.workload, job.config)

@@ -172,7 +172,7 @@ class AdaptiveConfig:
     def fingerprint(self) -> str:
         """Stable content hash over every adaptive parameter.
 
-        Used by :meth:`repro.experiments.jobs.JobSpec.fingerprint` so that
+        Used by :meth:`repro.spec.JobSpec.fingerprint` so that
         two adaptive runs differing in any knob (candidates, leader sets,
         thresholds, ...) never share a result-store entry.
         """

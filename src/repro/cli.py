@@ -113,7 +113,7 @@ from repro.experiments.store import ResultStore, default_cache_dir
 from repro.faults import FAULT_PLAN_NAMES, FAULT_PLANS, fault_plan_by_name
 from repro.ioutil import atomic_write_json
 from repro.log import configure as configure_logging
-from repro.accel import SamplingConfig, ShardConfig
+from repro.accel import SamplingConfig
 from repro.obs import (
     CORE_BENCHMARK,
     EFFECTIVE_BENCHMARK,
@@ -132,7 +132,8 @@ from repro.obs import (
     render_diff_table,
     resolve_report,
 )
-from repro.session import SimulationSession, simulate
+from repro.session import SimulationSession
+from repro.spec import JobSpec
 from repro.telemetry import TelemetryConfig, validate_trace
 from repro.streams import MIX_NAMES, SERVING_MIXES, mix_by_name
 from repro.topology import TOPOLOGIES, TOPOLOGY_NAMES, TopologyConfig, topology_by_name
@@ -788,17 +789,15 @@ def _print_study(
     return summary
 
 
-def _replay(args: argparse.Namespace, label: str, **session_args: object) -> None:
+def _replay(args: argparse.Namespace, label: str, **axes: object) -> None:
     """Re-simulate one study cell inline for ``--trace-out``/``--alerts``.
 
     The study's cells ran in workers (or came from the store), so the
     trace and alert observers attach to one designated replay instead.
     """
+    spec = JobSpec(config=_system_config(args), **axes)  # type: ignore[arg-type]
     session = SimulationSession(
-        config=_system_config(args),
-        telemetry=_telemetry_config(args),
-        obs=_obs_config(args),
-        **session_args,  # type: ignore[arg-type]
+        spec, telemetry=_telemetry_config(args), obs=_obs_config(args)
     )
     report = session.run()
     if args.trace_out:
@@ -941,35 +940,23 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    workload = get_workload(args.workload, scale=args.scale)
-    policy = policy_by_name(args.policy)
-    topology = topology_by_name(args.topology) if args.topology else None
-    telemetry = _telemetry_config(args)
-    obs = _obs_config(args)
-    sampling = SamplingConfig() if getattr(args, "sampling", False) else None
-    if telemetry is None and obs is None:
-        report = simulate(
-            workload,
-            policy,
-            config=_system_config(args),
-            topology=topology,
-            sampling=sampling,
-        )
-    else:
-        session = SimulationSession(
-            policy=policy,
-            config=_system_config(args),
-            topology=topology,
-            sampling=sampling,
-            telemetry=telemetry,
-            obs=obs,
-        )
-        report = session.run(workload)
-        if args.trace_out:
-            _write_trace(args.trace_out, session, "run")
-    label = f"{args.workload} under {policy.name}"
-    if topology is not None:
-        label += f" on {topology.label}"
+    spec = JobSpec(
+        workload=args.workload,
+        policy=args.policy,
+        scale=args.scale,
+        config=_system_config(args),
+        topology=topology_by_name(args.topology) if args.topology else None,
+        sampling=SamplingConfig() if getattr(args, "sampling", False) else None,
+    )
+    session = SimulationSession(
+        spec, telemetry=_telemetry_config(args), obs=_obs_config(args)
+    )
+    report = session.run()
+    if args.trace_out:
+        _write_trace(args.trace_out, session, "run")
+    label = f"{args.workload} under {spec.policy.name}"
+    if spec.topology is not None:
+        label += f" on {spec.topology.label}"
     payload = report.as_dict()
     if report.metrics:
         # windowed time-series only exist when --metrics-interval asked for
@@ -1339,40 +1326,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     reports simulator throughput and per-component callback attribution).
     The trace is validated before it is written.
     """
-    policy = policy_by_name(args.policy)
-    topology = topology_by_name(args.topology) if args.topology else None
-    plan = fault_plan_by_name(args.plan) if args.plan else None
     interval = args.metrics_interval or 0
     if not interval and args.alerts:
         interval = AlertConfig().default_metrics_interval
-    telemetry = TelemetryConfig(
-        trace=True,
-        metrics_interval=interval,
-        profile=True,
-    )
-    obs = _obs_config(args)
+    telemetry = TelemetryConfig(trace=True, metrics_interval=interval, profile=True)
     try:
-        if args.mix:
-            session = SimulationSession(
-                policy=policy,
-                config=_system_config(args),
-                topology=topology,
-                streams=mix_by_name(args.mix).scaled(args.scale),
-                faults=plan,
-                telemetry=telemetry,
-                obs=obs,
-            )
-            report = session.run()
-        else:
-            session = SimulationSession(
-                policy=policy,
-                config=_system_config(args),
-                topology=topology,
-                faults=plan,
-                telemetry=telemetry,
-                obs=obs,
-            )
-            report = session.run(get_workload(args.workload, scale=args.scale))
+        spec = JobSpec(
+            workload=args.workload or "",
+            policy=args.policy,
+            scale=args.scale,
+            config=_system_config(args),
+            topology=topology_by_name(args.topology) if args.topology else None,
+            streams=mix_by_name(args.mix).scaled(args.scale) if args.mix else None,
+            faults=fault_plan_by_name(args.plan) if args.plan else None,
+        )
+        session = SimulationSession(spec, telemetry=telemetry, obs=_obs_config(args))
+        report = session.run()
     except ValueError as exc:  # e.g. a fault plan the system cannot host
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ quantities the paper uses to frame the opportunity:
 
 All runs go through the shared :class:`~repro.experiments.runner
 .ExperimentRunner`/:class:`~repro.experiments.jobs.SweepExecutor` path:
-dynamic runs are ordinary :class:`~repro.experiments.jobs.JobSpec` cells
+dynamic runs are ordinary :class:`~repro.spec.JobSpec` cells
 whose fingerprint includes the :class:`~repro.adaptive.config
 .AdaptiveConfig`, so they parallelize across worker processes and persist
 in the result store exactly like static runs.

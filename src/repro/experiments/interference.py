@@ -15,7 +15,7 @@ same system, and three quantities are reported per cell:
   fairness metric); 1.0 means every tenant pays equally;
 * **makespan** -- the whole mix's execution time.
 
-Every cell is an ordinary :class:`~repro.experiments.jobs.JobSpec` whose
+Every cell is an ordinary :class:`~repro.spec.JobSpec` whose
 fingerprint covers the stream configurations, so mixes parallelize across
 worker processes and persist in the result store exactly like static,
 adaptive and topology runs (a warm repeat simulates nothing) -- and the
@@ -113,10 +113,7 @@ def figure_interference(
         # the runner's scale multiplies every stream's scale; the mix name
         # is only the job's display label
         return JobSpec(
-            workload=mode_mix.name,
-            policy=policy,
-            config=runner.config,
-            streams=mode_mix.scaled(runner.scale).streams,
+            policy=policy, config=runner.config, streams=mode_mix.scaled(runner.scale)
         )
 
     def solo_job(stream: StreamConfig, policy: PolicySpec) -> JobSpec:

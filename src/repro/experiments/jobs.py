@@ -3,10 +3,10 @@
 The experiment drivers used to run every simulation inline and serially.
 This module splits the *what* from the *how*:
 
-* :class:`JobSpec` names one simulation -- workload, scale, policy, system
-  configuration -- and derives a stable content fingerprint from those
-  inputs, which doubles as the key in the persistent
-  :class:`~repro.experiments.store.ResultStore`.
+* :class:`~repro.spec.JobSpec` names one simulation -- workload, scale,
+  policy, system configuration and run axes -- and derives a stable
+  content fingerprint from those inputs, which doubles as the key in the
+  persistent :class:`~repro.experiments.store.ResultStore`.
 * Backends turn a batch of jobs into reports: :class:`SerialBackend` runs
   them in-process (no overhead, deterministic ordering), while
   :class:`ProcessPoolBackend` fans independent jobs out across worker
@@ -33,22 +33,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
-from repro.accel.config import SamplingConfig, ShardConfig
-from repro.adaptive.config import AdaptiveConfig
-from repro.config import SystemConfig, default_config
-from repro.core.policies import PolicySpec
-from repro.core.reuse_predictor import PredictorConfig
 from repro.experiments.store import ResultStore
-from repro.faults.config import FaultPlan
 from repro.fingerprint import SCHEMA_VERSION, fingerprint
 from repro.ioutil import atomic_write_json
 from repro.log import get_logger
 from repro.obs.ledger import RunLedger, run_entry
 from repro.session import simulate
+from repro.spec import JobSpec
 from repro.stats.report import RunReport
-from repro.streams.config import StreamConfig
-from repro.topology.config import TopologyConfig
-from repro.workloads.registry import get_workload
 
 __all__ = [
     "JobSpec",
@@ -65,166 +57,9 @@ __all__ = [
 _log = get_logger("executor")
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """Complete, picklable description of one simulation run.
-
-    Attributes:
-        workload: registry name of the workload (paper figure label).
-        policy: the caching policy to simulate under.  For adaptive jobs
-            this records the *initial* policy (the candidates are in the
-            adaptive configuration).
-        scale: workload scale factor passed to the trace generator.
-        config: full system configuration.
-        predictor_config: optional reuse-predictor geometry override.
-        dbi_max_rows: optional dirty-block-index capacity bound.
-        adaptive: when given, the run uses the online adaptive subsystem
-            (set dueling + phase-aware dynamic policy selection) instead of
-            the static ``policy``.
-        topology: when given, the run simulates a multi-device NUMA system
-            (``config`` then describes one device); the topology is part
-            of the fingerprint, so runs at different device counts or
-            fabric parameters never share a store entry.
-        streams: when given, the run is a multi-tenant serving mix: each
-            :class:`~repro.streams.config.StreamConfig` names its own
-            workload/scale/arrival/CU-share, executed concurrently.
-            ``workload`` is then a display label and ``scale`` is ignored
-            (per-stream scales govern); the stream configurations are part
-            of the fingerprint, so two mixes differing in any tenant
-            parameter never share a store entry.
-        faults: when given, the run injects this
-            :class:`~repro.faults.config.FaultPlan`'s events.  The event
-            schedule is part of the fingerprint, so chaos sweeps cache
-            like healthy ones; the *empty* plan fingerprints identically
-            to no plan at all (it is bit-identical by construction), so
-            the healthy baseline of a resilience sweep shares its store
-            entry with ordinary serving runs.
-        sampling: when given (and enabled), the run fast-forwards
-            steady-state kernel repeats and extrapolates their counters
-            (:mod:`repro.accel.sampling`).  Sampled results are
-            approximations, so the sampling parameters are part of the
-            fingerprint: a sampled run can never collide with an exact
-            one in the store.  A *disabled* config fingerprints
-            identically to no config (exact mode is bit-identical by
-            construction), so exact baselines keep their warm cells.
-        shards: when given (and ``num_shards > 1``), the serving mix
-            runs as independent per-shard worker processes whose reports
-            are merged (:mod:`repro.accel.shard`).  Merged shard reports
-            differ from monolithic ones (each shard simulates its own
-            slice of the machine, plus a ``shard.count`` counter), so the
-            shard count is fingerprinted the same way: a single-shard
-            config hashes as ``None``.
-    """
-
-    workload: str
-    policy: PolicySpec
-    scale: float = 1.0
-    config: SystemConfig = field(default_factory=default_config)
-    predictor_config: Optional[PredictorConfig] = None
-    dbi_max_rows: Optional[int] = None
-    adaptive: Optional[AdaptiveConfig] = None
-    topology: Optional[TopologyConfig] = None
-    streams: Optional[tuple[StreamConfig, ...]] = None
-    faults: Optional[FaultPlan] = None
-    sampling: Optional[SamplingConfig] = None
-    shards: Optional[ShardConfig] = None
-
-    def __post_init__(self) -> None:
-        # an empty fault plan, disabled sampling and a single shard are
-        # bit-identical to no config at all: store them as None, so equal
-        # simulations compare (and memoize) equal and fingerprint alike
-        for name in ("faults", "sampling", "shards"):
-            value = getattr(self, name)
-            if value is not None and value.empty:
-                object.__setattr__(self, name, None)
-
-    def fingerprint(self) -> str:
-        """Stable key over every input that can affect the result.
-
-        Same inputs always hash to the same key (across processes and
-        sessions); changing the workload, scale, policy, system
-        configuration or any optional override changes it.
-        """
-        return fingerprint(
-            {
-                # for serving jobs the per-stream configs are authoritative;
-                # the workload label must not split identical mixes
-                "workload": self.workload if self.streams is None else None,
-                "scale": self.scale if self.streams is None else None,
-                "policy": self.policy,
-                "config": self.config,
-                "predictor_config": self.predictor_config,
-                "dbi_max_rows": self.dbi_max_rows,
-                "adaptive": self.adaptive,
-                # physical parameters only: the display name must not
-                # split identical simulations across store entries
-                "topology": None if self.topology is None else self.topology.describe(),
-                "streams": (
-                    None
-                    if self.streams is None
-                    else [stream.describe() for stream in self.streams]
-                ),
-                "faults": None if self.faults is None else self.faults.describe(),
-                "sampling": None if self.sampling is None else self.sampling.describe(),
-                "shards": None if self.shards is None else self.shards.describe(),
-            },
-            kind="JobSpec",
-        )
-
-    def summary(self) -> dict[str, object]:
-        """Human-readable inputs, stored next to cached blobs for auditing."""
-        summary: dict[str, object] = {
-            "workload": self.workload,
-            "policy": self.policy.name,
-            "scale": self.scale,
-            "num_cus": self.config.gpu.num_cus,
-        }
-        if self.adaptive is not None:
-            summary["adaptive"] = self.adaptive.name
-            summary["candidates"] = [p.name for p in self.adaptive.candidates]
-        if self.topology is not None:
-            summary["topology"] = self.topology.label
-            summary["num_devices"] = self.topology.num_devices
-        if self.streams is not None:
-            summary["streams"] = [stream.describe() for stream in self.streams]
-        if self.faults is not None:
-            summary["faults"] = self.faults.label
-            summary["fault_events"] = len(self.faults.events)
-        if self.sampling is not None:
-            summary["sampling"] = self.sampling.describe()
-        if self.shards is not None:
-            summary["shards"] = self.shards.describe()
-        return summary
-
-
 def execute_job(job: JobSpec) -> RunReport:
     """Simulate one job to completion (the unit of work for all backends)."""
-    if job.streams is not None:
-        return simulate(
-            policy=job.policy,
-            config=job.config,
-            predictor_config=job.predictor_config,
-            dbi_max_rows=job.dbi_max_rows,
-            adaptive=job.adaptive,
-            topology=job.topology,
-            streams=job.streams,
-            faults=job.faults,
-            sampling=job.sampling,
-            shards=job.shards,
-        )
-    workload = get_workload(job.workload, scale=job.scale)
-    return simulate(
-        workload,
-        job.policy,
-        config=job.config,
-        predictor_config=job.predictor_config,
-        dbi_max_rows=job.dbi_max_rows,
-        adaptive=job.adaptive,
-        topology=job.topology,
-        faults=job.faults,
-        sampling=job.sampling,
-        shards=job.shards,
-    )
+    return simulate(job)
 
 
 def _execute_job_payload(job: JobSpec) -> dict[str, object]:

@@ -164,10 +164,9 @@ def figure_resilience(
 
     def job(mix: ServingMix, policy: PolicySpec, plan: FaultPlan) -> JobSpec:
         return JobSpec(
-            workload=mix.name,
             policy=policy,
             config=runner.config,
-            streams=mix.scaled(runner.scale).streams,
+            streams=mix.scaled(runner.scale),
             topology=topology,
             faults=plan,
         )

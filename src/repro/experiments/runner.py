@@ -3,7 +3,7 @@
 Running the full evaluation requires simulating every workload under up to
 six policies, and every study adds one axis to that grid (adaptive
 candidates, device counts, serving mixes, fault plans).  Each study builds
-its own :class:`~repro.experiments.jobs.JobSpec` jobs and hands them to
+its own :class:`~repro.spec.JobSpec` jobs and hands them to
 :meth:`ExperimentRunner.run`, the one grid method, which delegates them to
 a :class:`~repro.experiments.jobs.SweepExecutor` that can fan independent
 grid cells out across worker processes and persist finished reports in an

@@ -6,7 +6,7 @@ the examples all need (subsets of) the same grid.  :class:`ResultStore`
 caches each finished :class:`~repro.stats.report.RunReport` as a small JSON
 blob keyed by a content hash of the *inputs* of the run (workload, scale,
 policy, system configuration -- see
-:meth:`repro.experiments.jobs.JobSpec.fingerprint`), so any process that
+:meth:`repro.spec.JobSpec.fingerprint`), so any process that
 asks for the same cell again gets it back without simulating.
 
 Layout: one ``<key>.json`` file per result under the store root, written

@@ -35,7 +35,6 @@ from repro.obs.diff import (
 )
 from repro.obs.ledger import (
     RunLedger,
-    component_digests,
     default_ledger_path,
     run_entry,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "RunLedger",
     "append_history",
     "committed_baseline",
-    "component_digests",
     "default_history_path",
     "default_ledger_path",
     "detect_anomalies",

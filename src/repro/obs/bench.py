@@ -237,42 +237,31 @@ def measure_effective_throughput(
         raise ValueError(f"samples must be positive, got {samples}")
     from repro.accel.config import SamplingConfig, ShardConfig
     from repro.session import simulate
+    from repro.spec import JobSpec
     from repro.streams.config import StreamConfig
 
-    streams = tuple(
-        StreamConfig(workload=EFFECTIVE_WORKLOAD, scale=EFFECTIVE_SCALE, cu_share="partitioned")
-        for _ in range(EFFECTIVE_STREAMS)
-    )
-    sampling = SamplingConfig(warmup_instances=1, measure_instances=1)
-    shards = ShardConfig(num_shards=EFFECTIVE_SHARDS, axis="streams")
-
-    def run():
-        return simulate(
-            policy=CACHE_RW,
-            config=scaled_config(EFFECTIVE_CUS),
-            streams=streams,
-            sampling=sampling,
-            shards=shards,
-        )
-
-    if warmup:
-        # a small sharded run pays the one-time fork/import costs so the
-        # first timed sample is not charged for them
-        simulate(
+    def spec(streams: int, scale: float, shards: int) -> JobSpec:
+        return JobSpec(
             policy=CACHE_RW,
             config=scaled_config(EFFECTIVE_CUS),
             streams=tuple(
-                StreamConfig(workload=EFFECTIVE_WORKLOAD, scale=0.5, cu_share="partitioned")
-                for _ in range(2)
+                StreamConfig(workload=EFFECTIVE_WORKLOAD, scale=scale, cu_share="partitioned")
+                for _ in range(streams)
             ),
-            sampling=sampling,
-            shards=ShardConfig(num_shards=2, axis="streams"),
+            sampling=SamplingConfig(warmup_instances=1, measure_instances=1),
+            shards=ShardConfig(num_shards=shards, axis="streams"),
         )
+
+    reference = spec(EFFECTIVE_STREAMS, EFFECTIVE_SCALE, EFFECTIVE_SHARDS)
+    if warmup:
+        # a small sharded run pays the one-time fork/import costs so the
+        # first timed sample is not charged for them
+        simulate(spec(2, 0.5, 2))
     seconds: list[float] = []
     represented = executed = cycles = None
     for _ in range(samples):
         start = time.perf_counter()
-        report = run()
+        report = simulate(reference)
         seconds.append(time.perf_counter() - start)
         run_repr = int(report.sampling["represented_events"])
         run_exec = int(report.sampling["executed_events"])

@@ -2,10 +2,10 @@
 
 Every observed :class:`~repro.session.SimulationSession` run and every
 cell a :class:`~repro.experiments.jobs.SweepExecutor` actually simulates
-appends one JSON line to the ledger: the run's fingerprint, digests of
-the configuration objects that shaped it, the end-of-run counters, wall
-time and events/sec, the telemetry that was attached, and host/python
-provenance.  Unlike the result store -- a *cache*, keyed by inputs,
+appends one JSON line to the ledger: the run's fingerprint (its
+:class:`~repro.spec.JobSpec` store key) and inputs, the end-of-run
+counters, wall time and events/sec, the telemetry that was attached, and
+host/python provenance.  Unlike the result store -- a *cache*, keyed by inputs,
 overwritten freely -- the ledger is a *history*: repeated runs of the
 same cell each get their own entry, so drift between "the same" run last
 week and today is visible (``repro-gpu-cache diff ledger:-1 ledger:-2``),
@@ -26,10 +26,9 @@ import time
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from repro.fingerprint import fingerprint
 from repro.ioutil import append_jsonl, read_jsonl
 
-__all__ = ["RunLedger", "component_digests", "default_ledger_path", "run_entry"]
+__all__ = ["RunLedger", "default_ledger_path", "run_entry"]
 
 #: ledger entry schema; bump when the entry shape changes incompatibly
 LEDGER_SCHEMA = 1
@@ -51,20 +50,6 @@ def default_ledger_path() -> Path:
     return default_cache_dir() / "ledger.jsonl"
 
 
-def component_digests(**components: object) -> dict[str, Optional[str]]:
-    """Stable fingerprints of a run's configuration components.
-
-    ``component_digests(config=cfg, topology=topo, ...)`` maps each name
-    to :func:`repro.fingerprint.fingerprint` of the object, or ``None``
-    when the component was absent -- so two ledger entries differing in
-    any component are distinguishable without storing the objects.
-    """
-    return {
-        name: None if value is None else fingerprint(value, kind=name)
-        for name, value in components.items()
-    }
-
-
 def run_entry(
     kind: str,
     fingerprint_hex: Optional[str],
@@ -72,7 +57,6 @@ def run_entry(
     policy: str,
     cycles: Optional[int] = None,
     counters: Optional[Mapping[str, int]] = None,
-    digests: Optional[Mapping[str, Optional[str]]] = None,
     wall_seconds: Optional[float] = None,
     events: Optional[int] = None,
     telemetry: Optional[Mapping[str, object]] = None,
@@ -96,8 +80,6 @@ def run_entry(
         entry["cycles"] = int(cycles)
     if counters is not None:
         entry["counters"] = {str(name): int(value) for name, value in counters.items()}
-    if digests:
-        entry["digests"] = dict(digests)
     if wall_seconds is not None:
         entry["wall_seconds"] = round(float(wall_seconds), 6)
         if events is not None and wall_seconds > 0:

@@ -1,118 +1,60 @@
 """Top-level simulation entry points.
 
-:func:`simulate` is the main public API: run one workload under one caching
-policy -- static, or *online adaptive* when an
-:class:`~repro.adaptive.config.AdaptiveConfig` is supplied -- and return a
-:class:`~repro.stats.report.RunReport`.  A
-:class:`~repro.topology.config.TopologyConfig` additionally composes the
-single-device model into a multi-device NUMA system: the workload is
-partitioned across the devices and the hierarchy is assembled with
-distributed L2 slices, per-device DRAM partitions and an inter-device
-fabric.
-Passing ``streams=...`` (a :class:`~repro.streams.config.ServingMix` or a
-sequence of :class:`~repro.streams.config.StreamConfig`) switches the
-session into multi-tenant serving mode: every stream runs its own workload
-concurrently on the one GPU, kernel-boundary synchronization is scoped to
-the finishing stream's cache lines, and the report carries per-stream
-sub-counters (``stream<i>.*``) for interference analysis.
-:class:`SimulationSession` is the underlying object for callers that want
-access to the assembled components (hierarchy, GPU, statistics, and for
-adaptive runs the dynamic controller) -- the examples and some tests use it
-directly.
+A run is described once, by a frozen :class:`~repro.spec.JobSpec`: the
+workload, the caching policy, the system configuration and the optional
+run axes (adaptive control, a multi-device topology, a multi-tenant
+serving mix, a fault plan, phase-sampled fast-forward, shards, and the
+predictor/DBI overrides), each documented there.  :func:`simulate` is the
+main public API: it runs one spec -- or the spec its keyword arguments
+describe -- and returns a :class:`~repro.stats.report.RunReport`, handing
+sharded specs to :func:`repro.accel.shard.run_sharded`.
+:class:`SimulationSession` assembles the simulated system for one spec
+and exposes its components (hierarchy, GPU, statistics, and for adaptive
+runs the dynamic controller); the examples and some tests use it
+directly.  The observers -- ``telemetry`` and ``obs`` -- sit beside the
+spec: they never change a result, so they are not part of a run's
+identity.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace as dc_replace
-from typing import Optional, Sequence, Union
+from typing import Optional
 
-from repro.accel.config import SamplingConfig, ShardConfig
 from repro.accel.sampling import KernelSampler
-from repro.adaptive.config import AdaptiveConfig
 from repro.adaptive.controller import DynamicPolicyController, DynamicPolicyEngine
 from repro.adaptive.phase import PhaseDetector
-from repro.config import SystemConfig, default_config
-from repro.core.policies import PolicySpec, policy_by_name
+from repro.core.policies import PolicySpec
 from repro.core.policy_engine import PolicyEngine
-from repro.core.reuse_predictor import PredictorConfig
 from repro.engine import Simulator
-from repro.faults.config import FaultPlan
 from repro.faults.injector import FaultInjector
-from repro.fingerprint import fingerprint
 from repro.gpu.gpu import Gpu
 from repro.memory.address_mapping import AddressMapping, DeviceInterleave
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.alerts import detect_anomalies
 from repro.obs.config import ObsConfig
-from repro.obs.ledger import RunLedger, component_digests, run_entry
+from repro.obs.ledger import RunLedger, run_entry
+from repro.spec import JobSpec, as_spec
 from repro.stats import RunReport, StatsCollector
 from repro.streams.address_space import isolate_traces
+from repro.streams.config import StreamConfig
 from repro.telemetry import MetricsSampler, SimProfiler, TelemetryConfig, TraceRecorder
-from repro.streams.config import ServingMix, StreamConfig
-from repro.topology.config import TopologyConfig
 from repro.topology.partition import partition_trace
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 from repro.workloads.trace import WorkloadTrace
 
-#: accepted forms of the ``streams`` argument
-StreamsSpec = Union[ServingMix, Sequence[StreamConfig]]
-
 __all__ = ["SimulationSession", "simulate"]
 
 
 class SimulationSession:
-    """One fully assembled simulated system ready to run a workload.
+    """One fully assembled simulated system ready to run one :class:`JobSpec`.
 
     Args:
-        policy: the caching policy (a :class:`PolicySpec` or its name).
-            Ignored when ``adaptive`` is given -- the adaptive
-            configuration's candidates govern the run.
-        config: system configuration; defaults to the scaled 8-CU system.
-            With a multi-device topology the configuration describes *one
-            device*: the hardware grows with the device count while the
-            workload stays fixed (strong scaling).
-        predictor_config: optional reuse-predictor geometry override.
-        dbi_max_rows: optional dirty-block-index capacity bound.
-        adaptive: when given, build the online adaptive subsystem instead
-            of a static policy engine: a set-dueling monitor on the L2, a
-            phase detector on the event queue, and a dynamic controller
-            swapping the follower-set policy at kernel boundaries (and
-            optionally mid-kernel).  The run report's policy label is the
-            adaptive configuration's display name.
-        topology: when given (and ``num_devices > 1``), assemble a
-            multi-device NUMA system: one L2 slice + DRAM partition per
-            device joined by a fabric, address interleaving across the
-            partitions, device-affine wavefront dispatch, and workload
-            partitioning at :meth:`run`.  A one-device topology is
-            bit-identical to no topology at all.
-        streams: when given (a :class:`~repro.streams.config.ServingMix`
-            or a sequence of :class:`~repro.streams.config.StreamConfig`),
-            run in multi-tenant serving mode: every stream's workload is
-            resolved from the registry and executed concurrently under the
-            mix's CU share policy, kernel boundaries are stream-scoped,
-            and per-stream counters are recorded.  :meth:`run` then takes
-            no workload argument.  A single-entry stream list is
-            bit-identical to the plain run of that workload (modulo the
-            extra ``stream0.*`` counters).
-        faults: when given, a :class:`~repro.faults.config.FaultPlan`
-            whose events (link degradation/outage, device failure with
-            evacuation, DRAM spikes, tenant kill/restart) are injected
-            deterministically during the run; the report then carries
-            ``faults.*`` resilience counters.  The empty plan injects
-            nothing and is bit-identical to ``faults=None``.
-        sampling: when given (an enabled
-            :class:`~repro.accel.config.SamplingConfig`), fast-forward
-            steady-state kernel repeats: after a few measured instances
-            per kernel signature the remaining repeats are skipped and
-            their counters extrapolated with warmup correction, with
-            per-counter error bounds on ``report.error_estimates`` and a
-            summary on ``report.sampling``.  Sampling requires
-            unambiguous delta attribution, so it rejects adaptive runs,
-            fault plans with events, and serving mixes with more than
-            one stream.  A disabled config is bit-identical to
-            ``sampling=None`` (exact mode).
+        spec: the run; every axis is documented on :class:`JobSpec`.
+            Without one, the keyword arguments (the :class:`JobSpec` field
+            names) describe it: ``SimulationSession(policy="CacheRW")``.
         telemetry: when given (a
             :class:`~repro.telemetry.TelemetryConfig`), attach the enabled
             observers -- trace recorder, metrics sampler, host profiler
@@ -131,34 +73,22 @@ class SimulationSession:
 
     def __init__(
         self,
-        policy: PolicySpec | str | None = None,
-        config: Optional[SystemConfig] = None,
-        predictor_config: Optional[PredictorConfig] = None,
-        dbi_max_rows: Optional[int] = None,
-        adaptive: Optional[AdaptiveConfig] = None,
-        topology: Optional[TopologyConfig] = None,
-        streams: Optional[StreamsSpec] = None,
-        faults: Optional[FaultPlan] = None,
-        sampling: Optional[SamplingConfig] = None,
+        spec: Optional[JobSpec] = None,
+        *,
         telemetry: Optional[TelemetryConfig] = None,
         obs: Optional[ObsConfig] = None,
+        **axes: object,
     ) -> None:
-        if policy is None and adaptive is None:
-            raise ValueError("a session needs a policy or an adaptive configuration")
-        self.config = config or default_config()
-        self.adaptive = adaptive
-        self.topology = topology
-        if streams is None:
-            self.streams: Optional[tuple[StreamConfig, ...]] = None
-            self.streams_label = ""
-        elif isinstance(streams, ServingMix):
-            self.streams = streams.streams
-            self.streams_label = streams.name
-        else:
-            self.streams = tuple(streams)
-            self.streams_label = "+".join(s.display for s in self.streams)
-        if self.streams is not None and not self.streams:
-            raise ValueError("a serving session needs at least one stream")
+        spec = as_spec(spec, axes)
+        if spec.shards is not None:
+            raise ValueError(
+                "a session simulates one process; run a sharded spec through "
+                "simulate() or run_sharded()"
+            )
+        self.spec = spec
+        self.config = config = spec.config
+        adaptive, topology = spec.adaptive, spec.topology
+        line_bytes = config.l2.line_bytes
         self.sim = Simulator()
         self.stats = StatsCollector()
         num_devices = topology.num_devices if topology is not None else 1
@@ -166,20 +96,15 @@ class SimulationSession:
         #: stays None on the single-device path (plain global formula)
         address_to_set = None
         if num_devices == 1:
-            mapping = AddressMapping(self.config.dram, line_bytes=self.config.l2.line_bytes)
-            row_of = mapping.row_id
+            row_of = AddressMapping(config.dram, line_bytes=line_bytes).row_id
         else:
             # globally-unique row ids over the partitioned address space;
             # the per-slice components use their own local mappings (see
             # MemoryHierarchy), this one serves engine-level consumers
             interleave = DeviceInterleave(
-                num_devices,
-                line_bytes=self.config.l2.line_bytes,
-                chunk_lines=topology.interleave_lines,
+                num_devices, line_bytes=line_bytes, chunk_lines=topology.interleave_lines
             )
-            local_mapping = AddressMapping(
-                self.config.dram, line_bytes=self.config.l2.line_bytes
-            )
+            local_mapping = AddressMapping(config.dram, line_bytes=line_bytes)
 
             def row_of(address: int) -> int:
                 return interleave.global_row_id(local_mapping, address)
@@ -187,8 +112,7 @@ class SimulationSession:
             # the slices see re-addressed local partition addresses, so
             # the duel must key leader lookups by the slice-local set
             # index -- the same one the slice hooks charge
-            line_bytes = self.config.l2.line_bytes
-            num_sets = self.config.l2.num_sets
+            num_sets = config.l2.num_sets
             to_local = interleave.to_local
 
             def address_to_set(address: int) -> int:
@@ -197,40 +121,37 @@ class SimulationSession:
         self.controller: Optional[DynamicPolicyController] = None
         self.phase_detector: Optional[PhaseDetector] = None
         if adaptive is not None:
-            self.policy = adaptive.initial_policy
             self.policy_label = adaptive.name
             engine = DynamicPolicyEngine(
                 adaptive,
-                l2_config=self.config.l2,
+                l2_config=config.l2,
                 stats=self.stats,
                 row_of=row_of,
-                predictor_config=predictor_config,
-                dbi_max_rows=dbi_max_rows,
+                predictor_config=spec.predictor_config,
+                dbi_max_rows=spec.dbi_max_rows,
                 address_to_set=address_to_set,
             )
             self.policy_engine: PolicyEngine = engine
         else:
-            self.policy = policy_by_name(policy) if isinstance(policy, str) else policy
-            self.policy_label = self.policy.name
+            self.policy_label = spec.policy.name
             self.policy_engine = PolicyEngine(
-                self.policy,
+                spec.policy,
                 row_of=row_of,
-                predictor_config=predictor_config,
-                dbi_max_rows=dbi_max_rows,
+                predictor_config=spec.predictor_config,
+                dbi_max_rows=spec.dbi_max_rows,
             )
 
         self.hierarchy = MemoryHierarchy(
-            self.config, self.sim, self.stats, self.policy_engine, topology=topology
+            config, self.sim, self.stats, self.policy_engine, topology=topology
         )
         if num_devices == 1:
-            gpu_config = self.config
+            gpu_config = config
             cus_per_device = None
         else:
             gpu_config = dc_replace(
-                self.config,
-                gpu=dc_replace(self.config.gpu, num_cus=self.hierarchy.total_cus),
+                config, gpu=dc_replace(config.gpu, num_cus=self.hierarchy.total_cus)
             )
-            cus_per_device = self.config.gpu.num_cus
+            cus_per_device = config.gpu.num_cus
         self.gpu = Gpu(
             gpu_config, self.sim, self.stats, self.hierarchy, cus_per_device=cus_per_device
         )
@@ -257,45 +178,24 @@ class SimulationSession:
             )
             self.hierarchy.add_kernel_boundary_hook(self.controller.on_kernel_boundary)
 
-        self.faults = faults
         self.injector: Optional[FaultInjector] = None
-        if faults is not None:
+        if spec.faults is not None:
             # validates the plan against the assembled system and schedules
-            # every event; the empty plan schedules nothing and is
-            # bit-identical to faults=None (pinned by the equivalence tests)
+            # every event (the spec stores an empty plan as None)
             self.injector = FaultInjector(
-                faults,
+                spec.faults,
                 self.sim,
                 self.stats,
                 self.gpu,
                 self.hierarchy,
-                num_streams=len(self.streams) if self.streams is not None else 0,
+                num_streams=len(spec.streams) if spec.streams is not None else 0,
             )
 
-        # fast-forward sampling: a disabled config is exact mode (the
-        # FaultPlan normalization idiom), so only an *enabled* one pays
-        # the one-None-test-per-launch filter hook
-        self.sampling = sampling if sampling is not None and not sampling.empty else None
+        # fast-forward sampling: only an *enabled* config reaches the spec,
+        # so exact runs never pay the one-None-test-per-launch filter hook
         self.kernel_sampler: Optional[KernelSampler] = None
-        if self.sampling is not None:
-            if adaptive is not None:
-                raise ValueError(
-                    "phase-sampled fast-forward does not compose with adaptive "
-                    "policy control: the controller must observe every kernel "
-                    "boundary, and skipped kernels have none"
-                )
-            if self.streams is not None and len(self.streams) > 1:
-                raise ValueError(
-                    "phase-sampled fast-forward needs unambiguous per-kernel "
-                    "counter attribution, so it supports at most one stream; "
-                    "shard a multi-stream run along the streams axis instead"
-                )
-            if faults is not None and not faults.empty:
-                raise ValueError(
-                    "phase-sampled fast-forward does not compose with fault "
-                    "injection: killed/restarted kernels break repeat measurement"
-                )
-            self.kernel_sampler = KernelSampler(self.sampling, self.sim, self.stats)
+        if spec.sampling is not None:
+            self.kernel_sampler = KernelSampler(spec.sampling, self.sim, self.stats)
             self.gpu.kernel_filter = self.kernel_sampler.filter
 
         # observability: strictly observers (no counter writes, no timing
@@ -334,7 +234,11 @@ class SimulationSession:
 
     # ------------------------------------------------------------------
     def run(self, workload: Workload | WorkloadTrace | None = None) -> RunReport:
-        """Execute the workload (or the serving streams) and return the report."""
+        """Execute the run and return the report.
+
+        ``workload`` overrides the spec's named workload; a serving spec
+        takes none (its streams name their own).
+        """
         self.begin(workload)
         self.sim.run()
         return self.finish()
@@ -346,55 +250,54 @@ class SimulationSession:
         want to inspect the assembled components between scheduling and
         draining use the pieces directly.
         """
-        if self.streams is not None:
+        spec = self.spec
+        self._wall_start = time.perf_counter()
+        self._workload = workload
+        self._finished: list[int] = []
+        if spec.streams is not None:
             if workload is not None:
                 raise ValueError(
                     "a serving session derives its workloads from the stream "
                     "configurations; run() takes no workload argument"
                 )
-            self._begin_streams()
-            return
-        if workload is None:
-            raise ValueError("run() needs a workload (or a session with streams)")
-        self._wall_start = time.perf_counter()
-        trace = workload.build_trace() if isinstance(workload, Workload) else workload
-        if self.topology is not None:
-            trace = partition_trace(
-                trace, self.topology, line_bytes=self.config.l2.line_bytes
-            )
-        self._run_label = trace.name
-        self._finished: list[int] = []
-        self.gpu.run_workload(trace, on_complete=self._on_complete)
+            self._begin_streams(spec.streams)
+        else:
+            if workload is None:
+                if not spec.workload:
+                    raise ValueError("run() needs a workload (or a spec naming one)")
+                workload = get_workload(spec.workload, scale=spec.scale)
+            trace = workload.build_trace() if isinstance(workload, Workload) else workload
+            if spec.topology is not None:
+                trace = partition_trace(
+                    trace, spec.topology, line_bytes=self.config.l2.line_bytes
+                )
+            self._run_label = trace.name
+            self.gpu.run_workload(trace, on_complete=self._on_complete)
         if self.controller is not None:
             self.controller.start(lambda: self.gpu.running)
         if self.sampler is not None:
             self.sampler.start(lambda: self.gpu.running)
 
-    def _begin_streams(self) -> None:
+    def _begin_streams(self, streams: tuple[StreamConfig, ...]) -> None:
         """Schedule every configured stream for concurrent execution."""
-        self._wall_start = time.perf_counter()
+        topology = self.spec.topology
         line_bytes = self.config.l2.line_bytes
         traces = []
-        for stream in self.streams:
+        for stream in streams:
             trace = get_workload(stream.workload, scale=stream.scale).build_trace()
-            if self.topology is not None:
-                trace = partition_trace(trace, self.topology, line_bytes=line_bytes)
+            if topology is not None:
+                trace = partition_trace(trace, topology, line_bytes=line_bytes)
             traces.append(trace)
         # tenants own disjoint address spaces: rebase each stream past the
         # previous ones, aligned to the interleave period so a line's home
         # device is unaffected (identity for a single stream)
         alignment = line_bytes
-        if self.topology is not None:
-            alignment *= self.topology.interleave_lines * self.topology.num_devices
+        if topology is not None:
+            alignment *= topology.interleave_lines * topology.num_devices
         traces = isolate_traces(traces, alignment)
-        self.hierarchy.enable_stream_accounting(len(self.streams))
-        self._run_label = self.streams_label
-        self._finished = []
-        self.gpu.run_streams(traces, self.streams, on_complete=self._on_complete)
-        if self.controller is not None:
-            self.controller.start(lambda: self.gpu.running)
-        if self.sampler is not None:
-            self.sampler.start(lambda: self.gpu.running)
+        self.hierarchy.enable_stream_accounting(len(streams))
+        self._run_label = self.spec.workload
+        self.gpu.run_streams(traces, streams, on_complete=self._on_complete)
 
     def _on_complete(self) -> None:
         self._finished.append(self.sim.now)
@@ -407,15 +310,9 @@ class SimulationSession:
         Raises if the scheduled work never completed (a model deadlock).
         """
         if not self._finished:
-            if self.streams is not None:
-                raise RuntimeError(
-                    f"serving simulation of {self.streams_label!r} under "
-                    f"{self.policy_label} did not complete; the event queue drained "
-                    "with work outstanding (model deadlock)"
-                )
             raise RuntimeError(
-                f"simulation of {self._run_label!r} under {self.policy_label} did not complete; "
-                "the event queue drained with work outstanding (model deadlock)"
+                f"simulation of {self._run_label!r} under {self.policy_label} did not "
+                "complete; the event queue drained with work outstanding (model deadlock)"
             )
         cycles = self._finished[0]
         extrapolation = None
@@ -444,11 +341,12 @@ class SimulationSession:
         # extrapolated additively
         if "gpu.finish_cycle" in counters:
             counters["gpu.finish_cycle"] = report.cycles
-        if self.streams is not None and len(self.streams) == 1:
+        streams = self.spec.streams
+        if streams is not None:  # the spec allows at most one here
             if "stream0.finish_cycle" in counters:
                 counters["stream0.finish_cycle"] = report.cycles
             if "stream0.cycles" in counters:
-                counters["stream0.cycles"] = report.cycles - self.streams[0].launch_cycle
+                counters["stream0.cycles"] = report.cycles - streams[0].launch_cycle
         estimates: dict[str, float] = {}
         for name, absolute in extrapolation.error_bounds_abs.items():
             final = report.cycles if name == "cycles" else counters.get(name, 0)
@@ -475,35 +373,21 @@ class SimulationSession:
         Partitioned tenants own their CUs and cannot crowd each other out,
         so the starvation detector is gated on this.
         """
-        return self.streams is None or any(
-            stream.cu_share == "shared" for stream in self.streams
-        )
+        streams = self.spec.streams
+        return streams is None or any(stream.cu_share == "shared" for stream in streams)
 
-    def run_fingerprint(self, workload: str) -> str:
-        """Stable identity of this run for the ledger.
+    def _run_spec(self) -> JobSpec:
+        """The spec of the run that executed, named after its workload.
 
-        Covers the workload name, the policy label, and the digests of
-        every configuration component -- the same inputs that decide what
-        the deterministic simulator will compute -- so re-running the same
-        cell yields the same fingerprint and ``diff`` can pair entries.
+        A workload handed to :meth:`run` overrides the spec's name and
+        scale, so the ledger identity of a session run equals the store
+        key of the same sweep cell.
         """
-        return fingerprint(
-            {
-                "workload": workload,
-                "policy": self.policy_label,
-                "digests": self._component_digests(),
-            },
-            kind="SessionRun",
-        )
-
-    def _component_digests(self) -> dict[str, Optional[str]]:
-        return component_digests(
-            config=self.config,
-            adaptive=self.adaptive,
-            topology=self.topology,
-            streams=self.streams,
-            faults=self.faults,
-        )
+        workload = self._workload
+        if workload is None:
+            return self.spec
+        scale = workload.scale if isinstance(workload, Workload) else self.spec.scale
+        return dc_replace(self.spec, workload=workload.name, scale=scale)
 
     def _observe(self, report: RunReport, wall_seconds: float) -> RunReport:
         """Apply the configured observers to the finished report.
@@ -528,7 +412,6 @@ class SimulationSession:
                         alert.kind, alert.severity, alert.message, alert.cycle
                     )
         if obs.ledger_path is not None:
-            digests = self._component_digests()
             telemetry = None
             if self.telemetry is not None and self.telemetry.enabled:
                 telemetry = {
@@ -539,40 +422,34 @@ class SimulationSession:
                     "metrics_windows": len(report.metrics),
                     "profile": self.profiler is not None,
                 }
+            spec = self._run_spec()
             entry = run_entry(
                 kind="run",
-                fingerprint_hex=self.run_fingerprint(report.workload),
+                fingerprint_hex=spec.fingerprint(),
                 workload=report.workload,
                 policy=report.policy,
                 cycles=report.cycles,
                 counters=report.counters,
-                digests=digests,
                 wall_seconds=wall_seconds,
                 events=self.sim.queue.executed,
                 telemetry=telemetry,
                 alerts=report.alerts or None,
                 source="session",
+                extra={"job": spec.summary()},
             )
             RunLedger(obs.ledger_path).record(entry)
         return report
 
 
 def simulate(
-    workload: Workload | WorkloadTrace | None = None,
+    workload: Workload | WorkloadTrace | JobSpec | None = None,
     policy: PolicySpec | str | None = None,
-    config: Optional[SystemConfig] = None,
-    predictor_config: Optional[PredictorConfig] = None,
-    dbi_max_rows: Optional[int] = None,
-    adaptive: Optional[AdaptiveConfig] = None,
-    topology: Optional[TopologyConfig] = None,
-    streams: Optional[StreamsSpec] = None,
-    faults: Optional[FaultPlan] = None,
-    sampling: Optional[SamplingConfig] = None,
-    shards: Optional[ShardConfig] = None,
+    *,
     telemetry: Optional[TelemetryConfig] = None,
     obs: Optional[ObsConfig] = None,
+    **axes: object,
 ) -> RunReport:
-    """Run one workload under one caching policy and return its report.
+    """Run one :class:`JobSpec` and return its report.
 
     This is the primary public entry point::
 
@@ -580,6 +457,8 @@ def simulate(
         report = simulate(get_workload("FwFc"), CACHE_RW)
         print(report.cycles, report.dram_accesses)
 
+    ``simulate(spec)`` runs a spec directly; otherwise the keyword
+    arguments are the :class:`JobSpec` fields, which document every axis.
     Pass ``adaptive=AdaptiveConfig(...)`` instead of a policy to let the
     online controller pick (and re-pick) the policy while the workload
     runs, and/or ``topology=TopologyConfig(num_devices=...)`` to simulate
@@ -591,44 +470,29 @@ def simulate(
         report = simulate(policy=CACHE_RW, streams=mix_by_name("mha+fwlstm"))
         print(report.per_stream)
 
-    The fast simulation modes compose here too: ``sampling=`` enables
-    phase-sampled fast-forward inside each simulated process, and
-    ``shards=`` (with ``num_shards > 1``) splits a serving mix of
-    partitioned streams into independent worker-process runs whose
-    reports are merged.  Both default to exact mode, which is
-    bit-identical to omitting them.
+    ``sampling=`` enables phase-sampled fast-forward, and ``shards=``
+    (with ``num_shards > 1``) splits a serving mix of partitioned streams
+    into independent worker-process runs whose reports are merged.
     """
-    if shards is not None and not shards.empty:
-        # imported lazily: the shards run as sweep jobs, and the sweep
-        # layer imports this module
-        from repro.accel.shard import run_sharded
-
-        return run_sharded(
-            workload=workload,
-            policy=policy,
-            config=config,
-            predictor_config=predictor_config,
-            dbi_max_rows=dbi_max_rows,
-            adaptive=adaptive,
-            topology=topology,
-            streams=streams,
-            faults=faults,
-            sampling=sampling,
-            shards=shards,
-            telemetry=telemetry,
-            obs=obs,
+    spec = None
+    if isinstance(workload, JobSpec):
+        spec, workload = workload, None
+    if policy is not None or spec is None:
+        axes["policy"] = policy
+    spec = as_spec(spec, axes)
+    if spec.shards is None:
+        return SimulationSession(spec, telemetry=telemetry, obs=obs).run(workload)
+    if workload is not None:
+        raise ValueError(
+            "a sharded serving run derives its workloads from the "
+            "stream configurations; pass no workload"
         )
-    session = SimulationSession(
-        policy=policy,
-        config=config,
-        predictor_config=predictor_config,
-        dbi_max_rows=dbi_max_rows,
-        adaptive=adaptive,
-        topology=topology,
-        streams=streams,
-        faults=faults,
-        sampling=sampling,
-        telemetry=telemetry,
-        obs=obs,
-    )
-    return session.run(workload)
+    if telemetry is not None and telemetry.enabled:
+        raise ValueError("sharded execution does not support telemetry observers")
+    if obs is not None and obs.enabled:
+        raise ValueError("sharded execution does not support the obs layer")
+    # imported lazily: the shards run as sweep jobs, and the sweep layer
+    # imports this module
+    from repro.accel.shard import run_sharded
+
+    return run_sharded(spec)

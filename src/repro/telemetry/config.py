@@ -17,7 +17,7 @@ counter or changes the simulated timing, so an enabled run reports exactly
 the counters of a disabled one, and ``telemetry=None`` (every pre-existing
 caller) is byte-for-byte the historical code path.  Because results are
 unaffected, telemetry is deliberately **not** part of
-:meth:`repro.experiments.jobs.JobSpec.fingerprint` -- traced runs execute
+:meth:`repro.spec.JobSpec.fingerprint` -- traced runs execute
 inline rather than through the result store.
 """
 

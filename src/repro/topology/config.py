@@ -116,7 +116,7 @@ class TopologyConfig:
     def fingerprint(self) -> str:
         """Stable content hash over every *physical* topology parameter.
 
-        Used by :meth:`repro.experiments.jobs.JobSpec.fingerprint` so two
+        Used by :meth:`repro.spec.JobSpec.fingerprint` so two
         runs differing in any knob (device count, fabric latency,
         interleave granularity, ...) never share a result-store entry.
         The display-only ``name`` is excluded: a registered topology and

@@ -49,7 +49,7 @@ class TestBasicExecution:
             simulate(WorkloadTrace(name="empty"), UNCACHED, config=TINY)
 
     def test_session_reuse_is_rejected_cleanly(self):
-        session = SimulationSession(UNCACHED, config=TINY)
+        session = SimulationSession(policy=UNCACHED, config=TINY)
         session.run(streaming_trace(16))
         # a fresh workload on the same (already advanced) session still works
         report = session.run(streaming_trace(16, name="again"))

@@ -22,7 +22,11 @@ import json
 import pytest
 
 from repro import cli
+from repro.accel import SamplingConfig
 from repro.config import scaled_config
+from repro.core.policies import policy_by_name
+from repro.core.reuse_predictor import PredictorConfig
+from repro.experiments.jobs import JobSpec
 from repro.obs import (
     AlertConfig,
     BenchMeasurement,
@@ -79,7 +83,7 @@ class TestLedgerZeroDrift:
         assert entries[0]["fingerprint"] == entries[1]["fingerprint"]
         assert entries[0]["kind"] == "run"
         assert entries[0]["counters"] == entries[1]["counters"]
-        assert entries[0]["digests"] == entries[1]["digests"]
+        assert entries[0]["job"] == entries[1]["job"]
 
     def test_different_policy_changes_fingerprint(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -91,11 +95,65 @@ class TestLedgerZeroDrift:
         assert a["fingerprint"] != b["fingerprint"]
 
 
-def _cli_run(ledger_path, extra=()):
+class TestLedgerRunIdentity:
+    """A session run's ledger fingerprint is its JobSpec store key, so two
+    runs share a fingerprint exactly when they are the same cell."""
+
+    @staticmethod
+    def _fingerprint(tmp_path, workload="FwSoft", scale=SCALE, **axes):
+        path = tmp_path / "ledger.jsonl"
+        session = SimulationSession(
+            config=CONFIG, obs=ObsConfig(ledger_path=str(path)), **axes
+        )
+        session.run(get_workload(workload, scale=scale))
+        return RunLedger(path).entries()[-1]["fingerprint"]
+
+    @pytest.mark.parametrize(
+        ("label", "policy", "axes"),
+        [
+            ("sampling", "CacheRW", {"sampling": SamplingConfig()}),
+            (
+                "predictor_config",
+                "CacheRW-PCby",
+                {"predictor_config": PredictorConfig(table_entries=64)},
+            ),
+            ("dbi_max_rows", "CacheRW-CR", {"dbi_max_rows": 4}),
+        ],
+    )
+    def test_each_axis_splits_the_fingerprint(self, tmp_path, label, policy, axes):
+        plain = self._fingerprint(tmp_path, policy=policy)
+        assert self._fingerprint(tmp_path, policy=policy, **axes) != plain, label
+
+    def test_scale_splits_the_fingerprint(self, tmp_path):
+        assert self._fingerprint(tmp_path, policy="CacheRW") != self._fingerprint(
+            tmp_path, policy="CacheRW", scale=2 * SCALE
+        )
+
+    def test_cli_runs_at_two_scales_do_not_collide(self, tmp_path, capsys):
+        ledger_path = tmp_path / "ledger.jsonl"
+        assert _cli_run(ledger_path) == 0
+        assert _cli_run(ledger_path, scale=2 * SCALE) == 0
+        first, second = RunLedger(ledger_path).entries()
+        assert first["fingerprint"] != second["fingerprint"]
+        assert (first["job"]["scale"], second["job"]["scale"]) == (SCALE, 2 * SCALE)
+        capsys.readouterr()
+
+    def test_run_entry_fingerprint_is_the_sweep_store_key(self, tmp_path):
+        ledger_path = tmp_path / "ledger.jsonl"
+        assert _cli_run(ledger_path) == 0
+        (entry,) = RunLedger(ledger_path).entries()
+        cell = JobSpec(
+            workload="FwSoft", policy=policy_by_name("CacheRW"), scale=SCALE, config=CONFIG
+        )
+        assert entry["fingerprint"] == cell.fingerprint()
+        assert entry["job"] == cell.summary()
+
+
+def _cli_run(ledger_path, extra=(), scale=SCALE):
     return cli.main(
         [
             "--scale",
-            str(SCALE),
+            str(scale),
             "--cus",
             "2",
             "run",

@@ -102,7 +102,7 @@ class TestPcBypass:
     def test_predictor_statistics_exposed_via_policy_engine(self):
         from repro.session import SimulationSession
 
-        session = SimulationSession(CACHE_RW_PCBY, config=TINY)
+        session = SimulationSession(policy=CACHE_RW_PCBY, config=TINY)
         session.run(get_workload("FwAct", scale=0.1))
         description = session.policy_engine.describe()
         assert description["pc_bypass"] is True

@@ -22,6 +22,7 @@ from repro.accel.shard import ShardExecutionError, run_sharded
 from repro.config import scaled_config
 from repro.core.policies import policy_by_name
 from repro.session import SimulationSession, simulate
+from repro.spec import JobSpec
 from repro.streams import StreamConfig
 from repro.topology import TOPOLOGIES
 
@@ -108,7 +109,7 @@ class TestShardValidation:
             StreamConfig(workload="FwLSTM", scale=0.2),
         ]
         with pytest.raises(ValueError, match="partitioned"):
-            run_sharded(
+            JobSpec(
                 policy=CACHE_RW,
                 streams=streams,
                 shards=ShardConfig(num_shards=2, axis="streams"),
@@ -116,7 +117,7 @@ class TestShardValidation:
 
     def test_rejects_more_shards_than_streams(self):
         with pytest.raises(ValueError, match="at least one stream"):
-            run_sharded(
+            JobSpec(
                 policy=CACHE_RW,
                 streams=_partitioned_streams(),
                 shards=ShardConfig(num_shards=3, axis="streams"),
@@ -130,7 +131,7 @@ class TestShardValidation:
             for i in range(3)
         ]
         with pytest.raises(ValueError, match="divide"):
-            run_sharded(
+            JobSpec(
                 policy=CACHE_RW,
                 config=scaled_config(8),
                 streams=streams,
@@ -143,7 +144,7 @@ class TestShardValidation:
 
     def test_rejects_a_topology(self):
         with pytest.raises(ValueError, match="topology"):
-            run_sharded(
+            JobSpec(
                 policy=CACHE_RW,
                 streams=_partitioned_streams(),
                 topology=TOPOLOGIES["dual-chiplet"],
@@ -169,9 +170,11 @@ class TestShardFailureRecords:
         ]
         with pytest.raises(ShardExecutionError) as excinfo:
             run_sharded(
-                policy=CACHE_RW,
-                streams=streams,
-                shards=ShardConfig(num_shards=2, axis="streams"),
+                JobSpec(
+                    policy=CACHE_RW,
+                    streams=streams,
+                    shards=ShardConfig(num_shards=2, axis="streams"),
+                )
             )
         failures = excinfo.value.failures
         assert len(failures) == 1
@@ -199,6 +202,6 @@ class TestShardProcesses:
         ]
         with pytest.raises(ShardExecutionError):
             run_sharded(
-                policy=CACHE_RW, streams=streams, shards=ShardConfig(num_shards=2)
+                JobSpec(policy=CACHE_RW, streams=streams, shards=ShardConfig(num_shards=2))
             )
         assert multiprocessing.active_children() == []

@@ -1,7 +1,7 @@
 """Validation and fingerprint semantics of the acceleration configs.
 
 The load-bearing contract is the "exact mode hashes as None" idiom on
-:meth:`repro.experiments.jobs.JobSpec.fingerprint`: a job with no
+:meth:`repro.spec.JobSpec.fingerprint`: a job with no
 acceleration, a job with a *disabled* :class:`SamplingConfig`, and a job
 with a one-shard :class:`ShardConfig` must all produce the identical
 fingerprint (so exact results interchange in the store), while any
@@ -16,6 +16,7 @@ import pytest
 from repro.accel import SHARD_AXES, SamplingConfig, ShardConfig
 from repro.core.policies import CACHE_RW
 from repro.experiments.jobs import JobSpec
+from repro.streams import StreamConfig
 
 
 class TestSamplingConfigValidation:
@@ -91,6 +92,17 @@ class TestJobSpecAccelFingerprint:
     def _job(self, **kwargs) -> JobSpec:
         return JobSpec(workload="CM", policy=CACHE_RW, scale=0.2, **kwargs)
 
+    def _mix(self, streams: int = 2, **kwargs) -> JobSpec:
+        """A serving job of partitioned tenants, which shards can split."""
+        return JobSpec(
+            policy=CACHE_RW,
+            streams=tuple(
+                StreamConfig(workload="CM", scale=0.2, cu_share="partitioned")
+                for _ in range(streams)
+            ),
+            **kwargs,
+        )
+
     def test_exact_modes_hash_as_none(self):
         """No config, disabled sampling and one shard all hash identically."""
         plain = self._job().fingerprint()
@@ -110,8 +122,8 @@ class TestJobSpecAccelFingerprint:
         assert sampled != plain
 
     def test_sharding_changes_the_fingerprint(self):
-        plain = self._job().fingerprint()
-        sharded = self._job(shards=ShardConfig(num_shards=2)).fingerprint()
+        plain = self._mix().fingerprint()
+        sharded = self._mix(shards=ShardConfig(num_shards=2)).fingerprint()
         assert sharded != plain
 
     def test_sampling_parameters_are_load_bearing(self):
@@ -120,14 +132,14 @@ class TestJobSpecAccelFingerprint:
         assert a != b
 
     def test_shard_parameters_are_load_bearing(self):
-        a = self._job(shards=ShardConfig(num_shards=2)).fingerprint()
-        b = self._job(shards=ShardConfig(num_shards=3)).fingerprint()
+        a = self._mix(4, shards=ShardConfig(num_shards=2)).fingerprint()
+        b = self._mix(4, shards=ShardConfig(num_shards=3)).fingerprint()
         assert a != b
 
     def test_summary_mentions_acceleration_only_when_enabled(self):
         assert "sampling" not in self._job().summary()
         assert "shards" not in self._job().summary()
-        accel = self._job(
+        accel = self._mix(
             sampling=SamplingConfig(), shards=ShardConfig(num_shards=2)
         ).summary()
         assert "sampling" in accel and "shards" in accel

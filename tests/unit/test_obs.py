@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.config import scaled_config
 from repro.ioutil import append_jsonl, read_jsonl
 from repro.log import StructuredLogger, configure, get_logger, reset
 from repro.obs.alerts import Alert, AlertConfig, detect_anomalies
@@ -25,7 +24,7 @@ from repro.obs.bench import (
 )
 from repro.obs.config import ObsConfig
 from repro.obs.diff import diff_reports, render_diff_markdown, render_diff_table, resolve_report
-from repro.obs.ledger import RunLedger, component_digests, run_entry
+from repro.obs.ledger import RunLedger, run_entry
 from repro.stats.regression import check_regression, mad, median, robust_floor
 from repro.stats.report import RunReport
 
@@ -259,13 +258,6 @@ class TestRunLedger:
         ledger = RunLedger(path)
         ledger.record(_entry())
         assert len(ledger) == 1
-
-    def test_component_digests(self):
-        digests = component_digests(config=scaled_config(2), topology=None)
-        assert digests["topology"] is None
-        assert isinstance(digests["config"], str) and len(digests["config"]) == 64
-        assert digests == component_digests(config=scaled_config(2), topology=None)
-        assert digests["config"] != component_digests(config=scaled_config(4))["config"]
 
 
 # ----------------------------------------------------------------------

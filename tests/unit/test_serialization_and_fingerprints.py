@@ -15,6 +15,7 @@ from repro.experiments.jobs import JobSpec
 from repro.faults.config import FAULT_PLANS
 from repro.fingerprint import canonical_payload, code_digest, fingerprint
 from repro.stats.report import RunReport
+from repro.streams import StreamConfig
 
 
 def make_report(**overrides) -> RunReport:
@@ -132,15 +133,23 @@ class TestJobSpecFingerprints:
         assert replace(base, **change).fingerprint() != base.fingerprint()
 
     @pytest.mark.parametrize(
-        "axis,empty,active",
+        "axis,empty,active,streams",
         [
-            ("faults", FAULT_PLANS["none"], FAULT_PLANS["link-brownout"]),
-            ("sampling", SamplingConfig(enabled=False), SamplingConfig()),
-            ("shards", ShardConfig(num_shards=1), ShardConfig(num_shards=2)),
+            ("faults", FAULT_PLANS["none"], FAULT_PLANS["link-brownout"], None),
+            ("sampling", SamplingConfig(enabled=False), SamplingConfig(), None),
+            # only a mix of partitioned tenants can be sharded
+            (
+                "shards",
+                ShardConfig(num_shards=1),
+                ShardConfig(num_shards=2),
+                (StreamConfig(workload="FwSoft", cu_share="partitioned"),) * 2,
+            ),
         ],
     )
-    def test_empty_axis_normalises_to_none(self, axis, empty, active):
-        base = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.5, config=scaled_config(2))
+    def test_empty_axis_normalises_to_none(self, axis, empty, active, streams):
+        base = JobSpec(
+            workload="FwSoft", policy=CACHE_R, scale=0.5, config=scaled_config(2), streams=streams
+        )
         normalised = replace(base, **{axis: empty})
         assert getattr(normalised, axis) is None
         assert normalised == base and hash(normalised) == hash(base)

@@ -1,7 +1,7 @@
 """Unit tests for the in-process halves of a sharded run.
 
 :func:`repro.accel.shard.run_sharded` splits a serving mix into one
-:class:`~repro.experiments.jobs.JobSpec` per shard, runs them on the
+:class:`~repro.spec.JobSpec` per shard, runs them on the
 process-pool backend and folds the reports back together.  The split
 (:func:`_share_config`, :func:`_stream_tasks`) and the fold
 (:func:`_merge_reports`) are pure functions; these tests pin them
@@ -21,6 +21,7 @@ from repro.accel.shard import (
 )
 from repro.config import scaled_config
 from repro.core.policies import policy_by_name
+from repro.spec import JobSpec
 from repro.stats.report import RunReport
 from repro.streams import StreamConfig
 
@@ -38,14 +39,14 @@ def _streams(count: int) -> tuple[StreamConfig, ...]:
 
 def _tasks(streams, num_shards=2, config=None, sampling=None):
     return _stream_tasks(
-        ShardConfig(num_shards=num_shards),
-        streams,
-        "mix",
-        CACHE_RW,
-        config or scaled_config(32),
-        None,
-        None,
-        sampling,
+        JobSpec(
+            workload="mix",
+            policy=CACHE_RW,
+            config=config or scaled_config(32),
+            streams=streams,
+            sampling=sampling,
+            shards=ShardConfig(num_shards=num_shards),
+        )
     )
 
 
