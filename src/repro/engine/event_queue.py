@@ -12,6 +12,13 @@ and the heap sifts once per cycle instead of once per event, comparing
 ints rather than tuples.  An event scheduled for the cycle being drained
 (a zero delay) lands at the end of that cycle's bucket, exactly where a
 sequence-number tie-break would have put it.
+
+One callback may stand for several counted events.  The caches fire the
+MSHR-full polls that sit next to each other in a bucket as one *poll
+group* (see :mod:`repro.memory.cache`); the group :meth:`credits
+<EventQueue.credit>` its other members, so :attr:`EventQueue.executed`
+and the ``max_events`` budgets count every poll, exactly as if each had
+been its own callback.  :attr:`EventQueue.pending` counts callbacks.
 """
 
 from __future__ import annotations
@@ -50,13 +57,26 @@ class EventQueue:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued."""
+        """Number of callbacks still queued (a poll group counts once)."""
         return sum(map(len, self._buckets.values())) - self._cursor
 
     @property
     def executed(self) -> int:
         """Number of events executed so far."""
         return self._executed
+
+    def credit(self, events: int) -> None:
+        """Count ``events`` more executed events.
+
+        Called by a callback that stands for ``events + 1`` events (the
+        loop counted the callback itself as one).
+        """
+        self._executed += events
+
+    def last_at(self, time: int) -> Callable[[], Any] | None:
+        """The callback queued last for a future cycle ``time``, or None."""
+        bucket = self._buckets.get(time)
+        return bucket[-1] if bucket else None
 
     def schedule(self, delay: int | float, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
@@ -123,6 +143,11 @@ class EventQueue:
             until: stop once simulation time passes this cycle (events at
                 later times remain queued).
             max_events: safety bound on the number of events to execute.
+                Every event a callback credits counts against it.  A
+                callback is never split, so the run stops after the first
+                callback that reaches the bound: it overshoots by at most
+                that callback's credited events -- one poll group's size
+                minus one.
 
         Returns:
             The simulation time when the run stopped.
@@ -131,15 +156,16 @@ class EventQueue:
         # index step and the callback.  The executed count is committed
         # per event (not batched on exit) so callbacks that read
         # ``self.executed`` mid-run -- the fast-forward sampler's
-        # per-kernel measurements -- observe a live value.  The cursor is saved in ``finally`` so a
-        # raising callback leaves the queue consistent (its event consumed).
+        # per-kernel measurements -- observe a live value, and the budget
+        # is checked against it so events credited by poll groups count.
+        # The cursor is saved in ``finally`` so a raising callback leaves
+        # the queue consistent (its event consumed).
         times = self._times
         buckets = self._buckets
-        limit = sys.maxsize if max_events is None else max_events
-        executed = 0
+        stop = sys.maxsize if max_events is None else self._executed + max_events
         index = self._cursor
         try:
-            while times and executed < limit:
+            while times and self._executed < stop:
                 time = times[0]
                 if until is not None and time > until:
                     self.now = until
@@ -147,11 +173,10 @@ class EventQueue:
                 bucket = buckets[time]
                 self.now = time
                 while index < len(bucket):
-                    if executed >= limit:
+                    if self._executed >= stop:
                         break
                     callback = bucket[index]
                     index += 1
-                    executed += 1
                     self._executed += 1
                     callback()
                 else:
@@ -176,20 +201,20 @@ class EventQueue:
         order, same ``until`` semantics, same executed accounting, so the
         simulated results are bit-identical -- that wraps each callback in
         a ``perf_counter`` pair and reports it to ``profiler`` (a
-        :class:`repro.telemetry.profiler.SimProfiler`).  Kept apart so the
-        production loop pays nothing when profiling is off.
+        :class:`repro.telemetry.profiler.SimProfiler`) with the number of
+        events it stood for.  Kept apart so the production loop pays
+        nothing when profiling is off.
         """
         from time import perf_counter
 
         times = self._times
         buckets = self._buckets
         record = profiler.record
-        limit = sys.maxsize if max_events is None else max_events
-        executed = 0
+        stop = sys.maxsize if max_events is None else self._executed + max_events
         index = self._cursor
         wall_start = perf_counter()
         try:
-            while times and executed < limit:
+            while times and self._executed < stop:
                 time = times[0]
                 if until is not None and time > until:
                     self.now = until
@@ -197,15 +222,17 @@ class EventQueue:
                 bucket = buckets[time]
                 self.now = time
                 while index < len(bucket):
-                    if executed >= limit:
+                    if self._executed >= stop:
                         break
                     callback = bucket[index]
                     index += 1
-                    executed += 1
-                    self._executed += 1
+                    counted = self._executed
+                    self._executed = counted + 1
                     started = perf_counter()
                     callback()
-                    record(callback, perf_counter() - started)
+                    record(
+                        callback, perf_counter() - started, self._executed - counted
+                    )
                 else:
                     heappop(times)
                     del buckets[time]

@@ -23,7 +23,10 @@ class Simulator:
     fails loudly instead of spinning forever.  The budget is an *aggregate*
     across the simulator's lifetime: repeated :meth:`run` calls on one
     simulator share it, so a caller stepping a simulation in slices cannot
-    execute more than ``max_events`` events in total.
+    execute more than ``max_events`` events in total.  It counts events,
+    not callbacks: every poll of an MSHR poll group counts, and a group
+    that reaches the budget still fires whole (see
+    :meth:`~repro.engine.event_queue.EventQueue.run`).
     """
 
     #: default safety bound on executed events for a single simulator

@@ -34,7 +34,12 @@ never scan ways linearly), all statistics are pre-bound
 ``__init__``, and event scheduling goes straight to the shared event queue.
 Scheduled callbacks are ``functools.partial`` objects over the target
 method rather than lambdas, so firing an event runs one Python frame
-instead of two.
+instead of two.  MSHR-full checks read the file's entry count inline
+(capacity never changes at run time).  Requests blocked on a full MSHR
+file poll as slotted :class:`_MshrPoller` objects, and the polls that sit
+next to each other in one cycle's bucket fire as one :class:`_PollGroup`
+event: a poll that fails again costs a length test, and a group whose
+files are all still full moves to its next bucket as one append.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.config import CacheConfig
-from repro.engine import Simulator, ThroughputResource, WaitQueue
+from repro.engine import EventQueue, Simulator, ThroughputResource, WaitQueue
 from repro.memory.mshr import MshrFile
 from repro.memory.replacement import make_replacement
 from repro.memory.request import AccessType, MemoryRequest
@@ -139,6 +144,13 @@ class Cache:
         replacement: ``"lru"`` (default) or ``"random"``.
     """
 
+    #: blocked-on-MSHR requests poll for a free entry on this period; the
+    #: added latency is negligible next to memory latency under load and
+    #: the polling model cannot lose wake-ups.  One period for every
+    #: cache: a poll group moves all its members, whichever cache they
+    #: block on, by this much.
+    _mshr_retry_period = 64
+
     def __init__(
         self,
         name: str,
@@ -178,6 +190,8 @@ class Cache:
         self._dirty_sets: set[int] = set()
         self.replacement = make_replacement(replacement, config.num_sets, config.assoc)
         self.mshrs = MshrFile(config.mshrs)
+        self._mshr_entries = self.mshrs.entries
+        self._mshr_capacity = self.mshrs.capacity
         self.bypass_pending = MshrFile(capacity=None)
         #: optional set-dueling observer (attached to the L2 by adaptive
         #: sessions); when None -- every static run -- the hooks cost one
@@ -187,10 +201,6 @@ class Cache:
         self._set_waiters: dict[int, WaitQueue] = {}
         # sampler sets always cache so the reuse predictor keeps training
         self._sampler_stride = 16
-        # blocked-on-MSHR requests poll for a free entry on this period; the
-        # added latency is negligible next to memory latency under load and
-        # the polling model cannot lose wake-ups
-        self._mshr_retry_period = 64
 
         # geometry constants and event-queue entry points, resolved once
         self._line_bytes = config.line_bytes
@@ -458,7 +468,7 @@ class Cache:
         blocked_reason = None
         if victim_way is None:
             blocked_reason = "set_busy"
-        elif self.mshrs.full:
+        elif len(self._mshr_entries) >= self._mshr_capacity:
             blocked_reason = "mshr_full"
 
         if blocked_reason is not None:
@@ -545,46 +555,38 @@ class Cache:
         MSHR exhaustion uses periodic polling instead: a fill releasing an
         MSHR does not guarantee that the woken request can use it (it may hit
         or coalesce on retry), so event-driven wake-ups can strand waiters;
-        polling cannot.
+        polling cannot.  The request polls every
+        :attr:`_mshr_retry_period` cycles until its file has a free entry.
+
+        Polls that sit next to each other in one cycle's bucket fire as one
+        :class:`_PollGroup` event.  That grouping is host-side only: every
+        poll keeps the bucket slot it would hold as its own event, and still
+        counts as one executed event, so timing and counters are unchanged.
         """
         blocked_at = self._queue.now
-        if reason == "set_busy":
-            self._c_blocked_set_busy.add()
-        else:
+        if reason == "mshr_full":
             self._c_blocked_mshr_full.add()
+            _park(
+                self._queue,
+                blocked_at + self._mshr_retry_period,
+                _MshrPoller(self, request, on_done, set_index, blocked_at),
+            )
+            return
+        self._c_blocked_set_busy.add()
 
-        def account(wake_time: int) -> None:
+        def resume(wake_time: int) -> None:
             stall = wake_time - blocked_at
             if stall > 0:
                 self._c_stall_cycles_alloc.add(stall)
                 self._c_stall_cycles.add(stall)
                 if self.set_monitor is not None:
                     self.set_monitor.record_stall(set_index, stall)
-
-        if reason == "set_busy":
-
-            def resume(wake_time: int) -> None:
-                account(wake_time)
-                grant = self.port.grant(wake_time)
-                self._schedule_at(
-                    grant, lambda: self._lookup(request, on_done, first_attempt=False)
-                )
-
-            self._set_wait_queue(set_index).wait(blocked_at, resume)
-            return
-
-        def retry() -> None:
-            now = self._queue.now
-            if self.mshrs.full:
-                self._schedule(self._mshr_retry_period, retry)
-                return
-            account(now)
-            grant = self.port.grant(now)
+            grant = self.port.grant(wake_time)
             self._schedule_at(
                 grant, lambda: self._lookup(request, on_done, first_attempt=False)
             )
 
-        self._schedule(self._mshr_retry_period, retry)
+        self._set_wait_queue(set_index).wait(blocked_at, resume)
 
     def _set_wait_queue(self, set_index: int) -> WaitQueue:
         queue = self._set_waiters.get(set_index)
@@ -809,3 +811,110 @@ class Cache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Cache({self.name}, {self.config.size_bytes // 1024} KB)"
+
+
+class _MshrPoller:
+    """A request blocked on a full MSHR file, polling for a free entry."""
+
+    __slots__ = (
+        "cache",
+        "request",
+        "on_done",
+        "set_index",
+        "blocked_at",
+        "entries",
+        "capacity",
+    )
+
+    def __init__(
+        self,
+        cache: Cache,
+        request: MemoryRequest,
+        on_done: Callable[[MemoryRequest], None],
+        set_index: int,
+        blocked_at: int,
+    ) -> None:
+        self.cache = cache
+        self.request = request
+        self.on_done = on_done
+        self.set_index = set_index
+        self.blocked_at = blocked_at
+        self.entries = cache._mshr_entries
+        self.capacity = cache._mshr_capacity
+
+    def wake(self, now: int) -> None:
+        """The poll at ``now`` found a free entry: charge the stall and
+        retry the lookup at the cache's next port grant."""
+        cache = self.cache
+        # a poll fires at least one period after the request blocked
+        stall = now - self.blocked_at
+        cache._c_stall_cycles_alloc.add(stall)
+        cache._c_stall_cycles.add(stall)
+        if cache.set_monitor is not None:
+            cache.set_monitor.record_stall(self.set_index, stall)
+        cache._schedule_at(
+            cache.port.grant(now),
+            partial(cache._lookup, self.request, self.on_done, False),
+        )
+
+
+class _PollGroup:
+    """MSHR polls that sat next to each other in one cycle's bucket.
+
+    Firing the group fires its polls in order, each as it would fire as its
+    own event, and credits the queue with one executed event per poll.  A
+    poll's only side effect besides a wake-up is re-parking itself one
+    period later, and :func:`_park` puts each re-parked poll in the bucket
+    slot a plain append would give it, so grouping changes no result.
+    """
+
+    __slots__ = ("queue", "pollers")
+
+    #: host-profiler attribution: the polls are the caches' events
+    component = "Cache"
+
+    def __init__(self, queue: EventQueue, poller: _MshrPoller) -> None:
+        self.queue = queue
+        self.pollers = [poller]
+
+    def __call__(self) -> None:
+        queue = self.queue
+        pollers = self.pollers
+        queue.credit(len(pollers) - 1)
+        for poller in pollers:
+            if len(poller.entries) < poller.capacity:
+                break
+        else:
+            # every file is still full, so each poll would re-park in turn,
+            # one after the other: the group moves as one
+            due = queue.now + Cache._mshr_retry_period
+            tail = queue.last_at(due)
+            if tail.__class__ is _PollGroup:
+                tail.pollers += pollers
+            else:
+                queue.schedule_at(due, self)
+            return
+        # a wake-up changes no MSHR file, so each poll's test is the one it
+        # would make firing alone; a wake-up may end the next bucket's tail
+        # group (its port grant can land there), so each re-park looks again
+        now = queue.now
+        due = now + Cache._mshr_retry_period
+        for poller in pollers:
+            if len(poller.entries) >= poller.capacity:
+                _park(queue, due, poller)
+            else:
+                poller.wake(now)
+
+
+def _park(queue: EventQueue, due: int, poller: _MshrPoller) -> None:
+    """Queue ``poller``'s next poll for cycle ``due``.
+
+    The poll joins the group at the tail of that cycle's bucket when the
+    tail is a poll group, and starts a new group otherwise, so anything
+    else queued for the cycle in between ends a group.
+    """
+    tail = queue.last_at(due)
+    if tail.__class__ is _PollGroup:
+        tail.pollers.append(poller)
+    else:
+        queue.schedule_at(due, _PollGroup(queue, poller))

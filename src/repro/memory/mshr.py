@@ -54,21 +54,24 @@ class MshrFile:
         if capacity is not None and capacity <= 0:
             raise ValueError("MSHR capacity must be positive or None")
         self.capacity = capacity
-        self._entries: dict[int, MshrEntry] = {}
+        #: outstanding entries by line address.  Callers only read it: the
+        #: caches' hot paths test ``len(entries) >= capacity`` inline
+        #: instead of calling :attr:`full`
+        self.entries: dict[int, MshrEntry] = {}
         self.peak_occupancy = 0
         self.total_allocations = 0
         self.total_coalesced = 0
-        self.lookup = self._entries.get
+        self.lookup = self.entries.get
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[MshrEntry]:
-        return iter(self._entries.values())
+        return iter(self.entries.values())
 
     @property
     def full(self) -> bool:
-        return self.capacity is not None and len(self._entries) >= self.capacity
+        return self.capacity is not None and len(self.entries) >= self.capacity
 
     #: ``lookup(line_address)`` returns the outstanding entry or ``None``;
     #: bound directly to ``dict.get`` in ``__init__`` (hot path)
@@ -82,7 +85,7 @@ class MshrFile:
         allocate_way: Optional[int] = None,
     ) -> MshrEntry:
         """Allocate a new entry.  The caller must have checked :attr:`full`."""
-        entries = self._entries
+        entries = self.entries
         if line_address in entries:
             raise RuntimeError(f"MSHR already allocated for line 0x{line_address:x}")
         occupancy = len(entries)
@@ -97,7 +100,7 @@ class MshrFile:
 
     def coalesce(self, line_address: int, request: MemoryRequest) -> MshrEntry:
         """Attach ``request`` to the outstanding miss for its line."""
-        entry = self._entries.get(line_address)
+        entry = self.entries.get(line_address)
         if entry is None:
             raise KeyError(f"no outstanding miss for line 0x{line_address:x}")
         entry.add_waiter(request)
@@ -106,7 +109,7 @@ class MshrFile:
 
     def release(self, line_address: int) -> MshrEntry:
         """Remove and return the entry once its fill has completed."""
-        entry = self._entries.pop(line_address, None)
+        entry = self.entries.pop(line_address, None)
         if entry is None:
             raise KeyError(f"no outstanding miss for line 0x{line_address:x}")
         return entry

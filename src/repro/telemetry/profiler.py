@@ -7,7 +7,9 @@ attributed per *component* (the class whose method -- or whose enclosing
 method's closure -- each event callback is).  Attribution uses
 :func:`component_of`, which maps a bound method to its class name and a
 closure to the class that defined it, so ``Cache``/``DramChannel``/``Gpu``
-show up as themselves instead of a wall of ``<lambda>``.
+show up as themselves instead of a wall of ``<lambda>``.  A callback that
+stands for several events (an MSHR poll group) is charged with all of
+them, so :attr:`SimProfiler.events` equals the queue's executed count.
 
 Profiling uses a separate instrumented event loop
 (:meth:`repro.engine.event_queue.EventQueue.run_profiled`): the production
@@ -31,10 +33,15 @@ def component_of(callback: Callable[[], Any]) -> str:
     Bound methods charge their class; ``functools.partial`` unwraps to the
     wrapped callable; closures and lambdas charge the class (or function)
     that defined them, derived from ``__qualname__``
-    (``"Cache._finish_fill.<locals>.done"`` -> ``"Cache"``).
+    (``"Cache._finish_fill.<locals>.done"`` -> ``"Cache"``).  A callable
+    object that fires another component's events names that component in
+    a ``component`` attribute (a poll group charges ``"Cache"``).
     """
     while isinstance(callback, functools.partial):
         callback = callback.func
+    component = getattr(callback, "component", None)
+    if component is not None:
+        return component
     owner = getattr(callback, "__self__", None)
     if owner is not None:
         return type(owner).__name__
@@ -56,14 +63,17 @@ class SimProfiler:
     # ------------------------------------------------------------------
     # called by EventQueue.run_profiled
     # ------------------------------------------------------------------
-    def record(self, callback: Callable[[], Any], seconds: float) -> None:
-        """Charge one executed event's host time to its component."""
+    def record(
+        self, callback: Callable[[], Any], seconds: float, events: int = 1
+    ) -> None:
+        """Charge one callback's host time, and the ``events`` executed
+        events it stood for, to its component."""
         name = component_of(callback)
-        self.events += 1
+        self.events += events
         self.component_seconds[name] = (
             self.component_seconds.get(name, 0.0) + seconds
         )
-        self.component_events[name] = self.component_events.get(name, 0) + 1
+        self.component_events[name] = self.component_events.get(name, 0) + events
 
     def add_wall(self, seconds: float) -> None:
         """Add one event-loop invocation's total wall time."""

@@ -151,6 +151,17 @@ class TestProfiler:
         assert summary["events"] == profiler.events
         assert sum(c["events"] for c in summary["components"]) == profiler.events
 
+    def test_profiler_accounts_every_grouped_poll(self):
+        # FwAct blocks on full MSHR files; its polls fire as poll groups,
+        # each one callback standing for several events
+        session, report = _run("FwAct", telemetry=TelemetryConfig(profile=True))
+        assert report.get("l1.blocked_mshr_full") > 0
+        profiler = session.profiler
+        assert profiler.events == session.sim.queue.executed
+        components = {c["component"]: c for c in profiler.summary()["components"]}
+        assert "_PollGroup" not in components and "_MshrPoller" not in components
+        assert sum(c["events"] for c in components.values()) == profiler.events
+
 
 class TestCliTelemetry:
     def test_trace_subcommand_writes_valid_artifacts(self, tmp_path, capsys):

@@ -471,3 +471,185 @@ class TestIndexedGeometry:
         assert cache._tag_to_way[set_index].get(0x1000) is not None
         cache.invalidate_clean()
         assert 0x1000 not in cache._tag_to_way[set_index]
+
+
+class ClosureCache(Cache):
+    """Reference model: the per-request ``retry`` closure that MSHR-full
+    polling used before poll groups.  Each poll is its own event."""
+
+    def _block(self, request, set_index, reason, on_done):
+        if reason != "mshr_full":
+            super()._block(request, set_index, reason, on_done)
+            return
+        blocked_at = self._queue.now
+        self._c_blocked_mshr_full.add()
+
+        def retry() -> None:
+            now = self._queue.now
+            if self.mshrs.full:
+                self._schedule(self._mshr_retry_period, retry)
+                return
+            stall = now - blocked_at
+            if stall > 0:
+                self._c_stall_cycles_alloc.add(stall)
+                self._c_stall_cycles.add(stall)
+                if self.set_monitor is not None:
+                    self.set_monitor.record_stall(set_index, stall)
+            grant = self.port.grant(now)
+            self._schedule_at(
+                grant, lambda: self._lookup(request, on_done, first_attempt=False)
+            )
+
+        self._schedule(self._mshr_retry_period, retry)
+
+
+class WakeLog:
+    """Set-monitor stand-in: logs every MSHR wake-up, in order, as
+    ``(cache label, set index, stall cycles)``."""
+
+    def __init__(self, label: str, log: list) -> None:
+        self.label = label
+        self.log = log
+
+    def record_miss(self, set_index: int, is_store: bool) -> None:
+        pass
+
+    def record_bypass(self, set_index: int, is_store: bool) -> None:
+        pass
+
+    def record_stall(self, set_index: int, cycles: int) -> None:
+        self.log.append((self.label, set_index, cycles))
+
+
+def polling_cache(
+    sim: Simulator,
+    stats: StatsCollector,
+    label: str,
+    latency: int,
+    log: Optional[list] = None,
+    cls: type = Cache,
+) -> Cache:
+    """A 2-MSHR cache whose 8 ports look up every access of a cycle in that
+    cycle, over a backend answering after ``latency`` cycles; each address
+    ``i * 64`` maps to set ``i``."""
+    cache = cls(
+        name=f"l1.{label}",
+        config=small_config(size_bytes=64 * 64, mshrs=2, ports=8),
+        sim=sim,
+        stats=stats,
+        downstream=Backend(sim, latency),
+        stat_prefix=f"l1.{label}",
+    )
+    if log is not None:
+        cache.set_monitor = WakeLog(label, log)
+    return cache
+
+
+def ignore(_request: MemoryRequest) -> None:
+    pass
+
+
+class TestMshrPollGroups:
+    """Requests blocked on a full MSHR file poll every 64 cycles; the polls
+    that sit next to each other in one cycle's bucket fire as one event.
+    Every poll must keep the bucket slot it would hold as its own event."""
+
+    def test_event_between_two_polls_keeps_its_place(self, sim, stats):
+        log: list = []
+        cache = polling_cache(sim, stats, "a", latency=30, log=log)
+        for line in range(3):  # lines 0, 1 take both MSHRs; line 2 polls
+            cache.access(load(line * 64), ignore)
+        # queued for cycle 64 after line 2's poll, before line 3's
+        sim.schedule(0, lambda: sim.schedule_at(64, lambda: log.append("event")))
+        cache.access(load(3 * 64), ignore)
+        sim.run()
+        # the fills free both entries at 40: each poll wakes at 64, around
+        # the event (poll, event, poll -- not poll, poll, event)
+        assert log == [("a", 2, 64), "event", ("a", 3, 64)]
+
+    def test_full_file_reparks_earlier_polls_and_later_ones_wake(self, sim, stats):
+        # one group holds two caches' polls: "slow"'s file is still full at
+        # 64, "fast"'s freed at 40
+        log: list = []
+        slow = polling_cache(sim, stats, "slow", latency=100, log=log)
+        fast = polling_cache(sim, stats, "fast", latency=30, log=log)
+        for line in range(2):
+            slow.access(load(line * 64), ignore)
+            fast.access(load(line * 64), ignore)
+        for line, cache in zip((2, 3, 4, 5), (slow, slow, fast, fast)):
+            cache.access(load(line * 64), ignore)
+        executed = []
+        probe = lambda: executed.append(sim.queue.executed)  # noqa: E731
+        sim.schedule(0, lambda: sim.schedule_at(64, probe))  # after the polls
+        sim.run()
+        # at 64 the slow polls re-park and the fast ones wake, in order;
+        # the slow polls wake at 128 in their original order
+        assert log == [
+            ("fast", 4, 64),
+            ("fast", 5, 64),
+            ("slow", 2, 128),
+            ("slow", 3, 128),
+        ]
+        # up to the probe: 8 lookups and the probe's scheduling, 4
+        # downstream calls, the fast fills and their 2 completions, then
+        # the 4 polls, each counted once
+        assert executed == [8 + 1 + 4 + 2 + 2 + 4 + 1]
+
+    def test_all_full_group_moves_as_one_and_keeps_its_place(self, sim, stats):
+        log: list = []
+        cache = polling_cache(sim, stats, "a", latency=80, log=log)
+        for line in range(4):  # lines 0, 1 fill at 90; lines 2, 3 poll
+            cache.access(load(line * 64), ignore)
+
+        def between() -> None:  # fires at 64 between the two poll groups
+            sim.schedule_at(128, lambda: log.append("mid"))
+
+        sim.schedule(0, lambda: sim.schedule_at(64, between))
+        cache.access(load(4 * 64), ignore)  # polls after ``between``
+        sim.schedule_at(128, lambda: log.append("early"))
+        sim.run(until=64)
+        # both groups found the file full at 64 and each moved as one
+        # callback: cycle 90 holds the two fills, cycle 128 holds early,
+        # group {2, 3}, mid, group {4}
+        assert sim.queue.pending == 2 + 4
+        sim.run()
+        # line 4 wakes after mid; its lookup then finds both entries taken
+        # by lines 2 and 3, so it blocks again and next wakes at 256
+        assert log == [
+            "early",
+            ("a", 2, 128),
+            ("a", 3, 128),
+            "mid",
+            ("a", 4, 128),
+            ("a", 4, 128),
+        ]
+
+    @staticmethod
+    def _churn(cls: type) -> tuple[dict, list, list, int, int]:
+        """Two caches on one queue under a load stream that keeps both MSHR
+        files full: counters, wake-up log, completion log, executed events
+        and end cycle."""
+        sim, stats = Simulator(), StatsCollector()
+        wakes: list = []
+        done: list = []
+        caches = [
+            polling_cache(sim, stats, "a", latency=150, log=wakes, cls=cls),
+            polling_cache(sim, stats, "b", latency=230, log=wakes, cls=cls),
+        ]
+        for i in range(120):
+            cache = caches[i % 2]
+            request = load(((i * 13) % 40) * 64)
+
+            def issue(cache=cache, request=request, i=i) -> None:
+                cache.access(request, lambda r, i=i: done.append((i, sim.now)))
+
+            sim.schedule_at((i * 37) % 400, issue)
+        sim.run()
+        return stats.counters(), wakes, done, sim.queue.executed, sim.now
+
+    def test_counters_and_timing_equal_the_closure_model(self):
+        grouped = self._churn(Cache)
+        counters = grouped[0]
+        assert counters["l1.a.blocked_mshr_full"] > 10
+        assert counters["l1.b.blocked_mshr_full"] > 10
+        assert grouped == self._churn(ClosureCache)

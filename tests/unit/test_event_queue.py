@@ -236,3 +236,48 @@ class TestProfiledRun:
         queue.run_profiled(SimProfiler())
         assert order[-1] == ("d", 9)
         assert queue.pending == 0
+
+
+class TestCreditedEvents:
+    """A callback that stands for several events credits the others: they
+    count as executed, against ``max_events`` and in the profiler."""
+
+    @staticmethod
+    def _schedule(queue, order):
+        def group():  # stands for 4 events
+            order.append("group")
+            queue.credit(3)
+
+        queue.schedule(1, group)
+        queue.schedule(1, lambda: order.append("next"))
+
+    @pytest.mark.parametrize("profiled", [False, True], ids=["run", "run_profiled"])
+    def test_budget_counts_credited_events_and_never_splits_a_callback(self, profiled):
+        from repro.telemetry.profiler import SimProfiler
+
+        queue = EventQueue()
+        order = []
+        self._schedule(queue, order)
+
+        def run(**kwargs):
+            if profiled:
+                return queue.run_profiled(SimProfiler(), **kwargs)
+            return queue.run(**kwargs)
+
+        # the budget of 1 is reached inside the group, which still fires
+        # whole: the run overshoots by the 3 events it credited, then stops
+        run(max_events=1)
+        assert order == ["group"] and queue.executed == 4
+        run(max_events=1)
+        assert order == ["group", "next"] and queue.executed == 5
+
+    def test_profiler_charges_every_credited_event(self):
+        from repro.telemetry.profiler import SimProfiler
+
+        queue = EventQueue()
+        self._schedule(queue, [])
+        profiler = SimProfiler()
+        queue.run_profiled(profiler)
+        assert profiler.events == queue.executed == 5
+        summary = profiler.summary()
+        assert sum(c["events"] for c in summary["components"]) == 5
