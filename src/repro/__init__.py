@@ -35,158 +35,93 @@ Quickstart::
         print(policy.name, report.cycles, report.dram_accesses)
 """
 
-from repro.accel import SamplingConfig, ShardConfig
-from repro.adaptive import (
-    AdaptiveConfig,
-    DynamicPolicyController,
-    DynamicPolicyEngine,
-    PhaseDetector,
-    SetDuelingMonitor,
-)
-from repro.config import (
-    CacheConfig,
-    DramConfig,
-    GpuConfig,
-    InterconnectConfig,
-    SystemConfig,
-    default_config,
-    paper_config,
-    scaled_config,
-)
-from repro.core import (
-    CACHE_R,
-    CACHE_RW,
-    CACHE_RW_AB,
-    CACHE_RW_CR,
-    CACHE_RW_PCBY,
-    OPTIMIZED_POLICIES,
-    STATIC_POLICIES,
-    UNCACHED,
-    DirtyBlockIndex,
-    PolicyAdvisor,
-    PolicyEngine,
-    PolicySpec,
-    ReusePredictor,
-    WorkloadCategory,
-    classify,
-    policy_by_name,
-)
-from repro.faults import (
-    FAULT_PLAN_NAMES,
-    FAULT_PLANS,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    fault_plan_by_name,
-    generate_fault_plan,
-)
-from repro.session import SimulationSession, simulate
-from repro.spec import JobSpec
-from repro.stats import PolicyComparison, RunReport
-from repro.telemetry import (
-    MetricsSampler,
-    SimProfiler,
-    TelemetryConfig,
-    TraceRecorder,
-    validate_trace,
-)
-from repro.streams import (
-    MIX_NAMES,
-    SERVING_MIXES,
-    ServingMix,
-    StreamConfig,
-    mix_by_name,
-)
-from repro.topology import (
-    TOPOLOGIES,
-    TOPOLOGY_NAMES,
-    TopologyConfig,
-    topology_by_name,
-)
-from repro.workloads import (
-    WORKLOAD_NAMES,
-    Workload,
-    WorkloadTrace,
-    get_workload,
-    standard_suite,
-    workload_metadata_table,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # configuration
-    "CacheConfig",
-    "DramConfig",
-    "GpuConfig",
-    "InterconnectConfig",
-    "SystemConfig",
-    "default_config",
-    "paper_config",
-    "scaled_config",
-    # policies and optimizations
-    "PolicySpec",
-    "UNCACHED",
-    "CACHE_R",
-    "CACHE_RW",
-    "CACHE_RW_AB",
-    "CACHE_RW_CR",
-    "CACHE_RW_PCBY",
-    "STATIC_POLICIES",
-    "OPTIMIZED_POLICIES",
-    "policy_by_name",
-    "PolicyEngine",
-    "DirtyBlockIndex",
-    "ReusePredictor",
-    "PolicyAdvisor",
-    "WorkloadCategory",
-    "classify",
-    # online adaptive policy selection
-    "AdaptiveConfig",
-    "DynamicPolicyController",
-    "DynamicPolicyEngine",
-    "PhaseDetector",
-    "SetDuelingMonitor",
-    # multi-device NUMA topologies
-    "TopologyConfig",
-    "TOPOLOGIES",
-    "TOPOLOGY_NAMES",
-    "topology_by_name",
-    # multi-tenant serving streams
-    "StreamConfig",
-    "ServingMix",
-    "SERVING_MIXES",
-    "MIX_NAMES",
-    "mix_by_name",
-    # fault injection and graceful degradation
-    "FaultEvent",
-    "FaultPlan",
-    "FaultInjector",
-    "FAULT_PLANS",
-    "FAULT_PLAN_NAMES",
-    "fault_plan_by_name",
-    "generate_fault_plan",
-    # acceleration: phase-sampled fast-forward + sharded execution
-    "SamplingConfig",
-    "ShardConfig",
-    # simulation
-    "JobSpec",
-    "SimulationSession",
-    "simulate",
-    "RunReport",
-    "PolicyComparison",
-    # telemetry / observability
-    "TelemetryConfig",
-    "TraceRecorder",
-    "MetricsSampler",
-    "SimProfiler",
-    "validate_trace",
-    # workloads
-    "Workload",
-    "WorkloadTrace",
-    "WORKLOAD_NAMES",
-    "get_workload",
-    "standard_suite",
-    "workload_metadata_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        # configuration
+        "repro.config": (
+            "CacheConfig",
+            "DramConfig",
+            "GpuConfig",
+            "InterconnectConfig",
+            "SystemConfig",
+            "default_config",
+            "paper_config",
+            "scaled_config",
+        ),
+        # policies and optimizations
+        "repro.core.policies": (
+            "PolicySpec",
+            "UNCACHED",
+            "CACHE_R",
+            "CACHE_RW",
+            "CACHE_RW_AB",
+            "CACHE_RW_CR",
+            "CACHE_RW_PCBY",
+            "STATIC_POLICIES",
+            "OPTIMIZED_POLICIES",
+            "policy_by_name",
+        ),
+        "repro.core.policy_engine": ("PolicyEngine",),
+        "repro.core.dirty_block_index": ("DirtyBlockIndex",),
+        "repro.core.reuse_predictor": ("ReusePredictor",),
+        "repro.core.advisor": ("PolicyAdvisor",),
+        "repro.core.classification": ("WorkloadCategory", "classify"),
+        # online adaptive policy selection
+        "repro.adaptive.config": ("AdaptiveConfig",),
+        "repro.adaptive.controller": ("DynamicPolicyController", "DynamicPolicyEngine"),
+        "repro.adaptive.phase": ("PhaseDetector",),
+        "repro.adaptive.set_dueling": ("SetDuelingMonitor",),
+        # multi-device NUMA topologies
+        "repro.topology.config": (
+            "TopologyConfig",
+            "TOPOLOGIES",
+            "TOPOLOGY_NAMES",
+            "topology_by_name",
+        ),
+        # multi-tenant serving streams
+        "repro.streams.config": (
+            "StreamConfig",
+            "ServingMix",
+            "SERVING_MIXES",
+            "MIX_NAMES",
+            "mix_by_name",
+        ),
+        # fault injection and graceful degradation
+        "repro.faults.config": (
+            "FaultEvent",
+            "FaultPlan",
+            "FAULT_PLANS",
+            "FAULT_PLAN_NAMES",
+            "fault_plan_by_name",
+            "generate_fault_plan",
+        ),
+        "repro.faults.injector": ("FaultInjector",),
+        # acceleration: phase-sampled fast-forward + sharded execution
+        "repro.accel.config": ("SamplingConfig", "ShardConfig"),
+        # simulation
+        "repro.spec": ("JobSpec",),
+        "repro.session": ("SimulationSession", "simulate"),
+        "repro.stats.report": ("RunReport",),
+        "repro.stats.comparison": ("PolicyComparison",),
+        # telemetry / observability
+        "repro.telemetry.config": ("TelemetryConfig",),
+        "repro.telemetry.trace": ("TraceRecorder", "validate_trace"),
+        "repro.telemetry.metrics": ("MetricsSampler",),
+        "repro.telemetry.profiler": ("SimProfiler",),
+        # workloads
+        "repro.workloads.base": ("Workload",),
+        "repro.workloads.trace": ("WorkloadTrace",),
+        "repro.workloads.registry": (
+            "WORKLOAD_NAMES",
+            "get_workload",
+            "standard_suite",
+            "workload_metadata_table",
+        ),
+    },
+)
+__all__.insert(0, "__version__")

@@ -13,14 +13,16 @@ Both default to *off*; exact mode (sampling disabled, one shard) is
 bit-identical to a run that never heard of this package.
 """
 
-from repro.accel.config import SHARD_AXES, SamplingConfig, ShardConfig
-from repro.accel.sampling import ExtrapolationResult, KernelSampler, kernel_signature
+from repro._exports import lazy_exports
 
-__all__ = [
-    "SHARD_AXES",
-    "SamplingConfig",
-    "ShardConfig",
-    "ExtrapolationResult",
-    "KernelSampler",
-    "kernel_signature",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.accel.config": ("SHARD_AXES", "SamplingConfig", "ShardConfig"),
+        "repro.accel.sampling": (
+            "ExtrapolationResult",
+            "KernelSampler",
+            "kernel_signature",
+        ),
+    },
+)

@@ -23,18 +23,14 @@ configuration and is content-fingerprinted, so adaptive runs cache in the
 persistent result store exactly like static runs do.
 """
 
-from repro.adaptive.config import AdaptiveConfig
-from repro.adaptive.controller import DynamicPolicyController, DynamicPolicyEngine
-from repro.adaptive.phase import PhaseDetector, PhaseSample, phase_changed
-from repro.adaptive.set_dueling import DuelScore, SetDuelingMonitor
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AdaptiveConfig",
-    "DuelScore",
-    "DynamicPolicyController",
-    "DynamicPolicyEngine",
-    "PhaseDetector",
-    "PhaseSample",
-    "SetDuelingMonitor",
-    "phase_changed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.adaptive.config": ("AdaptiveConfig",),
+        "repro.adaptive.set_dueling": ("DuelScore", "SetDuelingMonitor"),
+        "repro.adaptive.controller": ("DynamicPolicyController", "DynamicPolicyEngine"),
+        "repro.adaptive.phase": ("PhaseDetector", "PhaseSample", "phase_changed"),
+    },
+)

@@ -60,98 +60,45 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.adaptive import AdaptiveConfig
 from repro.config import default_config, scaled_config
 from repro.core.policies import ALL_POLICIES, STATIC_POLICIES, policy_by_name
-from repro.experiments import (
-    ExperimentRunner,
-    adaptive_summary,
-    artifact,
-    figure14_adaptive,
-    figure4_gvops,
-    figure5_gmrs,
-    figure6_execution_time,
-    figure7_dram_accesses,
-    figure8_cache_stalls,
-    figure9_row_hit_rate,
-    figure10_execution_time,
-    figure11_dram_accesses,
-    figure12_cache_stalls,
-    figure13_row_hit_rate,
-    render_series_table,
-    series,
-    summarize,
-    table1_system_configuration,
-    table2_workloads,
-)
-from repro.experiments.render import render_kv_table
-from repro.experiments.scaling import (
-    SCALING_COLUMNS,
-    SCALING_DEVICES,
-    SCALING_WORKLOADS,
-    figure_scaling,
-)
-from repro.experiments.interference import (
-    CU_MODES,
-    INTERFERENCE_COLUMNS,
-    INTERFERENCE_POLICIES,
-    figure_interference,
-    mix_is_partitionable,
-)
-from repro.experiments.resilience import (
-    DEFAULT_RESILIENCE_MIXES,
-    DEFAULT_RESILIENCE_PLANS,
-    RESILIENCE_COLUMNS,
-    RESILIENCE_POLICIES,
-    figure_resilience,
-    plan_is_runnable,
-)
-from repro.experiments.study import Column, Figure
-from repro.experiments.store import ResultStore, default_cache_dir
-from repro.faults import FAULT_PLAN_NAMES, FAULT_PLANS, fault_plan_by_name
+from repro.experiments.interference import CU_MODES, INTERFERENCE_POLICIES
+from repro.experiments.render import render_kv_table, render_series_table
+from repro.experiments.resilience import DEFAULT_RESILIENCE_MIXES, RESILIENCE_POLICIES
+from repro.experiments.scaling import SCALING_DEVICES, SCALING_WORKLOADS
+from repro.experiments.store import default_cache_dir
+from repro.faults.config import FAULT_PLAN_NAMES
 from repro.ioutil import atomic_write_json
 from repro.log import configure as configure_logging
-from repro.accel import SamplingConfig
-from repro.obs import (
-    CORE_BENCHMARK,
-    EFFECTIVE_BENCHMARK,
-    AlertConfig,
-    ObsConfig,
-    RunLedger,
-    append_history,
-    committed_baseline,
-    default_history_path,
-    diff_reports,
-    evaluate_measurement,
-    load_history,
-    measure_core_throughput,
-    measure_effective_throughput,
-    render_diff_markdown,
-    render_diff_table,
-    resolve_report,
-)
-from repro.session import SimulationSession
-from repro.spec import JobSpec
-from repro.telemetry import TelemetryConfig, validate_trace
-from repro.streams import MIX_NAMES, SERVING_MIXES, mix_by_name
-from repro.topology import TOPOLOGIES, TOPOLOGY_NAMES, TopologyConfig, topology_by_name
-from repro.workloads.registry import WORKLOAD_NAMES, get_workload
+from repro.streams.config import MIX_NAMES
+from repro.topology.config import TOPOLOGY_NAMES
+from repro.workloads.registry import WORKLOAD_NAMES
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentRunner
+    from repro.experiments.study import Column, Figure
+    from repro.obs.config import ObsConfig
+    from repro.obs.ledger import RunLedger
+    from repro.session import SimulationSession
+    from repro.telemetry.config import TelemetryConfig
 
 __all__ = ["main", "build_parser"]
 
+#: figure number -> (title, builder in :mod:`repro.experiments`, value
+#: format); the builder's study module is imported when the figure is drawn
 _FIGURES = {
-    "4": ("Figure 4: compute bandwidth (GVOPS), CacheR", figure4_gvops, "{:.1f}"),
-    "5": ("Figure 5: memory request bandwidth (GMR/s), CacheR", figure5_gmrs, "{:.3f}"),
-    "6": ("Figure 6: execution time normalized to Uncached", figure6_execution_time, "{:.3f}"),
-    "7": ("Figure 7: DRAM accesses normalized to Uncached", figure7_dram_accesses, "{:.3f}"),
-    "8": ("Figure 8: cache stalls per memory request", figure8_cache_stalls, "{:.3f}"),
-    "9": ("Figure 9: DRAM row-buffer hit ratio", figure9_row_hit_rate, "{:.3f}"),
-    "10": ("Figure 10: execution time normalized to best static", figure10_execution_time, "{:.3f}"),
-    "11": ("Figure 11: DRAM accesses normalized to Uncached", figure11_dram_accesses, "{:.3f}"),
-    "12": ("Figure 12: cache stalls per memory request", figure12_cache_stalls, "{:.3f}"),
-    "13": ("Figure 13: DRAM row-buffer hit ratio", figure13_row_hit_rate, "{:.3f}"),
+    "4": ("Figure 4: compute bandwidth (GVOPS), CacheR", "figure4_gvops", "{:.1f}"),
+    "5": ("Figure 5: memory request bandwidth (GMR/s), CacheR", "figure5_gmrs", "{:.3f}"),
+    "6": ("Figure 6: execution time normalized to Uncached", "figure6_execution_time", "{:.3f}"),
+    "7": ("Figure 7: DRAM accesses normalized to Uncached", "figure7_dram_accesses", "{:.3f}"),
+    "8": ("Figure 8: cache stalls per memory request", "figure8_cache_stalls", "{:.3f}"),
+    "9": ("Figure 9: DRAM row-buffer hit ratio", "figure9_row_hit_rate", "{:.3f}"),
+    "10": ("Figure 10: execution time normalized to best static", "figure10_execution_time", "{:.3f}"),
+    "11": ("Figure 11: DRAM accesses normalized to Uncached", "figure11_dram_accesses", "{:.3f}"),
+    "12": ("Figure 12: cache stalls per memory request", "figure12_cache_stalls", "{:.3f}"),
+    "13": ("Figure 13: DRAM row-buffer hit ratio", "figure13_row_hit_rate", "{:.3f}"),
 }
 
 
@@ -687,6 +634,8 @@ def _runner(
     picks the conventional persistent store (the studies); ``sweep`` and
     ``figure`` keep results in-process unless asked.
     """
+    from repro.experiments.runner import ExperimentRunner
+
     return ExperimentRunner(
         scale=args.scale,
         config=_system_config(args),
@@ -706,19 +655,26 @@ def _telemetry_config(args: argparse.Namespace, profile: bool = False) -> Teleme
     if not interval and getattr(args, "alerts", False):
         # the anomaly detectors read windowed metrics, so --alerts without
         # an explicit --metrics-interval gets the detectors' default cadence
+        from repro.obs.alerts import AlertConfig
+
         interval = AlertConfig().default_metrics_interval
     if not trace_out and not interval and not profile:
         return None
+    from repro.telemetry.config import TelemetryConfig
+
     return TelemetryConfig(trace=bool(trace_out), metrics_interval=interval, profile=profile)
 
 
 def _obs_config(args: argparse.Namespace) -> ObsConfig | None:
     """The :class:`ObsConfig` the run-level flags request (or None)."""
     ledger = getattr(args, "ledger", None)
-    alerts = AlertConfig() if getattr(args, "alerts", False) else None
-    if ledger is None and alerts is None:
+    alerts = getattr(args, "alerts", False)
+    if ledger is None and not alerts:
         return None
-    return ObsConfig(ledger_path=ledger, alerts=alerts)
+    from repro.obs.alerts import AlertConfig
+    from repro.obs.config import ObsConfig
+
+    return ObsConfig(ledger_path=ledger, alerts=AlertConfig() if alerts else None)
 
 
 def _print_alerts(report, command: str) -> None:
@@ -750,6 +706,8 @@ def _write_trace(path: str, session: SimulationSession, command: str) -> None:
     ``otherData`` for free-form payload), so one artifact carries the full
     observability record of the run.
     """
+    from repro.telemetry.trace import validate_trace
+
     recorder = session.recorder
     assert recorder is not None  # callers only trace with trace=True
     blob = recorder.to_dict()
@@ -782,6 +740,8 @@ def _print_study(
     summary_title: str,
 ) -> dict[str, dict[str, float]]:
     """Print one table per (title, metric) and the summary; return the summary."""
+    from repro.experiments.study import series, summarize
+
     for title, metric in tables:
         print(render_series_table(title, series(figure, metric)))
     summary = summarize(figure, columns)
@@ -795,6 +755,9 @@ def _replay(args: argparse.Namespace, label: str, **axes: object) -> None:
     The study's cells ran in workers (or came from the store), so the
     trace and alert observers attach to one designated replay instead.
     """
+    from repro.session import SimulationSession
+    from repro.spec import JobSpec
+
     spec = JobSpec(config=_system_config(args), **axes)  # type: ignore[arg-type]
     session = SimulationSession(
         spec, telemetry=_telemetry_config(args), obs=_obs_config(args)
@@ -860,6 +823,12 @@ def _list_payload() -> dict[str, object]:
     CI and scripts enumerate scenarios from this instead of parsing the
     human-formatted table, so the schema is part of the CLI contract.
     """
+    from repro.adaptive.config import AdaptiveConfig
+    from repro.faults.config import FAULT_PLANS
+    from repro.streams.config import SERVING_MIXES
+    from repro.topology.config import TOPOLOGIES
+    from repro.workloads.registry import get_workload
+
     return {
         "schema": 1,
         "workloads": [
@@ -904,6 +873,12 @@ def _list_payload() -> dict[str, object]:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.adaptive.config import AdaptiveConfig
+    from repro.faults.config import FAULT_PLANS
+    from repro.streams.config import SERVING_MIXES
+    from repro.topology.config import TOPOLOGIES
+    from repro.workloads.registry import get_workload
+
     if args.json:
         print(json.dumps(_list_payload(), indent=1, sort_keys=True))
         return 0
@@ -940,6 +915,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.accel.config import SamplingConfig
+    from repro.session import SimulationSession
+    from repro.spec import JobSpec
+    from repro.topology.config import topology_by_name
+
     spec = JobSpec(
         workload=args.workload,
         policy=args.policy,
@@ -1003,10 +983,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return _finish(args, runner)
 
 
+def _print_figure(number: str, runner: ExperimentRunner) -> None:
+    from repro import experiments
+
+    title, builder, fmt = _FIGURES[number]
+    figure = getattr(experiments, builder)(runner)
+    print(render_series_table(title, figure, value_format=fmt))
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
-    title, builder, fmt = _FIGURES[args.number]
     runner = _runner(args, args.workloads, default_store=False)
-    print(render_series_table(title, builder(runner), value_format=fmt))
+    _print_figure(args.number, runner)
     return _finish(args, runner)
 
 
@@ -1022,8 +1009,7 @@ def _cmd_sweep_all(args: argparse.Namespace) -> int:
     policies = [policy_by_name(name) for name in args.policies]
     runner.sweep(policies=policies)
     for number in args.figures:
-        title, builder, fmt = _FIGURES[number]
-        print(render_series_table(title, builder(runner), value_format=fmt))
+        _print_figure(number, runner)
     return _finish(args, runner, f"grid={len(runner.workload_names)}x{len(policies)}")
 
 
@@ -1033,6 +1019,10 @@ def _cmd_adaptive(args: argparse.Namespace) -> int:
     The static envelope is shared with Figures 6-13 through the store, so
     a warm repeat re-simulates neither it nor the dynamic cells.
     """
+    from repro.adaptive.config import AdaptiveConfig
+    from repro.experiments.adaptive import adaptive_summary, figure14_adaptive
+    from repro.experiments.study import artifact
+
     overrides: dict[str, object] = {
         "candidates": tuple(policy_by_name(name) for name in args.candidates),
         "mid_kernel_switching": bool(args.mid_kernel),
@@ -1077,6 +1067,10 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     Every cell's fingerprint includes the :class:`TopologyConfig`, so a
     warm repeat simulates nothing and the stderr stats line proves it.
     """
+    from repro.experiments.scaling import SCALING_COLUMNS, figure_scaling
+    from repro.experiments.study import artifact
+    from repro.topology.config import TopologyConfig, topology_by_name
+
     devices = sorted(set(args.devices))
     if 1 not in devices:
         print(
@@ -1145,6 +1139,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     the solo baselines are plain single-workload cells shared with the
     ordinary sweeps, so a warm repeat simulates nothing.
     """
+    from repro.experiments.interference import (
+        INTERFERENCE_COLUMNS,
+        figure_interference,
+        mix_is_partitionable,
+    )
+    from repro.experiments.study import artifact
+    from repro.streams.config import mix_by_name
+
     mixes = [mix_by_name(name) for name in (args.mix or MIX_NAMES)]
     policies = [policy_by_name(name) for name in args.policies]
     modes = list(CU_MODES) if args.cu_partition == "both" else [args.cu_partition]
@@ -1217,6 +1219,17 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     unpartitionable mixes.  Determinism makes chaos cacheable, so a warm
     repeat simulates nothing.
     """
+    from repro.experiments.resilience import (
+        DEFAULT_RESILIENCE_PLANS,
+        RESILIENCE_COLUMNS,
+        figure_resilience,
+        plan_is_runnable,
+    )
+    from repro.experiments.study import artifact
+    from repro.faults.config import FAULT_PLANS, fault_plan_by_name
+    from repro.streams.config import mix_by_name
+    from repro.topology.config import topology_by_name
+
     mixes = [mix_by_name(name) for name in (args.mix or DEFAULT_RESILIENCE_MIXES)]
     policies = [policy_by_name(name) for name in args.policies]
     plans = [
@@ -1326,8 +1339,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     reports simulator throughput and per-component callback attribution).
     The trace is validated before it is written.
     """
+    from repro.faults.config import fault_plan_by_name
+    from repro.session import SimulationSession
+    from repro.spec import JobSpec
+    from repro.streams.config import mix_by_name
+    from repro.telemetry.config import TelemetryConfig
+    from repro.topology.config import topology_by_name
+
     interval = args.metrics_interval or 0
     if not interval and args.alerts:
+        from repro.obs.alerts import AlertConfig
+
         interval = AlertConfig().default_metrics_interval
     telemetry = TelemetryConfig(trace=True, metrics_interval=interval, profile=True)
     try:
@@ -1391,8 +1413,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if cache_dir is None:
         print("error: cache command needs a store (--cache-dir)", file=sys.stderr)
         return 2
-    from pathlib import Path
-
     if not Path(cache_dir).expanduser().is_dir():
         # the lifecycle commands inspect an existing store; creating a
         # directory as a side effect would make a typo look like a
@@ -1406,6 +1426,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         if args.max_age_days < 0:
             print("error: --max-age-days must be non-negative", file=sys.stderr)
             return 2
+    from repro.experiments.store import ResultStore
+    from repro.obs.ledger import RunLedger
+
     store = ResultStore(cache_dir)
     if args.action == "stats":
         payload: dict[str, object] = dict(store.stats())
@@ -1453,6 +1476,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _ledger_for(args: argparse.Namespace) -> RunLedger:
     """The ledger the --ledger flag names (or the conventional default)."""
+    from repro.obs.ledger import RunLedger
+
     path = getattr(args, "ledger", None)
     return RunLedger(path) if path else RunLedger()
 
@@ -1547,6 +1572,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from repro.experiments.store import ResultStore
+    from repro.obs.diff import (
+        diff_reports,
+        render_diff_markdown,
+        render_diff_table,
+        resolve_report,
+    )
+
     store = None
     cache_dir = _cache_dir(args, default_to_conventional=True)
     if cache_dir is not None and Path(cache_dir).expanduser().is_dir():
@@ -1583,6 +1616,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.samples < 1:
         print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 2
+    from repro.obs.bench import (
+        CORE_BENCHMARK,
+        EFFECTIVE_BENCHMARK,
+        append_history,
+        committed_baseline,
+        default_history_path,
+        evaluate_measurement,
+        load_history,
+        measure_core_throughput,
+        measure_effective_throughput,
+    )
+
     history_path = Path(args.history).expanduser() if args.history else default_history_path()
     effective = getattr(args, "benchmark", "core") == "effective"
     measure = measure_effective_throughput if effective else measure_core_throughput
@@ -1654,6 +1699,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.experiments.tables import table1_system_configuration, table2_workloads
+
     if args.number == "1":
         tables = table1_system_configuration(config=_system_config(args))
         print(render_kv_table("Table 1 (simulated, scaled configuration)", tables["simulated"]))

@@ -16,43 +16,32 @@
   simple adaptive policy advisor.
 """
 
-from repro.core.policies import (
-    CACHE_R,
-    CACHE_RW,
-    CACHE_RW_AB,
-    CACHE_RW_CR,
-    CACHE_RW_PCBY,
-    OPTIMIZED_POLICIES,
-    STATIC_POLICIES,
-    UNCACHED,
-    PolicySpec,
-    policy_by_name,
-)
-from repro.core.allocation_bypass import AllocationBypassSpec
-from repro.core.dirty_block_index import DirtyBlockIndex
-from repro.core.reuse_predictor import ReusePredictor
-from repro.core.policy_engine import PolicyEngine
-from repro.core.classification import WorkloadCategory, classify
-from repro.core.advisor import PolicyAdvisor, static_best_policy, static_worst_policy
+from repro._exports import lazy_exports
 
-__all__ = [
-    "PolicySpec",
-    "UNCACHED",
-    "CACHE_R",
-    "CACHE_RW",
-    "CACHE_RW_AB",
-    "CACHE_RW_CR",
-    "CACHE_RW_PCBY",
-    "STATIC_POLICIES",
-    "OPTIMIZED_POLICIES",
-    "policy_by_name",
-    "AllocationBypassSpec",
-    "DirtyBlockIndex",
-    "ReusePredictor",
-    "PolicyEngine",
-    "WorkloadCategory",
-    "classify",
-    "PolicyAdvisor",
-    "static_best_policy",
-    "static_worst_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.policies": (
+            "PolicySpec",
+            "UNCACHED",
+            "CACHE_R",
+            "CACHE_RW",
+            "CACHE_RW_AB",
+            "CACHE_RW_CR",
+            "CACHE_RW_PCBY",
+            "STATIC_POLICIES",
+            "OPTIMIZED_POLICIES",
+            "policy_by_name",
+        ),
+        "repro.core.allocation_bypass": ("AllocationBypassSpec",),
+        "repro.core.dirty_block_index": ("DirtyBlockIndex",),
+        "repro.core.reuse_predictor": ("ReusePredictor",),
+        "repro.core.policy_engine": ("PolicyEngine",),
+        "repro.core.classification": ("WorkloadCategory", "classify"),
+        "repro.core.advisor": (
+            "PolicyAdvisor",
+            "static_best_policy",
+            "static_worst_policy",
+        ),
+    },
+)

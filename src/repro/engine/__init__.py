@@ -9,13 +9,13 @@ structures such as cache ports, SIMD issue slots and DRAM data buses
 without per-cycle polling.
 """
 
-from repro.engine.event_queue import EventQueue
-from repro.engine.resources import ThroughputResource, WaitQueue
-from repro.engine.simulator import Simulator
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EventQueue",
-    "Simulator",
-    "ThroughputResource",
-    "WaitQueue",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.engine.event_queue": ("EventQueue",),
+        "repro.engine.simulator": ("Simulator",),
+        "repro.engine.resources": ("ThroughputResource", "WaitQueue"),
+    },
+)

@@ -81,9 +81,10 @@ class EventQueue:
     def schedule(self, delay: int | float, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
 
-        Delays are rounded up to whole cycles; negative delays are an error.
-        Integer delays (the overwhelmingly common case) skip the rounding
-        entirely.
+        A fractional delay is rounded to the nearest whole cycle, ties to
+        even (Python's ``round``: 1.4 -> 1, 0.5 -> 0, 2.5 -> 2); negative
+        delays are an error.  Integer delays (the overwhelmingly common
+        case) skip the rounding entirely.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
@@ -96,7 +97,11 @@ class EventQueue:
             bucket.append(callback)
 
     def schedule_at(self, time: int, callback: Callable[[], Any]) -> None:
-        """Schedule ``callback`` to run at absolute cycle ``time``."""
+        """Schedule ``callback`` to run at absolute cycle ``time``.
+
+        A fractional ``time`` is truncated toward zero to a whole cycle
+        (``int``: 11.7 -> 11); a time before ``now`` is an error.
+        """
         if time.__class__ is not int:
             time = int(time)
         if time < self.now:

@@ -39,86 +39,54 @@ Each module corresponds to a block of the paper's evaluation:
   order; ``sweep`` and ``run_one`` are static-grid shorthands over it.
 """
 
-from repro.experiments.jobs import (
-    JobFailure,
-    JobSpec,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepCheckpoint,
-    SweepExecutor,
-    execute_job,
-)
-from repro.experiments.store import ResultStore, default_cache_dir
-from repro.experiments.runner import ExperimentRunner, SweepResult
-from repro.experiments.characterization import figure4_gvops, figure5_gmrs
-from repro.experiments.static_policies import (
-    figure6_execution_time,
-    figure7_dram_accesses,
-    figure8_cache_stalls,
-    figure9_row_hit_rate,
-    static_policy_sweep,
-)
-from repro.experiments.optimizations import (
-    figure10_execution_time,
-    figure11_dram_accesses,
-    figure12_cache_stalls,
-    figure13_row_hit_rate,
-    optimization_sweep,
-)
-from repro.experiments.adaptive import (
-    adaptive_summary,
-    adaptive_sweep,
-    figure14_adaptive,
-)
-from repro.experiments.scaling import (
-    SCALING_COLUMNS,
-    figure_scaling,
-    scaling_topologies,
-)
-from repro.experiments.interference import INTERFERENCE_COLUMNS, figure_interference
-from repro.experiments.resilience import RESILIENCE_COLUMNS, figure_resilience
-from repro.experiments.study import artifact, series, summarize
-from repro.experiments.tables import table1_system_configuration, table2_workloads
-from repro.experiments.render import render_series_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentRunner",
-    "SweepResult",
-    "JobSpec",
-    "JobFailure",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "SweepCheckpoint",
-    "SweepExecutor",
-    "ResultStore",
-    "default_cache_dir",
-    "execute_job",
-    "figure4_gvops",
-    "figure5_gmrs",
-    "figure6_execution_time",
-    "figure7_dram_accesses",
-    "figure8_cache_stalls",
-    "figure9_row_hit_rate",
-    "figure10_execution_time",
-    "figure11_dram_accesses",
-    "figure12_cache_stalls",
-    "figure13_row_hit_rate",
-    "static_policy_sweep",
-    "optimization_sweep",
-    "adaptive_sweep",
-    "figure14_adaptive",
-    "adaptive_summary",
-    "figure_scaling",
-    "scaling_topologies",
-    "SCALING_COLUMNS",
-    "figure_interference",
-    "INTERFERENCE_COLUMNS",
-    "figure_resilience",
-    "RESILIENCE_COLUMNS",
-    "series",
-    "summarize",
-    "artifact",
-    "table1_system_configuration",
-    "table2_workloads",
-    "render_series_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.runner": ("ExperimentRunner", "SweepResult"),
+        "repro.experiments.jobs": (
+            "JobSpec",
+            "JobFailure",
+            "SerialBackend",
+            "ProcessPoolBackend",
+            "SweepCheckpoint",
+            "SweepExecutor",
+            "execute_job",
+        ),
+        "repro.experiments.store": ("ResultStore", "default_cache_dir"),
+        "repro.experiments.characterization": ("figure4_gvops", "figure5_gmrs"),
+        "repro.experiments.static_policies": (
+            "figure6_execution_time",
+            "figure7_dram_accesses",
+            "figure8_cache_stalls",
+            "figure9_row_hit_rate",
+            "static_policy_sweep",
+        ),
+        "repro.experiments.optimizations": (
+            "figure10_execution_time",
+            "figure11_dram_accesses",
+            "figure12_cache_stalls",
+            "figure13_row_hit_rate",
+            "optimization_sweep",
+        ),
+        "repro.experiments.adaptive": (
+            "adaptive_sweep",
+            "figure14_adaptive",
+            "adaptive_summary",
+        ),
+        "repro.experiments.scaling": (
+            "figure_scaling",
+            "scaling_topologies",
+            "SCALING_COLUMNS",
+        ),
+        "repro.experiments.interference": (
+            "figure_interference",
+            "INTERFERENCE_COLUMNS",
+        ),
+        "repro.experiments.resilience": ("figure_resilience", "RESILIENCE_COLUMNS"),
+        "repro.experiments.study": ("series", "summarize", "artifact"),
+        "repro.experiments.tables": ("table1_system_configuration", "table2_workloads"),
+        "repro.experiments.render": ("render_series_table",),
+    },
+)

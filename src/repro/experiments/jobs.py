@@ -27,20 +27,19 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
 from repro.experiments.store import ResultStore
 from repro.fingerprint import SCHEMA_VERSION, fingerprint
 from repro.ioutil import atomic_write_json
 from repro.log import get_logger
-from repro.obs.ledger import RunLedger, run_entry
-from repro.session import simulate
 from repro.spec import JobSpec
 from repro.stats.report import RunReport
+
+if TYPE_CHECKING:
+    from repro.obs.ledger import RunLedger
 
 __all__ = [
     "JobSpec",
@@ -58,7 +57,13 @@ _log = get_logger("executor")
 
 
 def execute_job(job: JobSpec) -> RunReport:
-    """Simulate one job to completion (the unit of work for all backends)."""
+    """Simulate one job to completion (the unit of work for all backends).
+
+    The simulator is imported here, by the first job that needs it, so a
+    sweep served entirely from the store never loads it.
+    """
+    from repro.session import simulate
+
     return simulate(job)
 
 
@@ -327,6 +332,11 @@ class ProcessPoolBackend:
         attempt: int,
     ) -> dict[int, BaseException]:
         """One fresh pool over the still-unfinished jobs; returns its errors."""
+        # the pool machinery (multiprocessing) loads only when a batch
+        # fans out, so a sweep served from the store never imports it
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+
         workers = self.max_workers
         if workers is not None:
             workers = min(workers, len(pending))
@@ -650,6 +660,8 @@ class SweepExecutor:
                 if checkpoint is not None:
                     checkpoint.mark_done(key)
                 if self.ledger is not None:
+                    from repro.obs.ledger import run_entry
+
                     # both backends set job_seconds[batch_index] before the
                     # callback fires, so wall time is available here
                     seconds = getattr(self.backend, "job_seconds", {}).get(batch_index)
@@ -698,6 +710,8 @@ class SweepExecutor:
         """
         if self.ledger is None:
             return None
+        from repro.obs.ledger import run_entry
+
         return self.ledger.record(
             run_entry(
                 kind="sweep",

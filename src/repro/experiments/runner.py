@@ -29,7 +29,6 @@ from repro.experiments.jobs import (
     SweepExecutor,
 )
 from repro.experiments.store import ResultStore
-from repro.obs.ledger import RunLedger
 from repro.stats.comparison import PolicyComparison
 from repro.stats.report import RunReport
 from repro.workloads.registry import WORKLOAD_NAMES
@@ -129,7 +128,11 @@ class ExperimentRunner:
                 else SerialBackend()
             )
             store = ResultStore(cache_dir) if cache_dir is not None else None
-            ledger = RunLedger(ledger_path) if ledger_path is not None else None
+            ledger = None
+            if ledger_path is not None:
+                from repro.obs.ledger import RunLedger
+
+                ledger = RunLedger(ledger_path)
             executor = SweepExecutor(backend=backend, store=store, ledger=ledger)
         self.executor = executor
         self._cache: dict[JobSpec, RunReport] = {}

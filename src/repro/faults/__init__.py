@@ -31,26 +31,20 @@ plan at all -- enforced per golden scenario in
 ``tests/integration/test_core_equivalence.py``.
 """
 
-from repro.faults.config import (
-    FAULT_KINDS,
-    FAULT_PLAN_NAMES,
-    FAULT_PLANS,
-    FaultEvent,
-    FaultPlan,
-    fault_plan_by_name,
-    generate_fault_plan,
-)
-from repro.faults.injector import DramFaultState, FaultInjector, LinkFaultState
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FAULT_KINDS",
-    "FAULT_PLAN_NAMES",
-    "FAULT_PLANS",
-    "FaultEvent",
-    "FaultPlan",
-    "fault_plan_by_name",
-    "generate_fault_plan",
-    "FaultInjector",
-    "LinkFaultState",
-    "DramFaultState",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.config": (
+            "FAULT_KINDS",
+            "FAULT_PLAN_NAMES",
+            "FAULT_PLANS",
+            "FaultEvent",
+            "FaultPlan",
+            "fault_plan_by_name",
+            "generate_fault_plan",
+        ),
+        "repro.faults.injector": ("FaultInjector", "LinkFaultState", "DramFaultState"),
+    },
+)

@@ -15,10 +15,15 @@ against a :class:`~repro.memory.hierarchy.MemoryHierarchy`:
   kernel-boundary synchronization.
 """
 
-from repro.gpu.coalescer import coalesce_addresses
-from repro.gpu.lds import LdsFilter
-from repro.gpu.compute_unit import ComputeUnit
-from repro.gpu.gpu import Gpu
-from repro.gpu.wavefront import Wavefront
+from repro._exports import lazy_exports
 
-__all__ = ["coalesce_addresses", "LdsFilter", "ComputeUnit", "Gpu", "Wavefront"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.gpu.coalescer": ("coalesce_addresses",),
+        "repro.gpu.lds": ("LdsFilter",),
+        "repro.gpu.compute_unit": ("ComputeUnit",),
+        "repro.gpu.gpu": ("Gpu",),
+        "repro.gpu.wavefront": ("Wavefront",),
+    },
+)

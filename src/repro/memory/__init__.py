@@ -8,19 +8,14 @@ assembled by :class:`~repro.memory.hierarchy.MemoryHierarchy` according to a
 whether it is cached, bypassed, coalesced or rinsed.
 """
 
-from repro.memory.request import AccessType, MemoryRequest
-from repro.memory.cache import Cache, CacheLine, LineState
-from repro.memory.dram import DramBank, DramChannel, DramSystem
-from repro.memory.hierarchy import MemoryHierarchy
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AccessType",
-    "MemoryRequest",
-    "Cache",
-    "CacheLine",
-    "LineState",
-    "DramBank",
-    "DramChannel",
-    "DramSystem",
-    "MemoryHierarchy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.memory.request": ("AccessType", "MemoryRequest"),
+        "repro.memory.cache": ("Cache", "CacheLine", "LineState"),
+        "repro.memory.dram": ("DramBank", "DramChannel", "DramSystem"),
+        "repro.memory.hierarchy": ("MemoryHierarchy",),
+    },
+)

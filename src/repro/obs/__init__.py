@@ -13,52 +13,31 @@ disabled executes the exact historical code path (pinned by the
 equivalence suites).
 """
 
-from repro.obs.alerts import Alert, AlertConfig, detect_anomalies
-from repro.obs.bench import (
-    CORE_BENCHMARK,
-    EFFECTIVE_BENCHMARK,
-    BenchMeasurement,
-    append_history,
-    committed_baseline,
-    default_history_path,
-    evaluate_measurement,
-    load_history,
-    measure_core_throughput,
-    measure_effective_throughput,
-)
-from repro.obs.config import ObsConfig
-from repro.obs.diff import (
-    diff_reports,
-    render_diff_markdown,
-    render_diff_table,
-    resolve_report,
-)
-from repro.obs.ledger import (
-    RunLedger,
-    default_ledger_path,
-    run_entry,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Alert",
-    "AlertConfig",
-    "BenchMeasurement",
-    "CORE_BENCHMARK",
-    "EFFECTIVE_BENCHMARK",
-    "ObsConfig",
-    "RunLedger",
-    "append_history",
-    "committed_baseline",
-    "default_history_path",
-    "default_ledger_path",
-    "detect_anomalies",
-    "diff_reports",
-    "evaluate_measurement",
-    "load_history",
-    "measure_core_throughput",
-    "measure_effective_throughput",
-    "render_diff_markdown",
-    "render_diff_table",
-    "resolve_report",
-    "run_entry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.alerts": ("Alert", "AlertConfig", "detect_anomalies"),
+        "repro.obs.bench": (
+            "BenchMeasurement",
+            "CORE_BENCHMARK",
+            "EFFECTIVE_BENCHMARK",
+            "append_history",
+            "committed_baseline",
+            "default_history_path",
+            "evaluate_measurement",
+            "load_history",
+            "measure_core_throughput",
+            "measure_effective_throughput",
+        ),
+        "repro.obs.config": ("ObsConfig",),
+        "repro.obs.diff": (
+            "diff_reports",
+            "render_diff_markdown",
+            "render_diff_table",
+            "resolve_report",
+        ),
+        "repro.obs.ledger": ("RunLedger", "default_ledger_path", "run_entry"),
+    },
+)

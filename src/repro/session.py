@@ -20,30 +20,32 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace as dc_replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.accel.sampling import KernelSampler
-from repro.adaptive.controller import DynamicPolicyController, DynamicPolicyEngine
-from repro.adaptive.phase import PhaseDetector
-from repro.core.policies import PolicySpec
 from repro.core.policy_engine import PolicyEngine
-from repro.engine import Simulator
-from repro.faults.injector import FaultInjector
+from repro.engine.simulator import Simulator
 from repro.gpu.gpu import Gpu
 from repro.memory.address_mapping import AddressMapping, DeviceInterleave
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.obs.alerts import detect_anomalies
-from repro.obs.config import ObsConfig
-from repro.obs.ledger import RunLedger, run_entry
 from repro.spec import JobSpec, as_spec
-from repro.stats import RunReport, StatsCollector
-from repro.streams.address_space import isolate_traces
-from repro.streams.config import StreamConfig
-from repro.telemetry import MetricsSampler, SimProfiler, TelemetryConfig, TraceRecorder
-from repro.topology.partition import partition_trace
+from repro.stats.counters import StatsCollector
+from repro.stats.report import RunReport
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
-from repro.workloads.trace import WorkloadTrace
+
+if TYPE_CHECKING:
+    from repro.accel.sampling import KernelSampler
+    from repro.adaptive.controller import DynamicPolicyController
+    from repro.adaptive.phase import PhaseDetector
+    from repro.core.policies import PolicySpec
+    from repro.faults.injector import FaultInjector
+    from repro.obs.config import ObsConfig
+    from repro.streams.config import StreamConfig
+    from repro.telemetry.config import TelemetryConfig
+    from repro.telemetry.metrics import MetricsSampler
+    from repro.telemetry.profiler import SimProfiler
+    from repro.telemetry.trace import TraceRecorder
+    from repro.workloads.trace import WorkloadTrace
 
 __all__ = ["SimulationSession", "simulate"]
 
@@ -121,6 +123,10 @@ class SimulationSession:
         self.controller: Optional[DynamicPolicyController] = None
         self.phase_detector: Optional[PhaseDetector] = None
         if adaptive is not None:
+            # each optional subsystem is imported only by the runs that
+            # enable it, so a plain run loads none of their modules
+            from repro.adaptive.controller import DynamicPolicyEngine
+
             self.policy_label = adaptive.name
             engine = DynamicPolicyEngine(
                 adaptive,
@@ -157,6 +163,9 @@ class SimulationSession:
         )
 
         if adaptive is not None:
+            from repro.adaptive.controller import DynamicPolicyController
+            from repro.adaptive.phase import PhaseDetector
+
             engine = self.policy_engine
             assert isinstance(engine, DynamicPolicyEngine)
             # the duel observes the shared L2 (leader sets are L2 sets); in
@@ -182,6 +191,8 @@ class SimulationSession:
         if spec.faults is not None:
             # validates the plan against the assembled system and schedules
             # every event (the spec stores an empty plan as None)
+            from repro.faults.injector import FaultInjector
+
             self.injector = FaultInjector(
                 spec.faults,
                 self.sim,
@@ -195,6 +206,8 @@ class SimulationSession:
         # so exact runs never pay the one-None-test-per-launch filter hook
         self.kernel_sampler: Optional[KernelSampler] = None
         if spec.sampling is not None:
+            from repro.accel.sampling import KernelSampler
+
             self.kernel_sampler = KernelSampler(spec.sampling, self.sim, self.stats)
             self.gpu.kernel_filter = self.kernel_sampler.filter
 
@@ -207,6 +220,8 @@ class SimulationSession:
         self.profiler: Optional[SimProfiler] = None
         if telemetry is not None and telemetry.enabled:
             if telemetry.trace:
+                from repro.telemetry.trace import TraceRecorder
+
                 self.recorder = TraceRecorder(
                     self.sim, max_events=telemetry.max_trace_events
                 )
@@ -220,11 +235,15 @@ class SimulationSession:
                     self.injector.trace = self.recorder
                 self.sim.on_finish(self.recorder.finish)
             if telemetry.metrics_interval:
+                from repro.telemetry.metrics import MetricsSampler
+
                 self.sampler = MetricsSampler(
                     self.sim, self.stats, telemetry.metrics_interval
                 )
                 self.sim.on_finish(self.sampler.finalize)
             if telemetry.profile:
+                from repro.telemetry.profiler import SimProfiler
+
                 self.profiler = SimProfiler()
                 self.sim.profiler = self.profiler
 
@@ -268,6 +287,8 @@ class SimulationSession:
                 workload = get_workload(spec.workload, scale=spec.scale)
             trace = workload.build_trace() if isinstance(workload, Workload) else workload
             if spec.topology is not None:
+                from repro.topology.partition import partition_trace
+
                 trace = partition_trace(
                     trace, spec.topology, line_bytes=self.config.l2.line_bytes
                 )
@@ -280,7 +301,12 @@ class SimulationSession:
 
     def _begin_streams(self, streams: tuple[StreamConfig, ...]) -> None:
         """Schedule every configured stream for concurrent execution."""
+        from repro.streams.address_space import isolate_traces
+
         topology = self.spec.topology
+        if topology is not None:
+            from repro.topology.partition import partition_trace
+
         line_bytes = self.config.l2.line_bytes
         traces = []
         for stream in streams:
@@ -402,6 +428,8 @@ class SimulationSession:
         if obs is None or not obs.enabled:
             return report
         if obs.alerts is not None:
+            from repro.obs.alerts import detect_anomalies
+
             alerts = detect_anomalies(
                 report, obs.alerts, shared_dispatch=self.shared_dispatch
             )
@@ -412,6 +440,8 @@ class SimulationSession:
                         alert.kind, alert.severity, alert.message, alert.cycle
                     )
         if obs.ledger_path is not None:
+            from repro.obs.ledger import RunLedger, run_entry
+
             telemetry = None
             if self.telemetry is not None and self.telemetry.enabled:
                 telemetry = {
@@ -491,8 +521,7 @@ def simulate(
         raise ValueError("sharded execution does not support telemetry observers")
     if obs is not None and obs.enabled:
         raise ValueError("sharded execution does not support the obs layer")
-    # imported lazily: the shards run as sweep jobs, and the sweep layer
-    # imports this module
+    # only sharded runs need the sweep layer the shards execute on
     from repro.accel.shard import run_sharded
 
     return run_sharded(spec)

@@ -14,17 +14,19 @@ identity).  :func:`repro.session.simulate`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from repro.accel.config import SamplingConfig, ShardConfig
-from repro.adaptive.config import AdaptiveConfig
 from repro.config import SystemConfig, default_config
 from repro.core.policies import PolicySpec, policy_by_name
-from repro.core.reuse_predictor import PredictorConfig
-from repro.faults.config import FaultPlan
 from repro.fingerprint import fingerprint
 from repro.streams.config import ServingMix, StreamConfig
-from repro.topology.config import TopologyConfig
+
+if TYPE_CHECKING:
+    from repro.accel.config import SamplingConfig, ShardConfig
+    from repro.adaptive.config import AdaptiveConfig
+    from repro.core.reuse_predictor import PredictorConfig
+    from repro.faults.config import FaultPlan
+    from repro.topology.config import TopologyConfig
 
 __all__ = ["JobSpec", "as_spec"]
 

@@ -9,32 +9,25 @@ accesses, cache stalls per request, DRAM row-hit rate), and
 figures (normalized-to-Uncached, static-best / static-worst).
 """
 
-from repro.stats.counters import StatsCollector
-from repro.stats.report import RunReport
-from repro.stats.comparison import (
-    PolicyComparison,
-    normalize_to,
-    static_best,
-    static_worst,
-)
-from repro.stats.regression import (
-    RegressionVerdict,
-    check_regression,
-    mad,
-    median,
-    robust_floor,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "StatsCollector",
-    "RunReport",
-    "PolicyComparison",
-    "normalize_to",
-    "static_best",
-    "static_worst",
-    "RegressionVerdict",
-    "check_regression",
-    "mad",
-    "median",
-    "robust_floor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.stats.counters": ("StatsCollector",),
+        "repro.stats.report": ("RunReport",),
+        "repro.stats.comparison": (
+            "PolicyComparison",
+            "normalize_to",
+            "static_best",
+            "static_worst",
+        ),
+        "repro.stats.regression": (
+            "RegressionVerdict",
+            "check_regression",
+            "mad",
+            "median",
+            "robust_floor",
+        ),
+    },
+)

@@ -13,20 +13,18 @@ interference study built on top is
 :mod:`repro.experiments.interference`.
 """
 
-from repro.streams.config import (
-    CU_SHARE_MODES,
-    MIX_NAMES,
-    SERVING_MIXES,
-    ServingMix,
-    StreamConfig,
-    mix_by_name,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CU_SHARE_MODES",
-    "MIX_NAMES",
-    "SERVING_MIXES",
-    "ServingMix",
-    "StreamConfig",
-    "mix_by_name",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.streams.config": (
+            "CU_SHARE_MODES",
+            "MIX_NAMES",
+            "SERVING_MIXES",
+            "ServingMix",
+            "StreamConfig",
+            "mix_by_name",
+        ),
+    },
+)

@@ -16,19 +16,14 @@ All three are strict observers: they never write a counter or perturb the
 simulated timing, so enabling them cannot change a run's results.
 """
 
-from repro.telemetry.config import TelemetryConfig
-from repro.telemetry.metrics import MetricsSampler, derive_window, windows_total
-from repro.telemetry.profiler import SimProfiler, component_of
-from repro.telemetry.trace import TraceRecorder, trace_errors, validate_trace
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TelemetryConfig",
-    "TraceRecorder",
-    "MetricsSampler",
-    "SimProfiler",
-    "component_of",
-    "derive_window",
-    "trace_errors",
-    "validate_trace",
-    "windows_total",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.telemetry.config": ("TelemetryConfig",),
+        "repro.telemetry.trace": ("TraceRecorder", "trace_errors", "validate_trace"),
+        "repro.telemetry.metrics": ("MetricsSampler", "derive_window", "windows_total"),
+        "repro.telemetry.profiler": ("SimProfiler", "component_of"),
+    },
+)

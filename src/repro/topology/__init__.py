@@ -16,26 +16,22 @@ Entry points: ``simulate(workload, policy, topology=...)``, the
 :func:`repro.experiments.scaling.figure_scaling`.
 """
 
-from repro.topology.config import (
-    TOPOLOGIES,
-    TOPOLOGY_NAMES,
-    TopologyConfig,
-    single_device,
-    topology_by_name,
-)
-from repro.topology.partition import (
-    device_wavefront_counts,
-    partition_trace,
-    shared_read_only_lines,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "TopologyConfig",
-    "TOPOLOGIES",
-    "TOPOLOGY_NAMES",
-    "topology_by_name",
-    "single_device",
-    "partition_trace",
-    "device_wavefront_counts",
-    "shared_read_only_lines",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.topology.config": (
+            "TopologyConfig",
+            "TOPOLOGIES",
+            "TOPOLOGY_NAMES",
+            "topology_by_name",
+            "single_device",
+        ),
+        "repro.topology.partition": (
+            "partition_trace",
+            "device_wavefront_counts",
+            "shared_read_only_lines",
+        ),
+    },
+)

@@ -12,31 +12,24 @@ Use :func:`repro.workloads.registry.get_workload` /
 :func:`repro.workloads.registry.standard_suite` to obtain them.
 """
 
-from repro.workloads.base import Workload, WorkloadMetadata
-from repro.workloads.trace import (
-    ComputeInstr,
-    KernelTrace,
-    MemInstr,
-    WavefrontProgram,
-    WorkloadTrace,
-)
-from repro.workloads.registry import (
-    WORKLOAD_NAMES,
-    get_workload,
-    standard_suite,
-    workload_metadata_table,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Workload",
-    "WorkloadMetadata",
-    "ComputeInstr",
-    "MemInstr",
-    "WavefrontProgram",
-    "KernelTrace",
-    "WorkloadTrace",
-    "WORKLOAD_NAMES",
-    "get_workload",
-    "standard_suite",
-    "workload_metadata_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.base": ("Workload", "WorkloadMetadata"),
+        "repro.workloads.trace": (
+            "ComputeInstr",
+            "MemInstr",
+            "WavefrontProgram",
+            "KernelTrace",
+            "WorkloadTrace",
+        ),
+        "repro.workloads.registry": (
+            "WORKLOAD_NAMES",
+            "get_workload",
+            "standard_suite",
+            "workload_metadata_table",
+        ),
+    },
+)

@@ -6,6 +6,11 @@ The seventeen Table 2 workloads in :mod:`repro.workloads.registry` are thin
 compositions of these builders.
 """
 
-from repro.workloads.layers.common import ProgramBuilder, PcAllocator
+from repro._exports import lazy_exports
 
-__all__ = ["ProgramBuilder", "PcAllocator"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.layers.common": ("ProgramBuilder", "PcAllocator"),
+    },
+)

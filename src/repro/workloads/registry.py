@@ -10,24 +10,11 @@ study.
 
 from __future__ import annotations
 
-from typing import Callable
+import sys
+from typing import TYPE_CHECKING, Callable
 
-from repro.workloads.base import Workload
-from repro.workloads.deepbench import Dgemm, RnnForward, RnnForwardBackward, Sgemm
-from repro.workloads.dnnmark import (
-    BackwardActivation,
-    BackwardBatchNorm,
-    BackwardPooling,
-    BackwardSoftmax,
-    ComposedModel,
-    ForwardActivation,
-    ForwardBatchNorm,
-    ForwardFullyConnected,
-    ForwardLrn,
-    ForwardPooling,
-    ForwardSoftmax,
-)
-from repro.workloads.transformer import MultiHeadAttention
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
 
 __all__ = [
     "WORKLOAD_NAMES",
@@ -37,27 +24,43 @@ __all__ = [
     "workload_metadata_table",
 ]
 
+
+def _factory(module: str, cls: str, **fixed: object) -> Callable[..., Workload]:
+    """A factory for ``repro.workloads.<module>.<cls>``.
+
+    The generator module is imported when the factory is first called,
+    so importing the registry (for its names) loads no generator.
+    """
+
+    def build(**kw: object) -> Workload:
+        name = f"repro.workloads.{module}"
+        __import__(name)  # the interpreter's import path: ``-X importtime`` sees it
+        return getattr(sys.modules[name], cls)(**fixed, **kw)
+
+    return build
+
+
 #: factories keyed by the paper's figure labels
 WORKLOAD_FACTORIES: dict[str, Callable[..., Workload]] = {
-    "DGEMM": lambda **kw: Dgemm(**kw),
-    "SGEMM": lambda **kw: Sgemm(**kw),
-    "CM": lambda **kw: ComposedModel(**kw),
-    "FwBN": lambda **kw: ForwardBatchNorm(**kw),
-    "FwPool": lambda **kw: ForwardPooling(**kw),
-    "FwSoft": lambda **kw: ForwardSoftmax(**kw),
-    "BwSoft": lambda **kw: BackwardSoftmax(**kw),
-    "BwPool": lambda **kw: BackwardPooling(**kw),
-    "FwGRU": lambda **kw: RnnForward(cell="gru", **kw),
-    "FwLSTM": lambda **kw: RnnForward(cell="lstm", **kw),
-    "FwBwGRU": lambda **kw: RnnForwardBackward(cell="gru", **kw),
-    "FwBwLSTM": lambda **kw: RnnForwardBackward(cell="lstm", **kw),
-    "BwBN": lambda **kw: BackwardBatchNorm(**kw),
-    "FwFc": lambda **kw: ForwardFullyConnected(**kw),
-    "FwAct": lambda **kw: ForwardActivation(**kw),
-    "FwLRN": lambda **kw: ForwardLrn(**kw),
-    "BwAct": lambda **kw: BackwardActivation(**kw),
+    "DGEMM": _factory("deepbench", "Dgemm"),
+    "SGEMM": _factory("deepbench", "Sgemm"),
+    "CM": _factory("dnnmark", "ComposedModel"),
+    "FwBN": _factory("dnnmark", "ForwardBatchNorm"),
+    "FwPool": _factory("dnnmark", "ForwardPooling"),
+    "FwSoft": _factory("dnnmark", "ForwardSoftmax"),
+    "BwSoft": _factory("dnnmark", "BackwardSoftmax"),
+    "BwPool": _factory("dnnmark", "BackwardPooling"),
+    "FwGRU": _factory("deepbench", "RnnForward", cell="gru"),
+    "FwLSTM": _factory("deepbench", "RnnForward", cell="lstm"),
+    "FwBwGRU": _factory("deepbench", "RnnForwardBackward", cell="gru"),
+    "FwBwLSTM": _factory("deepbench", "RnnForwardBackward", cell="lstm"),
+    "BwBN": _factory("dnnmark", "BackwardBatchNorm"),
+    "FwFc": _factory("dnnmark", "ForwardFullyConnected"),
+    "FwAct": _factory("dnnmark", "ForwardActivation"),
+    "FwLRN": _factory("dnnmark", "ForwardLrn"),
+    "BwAct": _factory("dnnmark", "BackwardActivation"),
     # beyond the paper: transformer-era attention for the adaptive study
-    "MHA": lambda **kw: MultiHeadAttention(**kw),
+    "MHA": _factory("transformer", "MultiHeadAttention"),
 }
 
 #: workload names: the paper's seventeen in figure order (insensitive,

@@ -210,7 +210,7 @@ class TestCli:
         def no_simulation(*_args, **_kwargs):
             raise AssertionError("simulated before rejecting the arguments")
 
-        monkeypatch.setattr(cli.SimulationSession, "run", no_simulation)
+        monkeypatch.setattr("repro.session.SimulationSession.run", no_simulation)
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["--no-cache", *argv])
         assert exit_info.value.code == 2

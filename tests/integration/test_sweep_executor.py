@@ -217,10 +217,8 @@ class TestPoolRelease:
         ]
 
     def test_raising_callback_abandons_the_pool_without_waiting(self, monkeypatch):
-        import repro.experiments.jobs as jobs_module
-
         pool_class, calls = self._recording_pool()
-        monkeypatch.setattr(jobs_module, "ProcessPoolExecutor", pool_class)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_class)
         backend = ProcessPoolBackend(max_workers=1)
 
         def sink(index, report):
@@ -232,10 +230,8 @@ class TestPoolRelease:
         assert calls[-1] == {"wait": False, "cancel_futures": True}
 
     def test_happy_path_still_waits_for_a_clean_shutdown(self, monkeypatch):
-        import repro.experiments.jobs as jobs_module
-
         pool_class, calls = self._recording_pool()
-        monkeypatch.setattr(jobs_module, "ProcessPoolExecutor", pool_class)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_class)
         backend = ProcessPoolBackend(max_workers=1)
         reports = backend.run_jobs(self._specs())
         assert all(report is not None for report in reports)

@@ -53,11 +53,13 @@ class TestScheduling:
             queue.schedule_at(5, lambda: None)
 
     def test_fractional_delay_rounds_to_cycles(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule(1.4, lambda: seen.append(queue.now))
-        queue.run()
-        assert seen == [1]
+        # nearest cycle, ties to even: 0.5 -> 0 and 2.5 -> 2
+        for delay, cycle in ((1.4, 1), (0.5, 0), (2.5, 2)):
+            queue = EventQueue()
+            seen = []
+            queue.schedule(delay, lambda: seen.append(queue.now))
+            queue.run()
+            assert seen == [cycle], delay
 
 
 class TestExecution:
@@ -171,11 +173,13 @@ class TestFastPath:
         assert seen == [3]
 
     def test_float_schedule_at_coerces_to_int_cycles(self):
-        queue = EventQueue()
-        seen = []
-        queue.schedule_at(7.0, lambda: seen.append(queue.now))
-        queue.run()
-        assert seen == [7] and seen[0].__class__ is int
+        # absolute times truncate: 11.7 -> 11
+        for time, cycle in ((7.0, 7), (11.7, 11)):
+            queue = EventQueue()
+            seen = []
+            queue.schedule_at(time, lambda: seen.append(queue.now))
+            queue.run()
+            assert seen == [cycle] and seen[0].__class__ is int, time
 
     def test_bool_delay_is_not_mistaken_for_int_fast_path(self):
         # bool subclasses int; it must still schedule correctly
