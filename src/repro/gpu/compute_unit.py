@@ -101,14 +101,14 @@ class ComputeUnit:
             stream_id=stream_id,
         )
         self._resident[wavefront_id] = wavefront
-        self._c_wavefronts_started.add()
+        self._c_wavefronts_started.value += 1
         if self.trace is not None:
             self.trace.wavefront_started(wavefront_id, self.cu_id, stream_id, kernel_id)
         wavefront.start()
 
     def _wavefront_finished(self, wavefront: Wavefront) -> None:
         del self._resident[wavefront.wavefront_id]
-        self._c_wavefronts_finished.add()
+        self._c_wavefronts_finished.value += 1
         if self.trace is not None:
             self.trace.wavefront_finished(wavefront.wavefront_id)
         self.on_wavefront_finished(self.cu_id, wavefront.stream_id)

@@ -123,7 +123,7 @@ class Wavefront:
         line_addresses = instruction.line_addresses
         self._pending_lines[index] = len(line_addresses)
         self._inflight_mem += 1
-        cu._c_mem_instructions.add()
+        cu._c_mem_instructions.value += 1
         access = instruction.access
         pc = instruction.pc
         cu_id = cu.cu_id

@@ -29,17 +29,22 @@ explicitly:
 
 Implementation notes for the hot path: tag lookup is indexed (each set
 keeps a ``tag -> way`` dict maintained on fill/evict/invalidate, so lookups
-never scan ways linearly), all statistics are pre-bound
+never scan ways linearly).  The replacement policy is told every way
+transition (fill, hit, pending, invalidate) and picks the victim from its
+own per-way stamps with one ``min``, so a miss never scans the ways either.
+A miss's response callbacks ride in its MSHR entry next to the requests
+they answer.  All statistics are pre-bound
 :class:`~repro.stats.counters.Counter` handles resolved once in
-``__init__``, and event scheduling goes straight to the shared event queue.
-Scheduled callbacks are ``functools.partial`` objects over the target
-method rather than lambdas, so firing an event runs one Python frame
-instead of two.  MSHR-full checks read the file's entry count inline
-(capacity never changes at run time).  Requests blocked on a full MSHR
-file poll as slotted :class:`_MshrPoller` objects, and the polls that sit
-next to each other in one cycle's bucket fire as one :class:`_PollGroup`
-event: a poll that fails again costs a length test, and a group whose
-files are all still full moves to its next bucket as one append.
+``__init__`` and bumped by value, and event scheduling goes straight to the
+shared event queue.  Scheduled callbacks are ``functools.partial`` objects
+over the target method rather than lambdas, so firing an event runs one
+Python frame instead of two.  MSHR-full checks read the file's entry count
+inline (capacity never changes at run time).  Requests blocked on a full
+MSHR file poll as slotted :class:`_MshrPoller` objects, and the polls that
+sit next to each other in one cycle's bucket fire as one
+:class:`_PollGroup` event: a poll that fails again costs a length test, and
+a group whose files are all still full moves to its next bucket as one
+append.
 """
 
 from __future__ import annotations
@@ -205,7 +210,6 @@ class Cache:
         # geometry constants and event-queue entry points, resolved once
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
-        self._assoc = config.assoc
         self._hit_latency = config.hit_latency
         queue = sim.queue
         self._queue = queue
@@ -246,7 +250,7 @@ class Cache:
     # ------------------------------------------------------------------
     def access(self, request: MemoryRequest, on_done: Callable[[MemoryRequest], None]) -> None:
         """Handle ``request`` arriving at this cache at the current cycle."""
-        self._c_accesses.add()
+        self._c_accesses.value += 1
         if (request.bypass_l1 if self._is_l1 else request.bypass_l2) or (
             self.reuse_predictor is not None and self._predicted_dead(request)
         ):
@@ -256,8 +260,8 @@ class Cache:
         grant = self.port.grant(now)
         wait = grant - now
         if wait > 0:
-            self._c_stall_cycles_port.add(wait)
-            self._c_stall_cycles.add(wait)
+            self._c_stall_cycles_port.value += wait
+            self._c_stall_cycles.value += wait
         self._schedule_at(grant, partial(self._lookup, request, on_done, True))
 
     def invalidate_clean(self, stream_id: Optional[int] = None) -> int:
@@ -273,8 +277,9 @@ class Cache:
                 single-stream run -- drops all valid lines.
         """
         dropped = 0
-        for ways, tag_map in zip(self.sets, self._tag_to_way):
-            for line in ways:
+        replacement = self.replacement
+        for set_index, (ways, tag_map) in enumerate(zip(self.sets, self._tag_to_way)):
+            for way, line in enumerate(ways):
                 if line.state is _VALID and (
                     stream_id is None or line.stream_id == stream_id
                 ):
@@ -282,6 +287,7 @@ class Cache:
                     line.state = _INVALID
                     tag_map.pop(line.tag, None)
                     line.tag = -1
+                    replacement.on_invalidate(set_index, way)
                     dropped += 1
         self._c_self_invalidations.add(dropped)
         return dropped
@@ -341,6 +347,7 @@ class Cache:
                 line.state = _INVALID
                 self._tag_to_way[set_index].pop(line.tag, None)
                 line.tag = -1
+                self.replacement.on_invalidate(set_index, way)
             if self.dbi is not None:
                 self.dbi.clear(address)
             self._send_writeback(address, writeback_done)
@@ -372,7 +379,7 @@ class Cache:
         if self._is_sampler_set(request):
             return False
         if self.reuse_predictor.should_bypass(request.pc):
-            self._c_predictor_bypasses.add()
+            self._c_predictor_bypasses.value += 1
             return True
         return False
 
@@ -400,21 +407,18 @@ class Cache:
                 return
 
         # outstanding miss for the same line?
-        entry = self.mshrs.lookup(line_address)
-        if entry is not None:
+        mshrs = self.mshrs
+        if line_address in mshrs.entries:
+            mshrs.coalesce(line_address, request, on_done)
             if request.is_store and self.config.writeback:
                 # the store's data will be merged when the fill returns
-                entry.add_waiter(request)
-                self._c_store_coalesced_on_miss.add()
-            else:
-                self.mshrs.coalesce(line_address, request)
-            self._c_mshr_coalesced.add()
-            self._record_waiter_callback(request, on_done)
+                self._c_store_coalesced_on_miss.value += 1
+            self._c_mshr_coalesced.value += 1
             return
 
         # miss: need an MSHR (loads) and a victim way
         if first_attempt:
-            self._c_misses.add()
+            self._c_misses.value += 1
             if self.set_monitor is not None:
                 self.set_monitor.record_miss(set_index, request.is_store)
         if request.is_store and self.config.writeback:
@@ -435,7 +439,7 @@ class Cache:
             self.reuse_predictor.train_reuse(line.inserted_pc)
             self.reuse_predictor.train_reuse(request.pc)
         self.replacement.on_access(set_index, way, self._queue.now)
-        self._c_hits.add()
+        self._c_hits.value += 1
         if request.is_store:
             if self.config.writeback:
                 line.state = _DIRTY
@@ -445,10 +449,10 @@ class Cache:
                 line.stream_id = request.stream_id
                 if self.dbi is not None:
                     self.dbi.mark_dirty(self._line_address(set_index, way))
-                self._c_store_hits.add()
+                self._c_store_hits.value += 1
             else:
                 # write-through cache: update and forward the write downstream
-                self._c_writethrough_stores.add()
+                self._c_writethrough_stores.value += 1
                 self._schedule(
                     self._hit_latency,
                     lambda: self.downstream(request, lambda r: None),
@@ -464,7 +468,7 @@ class Cache:
         line_address: int,
         on_done: Callable[[MemoryRequest], None],
     ) -> None:
-        victim_way = self._find_victim(set_index)
+        victim_way = self.replacement.victim(set_index)
         blocked_reason = None
         if victim_way is None:
             blocked_reason = "set_busy"
@@ -474,7 +478,7 @@ class Cache:
         if blocked_reason is not None:
             if self.allocation_bypass:
                 request.converted_bypass = True
-                self._c_allocation_bypasses.add()
+                self._c_allocation_bypasses.value += 1
                 self._bypass_access(request, on_done)
                 return
             self._block(request, set_index, blocked_reason, on_done)
@@ -488,10 +492,8 @@ class Cache:
         victim.reused = False
         victim.stream_id = request.stream_id
         self._tag_to_way[set_index][line_address] = victim_way
-        self.mshrs.allocate(
-            line_address, request, self._queue.now, allocate_way=victim_way
-        )
-        self._record_waiter_callback(request, on_done)
+        self.replacement.on_pending(set_index, victim_way)
+        self.mshrs.allocate(line_address, request, self._queue.now, victim_way, on_done)
         if self.reuse_predictor is not None:
             self.reuse_predictor.record_insertion(request.pc)
 
@@ -512,11 +514,11 @@ class Cache:
         on_done: Callable[[MemoryRequest], None],
     ) -> None:
         """Write-combining store miss: allocate a dirty line without fetching."""
-        victim_way = self._find_victim(set_index)
+        victim_way = self.replacement.victim(set_index)
         if victim_way is None:
             if self.allocation_bypass:
                 request.converted_bypass = True
-                self._c_allocation_bypasses.add()
+                self._c_allocation_bypasses.value += 1
                 self._bypass_access(request, on_done)
                 return
             self._block(request, set_index, "set_busy", on_done)
@@ -535,7 +537,7 @@ class Cache:
             self.dbi.mark_dirty(line_address)
         if self.reuse_predictor is not None:
             self.reuse_predictor.record_insertion(request.pc)
-        self._c_store_allocates.add()
+        self._c_store_allocates.value += 1
         self._schedule(self._hit_latency, partial(on_done, request))
 
     # ------------------------------------------------------------------
@@ -565,20 +567,20 @@ class Cache:
         """
         blocked_at = self._queue.now
         if reason == "mshr_full":
-            self._c_blocked_mshr_full.add()
+            self._c_blocked_mshr_full.value += 1
             _park(
                 self._queue,
                 blocked_at + self._mshr_retry_period,
                 _MshrPoller(self, request, on_done, set_index, blocked_at),
             )
             return
-        self._c_blocked_set_busy.add()
+        self._c_blocked_set_busy.value += 1
 
         def resume(wake_time: int) -> None:
             stall = wake_time - blocked_at
             if stall > 0:
-                self._c_stall_cycles_alloc.add(stall)
-                self._c_stall_cycles.add(stall)
+                self._c_stall_cycles_alloc.value += stall
+                self._c_stall_cycles.value += stall
                 if self.set_monitor is not None:
                     self.set_monitor.record_stall(set_index, stall)
             grant = self.port.grant(wake_time)
@@ -618,8 +620,7 @@ class Cache:
         now = self._queue.now
         entry = self.mshrs.release(line_address)
         line = self.sets[set_index][way]
-        waiters = entry.waiters
-        requests = [entry.primary, *waiters] if waiters else [entry.primary]
+        requests = (entry.primary, *entry.waiters)
         # a store coalesced from another stream dirties the line on its
         # behalf: the release duty follows the (first) storing stream
         storer = None
@@ -642,30 +643,11 @@ class Cache:
             line.reused = True
             if self.reuse_predictor is not None:
                 self.reuse_predictor.train_reuse(line.inserted_pc)
-        self._c_fills.add()
+        self._c_fills.value += 1
         schedule = self._schedule
-        for req in requests:
-            callback = self._pop_waiter_callback(req)
-            if callback is not None:
-                schedule(0, partial(callback, req))
+        for req, callback in zip(requests, entry.callbacks):
+            schedule(0, partial(callback, req))
         self._wake_after_fill(set_index)
-
-    def _find_victim(self, set_index: int) -> Optional[int]:
-        """Pick a victim way, or None if every way is busy (pending fill).
-
-        The first invalid way wins; otherwise the replacement policy picks
-        among the ways that are not busy.  The set's tag map holds exactly
-        its non-invalid lines, so a full map skips the invalid-way scan.
-        """
-        ways = self.sets[set_index]
-        if len(self._tag_to_way[set_index]) < self._assoc:
-            for way, line in enumerate(ways):
-                if line.state is _INVALID:
-                    return way
-        candidates = [way for way, line in enumerate(ways) if line.state is not _PENDING]
-        if not candidates:
-            return None
-        return self.replacement.select_victim(set_index, candidates)
 
     def _evict(self, set_index: int, way: int) -> None:
         """Evict the current occupant of ``way`` (issuing writebacks as needed)."""
@@ -675,16 +657,17 @@ class Cache:
         address = self._line_address(set_index, way)
         self._notify_eviction(line)
         if line.state is _DIRTY:
-            self._c_eviction_writebacks.add()
+            self._c_eviction_writebacks.value += 1
             if self.dbi is not None:
                 self._rinse_row(address)
             else:
                 self._send_writeback(address, lambda r: None)
         else:
-            self._c_clean_evictions.add()
+            self._c_clean_evictions.value += 1
         line.state = _INVALID
         self._tag_to_way[set_index].pop(line.tag, None)
         line.tag = -1
+        self.replacement.on_invalidate(set_index, way)
 
     def _rinse_row(self, evicted_address: int) -> None:
         """Write back the evicted dirty line plus all dirty lines in its DRAM row."""
@@ -706,7 +689,7 @@ class Cache:
                 continue
             line.state = _VALID  # data stays, now clean
             self.dbi.clear(address)
-            self._c_rinse_writebacks.add()
+            self._c_rinse_writebacks.value += 1
             self._send_writeback(address, lambda r: None)
         self._send_writeback(evicted_address, lambda r: None)
 
@@ -729,7 +712,7 @@ class Cache:
             bypass_l1=True,
             bypass_l2=True,
         )
-        self._c_writebacks.add()
+        self._c_writebacks.value += 1
         self.downstream(writeback, on_done)
 
     def _notify_eviction(self, line: CacheLine) -> None:
@@ -743,15 +726,14 @@ class Cache:
         self, request: MemoryRequest, on_done: Callable[[MemoryRequest], None]
     ) -> None:
         """Forward without allocation, coalescing pending bypassed loads."""
-        self._c_bypasses.add()
+        self._c_bypasses.value += 1
         address = request.address
         line_address = address - (address % self._line_bytes)
         if request.is_load:
             pending = self.bypass_pending.lookup(line_address)
             if pending is not None:
-                self.bypass_pending.coalesce(line_address, request)
-                self._record_waiter_callback(request, on_done)
-                self._c_bypass_coalesced.add()
+                self.bypass_pending.coalesce(line_address, request, on_done)
+                self._c_bypass_coalesced.value += 1
                 return
             if self.set_monitor is not None:
                 # only traffic-initiating bypasses score (coalesced riders
@@ -760,8 +742,7 @@ class Cache:
                 self.set_monitor.record_bypass(
                     (address // self._line_bytes) % self._num_sets, False
                 )
-            self.bypass_pending.allocate(line_address, request, self._queue.now)
-            self._record_waiter_callback(request, on_done)
+            self.bypass_pending.allocate(line_address, request, self._queue.now, None, on_done)
             self._schedule(
                 BYPASS_LATENCY,
                 partial(self.downstream, request, partial(self._bypass_fill, line_address)),
@@ -779,31 +760,8 @@ class Cache:
     ) -> None:
         entry = self.bypass_pending.release(line_address)
         schedule = self._schedule
-        for req in entry.all_requests:
-            callback = self._pop_waiter_callback(req)
-            if callback is not None:
-                schedule(0, partial(callback, req))
-
-    # ------------------------------------------------------------------
-    # waiter-callback bookkeeping
-    # ------------------------------------------------------------------
-    def _record_waiter_callback(
-        self, request: MemoryRequest, on_done: Callable[[MemoryRequest], None]
-    ) -> None:
-        # completion callbacks are stored on the request itself so coalesced
-        # requests each get their own response
-        callbacks = request._cache_callbacks
-        if callbacks is None:
-            callbacks = request._cache_callbacks = {}
-        callbacks[self.name] = on_done
-
-    def _pop_waiter_callback(
-        self, request: MemoryRequest
-    ) -> Optional[Callable[[MemoryRequest], None]]:
-        callbacks = request._cache_callbacks
-        if not callbacks:
-            return None
-        return callbacks.pop(self.name, None)
+        for req, callback in zip(entry.all_requests, entry.callbacks):
+            schedule(0, partial(callback, req))
 
     # ------------------------------------------------------------------
     def _line_address(self, set_index: int, way: int) -> int:
@@ -848,8 +806,8 @@ class _MshrPoller:
         cache = self.cache
         # a poll fires at least one period after the request blocked
         stall = now - self.blocked_at
-        cache._c_stall_cycles_alloc.add(stall)
-        cache._c_stall_cycles.add(stall)
+        cache._c_stall_cycles_alloc.value += stall
+        cache._c_stall_cycles.value += stall
         if cache.set_monitor is not None:
             cache.set_monitor.record_stall(self.set_index, stall)
         cache._schedule_at(

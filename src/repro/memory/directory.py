@@ -58,9 +58,9 @@ class Directory:
         """
         now = self._queue.now
         grant = self.port.grant(now)
-        self._c_lookups.add()
+        self._c_lookups.value += 1
         if request.is_load:
-            self._c_read_requests.add()
+            self._c_read_requests.value += 1
             forward = partial(self.dram.access, request, on_done)
         else:
             # acknowledge the store when the DRAM bank queue accepts it;
@@ -68,7 +68,7 @@ class Directory:
             forward = partial(
                 self.dram.access, request, _ignore_response, partial(on_done, request)
             )
-            self._c_write_requests.add()
+            self._c_write_requests.value += 1
         self._schedule_at(grant + self.LOOKUP_LATENCY + self.dram_latency, forward)
 
 

@@ -90,7 +90,7 @@ class DramBank:
     ) -> None:
         """Add an access to the bank queue and kick the scheduler."""
         self.queue.append(_QueuedAccess(request, row, self._queue.now, on_done))
-        self._c_enqueued.add()
+        self._c_enqueued.value += 1
         if not self.busy:
             self._schedule_service()
 
@@ -126,15 +126,15 @@ class DramBank:
 
         if self.open_row is None:
             latency = self.config.row_miss_cycles
-            self._c_row_misses.add()
+            self._c_row_misses.value += 1
             self._hits_in_a_row = 0
         elif self.open_row == access.row:
             latency = self.config.row_hit_cycles
-            self._c_row_hits.add()
+            self._c_row_hits.value += 1
             self._hits_in_a_row += 1
         else:
             latency = self.config.row_conflict_cycles
-            self._c_row_conflicts.add()
+            self._c_row_conflicts.value += 1
             self._hits_in_a_row = 0
         self.open_row = access.row
         fault = self.fault
@@ -143,10 +143,10 @@ class DramBank:
             latency += fault.apply()
 
         if access.request.is_load:
-            self._c_reads.add()
+            self._c_reads.value += 1
         else:
-            self._c_writes.add()
-        self._c_accesses.add()
+            self._c_writes.value += 1
+        self._c_accesses.value += 1
         self._h_queue_delay[now - access.arrival] += 1
 
         # the data transfer occupies the shared channel bus after the array access
@@ -205,7 +205,7 @@ class DramChannel:
         """
         target = self.banks[bank]
         if len(target.queue) >= self._queue_depth:
-            self._c_queue_full_stalls.add()
+            self._c_queue_full_stalls.value += 1
 
             def retry(_wake_time: int) -> None:
                 self.access(request, bank, row, on_done, on_accepted)

@@ -266,10 +266,10 @@ class MemoryHierarchy:
                 on_done(request)
 
             if home == device:
-                c_local.add()
+                c_local.value += 1
                 link.send(clone, lambda r: target.access(r, slice_done))
                 return
-            c_remote.add()
+            c_remote.value += 1
             monitor = target.set_monitor
             if monitor is not None:
                 monitor.record_remote((clone.address // line_bytes) % num_sets)
@@ -302,14 +302,14 @@ class MemoryHierarchy:
         if not (0 <= cu_id < self.total_cus):
             raise IndexError(f"cu_id {cu_id} out of range (have {self.total_cus} CUs)")
         self.policy_engine.annotate(request)
-        self._c_mem_requests.add()
+        self._c_mem_requests.value += 1
         if request.is_load:
-            self._c_load_requests.add()
+            self._c_load_requests.value += 1
         else:
-            self._c_store_requests.add()
+            self._c_store_requests.value += 1
         stream_counters = self._c_stream_requests
         if stream_counters is not None:
-            stream_counters[request.stream_id].add()
+            stream_counters[request.stream_id].value += 1
         self.l1s[cu_id].access(request, on_done)
 
     def enable_stream_accounting(self, num_streams: int) -> None:
@@ -355,7 +355,7 @@ class MemoryHierarchy:
                 ``None`` -- every single-stream run -- keeps the global
                 walk, which is bit-identical to the pre-stream behaviour.
         """
-        self._c_kernel_boundaries.add()
+        self._c_kernel_boundaries.value += 1
         if self.trace is not None:
             self.trace.kernel_boundary(stream_id)
         if self._kernel_boundary_hooks:

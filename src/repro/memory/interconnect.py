@@ -1,9 +1,12 @@
 """Links between hierarchy levels.
 
 A :class:`Link` adds a fixed one-way latency and enforces a finite
-request-per-cycle bandwidth.  Links connect the CUs to their L1s is implicit
-(zero cycles); explicit links connect L1 -> L2, L2 -> directory and
-directory -> DRAM.
+request-per-cycle bandwidth.  A CU reaches its L1 directly (zero cycles).
+The explicit links are ``l1_l2.cu<N>`` (each L1 to its L2), ``l2_dir``
+(``l2_dir.dev<N>`` per device: the L2 to its directory) and, in
+multi-device topologies, ``fabric.d<S>d<D>`` between devices.  The
+directory reaches DRAM without a link: it adds the fixed
+``dir_to_dram_cycles`` latency itself.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ class Link:
             # extra per-crossing latency (both counted by the fault state)
             now, latency = fault.apply(now, latency)
         grant = self.bandwidth.grant(now)
-        self._c_transfers.add()
+        self._c_transfers.value += 1
         wait = grant - now
         if wait > 0:
-            self._c_contention_cycles.add(wait)
+            self._c_contention_cycles.value += wait
         self._schedule_at(grant + latency, partial(deliver, request))

@@ -21,19 +21,25 @@ from repro.memory.request import MemoryRequest
 
 __all__ = ["MshrEntry", "MshrFile"]
 
+#: a response callback: called with the request once its data is back
+ResponseFn = Callable[[MemoryRequest], None]
+
 
 @dataclass(slots=True)
 class MshrEntry:
-    """Bookkeeping for one outstanding line fill."""
+    """Bookkeeping for one outstanding line fill.
+
+    ``callbacks`` holds the response callback of the primary request and
+    then of each waiter, in the order of :attr:`all_requests`, so a fill
+    answers every request it carries without any per-request state.
+    """
 
     line_address: int
     primary: MemoryRequest
     allocate_way: Optional[int] = None
     issued_cycle: int = 0
     waiters: list[MemoryRequest] = field(default_factory=list)
-
-    def add_waiter(self, request: MemoryRequest) -> None:
-        self.waiters.append(request)
+    callbacks: list[Optional[ResponseFn]] = field(default_factory=list)
 
     @property
     def all_requests(self) -> list[MemoryRequest]:
@@ -83,27 +89,39 @@ class MshrFile:
         primary: MemoryRequest,
         cycle: int,
         allocate_way: Optional[int] = None,
+        on_done: Optional[ResponseFn] = None,
     ) -> MshrEntry:
-        """Allocate a new entry.  The caller must have checked :attr:`full`."""
+        """Allocate a new entry.  The caller must have checked :attr:`full`.
+
+        ``on_done`` is the primary request's response callback; the entry
+        keeps it first in :attr:`MshrEntry.callbacks`.
+        """
         entries = self.entries
         if line_address in entries:
             raise RuntimeError(f"MSHR already allocated for line 0x{line_address:x}")
         occupancy = len(entries)
         if self.capacity is not None and occupancy >= self.capacity:
             raise RuntimeError("MSHR file is full")
-        entry = MshrEntry(line_address, primary, allocate_way, cycle)
+        entry = MshrEntry(line_address, primary, allocate_way, cycle, [], [on_done])
         entries[line_address] = entry
         self.total_allocations += 1
         if occupancy >= self.peak_occupancy:
             self.peak_occupancy = occupancy + 1
         return entry
 
-    def coalesce(self, line_address: int, request: MemoryRequest) -> MshrEntry:
-        """Attach ``request`` to the outstanding miss for its line."""
+    def coalesce(
+        self,
+        line_address: int,
+        request: MemoryRequest,
+        on_done: Optional[ResponseFn] = None,
+    ) -> MshrEntry:
+        """Attach ``request`` and its response callback to the outstanding
+        miss for its line."""
         entry = self.entries.get(line_address)
         if entry is None:
             raise KeyError(f"no outstanding miss for line 0x{line_address:x}")
-        entry.add_waiter(request)
+        entry.waiters.append(request)
+        entry.callbacks.append(on_done)
         self.total_coalesced += 1
         return entry
 

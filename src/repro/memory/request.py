@@ -87,12 +87,6 @@ class MemoryRequest:
     req_id: int = -1
     is_load: bool = field(init=False, repr=False, compare=False)
     is_store: bool = field(init=False, repr=False, compare=False)
-    #: per-cache completion callbacks keyed by cache name (coalesced
-    #: requests each get their own response); a real slot rather than an
-    #: ad-hoc attribute so the class stays ``__dict__``-free
-    _cache_callbacks: Optional[dict[str, Callable[["MemoryRequest"], None]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     # Hand-written rather than generated: requests are built once per line
     # access, and the generated initializer would add a __post_init__ call
@@ -136,7 +130,6 @@ class MemoryRequest:
         self.req_id = next(_request_ids) if req_id is None else req_id
         self.is_load = is_load = access is AccessType.LOAD
         self.is_store = not is_load
-        self._cache_callbacks = None
 
     def line_address(self, line_bytes: int) -> int:
         """Address of the cache line containing this access."""

@@ -6,15 +6,21 @@ by per-kernel accounting.
 
 Hot-path components do not look counters up by name on every event.
 Instead they resolve a :class:`Counter` handle once (usually in their
-``__init__``) via :meth:`StatsCollector.counter` and increment the handle
-directly -- no per-access string formatting, no dict hashing.  A handle is
-shared storage: every component that resolves the same name gets the same
-:class:`Counter` object, so per-CU L1 caches still aggregate into one
-``"l1.*"`` namespace exactly as before.
+``__init__``) via :meth:`StatsCollector.counter` and bump the handle's
+``value`` directly -- no per-access string formatting, no dict hashing, no
+method call.  A handle is shared storage: every component that resolves the
+same name gets the same :class:`Counter` object, so per-CU L1 caches still
+aggregate into one ``"l1.*"`` namespace exactly as before.
 
-Resolving a handle does *not* make the counter visible: a counter appears
-in :meth:`StatsCollector.counters` (and therefore in run reports) only
-once it has actually been written, which keeps report contents identical
+Resolving a handle does *not* make the counter visible.  A counter appears
+in :meth:`StatsCollector.counters`, :meth:`~StatsCollector.matching`,
+:meth:`~StatsCollector.get` and :meth:`~StatsCollector.merge` (and
+therefore in run reports) once it is *touched* -- written through
+:meth:`Counter.add` or :meth:`StatsCollector.set` -- or its value is
+nonzero.  A counter only ever bumped by positive amounts is nonzero from
+its first bump, so hot paths write ``handle.value += n`` for amounts known
+to be positive, and keep :meth:`Counter.add` for amounts that may be zero
+or negative (whose write must still show).  Report contents stay identical
 to the old lazily-created ``defaultdict`` behaviour.
 """
 
@@ -30,10 +36,11 @@ __all__ = ["Counter", "StatsCollector"]
 class Counter:
     """Pre-bound mutable handle to one named counter.
 
-    ``add`` is the hot-path operation: one attribute add and one flag
-    store, no name hashing.  ``touched`` records whether the counter was
-    ever written -- resolved-but-never-written counters are excluded from
-    collector views so pre-registering handles cannot change reports.
+    Hot paths bump ``value`` in place when the amount is known to be
+    positive.  :meth:`add` also sets ``touched``, which records a write
+    whose amount may have been zero or negative.  The collector shows a
+    counter that is touched or nonzero, so resolved-but-never-written
+    counters stay hidden and pre-registering handles cannot change reports.
     """
 
     __slots__ = ("name", "value", "touched")
@@ -87,7 +94,7 @@ class StatsCollector:
     def get(self, name: str, default: int = 0) -> int:
         """Read a counter, returning ``default`` if it was never written."""
         handle = self._counters.get(name)
-        if handle is None or not handle.touched:
+        if handle is None or not (handle.touched or handle.value):
             return default
         return handle.value
 
@@ -96,7 +103,7 @@ class StatsCollector:
         return {
             name: handle.value
             for name, handle in self._counters.items()
-            if handle.touched
+            if handle.touched or handle.value
         }
 
     def matching(self, prefix: str) -> dict[str, int]:
@@ -104,7 +111,7 @@ class StatsCollector:
         return {
             name: handle.value
             for name, handle in self._counters.items()
-            if handle.touched and name.startswith(prefix)
+            if (handle.touched or handle.value) and name.startswith(prefix)
         }
 
     def sum(self, names: Iterable[str]) -> int:
@@ -191,7 +198,7 @@ class StatsCollector:
     def merge(self, other: "StatsCollector") -> None:
         """Fold another collector's counters and histograms into this one."""
         for name, theirs in other._counters.items():
-            if not theirs.touched:
+            if not (theirs.touched or theirs.value):
                 continue
             ours = self.counter(name)
             ours.value += theirs.value

@@ -134,3 +134,16 @@ class TestReportConsistency:
         report = simulate(get_workload("SGEMM", scale=0.2), CACHE_R, config=TINY)
         assert report.gvops > 0
         assert report.gmrs > 0
+
+    @pytest.mark.parametrize("workload", ["FwGRU", "FwBwGRU"])
+    def test_mshr_files_count_every_coalesced_request(self, workload):
+        # write-back store merges into an outstanding miss go through the
+        # MSHR file like load merges, so the file's tally matches the
+        # counter (these runs merge stores into L2 misses)
+        session = SimulationSession(policy=CACHE_RW, config=scaled_config(4))
+        report = session.run(get_workload(workload, scale=0.5))
+        hierarchy = session.hierarchy
+        assert report.get("l2.store_coalesced_on_miss") > 0
+        assert hierarchy.l2.mshrs.total_coalesced == report.get("l2.mshr_coalesced")
+        l1_total = sum(cache.mshrs.total_coalesced for cache in hierarchy.l1s)
+        assert l1_total == report.get("l1.mshr_coalesced")

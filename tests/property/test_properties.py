@@ -181,11 +181,17 @@ class TestReplacementProperties:
         st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=8),
     )
     def test_lru_victim_always_a_candidate(self, touches, candidate_pool):
+        # ways outside the candidate pool are pending, so never victims
         lru = LruReplacement(num_sets=1, assoc=8)
+        for way in range(8):
+            lru.on_fill(0, way, 0)
         for cycle, way in enumerate(touches):
             lru.on_access(0, way, cycle)
         candidates = sorted(set(candidate_pool))
-        assert lru.select_victim(0, candidates) in candidates
+        for way in range(8):
+            if way not in candidates:
+                lru.on_pending(0, way)
+        assert lru.victim(0) in candidates
 
 
 class TestCacheProperties:

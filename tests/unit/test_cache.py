@@ -451,16 +451,52 @@ class TestIndexedGeometry:
         assert cache._line_bytes == config.line_bytes
 
     def test_victim_is_first_invalid_way_after_invalidation(self, sim, stats):
-        # fill all 4 ways of set 0, drop them, then miss into the set again
+        # fill all 4 ways of set 0 and hit way 0 last, so way 0 is not the
+        # least recently used; drop them, then miss into the set again
         cache, _ = build_cache(sim, stats)
         for way in range(4):
             run_access(sim, cache, load(way * 16 * 64))
             sim.run()
+        run_access(sim, cache, load(0))
+        sim.run()
         assert len(cache._tag_to_way[0]) == 4
         cache.invalidate_clean()
         run_access(sim, cache, load(64 * 64))
         sim.run()
         assert cache._tag_to_way[0] == {64 * 64: 0}
+
+    def test_invalidated_way_is_taken_before_an_older_dirty_line(self, sim, stats):
+        # way 0 holds the set's oldest line, and it is dirty, so it stays;
+        # the clean lines of ways 1-3 are dropped and the miss takes way 1
+        cache, backend = build_cache(sim, stats, config=small_config(writeback=True))
+        run_access(sim, cache, store(0))
+        sim.run()
+        for way in range(1, 4):
+            run_access(sim, cache, load(way * 16 * 64))
+            sim.run()
+        assert cache.invalidate_clean() == 3
+        run_access(sim, cache, load(64 * 64))
+        sim.run()
+        assert cache._tag_to_way[0] == {0: 0, 64 * 64: 1}
+        assert backend.stores == 0
+
+    def test_flushed_and_dropped_way_is_taken_before_an_older_clean_line(
+        self, sim, stats
+    ):
+        # flush_dirty(keep_clean=False) empties ways 1-3; the next miss takes
+        # way 1 rather than evicting the older clean line in way 0
+        cache, _ = build_cache(sim, stats, config=small_config(writeback=True))
+        run_access(sim, cache, load(0))
+        sim.run()
+        for way in range(1, 4):
+            run_access(sim, cache, store(way * 16 * 64))
+            sim.run()
+        cache.flush_dirty(lambda: None, keep_clean=False)
+        sim.run()
+        run_access(sim, cache, load(64 * 64))
+        sim.run()
+        assert cache._tag_to_way[0] == {0: 0, 64 * 64: 1}
+        assert cache.contents()[0] == LineState.VALID
 
     def test_tag_map_tracks_installed_lines(self, sim, stats):
         cache, _ = build_cache(sim, stats)

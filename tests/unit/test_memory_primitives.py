@@ -55,7 +55,12 @@ class TestMemoryRequest:
         )
         assert positional == keywords
         assert positional.is_store and not positional.is_load
-        assert positional._cache_callbacks is None
+
+
+def _fill_all(policy, assoc: int) -> None:
+    """Install a line in every way of set 0, way ``w`` at cycle ``w``."""
+    for way in range(assoc):
+        policy.on_fill(0, way, cycle=way)
 
 
 class TestLruReplacement:
@@ -64,37 +69,69 @@ class TestLruReplacement:
         for way in range(4):
             lru.on_fill(0, way, cycle=way)
         lru.on_access(0, 0, cycle=100)
-        assert lru.select_victim(0, [0, 1, 2, 3]) == 1
+        assert lru.victim(0) == 1
 
-    def test_victim_restricted_to_candidates(self):
+    def test_pending_ways_are_never_victims(self):
         lru = LruReplacement(num_sets=1, assoc=4)
-        for way in range(4):
-            lru.on_fill(0, way, cycle=way)
-        assert lru.select_victim(0, [2, 3]) == 2
+        _fill_all(lru, 4)
+        lru.on_pending(0, 0)
+        lru.on_pending(0, 1)
+        assert lru.victim(0) == 2
 
     def test_untouched_ways_preferred(self):
         lru = LruReplacement(num_sets=1, assoc=4)
         lru.on_fill(0, 0, cycle=5)
-        assert lru.select_victim(0, [0, 1]) == 1
+        assert lru.victim(0) == 1
 
-    def test_empty_candidates_rejected(self):
+    def test_invalidated_way_preferred(self):
+        lru = LruReplacement(num_sets=1, assoc=4)
+        _fill_all(lru, 4)
+        lru.on_invalidate(0, 3)
+        assert lru.victim(0) == 3
+
+    def test_all_ways_pending_blocks(self):
         lru = LruReplacement(num_sets=1, assoc=2)
-        with pytest.raises(ValueError):
-            lru.select_victim(0, [])
+        lru.on_pending(0, 0)
+        lru.on_pending(0, 1)
+        assert lru.victim(0) is None
+        lru.on_fill(0, 1, cycle=9)
+        assert lru.victim(0) == 1
 
 
 class TestRandomReplacement:
-    def test_victim_always_among_candidates(self):
+    def test_victim_always_among_non_pending_ways(self):
         rng = RandomReplacement(num_sets=1, assoc=8)
+        _fill_all(rng, 8)
+        for way in (0, 2, 4, 6, 7):
+            rng.on_pending(0, way)
         for _ in range(100):
-            assert rng.select_victim(0, [1, 3, 5]) in (1, 3, 5)
+            assert rng.victim(0) in (1, 3, 5)
+
+    def test_invalid_way_taken_before_any_draw(self):
+        a = RandomReplacement(1, 8, seed=7)
+        b = RandomReplacement(1, 8, seed=7)
+        _fill_all(a, 8)
+        _fill_all(b, 8)
+        a.on_invalidate(0, 6)
+        assert a.victim(0) == 6
+        # no draw was spent on the invalid way
+        a.on_fill(0, 6, cycle=9)
+        assert a.victim(0) == b.victim(0)
 
     def test_deterministic_for_same_seed(self):
         a = RandomReplacement(1, 8, seed=7)
         b = RandomReplacement(1, 8, seed=7)
-        picks_a = [a.select_victim(0, list(range(8))) for _ in range(20)]
-        picks_b = [b.select_victim(0, list(range(8))) for _ in range(20)]
+        _fill_all(a, 8)
+        _fill_all(b, 8)
+        picks_a = [a.victim(0) for _ in range(20)]
+        picks_b = [b.victim(0) for _ in range(20)]
         assert picks_a == picks_b
+
+    def test_all_ways_pending_blocks(self):
+        rng = RandomReplacement(num_sets=1, assoc=2)
+        rng.on_pending(0, 0)
+        rng.on_pending(0, 1)
+        assert rng.victim(0) is None
 
 
 class TestReplacementFactory:
@@ -140,6 +177,22 @@ class TestMshrFile:
         entry = mshrs.coalesce(0, waiter)
         assert entry.all_requests == [primary, waiter]
         assert mshrs.total_coalesced == 1
+
+    def test_entry_keeps_callbacks_in_request_order(self):
+        # response callbacks live in the entry, primary first, then each
+        # waiter in coalescing order, so a fill pairs them with all_requests
+        mshrs = MshrFile(capacity=4)
+        primary, load, store = _req(0), _req(0), MemoryRequest(AccessType.STORE, 0)
+        seen = []
+        callbacks = [lambda r, tag=tag: seen.append((tag, r)) for tag in "pls"]
+        mshrs.allocate(0, primary, 0, allocate_way=1, on_done=callbacks[0])
+        mshrs.coalesce(0, load, callbacks[1])
+        entry = mshrs.coalesce(0, store, callbacks[2])
+        assert entry.callbacks == callbacks
+        for request, callback in zip(entry.all_requests, entry.callbacks):
+            callback(request)
+        assert seen == [("p", primary), ("l", load), ("s", store)]
+        assert mshrs.total_coalesced == 2
 
     def test_coalesce_without_entry_raises(self):
         with pytest.raises(KeyError):

@@ -170,6 +170,48 @@ class TestCounterHandles:
         stats.add("z", 1)
         assert stats.delta_since(snap) == {"x": 2, "z": 1}
 
+    def test_value_bumped_handle_is_visible_everywhere(self):
+        # hot paths write ``handle.value += n`` for positive n without
+        # marking the handle touched; a nonzero value is enough to show
+        stats = StatsCollector()
+        handle = stats.counter("l2.fills")
+        stats.counter("l2.hits")  # resolved, never written
+        snap = stats.snapshot()
+        handle.value += 1
+        handle.value += 2
+        assert not handle.touched
+        assert stats.counters() == {"l2.fills": 3}
+        assert stats.matching("l2.") == {"l2.fills": 3}
+        assert stats.get("l2.fills", default=-1) == 3
+        assert stats.snapshot() == {"l2.fills": 3}
+        assert stats.delta_since(snap) == {"l2.fills": 3}
+        merged = StatsCollector()
+        merged.merge(stats)
+        assert merged.counters() == {"l2.fills": 3}
+
+    def test_resolved_handle_stays_hidden_from_every_view(self):
+        stats = StatsCollector()
+        stats.counter("l2.hits")
+        assert stats.counters() == {}
+        assert stats.matching("l2.") == {}
+        assert stats.get("l2.hits", default=-1) == -1
+        assert stats.delta_since(stats.snapshot()) == {}
+        merged = StatsCollector()
+        merged.merge(stats)
+        assert merged.counters() == {}
+
+    def test_zero_writes_through_add_and_set_stay_visible(self):
+        stats = StatsCollector()
+        stats.counter("l1.flush_writebacks").add(0)
+        stats.set("gpu.kernels", 0)
+        expected = {"l1.flush_writebacks": 0, "gpu.kernels": 0}
+        assert stats.counters() == expected
+        assert stats.get("gpu.kernels", default=-1) == 0
+        assert stats.matching("l1.") == {"l1.flush_writebacks": 0}
+        merged = StatsCollector()
+        merged.merge(stats)
+        assert merged.counters() == expected
+
     def test_histogram_handle_is_live_view(self):
         stats = StatsCollector()
         handle = stats.histogram_handle("lat")
