@@ -19,6 +19,18 @@ group* (see :mod:`repro.memory.cache`); the group :meth:`credits
 <EventQueue.credit>` its other members, so :attr:`EventQueue.executed`
 and the ``max_events`` budgets count every poll, exactly as if each had
 been its own callback.  :attr:`EventQueue.pending` counts callbacks.
+
+The buckets are public as :attr:`EventQueue.at`, a ``cycle -> callbacks``
+map that the hot components append to directly (``queue.at[grant]
+.append(cb)``), so a request hop costs one subscript and one append and
+no ``schedule`` frame.  The map is a :class:`_Buckets` dict whose
+``__missing__`` does everything :meth:`~EventQueue.schedule_at` used to
+do for a new cycle: truncate a fractional time, refuse a time before
+``now`` and push the cycle onto the heap.  The past-time check can live
+there alone because a drained cycle's bucket is deleted as the loop
+leaves it, so every live bucket is at or after ``now``: a past time never
+finds a bucket and always reaches ``__missing__``.  Reading the map with
+``at.get(t)`` never creates a bucket.
 """
 
 from __future__ import annotations
@@ -30,22 +42,55 @@ from typing import Any, Callable
 __all__ = ["EventQueue"]
 
 
+class _Buckets(dict):
+    """The queue's ``cycle -> callbacks`` map; a miss opens a new cycle.
+
+    ``buckets[t]`` returns cycle ``t``'s FIFO list, creating it (and
+    heap-pushing ``t``) when ``t`` has none.  A fractional ``t`` is
+    truncated toward zero (``int``: 11.7 -> 11, joining bucket 11 when it
+    exists); a ``t`` before the queue's ``now`` raises ``ValueError``.
+    """
+
+    __slots__ = ("_queue",)
+
+    def __init__(self, queue: "EventQueue") -> None:
+        super().__init__()
+        self._queue = queue
+
+    def __missing__(self, time: int | float) -> list[Callable[[], Any]]:
+        if time.__class__ is not int:
+            time = int(time)
+            bucket = self.get(time)
+            if bucket is not None:
+                return bucket
+        queue = self._queue
+        if time < queue.now:
+            raise ValueError(
+                f"cannot schedule an event at {time}, current time is {queue.now}"
+            )
+        bucket = self[time] = []
+        heappush(queue._times, time)
+        return bucket
+
+
 class EventQueue:
     """A deterministic discrete-event queue.
 
     The queue tracks the current simulation time (in cycles).  Components
     schedule work with :meth:`schedule` (relative delay) or
-    :meth:`schedule_at` (absolute time); the simulator driver repeatedly
-    takes the earliest event and invokes its callback.
+    :meth:`schedule_at` (absolute time), or append to a cycle's bucket in
+    :attr:`at` directly; the simulator driver repeatedly takes the
+    earliest event and invokes its callback.
     """
 
-    __slots__ = ("_buckets", "_times", "_cursor", "now", "_executed")
+    __slots__ = ("at", "_times", "_cursor", "now", "_executed")
 
     def __init__(self) -> None:
-        #: pending cycle -> its callbacks in scheduling order
-        self._buckets: dict[int, list[Callable[[], Any]]] = {}
         #: heap of the cycles that own a bucket
         self._times: list[int] = []
+        #: pending cycle -> its callbacks in scheduling order;
+        #: ``at[t].append(cb)`` schedules ``cb`` at cycle ``t``
+        self.at: _Buckets = _Buckets(self)
         #: index of the next callback to fire in the earliest bucket (a
         #: drain that stops mid-cycle resumes there)
         self._cursor = 0
@@ -58,7 +103,7 @@ class EventQueue:
     @property
     def pending(self) -> int:
         """Number of callbacks still queued (a poll group counts once)."""
-        return sum(map(len, self._buckets.values())) - self._cursor
+        return sum(map(len, self.at.values())) - self._cursor
 
     @property
     def executed(self) -> int:
@@ -73,11 +118,6 @@ class EventQueue:
         """
         self._executed += events
 
-    def last_at(self, time: int) -> Callable[[], Any] | None:
-        """The callback queued last for a future cycle ``time``, or None."""
-        bucket = self._buckets.get(time)
-        return bucket[-1] if bucket else None
-
     def schedule(self, delay: int | float, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
 
@@ -88,13 +128,9 @@ class EventQueue:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        time = self.now + (delay if delay.__class__ is int else int(round(delay)))
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [callback]
-            heappush(self._times, time)
-        else:
-            bucket.append(callback)
+        self.at[
+            self.now + (delay if delay.__class__ is int else int(round(delay)))
+        ].append(callback)
 
     def schedule_at(self, time: int, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` to run at absolute cycle ``time``.
@@ -102,23 +138,12 @@ class EventQueue:
         A fractional ``time`` is truncated toward zero to a whole cycle
         (``int``: 11.7 -> 11); a time before ``now`` is an error.
         """
-        if time.__class__ is not int:
-            time = int(time)
-        if time < self.now:
-            raise ValueError(
-                f"cannot schedule an event at {time}, current time is {self.now}"
-            )
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [callback]
-            heappush(self._times, time)
-        else:
-            bucket.append(callback)
+        self.at[time].append(callback)
 
     def _next(self) -> Callable[[], Any] | None:
         """Take the earliest queued callback (advancing ``now``), or None."""
         times = self._times
-        buckets = self._buckets
+        buckets = self.at
         while times:
             time = times[0]
             bucket = buckets[time]
@@ -166,7 +191,7 @@ class EventQueue:
         # The cursor is saved in ``finally`` so a raising callback leaves
         # the queue consistent (its event consumed).
         times = self._times
-        buckets = self._buckets
+        buckets = self.at
         stop = sys.maxsize if max_events is None else self._executed + max_events
         index = self._cursor
         try:
@@ -213,7 +238,7 @@ class EventQueue:
         from time import perf_counter
 
         times = self._times
-        buckets = self._buckets
+        buckets = self.at
         record = profiler.record
         stop = sys.maxsize if max_events is None else self._executed + max_events
         index = self._cursor

@@ -41,8 +41,7 @@ class Wavefront:
         "issued_lines",
         "issued_vector_ops",
         "_queue",
-        "_schedule",
-        "_schedule_at",
+        "_at",
         "_instructions",
     )
 
@@ -70,14 +69,13 @@ class Wavefront:
         self.issued_vector_ops = 0
         queue = cu.sim.queue
         self._queue = queue
-        self._schedule = queue.schedule
-        self._schedule_at = queue.schedule_at
+        self._at = queue.at
         self._instructions = program.instructions
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin executing at the current simulation time."""
-        self._schedule(0, self._issue_next)
+        self._at[self._queue.now].append(self._issue_next)
 
     # ------------------------------------------------------------------
     @property
@@ -103,9 +101,9 @@ class Wavefront:
         instruction = instructions[self._next_instr]
         self._next_instr += 1
         if isinstance(instruction, ComputeInstr):
-            self._schedule_at(grant, partial(self._execute_compute, instruction))
+            self._at[grant].append(partial(self._execute_compute, instruction))
         else:
-            self._schedule_at(grant, partial(self._execute_memory, instruction))
+            self._at[grant].append(partial(self._execute_memory, instruction))
 
     def _execute_compute(self, instruction: ComputeInstr) -> None:
         cu = self.cu
@@ -114,7 +112,7 @@ class Wavefront:
         end = cu.book_compute(now, vector_ops)
         self.issued_vector_ops += vector_ops
         cu._c_vector_ops.add(vector_ops)
-        self._schedule_at(max(end, now), self._issue_next)
+        self._at[end if end > now else now].append(self._issue_next)
 
     def _execute_memory(self, instruction: MemInstr) -> None:
         cu = self.cu
@@ -141,7 +139,7 @@ class Wavefront:
             hierarchy_access(cu_id, request, on_response)
         # keep issuing unless the in-flight window is now full
         if self._inflight_mem < cu.max_outstanding_mem:
-            self._schedule(1, self._issue_next)
+            self._at[now + 1].append(self._issue_next)
         else:
             self._blocked = True
 
@@ -161,7 +159,7 @@ class Wavefront:
         cu._h_mem_latency[self._queue.now - request.issue_cycle] += 1
         if self._blocked and self._inflight_mem < cu.max_outstanding_mem:
             self._blocked = False
-            self._schedule(0, self._issue_next)
+            self._at[self._queue.now].append(self._issue_next)
         elif self._next_instr >= len(self._instructions):
             self._maybe_finish()
 

@@ -35,11 +35,16 @@ own per-way stamps with one ``min``, so a miss never scans the ways either.
 A miss's response callbacks ride in its MSHR entry next to the requests
 they answer.  All statistics are pre-bound
 :class:`~repro.stats.counters.Counter` handles resolved once in
-``__init__`` and bumped by value, and event scheduling goes straight to the
-shared event queue.  Scheduled callbacks are ``functools.partial`` objects
-over the target method rather than lambdas, so firing an event runs one
-Python frame instead of two.  MSHR-full checks read the file's entry count
-inline (capacity never changes at run time).  Requests blocked on a full
+``__init__`` and bumped by value.  Every event is scheduled as one append
+to its cycle's bucket in the shared queue's
+:attr:`~repro.engine.event_queue.EventQueue.at` map (``at[grant]``,
+``at[now + latency]``), with no ``schedule`` call in between.  Scheduled
+callbacks are positional ``functools.partial`` objects over the target
+method -- never lambdas, closures or keyword partials -- so firing an event
+runs one Python frame instead of two, and responses nobody waits on
+(write-through forwards, writebacks) share one module-level sink;
+``tests/unit/test_hot_path_lint.py`` keeps it that way.  MSHR-full checks
+read the file's entry count inline (capacity never changes at run time).  Requests blocked on a full
 MSHR file poll as slotted :class:`_MshrPoller` objects, and the polls that
 sit next to each other in one cycle's bucket fire as one
 :class:`_PollGroup` event: a poll that fails again costs a length test, and
@@ -84,6 +89,12 @@ _INVALID = LineState.INVALID
 _VALID = LineState.VALID
 _DIRTY = LineState.DIRTY
 _PENDING = LineState.PENDING
+_STORE = AccessType.STORE
+
+
+def _discard_response(_request: MemoryRequest) -> None:
+    """Response sink for traffic nobody waits on (write-through forwards,
+    eviction and rinse writebacks)."""
 
 
 class CacheLine:
@@ -213,8 +224,7 @@ class Cache:
         self._hit_latency = config.hit_latency
         queue = sim.queue
         self._queue = queue
-        self._schedule = queue.schedule
-        self._schedule_at = queue.schedule_at
+        self._at = queue.at
 
         # pre-bound counter handles: no per-access f-strings or dict hashing
         counter = stats.counter
@@ -262,7 +272,7 @@ class Cache:
         if wait > 0:
             self._c_stall_cycles_port.value += wait
             self._c_stall_cycles.value += wait
-        self._schedule_at(grant, partial(self._lookup, request, on_done, True))
+        self._at[grant].append(partial(self._lookup, request, on_done, True))
 
     def invalidate_clean(self, stream_id: Optional[int] = None) -> int:
         """Self-invalidate valid (clean) lines; returns the count dropped.
@@ -325,7 +335,7 @@ class Cache:
                         other_streams.add(set_index)
         self._dirty_sets = other_streams
         if not dirty:
-            self._schedule(0, on_complete)
+            self._queue.schedule(0, on_complete)
             return 0
         if self.dbi is not None:
             dirty.sort(key=lambda sw: self.row_of(self._line_address(*sw)))
@@ -453,13 +463,11 @@ class Cache:
             else:
                 # write-through cache: update and forward the write downstream
                 self._c_writethrough_stores.value += 1
-                self._schedule(
-                    self._hit_latency,
-                    lambda: self.downstream(request, lambda r: None),
-                )
-                self._schedule(self._hit_latency, partial(on_done, request))
+                bucket = self._at[self._queue.now + self._hit_latency]
+                bucket.append(partial(self.downstream, request, _discard_response))
+                bucket.append(partial(on_done, request))
                 return
-        self._schedule(self._hit_latency, partial(on_done, request))
+        self._at[self._queue.now + self._hit_latency].append(partial(on_done, request))
 
     def _load_miss(
         self,
@@ -493,17 +501,17 @@ class Cache:
         victim.stream_id = request.stream_id
         self._tag_to_way[set_index][line_address] = victim_way
         self.replacement.on_pending(set_index, victim_way)
-        self.mshrs.allocate(line_address, request, self._queue.now, victim_way, on_done)
+        now = self._queue.now
+        self.mshrs.allocate(line_address, request, now, victim_way, on_done)
         if self.reuse_predictor is not None:
             self.reuse_predictor.record_insertion(request.pc)
 
-        self._schedule(
-            self._hit_latency,
+        self._at[now + self._hit_latency].append(
             partial(
                 self.downstream,
                 request,
                 partial(self._fill, line_address, set_index, victim_way),
-            ),
+            )
         )
 
     def _store_allocate(
@@ -538,7 +546,7 @@ class Cache:
         if self.reuse_predictor is not None:
             self.reuse_predictor.record_insertion(request.pc)
         self._c_store_allocates.value += 1
-        self._schedule(self._hit_latency, partial(on_done, request))
+        self._at[self._queue.now + self._hit_latency].append(partial(on_done, request))
 
     # ------------------------------------------------------------------
     # blocking / waking
@@ -584,9 +592,7 @@ class Cache:
                 if self.set_monitor is not None:
                     self.set_monitor.record_stall(set_index, stall)
             grant = self.port.grant(wake_time)
-            self._schedule_at(
-                grant, lambda: self._lookup(request, on_done, first_attempt=False)
-            )
+            self._at[grant].append(partial(self._lookup, request, on_done, False))
 
         self._set_wait_queue(set_index).wait(blocked_at, resume)
 
@@ -644,9 +650,9 @@ class Cache:
             if self.reuse_predictor is not None:
                 self.reuse_predictor.train_reuse(line.inserted_pc)
         self._c_fills.value += 1
-        schedule = self._schedule
+        append = self._at[now].append
         for req, callback in zip(requests, entry.callbacks):
-            schedule(0, partial(callback, req))
+            append(partial(callback, req))
         self._wake_after_fill(set_index)
 
     def _evict(self, set_index: int, way: int) -> None:
@@ -661,7 +667,7 @@ class Cache:
             if self.dbi is not None:
                 self._rinse_row(address)
             else:
-                self._send_writeback(address, lambda r: None)
+                self._send_writeback(address, _discard_response)
         else:
             self._c_clean_evictions.value += 1
         line.state = _INVALID
@@ -690,8 +696,8 @@ class Cache:
             line.state = _VALID  # data stays, now clean
             self.dbi.clear(address)
             self._c_rinse_writebacks.value += 1
-            self._send_writeback(address, lambda r: None)
-        self._send_writeback(evicted_address, lambda r: None)
+            self._send_writeback(address, _discard_response)
+        self._send_writeback(evicted_address, _discard_response)
 
     def _locate(self, line_address: int) -> Optional[tuple[int, int]]:
         set_index = (line_address // self._line_bytes) % self._num_sets
@@ -705,12 +711,7 @@ class Cache:
 
     def _send_writeback(self, address: int, on_done: Callable[[MemoryRequest], None]) -> None:
         writeback = MemoryRequest(
-            access=AccessType.STORE,
-            address=address,
-            pc=0,
-            issue_cycle=self._queue.now,
-            bypass_l1=True,
-            bypass_l2=True,
+            _STORE, address, 0, 0, 0, 0, 0, self._queue.now, 64, True, True
         )
         self._c_writebacks.value += 1
         self.downstream(writeback, on_done)
@@ -742,10 +743,10 @@ class Cache:
                 self.set_monitor.record_bypass(
                     (address // self._line_bytes) % self._num_sets, False
                 )
-            self.bypass_pending.allocate(line_address, request, self._queue.now, None, on_done)
-            self._schedule(
-                BYPASS_LATENCY,
-                partial(self.downstream, request, partial(self._bypass_fill, line_address)),
+            now = self._queue.now
+            self.bypass_pending.allocate(line_address, request, now, None, on_done)
+            self._at[now + BYPASS_LATENCY].append(
+                partial(self.downstream, request, partial(self._bypass_fill, line_address))
             )
             return
         # bypassed store: fire and forward; completion when downstream accepts
@@ -753,15 +754,17 @@ class Cache:
             self.set_monitor.record_bypass(
                 (address // self._line_bytes) % self._num_sets, True
             )
-        self._schedule(BYPASS_LATENCY, partial(self.downstream, request, on_done))
+        self._at[self._queue.now + BYPASS_LATENCY].append(
+            partial(self.downstream, request, on_done)
+        )
 
     def _bypass_fill(
         self, line_address: int, _response: Optional[MemoryRequest] = None
     ) -> None:
         entry = self.bypass_pending.release(line_address)
-        schedule = self._schedule
+        append = self._at[self._queue.now].append
         for req, callback in zip(entry.all_requests, entry.callbacks):
-            schedule(0, partial(callback, req))
+            append(partial(callback, req))
 
     # ------------------------------------------------------------------
     def _line_address(self, set_index: int, way: int) -> int:
@@ -810,9 +813,8 @@ class _MshrPoller:
         cache._c_stall_cycles.value += stall
         if cache.set_monitor is not None:
             cache.set_monitor.record_stall(self.set_index, stall)
-        cache._schedule_at(
-            cache.port.grant(now),
-            partial(cache._lookup, self.request, self.on_done, False),
+        cache._at[cache.port.grant(now)].append(
+            partial(cache._lookup, self.request, self.on_done, False)
         )
 
 
@@ -845,12 +847,11 @@ class _PollGroup:
         else:
             # every file is still full, so each poll would re-park in turn,
             # one after the other: the group moves as one
-            due = queue.now + Cache._mshr_retry_period
-            tail = queue.last_at(due)
-            if tail.__class__ is _PollGroup:
-                tail.pollers += pollers
+            bucket = queue.at[queue.now + Cache._mshr_retry_period]
+            if bucket and bucket[-1].__class__ is _PollGroup:
+                bucket[-1].pollers += pollers
             else:
-                queue.schedule_at(due, self)
+                bucket.append(self)
             return
         # a wake-up changes no MSHR file, so each poll's test is the one it
         # would make firing alone; a wake-up may end the next bucket's tail
@@ -871,8 +872,8 @@ def _park(queue: EventQueue, due: int, poller: _MshrPoller) -> None:
     tail is a poll group, and starts a new group otherwise, so anything
     else queued for the cycle in between ends a group.
     """
-    tail = queue.last_at(due)
-    if tail.__class__ is _PollGroup:
-        tail.pollers.append(poller)
+    bucket = queue.at[due]
+    if bucket and bucket[-1].__class__ is _PollGroup:
+        bucket[-1].pollers.append(poller)
     else:
-        queue.schedule_at(due, _PollGroup(queue, poller))
+        bucket.append(_PollGroup(queue, poller))

@@ -46,7 +46,7 @@ class Directory:
         self._c_read_requests = stats.counter("directory.read_requests")
         self._c_write_requests = stats.counter("directory.write_requests")
         self._queue = sim.queue
-        self._schedule_at = sim.queue.schedule_at
+        self._at = sim.queue.at
 
     def access(self, request: MemoryRequest, on_done: Callable[[MemoryRequest], None]) -> None:
         """Look up the line and forward the access to DRAM.
@@ -69,7 +69,7 @@ class Directory:
                 self.dram.access, request, _ignore_response, partial(on_done, request)
             )
             self._c_write_requests.value += 1
-        self._schedule_at(grant + self.LOOKUP_LATENCY + self.dram_latency, forward)
+        self._at[grant + self.LOOKUP_LATENCY + self.dram_latency].append(forward)
 
 
 def _ignore_response(_request: MemoryRequest) -> None:

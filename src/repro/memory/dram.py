@@ -82,8 +82,7 @@ class DramBank:
         self.fault = None
         queue = sim.queue
         self._queue = queue
-        self._schedule = queue.schedule
-        self._schedule_at = queue.schedule_at
+        self._at = queue.at
 
     def enqueue(
         self, request: MemoryRequest, row: int, on_done: Callable[[MemoryRequest], None]
@@ -98,7 +97,7 @@ class DramBank:
         if self.busy or not self.queue:
             return
         self.busy = True
-        self._schedule(0, self._service_next)
+        self._at[self._queue.now].append(self._service_next)
 
     def _select(self) -> _QueuedAccess:
         """FR-FCFS: prefer a row hit unless the oldest request is starving."""
@@ -152,7 +151,7 @@ class DramBank:
         # the data transfer occupies the shared channel bus after the array access
         bus_start = self.data_bus.grant(now + latency)
         finish = bus_start + self.config.burst_cycles
-        self._schedule_at(finish, partial(self._done, access))
+        self._at[finish].append(partial(self._done, access))
 
     def _done(self, access: _QueuedAccess) -> None:
         access.on_done(access.request)
@@ -206,15 +205,26 @@ class DramChannel:
         target = self.banks[bank]
         if len(target.queue) >= self._queue_depth:
             self._c_queue_full_stalls.value += 1
-
-            def retry(_wake_time: int) -> None:
-                self.access(request, bank, row, on_done, on_accepted)
-
-            target.full_waiters.wait(self._queue.now, retry)
+            target.full_waiters.wait(
+                self._queue.now,
+                partial(self._retry, request, bank, row, on_done, on_accepted),
+            )
             return
         if on_accepted is not None:
             on_accepted()
         target.enqueue(request, row, on_done)
+
+    def _retry(
+        self,
+        request: MemoryRequest,
+        bank: int,
+        row: int,
+        on_done: Callable[[MemoryRequest], None],
+        on_accepted: Optional[Callable[[], None]],
+        _wake_time: int,
+    ) -> None:
+        """A full bank queue freed a slot: route the access again."""
+        self.access(request, bank, row, on_done, on_accepted)
 
 
 class DramSystem:

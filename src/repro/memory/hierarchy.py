@@ -223,71 +223,60 @@ class MemoryHierarchy:
         return dbi
 
     def _make_l1_downstream(self, cu: int):
+        """The L1's downstream: its link, delivering to the home L2 slice."""
         link = self._l1_l2_links[cu]
         if self.num_devices == 1:
-            l2 = self.l2
-
-            def forward(request: MemoryRequest, on_done: Callable[[MemoryRequest], None]) -> None:
-                link.send(request, partial(l2.access, on_done=on_done))
-
-            return forward
+            return partial(link.send, self.l2.access)
 
         device = cu // self.cus_per_device
         interleave = self._interleave
         line_bytes = self.config.l2.line_bytes
         num_sets = self.l2.config.num_sets
-        fabric = self._fabric
         l2s = self.l2s
         c_local = self._c_local_requests
         c_remote = self._c_remote_requests
+        # the far-side handler per home slice: the local slice's access, or
+        # a fabric link's send bound to the remote slice's access
+        routes = [
+            l2.access if home == device
+            else partial(self._fabric[(device, home)].send, l2.access)
+            for home, l2 in enumerate(l2s)
+        ]
 
         def forward(request: MemoryRequest, on_done: Callable[[MemoryRequest], None]) -> None:
-            home = interleave.device_of(request.address)
+            address = request.address
+            home = interleave.device_of(address)
             # slices run on dense local partition addresses; the request is
             # re-addressed once here, and the response path always answers
             # with the requester's original request object
             clone = MemoryRequest(
-                access=request.access,
-                address=interleave.to_local(request.address),
-                pc=request.pc,
-                cu_id=request.cu_id,
-                wavefront_id=request.wavefront_id,
-                kernel_id=request.kernel_id,
-                stream_id=request.stream_id,
-                issue_cycle=request.issue_cycle,
-                size=request.size,
-                bypass_l1=request.bypass_l1,
-                bypass_l2=request.bypass_l2,
-                converted_bypass=request.converted_bypass,
+                request.access,
+                interleave.to_local(address),
+                request.pc,
+                request.cu_id,
+                request.wavefront_id,
+                request.kernel_id,
+                request.stream_id,
+                request.issue_cycle,
+                request.size,
+                request.bypass_l1,
+                request.bypass_l2,
+                request.converted_bypass,
             )
-            target = l2s[home]
-
-            def slice_done(_response: MemoryRequest) -> None:
-                on_done(request)
-
             if home == device:
                 c_local.value += 1
-                link.send(clone, lambda r: target.access(r, slice_done))
-                return
-            c_remote.value += 1
-            monitor = target.set_monitor
-            if monitor is not None:
-                monitor.record_remote((clone.address // line_bytes) % num_sets)
-            hop = fabric[(device, home)]
-            link.send(clone, lambda r: hop.send(r, lambda rr: target.access(rr, slice_done)))
+            else:
+                c_remote.value += 1
+                monitor = l2s[home].set_monitor
+                if monitor is not None:
+                    monitor.record_remote((clone.address // line_bytes) % num_sets)
+            link.send(routes[home], clone, partial(_answer_original, on_done, request))
 
         return forward
 
     def _make_slice_downstream(self, device: int):
-        link = self._l2_dir_links[device]
-        directory = self.directories[device]
-
-        def to_directory(
-            request: MemoryRequest, on_done: Callable[[MemoryRequest], None]
-        ) -> None:
-            link.send(request, partial(directory.access, on_done=on_done))
-
-        return to_directory
+        """The L2 slice's downstream: its link, delivering to its directory."""
+        return partial(self._l2_dir_links[device].send, self.directories[device].access)
 
     # ------------------------------------------------------------------
     # GPU-facing interface
@@ -489,3 +478,12 @@ class MemoryHierarchy:
                     len(dbi) for dbi in self.slice_dbis
                 ]
         return summary
+
+
+def _answer_original(
+    on_done: Callable[[MemoryRequest], None],
+    request: MemoryRequest,
+    _response: MemoryRequest,
+) -> None:
+    """Answer a re-addressed slice request with the requester's original."""
+    on_done(request)

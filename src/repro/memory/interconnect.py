@@ -7,6 +7,13 @@ The explicit links are ``l1_l2.cu<N>`` (each L1 to its L2), ``l2_dir``
 multi-device topologies, ``fabric.d<S>d<D>`` between devices.  The
 directory reaches DRAM without a link: it adds the fixed
 ``dir_to_dram_cycles`` latency itself.
+
+``send(target, request, on_done)`` carries the far side's handler with the
+request: after the link's latency (plus any bandwidth wait) it calls
+``target(request, on_done)``, scheduled as one positional ``partial`` in
+the delivery cycle's bucket.  ``target`` is the next level's ``access``
+(an L2 slice, a directory), or another link's ``send`` bound to its own
+target for a multi-hop route, so no hop builds a closure.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ class Link:
         self._c_transfers = stats.counter(f"link.{name}.transfers")
         self._c_contention_cycles = stats.counter(f"link.{name}.contention_cycles")
         self._queue = sim.queue
-        self._schedule_at = sim.queue.schedule_at
+        self._at = sim.queue.at
         #: fault condition installed by the fault injector (a
         #: :class:`~repro.faults.injector.LinkFaultState`); ``None`` --
         #: every healthy run -- keeps the send path byte-identical
@@ -55,10 +62,12 @@ class Link:
 
     def send(
         self,
+        target: Callable[[MemoryRequest, Callable[[MemoryRequest], None]], None],
         request: MemoryRequest,
-        deliver: Callable[[MemoryRequest], None],
+        on_done: Callable[[MemoryRequest], None],
     ) -> None:
-        """Deliver ``request`` to the far side after latency + any bandwidth wait."""
+        """Call ``target(request, on_done)`` on the far side after latency +
+        any bandwidth wait: one delivery event at ``grant + latency``."""
         now = self._queue.now
         latency = self.latency
         fault = self._fault
@@ -71,4 +80,4 @@ class Link:
         wait = grant - now
         if wait > 0:
             self._c_contention_cycles.value += wait
-        self._schedule_at(grant + latency, partial(deliver, request))
+        self._at[grant + latency].append(partial(target, request, on_done))

@@ -108,10 +108,14 @@ def isolate_traces(
         raise ValueError(f"alignment must be positive, got {alignment}")
     isolated: list[WorkloadTrace] = []
     next_free = 0
+    last = len(traces) - 1
     for index, trace in enumerate(traces):
         offset = -(-next_free // alignment) * alignment if index else 0
         rebased = rebase_trace(trace, offset, pc_offset=index * PC_REGION_STRIDE)
         isolated.append(rebased)
+        if index == last:
+            # the footprint only places the next stream; the last has none
+            break
         top = _max_line_address(rebased)
         if top >= next_free:
             next_free = top + 1

@@ -111,6 +111,51 @@ class TestAddressSpaceIsolation:
         # stream 0 is untouched (identity), preserving bit-identity
         assert isolated[0] is traces[0]
 
+    def test_footprint_is_scanned_only_to_place_a_next_stream(self, monkeypatch):
+        from repro.memory.request import AccessType
+        from repro.streams import address_space
+        from repro.workloads.trace import (
+            KernelTrace,
+            MemInstr,
+            WavefrontProgram,
+            WorkloadTrace,
+        )
+
+        def one_load(name, top):
+            kernel = KernelTrace(name="k")
+            kernel.add_wavefront(
+                WavefrontProgram([MemInstr(AccessType.LOAD, (0, top), pc=4)])
+            )
+            trace = WorkloadTrace(name=name)
+            trace.add_kernel(kernel)
+            return trace
+
+        def placed(trace):
+            (instr,) = trace.kernels[0].wavefronts[0].instructions
+            return instr.line_addresses, instr.pc
+
+        scans = []
+        real = address_space._max_line_address
+
+        def counting(trace):
+            scans.append(trace.name)
+            return real(trace)
+
+        monkeypatch.setattr(address_space, "_max_line_address", counting)
+        traces = [one_load("a", 4096), one_load("b", 2048), one_load("c", 64)]
+        isolated = isolate_traces(traces, alignment=1024)
+        # n traces, n - 1 scans: the last stream places nothing after it
+        assert scans == ["a", "b"]
+        stride = address_space.PC_REGION_STRIDE
+        assert [placed(trace) for trace in isolated] == [
+            ((0, 4096), 4),
+            ((5120, 7168), 4 + stride),  # past 4096, aligned up to 1024
+            ((8192, 8256), 4 + 2 * stride),  # past 7168
+        ]
+        scans.clear()
+        (only,) = isolate_traces(traces[:1], alignment=1024)
+        assert only is traces[0] and scans == []
+
     def test_rebase_preserves_structure(self):
         trace = get_workload("FwSoft", scale=0.1).build_trace()
         rebased = rebase_trace(trace, 1 << 20, pc_offset=1 << 32)

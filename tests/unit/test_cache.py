@@ -523,7 +523,7 @@ class ClosureCache(Cache):
         def retry() -> None:
             now = self._queue.now
             if self.mshrs.full:
-                self._schedule(self._mshr_retry_period, retry)
+                self._queue.schedule(self._mshr_retry_period, retry)
                 return
             stall = now - blocked_at
             if stall > 0:
@@ -532,11 +532,11 @@ class ClosureCache(Cache):
                 if self.set_monitor is not None:
                     self.set_monitor.record_stall(set_index, stall)
             grant = self.port.grant(now)
-            self._schedule_at(
+            self._queue.schedule_at(
                 grant, lambda: self._lookup(request, on_done, first_attempt=False)
             )
 
-        self._schedule(self._mshr_retry_period, retry)
+        self._queue.schedule(self._mshr_retry_period, retry)
 
 
 class WakeLog:

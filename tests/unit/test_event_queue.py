@@ -285,3 +285,86 @@ class TestCreditedEvents:
         assert profiler.events == queue.executed == 5
         summary = profiler.summary()
         assert sum(c["events"] for c in summary["components"]) == 5
+
+
+class TestBucketMap:
+    """``EventQueue.at`` is the ``cycle -> callbacks`` map components append
+    to directly; its ``__missing__`` validates and opens new cycles."""
+
+    def test_past_time_raises_before_a_run(self):
+        queue = EventQueue()
+        with pytest.raises(ValueError, match="current time is 0"):
+            queue.at[-1]
+        queue.schedule_at(5, lambda: None)
+        queue.step()  # now = 5 with bucket 5 still live (drained lazily)
+        with pytest.raises(ValueError, match="current time is 5"):
+            queue.at[4]
+        assert list(queue.at) == [5]
+
+    def test_past_time_raises_after_run(self):
+        queue = EventQueue()
+        queue.schedule(10, lambda: None)
+        queue.run()
+        with pytest.raises(ValueError, match="current time is 10"):
+            queue.at[9]
+        with pytest.raises(ValueError):
+            queue.at[9.9]  # truncates to 9
+        assert queue.pending == 0 and 9 not in queue.at
+
+    def test_current_cycle_is_not_past(self):
+        queue = EventQueue()
+        queue.schedule(10, lambda: None)
+        queue.run()
+        seen = []
+        queue.at[10].append(lambda: seen.append(queue.now))
+        queue.run()
+        assert seen == [10]
+
+    def test_fractional_time_joins_the_existing_bucket_in_order(self):
+        queue = EventQueue()
+        order = []
+        queue.at[11].append(lambda: order.append("a"))
+        bucket = queue.at[11.7]
+        bucket.append(lambda: order.append("b"))
+        assert bucket is queue.at[11]
+        assert list(queue.at) == [11]  # no 11.7 key
+        queue.run()
+        assert order == ["a", "b"] and queue.now == 11
+
+    def test_fractional_time_opens_an_int_bucket(self):
+        queue = EventQueue()
+        queue.at[11.7].append(lambda: None)
+        assert [(key, key.__class__) for key in queue.at] == [(11, int)]
+
+    def test_get_never_creates_a_bucket(self):
+        queue = EventQueue()
+        assert queue.at.get(7) is None
+        assert 7 not in queue.at and queue.pending == 0
+        queue.run()
+        assert queue.now == 0 and queue.executed == 0
+
+    def test_all_entry_points_share_one_fifo_bucket(self):
+        queue = EventQueue()
+        order = []
+        queue.at[5].append(lambda: order.append("at"))
+        queue.schedule(5, lambda: order.append("schedule"))
+        queue.schedule_at(5, lambda: order.append("schedule_at"))
+        queue.at[5].append(lambda: order.append("at again"))
+        assert queue.pending == 4
+        queue.run()
+        assert order == ["at", "schedule", "schedule_at", "at again"]
+        assert queue.executed == 4 and queue.pending == 0
+
+    def test_appends_from_a_callback_land_in_later_cycles_in_order(self):
+        queue = EventQueue()
+        order = []
+
+        def first():
+            queue.at[queue.now].append(lambda: order.append("same cycle"))
+            queue.at[queue.now + 3].append(lambda: order.append("later"))
+
+        queue.at[2].append(first)
+        queue.at[5].append(lambda: order.append("queued first at 5"))
+        assert queue.pending == 2
+        queue.run()
+        assert order == ["same cycle", "queued first at 5", "later"]
