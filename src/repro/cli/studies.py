@@ -1,0 +1,489 @@
+"""The studies: ``adaptive``, ``topology``, ``serve`` and ``faults``.
+
+* ``adaptive`` -- the online dynamic-policy study (Figure 14): every
+  workload under set-dueling + phase-aware policy selection, compared with
+  the static envelope and the paper's optimization stack.
+* ``topology`` -- the device-scaling study: policies across 1/2/4-device
+  NUMA systems (speedup + remote-traffic fraction per cell).
+* ``serve``    -- the multi-tenant interference study: serving mixes of
+  concurrent streams under shared vs partitioned CU dispatch (per-tenant
+  slowdown + unfairness per cell).
+* ``faults``   -- the resilience study: serving mixes under deterministic
+  fault plans (link brownouts, device outages, DRAM storms, tenant churn),
+  reporting slowdown + availability per cell.
+
+One builder, :func:`study_arguments`, makes all four parsers from
+:data:`STUDIES`.  Each study's options come from a function that imports
+the study constants behind their defaults and choices, so parsing one
+study loads that study's module and no other.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import sys
+from typing import TYPE_CHECKING, Callable, Sequence
+
+from repro.cli import (
+    CommandParser,
+    add_executor_options,
+    add_policy_option,
+    add_workloads_option,
+    fail,
+    finish,
+    make_runner,
+)
+from repro.core.policies import STATIC_POLICIES, policy_by_name
+from repro.experiments.render import render_series_table
+
+if TYPE_CHECKING:
+    from repro.experiments.study import Column, Figure
+
+
+def _json_out(parser: argparse.ArgumentParser, contents: str = "summary") -> None:
+    parser.add_argument(
+        "--json-out", default=None, metavar="FILE",
+        help=f"write the figure data and {contents} as JSON (CI artifact)",
+    )
+
+
+def _mix_option(parser: argparse.ArgumentParser, text: str) -> None:
+    from repro.streams.config import MIX_NAMES
+
+    parser.add_argument("--mix", nargs="+", default=None, choices=list(MIX_NAMES), help=text)
+
+
+def _adaptive_options(parser: argparse.ArgumentParser) -> None:
+    add_workloads_option(parser, "all 18, including MHA")
+    add_policy_option(
+        parser, "--candidates", STATIC_POLICIES,
+        help="candidate policies the duel arbitrates (default: the static three)",
+    )
+    parser.add_argument(
+        "--epoch-cycles", type=int, default=None, metavar="N",
+        help="phase-sampling / duel-decision period in cycles",
+    )
+    parser.add_argument(
+        "--leader-sets", type=int, default=None, metavar="N",
+        help="L2 leader sets per candidate policy",
+    )
+    parser.add_argument(
+        "--mid-kernel", action="store_true",
+        help="also swap the policy mid-kernel when the phase detector fires",
+    )
+    _json_out(parser, "geomean summary")
+
+
+def _topology_options(parser: argparse.ArgumentParser) -> None:
+    from repro.experiments.scaling import SCALING_DEVICES, SCALING_WORKLOADS
+    from repro.topology.config import TOPOLOGY_NAMES
+
+    parser.add_argument(
+        "--devices", nargs="+", type=int, default=list(SCALING_DEVICES), metavar="N",
+        help="device counts to sweep (must include the 1-device baseline)",
+    )
+    add_workloads_option(parser, " ".join(SCALING_WORKLOADS))
+    add_policy_option(
+        parser, "--policies", STATIC_POLICIES,
+        help="policy names (default: the three static policies)",
+    )
+    parser.add_argument(
+        "--fabric", default=None, choices=list(TOPOLOGY_NAMES), metavar="NAME",
+        help="registered topology whose fabric parameters the sweep holds fixed",
+    )
+    parser.add_argument(
+        "--remote-latency", type=int, default=None, metavar="CYCLES",
+        help="one-way fabric latency override",
+    )
+    parser.add_argument(
+        "--fabric-bandwidth", type=float, default=None, metavar="RPC",
+        help="fabric link bandwidth override (requests/cycle)",
+    )
+    parser.add_argument(
+        "--interleave-lines", type=int, default=None, metavar="N",
+        help="cache lines per device interleave chunk",
+    )
+    parser.add_argument(
+        "--replicate-weights", action="store_true",
+        help="replicate shared read-only (weight) lines per device",
+    )
+    _json_out(parser)
+
+
+def _serve_options(parser: argparse.ArgumentParser) -> None:
+    from repro.experiments.interference import CU_MODES, INTERFERENCE_POLICIES
+
+    _mix_option(parser, "serving mixes to study (default: all registered mixes)")
+    add_policy_option(
+        parser, "--policies", INTERFERENCE_POLICIES,
+        help="policy names (default: CacheRW plus the AB/CR optimizations)",
+    )
+    parser.add_argument(
+        "--cu-partition", default="both", choices=[*CU_MODES, "both"],
+        metavar="MODE",
+        help="CU share mode(s): shared, partitioned, or both (default)",
+    )
+    _json_out(parser)
+
+
+def _faults_options(parser: argparse.ArgumentParser) -> None:
+    from repro.experiments.resilience import DEFAULT_RESILIENCE_MIXES, RESILIENCE_POLICIES
+    from repro.faults.config import FAULT_PLAN_NAMES
+    from repro.topology.config import TOPOLOGY_NAMES
+
+    _mix_option(
+        parser,
+        "serving mixes to chaos-test (default: " + ", ".join(DEFAULT_RESILIENCE_MIXES) + ")",
+    )
+    parser.add_argument(
+        "--plans", nargs="+", default=None, choices=list(FAULT_PLAN_NAMES),
+        help="fault plans to inject (default: the healthy baseline plus "
+        "every single-cause plan; the baseline is always included)",
+    )
+    add_policy_option(
+        parser, "--policies", RESILIENCE_POLICIES,
+        help="policy names (default: CacheRW plus the AB/CR optimizations)",
+    )
+    parser.add_argument(
+        "--topology", default="dual-chiplet", choices=list(TOPOLOGY_NAMES),
+        help="system topology (default: dual-chiplet -- the smallest "
+        "system where every fault kind can fire)",
+    )
+    _json_out(parser)
+    parser.add_argument(
+        "--checkpoint", default=None, metavar="FILE",
+        help="sweep checkpoint file: an interrupted run re-invoked with "
+        "the same path resumes without re-simulating finished cells",
+    )
+
+
+#: study command -> (adds its own options, in --help order; whether
+#: --trace-out/--alerts replay one of its cells).  Every study also takes
+#: the executor flags.
+STUDIES: dict[str, tuple[Callable[[argparse.ArgumentParser], None], bool]] = {
+    "adaptive": (_adaptive_options, False),
+    "topology": (_topology_options, False),
+    "serve": (_serve_options, True),
+    "faults": (_faults_options, True),
+}
+
+
+def study_arguments(parser: CommandParser) -> None:
+    """Build one study command's parser from :data:`STUDIES`."""
+    options, replays = STUDIES[parser.command]
+    options(parser)
+    if replays:
+        from repro.cli.runs import add_trace_options
+
+        add_trace_options(parser, replay=True)
+    add_executor_options(parser)
+
+
+def _print_study(
+    figure: Figure, columns: dict[str, Column], tables: Sequence[tuple[str, str]], summary: str
+) -> dict[str, dict[str, float]]:
+    """Print one table per (title, metric) and the summary; return the summary."""
+    from repro.experiments.study import series, summarize
+
+    for title, metric in tables:
+        print(render_series_table(title, series(figure, metric)))
+    summarized = summarize(figure, columns)
+    print(render_series_table(summary, summarized))
+    return summarized
+
+
+def adaptive_command(args: argparse.Namespace) -> int:
+    """Run the dynamic-vs-static comparison and print/record Figure 14.
+
+    The static envelope is shared with Figures 6-13 through the store, so
+    a warm repeat re-simulates neither it nor the dynamic cells.
+    """
+    from repro.adaptive.config import AdaptiveConfig
+    from repro.experiments.adaptive import adaptive_summary, figure14_adaptive
+    from repro.experiments.study import artifact
+
+    overrides: dict[str, object] = {
+        "candidates": tuple(policy_by_name(name) for name in args.candidates),
+        "mid_kernel_switching": bool(args.mid_kernel),
+    }
+    if args.epoch_cycles is not None:
+        overrides["epoch_cycles"] = args.epoch_cycles
+    if args.leader_sets is not None:
+        overrides["leader_sets_per_policy"] = args.leader_sets
+    adaptive_config = AdaptiveConfig(**overrides)  # type: ignore[arg-type]
+
+    runner = make_runner(args, args.workloads)
+    figure = figure14_adaptive(runner, adaptive_config=adaptive_config)
+    summary = adaptive_summary(figure)
+    print(
+        render_series_table(
+            "Figure 14: dynamic policy vs static envelope "
+            "(execution time normalized to best static)",
+            figure,
+        )
+    )
+    print(render_series_table("Figure 14 geomean summary", summary))
+    blob = artifact(
+        "figure14",
+        figure,
+        summary,
+        adaptive={
+            "fingerprint": adaptive_config.fingerprint(),
+            "candidates": [p.name for p in adaptive_config.candidates],
+            "epoch_cycles": adaptive_config.epoch_cycles,
+            "leader_sets_per_policy": adaptive_config.leader_sets_per_policy,
+            "mid_kernel_switching": adaptive_config.mid_kernel_switching,
+        },
+        scale=args.scale,
+        num_cus=runner.config.gpu.num_cus,
+    )
+    return finish(args, runner, f"workloads={len(figure)}", blob)
+
+
+def topology_command(args: argparse.Namespace) -> int:
+    """Run the device-scaling study and print/record its figure.
+
+    Every cell's fingerprint includes the :class:`TopologyConfig`, so a
+    warm repeat simulates nothing and the stderr stats line proves it.
+    """
+    from repro.experiments.scaling import SCALING_COLUMNS, SCALING_WORKLOADS, figure_scaling
+    from repro.experiments.study import artifact
+    from repro.topology.config import TopologyConfig, topology_by_name
+
+    devices = sorted(set(args.devices))
+    if 1 not in devices:
+        return fail("--devices must include the 1-device baseline (speedups are normalized to it)")
+    if any(count < 1 for count in devices):
+        return fail("device counts must be positive")
+    base = topology_by_name(args.fabric) if args.fabric else TopologyConfig()
+    overrides: dict[str, object] = {}
+    if args.remote_latency is not None:
+        overrides["remote_latency_cycles"] = args.remote_latency
+    if args.fabric_bandwidth is not None:
+        overrides["fabric_requests_per_cycle"] = args.fabric_bandwidth
+    if args.interleave_lines is not None:
+        overrides["interleave_lines"] = args.interleave_lines
+    if args.replicate_weights:
+        overrides["replicate_weights"] = True
+    if overrides:
+        base = dataclasses.replace(base, **overrides)
+
+    workload_names = tuple(args.workloads) if args.workloads else SCALING_WORKLOADS
+    runner = make_runner(args, workload_names)
+    policies = [policy_by_name(name) for name in args.policies]
+    figure = figure_scaling(
+        runner, devices=devices, policies=policies, workload_names=workload_names, topology=base
+    )
+    summary = _print_study(
+        figure,
+        SCALING_COLUMNS,
+        [
+            ("Device scaling: speedup over the same policy at 1 device", "speedup"),
+            ("Device scaling: remote traffic fraction", "remote_fraction"),
+        ],
+        "Device scaling summary (geomean speedup / mean remote fraction)",
+    )
+    blob = artifact(
+        "figure_scaling",
+        figure,
+        summary,
+        devices=devices,
+        workloads=list(workload_names),
+        fabric=base.describe(),
+        fingerprints={str(count): base.with_devices(count).fingerprint() for count in devices},
+        scale=args.scale,
+        cus_per_device=runner.config.gpu.num_cus,
+        policies=[p.name for p in policies],
+    )
+    grid = f"grid={len(workload_names)}x{len(policies)}x{len(devices)}"
+    return finish(args, runner, grid, blob)
+
+
+def serve_command(args: argparse.Namespace) -> int:
+    """Run the multi-tenant interference study and print/record its figure.
+
+    Every cell's fingerprint covers the full stream configurations, and
+    the solo baselines are plain single-workload cells shared with the
+    ordinary sweeps, so a warm repeat simulates nothing.
+    """
+    from repro.cli.runs import replay
+    from repro.experiments.interference import (
+        CU_MODES,
+        INTERFERENCE_COLUMNS,
+        figure_interference,
+        mix_is_partitionable,
+    )
+    from repro.experiments.study import artifact
+    from repro.streams.config import MIX_NAMES, mix_by_name
+
+    mixes = [mix_by_name(name) for name in (args.mix or MIX_NAMES)]
+    policies = [policy_by_name(name) for name in args.policies]
+    modes = list(CU_MODES) if args.cu_partition == "both" else [args.cu_partition]
+    runner = make_runner(args)
+    cus = runner.config.gpu.num_cus
+    if "partitioned" in modes:
+        for mix in mixes:
+            if not mix_is_partitionable(mix, cus):
+                print(
+                    f"[serve] note: {mix.name} has {mix.num_streams} streams but "
+                    f"the system has {cus} CUs per device; "
+                    "its partitioned cells are skipped",
+                    file=sys.stderr,
+                )
+        if modes == ["partitioned"] and not any(mix_is_partitionable(mix, cus) for mix in mixes):
+            return fail(
+                "no requested mix fits a CU partition on this system; "
+                "add --cus, pick narrower mixes, or use --cu-partition shared/both"
+            )
+    figure = figure_interference(runner, mixes=mixes, policies=policies, modes=modes)
+    summary = _print_study(
+        figure,
+        INTERFERENCE_COLUMNS,
+        [
+            ("Multi-tenant interference: mean per-tenant slowdown vs solo", "mean_slowdown"),
+            ("Multi-tenant interference: unfairness (max/min tenant slowdown)", "unfairness"),
+        ],
+        "Serving summary (geomean slowdown / mean unfairness)",
+    )
+    if args.trace_out or args.alerts:
+        # the first runnable cell of the grid (figure_interference has
+        # already rejected a grid without one)
+        mix, mode = next(
+            (mix, mode)
+            for mix in mixes
+            for mode in modes
+            if mode != "partitioned" or mix_is_partitionable(mix, cus)
+        )
+        replay(
+            args,
+            f"{mix.name} under {policies[0].name} ({mode} CUs)",
+            policy=policies[0],
+            streams=mix.with_cu_share(mode).scaled(args.scale),
+        )
+    blob = artifact(
+        "figure_interference",
+        figure,
+        summary,
+        mixes={mix.name: mix.describe() for mix in mixes},
+        modes=modes,
+        policies=[p.name for p in policies],
+        scale=args.scale,
+        num_cus=cus,
+    )
+    grid = f"grid={len(mixes)}x{len(policies)}x{len(modes)}"
+    return finish(args, runner, grid, blob)
+
+
+def faults_command(args: argparse.Namespace) -> int:
+    """Run the resilience study and print/record its figure.
+
+    Plans that need more devices than the chosen topology provides abort
+    up front (exit 2: the user asked for something the system cannot
+    host); plans that merely target streams a narrow mix lacks skip that
+    mix's cell with a note on stderr, matching how ``serve`` treats
+    unpartitionable mixes.  Determinism makes chaos cacheable, so a warm
+    repeat simulates nothing.
+    """
+    from repro.cli.runs import replay
+    from repro.experiments.resilience import (
+        DEFAULT_RESILIENCE_MIXES,
+        DEFAULT_RESILIENCE_PLANS,
+        RESILIENCE_COLUMNS,
+        figure_resilience,
+        plan_is_runnable,
+    )
+    from repro.experiments.study import artifact
+    from repro.faults.config import FAULT_PLANS, fault_plan_by_name
+    from repro.streams.config import mix_by_name
+    from repro.topology.config import topology_by_name
+
+    mixes = [mix_by_name(name) for name in (args.mix or DEFAULT_RESILIENCE_MIXES)]
+    policies = [policy_by_name(name) for name in args.policies]
+    plans = [fault_plan_by_name(name) for name in (args.plans or DEFAULT_RESILIENCE_PLANS)]
+    if not any(plan.empty for plan in plans):
+        plans.insert(0, FAULT_PLANS["none"])
+    topology = topology_by_name(args.topology)
+
+    num_devices = topology.num_devices
+    for plan in plans:
+        needed = plan.requires_devices()
+        if needed > num_devices:
+            return fail(
+                f"fault plan {plan.label!r} needs {needed} devices but "
+                f"topology {topology.label!r} has {num_devices}; pick a wider "
+                "--topology or drop the plan"
+            )
+    for mix in mixes:
+        for plan in plans:
+            reason = plan_is_runnable(plan, topology, mix.num_streams)
+            if reason is not None:
+                print(
+                    f"[faults] note: plan {plan.label} skipped for {mix.name}: "
+                    f"{reason}",
+                    file=sys.stderr,
+                )
+
+    runner = make_runner(args)
+    try:
+        figure = figure_resilience(
+            runner,
+            mixes=mixes,
+            policies=policies,
+            plans=plans,
+            topology=topology,
+            checkpoint_path=args.checkpoint,
+        )
+    except ValueError as exc:
+        return fail(str(exc))
+    summary = _print_study(
+        figure,
+        RESILIENCE_COLUMNS,
+        [
+            ("Resilience: slowdown vs the healthy baseline (same policy)", "slowdown"),
+            (
+                "Resilience: availability (fraction of the run with no fault active)",
+                "availability",
+            ),
+        ],
+        "Resilience summary (geomean slowdown / mean availability)",
+    )
+    if args.trace_out or args.alerts:
+        # the first mix's first runnable plan, preferring one that injects
+        # faults so the trace shows degraded intervals (and the
+        # availability detector has something to judge)
+        mix = mixes[0]
+        runnable = [
+            plan
+            for plan in plans
+            if plan_is_runnable(plan, topology, mix.num_streams) is None
+        ]
+        plan = next((p for p in runnable if not p.empty), runnable[0] if runnable else None)
+        if plan is None:
+            print(
+                f"[faults] note: no runnable plan for {mix.name}; trace skipped", file=sys.stderr
+            )
+        else:
+            replay(
+                args,
+                f"{mix.name} under {policies[0].name} with plan {plan.label}",
+                policy=policies[0],
+                streams=mix.scaled(args.scale),
+                topology=topology,
+                faults=plan,
+            )
+    blob = artifact(
+        "figure_resilience",
+        figure,
+        summary,
+        plans={
+            plan.label: {"events": len(plan.events), "description": plan.description}
+            for plan in plans
+        },
+        policies=[p.name for p in policies],
+        topology=topology.describe(),
+        scale=args.scale,
+        num_cus=runner.config.gpu.num_cus,
+    )
+    grid = f"grid={len(mixes)}x{len(policies)}x{len(plans)} topology={topology.label}"
+    return finish(args, runner, grid, blob, failed=True)

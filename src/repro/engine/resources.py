@@ -84,11 +84,6 @@ class ThroughputResource:
         """Return when a grant would occur without booking it."""
         return int(max(float(now), self._next_free))
 
-    @property
-    def busy_until(self) -> int:
-        """Cycle after which the resource is idle."""
-        return int(self._next_free)
-
 
 class WaitQueue:
     """FIFO list of blocked continuations.

@@ -79,10 +79,6 @@ class Wavefront:
 
     # ------------------------------------------------------------------
     @property
-    def done_issuing(self) -> bool:
-        return self._next_instr >= len(self._instructions)
-
-    @property
     def finished(self) -> bool:
         return self._finished
 

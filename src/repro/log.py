@@ -123,12 +123,6 @@ class StructuredLogger:
         self.name = name
         self.bound = bound
 
-    def bind(self, **fields: object) -> "StructuredLogger":
-        """A child logger with extra context attached to every record."""
-        merged = dict(self.bound)
-        merged.update(fields)
-        return StructuredLogger(self.name, **merged)
-
     @property
     def enabled(self) -> bool:
         return _sink is not None

@@ -126,11 +126,6 @@ class CacheLine:
     def busy(self) -> bool:
         return self.state is _PENDING
 
-    @property
-    def holds_data(self) -> bool:
-        state = self.state
-        return state is _VALID or state is _DIRTY
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheLine({self.state.value}, tag=0x{self.tag:x})"
 

@@ -453,10 +453,6 @@ class MemoryHierarchy:
         # partitions share one geometry, so device 0's mapping serves all
         return self._interleave.global_row_id(self.dram.mapping, line_address)
 
-    def total_cache_stall_cycles(self) -> int:
-        """Combined L1+L2 stall cycles (the paper's cache-stall metric)."""
-        return self.stats.get("l1.stall_cycles") + self.stats.get("l2.stall_cycles")
-
     def describe(self) -> dict[str, object]:
         """Human-readable summary used by the CLI and examples."""
         # aggregate like num_cus: the system totals, with per-device

@@ -160,10 +160,6 @@ class BenchMeasurement:
         """
         return self.events / self.best_seconds
 
-    @property
-    def per_sample_events_per_sec(self) -> tuple[float, ...]:
-        return tuple(self.events / s for s in self.seconds)
-
 
 def measure_core_throughput(samples: int = 3, warmup: bool = True) -> BenchMeasurement:
     """Time ``samples`` repetitions of the reference run.

@@ -23,6 +23,7 @@ plain single-workload run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.fingerprint import fingerprint
@@ -72,8 +73,8 @@ class StreamConfig:
     def __post_init__(self) -> None:
         if not self.workload:
             raise ValueError("a stream needs a workload name")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.launch_cycle < 0:
             raise ValueError(
                 f"launch_cycle must be non-negative, got {self.launch_cycle}"

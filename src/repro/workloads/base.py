@@ -11,6 +11,7 @@ advisor example.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 from repro.core.advisor import WorkloadProfile
@@ -61,8 +62,8 @@ class Workload(abc.ABC):
     metadata: WorkloadMetadata
 
     def __init__(self, scale: float = 1.0, wavefront_size: int = 64) -> None:
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         if wavefront_size <= 0:
             raise ValueError("wavefront_size must be positive")
         self.scale = scale

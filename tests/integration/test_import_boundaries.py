@@ -22,12 +22,22 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: the warm-store sweep: a small grid, every default policy and figure
 SWEEP_ARGV = ["--scale", "0.2", "--cus", "2", "sweep-all", "--workloads", "FwSoft", "SGEMM"]
 
-#: a warm sweep re-plots from the store; it never touches the simulator
+#: a warm sweep re-plots from the store; it never touches the simulator,
+#: the other studies, fault injection or any other command's module
 SWEEP_FORBIDDEN = (
     "repro.session",
     "repro.engine.event_queue",
     "repro.memory.cache",
     "repro.gpu.gpu",
+    "repro.experiments.adaptive",
+    "repro.experiments.interference",
+    "repro.experiments.resilience",
+    "repro.experiments.scaling",
+    "repro.faults",
+    *sorted(
+        {f"repro.cli.{command.module}" for command in cli.COMMANDS.values()}
+        - {f"repro.cli.{cli.COMMANDS['sweep-all'].module}"}
+    ),
 )
 
 #: optional subsystems a static, exact single-workload run never enables

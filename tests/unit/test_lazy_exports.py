@@ -1,9 +1,10 @@
 """Lazy package exports and deferred imports resolve to real objects.
 
-Every package ``__init__`` under ``repro`` is a lazy export table, and
-optional subsystems are imported inside the functions that use them.  A
-typo in either surfaces only when that name is looked up or that code
-path runs, so these tests look every one of them up.
+Every package ``__init__`` under ``repro`` is a lazy export table,
+optional subsystems are imported inside the functions that use them, and
+the CLI's command table names each command's argument builder and handler
+as strings.  A typo in any of them surfaces only when that name is looked
+up or that code path runs, so these tests look every one of them up.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import COMMANDS
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -88,3 +90,11 @@ def test_deferred_imports_name_existing_attributes():
         if not (hasattr(imported, "__path__") and importlib.util.find_spec(f"{module}.{name}")):
             missing.append(f"{source}:{line}: {module} has no attribute {name!r}")
     assert missing == []
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_command_table_entry_resolves(name):
+    command = COMMANDS[name]
+    module = importlib.import_module(f"repro.cli.{command.module}")
+    assert callable(getattr(module, command.arguments)), f"{name}: {command.arguments}"
+    assert callable(getattr(module, command.handler)), f"{name}: {command.handler}"

@@ -132,6 +132,11 @@ class TestConstructionTimeRejection:
         with pytest.raises(ValueError):
             JobSpec(**INCOMPATIBLE[name])
 
+    @pytest.mark.parametrize("scale", [0.0, -0.5, float("nan"), float("inf")])
+    def test_stream_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ValueError, match="positive and finite"):
+            StreamConfig(workload="CM", scale=scale)
+
     def test_one_sharded_sample_per_stream_is_accepted(self):
         spec = JobSpec(
             policy=CACHE_RW,

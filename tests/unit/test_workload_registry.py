@@ -51,6 +51,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_workload("FwAct", scale=0)
 
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf"), float("-inf")])
+    def test_non_positive_or_non_finite_scale_rejected(self, scale):
+        # NaN and inf slip past a plain ``scale <= 0`` and used to fail only
+        # later, converting the scaled element counts to int
+        with pytest.raises(ValueError, match="positive and finite"):
+            get_workload("FwAct", scale=scale)
+
 
 class TestWorkloadMetadata:
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
