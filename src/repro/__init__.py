@@ -17,10 +17,6 @@ The package provides:
   systems with distributed L2 slices joined by a latency/bandwidth-
   modelled fabric, and concurrent execution streams with stream-scoped
   cache synchronization for interference studies;
-* a deterministic fault-injection subsystem (:mod:`repro.faults`) that
-  chaos-tests the simulated fleet -- link brownouts, device outages with
-  stream evacuation, DRAM latency storms, tenant churn -- with graceful
-  degradation and resilience metrics (availability, recovery latency);
 * an observability layer (:mod:`repro.telemetry`): cycle-accurate
   Chrome/Perfetto trace-event timelines, windowed counter time-series
   attached to run reports, and host-side simulator/sweep profiling.
@@ -91,16 +87,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "MIX_NAMES",
             "mix_by_name",
         ),
-        # fault injection and graceful degradation
-        "repro.faults.config": (
-            "FaultEvent",
-            "FaultPlan",
-            "FAULT_PLANS",
-            "FAULT_PLAN_NAMES",
-            "fault_plan_by_name",
-            "generate_fault_plan",
-        ),
-        "repro.faults.injector": ("FaultInjector",),
         # acceleration: phase-sampled fast-forward + sharded execution
         "repro.accel.config": ("SamplingConfig", "ShardConfig"),
         # simulation

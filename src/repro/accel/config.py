@@ -15,9 +15,8 @@ into :class:`~repro.spec.JobSpec` identities:
   merged.
 
 Exact mode -- sampling disabled and a single shard -- is bit-identical to
-the historical simulator and hashes as ``None`` in fingerprints (the
-:class:`~repro.faults.config.FaultPlan` idiom), so exact baselines keep
-their warm result-store cells.
+the historical simulator and hashes as ``None`` in fingerprints, so
+exact baselines keep their warm result-store cells.
 """
 
 from __future__ import annotations

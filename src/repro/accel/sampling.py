@@ -22,10 +22,9 @@ shape, and an address-stream digest):
 
 Measurement needs unambiguous attribution of counter deltas to kernel
 instances, so the sampler refuses to attach to runs with concurrent
-streams, adaptive policy control (the controller assumes it sees every
-kernel boundary), or fault injection.  Counters written once per run
-with absolute semantics (``gpu.finish_cycle``, per-stream cycle marks)
-are never extrapolated; the session fixes them up from the corrected
+streams or adaptive policy control (the controller assumes it sees every
+kernel boundary).  Counters written once per run with absolute semantics
+(``gpu.finish_cycle``, per-stream cycle marks) are never extrapolated; the session fixes them up from the corrected
 cycle count instead.
 """
 

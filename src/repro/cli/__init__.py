@@ -13,7 +13,7 @@ compiles only its own module and the modules its run uses:
 
 * :mod:`repro.cli.catalog`: ``list`` and ``table``;
 * :mod:`repro.cli.figures`: ``sweep``, ``sweep-all`` and ``figure``;
-* :mod:`repro.cli.studies`: ``adaptive``, ``topology``, ``serve`` and ``faults``;
+* :mod:`repro.cli.studies`: ``adaptive``, ``topology`` and ``serve``;
 * :mod:`repro.cli.runs`: ``run`` and ``trace``;
 * :mod:`repro.cli.records`: ``cache``, ``ledger``, ``diff`` and ``bench``.
 
@@ -24,7 +24,7 @@ sweeps at a persistent result store so repeated invocations never
 re-simulate a finished grid cell (``sweep-all`` and the studies default to
 the conventional ``~/.cache/repro-gpu-cache`` store; pass ``--no-cache``
 to opt out).  ``--log-level``/``--log-file``/``--log-json`` enable
-run-scoped structured logging (executor retries, fault strikes); logging
+run-scoped structured logging (executor retries); logging
 is off by default and changes no results.
 """
 
@@ -71,8 +71,6 @@ COMMANDS: dict[str, Command] = {
                         "studies", "study_arguments", "topology_command"),
     "serve": Command("run the multi-tenant interference study (concurrent serving mixes)",
                      "studies", "study_arguments", "serve_command"),
-    "faults": Command("run the resilience study (serving mixes under fault plans)",
-                      "studies", "study_arguments", "faults_command"),
     "trace": Command("record a Chrome/Perfetto trace of one instrumented run",
                      "runs", "trace_arguments", "trace_command"),
     "cache": Command("persistent result-store lifecycle (stats/clear/prune)",
@@ -281,7 +279,6 @@ def finish(
     runner: ExperimentRunner,
     grid: str | None = None,
     blob: dict[str, object] | None = None,
-    failed: bool = False,
 ) -> int:
     """The closing step every sweep-style command shares; returns 0.
 
@@ -301,13 +298,11 @@ def finish(
     if grid is not None:
         stats = executor.stats
         store = store_dir(args, default_to_conventional=True) or "disabled"
-        line = (
+        print(
             f"[{args.command}] {grid} jobs={args.jobs} store={store} "
-            f"simulated={stats.runs_simulated} loaded={stats.runs_loaded}"
+            f"simulated={stats.runs_simulated} loaded={stats.runs_loaded}",
+            file=sys.stderr,
         )
-        if failed:
-            line += f" failed={stats.runs_failed}"
-        print(line, file=sys.stderr)
     if executor.ledger is not None:
         executor.record_sweep(label=args.command, workers=args.jobs)
     if args.telemetry_out:

@@ -1,8 +1,7 @@
 """The registries and the paper's tables: ``list`` and ``table``.
 
 * ``list``  -- show the available workloads, policies, adaptive candidates,
-  registered topologies, serving mixes and fault plans (``--json`` for
-  scripts and CI).
+  registered topologies and serving mixes (``--json`` for scripts and CI).
 * ``table`` -- print Table 1 (system configuration) or Table 2 (workloads).
 """
 
@@ -37,7 +36,6 @@ def _list_payload() -> dict[str, object]:
     human-formatted table, so the schema is part of the CLI contract.
     """
     from repro.adaptive.config import AdaptiveConfig
-    from repro.faults.config import FAULT_PLANS
     from repro.streams.config import SERVING_MIXES
     from repro.topology.config import TOPOLOGIES
 
@@ -53,10 +51,6 @@ def _list_payload() -> dict[str, object]:
         "adaptive": {"default_candidates": [p.name for p in AdaptiveConfig().candidates]},
         "topologies": {name: topology.describe() for name, topology in TOPOLOGIES.items()},
         "serving_mixes": {name: mix.describe() for name, mix in SERVING_MIXES.items()},
-        "fault_plans": {
-            name: {"description": plan.description, "events": list(plan.describe()["events"])}
-            for name, plan in FAULT_PLANS.items()
-        },
     }
 
 
@@ -89,9 +83,6 @@ def list_command(args: argparse.Namespace) -> int:
     for name, mix in payload["serving_mixes"].items():
         tenants = ", ".join(f"{s['workload']}@{s['launch_cycle']}" for s in mix["streams"])
         print(f"  {name:18s} [{tenants}]  {mix['description']}")
-    print("\nFault plans:")
-    for name, plan in payload["fault_plans"].items():
-        print(f"  {name:18s} events: {len(plan['events'])}  {plan['description']}")
     return 0
 
 

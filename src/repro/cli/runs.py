@@ -6,11 +6,11 @@
   timeline (``--out``), optional windowed counter metrics, and host-side
   simulator profiling (always on; ``--telemetry-out``).
 
-``--alerts`` (on ``run``/``serve``/``faults``/``trace``) runs the anomaly
-detectors -- L2 hit-rate cliffs, per-tenant starvation under shared
-dispatch, availability-budget breaches -- over the run and surfaces the
-findings in the report/summary.  The studies' ``--trace-out``/``--alerts``
-replay of one cell shares this module's observer helpers.
+``--alerts`` (on ``run``/``serve``/``trace``) runs the anomaly detectors
+-- L2 hit-rate cliffs and per-tenant starvation under shared dispatch --
+over the run and surfaces the findings in the report/summary.  The
+studies' ``--trace-out``/``--alerts`` replay of one cell shares this
+module's observer helpers.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ if TYPE_CHECKING:
 
 
 def add_trace_options(parser: argparse.ArgumentParser, replay: bool = False) -> None:
-    """The per-run telemetry flags ``run``/``serve``/``faults`` share.
+    """The per-run telemetry flags ``run`` and ``serve`` share.
 
     On the study commands (``replay=True``) the flags drive an inline
     traced replay of the study's first runnable cell after the sweep
@@ -57,9 +57,8 @@ def add_trace_options(parser: argparse.ArgumentParser, replay: bool = False) -> 
     )
     parser.add_argument(
         "--alerts", action="store_true",
-        help=f"run the anomaly detectors (hit-rate cliffs, tenant "
-        f"starvation, availability breaches) over {target} and surface "
-        "the findings (implies windowed metrics sampling)",
+        help=f"run the anomaly detectors (hit-rate cliffs, tenant starvation) "
+        f"over {target} and surface the findings (implies windowed metrics sampling)",
     )
 
 
@@ -239,7 +238,6 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def trace_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.faults.config import FAULT_PLAN_NAMES
     from repro.streams.config import MIX_NAMES
 
     source = parser.add_mutually_exclusive_group(required=True)
@@ -253,10 +251,6 @@ def trace_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--topology", default=None, choices=list(TOPOLOGY_NAMES),
         help="trace on a registered multi-device topology",
-    )
-    parser.add_argument(
-        "--plan", default=None, choices=list(FAULT_PLAN_NAMES),
-        help="fault plan to inject during the traced run",
     )
     parser.add_argument(
         "--out", default="trace.json", metavar="FILE",
@@ -294,7 +288,6 @@ def trace_command(args: argparse.Namespace) -> int:
     reports simulator throughput and per-component callback attribution).
     The trace is validated before it is written.
     """
-    from repro.faults.config import fault_plan_by_name
     from repro.session import SimulationSession
     from repro.spec import JobSpec
     from repro.streams.config import mix_by_name
@@ -309,11 +302,10 @@ def trace_command(args: argparse.Namespace) -> int:
             config=system_config(args),
             topology=topology_by_name(args.topology) if args.topology else None,
             streams=mix_by_name(args.mix).scaled(args.scale) if args.mix else None,
-            faults=fault_plan_by_name(args.plan) if args.plan else None,
         )
         session = SimulationSession(spec, telemetry=telemetry, obs=_obs_config(args))
         report = session.run()
-    except ValueError as exc:  # e.g. a fault plan the system cannot host
+    except ValueError as exc:  # a run the simulator rejects up front
         return fail(str(exc))
     _write_trace(args.out, session, "trace")
 

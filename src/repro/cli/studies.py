@@ -1,4 +1,4 @@
-"""The studies: ``adaptive``, ``topology``, ``serve`` and ``faults``.
+"""The studies: ``adaptive``, ``topology`` and ``serve``.
 
 * ``adaptive`` -- the online dynamic-policy study (Figure 14): every
   workload under set-dueling + phase-aware policy selection, compared with
@@ -8,11 +8,8 @@
 * ``serve``    -- the multi-tenant interference study: serving mixes of
   concurrent streams under shared vs partitioned CU dispatch (per-tenant
   slowdown + unfairness per cell).
-* ``faults``   -- the resilience study: serving mixes under deterministic
-  fault plans (link brownouts, device outages, DRAM storms, tenant churn),
-  reporting slowdown + availability per cell.
 
-One builder, :func:`study_arguments`, makes all four parsers from
+One builder, :func:`study_arguments`, makes all three parsers from
 :data:`STUDIES`.  Each study's options come from a function that imports
 the study constants behind their defaults and choices, so parsing one
 study loads that study's module and no other.
@@ -46,12 +43,6 @@ def _json_out(parser: argparse.ArgumentParser, contents: str = "summary") -> Non
         "--json-out", default=None, metavar="FILE",
         help=f"write the figure data and {contents} as JSON (CI artifact)",
     )
-
-
-def _mix_option(parser: argparse.ArgumentParser, text: str) -> None:
-    from repro.streams.config import MIX_NAMES
-
-    parser.add_argument("--mix", nargs="+", default=None, choices=list(MIX_NAMES), help=text)
 
 
 def _adaptive_options(parser: argparse.ArgumentParser) -> None:
@@ -113,8 +104,12 @@ def _topology_options(parser: argparse.ArgumentParser) -> None:
 
 def _serve_options(parser: argparse.ArgumentParser) -> None:
     from repro.experiments.interference import CU_MODES, INTERFERENCE_POLICIES
+    from repro.streams.config import MIX_NAMES
 
-    _mix_option(parser, "serving mixes to study (default: all registered mixes)")
+    parser.add_argument(
+        "--mix", nargs="+", default=None, choices=list(MIX_NAMES),
+        help="serving mixes to study (default: all registered mixes)",
+    )
     add_policy_option(
         parser, "--policies", INTERFERENCE_POLICIES,
         help="policy names (default: CacheRW plus the AB/CR optimizations)",
@@ -127,37 +122,6 @@ def _serve_options(parser: argparse.ArgumentParser) -> None:
     _json_out(parser)
 
 
-def _faults_options(parser: argparse.ArgumentParser) -> None:
-    from repro.experiments.resilience import DEFAULT_RESILIENCE_MIXES, RESILIENCE_POLICIES
-    from repro.faults.config import FAULT_PLAN_NAMES
-    from repro.topology.config import TOPOLOGY_NAMES
-
-    _mix_option(
-        parser,
-        "serving mixes to chaos-test (default: " + ", ".join(DEFAULT_RESILIENCE_MIXES) + ")",
-    )
-    parser.add_argument(
-        "--plans", nargs="+", default=None, choices=list(FAULT_PLAN_NAMES),
-        help="fault plans to inject (default: the healthy baseline plus "
-        "every single-cause plan; the baseline is always included)",
-    )
-    add_policy_option(
-        parser, "--policies", RESILIENCE_POLICIES,
-        help="policy names (default: CacheRW plus the AB/CR optimizations)",
-    )
-    parser.add_argument(
-        "--topology", default="dual-chiplet", choices=list(TOPOLOGY_NAMES),
-        help="system topology (default: dual-chiplet -- the smallest "
-        "system where every fault kind can fire)",
-    )
-    _json_out(parser)
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="FILE",
-        help="sweep checkpoint file: an interrupted run re-invoked with "
-        "the same path resumes without re-simulating finished cells",
-    )
-
-
 #: study command -> (adds its own options, in --help order; whether
 #: --trace-out/--alerts replay one of its cells).  Every study also takes
 #: the executor flags.
@@ -165,7 +129,6 @@ STUDIES: dict[str, tuple[Callable[[argparse.ArgumentParser], None], bool]] = {
     "adaptive": (_adaptive_options, False),
     "topology": (_topology_options, False),
     "serve": (_serve_options, True),
-    "faults": (_faults_options, True),
 }
 
 
@@ -373,117 +336,3 @@ def serve_command(args: argparse.Namespace) -> int:
     )
     grid = f"grid={len(mixes)}x{len(policies)}x{len(modes)}"
     return finish(args, runner, grid, blob)
-
-
-def faults_command(args: argparse.Namespace) -> int:
-    """Run the resilience study and print/record its figure.
-
-    Plans that need more devices than the chosen topology provides abort
-    up front (exit 2: the user asked for something the system cannot
-    host); plans that merely target streams a narrow mix lacks skip that
-    mix's cell with a note on stderr, matching how ``serve`` treats
-    unpartitionable mixes.  Determinism makes chaos cacheable, so a warm
-    repeat simulates nothing.
-    """
-    from repro.cli.runs import replay
-    from repro.experiments.resilience import (
-        DEFAULT_RESILIENCE_MIXES,
-        DEFAULT_RESILIENCE_PLANS,
-        RESILIENCE_COLUMNS,
-        figure_resilience,
-        plan_is_runnable,
-    )
-    from repro.experiments.study import artifact
-    from repro.faults.config import FAULT_PLANS, fault_plan_by_name
-    from repro.streams.config import mix_by_name
-    from repro.topology.config import topology_by_name
-
-    mixes = [mix_by_name(name) for name in (args.mix or DEFAULT_RESILIENCE_MIXES)]
-    policies = [policy_by_name(name) for name in args.policies]
-    plans = [fault_plan_by_name(name) for name in (args.plans or DEFAULT_RESILIENCE_PLANS)]
-    if not any(plan.empty for plan in plans):
-        plans.insert(0, FAULT_PLANS["none"])
-    topology = topology_by_name(args.topology)
-
-    num_devices = topology.num_devices
-    for plan in plans:
-        needed = plan.requires_devices()
-        if needed > num_devices:
-            return fail(
-                f"fault plan {plan.label!r} needs {needed} devices but "
-                f"topology {topology.label!r} has {num_devices}; pick a wider "
-                "--topology or drop the plan"
-            )
-    for mix in mixes:
-        for plan in plans:
-            reason = plan_is_runnable(plan, topology, mix.num_streams)
-            if reason is not None:
-                print(
-                    f"[faults] note: plan {plan.label} skipped for {mix.name}: "
-                    f"{reason}",
-                    file=sys.stderr,
-                )
-
-    runner = make_runner(args)
-    try:
-        figure = figure_resilience(
-            runner,
-            mixes=mixes,
-            policies=policies,
-            plans=plans,
-            topology=topology,
-            checkpoint_path=args.checkpoint,
-        )
-    except ValueError as exc:
-        return fail(str(exc))
-    summary = _print_study(
-        figure,
-        RESILIENCE_COLUMNS,
-        [
-            ("Resilience: slowdown vs the healthy baseline (same policy)", "slowdown"),
-            (
-                "Resilience: availability (fraction of the run with no fault active)",
-                "availability",
-            ),
-        ],
-        "Resilience summary (geomean slowdown / mean availability)",
-    )
-    if args.trace_out or args.alerts:
-        # the first mix's first runnable plan, preferring one that injects
-        # faults so the trace shows degraded intervals (and the
-        # availability detector has something to judge)
-        mix = mixes[0]
-        runnable = [
-            plan
-            for plan in plans
-            if plan_is_runnable(plan, topology, mix.num_streams) is None
-        ]
-        plan = next((p for p in runnable if not p.empty), runnable[0] if runnable else None)
-        if plan is None:
-            print(
-                f"[faults] note: no runnable plan for {mix.name}; trace skipped", file=sys.stderr
-            )
-        else:
-            replay(
-                args,
-                f"{mix.name} under {policies[0].name} with plan {plan.label}",
-                policy=policies[0],
-                streams=mix.scaled(args.scale),
-                topology=topology,
-                faults=plan,
-            )
-    blob = artifact(
-        "figure_resilience",
-        figure,
-        summary,
-        plans={
-            plan.label: {"events": len(plan.events), "description": plan.description}
-            for plan in plans
-        },
-        policies=[p.name for p in policies],
-        topology=topology.describe(),
-        scale=args.scale,
-        num_cus=runner.config.gpu.num_cus,
-    )
-    grid = f"grid={len(mixes)}x{len(policies)}x{len(plans)} topology={topology.label}"
-    return finish(args, runner, grid, blob, failed=True)

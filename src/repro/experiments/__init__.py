@@ -21,9 +21,6 @@ Each module corresponds to a block of the paper's evaluation:
 * :mod:`repro.experiments.interference` -- the multi-tenant interference
   study: serving mixes of concurrent streams under shared vs partitioned
   CU dispatch (per-tenant slowdown and unfairness per cell).
-* :mod:`repro.experiments.resilience` -- the chaos study: serving mixes
-  under deterministic fault plans (link brownouts, device outages, DRAM
-  storms, tenant churn), reporting slowdown and availability per cell.
 * :mod:`repro.experiments.study` -- the output helpers every study
   shares: ``series`` (one metric as a table), ``summarize`` (per-series
   statistics) and ``artifact`` (the ``--json-out`` blob).
@@ -84,7 +81,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "figure_interference",
             "INTERFERENCE_COLUMNS",
         ),
-        "repro.experiments.resilience": ("figure_resilience", "RESILIENCE_COLUMNS"),
         "repro.experiments.study": ("series", "summarize", "artifact"),
         "repro.experiments.tables": ("table1_system_configuration", "table2_workloads"),
         "repro.experiments.render": ("render_series_table",),

@@ -2,7 +2,7 @@
 
 Running the full evaluation requires simulating every workload under up to
 six policies, and every study adds one axis to that grid (adaptive
-candidates, device counts, serving mixes, fault plans).  Each study builds
+candidates, device counts, serving mixes).  Each study builds
 its own :class:`~repro.spec.JobSpec` jobs and hands them to
 :meth:`ExperimentRunner.run`, the one grid method, which delegates them to
 a :class:`~repro.experiments.jobs.SweepExecutor` that can fan independent
@@ -25,7 +25,6 @@ from repro.experiments.jobs import (
     JobSpec,
     ProcessPoolBackend,
     SerialBackend,
-    SweepCheckpoint,
     SweepExecutor,
 )
 from repro.experiments.store import ResultStore
@@ -139,19 +138,14 @@ class ExperimentRunner:
         self._memo_hits = 0
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        jobs: Iterable[JobSpec],
-        checkpoint: Optional[SweepCheckpoint] = None,
-    ) -> list[RunReport]:
+    def run(self, jobs: Iterable[JobSpec]) -> list[RunReport]:
         """Resolve every job to a report, in input order, memoized in-process.
 
         The memo is keyed by the frozen :class:`JobSpec` itself, so two
         requests for the same simulation share one report whichever study
         asked.  Jobs already memoized, and repeats within the batch, count
         as memo hits; the rest go to the executor as one batch -- the
-        parallel fan-out point -- with ``checkpoint`` (when given)
-        recording each completion.
+        parallel fan-out point.
         """
         jobs = list(jobs)
         reports = [self._cache.get(job) for job in jobs]
@@ -161,7 +155,7 @@ class ExperimentRunner:
         self._memo_hits += len(jobs) - len(pending)
         if not pending:
             return reports  # type: ignore[return-value]
-        self._cache.update(zip(pending, self.executor.run(pending, checkpoint=checkpoint)))
+        self._cache.update(zip(pending, self.executor.run(pending)))
         return [self._cache[job] for job in jobs]
 
     def run_one(self, workload_name: str, policy: PolicySpec) -> RunReport:

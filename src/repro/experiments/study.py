@@ -1,6 +1,6 @@
 """Shared output helpers for the study drivers.
 
-Every study (Figure 14, device scaling, interference, resilience) returns
+Every study (Figure 14, device scaling, interference) returns
 its figure as ``{row: {series: cell}}``: a cell is one number for Figure 14
 and a dict of named metrics for the others.  The CLI and the benchmark
 harness project, summarize and record every study through these helpers,

@@ -29,18 +29,6 @@ the finishing stream's cache lines in multi-stream runs (see
 :meth:`repro.memory.hierarchy.MemoryHierarchy.kernel_boundary`) -- waits
 for the flush to drain, pays the kernel-launch overhead, and starts the
 stream's next kernel.  Other streams keep executing throughout.
-
-The scheduler is also the fault injector's compute-side surface
-(:mod:`repro.faults`): :meth:`Gpu.fail_device` cordons a device and
-evacuates its queued wavefronts onto the survivors,
-:meth:`Gpu.recover_device` lifts the cordon, and
-:meth:`Gpu.kill_stream` / :meth:`Gpu.restart_stream` model tenant churn
-(drop queued work, drain in-flight work, release the dead tenant's cache
-footprint, re-execute the interrupted kernel on restart).  Healthy runs
-never touch any of it: the only additions to the common path are an
-empty-set test per kernel launch and a launch-token equality test per
-scheduled launch, neither of which changes behaviour -- enforced
-bit-identically by ``tests/integration/test_core_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -73,13 +61,6 @@ class _StreamState:
         "launch_cycle",
         "cu_ranges",
         "next_cu_in_range",
-        "launch_token",
-        "killed",
-        "drained",
-        "will_restart",
-        "pending_restart",
-        "kill_cycle",
-        "current_kernel",
     )
 
     def __init__(self, stream_id: int, num_devices: int, launch_cycle: int) -> None:
@@ -94,20 +75,6 @@ class _StreamState:
         #: static CU partition, per device: (base, count); None when shared
         self.cu_ranges: Optional[list[tuple[int, int]]] = None
         self.next_cu_in_range: Optional[list[int]] = None
-        #: kernel-launch epoch: a tenant kill bumps it, disarming launch
-        #: callbacks already in flight (they carry the token they were
-        #: scheduled under); never changes in a healthy run
-        self.launch_token = 0
-        # tenant-churn state (fault injection): a killed stream drops its
-        # queued work, drains its in-flight wavefronts, releases its cache
-        # footprint, and either finishes for good or restarts its
-        # interrupted kernel after the churn interval
-        self.killed = False
-        self.drained = False
-        self.will_restart = False
-        self.pending_restart = False
-        self.kill_cycle = 0
-        self.current_kernel: Optional[KernelTrace] = None
 
     def has_pending(self) -> bool:
         for queue in self.pending:
@@ -160,9 +127,6 @@ class Gpu:
         self._streams: list[_StreamState] = []
         self._running = False
         self._partitioned = False
-        #: devices cordoned by the fault injector: no new dispatch, queued
-        #: work evacuated to survivors; empty in every healthy run
-        self._failed_devices: set[int] = set()
         #: stream-scoped kernel boundaries + per-stream counters; enabled
         #: by the serving API, off for legacy single-workload runs
         self._serving = False
@@ -269,7 +233,6 @@ class Gpu:
         self._running = True
         self._serving = serving
         self._partitioned = partitioned
-        self._failed_devices = set()
         self._on_workload_complete = on_complete
         self._next_cu = 0
         self._next_cu_of_device = [0] * self._num_devices
@@ -314,14 +277,10 @@ class Gpu:
     # kernel launch / completion
     # ------------------------------------------------------------------
     def _schedule_launch(self, stream: _StreamState, delay: int) -> None:
-        """Schedule the stream's next kernel launch under its current
-        launch token, so a tenant kill in the interim disarms it."""
-        token = stream.launch_token
-        self.sim.schedule(delay, lambda: self._launch_next_kernel(stream, token))
+        """Schedule the stream's next kernel launch ``delay`` cycles out."""
+        self.sim.schedule(delay, lambda: self._launch_next_kernel(stream))
 
-    def _launch_next_kernel(self, stream: _StreamState, token: int) -> None:
-        if token != stream.launch_token:
-            return  # superseded by a tenant kill; the restart relaunches
+    def _launch_next_kernel(self, stream: _StreamState) -> None:
         if not stream.kernels:
             self._stream_finished(stream)
             return
@@ -336,7 +295,6 @@ class Gpu:
             self._skip_dispatch_rotation(stream, kernel)
             self._schedule_launch(stream, 0)
             return
-        stream.current_kernel = kernel
         stream.kernel_index += 1
         self.stats.add("gpu.kernels_launched")
         if self._serving:
@@ -355,7 +313,6 @@ class Gpu:
             )
         else:
             num_devices = self._num_devices
-            failed = self._failed_devices
             for index, program in enumerate(kernel.wavefronts):
                 # untagged wavefronts (a raw trace run on a multi-device
                 # system) are spread round-robin so no device sits idle
@@ -365,8 +322,6 @@ class Gpu:
                         f"wavefront tagged for device {device}, but the system "
                         f"has {num_devices} devices"
                     )
-                if failed and device in failed:
-                    device = self._reroute_device(device, index)
                 stream.pending[device].append(
                     (next(self._wavefront_ids), stream.kernel_index, program)
                 )
@@ -416,16 +371,6 @@ class Gpu:
                 self._next_cu + kernel.num_wavefronts
             ) % len(self.cus)
 
-    def _reroute_device(self, device: int, salt: int) -> int:
-        """Pick a surviving device for a wavefront homed on a failed one
-        (deterministic spread; its memory stays on the failed device's
-        partition, reached over the degraded fabric)."""
-        survivors = [d for d in range(self._num_devices) if d not in self._failed_devices]
-        if not survivors:  # pragma: no cover - fail_device guards this
-            raise RuntimeError("every device has failed; nothing can dispatch")
-        self.stats.add("faults.rerouted_wavefronts")
-        return survivors[(device + salt) % len(survivors)]
-
     def _stream_finished(self, stream: _StreamState) -> None:
         stream.active = False
         now = self.sim.now
@@ -446,15 +391,11 @@ class Gpu:
         if self._has_pending_wavefronts():
             self._fill_cus()
         if stream.outstanding == 0 and not stream.has_pending():
-            if stream.killed:
-                self._stream_drained_after_kill(stream)
-            else:
-                self._kernel_complete(stream)
+            self._kernel_complete(stream)
 
     def _kernel_complete(self, stream: _StreamState) -> None:
         if self.trace is not None:
             self.trace.kernel_finished(stream.stream_id)
-        stream.current_kernel = None
         self.stats.add("gpu.kernels_completed")
         if self._serving:
             self.stats.add(f"stream{stream.stream_id}.kernels_completed")
@@ -467,143 +408,6 @@ class Gpu:
         self.hierarchy.kernel_boundary(
             after_sync, stream_id=stream.stream_id if self._serving else None
         )
-
-    # ------------------------------------------------------------------
-    # fault injection: device failure + tenant churn
-    # ------------------------------------------------------------------
-    def fail_device(self, device: int) -> int:
-        """Cordon ``device`` and evacuate its queued wavefronts.
-
-        The failed device's CUs accept no new work (wavefronts already
-        resident drain out naturally -- dispatch is non-preemptive); its
-        queued wavefronts are re-dispatched round-robin onto the surviving
-        devices, and kernels launched while it is down route around it
-        (:meth:`_reroute_device`).  The memory side survives: its L2
-        slice and DRAM partition stay reachable over the fabric.
-
-        Returns the number of evacuated wavefronts, or ``-1`` if the
-        device had already failed.
-        """
-        if self.cus_per_device is None:
-            raise RuntimeError("device failure needs a multi-device run")
-        if not (0 <= device < self._num_devices):
-            raise IndexError(
-                f"device {device} out of range (have {self._num_devices} devices)"
-            )
-        if device in self._failed_devices:
-            return -1
-        self._failed_devices.add(device)
-        survivors = [d for d in range(self._num_devices) if d not in self._failed_devices]
-        if not survivors:
-            self._failed_devices.discard(device)
-            raise RuntimeError(
-                "every device has failed; at least one must survive to absorb the work"
-            )
-        evacuated = 0
-        for stream in self._streams:
-            queue = stream.pending[device]
-            while queue:
-                stream.pending[survivors[evacuated % len(survivors)]].append(
-                    queue.popleft()
-                )
-                evacuated += 1
-        if evacuated:
-            self._fill_cus()
-        return evacuated
-
-    def recover_device(self, device: int) -> None:
-        """Lift the cordon: ``device`` dispatches new wavefronts again."""
-        self._failed_devices.discard(device)
-
-    def kill_stream(self, stream_id: int, will_restart: bool = True) -> bool:
-        """Kill one tenant mid-run (fault-injected churn).
-
-        The stream's queued wavefronts are dropped, its in-flight
-        wavefronts drain out, and once drained its cache footprint is
-        released (stream-scoped invalidate + dirty flush).  With
-        ``will_restart`` the stream then waits for
-        :meth:`restart_stream`; without it the tenant is gone for good
-        and the run completes without it.
-
-        Returns ``False`` (a no-op) when the stream already finished or
-        is already dead.
-        """
-        if not self._serving:
-            raise RuntimeError("stream kills need a serving run (run_streams)")
-        stream = self._streams[stream_id]
-        if not stream.active or stream.killed:
-            return False
-        stream.killed = True
-        stream.drained = False
-        stream.will_restart = will_restart
-        stream.pending_restart = False
-        stream.kill_cycle = self.sim.now
-        stream.launch_token += 1  # disarm launch callbacks already in flight
-        if self.trace is not None and stream.current_kernel is not None:
-            self.trace.kernel_interrupted(stream_id)
-        dropped = 0
-        for queue in stream.pending:
-            dropped += len(queue)
-            queue.clear()
-        stream.outstanding -= dropped
-        self.stats.add(f"stream{stream_id}.kills")
-        if dropped:
-            self.stats.add("faults.dropped_wavefronts", dropped)
-        if stream.outstanding == 0:
-            self._stream_drained_after_kill(stream)
-        return True
-
-    def restart_stream(self, stream_id: int) -> bool:
-        """Restart a killed tenant (the churn interval elapsed).
-
-        The interrupted kernel re-executes from its first wavefront --
-        the tenant lost its in-progress work and its cache footprint, but
-        nothing it had previously synchronized (its earlier kernels'
-        flushed output) is affected.  If the stream is still draining its
-        in-flight wavefronts the restart is deferred until the drain
-        completes.  Returns ``False`` when there is nothing to restart.
-        """
-        stream = self._streams[stream_id]
-        if not stream.killed or not stream.active:
-            return False
-        if not stream.drained:
-            stream.pending_restart = True
-            return True
-        self._restart_stream_now(stream)
-        return True
-
-    def _stream_drained_after_kill(self, stream: _StreamState) -> None:
-        """The killed stream's last in-flight wavefront finished: release
-        its cache footprint, then restart or retire it."""
-
-        def after_flush() -> None:
-            stream.drained = True
-            if stream.pending_restart:
-                stream.pending_restart = False
-                self._restart_stream_now(stream)
-            elif not stream.will_restart:
-                # permanent kill: the tenant is lost; the run completes
-                # without it (its finish cycle is the evacuation time)
-                self.stats.add(f"stream{stream.stream_id}.lost")
-                self._stream_finished(stream)
-
-        self.hierarchy.evacuate_stream(stream.stream_id, after_flush)
-
-    def _restart_stream_now(self, stream: _StreamState) -> None:
-        now = self.sim.now
-        prefix = f"stream{stream.stream_id}"
-        stream.killed = False
-        stream.drained = False
-        self.stats.add(f"{prefix}.restarts")
-        self.stats.add(f"{prefix}.recovery_cycles", now - stream.kill_cycle)
-        if stream.current_kernel is not None:
-            # re-queue the interrupted kernel; it re-launches (and is
-            # re-counted as launched) with its original kernel index
-            stream.kernels.appendleft(stream.current_kernel)
-            stream.current_kernel = None
-            stream.kernel_index -= 1
-            stream.outstanding = 0
-        self._schedule_launch(stream, self.config.gpu.kernel_launch_cycles)
 
     # ------------------------------------------------------------------
     # dispatch

@@ -2,9 +2,9 @@
 
 The simulator itself stays silent -- determinism and bit-identical reports
 leave no room for logging on the hot path -- but the *execution* layer
-around it (the sweep executor's retry machinery, the fault injector's
-strikes, the CLI's command lifecycle) has operational moments worth a log
-line.  This module is the one logging surface they share:
+around it (the sweep executor's retry machinery, the CLI's command
+lifecycle) has operational moments worth a log line.  This module is the
+one logging surface they share:
 
 * :func:`get_logger` hands out cheap named loggers with optional bound
   context (``get_logger("repro.executor", sweep="figure7")``).
@@ -69,7 +69,7 @@ class _LogSink:
             line = f"{clock} {level.upper()} {logger} {event}{suffix}"
         if self.path is not None:
             # append per record: logs are low-rate (command lifecycle,
-            # retries, fault strikes), and an open handle held across
+            # retries), and an open handle held across
             # fork-based process pools is a sharper edge than re-opening
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(line + "\n")

@@ -300,7 +300,6 @@ class Cache:
     def flush_dirty(
         self,
         on_complete: Callable[[], None],
-        keep_clean: bool = True,
         stream_id: Optional[int] = None,
     ) -> int:
         """Write back dirty lines, then invoke ``on_complete``.
@@ -311,9 +310,10 @@ class Cache:
         engine does and which produces the row-locality disruption discussed
         in section VI.C.2.
 
+        The flushed lines stay valid (clean) in the cache, as a release
+        flush leaves them.
+
         Args:
-            keep_clean: leave the flushed lines valid (clean) in the cache,
-                as a release flush does; pass False to invalidate them.
             stream_id: when given, only lines allocated by that execution
                 stream are flushed (stream-scoped release at a multi-tenant
                 kernel boundary); ``None`` flushes every dirty line.
@@ -345,14 +345,7 @@ class Cache:
         for set_index, way in dirty:
             line = self.sets[set_index][way]
             address = self._line_address(set_index, way)
-            if keep_clean:
-                line.state = _VALID
-            else:
-                self._notify_eviction(line)
-                line.state = _INVALID
-                self._tag_to_way[set_index].pop(line.tag, None)
-                line.tag = -1
-                self.replacement.on_invalidate(set_index, way)
+            line.state = _VALID
             if self.dbi is not None:
                 self.dbi.clear(address)
             self._send_writeback(address, writeback_done)

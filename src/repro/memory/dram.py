@@ -76,10 +76,6 @@ class DramBank:
         self._c_writes = counter("dram.writes")
         self._c_accesses = counter("dram.accesses")
         self._h_queue_delay = stats.histogram_handle("dram.queue_delay")
-        #: fault condition installed by the fault injector (a
-        #: :class:`~repro.faults.injector.DramFaultState`); ``None`` --
-        #: every healthy run -- keeps the scheduler byte-identical
-        self.fault = None
         queue = sim.queue
         self._queue = queue
         self._at = queue.at
@@ -136,10 +132,6 @@ class DramBank:
             self._c_row_conflicts.value += 1
             self._hits_in_a_row = 0
         self.open_row = access.row
-        fault = self.fault
-        if fault is not None:
-            # transient latency spike (thermal throttle / refresh storm)
-            latency += fault.apply()
 
         if access.request.is_load:
             self._c_reads.value += 1

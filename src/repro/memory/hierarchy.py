@@ -353,7 +353,7 @@ class MemoryHierarchy:
         for l1 in self.l1s:
             l1.invalidate_clean(stream_id)
         if self.num_devices == 1:
-            self.l2.flush_dirty(on_complete, keep_clean=True, stream_id=stream_id)
+            self.l2.flush_dirty(on_complete, stream_id=stream_id)
             return
         outstanding = self.num_devices
 
@@ -364,74 +364,11 @@ class MemoryHierarchy:
                 on_complete()
 
         for l2 in self.l2s:
-            l2.flush_dirty(slice_flushed, keep_clean=True, stream_id=stream_id)
+            l2.flush_dirty(slice_flushed, stream_id=stream_id)
 
     def add_kernel_boundary_hook(self, hook: Callable[[], None]) -> None:
         """Register ``hook`` to run at the start of every kernel boundary."""
         self._kernel_boundary_hooks.append(hook)
-
-    # ------------------------------------------------------------------
-    # fault-injection surface
-    # ------------------------------------------------------------------
-    def fabric_links(self, device: Optional[int] = None) -> list[Link]:
-        """The directed fabric links touching ``device`` (all links when
-        ``None``).  Empty for single-device systems -- link faults need a
-        fabric to break."""
-        if device is None:
-            return list(self._fabric.values())
-        return [
-            link
-            for (src, dst), link in self._fabric.items()
-            if src == device or dst == device
-        ]
-
-    def dram_banks(self, device: Optional[int] = None) -> list:
-        """Every DRAM bank of ``device``'s partition (all partitions when
-        ``None``); the injector's DRAM-spike surface."""
-        drams = self.drams if device is None else [self.drams[device]]
-        return [bank for dram in drams for channel in dram.channels for bank in channel.banks]
-
-    def evacuate_device(self, device: int, on_complete: Callable[[], None]) -> None:
-        """Flush the dirty lines of a failed device's L2 slice.
-
-        Compute failure must not lose data: the slice's dirty lines are
-        written back to the device's (surviving) DRAM partition, after
-        which every line the slice holds is clean and survivors' remote
-        requests can still hit it.  ``on_complete`` fires when the last
-        writeback has been accepted by memory.
-        """
-        if not (0 <= device < self.num_devices):
-            raise IndexError(
-                f"device {device} out of range (have {self.num_devices} devices)"
-            )
-        self.l2s[device].flush_dirty(on_complete, keep_clean=True)
-
-    def evacuate_stream(self, stream_id: int, on_complete: Callable[[], None]) -> None:
-        """Release a killed tenant's cache footprint.
-
-        The stream-scoped analogue of a kernel boundary, but harsher: the
-        dead tenant's clean lines are dropped from every cache (it is not
-        coming back to reuse them -- and if it restarts, it restarts
-        cold), and its dirty lines are flushed so the caches hold no
-        orphaned data.  ``on_complete`` fires when every slice drained.
-        """
-        for l1 in self.l1s:
-            l1.invalidate_clean(stream_id)
-        if self.num_devices == 1:
-            self.l2.invalidate_clean(stream_id)
-            self.l2.flush_dirty(on_complete, keep_clean=False, stream_id=stream_id)
-            return
-        outstanding = self.num_devices
-
-        def slice_flushed() -> None:
-            nonlocal outstanding
-            outstanding -= 1
-            if outstanding == 0:
-                on_complete()
-
-        for l2 in self.l2s:
-            l2.invalidate_clean(stream_id)
-            l2.flush_dirty(slice_flushed, keep_clean=False, stream_id=stream_id)
 
     # ------------------------------------------------------------------
     def device_of(self, address: int) -> int:

@@ -55,10 +55,6 @@ class Link:
         self._c_contention_cycles = stats.counter(f"link.{name}.contention_cycles")
         self._queue = sim.queue
         self._at = sim.queue.at
-        #: fault condition installed by the fault injector (a
-        #: :class:`~repro.faults.injector.LinkFaultState`); ``None`` --
-        #: every healthy run -- keeps the send path byte-identical
-        self._fault = None
 
     def send(
         self,
@@ -69,15 +65,9 @@ class Link:
         """Call ``target(request, on_done)`` on the far side after latency +
         any bandwidth wait: one delivery event at ``grant + latency``."""
         now = self._queue.now
-        latency = self.latency
-        fault = self._fault
-        if fault is not None:
-            # outage: the send stalls until the link is back; degrade:
-            # extra per-crossing latency (both counted by the fault state)
-            now, latency = fault.apply(now, latency)
         grant = self.bandwidth.grant(now)
         self._c_transfers.value += 1
         wait = grant - now
         if wait > 0:
             self._c_contention_cycles.value += wait
-        self._at[grant + latency].append(partial(target, request, on_done))
+        self._at[grant + self.latency].append(partial(target, request, on_done))

@@ -2,7 +2,7 @@
 
 End-of-run counters say *what* a run cost; the PR-8 metrics windows say
 *when*.  The detectors here read both (and nothing else -- they run after
-the simulation and never touch simulator state) and turn three
+the simulation and never touch simulator state) and turn two
 operationally meaningful patterns into structured
 :class:`Alert` records on :attr:`repro.stats.report.RunReport.alerts`:
 
@@ -15,8 +15,6 @@ operationally meaningful patterns into structured
   share of window traffic collapsed below a fraction of its fair share
   while other tenants kept issuing: the interference pathology the
   serving study measures, surfaced per window instead of post-hoc.
-* **availability_breach** -- a fault-injected run spent more of its
-  lifetime degraded than the availability budget allows.
 
 Alert emission is touched-gated exactly like counters: a healthy run
 produces an empty list, ``RunReport.to_dict`` omits the ``alerts`` key
@@ -51,8 +49,6 @@ class AlertConfig:
     starvation_share: float = 0.25
     #: total stream traffic a window needs before starvation is judged
     min_window_traffic: int = 64
-    #: fault-injected runs must keep availability at or above this budget
-    availability_budget: float = 0.95
     #: metrics sampling interval implied when alerts are requested but no
     #: explicit --metrics-interval was given (windows feed the detectors)
     default_metrics_interval: int = 5000
@@ -63,10 +59,6 @@ class AlertConfig:
         if not 0.0 < self.starvation_share < 1.0:
             raise ValueError(
                 f"starvation_share must be in (0, 1), got {self.starvation_share}"
-            )
-        if not 0.0 <= self.availability_budget <= 1.0:
-            raise ValueError(
-                f"availability_budget must be in [0, 1], got {self.availability_budget}"
             )
         if self.min_window_accesses < 1:
             raise ValueError(
@@ -87,9 +79,9 @@ class AlertConfig:
 class Alert:
     """One detected anomaly, ready for reports, summaries and traces."""
 
-    #: ``hit_rate_cliff`` / ``stream_starvation`` / ``availability_breach``
+    #: ``hit_rate_cliff`` or ``stream_starvation``
     kind: str
-    #: ``warning`` or ``critical``
+    #: severity level; both detectors emit ``warning``
     severity: str
     #: human-readable one-liner (rendered by the CLI summaries)
     message: str
@@ -201,28 +193,6 @@ def _starvation(windows: list[dict], config: AlertConfig) -> list[Alert]:
     return alerts
 
 
-def _availability_breach(report: "RunReport", config: AlertConfig) -> list[Alert]:
-    if report.faults_injected == 0:
-        return []
-    availability = report.availability
-    if availability >= config.availability_budget:
-        return []
-    return [
-        Alert(
-            kind="availability_breach",
-            severity="critical",
-            message=(
-                f"availability {availability:.3f} is below the "
-                f"{config.availability_budget:.3f} budget "
-                f"({report.degraded_cycles} of {report.cycles} cycles degraded)"
-            ),
-            cycle=report.cycles,
-            value=availability,
-            threshold=config.availability_budget,
-        )
-    ]
-
-
 def detect_anomalies(
     report: "RunReport",
     config: Optional[AlertConfig] = None,
@@ -245,5 +215,4 @@ def detect_anomalies(
     alerts = _hit_rate_cliffs(windows, config)
     if shared_dispatch:
         alerts.extend(_starvation(windows, config))
-    alerts.extend(_availability_breach(report, config))
     return alerts

@@ -4,7 +4,7 @@
 blobs.  :func:`diff_reports` answers it structurally: every counter of
 either report is compared, deltas get relative-change annotations, and
 the derived signals the figures plot (hit rates, remote fraction,
-availability, stalls per request) are diffed alongside so a counter
+stalls per request) are diffed alongside so a counter
 regression is immediately connected to the metric it moves.
 
 The self-test property the acceptance criteria pin: the simulator is
@@ -48,7 +48,6 @@ _DERIVED = (
     "dram_row_hit_rate",
     "remote_fraction",
     "cache_stalls_per_request",
-    "availability",
 )
 
 

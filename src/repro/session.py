@@ -3,7 +3,7 @@
 A run is described once, by a frozen :class:`~repro.spec.JobSpec`: the
 workload, the caching policy, the system configuration and the optional
 run axes (adaptive control, a multi-device topology, a multi-tenant
-serving mix, a fault plan, phase-sampled fast-forward, shards, and the
+serving mix, phase-sampled fast-forward, shards, and the
 predictor/DBI overrides), each documented there.  :func:`simulate` is the
 main public API: it runs one spec -- or the spec its keyword arguments
 describe -- and returns a :class:`~repro.stats.report.RunReport`, handing
@@ -38,7 +38,6 @@ if TYPE_CHECKING:
     from repro.adaptive.controller import DynamicPolicyController
     from repro.adaptive.phase import PhaseDetector
     from repro.core.policies import PolicySpec
-    from repro.faults.injector import FaultInjector
     from repro.obs.config import ObsConfig
     from repro.streams.config import StreamConfig
     from repro.telemetry.config import TelemetryConfig
@@ -187,21 +186,6 @@ class SimulationSession:
             )
             self.hierarchy.add_kernel_boundary_hook(self.controller.on_kernel_boundary)
 
-        self.injector: Optional[FaultInjector] = None
-        if spec.faults is not None:
-            # validates the plan against the assembled system and schedules
-            # every event (the spec stores an empty plan as None)
-            from repro.faults.injector import FaultInjector
-
-            self.injector = FaultInjector(
-                spec.faults,
-                self.sim,
-                self.stats,
-                self.gpu,
-                self.hierarchy,
-                num_streams=len(spec.streams) if spec.streams is not None else 0,
-            )
-
         # fast-forward sampling: only an *enabled* config reaches the spec,
         # so exact runs never pay the one-None-test-per-launch filter hook
         self.kernel_sampler: Optional[KernelSampler] = None
@@ -231,8 +215,6 @@ class SimulationSession:
                     self.controller.trace = self.recorder
                 if self.phase_detector is not None:
                     self.phase_detector.add_listener(self.recorder.phase_change)
-                if self.injector is not None:
-                    self.injector.trace = self.recorder
                 self.sim.on_finish(self.recorder.finish)
             if telemetry.metrics_interval:
                 from repro.telemetry.metrics import MetricsSampler
@@ -327,8 +309,6 @@ class SimulationSession:
 
     def _on_complete(self) -> None:
         self._finished.append(self.sim.now)
-        if self.injector is not None:
-            self.injector.finalize()
 
     def finish(self) -> RunReport:
         """Build the run report once ``sim.run()`` has drained the queue.

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
     from repro.accel.config import SamplingConfig, ShardConfig
     from repro.adaptive.config import AdaptiveConfig
     from repro.core.reuse_predictor import PredictorConfig
-    from repro.faults.config import FaultPlan
     from repro.topology.config import TopologyConfig
 
 __all__ = ["JobSpec", "as_spec"]
@@ -74,13 +73,6 @@ class JobSpec:
             ``scale`` are then not.  A single-entry stream list is
             bit-identical to the plain run of that workload (modulo the
             extra ``stream0.*`` counters).
-        faults: when given, a :class:`~repro.faults.config.FaultPlan`
-            whose events (link degradation/outage, device failure with
-            evacuation, DRAM spikes, tenant kill/restart) are injected
-            deterministically; the report then carries ``faults.*``
-            resilience counters.  The empty plan injects nothing and is
-            stored as ``None``, so a healthy baseline shares its store
-            entry with ordinary runs.
         sampling: when given (an enabled
             :class:`~repro.accel.config.SamplingConfig`), fast-forward
             steady-state kernel repeats: after a few measured instances
@@ -111,7 +103,6 @@ class JobSpec:
     adaptive: Optional[AdaptiveConfig] = None
     topology: Optional[TopologyConfig] = None
     streams: Optional[tuple[StreamConfig, ...]] = None
-    faults: Optional[FaultPlan] = None
     sampling: Optional[SamplingConfig] = None
     shards: Optional[ShardConfig] = None
 
@@ -138,10 +129,10 @@ class JobSpec:
                 raise ValueError("a serving run needs at least one stream")
             put("streams", streams)
             put("workload", self.workload or label)
-        # an empty fault plan, disabled sampling and a single shard are
-        # bit-identical to no config at all: store them as None, so equal
-        # simulations compare (and memoize) equal and fingerprint alike
-        for name in ("faults", "sampling", "shards"):
+        # disabled sampling and a single shard are bit-identical to no
+        # config at all: store them as None, so equal simulations compare
+        # (and memoize) equal and fingerprint alike
+        for name in ("sampling", "shards"):
             value = getattr(self, name)
             if value is not None and value.empty:
                 put(name, None)
@@ -156,11 +147,6 @@ class JobSpec:
                 "phase-sampled fast-forward does not compose with adaptive "
                 "policy control: the controller must observe every kernel "
                 "boundary, and skipped kernels have none"
-            )
-        if self.faults is not None:
-            raise ValueError(
-                "phase-sampled fast-forward does not compose with fault "
-                "injection: killed/restarted kernels break repeat measurement"
             )
         streams = self.streams
         if streams is not None and len(streams) > 1:
@@ -182,11 +168,6 @@ class JobSpec:
             raise ValueError(
                 "sharded execution does not compose with a multi-device "
                 "topology: run the topology unsharded"
-            )
-        if self.faults is not None:
-            raise ValueError(
-                "sharded execution does not compose with fault injection: the "
-                "fault schedule addresses the whole system"
             )
         streams = self.streams
         if streams is None:
@@ -236,7 +217,8 @@ class JobSpec:
                     if self.streams is None
                     else [stream.describe() for stream in self.streams]
                 ),
-                "faults": None if self.faults is None else self.faults.describe(),
+                # retired fault axis: held constant so no store key moves
+                "faults": None,
                 "sampling": None if self.sampling is None else self.sampling.describe(),
                 "shards": None if self.shards is None else self.shards.describe(),
             },
@@ -260,9 +242,6 @@ class JobSpec:
             summary["num_devices"] = self.topology.num_devices
         if self.streams is not None:
             summary["streams"] = [stream.describe() for stream in self.streams]
-        if self.faults is not None:
-            summary["faults"] = self.faults.label
-            summary["fault_events"] = len(self.faults.events)
         if self.sampling is not None:
             summary["sampling"] = self.sampling.describe()
         if self.shards is not None:

@@ -12,9 +12,8 @@ one policy) and exposes exactly the quantities used in Figures 4-13:
 
 Beyond the paper's figures the report also surfaces the serving-system
 axes later PRs added: per-stream sub-counters and interference metrics
-for multi-tenant runs, NUMA local/remote traffic for multi-device runs,
-and -- for fault-injected runs -- resilience metrics (``faults_injected``,
-``degraded_cycles``, ``availability``, per-stream recovery latency).
+for multi-tenant runs and NUMA local/remote traffic for multi-device
+runs.
 """
 
 from __future__ import annotations
@@ -261,43 +260,6 @@ class RunReport:
         seconds = self.seconds
         return self.gpu_mem_requests / seconds / 1e9 if seconds else 0.0
 
-    # -- resilience (fault injection) --------------------------------------
-    @property
-    def faults_injected(self) -> int:
-        """Fault events that actually struck during the run (0 = healthy)."""
-        return self.get("faults.injected")
-
-    @property
-    def degraded_cycles(self) -> int:
-        """Cycles during which at least one injected fault was active.
-
-        The union of active-fault intervals, clipped to the run: a fault
-        that outlives the workload only degrades the cycles it overlapped.
-        """
-        return self.get("faults.degraded_cycles")
-
-    @property
-    def availability(self) -> float:
-        """Fraction of the run executed with no fault active (1.0 = healthy).
-
-        The serving-fleet availability metric: ``1 - degraded/total``.
-        """
-        return 1.0 - self.degraded_cycles / self.cycles if self.cycles else 1.0
-
-    @property
-    def recovery_cycles(self) -> int:
-        """Total tenant recovery latency: cycles between each stream kill
-        and the corresponding restart, summed over all restarts."""
-        return sum(
-            value
-            for name, value in self.counters.items()
-            if name.endswith(".recovery_cycles") and _STREAM_COUNTER.match(name)
-        )
-
-    def stream_recovery_cycles(self, index: int) -> int:
-        """Recovery latency of stream ``index`` (0: never killed/restarted)."""
-        return self.get(f"stream{index}.recovery_cycles")
-
     # -- multi-tenant serving ----------------------------------------------
     @property
     def per_stream(self) -> dict[int, dict[str, int]]:
@@ -386,9 +348,6 @@ class RunReport:
             "l1_hit_rate": self.l1_hit_rate,
             "l2_hit_rate": self.l2_hit_rate,
             "kernels": self.kernels,
-            "faults_injected": self.faults_injected,
-            "degraded_cycles": self.degraded_cycles,
-            "availability": self.availability,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

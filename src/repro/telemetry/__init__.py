@@ -6,7 +6,7 @@ Three observers, any combination of which a
 
 * :class:`TraceRecorder` -- a cycle-accurate Chrome/Perfetto trace-event
   timeline (kernel spans per stream, wavefront slices per CU/device,
-  adaptive and fault annotations);
+  adaptive and alert annotations);
 * :class:`MetricsSampler` -- per-window counter deltas whose sum exactly
   reproduces the end-of-run counters;
 * :class:`SimProfiler` -- host-side events/sec and per-component callback

@@ -4,16 +4,15 @@ The :class:`TraceRecorder` is the session-wide observer the simulated
 components report lifecycle moments to: kernel launches and completions
 (the :class:`~repro.gpu.gpu.Gpu` stream scheduler), wavefront dispatch and
 retirement (each :class:`~repro.gpu.compute_unit.ComputeUnit`),
-kernel-boundary synchronization (the memory hierarchy), phase changes and
-policy swaps (the adaptive subsystem), and fault strikes plus the degraded
-interval they open (the fault injector).  It turns them into Chrome
+kernel-boundary synchronization (the memory hierarchy), and phase changes
+and policy swaps (the adaptive subsystem).  It turns them into Chrome
 trace-event JSON [1] -- the format ``chrome://tracing`` and Perfetto's
 https://ui.perfetto.dev load directly -- with one process row per device
 (threads = per-CU wavefront lanes, carrying wavefront slices -- concurrent
 wavefronts on one CU occupy separate lane rows so spans nest), one process
 for the stream
 timelines (threads = streams, carrying kernel spans), and one control
-process for adaptive/fault annotations.
+process for adaptive and alert annotations.
 
 Timestamps map **1 GPU cycle = 1 microsecond** of trace time, so span
 durations read directly as cycle counts in the viewer.
@@ -36,15 +35,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["TraceRecorder", "trace_errors", "validate_trace"]
 
-#: trace process ids: streams (kernel spans), control (adaptive + faults);
+#: trace process ids: streams (kernel spans), control (adaptive + alerts);
 #: device ``d`` gets pid ``PID_DEVICE_BASE + d`` (wavefront slices per CU)
 PID_STREAMS = 1
 PID_CONTROL = 2
 PID_DEVICE_BASE = 10
 
-#: control-process thread ids
+#: control-process thread ids (tid 1 stays unused, so alert rows keep
+#: the tid older traces gave them)
 TID_ADAPTIVE = 0
-TID_FAULTS = 1
 TID_ALERTS = 2
 
 #: tid stride separating a CU's wavefront lanes inside its device process:
@@ -78,7 +77,6 @@ class TraceRecorder:
         self._open_wavefronts: dict[int, tuple[int, int, int, int, int]] = {}
         #: cu_id -> lanes currently occupied by an in-flight wavefront
         self._cu_busy_lanes: dict[int, set[int]] = {}
-        self._degraded_since: Optional[int] = None
         self._cus_per_device = 0
         self._process_names: dict[int, str] = {PID_STREAMS: "streams"}
         self._thread_names: dict[tuple[int, int], str] = {}
@@ -178,7 +176,8 @@ class TraceRecorder:
         )
 
     def kernel_interrupted(self, stream_id: int) -> None:
-        """A tenant kill cut the stream's running kernel short."""
+        """Close the stream's running kernel as a span flagged
+        ``interrupted`` (it was still open when the run finished)."""
         open_kernel = self._open_kernels.pop(stream_id, None)
         if open_kernel is None:
             return
@@ -291,21 +290,6 @@ class TraceRecorder:
         )
 
     # ------------------------------------------------------------------
-    # fault-injector hooks (strikes + the degraded-interval union)
-    # ------------------------------------------------------------------
-    def fault_event(self, kind: str, target: int) -> None:
-        self._thread_names.setdefault((PID_CONTROL, TID_FAULTS), "faults")
-        self._process_names.setdefault(PID_CONTROL, "control")
-        self._instant(
-            kind,
-            "fault",
-            PID_CONTROL,
-            TID_FAULTS,
-            args={"target": target},
-            scope="g",
-        )
-
-    # ------------------------------------------------------------------
     # observability hooks (post-run anomaly alerts)
     # ------------------------------------------------------------------
     def alert_event(
@@ -333,29 +317,6 @@ class TraceRecorder:
             }
         )
 
-    def degraded_begin(self) -> None:
-        """The first concurrently-active fault struck: a degraded interval
-        opens.  Mirrors the injector's ``faults.degraded_cycles`` union."""
-        if self._degraded_since is None:
-            self._degraded_since = self.sim.now
-
-    def degraded_end(self) -> None:
-        """The last active fault lifted (or the run completed): close the
-        open degraded interval as a span."""
-        if self._degraded_since is None:
-            return
-        self._thread_names.setdefault((PID_CONTROL, TID_FAULTS), "faults")
-        self._process_names.setdefault(PID_CONTROL, "control")
-        self._span(
-            "degraded",
-            "fault",
-            self._degraded_since,
-            self.sim.now,
-            PID_CONTROL,
-            TID_FAULTS,
-        )
-        self._degraded_since = None
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -363,9 +324,9 @@ class TraceRecorder:
         """Close the books when the simulation drains.
 
         Registered as a :meth:`Simulator.on_finish` hook.  Any span still
-        open (a kernel a permanent device failure stranded, a wavefront
-        the budget guard cut off) is closed at the final time and flagged,
-        so the emitted trace never contains dangling begin events.
+        open (a kernel or wavefront the budget guard cut off) is closed at
+        the final time and flagged, so the emitted trace never contains
+        dangling begin events.
         """
         if self._finished:
             return
@@ -390,22 +351,8 @@ class TraceRecorder:
                 },
             )
         self._open_wavefronts.clear()
-        self.degraded_end()
 
     # ------------------------------------------------------------------
-    def degraded_span_cycles(self) -> int:
-        """Total cycles covered by emitted ``degraded`` spans.
-
-        By construction this equals the ``faults.degraded_cycles`` counter
-        (both mirror the injector's activate/deactivate union) -- the
-        integration tests assert it.
-        """
-        return sum(
-            int(event["dur"])  # type: ignore[arg-type]
-            for event in self.events
-            if event.get("name") == "degraded" and event.get("ph") == "X"
-        )
-
     def spans(self, cat: Optional[str] = None) -> list[dict[str, object]]:
         """The recorded complete ("X") events, optionally one category."""
         return [

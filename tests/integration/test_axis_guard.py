@@ -27,7 +27,6 @@ from repro.config import scaled_config
 from repro.core.policies import policy_by_name
 from repro.core.reuse_predictor import PredictorConfig
 from repro.experiments.jobs import JobSpec, execute_job
-from repro.faults import fault_plan_by_name
 from repro.session import SimulationSession, simulate
 from repro.streams import StreamConfig
 from repro.topology import TOPOLOGIES
@@ -57,15 +56,6 @@ SPECS = {
         dict(policy=policy_by_name("CacheRW"), topology=TOPOLOGIES["dual-chiplet"]),
     ),
     "streams": (TENANTS_LABEL, 1.0, dict(policy=policy_by_name("CacheR"), streams=TENANTS)),
-    "faults": (
-        TENANTS_LABEL,
-        1.0,
-        dict(
-            policy=policy_by_name("CacheRW"),
-            streams=TENANTS,
-            faults=fault_plan_by_name("tenant-churn"),
-        ),
-    ),
     "sampling": (
         "FwLSTM",
         0.3,
@@ -91,7 +81,6 @@ SPECS = {
 EXPECTED = {
     "adaptive": "ce221af069b2de93084dd3308df8a8fc1eebcc3a7c29c4a19bd10dfa71024258",
     "dbi_max_rows": "123f1d2284fe6e8b4f3902c0a26f3b7a6f59b1162372c3f0ce3750fa241afbb6",
-    "faults": "44df61ff0fe987b042dc0db2dad33ab6a8c9f637ad4d88218bbbda4eaab9901b",
     "predictor_config": "5cdbd0ce46b59953b61602d67d367d0797822f3b6d1a0e0c83cf85774a98ce7a",
     "sampling": "14611aaeffcbf18681da063ef284d286848d04b7060d4746ab74322d194c678c",
     "static": "308e95888298d8945ba55cc037e4788c8205b2b22178523d3cea92558cf1b47b",

@@ -41,12 +41,6 @@ address-space isolation (identity at offset 0), stream-scoped kernel
 boundaries (every line is stream 0's) and per-stream accounting must
 reduce to exactly the plain run -- same cycles, and every counter
 identical apart from the additive ``stream0.*`` namespace.
-
-The pinned-faults class replays the same scenarios with an *empty*
-:class:`~repro.faults.config.FaultPlan` attached: the injector is
-constructed, validated and finalized, but with no events to schedule it
-must be a pure observer -- same cycles, same counters, not a single
-``faults.*`` entry -- alone and composed with each of the other pins.
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ from repro.accel import SamplingConfig, ShardConfig
 from repro.adaptive import AdaptiveConfig
 from repro.config import SystemConfig, scaled_config
 from repro.core.policies import CACHE_R, CACHE_RW, CACHE_RW_CR, CACHE_RW_PCBY, policy_by_name
-from repro.faults import FaultPlan
 from repro.memory.replacement import make_replacement
 from repro.session import SimulationSession, simulate
 from repro.streams import StreamConfig
@@ -110,7 +103,6 @@ def run_scenario(
     pinned_dynamic: bool = False,
     pinned_topology: bool = False,
     pinned_stream: bool = False,
-    pinned_faults: bool = False,
     disabled_sampling: bool = False,
 ) -> dict[str, object]:
     """Run one scenario and return its full ``RunReport.to_dict()``.
@@ -123,9 +115,7 @@ def run_scenario(
     one-device :data:`PINNED_TOPOLOGY`.  With ``pinned_stream`` it runs
     through the serving subsystem as a one-stream mix: the stream
     scheduler, scoped kernel boundaries and per-stream accounting are all
-    active, with nobody to interfere with.  With ``pinned_faults`` an
-    empty :class:`FaultPlan` attaches the fault injector with no events
-    to fire.
+    active, with nobody to interfere with.
     """
     workload_name, scale, policy_name, replacement, config_factory = SCENARIOS[name]
     policy = policy_by_name(policy_name)
@@ -133,7 +123,6 @@ def run_scenario(
     streams = (
         (StreamConfig(workload=workload_name, scale=scale),) if pinned_stream else None
     )
-    faults = FaultPlan() if pinned_faults else None
     sampling = SamplingConfig(enabled=False) if disabled_sampling else None
     if pinned_dynamic:
         session = SimulationSession(
@@ -141,7 +130,6 @@ def run_scenario(
             config=config_factory(),
             topology=topology,
             streams=streams,
-            faults=faults,
             sampling=sampling,
         )
     else:
@@ -150,7 +138,6 @@ def run_scenario(
             config=config_factory(),
             topology=topology,
             streams=streams,
-            faults=faults,
             sampling=sampling,
         )
     if replacement != "lru":
@@ -341,75 +328,31 @@ class TestCoreEquivalence:
         assert simulated_counters == expected["counters"]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_pinned_empty_faultplan_is_bit_identical(self, golden, name):
-        """An empty ``FaultPlan`` run reproduces the plain run exactly.
+    def test_every_pin_composes(self, golden, name):
+        """Stream, topology and adaptive pins all at once: golden timing."""
+        report = run_scenario(
+            name, pinned_stream=True, pinned_topology=True, pinned_dynamic=True
+        )
+        expected = golden[name]
+        assert report["cycles"] == expected["cycles"]
+        simulated_counters = {
+            key: value
+            for key, value in report["counters"].items()
+            if not (key.startswith("stream") or key.startswith("adaptive."))
+        }
+        assert not any(key.startswith("topo.") for key in simulated_counters)
+        assert simulated_counters == expected["counters"]
 
-        The injector is constructed, validated against the system and
-        finalized at completion, but with no events it must not schedule
-        anything, touch any ``faults.*`` counter, or move a cycle: the
-        report is counter-for-counter identical to the golden fixture,
-        including the counter name set.
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_back_to_back_runs_are_bit_identical(self, golden, name):
+        """A second run in the same process reproduces the first.
+
+        Workload traces are cached per process; a run that mutated the
+        cached trace or any module-level state would drift here.
         """
-        report = run_scenario(name, pinned_faults=True)
-        expected = golden[name]
-        assert report["cycles"] == expected["cycles"]
-        got_counters = report["counters"]
-        assert not any(key.startswith("faults.") for key in got_counters), (
-            "an empty fault plan must not produce resilience accounting"
-        )
-        assert set(got_counters) == set(expected["counters"]), (
-            f"counter name set drifted: only-new="
-            f"{sorted(set(got_counters) - set(expected['counters']))} "
-            f"only-golden={sorted(set(expected['counters']) - set(got_counters))}"
-        )
-        diffs = {
-            key: (got_counters[key], expected["counters"][key])
-            for key in expected["counters"]
-            if got_counters[key] != expected["counters"][key]
-        }
-        assert not diffs, f"pinned faults run drifted (got, want): {diffs}"
-        assert report == expected
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_pinned_faults_compose_with_pinned_dynamic(self, golden, name):
-        """Faults and adaptive pins compose: still the golden timing."""
-        report = run_scenario(name, pinned_faults=True, pinned_dynamic=True)
-        expected = golden[name]
-        assert report["cycles"] == expected["cycles"]
-        simulated_counters = {
-            key: value
-            for key, value in report["counters"].items()
-            if not key.startswith("adaptive.")
-        }
-        assert not any(key.startswith("faults.") for key in simulated_counters)
-        assert simulated_counters == expected["counters"]
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_pinned_faults_compose_with_pinned_topology(self, golden, name):
-        """Faults and topology pins compose: still the golden timing."""
-        report = run_scenario(name, pinned_faults=True, pinned_topology=True)
-        expected = golden[name]
-        assert report["cycles"] == expected["cycles"]
-        got_counters = report["counters"]
-        assert not any(
-            key.startswith(("faults.", "topo.")) for key in got_counters
-        )
-        assert got_counters == expected["counters"]
-        assert report == expected
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_pinned_faults_compose_with_pinned_stream(self, golden, name):
-        """Faults and stream pins compose: still the golden timing."""
-        report = run_scenario(name, pinned_faults=True, pinned_stream=True)
-        expected = golden[name]
-        assert report["cycles"] == expected["cycles"]
-        simulated_counters = {
-            key: value
-            for key, value in report["counters"].items()
-            if not key.startswith("stream")
-        }
-        assert not any(key.startswith("faults.") for key in simulated_counters)
-        assert simulated_counters == expected["counters"]
+        first = run_scenario(name)
+        second = run_scenario(name)
+        assert first == second == golden[name]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_disabled_sampling_is_bit_identical(self, golden, name):
@@ -459,6 +402,26 @@ class TestCoreEquivalence:
             key: value
             for key, value in report["counters"].items()
             if not key.startswith("stream")
+        }
+        assert simulated_counters == expected["counters"]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_disabled_sampling_composes_with_every_pin(self, golden, name):
+        """Disabled sampling + stream, topology and adaptive pins: golden timing."""
+        report = run_scenario(
+            name,
+            disabled_sampling=True,
+            pinned_stream=True,
+            pinned_topology=True,
+            pinned_dynamic=True,
+        )
+        expected = golden[name]
+        assert report["cycles"] == expected["cycles"]
+        assert "sampling" not in report and "error_estimates" not in report
+        simulated_counters = {
+            key: value
+            for key, value in report["counters"].items()
+            if not (key.startswith("stream") or key.startswith("adaptive."))
         }
         assert simulated_counters == expected["counters"]
 

@@ -200,7 +200,6 @@ class TestCli:
             ["adaptive", "--workloads", "Bogus"],
             ["topology", "--policies", "Bogus"],
             ["serve", "--policies", "Bogus"],
-            ["faults", "--policies", "Bogus"],
         ],
         ids=lambda argv: "-".join(argv[:1] + argv[-2:-1]),
     )
@@ -222,43 +221,73 @@ class TestCli:
         assert code == 0
         assert "CacheR" in capsys.readouterr().out
 
-    def test_list_json_includes_fault_plans(self, capsys):
+    def test_list_json_payload_keys(self, capsys):
         assert cli.main(["list", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "fault_plans" in payload
-        assert "device-outage" in payload["fault_plans"]
-        assert payload["fault_plans"]["tenant-churn"]["events"]
+        assert set(payload) == {
+            "schema", "workloads", "policies", "adaptive", "topologies", "serving_mixes",
+        }
+        assert "fault_plans" not in payload
 
-    def test_faults_command_writes_artifact_and_warm_store_is_free(
-        self, capsys, tmp_path
-    ):
-        """The chaos sweep is cacheable: a warm repeat simulates nothing."""
-        out = str(tmp_path / "resilience_figure.json")
-        args = [
-            "--scale", "0.1", "--cus", "2", "faults",
-            "--mix", "mha+fwlstm", "--policies", "CacheRW",
-            "--plans", "tenant-churn",
-            "--cache-dir", str(tmp_path / "store"),
-            "--json-out", out,
-            "--checkpoint", str(tmp_path / "sweep.ckpt"),
-        ]
-        assert cli.main(args) == 0
-        captured = capsys.readouterr()
-        assert "simulated=2" in captured.err  # baseline + churn cell
-        blob = json.loads(open(out, encoding="utf-8").read())
-        assert blob["schema"] == 1
-        cells = blob["figure_resilience"]["mha+fwlstm"]
-        assert cells["CacheRW@tenant-churn"]["availability"] < 1.0
-        assert cells["CacheRW@none"]["availability"] == 1.0
+    def test_run_json_payload_keys(self, capsys):
+        argv = ["--scale", "0.1", "--cus", "2",
+                "run", "--workload", "FwSoft", "--policy", "CacheR", "--json"]
+        assert cli.main(argv) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {
+            "workload", "policy", "cycles", "seconds", "gvops", "gmrs",
+            "gpu_mem_requests", "dram_accesses", "dram_reads", "dram_writes",
+            "dram_row_hit_rate", "remote_fraction", "cache_stall_cycles",
+            "cache_stalls_per_request", "l1_hit_rate", "l2_hit_rate", "kernels",
+        }
 
-        assert cli.main(args) == 0
-        captured = capsys.readouterr()
-        assert "simulated=0" in captured.err and "loaded=2" in captured.err
 
-    def test_faults_device_plan_on_single_topology_exits_2(self, capsys):
-        code = cli.main(
-            ["faults", "--topology", "single", "--plans", "device-outage",
-             "--no-cache"]
-        )
-        assert code == 2
-        assert "devices" in capsys.readouterr().err
+class TestRetiredFaultAxis:
+    """Fault injection is gone from every entry point, not just hidden.
+
+    A stale script or pipeline that still asks for it must fail loudly
+    instead of running a healthy simulation under a faulted label.
+    """
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["faults", "--no-cache"], "invalid choice: 'faults'"),
+            (
+                ["trace", "--workload", "FwSoft", "--plan", "link-brownout"],
+                "unrecognized arguments: --plan",
+            ),
+        ],
+        ids=["faults-command", "trace-plan"],
+    )
+    def test_cli_rejects_fault_arguments(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["JobSpec", "simulate", "SimulationSession"])
+    def test_run_entry_points_reject_a_faults_axis(self, entry):
+        from repro import session, spec
+
+        build = {
+            "JobSpec": spec.JobSpec,
+            "simulate": session.simulate,
+            "SimulationSession": session.SimulationSession,
+        }[entry]
+        with pytest.raises(TypeError, match="faults"):
+            build(faults=None)
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.faults",
+            "repro.faults.config",
+            "repro.faults.injector",
+            "repro.experiments.resilience",
+        ],
+    )
+    def test_fault_modules_are_gone(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)

@@ -23,7 +23,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SWEEP_ARGV = ["--scale", "0.2", "--cus", "2", "sweep-all", "--workloads", "FwSoft", "SGEMM"]
 
 #: a warm sweep re-plots from the store; it never touches the simulator,
-#: the other studies, fault injection or any other command's module
+#: the other studies or any other command's module
 SWEEP_FORBIDDEN = (
     "repro.session",
     "repro.engine.event_queue",
@@ -31,9 +31,7 @@ SWEEP_FORBIDDEN = (
     "repro.gpu.gpu",
     "repro.experiments.adaptive",
     "repro.experiments.interference",
-    "repro.experiments.resilience",
     "repro.experiments.scaling",
-    "repro.faults",
     *sorted(
         {f"repro.cli.{command.module}" for command in cli.COMMANDS.values()}
         - {f"repro.cli.{cli.COMMANDS['sweep-all'].module}"}
@@ -44,7 +42,6 @@ SWEEP_FORBIDDEN = (
 STATIC_RUN_FORBIDDEN = (
     "repro.accel.sampling",
     "repro.adaptive.controller",
-    "repro.faults.injector",
     "repro.obs.bench",
     "repro.obs.diff",
     "repro.stats.regression",

@@ -15,7 +15,6 @@ import pytest
 from repro.accel import SamplingConfig
 from repro.adaptive import AdaptiveConfig
 from repro.core.policies import policy_by_name
-from repro.faults import FaultEvent, FaultPlan
 from repro.session import SimulationSession
 from repro.streams import StreamConfig
 from repro.workloads import get_workload
@@ -129,24 +128,13 @@ class TestSamplingComposability:
                 sampling=SamplingConfig(),
             )
 
-    def test_rejects_fault_injection(self):
-        plan = FaultPlan(
-            events=(FaultEvent(cycle=100, kind="dram_spike", extra_latency=10),)
-        )
-        with pytest.raises(ValueError, match="fault"):
-            SimulationSession(
-                policy=policy_by_name("CacheRW"),
-                faults=plan,
-                sampling=SamplingConfig(),
-            )
-
     def test_single_stream_composes(self):
         report = _run_single_stream()
         assert report["sampling"]["mode"] == "phase_sampled"
 
     def test_disabled_config_composes_with_everything(self):
         """A disabled SamplingConfig is exact mode, so the rejections
-        above must not fire (the FaultPlan-normalization idiom)."""
+        above must not fire (disabled configs normalize to None)."""
         session = SimulationSession(
             adaptive=AdaptiveConfig(), sampling=SamplingConfig(enabled=False)
         )

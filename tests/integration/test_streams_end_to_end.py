@@ -188,6 +188,19 @@ class TestServingExecution:
             == report.gpu_mem_requests
         )
 
+    @pytest.mark.parametrize("mix_name", MIX_NAMES)
+    def test_every_tenant_launches_each_kernel_once(self, mix_name):
+        mix = mix_by_name(mix_name).scaled(0.1)
+        report = _serving_report(mix.streams)
+        expected = [
+            get_workload(stream.workload, scale=stream.scale).build_trace().num_kernels
+            for stream in mix.streams
+        ]
+        for index, kernels in enumerate(expected):
+            for counter in ("kernels_total", "kernels_launched", "kernels_completed"):
+                assert report.counters[f"stream{index}.{counter}"] == kernels, counter
+        assert report.counters["gpu.kernels_launched"] == sum(expected)
+
     def test_staggered_arrival_is_honoured(self):
         streams = (
             StreamConfig(workload="FwFc", scale=0.1),

@@ -1,14 +1,14 @@
 """Output pins for the study drivers and their CLI commands.
 
-The studies (static sweeps, Figure 14, device scaling, interference,
-resilience) and the CLI commands that print them share one grid path.
+The studies (static sweeps, Figure 14, device scaling, interference)
+and the CLI commands that print them share one grid path.
 Two things must survive any change to that path:
 
 * the store keys: the sorted fingerprints of the jobs each study hands to
   the executor's backend, so existing result stores stay warm;
 * the CLI output: stdout, the ``--json-out`` artifact and the stderr
   ``simulated=`` accounting line of ``sweep-all``, ``adaptive``,
-  ``topology``, ``serve`` and ``faults``.
+  ``topology`` and ``serve``.
 
 Store keys embed a digest of every ``repro`` source file, so the tests pin
 :func:`repro.fingerprint.code_digest` to a constant.  If a change alters
@@ -40,10 +40,8 @@ from repro.experiments import (
     SweepExecutor,
     figure14_adaptive,
     figure_interference,
-    figure_resilience,
     figure_scaling,
 )
-from repro.faults import FAULT_PLANS
 from repro.streams import mix_by_name
 
 TINY = scaled_config(2)
@@ -88,25 +86,11 @@ def _interference(runner: ExperimentRunner, _tmp: Path) -> object:
     return figure_interference(runner, mixes=mixes, policies=(CACHE_RW,))
 
 
-def _resilience(runner: ExperimentRunner, tmp: Path) -> object:
-    checkpoint = tmp / "checkpoint.json"
-    figure = figure_resilience(
-        runner,
-        mixes=[mix_by_name("mha+fwlstm"), mix_by_name("gemm-burst")],
-        policies=(CACHE_RW,),
-        plans=[FAULT_PLANS[name] for name in ("none", "link-brownout", "tenant-churn")],
-        checkpoint_path=checkpoint,
-    )
-    blob = json.loads(checkpoint.read_text(encoding="utf-8"))
-    return {"figure": figure, "checkpoint": [blob["sweep"], blob["total"]]}
-
-
 STUDIES: dict[str, Callable[[ExperimentRunner, Path], object]] = {
     "sweep": _sweep,
     "figure14_adaptive": _figure14,
     "figure_scaling": _scaling,
     "figure_interference": _interference,
-    "figure_resilience": _resilience,
 }
 
 #: argv per CLI command (--no-cache keeps the stderr line free of paths);
@@ -128,11 +112,6 @@ COMMANDS: dict[str, list[str]] = {
         *COMMON, "serve", "--no-cache", "--mix", "mha+fwlstm", "--policies", "CacheRW",
         "--trace-out", "TRACE_OUT", "--json-out", "JSON_OUT",
     ],
-    "faults": [
-        *COMMON, "faults", "--no-cache", "--mix", "mha+fwlstm",
-        "--plans", "none", "link-brownout", "--policies", "CacheRW",
-        "--json-out", "JSON_OUT",
-    ],
 }
 
 #: study -> (submitted jobs, digest of their sorted fingerprints,
@@ -142,7 +121,6 @@ EXPECTED_STUDIES: dict[str, tuple[int, str, str]] = {
     "figure14_adaptive": (10, "187b9b53b9496c612a64fbbf920278d9b6ee47e2f1c410dd7b13e22604ab474f", "fa5b47e82c1d8ef4738497034b465093e5db8348820f41f0dda0292d0a6ea10b"),
     "figure_scaling": (4, "ffd718d4e57d1ba7102d34608ca66ab68b1f832f81efa40c3d61147c2687ce43", "2fa552075ded7402b69b0582b4ee9605d85d5f26857e9d99199f50b71d82db53"),
     "figure_interference": (8, "c64615a8929b57261051289e14dbb88b11f6b56244cf5747918da84ef34a515c", "d037bcf8efa2ddf18d8c826691ca9a1b46d6c38d54aaa2be2a34b18bd577abef"),
-    "figure_resilience": (6, "548d0f791fb652fdb23f568c03250441e31b3c5ae8fd987e60ba15b7b3343ee5", "f33569240ff7dce3b9f5a01486b402754d9d3feffa19842b2008e3a72f8438d4"),
 }
 
 #: command -> (stdout digest, --json-out digest or None, stderr stats line)
@@ -151,7 +129,6 @@ EXPECTED_COMMANDS: dict[str, tuple[str, str | None, str]] = {
     "adaptive": ("4cafb9b3054ac0ec75b52e6df178b2d3e645a9cf8c68cea953ef998cee971abc", "307e046f69ecc032ca848f7d5ebd16b15843c677c7595d701e4f485987c3272d", "[adaptive] workloads=1 jobs=1 store=disabled simulated=5 loaded=0"),
     "topology": ("d436af60c2e00c0d5c1caa1f9a3dc0725198391e2110030d66e7c2a873b20c96", "0ceeebd6c8dd246d7461710434c22f914bb302e016a894a188468bfa5bce242c", "[topology] grid=1x1x2 jobs=1 store=disabled simulated=2 loaded=0"),
     "serve": ("85cb3f0bca54c393caa04bcc8dc072816c9ed6ff98e79e39e68945a07064aedd", "2c1923410122a5d5b4d9ecaca0b6abb2f1f0b8d6137be39f005a76766f5a20dd", "[serve] grid=1x1x2 jobs=1 store=disabled simulated=4 loaded=0"),
-    "faults": ("8fc3c63e4c9e4dbdadf8a9dc31088739a29e1f791bf216c1d62777424e3e746a", "ba0aaa26b0a2739ebc61781226e0eb20dfa2b825fda6e5ccdc9f3ac5d5118b36", "[faults] grid=1x1x2 topology=dual-chiplet jobs=1 store=disabled simulated=2 loaded=0 failed=0"),
 }
 
 

@@ -7,15 +7,18 @@ The guarantees the sweep executor rests on:
   deterministic and the worker/store serialization is lossless);
 * a second sweep against a warm store performs zero new simulations;
 * the runner's in-process memo answers repeats without touching the
-  executor at all.
+  executor at all;
+* backends record structured failures instead of silently swallowing
+  dead workers.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.accel import SamplingConfig
 from repro.config import scaled_config
-from repro.core.policies import CACHE_R, STATIC_POLICIES, UNCACHED
+from repro.core.policies import CACHE_R, CACHE_RW, STATIC_POLICIES, UNCACHED
 from repro.experiments import (
     ExperimentRunner,
     JobSpec,
@@ -24,11 +27,27 @@ from repro.experiments import (
     SerialBackend,
     SweepExecutor,
 )
+from repro.streams import StreamConfig
+from repro.topology import TOPOLOGIES
 
 #: two fast, behaviourally distinct workloads keep the grid cheap
 SUBSET = ("FwSoft", "FwAct")
 SCALE = 0.1
 TINY = scaled_config(2)
+
+#: one optional run axis per entry: what a job carries besides its policy
+AXES = {
+    "static": dict(workload="FwSoft", scale=SCALE),
+    "topology": dict(workload="FwSoft", scale=SCALE, topology=TOPOLOGIES["dual-chiplet"]),
+    "streams": dict(
+        workload="soft+act",
+        streams=(
+            StreamConfig(workload="FwSoft", scale=SCALE),
+            StreamConfig(workload="FwAct", scale=SCALE, launch_cycle=500),
+        ),
+    ),
+    "sampling": dict(workload="FwLSTM", scale=0.3, sampling=SamplingConfig()),
+}
 
 
 def make_runner(**kwargs) -> ExperimentRunner:
@@ -51,6 +70,16 @@ class TestBackendEquivalence:
         (pooled,) = backend.run_jobs([job])
         (serial,) = SerialBackend().run_jobs([job])
         assert pooled.to_dict() == serial.to_dict()
+
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    def test_pool_matches_serial_on_every_run_axis(self, axis):
+        jobs = [
+            JobSpec(policy=policy, config=TINY, **AXES[axis])
+            for policy in (CACHE_R, CACHE_RW)
+        ]
+        pooled = ProcessPoolBackend(max_workers=2).run_jobs(jobs)
+        serial = SerialBackend().run_jobs(jobs)
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
 
     def test_pool_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
@@ -236,3 +265,62 @@ class TestPoolRelease:
         reports = backend.run_jobs(self._specs())
         assert all(report is not None for report in reports)
         assert calls[-1] == {"wait": True, "cancel_futures": True}
+
+
+class TestBackendFailureRecords:
+    def test_serial_backend_records_the_failure_it_raises(self):
+        backend = SerialBackend()
+        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        with pytest.raises(KeyError):
+            backend.run_jobs([bad])
+        (failure,) = backend.failures
+        assert failure.index == 0
+        assert failure.attempts == 1
+        assert "NotAWorkload" in failure.error
+        assert failure.fingerprint == bad.fingerprint()
+        assert failure.as_dict()["job"]["workload"] == "NotAWorkload"
+
+    def test_pool_backend_records_failures_and_keeps_survivors(self, tmp_path):
+        good = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.1, config=TINY)
+        other = JobSpec(workload="FwAct", policy=CACHE_R, scale=0.1, config=TINY)
+        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        backend = ProcessPoolBackend(max_workers=2)
+        finished: dict[int, object] = {}
+        with pytest.raises(KeyError):
+            backend.run_jobs(
+                [good, bad, other],
+                on_result=lambda index, report: finished.setdefault(index, report),
+            )
+        (failure,) = backend.failures
+        assert failure.index == 1
+        assert "NotAWorkload" in failure.error
+        # the healthy jobs were delivered despite the dead one
+        assert set(finished) == {0, 2}
+
+    def test_pool_backend_retries_transient_failures(self):
+        # a deterministic failure exhausts the retry budget: attempts
+        # reflects every pool generation that tried the job
+        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        good = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.1, config=TINY)
+        backend = ProcessPoolBackend(max_workers=2, retries=2, retry_backoff=0.0)
+        with pytest.raises(KeyError):
+            backend.run_jobs([good, bad])
+        (failure,) = backend.failures
+        assert failure.attempts == 3
+
+    def test_executor_accounts_failures_in_stats(self):
+        executor = SweepExecutor(backend=SerialBackend())
+        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        with pytest.raises(KeyError):
+            executor.run([bad])
+        assert executor.stats.runs_failed == 1
+        (failure,) = executor.stats.failures
+        assert failure.fingerprint == bad.fingerprint()
+
+    def test_backend_rejects_bad_knobs(self):
+        with pytest.raises(ValueError):
+            ProcessPoolBackend(timeout=0)
+        with pytest.raises(ValueError):
+            ProcessPoolBackend(retries=-1)
+        with pytest.raises(ValueError):
+            ProcessPoolBackend(retry_backoff=-0.1)

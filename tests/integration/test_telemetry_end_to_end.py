@@ -8,8 +8,7 @@ The acceptance contract pinned here:
 * the metrics windows tile the run and their deltas sum exactly to the
   end-of-run counters;
 * the trace is valid Chrome trace-event JSON whose span population matches
-  the run's counters (kernels completed, wavefronts started), and its
-  degraded spans cover exactly ``faults.degraded_cycles``;
+  the run's counters (kernels completed, wavefronts started);
 * metrics windows survive the report's serialization round-trip;
 * the profiled event loop executes the exact same event sequence.
 """
@@ -22,10 +21,9 @@ import pytest
 
 from repro import cli
 from repro.config import scaled_config
-from repro.faults import fault_plan_by_name
 from repro.session import SimulationSession
 from repro.stats.report import RunReport
-from repro.streams import mix_by_name
+from repro.streams import MIX_NAMES, mix_by_name
 from repro.telemetry import TelemetryConfig, trace_errors, windows_total
 from repro.topology import topology_by_name
 from repro.workloads.registry import get_workload
@@ -56,14 +54,13 @@ class TestObserversDoNotPerturb:
         assert session.sampler is None
         assert session.profiler is None
 
-    def test_faulted_serving_run_is_bit_identical(self):
+    def test_topology_serving_run_is_bit_identical(self):
         def run(telemetry):
             session = SimulationSession(
                 policy="CacheRW",
                 config=CONFIG,
                 streams=mix_by_name("mha+fwlstm").scaled(SCALE),
                 topology=topology_by_name("dual-chiplet"),
-                faults=fault_plan_by_name("link-brownout"),
                 telemetry=telemetry,
             )
             return session, session.run()
@@ -114,21 +111,6 @@ class TestTraceContents:
             assert span["ts"] >= 0
             assert span["ts"] + span["dur"] <= report.cycles
 
-    def test_degraded_spans_cover_exactly_degraded_cycles(self):
-        session = SimulationSession(
-            policy="CacheRW",
-            config=CONFIG,
-            streams=mix_by_name("mha+fwlstm").scaled(SCALE),
-            topology=topology_by_name("dual-chiplet"),
-            faults=fault_plan_by_name("link-brownout"),
-            telemetry=TelemetryConfig(trace=True),
-        )
-        report = session.run()
-        degraded = report.counters.get("faults.degraded_cycles", 0)
-        assert degraded > 0  # the brownout plan must actually degrade
-        assert session.recorder.degraded_span_cycles() == degraded
-        assert trace_errors(session.recorder.to_dict()) == []
-
     def test_serving_trace_has_one_row_per_stream(self):
         session = SimulationSession(
             policy="CacheRW",
@@ -139,6 +121,20 @@ class TestTraceContents:
         session.run()
         kernel_rows = {span["tid"] for span in session.recorder.spans("kernel")}
         assert kernel_rows == {0, 1}
+
+    @pytest.mark.parametrize("mix_name", MIX_NAMES)
+    def test_completed_serving_run_closes_every_kernel_span(self, mix_name):
+        session = SimulationSession(
+            policy="CacheRW",
+            config=CONFIG,
+            streams=mix_by_name(mix_name).scaled(SCALE),
+            telemetry=TelemetryConfig(trace=True),
+        )
+        report = session.run()
+        kernels = session.recorder.spans("kernel")
+        assert len(kernels) == report.counters["gpu.kernels_completed"]
+        assert not [span for span in kernels if "interrupted" in span["args"]]
+        assert trace_errors(session.recorder.to_dict()) == []
 
 
 class TestProfiler:
@@ -207,17 +203,6 @@ class TestCliTelemetry:
         plain = json.loads(capsys.readouterr().out)
         assert "metrics" not in plain
 
-    def test_trace_rejects_unhostable_plan(self, tmp_path, capsys):
-        # device-outage needs a spare device; the single topology has none
-        code = cli.main([
-            "--scale", "0.1", "--cus", "2",
-            "trace", "--mix", "mha+fwlstm", "--plan", "device-outage",
-            "--topology", "single",
-            "--out", str(tmp_path / "t.json"),
-        ])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
-
     def test_metrics_interval_must_be_non_negative(self):
         with pytest.raises(SystemExit):
             cli.main([
@@ -244,20 +229,3 @@ class TestCliTelemetry:
         assert executor["runs_simulated"] > 0
         assert executor["jobs_timed"] == executor["runs_simulated"]
         assert 0.0 <= executor["worker_utilization"] <= 1.0
-
-    def test_faults_traced_replay_shows_degradation(self, tmp_path):
-        trace_path = tmp_path / "faults.json"
-        code = cli.main([
-            "--scale", "0.1", "--cus", "2", "--no-cache",
-            "faults", "--mix", "mha+fwlstm", "--plans", "link-brownout",
-            "--policies", "CacheRW",
-            "--trace-out", str(trace_path),
-        ])
-        assert code == 0
-        blob = json.loads(trace_path.read_text())
-        assert trace_errors(blob) == []
-        degraded = [
-            event for event in blob["traceEvents"]
-            if event.get("name") == "degraded" and event.get("ph") == "X"
-        ]
-        assert degraded and all(event["dur"] > 0 for event in degraded)

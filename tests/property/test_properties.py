@@ -371,71 +371,3 @@ class TestServingStreamProperties:
                 ), f"stream {stream_id} ran on CU {cu_id} outside {ranges}"
         if cu_share == "partitioned" and len(shapes) > 1:
             assert all(gpu.cu_partition_of(i) is not None for i in range(len(shapes)))
-
-
-from repro.faults import FAULT_KINDS, FaultPlan, generate_fault_plan
-
-
-class TestFaultPlanProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        num_devices=st.integers(min_value=1, max_value=4),
-        num_streams=st.integers(min_value=0, max_value=4),
-        events_per_kind=st.integers(min_value=0, max_value=3),
-    )
-    def test_same_seed_yields_identical_plan(
-        self, seed, num_devices, num_streams, events_per_kind
-    ):
-        """Generation is the only randomness: same seed, same schedule."""
-        first = generate_fault_plan(
-            seed,
-            num_devices=num_devices,
-            num_streams=num_streams,
-            events_per_kind=events_per_kind,
-        )
-        second = generate_fault_plan(
-            seed,
-            num_devices=num_devices,
-            num_streams=num_streams,
-            events_per_kind=events_per_kind,
-        )
-        assert first.events == second.events
-        assert first.describe() == second.describe()
-        assert first.fingerprint() == second.fingerprint()
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        num_devices=st.integers(min_value=1, max_value=4),
-        num_streams=st.integers(min_value=0, max_value=4),
-    )
-    def test_generated_plan_fits_the_system_it_was_made_for(
-        self, seed, num_devices, num_streams
-    ):
-        """A generated plan never demands more than it was told exists."""
-        plan = generate_fault_plan(
-            seed, num_devices=num_devices, num_streams=num_streams
-        )
-        assert plan.requires_devices() <= num_devices
-        assert plan.requires_streams() <= num_streams
-        for event in plan.events:
-            assert event.kind in FAULT_KINDS
-            assert 0 <= event.cycle < 40_000
-            if event.kind == "device_fail":
-                assert 1 <= event.target < num_devices, "device 0 must survive"
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_events_are_canonically_sorted(self, seed):
-        plan = generate_fault_plan(seed, num_devices=3, num_streams=3)
-        keys = [(e.cycle, e.kind, e.target, e.duration) for e in plan.events]
-        assert keys == sorted(keys)
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    def test_display_name_does_not_split_fingerprints(self, seed):
-        """Renaming a plan must not re-key its store entries."""
-        plan = generate_fault_plan(seed, name="alpha")
-        renamed = FaultPlan(events=plan.events, name="omega", description="x")
-        assert plan.fingerprint() == renamed.fingerprint()

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.config import DramConfig
-from repro.engine import Simulator
+from repro.engine import Simulator, ThroughputResource
 from repro.memory.address_mapping import AddressMapping
-from repro.memory.dram import DramSystem
+from repro.memory.dram import FR_FCFS_STARVATION_LIMIT, DramBank, DramSystem
 from repro.memory.request import AccessType, MemoryRequest
 from repro.stats import StatsCollector
 
@@ -194,3 +194,107 @@ class TestDramTiming:
         assert dram.pending() > 0
         sim.run()
         assert dram.pending() == 0
+
+
+class TestDramBankService:
+    """Exact service timing and FR-FCFS order of one bank.
+
+    Timings are the :class:`DramConfig` defaults: row hit 50, row miss
+    100, row conflict 150 cycles, then a 4-cycle burst on the channel bus.
+    """
+
+    def _bank(self, name: str = "bank", bus: ThroughputResource | None = None):
+        sim, stats = Simulator(), StatsCollector()
+        config = DramConfig()
+        bus = bus or ThroughputResource("bus", cycles_per_grant=config.burst_cycles)
+        return sim, stats, DramBank(name, config, sim, stats, bus)
+
+    @staticmethod
+    def _finish(sim, log, tag):
+        return lambda _request: log.append((tag, sim.now))
+
+    def test_row_miss_completes_after_array_access_and_burst(self):
+        sim, _stats, bank = self._bank()
+        log = []
+        bank.enqueue(_load(0), 1, self._finish(sim, log, "a"))
+        sim.run()
+        assert log == [("a", 100 + 4)]
+
+    def test_row_hit_follows_at_hit_latency(self):
+        sim, _stats, bank = self._bank()
+        log = []
+        bank.enqueue(_load(0), 1, self._finish(sim, log, "a"))
+        bank.enqueue(_load(64), 1, self._finish(sim, log, "b"))
+        sim.run()
+        assert log == [("a", 104), ("b", 104 + 50 + 4)]
+
+    def test_row_conflict_pays_precharge_and_activate(self):
+        sim, _stats, bank = self._bank()
+        log = []
+        bank.enqueue(_load(0), 1, self._finish(sim, log, "a"))
+        bank.enqueue(_load(64), 2, self._finish(sim, log, "b"))
+        sim.run()
+        assert log == [("a", 104), ("b", 104 + 150 + 4)]
+
+    def test_each_outcome_is_counted_once(self):
+        sim, stats, bank = self._bank()
+        for row in (1, 1, 2):
+            bank.enqueue(_load(0), row, lambda _r: None)
+        sim.run()
+        assert stats.get("dram.enqueued") == 3
+        assert stats.get("dram.accesses") == 3
+        assert stats.get("dram.row_misses") == 1
+        assert stats.get("dram.row_hits") == 1
+        assert stats.get("dram.row_conflicts") == 1
+
+    def test_queued_row_hit_is_served_before_an_older_conflict(self):
+        sim, _stats, bank = self._bank()
+        log = []
+        bank.enqueue(_load(0), 1, self._finish(sim, log, "open"))
+        bank.enqueue(_load(64), 2, self._finish(sim, log, "conflict"))
+        bank.enqueue(_load(128), 1, self._finish(sim, log, "hit"))
+        sim.run()
+        assert [tag for tag, _ in log] == ["open", "hit", "conflict"]
+
+    def test_starvation_limit_forces_the_oldest_request(self):
+        sim, _stats, bank = self._bank()
+        order = []
+        bank.enqueue(_load(0), 1, lambda _r: order.append("open"))
+        bank.enqueue(_load(64), 2, lambda _r: order.append("old"))
+        for _ in range(FR_FCFS_STARVATION_LIMIT + 4):
+            bank.enqueue(_load(128), 1, lambda _r: order.append("hit"))
+        sim.run()
+        # the limit's worth of row hits overtake it, then it is forced
+        assert order.index("old") == 1 + FR_FCFS_STARVATION_LIMIT
+        assert order.count("hit") == FR_FCFS_STARVATION_LIMIT + 4
+
+    def test_banks_sharing_a_bus_serialize_their_bursts(self):
+        sim, stats = Simulator(), StatsCollector()
+        config = DramConfig()
+        bus = ThroughputResource("bus", cycles_per_grant=config.burst_cycles)
+        banks = [DramBank(f"b{i}", config, sim, stats, bus) for i in range(2)]
+        log = []
+        for index, bank in enumerate(banks):
+            bank.enqueue(_load(64 * index), 1, self._finish(sim, log, index))
+        sim.run()
+        # both arrays finish at 100; the second burst waits for the first
+        assert log == [(0, 104), (1, 108)]
+
+    def test_queue_delay_histogram_records_each_wait(self):
+        sim, stats, bank = self._bank()
+        bank.enqueue(_load(0), 1, lambda _r: None)
+        bank.enqueue(_load(64), 1, lambda _r: None)
+        sim.run()
+        assert stats.histogram("dram.queue_delay") == {0: 1, 104: 1}
+
+    def test_idle_bank_keeps_its_row_open_and_restarts_on_arrival(self):
+        sim, _stats, bank = self._bank()
+        log = []
+        bank.enqueue(_load(0), 1, self._finish(sim, log, "first"))
+        sim.run()
+        assert not bank.busy and bank.pending() == 0
+        later = self._finish(sim, log, "later")
+        sim.schedule(500 - sim.now, lambda: bank.enqueue(_load(64), 1, later))
+        sim.run()
+        assert log == [("first", 104), ("later", 500 + 50 + 4)]
+        assert bank.pending() == 0

@@ -315,7 +315,7 @@ class TestInvalidationAndFlush:
         cache, backend = build_cache(sim, stats, config=config)
         run_access(sim, cache, store(0))
         sim.run()
-        cache.flush_dirty(lambda: None, keep_clean=True)
+        cache.flush_dirty(lambda: None)
         sim.run()
         assert cache.contents().get(0) == LineState.VALID
 
@@ -369,6 +369,84 @@ class TestInvalidationAndFlush:
         sim.run()
         assert called == [True]
         assert backend.stores == 0
+
+    def test_flush_with_a_dirty_block_index_writes_back_in_row_order(self, sim, stats):
+        # rows numbered against address order: the row walk reverses the set walk
+        def row_of(address: int) -> int:
+            return -address
+
+        config = small_config(writeback=True)
+        cache, backend = build_cache(
+            sim,
+            stats,
+            config=config,
+            dirty_block_index=DirtyBlockIndex(row_of=row_of),
+            row_of=row_of,
+        )
+        for set_index in (3, 15, 7):
+            run_access(sim, cache, store(set_index * 64))
+        sim.run()
+        cache.flush_dirty(lambda: None)
+        sim.run()
+        assert [r.address for r in backend.requests] == [15 * 64, 7 * 64, 3 * 64]
+        assert cache.dirty_line_count() == 0
+
+    def test_flush_returns_and_counts_its_writebacks(self, sim, stats):
+        cache, _ = build_cache(sim, stats, config=small_config(writeback=True))
+        for i in range(3):
+            run_access(sim, cache, store(i * 64))
+        sim.run()
+        assert cache.flush_dirty(lambda: None) == 3
+        sim.run()
+        assert stats.get("l1.flush_writebacks") == 3
+
+    def test_flush_completes_when_the_last_writeback_lands(self, sim, stats):
+        cache, backend = build_cache(sim, stats, config=small_config(writeback=True))
+        for i in range(3):
+            run_access(sim, cache, store(i * 64))
+        sim.run()
+        start = sim.now
+        flushed = []
+        cache.flush_dirty(lambda: flushed.append((sim.now, backend.stores)))
+        sim.run()
+        assert flushed == [(start + backend.latency, 3)]
+
+    def test_second_flush_finds_nothing_dirty(self, sim, stats):
+        cache, backend = build_cache(sim, stats, config=small_config(writeback=True))
+        run_access(sim, cache, store(0))
+        sim.run()
+        cache.flush_dirty(lambda: None)
+        sim.run()
+        assert cache.flush_dirty(lambda: None) == 0
+        sim.run()
+        assert backend.stores == 1
+
+    def test_flushed_line_hits_without_a_refetch(self, sim, stats):
+        cache, backend = build_cache(sim, stats, config=small_config(writeback=True))
+        run_access(sim, cache, store(0))
+        sim.run()
+        cache.flush_dirty(lambda: None)
+        sim.run()
+        hits = stats.get("l1.hits")
+        run_access(sim, cache, load(0))
+        sim.run()
+        assert stats.get("l1.hits") == hits + 1
+        assert backend.loads == 0
+
+    def test_flushed_line_is_evicted_without_a_second_writeback(self, sim, stats):
+        cache, backend = build_cache(sim, stats, config=small_config(writeback=True))
+        run_access(sim, cache, store(0))
+        sim.run()
+        cache.flush_dirty(lambda: None)
+        sim.run()
+        # four more lines of set 0 push the flushed line out of its 4 ways
+        for k in range(1, 5):
+            run_access(sim, cache, load(k * 16 * 64))
+            sim.run()
+        assert 0 not in cache.contents()
+        assert backend.stores == 1
+        assert stats.get("l1.eviction_writebacks") == 0
+        assert stats.get("l1.clean_evictions") == 1
 
 
 class TestOptimizationHooks:
@@ -479,24 +557,6 @@ class TestIndexedGeometry:
         sim.run()
         assert cache._tag_to_way[0] == {0: 0, 64 * 64: 1}
         assert backend.stores == 0
-
-    def test_flushed_and_dropped_way_is_taken_before_an_older_clean_line(
-        self, sim, stats
-    ):
-        # flush_dirty(keep_clean=False) empties ways 1-3; the next miss takes
-        # way 1 rather than evicting the older clean line in way 0
-        cache, _ = build_cache(sim, stats, config=small_config(writeback=True))
-        run_access(sim, cache, load(0))
-        sim.run()
-        for way in range(1, 4):
-            run_access(sim, cache, store(way * 16 * 64))
-            sim.run()
-        cache.flush_dirty(lambda: None, keep_clean=False)
-        sim.run()
-        run_access(sim, cache, load(64 * 64))
-        sim.run()
-        assert cache._tag_to_way[0] == {0: 0, 64 * 64: 1}
-        assert cache.contents()[0] == LineState.VALID
 
     def test_tag_map_tracks_installed_lines(self, sim, stats):
         cache, _ = build_cache(sim, stats)

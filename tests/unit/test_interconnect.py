@@ -10,7 +10,6 @@ from repro.config import scaled_config
 from repro.core.policies import CACHE_R
 from repro.core.policy_engine import PolicyEngine
 from repro.engine import Simulator
-from repro.faults.injector import LinkFaultState
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.interconnect import Link
 from repro.memory.request import AccessType, MemoryRequest
@@ -52,18 +51,68 @@ class TestLinkSend:
         assert stats.get("link.l.transfers") == 2
         assert stats.get("link.l.contention_cycles") == 1
 
-    def test_outage_delays_the_delivery(self):
+    def test_rejects_negative_latency(self):
+        with pytest.raises(ValueError, match="latency"):
+            Link("l", Simulator(), StatsCollector(), latency=-1)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_rejects_nonpositive_bandwidth(self, rate):
+        with pytest.raises(ValueError, match="requests_per_cycle"):
+            Link("l", Simulator(), StatsCollector(), latency=1, requests_per_cycle=rate)
+
+    def test_zero_latency_delivers_in_the_send_cycle(self):
         sim, stats = Simulator(), StatsCollector()
-        link = Link("l", sim, stats, latency=7)
-        link._fault = LinkFaultState(stats)
-        link._fault.down_until = 20
+        link = Link("l", sim, stats, latency=0)
         target = Recorder(sim)
         request = load(0)
         link.send(target, request, respond)
         sim.run()
-        assert target.calls == [(27, request, respond)]
-        assert stats.get("faults.link_stall_cycles") == 20
-        assert stats.get("faults.link_stalled_requests") == 1
+        assert target.calls == [(0, request, respond)]
+
+    def test_half_rate_link_spaces_grants_two_cycles_apart(self):
+        sim, stats = Simulator(), StatsCollector()
+        link = Link("l", sim, stats, latency=4, requests_per_cycle=0.5)
+        target = Recorder(sim)
+        requests = [load(64 * i) for i in range(3)]
+        for request in requests:
+            link.send(target, request, respond)
+        sim.run()
+        assert [(cycle, request) for cycle, request, _ in target.calls] == [
+            (4, requests[0]),
+            (6, requests[1]),
+            (8, requests[2]),
+        ]
+        assert stats.get("link.l.contention_cycles") == 2 + 4
+
+    def test_double_rate_link_grants_two_sends_per_cycle(self):
+        sim, stats = Simulator(), StatsCollector()
+        link = Link("l", sim, stats, latency=3, requests_per_cycle=2.0)
+        target = Recorder(sim)
+        requests = [load(64 * i) for i in range(3)]
+        for request in requests:
+            link.send(target, request, respond)
+        sim.run()
+        # same-cycle deliveries keep send order
+        assert [(cycle, request) for cycle, request, _ in target.calls] == [
+            (3, requests[0]),
+            (3, requests[1]),
+            (4, requests[2]),
+        ]
+        assert stats.get("link.l.transfers") == 3
+        assert stats.get("link.l.contention_cycles") == 1
+
+    def test_idle_link_charges_no_contention(self):
+        sim, stats = Simulator(), StatsCollector()
+        link = Link("l", sim, stats, latency=2)
+        target = Recorder(sim)
+        first, later = load(0), load(64)
+        link.send(target, first, respond)
+        sim.schedule(10, lambda: link.send(target, later, respond))
+        sim.run()
+        assert [(cycle, request) for cycle, request, _ in target.calls] == [
+            (2, first),
+            (12, later),
+        ]
         assert stats.get("link.l.contention_cycles") == 0
 
     def test_a_bound_send_chains_two_hops(self):

@@ -279,7 +279,7 @@ def _report(windows: list[dict], counters: dict | None = None, cycles: int = 100
 
 class TestAlertConfig:
     def test_defaults_validate(self):
-        assert AlertConfig().availability_budget == 0.95
+        assert AlertConfig().hit_rate_cliff == 0.25
 
     @pytest.mark.parametrize(
         "overrides",
@@ -287,7 +287,6 @@ class TestAlertConfig:
             {"hit_rate_cliff": 0.0},
             {"hit_rate_cliff": 1.5},
             {"starvation_share": 1.0},
-            {"availability_budget": 1.5},
             {"min_window_accesses": 0},
             {"min_window_traffic": 0},
             {"default_metrics_interval": 0},
@@ -296,6 +295,28 @@ class TestAlertConfig:
     def test_bad_thresholds_rejected(self, overrides):
         with pytest.raises(ValueError):
             AlertConfig(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"hit_rate_cliff": 1.0},
+            {"min_window_accesses": 1},
+            {"min_window_traffic": 1},
+            {"default_metrics_interval": 1},
+        ],
+    )
+    def test_inclusive_bounds_accepted(self, overrides):
+        config = AlertConfig(**overrides)
+        for name, value in overrides.items():
+            assert getattr(config, name) == value
+
+    def test_counters_of_a_retired_axis_raise_no_alert(self):
+        # reports stored before the fault axis was removed still carry its
+        # counters; no detector reads them any more
+        report = _report(
+            [], counters={"faults.injected": 2, "faults.degraded_cycles": 900}, cycles=1000
+        )
+        assert detect_anomalies(report) == []
 
 
 class TestHitRateCliff:
@@ -383,35 +404,9 @@ class TestStarvation:
         assert detect_anomalies(_report(windows)) == []
 
 
-class TestAvailabilityBreach:
-    def test_breach_fires_critical(self):
-        report = _report(
-            [],
-            counters={"faults.injected": 2, "faults.degraded_cycles": 200},
-            cycles=1000,
-        )
-        alerts = detect_anomalies(report)
-        assert [a.kind for a in alerts] == ["availability_breach"]
-        assert alerts[0].severity == "critical"
-        assert alerts[0].value == pytest.approx(0.8)
-        assert alerts[0].cycle == 1000
-
-    def test_healthy_fault_run_quiet(self):
-        report = _report(
-            [],
-            counters={"faults.injected": 1, "faults.degraded_cycles": 10},
-            cycles=1000,
-        )
-        assert detect_anomalies(report) == []
-
-    def test_no_faults_no_breach(self):
-        # a fault-free run is not judged even with zero cycles of margin
-        assert detect_anomalies(_report([], counters={}, cycles=10)) == []
-
-
 class TestAlertSerialization:
     def test_as_dict_omits_absent_stream(self):
-        alert = Alert("availability_breach", "critical", "m", 10, 0.5, 0.95)
+        alert = Alert("hit_rate_cliff", "warning", "m", 10, 0.5, 0.25)
         assert "stream" not in alert.as_dict()
         tenant = Alert("stream_starvation", "warning", "m", 10, 0.1, 0.2, stream=3)
         assert tenant.as_dict()["stream"] == 3
@@ -484,6 +479,47 @@ class TestDiffReports:
         diff = diff_reports(_make_report(), b)
         assert diff["identical"] is False
         assert diff["counters"]["changed"] == 0
+
+    @pytest.mark.parametrize(
+        ("signal", "overrides", "a", "b"),
+        [
+            ("l1_hit_rate", {"l1.hits": 70}, 0.4, 0.7),
+            ("l2_hit_rate", {"l2.hits": 45}, 0.5, 0.75),
+            ("dram_row_hit_rate", {"dram.row_hits": 15}, 0.0, 0.5),
+            (
+                "remote_fraction",
+                {"topo.local_requests": 30, "topo.remote_requests": 10},
+                0.0,
+                0.25,
+            ),
+            (
+                "cache_stalls_per_request",
+                {"l1.stall_cycles": 150, "l2.stall_cycles": 50},
+                0.0,
+                2.0,
+            ),
+        ],
+        ids=[
+            "l1_hit_rate",
+            "l2_hit_rate",
+            "dram_row_hit_rate",
+            "remote_fraction",
+            "cache_stalls_per_request",
+        ],
+    )
+    def test_derived_signal_row(self, signal, overrides, a, b):
+        diff = diff_reports(_make_report(), _make_report(**overrides))
+        assert diff["derived"][signal] == pytest.approx({"a": a, "b": b, "delta": b - a})
+
+    def test_derived_signal_set(self):
+        diff = diff_reports(_make_report(), _make_report())
+        assert set(diff["derived"]) == {
+            "l1_hit_rate",
+            "l2_hit_rate",
+            "dram_row_hit_rate",
+            "remote_fraction",
+            "cache_stalls_per_request",
+        }
 
     def test_renderers_smoke(self):
         diff = diff_reports(

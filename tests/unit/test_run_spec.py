@@ -12,17 +12,11 @@ from repro.config import default_config, scaled_config
 from repro.core.policies import CACHE_RW, policy_by_name
 from repro.experiments.jobs import JobSpec as ReExportedJobSpec
 from repro.experiments.jobs import SweepExecutor
-from repro.faults import FaultEvent, FaultPlan
 from repro.session import SimulationSession, simulate
 from repro.spec import JobSpec
 from repro.streams import StreamConfig, mix_by_name
 from repro.topology import TOPOLOGIES
 from repro.workloads.registry import get_workload
-
-PLAN = FaultPlan(
-    events=(FaultEvent(cycle=100, kind="dram_spike", duration=500, extra_latency=50),)
-)
-
 
 def _partitioned(count: int) -> tuple[StreamConfig, ...]:
     return tuple(
@@ -62,7 +56,6 @@ class TestNormalisation:
     @pytest.mark.parametrize(
         ("name", "empty"),
         [
-            ("faults", FaultPlan()),
             ("sampling", SamplingConfig(enabled=False)),
             ("shards", ShardConfig(num_shards=1)),
         ],
@@ -80,9 +73,6 @@ INCOMPATIBLE = {
     "no streams": dict(policy=CACHE_RW, streams=()),
     "sampling+adaptive": dict(
         workload="FwSoft", adaptive=AdaptiveConfig(), sampling=SamplingConfig()
-    ),
-    "sampling+faults": dict(
-        workload="FwSoft", policy=CACHE_RW, faults=PLAN, sampling=SamplingConfig()
     ),
     "sampling+unsharded streams": dict(
         policy=CACHE_RW, streams=_partitioned(2), sampling=SamplingConfig()
@@ -110,9 +100,6 @@ INCOMPATIBLE = {
     ),
     "shards+adaptive": dict(
         adaptive=AdaptiveConfig(), streams=_partitioned(2), shards=ShardConfig(num_shards=2)
-    ),
-    "shards+faults": dict(
-        policy=CACHE_RW, streams=_partitioned(2), faults=PLAN, shards=ShardConfig(num_shards=2)
     ),
     "more shards than streams": dict(
         policy=CACHE_RW, streams=_partitioned(2), shards=ShardConfig(num_shards=3)

@@ -8,14 +8,15 @@ from dataclasses import replace
 import pytest
 
 from repro.accel.config import SamplingConfig, ShardConfig
+from repro.adaptive import AdaptiveConfig
 from repro.config import default_config, paper_config, scaled_config
-from repro.core.policies import ALL_POLICIES, CACHE_R, CACHE_RW, UNCACHED
+from repro.core.policies import ALL_POLICIES, CACHE_R, CACHE_RW, UNCACHED, policy_by_name
 from repro.core.reuse_predictor import PredictorConfig
 from repro.experiments.jobs import JobSpec
-from repro.faults.config import FAULT_PLANS
 from repro.fingerprint import canonical_payload, code_digest, fingerprint
 from repro.stats.report import RunReport
 from repro.streams import StreamConfig
+from repro.topology import TOPOLOGIES
 
 
 def make_report(**overrides) -> RunReport:
@@ -60,6 +61,15 @@ class TestRunReportRoundTrip:
         data["counters"] = ["not", "a", "mapping"]
         with pytest.raises(ValueError):
             RunReport.from_dict(data)
+
+    def test_blob_with_retired_fault_counters_loads_to_the_current_payload(self):
+        # blobs stored before the fault axis was removed may carry its
+        # counters; they load, and the summary payload keeps today's keys
+        data = make_report().to_dict()
+        data["counters"] = {**data["counters"], "faults.injected": 1}
+        revived = RunReport.from_dict(data)
+        assert revived.counters["faults.injected"] == 1
+        assert set(revived.as_dict()) == set(make_report().as_dict())
 
     def test_to_dict_copies_counters(self):
         report = make_report()
@@ -135,7 +145,6 @@ class TestJobSpecFingerprints:
     @pytest.mark.parametrize(
         "axis,empty,active,streams",
         [
-            ("faults", FAULT_PLANS["none"], FAULT_PLANS["link-brownout"], None),
             ("sampling", SamplingConfig(enabled=False), SamplingConfig(), None),
             # only a mix of partitioned tenants can be sharded
             (
@@ -163,6 +172,86 @@ class TestJobSpecFingerprints:
         key = JobSpec(workload="FwSoft", policy=CACHE_R).fingerprint()
         assert len(key) == 64
         int(key, 16)  # raises if not hex
+
+
+#: one job per run axis, for the store-key pins below
+PINNED_JOBS = {
+    "static": dict(workload="FwSoft", scale=0.2, policy=CACHE_RW),
+    "adaptive": dict(workload="FwSoft", scale=0.2, adaptive=AdaptiveConfig()),
+    "topology": dict(
+        workload="FwSoft", scale=0.2, policy=CACHE_RW, topology=TOPOLOGIES["dual-chiplet"]
+    ),
+    "streams": dict(
+        workload="soft+cm",
+        policy=CACHE_R,
+        streams=(
+            StreamConfig(workload="FwSoft", scale=0.1, label="soft"),
+            StreamConfig(workload="CM", scale=0.1, launch_cycle=500, label="cm"),
+        ),
+    ),
+    "sampling": dict(workload="FwLSTM", scale=0.3, policy=CACHE_RW, sampling=SamplingConfig()),
+    "shards": dict(
+        workload="pair",
+        policy=CACHE_RW,
+        streams=(StreamConfig(workload="FwSoft", scale=0.1, cu_share="partitioned"),) * 2,
+        shards=ShardConfig(num_shards=2),
+    ),
+    "predictor_config": dict(
+        workload="FwAct",
+        scale=0.2,
+        policy=policy_by_name("CacheRW-PCby"),
+        predictor_config=PredictorConfig(
+            table_entries=16, counter_bits=2, bypass_threshold=2, initial_value=3
+        ),
+    ),
+    "dbi_max_rows": dict(
+        workload="FwAct", scale=0.2, policy=policy_by_name("CacheRW-CR"), dbi_max_rows=1
+    ),
+}
+
+#: store keys under a fixed code digest; a change to any of them orphans
+#: every blob of that axis in existing result stores
+PINNED_KEYS = {
+    "static": "c80b35374212f35ce278f35f859ce503e5746a0802ed13dc1d2ebaea5402f8aa",
+    "adaptive": "54da20efc0a9c7266890d0f9dc3d8425c3e78f1637ebb4e4ad60643f99e72629",
+    "topology": "b4ff40cc3699d1ca31b03ac06363b36c72c1560538bdcf846deb157f64c5cd68",
+    "streams": "7fd43e8ea51877d85d7aefb3784337066ccfefcb5d52354412a9b1a10d67968c",
+    "sampling": "b6806326026f7e5c21966bcb4a618891594d4df3e2a2579e31386def823025fc",
+    "shards": "576ce3bae4a999e14b8859c1b113cd62c133182d29b39c73e0cc1eeace48eb24",
+    "predictor_config": "d94478369e49d79522a2e74c879b3bd73b20db856132d9affaaa74bb431adc9d",
+    "dbi_max_rows": "787c17e45c238135aca03c9fe556757ab53a5ab010a61562e5372eb6ecfed1b9",
+}
+
+
+class TestPinnedStoreKeys:
+    """Job fingerprints stay fixed as run axes come and go.
+
+    The code digest is pinned so only the job payload is under test.
+    """
+
+    @pytest.fixture(autouse=True)
+    def fixed_code_digest(self, monkeypatch):
+        import repro.fingerprint as fp
+
+        monkeypatch.setattr(fp, "code_digest", lambda: "0" * 64)
+
+    @pytest.mark.parametrize("axis", sorted(PINNED_JOBS))
+    def test_job_fingerprint_is_pinned(self, axis):
+        job = JobSpec(config=scaled_config(2), **PINNED_JOBS[axis])
+        assert job.fingerprint() == PINNED_KEYS[axis]
+
+    def test_payload_keeps_the_retired_fault_axis_as_none(self, monkeypatch):
+        import repro.spec
+
+        payloads = []
+        monkeypatch.setattr(
+            repro.spec,
+            "fingerprint",
+            lambda payload, kind=None: payloads.append(payload) or "",
+        )
+        JobSpec(config=scaled_config(2), **PINNED_JOBS["static"]).fingerprint()
+        (payload,) = payloads
+        assert "faults" in payload and payload["faults"] is None
 
 
 class TestCodeStaleness:

@@ -20,12 +20,7 @@ from repro.telemetry import (
     validate_trace,
     windows_total,
 )
-from repro.telemetry.trace import (
-    PID_CONTROL,
-    PID_STREAMS,
-    TID_FAULTS,
-    WAVE_LANE_STRIDE,
-)
+from repro.telemetry.trace import PID_STREAMS, WAVE_LANE_STRIDE
 
 
 class FakeSim:
@@ -78,6 +73,42 @@ class TestTraceRecorder:
         (span,) = recorder.spans("kernel")
         assert span["args"]["interrupted"] is True
 
+    def test_interrupting_an_idle_stream_records_nothing(self):
+        sim = FakeSim()
+        recorder = TraceRecorder(sim)
+        recorder.kernel_started(0, 0, "k")
+        sim.now = 10
+        recorder.kernel_finished(0)
+        recorder.kernel_interrupted(0)  # already closed
+        recorder.kernel_interrupted(5)  # never opened
+        (span,) = recorder.spans("kernel")
+        assert "interrupted" not in span["args"]
+
+    def test_finish_flags_the_open_kernel_of_every_stream(self):
+        sim = FakeSim()
+        recorder = TraceRecorder(sim)
+        recorder.kernel_started(0, 1, "a")
+        recorder.kernel_started(2, 4, "b")
+        sim.now = 30
+        recorder.finish(30)
+        spans = {span["tid"]: span for span in recorder.spans("kernel")}
+        assert set(spans) == {0, 2}
+        assert all(span["args"]["interrupted"] is True for span in spans.values())
+        assert all(span["dur"] == 30 for span in spans.values())
+
+    def test_finish_is_idempotent(self):
+        sim = FakeSim()
+        recorder = TraceRecorder(sim)
+        recorder.kernel_started(0, 0, "k")
+        sim.now = 20
+        recorder.finish(20)
+        events = list(recorder.events)
+        recorder.kernel_started(1, 0, "late")
+        recorder.finish(40)
+        assert recorder.spans("kernel") == [
+            event for event in events if event.get("cat") == "kernel"
+        ]
+
     def test_finish_closes_open_spans(self):
         sim = FakeSim()
         recorder = TraceRecorder(sim)
@@ -119,25 +150,6 @@ class TestTraceRecorder:
         recorder.wavefront_finished(2)
         spans = recorder.spans("wavefront")
         assert [span["tid"] for span in spans] == [3 * WAVE_LANE_STRIDE] * 2
-
-    def test_degraded_interval_union(self):
-        sim = FakeSim()
-        recorder = TraceRecorder(sim)
-        sim.now = 100
-        recorder.degraded_begin()
-        sim.now = 150
-        recorder.degraded_begin()  # nested activation: no new interval
-        sim.now = 400
-        recorder.degraded_end()
-        (span,) = recorder.spans("fault")
-        assert span["ts"] == 100 and span["dur"] == 300
-        assert span["pid"] == PID_CONTROL and span["tid"] == TID_FAULTS
-        assert recorder.degraded_span_cycles() == 300
-
-    def test_degraded_end_without_begin_is_noop(self):
-        recorder = TraceRecorder(FakeSim())
-        recorder.degraded_end()
-        assert recorder.events == []
 
     def test_truncation_cap(self):
         sim = FakeSim()
