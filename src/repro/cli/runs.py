@@ -31,6 +31,9 @@ if TYPE_CHECKING:
     from repro.session import SimulationSession
     from repro.telemetry.config import TelemetryConfig
 
+#: modules ``trace`` lists in its text output
+TOP_MODULES = 8
+
 
 def add_trace_options(parser: argparse.ArgumentParser, replay: bool = False) -> None:
     """The per-run telemetry flags ``run`` and ``serve`` share.
@@ -265,7 +268,7 @@ def trace_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--telemetry-out", default=argparse.SUPPRESS, metavar="FILE",
         help="write the host-side profiling summary (events/sec, "
-        "per-component attribution) as JSON",
+        "self time per source module) as JSON",
     )
     parser.add_argument("--json", action="store_true", help="emit the run summary as JSON")
     parser.add_argument(
@@ -285,8 +288,9 @@ def trace_command(args: argparse.Namespace) -> int:
     The session runs with every observer attached: the Chrome trace
     recorder (always), the windowed metrics sampler (with
     ``--metrics-interval``), and the host profiler (always -- the summary
-    reports simulator throughput and per-component callback attribution).
-    The trace is validated before it is written.
+    reports simulator throughput; the text output lists the modules with
+    the most host self time, and ``--telemetry-out`` gets the full module
+    table).  The trace is validated before it is written.
     """
     from repro.session import SimulationSession
     from repro.spec import JobSpec
@@ -311,6 +315,7 @@ def trace_command(args: argparse.Namespace) -> int:
 
     recorder, profiler = session.recorder, session.profiler
     assert recorder is not None and profiler is not None
+    profile = profiler.summary()
     latency = session.stats.histogram_summary("gpu.mem_latency")
     summary: dict[str, object] = {
         "workload": report.workload,
@@ -335,8 +340,12 @@ def trace_command(args: argparse.Namespace) -> int:
         print(json.dumps(summary, indent=1, sort_keys=True))
     else:
         print(render_kv_table(f"Trace of {report.workload} under {report.policy}", summary))
+        top = list(profile["modules"].items())[:TOP_MODULES]
+        title = f"Host self time, top modules ({profile['accounted_share']:.1%} of wall)"
+        rows = {name: f"{row['seconds']:8.3f} s  {row['share']:6.1%}" for name, row in top}
+        print(render_kv_table(title, rows))
     if args.telemetry_out:
-        blob = {"schema": 1, "command": "trace", "profiler": profiler.summary(), "run": summary}
+        blob = {"schema": 1, "command": "trace", "profiler": profile, "run": summary}
         atomic_write_json(args.telemetry_out, blob)
         print(f"[trace] wrote profiling telemetry to {args.telemetry_out}", file=sys.stderr)
     return 0

@@ -218,58 +218,3 @@ class EventQueue:
         finally:
             self._cursor = index
         return self.now
-
-    def run_profiled(
-        self,
-        profiler: Any,
-        until: int | None = None,
-        max_events: int | None = None,
-    ) -> int:
-        """Drain the queue like :meth:`run`, timing every callback.
-
-        A separate instrumented copy of the :meth:`run` loop -- same firing
-        order, same ``until`` semantics, same executed accounting, so the
-        simulated results are bit-identical -- that wraps each callback in
-        a ``perf_counter`` pair and reports it to ``profiler`` (a
-        :class:`repro.telemetry.profiler.SimProfiler`) with the number of
-        events it stood for.  Kept apart so the production loop pays
-        nothing when profiling is off.
-        """
-        from time import perf_counter
-
-        times = self._times
-        buckets = self.at
-        record = profiler.record
-        stop = sys.maxsize if max_events is None else self._executed + max_events
-        index = self._cursor
-        wall_start = perf_counter()
-        try:
-            while times and self._executed < stop:
-                time = times[0]
-                if until is not None and time > until:
-                    self.now = until
-                    break
-                bucket = buckets[time]
-                self.now = time
-                while index < len(bucket):
-                    if self._executed >= stop:
-                        break
-                    callback = bucket[index]
-                    index += 1
-                    counted = self._executed
-                    self._executed = counted + 1
-                    started = perf_counter()
-                    callback()
-                    record(
-                        callback, perf_counter() - started, self._executed - counted
-                    )
-                else:
-                    heappop(times)
-                    del buckets[time]
-                    index = 0
-                    continue
-                break
-        finally:
-            self._cursor = index
-            profiler.add_wall(perf_counter() - wall_start)
-        return self.now

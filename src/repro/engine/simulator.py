@@ -36,9 +36,6 @@ class Simulator:
         self.queue = EventQueue()
         self.max_events = max_events or self.DEFAULT_MAX_EVENTS
         self._finish_hooks: list[Callable[[int], None]] = []
-        #: optional :class:`repro.telemetry.profiler.SimProfiler`; when set,
-        #: :meth:`run` uses the instrumented event loop
-        self.profiler: Any = None
 
     @property
     def now(self) -> int:
@@ -48,10 +45,6 @@ class Simulator:
     def schedule(self, delay: int | float, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
         self.queue.schedule(delay, callback)
-
-    def schedule_at(self, time: int, callback: Callable[[], Any]) -> None:
-        """Schedule ``callback`` at an absolute cycle."""
-        self.queue.schedule_at(time, callback)
 
     def on_finish(self, hook: Callable[[int], None]) -> None:
         """Register a hook invoked with the final time when :meth:`run` ends."""
@@ -65,12 +58,7 @@ class Simulator:
         almost always indicates a livelock in a timing model.
         """
         remaining = self.max_events - self.queue.executed
-        if self.profiler is not None:
-            final = self.queue.run_profiled(
-                self.profiler, until=until, max_events=max(0, remaining)
-            )
-        else:
-            final = self.queue.run(until=until, max_events=max(0, remaining))
+        final = self.queue.run(until=until, max_events=max(0, remaining))
         if self.queue.pending and self.queue.executed >= self.max_events:
             raise RuntimeError(
                 f"simulation exceeded the event budget of {self.max_events} events; "

@@ -818,9 +818,6 @@ class _PollGroup:
 
     __slots__ = ("queue", "pollers")
 
-    #: host-profiler attribution: the polls are the caches' events
-    component = "Cache"
-
     def __init__(self, queue: EventQueue, poller: _MshrPoller) -> None:
         self.queue = queue
         self.pollers = [poller]

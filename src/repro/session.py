@@ -226,8 +226,7 @@ class SimulationSession:
             if telemetry.profile:
                 from repro.telemetry.profiler import SimProfiler
 
-                self.profiler = SimProfiler()
-                self.sim.profiler = self.profiler
+                self.profiler = SimProfiler(self.sim.queue)
 
         # cross-run observability: post-run only (ledger append + anomaly
         # detection on the finished report); obs=None skips everything
@@ -240,17 +239,24 @@ class SimulationSession:
         ``workload`` overrides the spec's named workload; a serving spec
         takes none (its streams name their own).
         """
-        self.begin(workload)
-        self.sim.run()
-        return self.finish()
+        try:
+            self.begin(workload)
+            self.sim.run()
+            return self.finish()
+        finally:
+            if self.profiler is not None:  # finish() stopped it unless a step raised
+                self.profiler.stop()
 
     def begin(self, workload: Workload | WorkloadTrace | None = None) -> None:
         """Schedule the run without advancing simulated time.
 
         :meth:`run` is ``begin(); sim.run(); finish()``.  Callers that
         want to inspect the assembled components between scheduling and
-        draining use the pieces directly.
+        draining use the pieces directly.  With ``profile`` telemetry the
+        host profiler runs from here until :meth:`finish` returns.
         """
+        if self.profiler is not None:
+            self.profiler.start()
         spec = self.spec
         self._wall_start = time.perf_counter()
         self._workload = workload
@@ -335,7 +341,10 @@ class SimulationSession:
         )
         if extrapolation is not None:
             self._apply_sampling(report, extrapolation)
-        return self._observe(report, time.perf_counter() - self._wall_start)
+        report = self._observe(report, time.perf_counter() - self._wall_start)
+        if self.profiler is not None:
+            self.profiler.stop()
+        return report
 
     def _apply_sampling(self, report: RunReport, extrapolation) -> None:
         """Fold the fast-forward corrections into the finished report."""

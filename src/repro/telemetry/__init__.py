@@ -9,8 +9,8 @@ Three observers, any combination of which a
   adaptive and alert annotations);
 * :class:`MetricsSampler` -- per-window counter deltas whose sum exactly
   reproduces the end-of-run counters;
-* :class:`SimProfiler` -- host-side events/sec and per-component callback
-  time attribution.
+* :class:`SimProfiler` -- host-side events/sec and a ``cProfile`` table of
+  self time per source module.
 
 All three are strict observers: they never write a counter or perturb the
 simulated timing, so enabling them cannot change a run's results.
@@ -24,6 +24,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.telemetry.config": ("TelemetryConfig",),
         "repro.telemetry.trace": ("TraceRecorder", "trace_errors", "validate_trace"),
         "repro.telemetry.metrics": ("MetricsSampler", "derive_window", "windows_total"),
-        "repro.telemetry.profiler": ("SimProfiler", "component_of"),
+        "repro.telemetry.profiler": ("SimProfiler",),
     },
 )

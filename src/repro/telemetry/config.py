@@ -9,8 +9,9 @@ to switch on any combination of the three observers:
 * ``metrics_interval`` -- a
   :class:`~repro.telemetry.metrics.MetricsSampler` snapshotting the counter
   store every N cycles into per-window time-series;
-* ``profile`` -- a :class:`~repro.telemetry.profiler.SimProfiler` measuring
-  host-side event throughput and per-component callback time.
+* ``profile`` -- a :class:`~repro.telemetry.profiler.SimProfiler` running
+  ``cProfile`` over the session: host-side event throughput and self time
+  per source module.
 
 Telemetry is strictly an *observer*: none of the three ever writes a
 counter or changes the simulated timing, so an enabled run reports exactly
@@ -37,8 +38,9 @@ class TelemetryConfig:
         metrics_interval: close a metrics window every this many cycles
             (``0`` disables the sampler).
         profile: measure host-side simulator performance (events/sec and
-            per-component callback attribution).  The profiled event loop
-            is a separate, slower code path; leave this off for
+            self time per source module) with ``cProfile``, from the start
+            of the session's ``begin`` to the end of its ``finish``.  It
+            roughly triples the run's wall time; leave this off for
             production sweeps.
         max_trace_events: safety bound on recorded trace events; beyond
             it the recorder stops recording (and flags the trace as

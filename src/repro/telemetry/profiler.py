@@ -1,115 +1,135 @@
 """Host-side simulator performance measurement.
 
 Simulated metrics say nothing about why a *sweep* is slow.  The
-:class:`SimProfiler` measures the simulator itself: wall-clock time inside
-the event loop, events executed per second, and where the time went,
-attributed per *component* (the class whose method -- or whose enclosing
-method's closure -- each event callback is).  Attribution uses
-:func:`component_of`, which maps a bound method to its class name and a
-closure to the class that defined it, so ``Cache``/``DramChannel``/``Gpu``
-show up as themselves instead of a wall of ``<lambda>``.  A callback that
-stands for several events (an MSHR poll group) is charged with all of
-them, so :attr:`SimProfiler.events` equals the queue's executed count.
+:class:`SimProfiler` measures the simulator itself with the stdlib's
+:mod:`cProfile`, over one whole session: from the top of
+:meth:`~repro.session.SimulationSession.begin` (trace build, partitioning)
+through the event loop to the finished report.  Its summary is a *module
+table*: each profiled function's self time summed into the source file
+that defines it, named by its path below the package (``memory/cache.py``,
+``engine/event_queue.py`` ...).  A C builtin has no source file, so its
+time is charged to its callers' modules, in proportion to the time
+recorded per caller.  Time in code outside the package (the stdlib, the
+interpreter) is one ``python`` row.
 
-Profiling uses a separate instrumented event loop
-(:meth:`repro.engine.event_queue.EventQueue.run_profiled`): the production
-:meth:`~repro.engine.event_queue.EventQueue.run` hot loop is untouched, so
-runs without a profiler pay nothing.  The profiled loop executes the exact
-same event sequence (simulated results are bit-identical); only host time
-is observed.
+The event loop is the production
+:meth:`~repro.engine.event_queue.EventQueue.run`, so a profiled run
+executes the exact same events (its results are bit-identical); only host
+time is observed.  ``cProfile`` hooks every Python and builtin call, so a
+profiled run takes about three times as long as a plain one.  It also
+takes the interpreter's one profile hook, so a profiled session refuses
+to start under another profiler rather than silently cut it off.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Any, Callable
+import cProfile
+import os
+import sys
+from time import perf_counter
+from typing import TYPE_CHECKING
 
-__all__ = ["SimProfiler", "component_of"]
+import repro
+
+if TYPE_CHECKING:
+    from repro.engine.event_queue import EventQueue
+
+__all__ = ["SimProfiler", "module_table"]
+
+#: profiled files under this directory are named by their path below it
+_PACKAGE_ROOT = os.path.dirname(repro.__file__) + os.sep
+
+#: the module-table row for time outside the package
+OUTSIDE = "python"
 
 
-def component_of(callback: Callable[[], Any]) -> str:
-    """The component name host time spent in ``callback`` is charged to.
+def _module_of(filename: str) -> str:
+    if filename.startswith(_PACKAGE_ROOT):
+        return filename[len(_PACKAGE_ROOT):].replace(os.sep, "/")
+    return OUTSIDE
 
-    Bound methods charge their class; ``functools.partial`` unwraps to the
-    wrapped callable; closures and lambdas charge the class (or function)
-    that defined them, derived from ``__qualname__``
-    (``"Cache._finish_fill.<locals>.done"`` -> ``"Cache"``).  A callable
-    object that fires another component's events names that component in
-    a ``component`` attribute (a poll group charges ``"Cache"``).
+
+def module_table(stats: dict) -> dict[str, float]:
+    """Seconds of self time per source module, largest first.
+
+    ``stats`` is a ``cProfile``/``pstats`` stats map: ``(file, line,
+    name) -> (calls, primitive calls, tottime, cumtime, callers)``.  A
+    builtin (file ``"~"``) is charged to each caller's module with the
+    time recorded against that caller; what no caller holds goes to
+    ``python``.
     """
-    while isinstance(callback, functools.partial):
-        callback = callback.func
-    component = getattr(callback, "component", None)
-    if component is not None:
-        return component
-    owner = getattr(callback, "__self__", None)
-    if owner is not None:
-        return type(owner).__name__
-    qualname = getattr(callback, "__qualname__", None)
-    if qualname:
-        return qualname.split(".")[0]
-    return type(callback).__name__
+    seconds: dict[str, float] = {}
+    for (filename, _line, _name), (_cc, _nc, tottime, _ct, callers) in stats.items():
+        if filename != "~":
+            module = _module_of(filename)
+            seconds[module] = seconds.get(module, 0.0) + tottime
+            continue
+        for (caller, _cline, _cname), (_cnc, _ccc, caller_tt, _cct) in callers.items():
+            module = _module_of(caller)
+            seconds[module] = seconds.get(module, 0.0) + caller_tt
+            tottime -= caller_tt
+        if tottime > 0:
+            seconds[OUTSIDE] = seconds.get(OUTSIDE, 0.0) + tottime
+    return dict(sorted(seconds.items(), key=lambda item: (-item[1], item[0])))
 
 
 class SimProfiler:
-    """Accumulates host-time attribution over one (or more) event loops."""
+    """``cProfile`` over one session, reporting events/sec and the module
+    table.  ``events`` is ``queue``'s executed count."""
 
-    def __init__(self) -> None:
+    def __init__(self, queue: EventQueue) -> None:
+        self.queue = queue
         self.wall_seconds = 0.0
-        self.events = 0
-        self.component_seconds: dict[str, float] = {}
-        self.component_events: dict[str, int] = {}
+        self._profile = cProfile.Profile()
+        self._started: float | None = None
 
-    # ------------------------------------------------------------------
-    # called by EventQueue.run_profiled
-    # ------------------------------------------------------------------
-    def record(
-        self, callback: Callable[[], Any], seconds: float, events: int = 1
-    ) -> None:
-        """Charge one callback's host time, and the ``events`` executed
-        events it stood for, to its component."""
-        name = component_of(callback)
-        self.events += events
-        self.component_seconds[name] = (
-            self.component_seconds.get(name, 0.0) + seconds
-        )
-        self.component_events[name] = self.component_events.get(name, 0) + events
+    def start(self) -> None:
+        """Begin profiling (the session calls this at the top of ``begin``).
 
-    def add_wall(self, seconds: float) -> None:
-        """Add one event-loop invocation's total wall time."""
-        self.wall_seconds += seconds
+        Raises ``RuntimeError`` when another profiler holds the profile
+        hook: enabling would take the hook over and end that profile.
+        """
+        if sys.getprofile() is not None:
+            raise RuntimeError(
+                "another profiler is running; a profiled session cannot nest inside it"
+            )
+        self._started = perf_counter()
+        self._profile.enable()
 
-    # ------------------------------------------------------------------
+    def stop(self) -> None:
+        """End profiling; a no-op when it is not running."""
+        if self._started is None:
+            return
+        self._profile.disable()
+        self.wall_seconds += perf_counter() - self._started
+        self._started = None
+
+    @property
+    def events(self) -> int:
+        """Events the queue executed (every grouped MSHR poll counts)."""
+        return self.queue.executed
+
     @property
     def events_per_second(self) -> float:
-        """Host-side event throughput (0.0 before any events ran)."""
+        """Host-side event throughput (0.0 before any profiled time)."""
         return self.events / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def summary(self) -> dict[str, object]:
-        """JSON-ready profile: totals plus per-component attribution,
-        biggest time consumer first."""
-        callback_seconds = sum(self.component_seconds.values())
-        components = [
-            {
-                "component": name,
-                "events": self.component_events.get(name, 0),
-                "seconds": seconds,
-                "share": seconds / callback_seconds if callback_seconds else 0.0,
-            }
-            for name, seconds in sorted(
-                self.component_seconds.items(), key=lambda item: (-item[1], item[0])
-            )
-        ]
+        """JSON-ready profile: totals, the module table (see
+        :func:`module_table`) with each row's share of the profiled self
+        time, and ``accounted_share`` -- that self time over the profiled
+        wall time.  Stops the profile if it is still running."""
+        self.stop()
+        self._profile.create_stats()
+        seconds = module_table(self._profile.stats)
+        total = sum(seconds.values())
         return {
             "wall_seconds": self.wall_seconds,
             "events": self.events,
             "events_per_second": self.events_per_second,
-            "callback_seconds": callback_seconds,
-            "components": components,
+            "modules": {
+                name: {"seconds": value, "share": value / total if total else 0.0}
+                for name, value in seconds.items()
+            },
+            "accounted_share": total / self.wall_seconds if self.wall_seconds > 0 else 0.0,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SimProfiler(events={self.events}, wall={self.wall_seconds:.3f}s, "
-            f"{len(self.component_seconds)} components)"
-        )

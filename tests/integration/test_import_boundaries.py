@@ -39,22 +39,24 @@ SWEEP_FORBIDDEN = (
 )
 
 #: optional subsystems a static, exact single-workload run never enables
+#: (the host profiler and its stdlib ``cProfile`` are loaded only by
+#: ``TelemetryConfig(profile=True)``)
 STATIC_RUN_FORBIDDEN = (
+    "cProfile",
+    "pstats",
     "repro.accel.sampling",
     "repro.adaptive.controller",
     "repro.obs.bench",
     "repro.obs.diff",
     "repro.stats.regression",
+    "repro.telemetry.profiler",
     "repro.telemetry.trace",
     "repro.topology.partition",
     "repro.experiments",
 )
 
-#: prints the ``repro`` modules the scenario loaded as the last stdout line
-_REPORT = (
-    "\nimport json, sys\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
-)
+#: prints every module the scenario loaded as the last stdout line
+_REPORT = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
 
 def _loaded_modules(script: str, *argv: str) -> set[str]:

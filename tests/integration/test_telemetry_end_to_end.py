@@ -10,12 +10,15 @@ The acceptance contract pinned here:
 * the trace is valid Chrome trace-event JSON whose span population matches
   the run's counters (kernels completed, wavefronts started);
 * metrics windows survive the report's serialization round-trip;
-* the profiled event loop executes the exact same event sequence.
+* the host profiler counts every executed event and accounts for nearly
+  all of the profiled wall time, module by module.
 """
 
 from __future__ import annotations
 
+import cProfile
 import json
+import sys
 
 import pytest
 
@@ -138,25 +141,35 @@ class TestTraceContents:
 
 
 class TestProfiler:
-    def test_profiler_accounts_every_event(self):
-        session, _ = _run(telemetry=TelemetryConfig(profile=True))
-        profiler = session.profiler
-        assert profiler.events == session.sim.queue.executed
-        assert profiler.wall_seconds > 0
-        summary = profiler.summary()
-        assert summary["events"] == profiler.events
-        assert sum(c["events"] for c in summary["components"]) == profiler.events
-
-    def test_profiler_accounts_every_grouped_poll(self):
+    def test_profile_covers_the_run_by_module(self):
         # FwAct blocks on full MSHR files; its polls fire as poll groups,
         # each one callback standing for several events
         session, report = _run("FwAct", telemetry=TelemetryConfig(profile=True))
         assert report.get("l1.blocked_mshr_full") > 0
-        profiler = session.profiler
-        assert profiler.events == session.sim.queue.executed
-        components = {c["component"]: c for c in profiler.summary()["components"]}
-        assert "_PollGroup" not in components and "_MshrPoller" not in components
-        assert sum(c["events"] for c in components.values()) == profiler.events
+        assert sys.getprofile() is None  # finish() stopped the profiler
+        summary = session.profiler.summary()
+        assert summary["events"] == session.sim.queue.executed
+        assert summary["wall_seconds"] > 0
+        assert "memory/cache.py" in summary["modules"]
+        assert summary["accounted_share"] >= 0.9
+
+    def test_a_failing_run_stops_the_profiler(self):
+        session = SimulationSession(
+            policy="CacheRW", config=CONFIG, telemetry=TelemetryConfig(profile=True)
+        )
+        with pytest.raises(ValueError, match="needs a workload"):
+            session.run()
+        assert sys.getprofile() is None
+
+    def test_refuses_to_nest_inside_another_profiler(self):
+        outer = cProfile.Profile()
+        outer.enable()
+        try:
+            with pytest.raises(RuntimeError, match="another profiler"):
+                _run(telemetry=TelemetryConfig(profile=True))
+            assert sys.getprofile() is outer
+        finally:
+            outer.disable()
 
 
 class TestCliTelemetry:
@@ -181,6 +194,16 @@ class TestCliTelemetry:
         summary = json.loads(capsys.readouterr().out)
         assert summary["kernel_spans"] >= 1
         assert summary["mem_latency_p50"] <= summary["mem_latency_p99"]
+
+    def test_trace_text_output_lists_the_top_modules(self, tmp_path, capsys):
+        code = cli.main([
+            "--scale", "0.1", "--cus", "2",
+            "trace", "--workload", "FwSoft", "--out", str(tmp_path / "trace.json"),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Host self time, top modules" in out
+        assert "memory/cache.py" in out
 
     def test_run_trace_out_and_metrics(self, tmp_path, capsys):
         trace_path = tmp_path / "run-trace.json"

@@ -656,7 +656,7 @@ class TestMshrPollGroups:
         for line in range(3):  # lines 0, 1 take both MSHRs; line 2 polls
             cache.access(load(line * 64), ignore)
         # queued for cycle 64 after line 2's poll, before line 3's
-        sim.schedule(0, lambda: sim.schedule_at(64, lambda: log.append("event")))
+        sim.schedule(0, lambda: sim.queue.schedule_at(64, lambda: log.append("event")))
         cache.access(load(3 * 64), ignore)
         sim.run()
         # the fills free both entries at 40: each poll wakes at 64, around
@@ -676,7 +676,7 @@ class TestMshrPollGroups:
             cache.access(load(line * 64), ignore)
         executed = []
         probe = lambda: executed.append(sim.queue.executed)  # noqa: E731
-        sim.schedule(0, lambda: sim.schedule_at(64, probe))  # after the polls
+        sim.schedule(0, lambda: sim.queue.schedule_at(64, probe))  # after the polls
         sim.run()
         # at 64 the slow polls re-park and the fast ones wake, in order;
         # the slow polls wake at 128 in their original order
@@ -698,11 +698,11 @@ class TestMshrPollGroups:
             cache.access(load(line * 64), ignore)
 
         def between() -> None:  # fires at 64 between the two poll groups
-            sim.schedule_at(128, lambda: log.append("mid"))
+            sim.queue.schedule_at(128, lambda: log.append("mid"))
 
-        sim.schedule(0, lambda: sim.schedule_at(64, between))
+        sim.schedule(0, lambda: sim.queue.schedule_at(64, between))
         cache.access(load(4 * 64), ignore)  # polls after ``between``
-        sim.schedule_at(128, lambda: log.append("early"))
+        sim.queue.schedule_at(128, lambda: log.append("early"))
         sim.run(until=64)
         # both groups found the file full at 64 and each moved as one
         # callback: cycle 90 holds the two fills, cycle 128 holds early,
@@ -739,7 +739,7 @@ class TestMshrPollGroups:
             def issue(cache=cache, request=request, i=i) -> None:
                 cache.access(request, lambda r, i=i: done.append((i, sim.now)))
 
-            sim.schedule_at((i * 37) % 400, issue)
+            sim.queue.schedule_at((i * 37) % 400, issue)
         sim.run()
         return stats.counters(), wakes, done, sim.queue.executed, sim.now
 

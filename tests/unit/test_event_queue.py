@@ -190,61 +190,9 @@ class TestFastPath:
         assert seen == [1]
 
 
-class TestProfiledRun:
-    """``run_profiled`` is a timed copy of ``run``: same firing order,
-    same stops, same executed accounting."""
-
-    @staticmethod
-    def _schedule(queue, order):
-        def a():
-            order.append(("a", queue.now))
-            queue.schedule(0, lambda: order.append(("c", queue.now)))
-
-        queue.schedule(5, a)
-        queue.schedule(5, lambda: order.append(("b", queue.now)))
-        queue.schedule(9, lambda: order.append(("d", queue.now)))
-
-    def test_fires_in_the_same_order_as_run(self):
-        from repro.telemetry.profiler import SimProfiler
-
-        plain, profiled = EventQueue(), EventQueue()
-        plain_order, profiled_order = [], []
-        self._schedule(plain, plain_order)
-        self._schedule(profiled, profiled_order)
-        assert profiled.run_profiled(SimProfiler()) == plain.run()
-        assert profiled_order == plain_order
-        assert profiled.executed == plain.executed == 4
-
-    def test_every_event_is_charged_to_the_profiler(self):
-        from repro.telemetry.profiler import SimProfiler
-
-        queue = EventQueue()
-        self._schedule(queue, [])
-        profiler = SimProfiler()
-        queue.run_profiled(profiler)
-        assert profiler.events == queue.executed == 4
-        assert profiler.wall_seconds > 0
-
-    def test_stops_like_run_and_resumes_mid_cycle(self):
-        from repro.telemetry.profiler import SimProfiler
-
-        queue = EventQueue()
-        order = []
-        self._schedule(queue, order)
-        assert queue.run_profiled(SimProfiler(), until=7) == 7
-        assert [label for label, _ in order] == ["a", "b", "c"]
-        assert queue.pending == 1
-        queue.schedule(0, lambda: order.append(("e", queue.now)))
-        queue.run_profiled(SimProfiler(), max_events=1)
-        assert order[-1] == ("e", 7)
-        queue.run_profiled(SimProfiler())
-        assert order[-1] == ("d", 9)
-        assert queue.pending == 0
-
-
 class TestCreditedEvents:
     """A callback that stands for several events credits the others: they
-    count as executed, against ``max_events`` and in the profiler."""
+    count as executed and against ``max_events``."""
 
     @staticmethod
     def _schedule(queue, order):
@@ -255,36 +203,16 @@ class TestCreditedEvents:
         queue.schedule(1, group)
         queue.schedule(1, lambda: order.append("next"))
 
-    @pytest.mark.parametrize("profiled", [False, True], ids=["run", "run_profiled"])
-    def test_budget_counts_credited_events_and_never_splits_a_callback(self, profiled):
-        from repro.telemetry.profiler import SimProfiler
-
+    def test_budget_counts_credited_events_and_never_splits_a_callback(self):
         queue = EventQueue()
         order = []
         self._schedule(queue, order)
-
-        def run(**kwargs):
-            if profiled:
-                return queue.run_profiled(SimProfiler(), **kwargs)
-            return queue.run(**kwargs)
-
         # the budget of 1 is reached inside the group, which still fires
         # whole: the run overshoots by the 3 events it credited, then stops
-        run(max_events=1)
+        queue.run(max_events=1)
         assert order == ["group"] and queue.executed == 4
-        run(max_events=1)
+        queue.run(max_events=1)
         assert order == ["group", "next"] and queue.executed == 5
-
-    def test_profiler_charges_every_credited_event(self):
-        from repro.telemetry.profiler import SimProfiler
-
-        queue = EventQueue()
-        self._schedule(queue, [])
-        profiler = SimProfiler()
-        queue.run_profiled(profiler)
-        assert profiler.events == queue.executed == 5
-        summary = profiler.summary()
-        assert sum(c["events"] for c in summary["components"]) == 5
 
 
 class TestBucketMap:

@@ -4,22 +4,22 @@ windowed metrics sampler, and host-side profiler."""
 from __future__ import annotations
 
 import functools
+import os
 
 import pytest
 
-from repro.engine import Simulator
-from repro.stats import StatsCollector
+import repro
 from repro.telemetry import (
     MetricsSampler,
     SimProfiler,
     TelemetryConfig,
     TraceRecorder,
-    component_of,
     derive_window,
     trace_errors,
     validate_trace,
     windows_total,
 )
+from repro.telemetry.profiler import module_table
 from repro.telemetry.trace import PID_STREAMS, WAVE_LANE_STRIDE
 
 
@@ -362,60 +362,60 @@ class TestMetricsSampler:
 
 
 class TestProfiler:
-    def test_component_of_bound_method(self):
-        stats = StatsCollector()
-        assert component_of(stats.snapshot) == "StatsCollector"
+    """The module table: ``cProfile`` self time summed per source file."""
 
-    def test_component_of_partial_unwraps(self):
-        stats = StatsCollector()
-        assert component_of(functools.partial(stats.add, "x", 1)) == "StatsCollector"
+    CACHE = os.path.join(os.path.dirname(repro.__file__), "memory", "cache.py")
+    QUEUE = os.path.join(os.path.dirname(repro.__file__), "engine", "event_queue.py")
 
-    def test_component_of_closure_uses_qualname(self):
-        def outer():
-            def inner():
-                pass
+    def test_builtin_time_is_charged_to_its_callers_modules(self):
+        access = (self.CACHE, 10, "access")
+        drain = (self.QUEUE, 20, "run")
+        stats = {
+            access: (4, 4, 0.5, 0.875, {drain: (4, 4, 0.5, 0.875)}),
+            drain: (1, 1, 0.25, 1.25, {}),
+            ("~", 0, "<built-in method builtins.len>"): (
+                6, 6, 0.5, 0.5,
+                {access: (4, 4, 0.375, 0.375), drain: (2, 2, 0.125, 0.125)},
+            ),
+            ("/usr/lib/python3/json/encoder.py", 1, "encode"): (1, 1, 0.25, 0.25, {}),
+            # no caller recorded: the time stays outside the package
+            ("~", 0, "<method 'disable' of '_lsprof.Profiler' objects>"): (
+                1, 1, 0.125, 0.125, {},
+            ),
+        }
+        table = module_table(stats)
+        assert table == {
+            "memory/cache.py": 0.875,
+            "engine/event_queue.py": 0.375,
+            "python": 0.375,
+        }
+        assert list(table) == ["memory/cache.py", "engine/event_queue.py", "python"]
 
-            return inner
+    def test_profiled_run_shares_sum_to_one(self, sim):
+        def work(amount):
+            if amount < 5:
+                sim.schedule(10, functools.partial(work, amount + 1))
 
-        name = component_of(outer())
-        assert name == "TestProfiler" or name.startswith("test_component")
-
-    def test_profiled_run_matches_plain_run(self, stats):
-        def drive(sim: Simulator) -> None:
-            def work(amount):
-                stats.add("w", amount)
-                if amount < 5:
-                    sim.schedule(10, functools.partial(work, amount + 1))
-
-            sim.schedule(0, functools.partial(work, 1))
-
-        plain = Simulator()
-        drive(plain)
-        plain_final = plain.run()
-        plain_executed = plain.queue.executed
-
-        profiled = Simulator()
-        profiler = SimProfiler()
-        profiled.profiler = profiler
-        drive(profiled)
-        assert profiled.run() == plain_final
-        assert profiled.queue.executed == plain_executed
-        assert profiler.events == plain_executed
-        assert profiler.wall_seconds > 0
-
-    def test_summary_shares(self):
-        profiler = SimProfiler()
-        profiler.record(StatsCollector().snapshot, 0.75)
-        profiler.record(str.strip.__get__("x"), 0.25)
-        profiler.add_wall(2.0)
+        sim.schedule(0, functools.partial(work, 1))
+        profiler = SimProfiler(sim.queue)
+        profiler.start()
+        sim.run()
+        profiler.stop()
+        profiler.stop()  # idempotent
         summary = profiler.summary()
-        assert summary["events"] == 2
-        assert summary["events_per_second"] == pytest.approx(1.0)
-        assert summary["components"][0]["component"] == "StatsCollector"
-        assert summary["components"][0]["share"] == pytest.approx(0.75)
+        assert summary["events"] == sim.queue.executed == 5
+        assert summary["wall_seconds"] == profiler.wall_seconds > 0
+        assert summary["events_per_second"] == pytest.approx(5 / profiler.wall_seconds)
+        modules = summary["modules"]
+        assert "engine/event_queue.py" in modules
+        assert sum(row["share"] for row in modules.values()) == pytest.approx(1.0)
+        assert summary["accounted_share"] > 0
+        assert list(summary)[-1] == "accounted_share"
 
-    def test_empty_profiler_summary(self):
-        summary = SimProfiler().summary()
+    def test_empty_profile_gives_an_empty_table(self, sim):
+        assert module_table({}) == {}
+        summary = SimProfiler(sim.queue).summary()
+        assert summary["modules"] == {}
         assert summary["events"] == 0
         assert summary["events_per_second"] == 0.0
-        assert summary["components"] == []
+        assert summary["accounted_share"] == 0.0
