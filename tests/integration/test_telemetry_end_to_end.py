@@ -51,6 +51,14 @@ class TestObserversDoNotPerturb:
         assert observed.cycles == baseline.cycles
         assert observed.counters == baseline.counters
 
+    def test_profile_only_is_bit_identical(self):
+        _, baseline = _run()
+        session, observed = _run(telemetry=TelemetryConfig(profile=True))
+        assert session.profiler is not None
+        assert session.recorder is None and session.sampler is None
+        assert observed.cycles == baseline.cycles
+        assert observed.counters == baseline.counters
+
     def test_disabled_config_attaches_nothing(self):
         session, _ = _run(telemetry=TelemetryConfig())
         assert session.recorder is None

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import functools
 import os
+import sys
 
 import pytest
 
 import repro
+from repro.engine.simulator import Simulator
 from repro.telemetry import (
     MetricsSampler,
     SimProfiler,
@@ -390,6 +392,105 @@ class TestProfiler:
             "python": 0.375,
         }
         assert list(table) == ["memory/cache.py", "engine/event_queue.py", "python"]
+
+    def test_package_files_are_named_below_the_package(self):
+        root = os.path.dirname(repro.__file__)
+        stats = {
+            (os.path.join(root, "engine", "event_queue.py"), 1, "run"): (1, 1, 0.5, 0.5, {}),
+            (os.path.join(root, "session.py"), 1, "run"): (1, 1, 0.25, 0.25, {}),
+            # a sibling directory sharing the package's name as a prefix
+            (root + "_extra" + os.sep + "x.py", 1, "f"): (1, 1, 0.125, 0.125, {}),
+            ("<frozen importlib._bootstrap>", 1, "_load"): (1, 1, 0.125, 0.125, {}),
+        }
+        assert module_table(stats) == {
+            "engine/event_queue.py": 0.5,
+            "python": 0.25,
+            "session.py": 0.25,
+        }
+
+    def test_builtin_time_no_caller_holds_goes_to_python(self):
+        access = (self.CACHE, 10, "access")
+        stats = {
+            access: (1, 1, 0.25, 0.75, {}),
+            ("~", 0, "<built-in method builtins.sorted>"): (
+                2, 2, 0.5, 0.5, {access: (1, 1, 0.375, 0.375)},
+            ),
+        }
+        assert module_table(stats) == {"memory/cache.py": 0.625, "python": 0.125}
+
+    def test_equal_rows_sort_by_name(self):
+        stats = {
+            (self.CACHE, 1, "access"): (1, 1, 0.25, 0.25, {}),
+            (self.QUEUE, 1, "run"): (1, 1, 0.25, 0.25, {}),
+            ("/usr/lib/python3/heapq.py", 1, "push"): (1, 1, 0.5, 0.5, {}),
+        }
+        assert list(module_table(stats)) == [
+            "python", "engine/event_queue.py", "memory/cache.py",
+        ]
+
+    def test_profiled_run_matches_plain_run(self):
+        def drive(profiled):
+            sim = Simulator()
+            order = []
+
+            def work(label, left):
+                order.append((sim.now, label))
+                if left:
+                    sim.schedule(3 + left, functools.partial(work, label, left - 1))
+
+            for label in "abc":
+                sim.schedule(1, functools.partial(work, label, 4))
+            profiler = SimProfiler(sim.queue)
+            if profiled:
+                profiler.start()
+            sim.run()
+            profiler.stop()
+            return order, sim.now, sim.queue.executed
+
+        assert drive(profiled=True) == drive(profiled=False)
+
+    def test_wall_time_accumulates_over_windows(self, sim):
+        profiler = SimProfiler(sim.queue)
+        profiler.start()
+        profiler.stop()
+        first = profiler.wall_seconds
+        assert first > 0
+        profiler.start()
+        sim.schedule(1, lambda: None)
+        sim.run()
+        profiler.stop()
+        assert profiler.wall_seconds > first
+        assert profiler.events_per_second == pytest.approx(1 / profiler.wall_seconds)
+
+    def test_stop_before_start_is_a_no_op(self, sim):
+        profiler = SimProfiler(sim.queue)
+        profiler.stop()
+        assert profiler.wall_seconds == 0.0
+        assert sys.getprofile() is None
+
+    def test_summary_stops_a_running_profile(self, sim):
+        profiler = SimProfiler(sim.queue)
+        profiler.start()
+        assert sys.getprofile() is not None
+        summary = profiler.summary()
+        assert sys.getprofile() is None
+        assert summary["wall_seconds"] == profiler.wall_seconds > 0
+
+    def test_start_refuses_under_another_profiler(self, sim):
+        def outer(frame, event, arg):
+            return None
+
+        sys.setprofile(outer)
+        try:
+            profiler = SimProfiler(sim.queue)
+            with pytest.raises(RuntimeError, match="another profiler"):
+                profiler.start()
+            assert sys.getprofile() is outer
+        finally:
+            sys.setprofile(None)
+        # the refused start left nothing running
+        profiler.stop()
+        assert profiler.wall_seconds == 0.0
 
     def test_profiled_run_shares_sum_to_one(self, sim):
         def work(amount):
