@@ -237,14 +237,18 @@ class SimulationSession:
         """Execute the run and return the report.
 
         ``workload`` overrides the spec's named workload; a serving spec
-        takes none (its streams name their own).
+        takes none (its streams name their own).  With ``profile``
+        telemetry the host profiler covers all of it: trace build,
+        partitioning, the event loop and the report.
         """
+        if self.profiler is not None:
+            self.profiler.start()
         try:
             self.begin(workload)
             self.sim.run()
             return self.finish()
         finally:
-            if self.profiler is not None:  # finish() stopped it unless a step raised
+            if self.profiler is not None:
                 self.profiler.stop()
 
     def begin(self, workload: Workload | WorkloadTrace | None = None) -> None:
@@ -252,11 +256,9 @@ class SimulationSession:
 
         :meth:`run` is ``begin(); sim.run(); finish()``.  Callers that
         want to inspect the assembled components between scheduling and
-        draining use the pieces directly.  With ``profile`` telemetry the
-        host profiler runs from here until :meth:`finish` returns.
+        draining use the pieces directly.  Only :meth:`run` drives the
+        host profiler.
         """
-        if self.profiler is not None:
-            self.profiler.start()
         spec = self.spec
         self._wall_start = time.perf_counter()
         self._workload = workload
@@ -341,10 +343,7 @@ class SimulationSession:
         )
         if extrapolation is not None:
             self._apply_sampling(report, extrapolation)
-        report = self._observe(report, time.perf_counter() - self._wall_start)
-        if self.profiler is not None:
-            self.profiler.stop()
-        return report
+        return self._observe(report, time.perf_counter() - self._wall_start)
 
     def _apply_sampling(self, report: RunReport, extrapolation) -> None:
         """Fold the fast-forward corrections into the finished report."""

@@ -38,8 +38,8 @@ class TelemetryConfig:
         metrics_interval: close a metrics window every this many cycles
             (``0`` disables the sampler).
         profile: measure host-side simulator performance (events/sec and
-            self time per source module) with ``cProfile``, from the start
-            of the session's ``begin`` to the end of its ``finish``.  It
+            self time per source module) with ``cProfile`` over the
+            session's whole ``run``, trace build and report included.  It
             roughly triples the run's wall time; leave this off for
             production sweeps.
         max_trace_events: safety bound on recorded trace events; beyond

@@ -2,9 +2,9 @@
 
 Simulated metrics say nothing about why a *sweep* is slow.  The
 :class:`SimProfiler` measures the simulator itself with the stdlib's
-:mod:`cProfile`, over one whole session: from the top of
-:meth:`~repro.session.SimulationSession.begin` (trace build, partitioning)
-through the event loop to the finished report.  Its summary is a *module
+:mod:`cProfile`, over one whole
+:meth:`~repro.session.SimulationSession.run`: trace build, partitioning,
+the event loop and the finished report.  Its summary is a *module
 table*: each profiled function's self time summed into the source file
 that defines it, named by its path below the package (``memory/cache.py``,
 ``engine/event_queue.py`` ...).  A C builtin has no source file, so its
@@ -17,8 +17,9 @@ The event loop is the production
 executes the exact same events (its results are bit-identical); only host
 time is observed.  ``cProfile`` hooks every Python and builtin call, so a
 profiled run takes about three times as long as a plain one.  It also
-takes the interpreter's one profile hook, so a profiled session refuses
-to start under another profiler rather than silently cut it off.
+takes the interpreter's one profiler slot (the profile hook up to Python
+3.11, the ``sys.monitoring`` profiler tool from 3.12), so a profiled
+session refuses to start under another profiler rather than cut it off.
 """
 
 from __future__ import annotations
@@ -34,13 +35,26 @@ import repro
 if TYPE_CHECKING:
     from repro.engine.event_queue import EventQueue
 
-__all__ = ["SimProfiler", "module_table"]
+__all__ = ["SimProfiler", "module_table", "profiling_active"]
 
 #: profiled files under this directory are named by their path below it
 _PACKAGE_ROOT = os.path.dirname(repro.__file__) + os.sep
 
 #: the module-table row for time outside the package
 OUTSIDE = "python"
+
+
+def profiling_active() -> bool:
+    """Whether a profiler holds the interpreter's profiler slot.
+
+    Up to Python 3.11 ``cProfile`` (like any profiler) installs the
+    profile hook; from 3.12 ``cProfile`` claims the ``sys.monitoring``
+    profiler tool instead and leaves ``sys.getprofile()`` at ``None``.
+    """
+    if sys.getprofile() is not None:
+        return True
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and monitoring.get_tool(monitoring.PROFILER_ID) is not None
 
 
 def _module_of(filename: str) -> str:
@@ -84,17 +98,18 @@ class SimProfiler:
         self._started: float | None = None
 
     def start(self) -> None:
-        """Begin profiling (the session calls this at the top of ``begin``).
+        """Begin profiling (``SimulationSession.run`` calls this first).
 
-        Raises ``RuntimeError`` when another profiler holds the profile
-        hook: enabling would take the hook over and end that profile.
+        Raises ``RuntimeError`` when another profiler is running (see
+        :func:`profiling_active`): on Python 3.11 enabling would take the
+        hook over and end that profile, from 3.12 it would fail.
         """
-        if sys.getprofile() is not None:
+        if profiling_active():
             raise RuntimeError(
                 "another profiler is running; a profiled session cannot nest inside it"
             )
-        self._started = perf_counter()
         self._profile.enable()
+        self._started = perf_counter()
 
     def stop(self) -> None:
         """End profiling; a no-op when it is not running."""

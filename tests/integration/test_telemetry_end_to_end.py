@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cProfile
 import json
-import sys
 
 import pytest
 
@@ -28,6 +27,7 @@ from repro.session import SimulationSession
 from repro.stats.report import RunReport
 from repro.streams import MIX_NAMES, mix_by_name
 from repro.telemetry import TelemetryConfig, trace_errors, windows_total
+from repro.telemetry.profiler import profiling_active
 from repro.topology import topology_by_name
 from repro.workloads.registry import get_workload
 
@@ -154,7 +154,7 @@ class TestProfiler:
         # each one callback standing for several events
         session, report = _run("FwAct", telemetry=TelemetryConfig(profile=True))
         assert report.get("l1.blocked_mshr_full") > 0
-        assert sys.getprofile() is None  # finish() stopped the profiler
+        assert not profiling_active()  # run() stopped the profiler
         summary = session.profiler.summary()
         assert summary["events"] == session.sim.queue.executed
         assert summary["wall_seconds"] > 0
@@ -167,17 +167,24 @@ class TestProfiler:
         )
         with pytest.raises(ValueError, match="needs a workload"):
             session.run()
-        assert sys.getprofile() is None
+        assert not profiling_active()
 
     def test_refuses_to_nest_inside_another_profiler(self):
+        def after_the_refusal():
+            return None
+
         outer = cProfile.Profile()
         outer.enable()
         try:
             with pytest.raises(RuntimeError, match="another profiler"):
                 _run(telemetry=TelemetryConfig(profile=True))
-            assert sys.getprofile() is outer
+            assert profiling_active()
+            after_the_refusal()
         finally:
             outer.disable()
+        # the outer profile kept recording through the refused start
+        outer.create_stats()
+        assert any(name == "after_the_refusal" for _f, _l, name in outer.stats)
 
 
 class TestCliTelemetry:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.event_queue import EventQueue
-from repro.telemetry.profiler import SimProfiler
 
 
 class TestScheduling:
@@ -214,20 +213,6 @@ class TestCreditedEvents:
         assert order == ["group"] and queue.executed == 4
         queue.run(max_events=1)
         assert order == ["group", "next"] and queue.executed == 5
-
-    def test_profiler_charges_every_credited_event(self):
-        queue = EventQueue()
-        order = []
-        self._schedule(queue, order)
-        profiler = SimProfiler(queue)
-        profiler.start()
-        try:
-            queue.run()
-        finally:
-            profiler.stop()
-        assert order == ["group", "next"]
-        # the group's credited events count as executed, so as profiled
-        assert profiler.summary()["events"] == queue.executed == 5
 
 
 class TestBucketMap:

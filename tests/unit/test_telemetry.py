@@ -21,7 +21,7 @@ from repro.telemetry import (
     validate_trace,
     windows_total,
 )
-from repro.telemetry.profiler import module_table
+from repro.telemetry.profiler import module_table, profiling_active
 from repro.telemetry.trace import PID_STREAMS, WAVE_LANE_STRIDE
 
 
@@ -466,14 +466,14 @@ class TestProfiler:
         profiler = SimProfiler(sim.queue)
         profiler.stop()
         assert profiler.wall_seconds == 0.0
-        assert sys.getprofile() is None
+        assert not profiling_active()
 
     def test_summary_stops_a_running_profile(self, sim):
         profiler = SimProfiler(sim.queue)
         profiler.start()
-        assert sys.getprofile() is not None
+        assert profiling_active()
         summary = profiler.summary()
-        assert sys.getprofile() is None
+        assert not profiling_active()
         assert summary["wall_seconds"] == profiler.wall_seconds > 0
 
     def test_start_refuses_under_another_profiler(self, sim):
@@ -483,12 +483,54 @@ class TestProfiler:
         sys.setprofile(outer)
         try:
             profiler = SimProfiler(sim.queue)
+            assert profiling_active()
             with pytest.raises(RuntimeError, match="another profiler"):
                 profiler.start()
             assert sys.getprofile() is outer
         finally:
             sys.setprofile(None)
         # the refused start left nothing running
+        profiler.stop()
+        assert profiler.wall_seconds == 0.0
+
+    @pytest.mark.parametrize("tool", [None, "cProfile"])
+    def test_the_monitoring_profiler_tool_counts_as_a_profiler(
+        self, sim, monkeypatch, tool
+    ):
+        # from Python 3.12 cProfile claims this tool, not the profile hook
+        class Monitoring:
+            PROFILER_ID = 2
+
+            @staticmethod
+            def get_tool(tool_id):
+                return tool if tool_id == 2 else None
+
+        monkeypatch.setattr(sys, "monitoring", Monitoring, raising=False)
+        assert profiling_active() is (tool is not None)
+        profiler = SimProfiler(sim.queue)
+        if tool is None:
+            profiler.start()
+            profiler.stop()
+            assert profiler.wall_seconds > 0
+        else:
+            with pytest.raises(RuntimeError, match="another profiler"):
+                profiler.start()
+            assert profiler.wall_seconds == 0.0
+
+    def test_a_failed_enable_starts_nothing(self, sim):
+        class Taken:
+            """3.12's cProfile when another tool holds the profiler slot."""
+
+            def enable(self):
+                raise ValueError("Another profiling tool is already active")
+
+            def disable(self):
+                raise AssertionError("disable() after a failed enable()")
+
+        profiler = SimProfiler(sim.queue)
+        profiler._profile = Taken()
+        with pytest.raises(ValueError):
+            profiler.start()
         profiler.stop()
         assert profiler.wall_seconds == 0.0
 
