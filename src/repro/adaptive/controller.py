@@ -49,8 +49,8 @@ class DynamicPolicyEngine(PolicyEngine):
             rinsing (all candidates share optimization flags by
             construction, so the optimization components are created once,
             exactly as the static engine would).
-        predictor_config / dbi_max_rows: optional component overrides,
-            forwarded to :class:`PolicyEngine`.
+        predictor_config: optional reuse-predictor override, forwarded to
+            :class:`PolicyEngine`.
         address_to_set: optional override of the address -> monitored-set
             mapping.  Multi-device sessions pass the *slice-local* set
             index here (the L2 slices operate on re-addressed local
@@ -69,14 +69,12 @@ class DynamicPolicyEngine(PolicyEngine):
         stats: StatsCollector,
         row_of: Optional[Callable[[int], int]] = None,
         predictor_config: Optional[PredictorConfig] = None,
-        dbi_max_rows: Optional[int] = None,
         address_to_set: Optional[Callable[[int], int]] = None,
     ) -> None:
         super().__init__(
             adaptive.initial_policy,
             row_of=row_of,
             predictor_config=predictor_config,
-            dbi_max_rows=dbi_max_rows,
         )
         self.adaptive = adaptive
         self.monitor = SetDuelingMonitor(

@@ -27,7 +27,6 @@ from repro.topology.config import TOPOLOGY_NAMES
 from repro.workloads.registry import WORKLOAD_NAMES
 
 if TYPE_CHECKING:
-    from repro.obs.config import ObsConfig
     from repro.session import SimulationSession
     from repro.telemetry.config import TelemetryConfig
 
@@ -70,29 +69,18 @@ def _telemetry_config(
 ) -> TelemetryConfig | None:
     """The :class:`TelemetryConfig` the run-level flags request (or None)."""
     interval = args.metrics_interval or 0
-    if not interval and args.alerts:
-        # the anomaly detectors read windowed metrics, so --alerts without
-        # an explicit --metrics-interval gets the detectors' default cadence
-        from repro.obs.alerts import AlertConfig
-
-        interval = AlertConfig().default_metrics_interval
-    if not trace and not interval and not profile:
+    ledger = getattr(args, "ledger", None)
+    if not (trace or interval or profile or ledger or args.alerts):
         return None
     from repro.telemetry.config import TelemetryConfig
 
-    return TelemetryConfig(trace=trace, metrics_interval=interval, profile=profile)
-
-
-def _obs_config(args: argparse.Namespace) -> ObsConfig | None:
-    """The :class:`ObsConfig` the run-level flags request (or None)."""
-    ledger = getattr(args, "ledger", None)
-    alerts = getattr(args, "alerts", False)
-    if ledger is None and not alerts:
-        return None
-    from repro.obs.alerts import AlertConfig
-    from repro.obs.config import ObsConfig
-
-    return ObsConfig(ledger_path=ledger, alerts=AlertConfig() if alerts else None)
+    return TelemetryConfig(
+        trace=trace,
+        metrics_interval=interval,
+        profile=profile,
+        ledger_path=ledger,
+        alerts=args.alerts,
+    )
 
 
 def _print_alerts(report, command: str) -> None:
@@ -154,9 +142,7 @@ def replay(args: argparse.Namespace, label: str, **axes: object) -> None:
     from repro.spec import JobSpec
 
     spec = JobSpec(config=system_config(args), **axes)  # type: ignore[arg-type]
-    session = SimulationSession(
-        spec, telemetry=_telemetry_config(args, bool(args.trace_out)), obs=_obs_config(args)
-    )
+    session = SimulationSession(spec, telemetry=_telemetry_config(args, bool(args.trace_out)))
     report = session.run()
     if args.trace_out:
         _write_trace(args.trace_out, session, args.command)
@@ -201,9 +187,7 @@ def run_command(args: argparse.Namespace) -> int:
         topology=topology_by_name(args.topology) if args.topology else None,
         sampling=SamplingConfig() if args.sampling else None,
     )
-    session = SimulationSession(
-        spec, telemetry=_telemetry_config(args, bool(args.trace_out)), obs=_obs_config(args)
-    )
+    session = SimulationSession(spec, telemetry=_telemetry_config(args, bool(args.trace_out)))
     report = session.run()
     if args.trace_out:
         _write_trace(args.trace_out, session, "run")
@@ -307,7 +291,7 @@ def trace_command(args: argparse.Namespace) -> int:
             topology=topology_by_name(args.topology) if args.topology else None,
             streams=mix_by_name(args.mix).scaled(args.scale) if args.mix else None,
         )
-        session = SimulationSession(spec, telemetry=telemetry, obs=_obs_config(args))
+        session = SimulationSession(spec, telemetry=telemetry)
         report = session.run()
     except ValueError as exc:  # a run the simulator rejects up front
         return fail(str(exc))

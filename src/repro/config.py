@@ -72,11 +72,6 @@ class GpuConfig:
         """Maximum wavefronts resident on one CU."""
         return self.simd_per_cu * self.max_waves_per_simd
 
-    @property
-    def cycle_time_ns(self) -> float:
-        """Duration of one GPU cycle in nanoseconds."""
-        return 1.0 / self.clock_ghz
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -149,10 +144,6 @@ class DramConfig:
     row_conflict_cycles: int = 150
     burst_cycles: int = 4
     queue_depth: int = 16
-
-    @property
-    def total_banks(self) -> int:
-        return self.channels * self.banks_per_channel
 
 
 @dataclass(frozen=True)

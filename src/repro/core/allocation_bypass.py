@@ -49,8 +49,3 @@ class AllocationBypassSpec:
     def disabled(cls) -> "AllocationBypassSpec":
         """Blocking allocation, as in the static CacheR/CacheRW policies."""
         return cls(enabled=False, apply_to_loads=False, apply_to_stores=False)
-
-    @classmethod
-    def paper_default(cls) -> "AllocationBypassSpec":
-        """The configuration evaluated as CacheRW-AB."""
-        return cls(enabled=True, apply_to_loads=True, apply_to_stores=True, retry_budget=0)

@@ -8,20 +8,15 @@ to the same DRAM row at the same time -- so the resulting write burst enjoys
 consecutive row hits at the memory controller instead of scattering row
 conflicts across the execution.
 
-This module implements the index itself; the rinse action is driven by
-:class:`repro.memory.cache.Cache` when a dirty eviction occurs, and by
-``flush_dirty`` which walks rows in order when a DBI is attached.
-
-The hardware structure has finite capacity (a limited number of row entries)
--- when it overflows, the oldest row is *proactively rinsed* (written back)
-to make room, mirroring the DBI's "dirty-block eviction" behaviour.  The
-capacity is configurable so the ablation benchmarks can study its effect.
+This module implements the index itself, unbounded (an idealized DBI);
+the rinse action is driven by :class:`repro.memory.cache.Cache` when a
+dirty eviction occurs, and by ``flush_dirty`` which walks rows in order
+when a DBI is attached.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 __all__ = ["DirtyBlockIndex"]
 
@@ -31,29 +26,13 @@ class DirtyBlockIndex:
 
     Args:
         row_of: maps a line address to a globally unique DRAM row id.
-        max_rows: maximum number of rows tracked simultaneously; ``None``
-            means unbounded (an idealized DBI).  When bounded, inserting a
-            new row beyond capacity reports the least-recently-touched row
-            through ``on_overflow`` so the owner can rinse it.
-        on_overflow: optional callback invoked with the evicted row's list of
-            dirty line addresses when capacity is exceeded.
     """
 
-    def __init__(
-        self,
-        row_of: Callable[[int], int],
-        max_rows: Optional[int] = None,
-        on_overflow: Optional[Callable[[list[int]], None]] = None,
-    ) -> None:
-        if max_rows is not None and max_rows <= 0:
-            raise ValueError("max_rows must be positive or None")
+    def __init__(self, row_of: Callable[[int], int]) -> None:
         self._row_of = row_of
-        self.max_rows = max_rows
-        self.on_overflow = on_overflow
-        self._rows: "OrderedDict[int, set[int]]" = OrderedDict()
+        self._rows: dict[int, set[int]] = {}
         self.marks = 0
         self.clears = 0
-        self.overflows = 0
 
     # ------------------------------------------------------------------
     def row_of(self, line_address: int) -> int:
@@ -65,12 +44,7 @@ class DirtyBlockIndex:
         row = self._row_of(line_address)
         entry = self._rows.get(row)
         if entry is None:
-            if self.max_rows is not None and len(self._rows) >= self.max_rows:
-                self._overflow()
-            entry = set()
-            self._rows[row] = entry
-        else:
-            self._rows.move_to_end(row)
+            entry = self._rows[row] = set()
         entry.add(line_address)
         self.marks += 1
 
@@ -101,22 +75,6 @@ class DirtyBlockIndex:
     def dirty_count(self) -> int:
         """Total dirty lines tracked."""
         return sum(len(lines) for lines in self._rows.values())
-
-    def rows_by_dirtiness(self) -> list[tuple[int, int]]:
-        """Rows sorted by how many dirty lines they hold (descending)."""
-        return sorted(
-            ((row, len(lines)) for row, lines in self._rows.items()),
-            key=lambda pair: pair[1],
-            reverse=True,
-        )
-
-    # ------------------------------------------------------------------
-    def _overflow(self) -> None:
-        """Evict the least-recently-touched row to make room."""
-        row, lines = self._rows.popitem(last=False)
-        self.overflows += 1
-        if self.on_overflow is not None:
-            self.on_overflow(sorted(lines))
 
     def __len__(self) -> int:
         return len(self._rows)

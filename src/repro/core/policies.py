@@ -66,16 +66,6 @@ class PolicySpec:
     cache_rinsing: bool = False
     pc_bypass: bool = False
 
-    @property
-    def caches_loads(self) -> bool:
-        """True when loads are cached anywhere on the GPU."""
-        return self.cache_loads_l1 or self.cache_loads_l2
-
-    @property
-    def caches_stores(self) -> bool:
-        """True when stores are coalesced in the GPU L2."""
-        return self.cache_stores_l2
-
     def fingerprint(self) -> str:
         """Stable content hash of the policy, including its display name.
 
@@ -85,11 +75,6 @@ class PolicySpec:
         labelled with the old name.
         """
         return fingerprint(self)
-
-    @property
-    def is_static(self) -> bool:
-        """True for the three static policies of section III."""
-        return not (self.allocation_bypass or self.cache_rinsing or self.pc_bypass)
 
     def with_optimizations(
         self,

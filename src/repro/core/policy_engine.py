@@ -34,7 +34,6 @@ class PolicyEngine:
             enables cache rinsing.
         predictor_config: optional override of the reuse-predictor geometry
             (used by the ablation benchmarks).
-        dbi_max_rows: optional capacity bound for the dirty-block index.
     """
 
     def __init__(
@@ -42,7 +41,6 @@ class PolicyEngine:
         policy: PolicySpec,
         row_of: Optional[Callable[[int], int]] = None,
         predictor_config: Optional[PredictorConfig] = None,
-        dbi_max_rows: Optional[int] = None,
     ) -> None:
         self.policy = policy
         self.reuse_predictor: Optional[ReusePredictor] = None
@@ -55,7 +53,7 @@ class PolicyEngine:
                     f"policy {policy.name} enables cache rinsing, which requires a "
                     "DRAM row mapping (row_of)"
                 )
-            self.dirty_block_index = DirtyBlockIndex(row_of, max_rows=dbi_max_rows)
+            self.dirty_block_index = DirtyBlockIndex(row_of)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -80,10 +80,6 @@ class ThroughputResource:
         self.total_wait_cycles += max(0, wait)
         return int(round(start + duration))
 
-    def peek(self, now: int) -> int:
-        """Return when a grant would occur without booking it."""
-        return int(max(float(now), self._next_free))
-
 
 class WaitQueue:
     """FIFO list of blocked continuations.

@@ -209,16 +209,14 @@ class MemoryHierarchy:
         Single-device systems use the policy engine's own DBI (unchanged
         behaviour).  Multi-device systems need one DBI per slice keyed by
         *local* row ids -- slices see local addresses, and sharing one
-        index would alias row ids across partitions -- so the engine's
-        component serves as the template and each slice gets a private
-        instance over its own partition's row mapping.
+        index would alias row ids across partitions -- so when the engine
+        has a DBI each slice gets a private instance over its own
+        partition's row mapping.
         """
         engine_dbi = self.policy_engine.dirty_block_index
-        if engine_dbi is None:
-            return None
-        if self.num_devices == 1:
+        if engine_dbi is None or self.num_devices == 1:
             return engine_dbi
-        dbi = DirtyBlockIndex(self.drams[device].row_id, max_rows=engine_dbi.max_rows)
+        dbi = DirtyBlockIndex(self.drams[device].row_id)
         self.slice_dbis.append(dbi)
         return dbi
 

@@ -1,7 +1,7 @@
 """Anomaly detection over a finished run's report and metrics windows.
 
-End-of-run counters say *what* a run cost; the PR-8 metrics windows say
-*when*.  The detectors here read both (and nothing else -- they run after
+End-of-run counters say *what* a run cost; the telemetry metrics windows
+say *when*.  The detectors here read both (and nothing else -- they run after
 the simulation and never touch simulator state) and turn two
 operationally meaningful patterns into structured
 :class:`Alert` records on :attr:`repro.stats.report.RunReport.alerts`:
@@ -15,6 +15,13 @@ operationally meaningful patterns into structured
   share of window traffic collapsed below a fraction of its fair share
   while other tenants kept issuing: the interference pathology the
   serving study measures, surfaced per window instead of post-hoc.
+
+``TelemetryConfig(alerts=True)`` (the CLI's ``--alerts``) runs the
+detectors after the run; without an explicit ``metrics_interval`` the
+session then samples a window every
+:data:`~repro.telemetry.config.ALERT_METRICS_INTERVAL` cycles, so the
+detectors always have windows to read.  The thresholds are the module
+constants below.
 
 Alert emission is touched-gated exactly like counters: a healthy run
 produces an empty list, ``RunReport.to_dict`` omits the ``alerts`` key
@@ -32,47 +39,20 @@ from repro.telemetry.metrics import derive_window
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.stats.report import RunReport
 
-__all__ = ["Alert", "AlertConfig", "detect_anomalies"]
+__all__ = ["Alert", "detect_anomalies"]
 
 
-@dataclass(frozen=True)
-class AlertConfig:
-    """Thresholds for the anomaly detectors (defaults are deliberately
-    conservative: alerts should mark pathologies, not noise)."""
-
-    #: absolute L2 hit-rate drop between adjacent windows that fires the cliff
-    hit_rate_cliff: float = 0.25
-    #: both windows need at least this many L2 accesses to be judged
-    min_window_accesses: int = 64
-    #: a stream starves when its window traffic share falls below
-    #: ``starvation_share`` of its fair share (1/num_streams)
-    starvation_share: float = 0.25
-    #: total stream traffic a window needs before starvation is judged
-    min_window_traffic: int = 64
-    #: metrics sampling interval implied when alerts are requested but no
-    #: explicit --metrics-interval was given (windows feed the detectors)
-    default_metrics_interval: int = 5000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.hit_rate_cliff <= 1.0:
-            raise ValueError(f"hit_rate_cliff must be in (0, 1], got {self.hit_rate_cliff}")
-        if not 0.0 < self.starvation_share < 1.0:
-            raise ValueError(
-                f"starvation_share must be in (0, 1), got {self.starvation_share}"
-            )
-        if self.min_window_accesses < 1:
-            raise ValueError(
-                f"min_window_accesses must be positive, got {self.min_window_accesses}"
-            )
-        if self.min_window_traffic < 1:
-            raise ValueError(
-                f"min_window_traffic must be positive, got {self.min_window_traffic}"
-            )
-        if self.default_metrics_interval < 1:
-            raise ValueError(
-                "default_metrics_interval must be positive, got "
-                f"{self.default_metrics_interval}"
-            )
+# detector thresholds, deliberately conservative: alerts should mark
+# pathologies, not noise
+#: absolute L2 hit-rate drop between adjacent windows that fires the cliff
+HIT_RATE_CLIFF = 0.25
+#: both windows need at least this many L2 accesses to be judged
+MIN_WINDOW_ACCESSES = 64
+#: a stream starves when its window traffic share falls below this
+#: fraction of its fair share (1/num_streams)
+STARVATION_SHARE = 0.25
+#: total stream traffic a window needs before starvation is judged
+MIN_WINDOW_TRAFFIC = 64
 
 
 @dataclass(frozen=True)
@@ -108,7 +88,7 @@ class Alert:
         return blob
 
 
-def _hit_rate_cliffs(windows: list[dict], config: AlertConfig) -> list[Alert]:
+def _hit_rate_cliffs(windows: list[dict]) -> list[Alert]:
     alerts: list[Alert] = []
     previous: Optional[dict] = None
     for window in windows:
@@ -116,11 +96,11 @@ def _hit_rate_cliffs(windows: list[dict], config: AlertConfig) -> list[Alert]:
         counters = window.get("counters", {})
         accesses = counters.get("l2.accesses", 0)
         if previous is not None and (
-            accesses >= config.min_window_accesses
-            and previous["accesses"] >= config.min_window_accesses
+            accesses >= MIN_WINDOW_ACCESSES
+            and previous["accesses"] >= MIN_WINDOW_ACCESSES
         ):
             drop = previous["l2_hit_rate"] - derived["l2_hit_rate"]
-            if drop >= config.hit_rate_cliff:
+            if drop >= HIT_RATE_CLIFF:
                 alerts.append(
                     Alert(
                         kind="hit_rate_cliff",
@@ -133,21 +113,21 @@ def _hit_rate_cliffs(windows: list[dict], config: AlertConfig) -> list[Alert]:
                         ),
                         cycle=int(window.get("end", 0)),  # type: ignore[arg-type]
                         value=float(derived["l2_hit_rate"]),  # type: ignore[arg-type]
-                        threshold=config.hit_rate_cliff,
+                        threshold=HIT_RATE_CLIFF,
                     )
                 )
         previous = {"l2_hit_rate": derived["l2_hit_rate"], "accesses": accesses}
     return alerts
 
 
-def _starvation(windows: list[dict], config: AlertConfig) -> list[Alert]:
+def _starvation(windows: list[dict]) -> list[Alert]:
     """Per-tenant traffic-collapse detection, robust to tenant lifetimes.
 
     A stream with zero traffic in a window is not starving if it simply
     has not launched yet or already finished -- so each stream is only
     judged in windows strictly inside its own active span (first to last
     window where it issued traffic).  Within that span, a share below
-    ``starvation_share`` of fair share while the window carries real
+    :data:`STARVATION_SHARE` of fair share while the window carries real
     total traffic is starvation by definition: the tenant was live,
     others were served, it was not.
     """
@@ -164,11 +144,11 @@ def _starvation(windows: list[dict], config: AlertConfig) -> list[Alert]:
         return []  # starvation needs at least two tenants with traffic
     alerts: list[Alert] = []
     fair_share = 1.0 / len(active)
-    threshold = config.starvation_share * fair_share
+    threshold = STARVATION_SHARE * fair_share
     for index, window in enumerate(windows):
         traffic = traffic_per_window[index]
         total = sum(traffic.values())
-        if total < config.min_window_traffic:
+        if total < MIN_WINDOW_TRAFFIC:
             continue
         for stream, (first, last) in sorted(active.items()):
             if not first < index < last:
@@ -193,26 +173,20 @@ def _starvation(windows: list[dict], config: AlertConfig) -> list[Alert]:
     return alerts
 
 
-def detect_anomalies(
-    report: "RunReport",
-    config: Optional[AlertConfig] = None,
-    shared_dispatch: bool = True,
-) -> list[Alert]:
+def detect_anomalies(report: "RunReport", shared_dispatch: bool = True) -> list[Alert]:
     """All anomalies of one finished run, in detector-then-cycle order.
 
     Args:
         report: the finished run's report (windows ride on
             ``report.metrics``; window-based detectors are inert without
             them).
-        config: detector thresholds (defaults to :class:`AlertConfig`).
         shared_dispatch: whether the run's streams shared CU dispatch.
             Starvation is only meaningful under sharing -- partitioned
             tenants own their CUs and cannot crowd each other out -- so
             the detector is gated on it.
     """
-    config = config or AlertConfig()
     windows = [dict(window) for window in report.metrics]
-    alerts = _hit_rate_cliffs(windows, config)
+    alerts = _hit_rate_cliffs(windows)
     if shared_dispatch:
-        alerts.extend(_starvation(windows, config))
+        alerts.extend(_starvation(windows))
     return alerts

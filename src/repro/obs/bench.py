@@ -170,8 +170,8 @@ def measure_core_throughput(samples: int = 3, warmup: bool = True) -> BenchMeasu
     """
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
-    # imported here, not at module level: the session itself imports this
-    # package (for ObsConfig wiring), so a top-level import would cycle
+    # imported here, not at module level, so reading or checking the
+    # history never loads the simulator
     from repro.session import SimulationSession
 
     trace = get_workload(REFERENCE_WORKLOAD, scale=REFERENCE_SCALE).build_trace()

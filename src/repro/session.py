@@ -3,17 +3,17 @@
 A run is described once, by a frozen :class:`~repro.spec.JobSpec`: the
 workload, the caching policy, the system configuration and the optional
 run axes (adaptive control, a multi-device topology, a multi-tenant
-serving mix, phase-sampled fast-forward, shards, and the
-predictor/DBI overrides), each documented there.  :func:`simulate` is the
+serving mix, phase-sampled fast-forward, shards, and the predictor
+override), each documented there.  :func:`simulate` is the
 main public API: it runs one spec -- or the spec its keyword arguments
 describe -- and returns a :class:`~repro.stats.report.RunReport`, handing
 sharded specs to :func:`repro.accel.shard.run_sharded`.
 :class:`SimulationSession` assembles the simulated system for one spec
 and exposes its components (hierarchy, GPU, statistics, and for adaptive
 runs the dynamic controller); the examples and some tests use it
-directly.  The observers -- ``telemetry`` and ``obs`` -- sit beside the
-spec: they never change a result, so they are not part of a run's
-identity.
+directly.  The observers -- one
+:class:`~repro.telemetry.config.TelemetryConfig` -- sit beside the spec:
+they never change a result, so they are not part of a run's identity.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ if TYPE_CHECKING:
     from repro.adaptive.controller import DynamicPolicyController
     from repro.adaptive.phase import PhaseDetector
     from repro.core.policies import PolicySpec
-    from repro.obs.config import ObsConfig
     from repro.streams.config import StreamConfig
     from repro.telemetry.config import TelemetryConfig
     from repro.telemetry.metrics import MetricsSampler
@@ -60,16 +59,12 @@ class SimulationSession:
             :class:`~repro.telemetry.TelemetryConfig`), attach the enabled
             observers -- trace recorder, metrics sampler, host profiler
             (exposed as ``session.recorder`` / ``session.sampler`` /
-            ``session.profiler``).  Observers never write counters or
-            change timing, so the report's results are unaffected;
-            ``telemetry=None`` is the exact historical code path.
-        obs: when given (a :class:`~repro.obs.ObsConfig`), attach the
-            cross-run observability layer: after the run finishes, record
-            a provenance entry into the run ledger and/or run the anomaly
-            detectors and attach their findings to ``report.alerts``.
-            Everything happens *after* ``sim.run()`` on the finished
-            report, so simulated results are untouched; ``obs=None`` is
-            the exact historical code path.
+            ``session.profiler``) -- and, after the run finishes, run the
+            anomaly detectors into ``report.alerts`` and/or append a
+            provenance entry to the run ledger.  Observers never write
+            counters or change timing, so the report's results are
+            unaffected; ``telemetry=None`` is the exact historical code
+            path.
     """
 
     def __init__(
@@ -77,7 +72,6 @@ class SimulationSession:
         spec: Optional[JobSpec] = None,
         *,
         telemetry: Optional[TelemetryConfig] = None,
-        obs: Optional[ObsConfig] = None,
         **axes: object,
     ) -> None:
         spec = as_spec(spec, axes)
@@ -133,7 +127,6 @@ class SimulationSession:
                 stats=self.stats,
                 row_of=row_of,
                 predictor_config=spec.predictor_config,
-                dbi_max_rows=spec.dbi_max_rows,
                 address_to_set=address_to_set,
             )
             self.policy_engine: PolicyEngine = engine
@@ -143,7 +136,6 @@ class SimulationSession:
                 spec.policy,
                 row_of=row_of,
                 predictor_config=spec.predictor_config,
-                dbi_max_rows=spec.dbi_max_rows,
             )
 
         self.hierarchy = MemoryHierarchy(
@@ -216,21 +208,17 @@ class SimulationSession:
                 if self.phase_detector is not None:
                     self.phase_detector.add_listener(self.recorder.phase_change)
                 self.sim.on_finish(self.recorder.finish)
-            if telemetry.metrics_interval:
+            if telemetry.window_cycles:
                 from repro.telemetry.metrics import MetricsSampler
 
                 self.sampler = MetricsSampler(
-                    self.sim, self.stats, telemetry.metrics_interval
+                    self.sim, self.stats, telemetry.window_cycles
                 )
                 self.sim.on_finish(self.sampler.finalize)
             if telemetry.profile:
                 from repro.telemetry.profiler import SimProfiler
 
                 self.profiler = SimProfiler(self.sim.queue)
-
-        # cross-run observability: post-run only (ledger append + anomaly
-        # detection on the finished report); obs=None skips everything
-        self.obs = obs
 
     # ------------------------------------------------------------------
     def run(self, workload: Workload | WorkloadTrace | None = None) -> RunReport:
@@ -412,27 +400,27 @@ class SimulationSession:
         observed run reports counter-for-counter identical results to a
         plain one (pinned by the equivalence suites).
         """
-        obs = self.obs
-        if obs is None or not obs.enabled:
+        telemetry = self.telemetry
+        if telemetry is None:
             return report
-        if obs.alerts is not None:
+        if telemetry.alerts:
             from repro.obs.alerts import detect_anomalies
 
-            alerts = detect_anomalies(
-                report, obs.alerts, shared_dispatch=self.shared_dispatch
-            )
+            alerts = detect_anomalies(report, shared_dispatch=self.shared_dispatch)
             report.alerts = [alert.as_dict() for alert in alerts]
             if self.recorder is not None:
                 for alert in alerts:
                     self.recorder.alert_event(
                         alert.kind, alert.severity, alert.message, alert.cycle
                     )
-        if obs.ledger_path is not None:
+        if telemetry.ledger_path is not None:
             from repro.obs.ledger import RunLedger, run_entry
 
-            telemetry = None
-            if self.telemetry is not None and self.telemetry.enabled:
-                telemetry = {
+            # the block describes the in-run observers; a ledger-only run
+            # has none and writes no block
+            observed = None
+            if telemetry.trace or telemetry.window_cycles or telemetry.profile:
+                observed = {
                     "trace": self.recorder is not None,
                     "trace_truncated": (
                         self.recorder.truncated if self.recorder is not None else False
@@ -450,12 +438,12 @@ class SimulationSession:
                 counters=report.counters,
                 wall_seconds=wall_seconds,
                 events=self.sim.queue.executed,
-                telemetry=telemetry,
+                telemetry=observed,
                 alerts=report.alerts or None,
                 source="session",
                 extra={"job": spec.summary()},
             )
-            RunLedger(obs.ledger_path).record(entry)
+            RunLedger(telemetry.ledger_path).record(entry)
         return report
 
 
@@ -464,7 +452,6 @@ def simulate(
     policy: PolicySpec | str | None = None,
     *,
     telemetry: Optional[TelemetryConfig] = None,
-    obs: Optional[ObsConfig] = None,
     **axes: object,
 ) -> RunReport:
     """Run one :class:`JobSpec` and return its report.
@@ -499,7 +486,7 @@ def simulate(
         axes["policy"] = policy
     spec = as_spec(spec, axes)
     if spec.shards is None:
-        return SimulationSession(spec, telemetry=telemetry, obs=obs).run(workload)
+        return SimulationSession(spec, telemetry=telemetry).run(workload)
     if workload is not None:
         raise ValueError(
             "a sharded serving run derives its workloads from the "
@@ -507,8 +494,6 @@ def simulate(
         )
     if telemetry is not None and telemetry.enabled:
         raise ValueError("sharded execution does not support telemetry observers")
-    if obs is not None and obs.enabled:
-        raise ValueError("sharded execution does not support the obs layer")
     # only sharded runs need the sweep layer the shards execute on
     from repro.accel.shard import run_sharded
 

@@ -49,7 +49,6 @@ class JobSpec:
             hardware grows with the device count while the workload stays
             fixed (strong scaling).
         predictor_config: optional reuse-predictor geometry override.
-        dbi_max_rows: optional dirty-block-index capacity bound.
         adaptive: when given, build the online adaptive subsystem instead
             of a static policy engine: a set-dueling monitor on the L2, a
             phase detector on the event queue, and a dynamic controller
@@ -99,7 +98,6 @@ class JobSpec:
     scale: float = 1.0
     config: Optional[SystemConfig] = None
     predictor_config: Optional[PredictorConfig] = None
-    dbi_max_rows: Optional[int] = None
     adaptive: Optional[AdaptiveConfig] = None
     topology: Optional[TopologyConfig] = None
     streams: Optional[tuple[StreamConfig, ...]] = None
@@ -209,7 +207,9 @@ class JobSpec:
                 "policy": self.policy,
                 "config": self.config,
                 "predictor_config": self.predictor_config,
-                "dbi_max_rows": self.dbi_max_rows,
+                # retired dirty-block-index bound: held constant so no
+                # store key moves
+                "dbi_max_rows": None,
                 "adaptive": self.adaptive,
                 "topology": None if self.topology is None else self.topology.describe(),
                 "streams": (

@@ -66,12 +66,6 @@ class Tensor:
             base_address=self.base_address + start_element * self.element_bytes,
         )
 
-    def element_range(self, start: int, count: int) -> list[int]:
-        """Byte addresses of ``count`` consecutive elements starting at ``start``."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return [self.address_of(start + i) for i in range(count)]
-
     def lines(self, line_bytes: int = 64) -> int:
         """Number of cache lines this tensor spans."""
         return (self.size_bytes + line_bytes - 1) // line_bytes
@@ -107,10 +101,6 @@ class AddressSpace:
         self._cursor = tensor.end_address
         self.tensors.append(tensor)
         return tensor
-
-    def allocate_like(self, name: str, other: Tensor) -> Tensor:
-        """Allocate a tensor with the same shape as ``other``."""
-        return self.allocate(name, other.num_elements, other.element_bytes)
 
     def total_bytes(self) -> int:
         """Total bytes spanned by all allocations (footprint upper bound)."""

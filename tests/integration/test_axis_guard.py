@@ -71,16 +71,10 @@ SPECS = {
             ),
         ),
     ),
-    "dbi_max_rows": (
-        "FwAct",
-        0.2,
-        dict(policy=policy_by_name("CacheRW-CR"), dbi_max_rows=1),
-    ),
 }
 
 EXPECTED = {
     "adaptive": "ce221af069b2de93084dd3308df8a8fc1eebcc3a7c29c4a19bd10dfa71024258",
-    "dbi_max_rows": "123f1d2284fe6e8b4f3902c0a26f3b7a6f59b1162372c3f0ce3750fa241afbb6",
     "predictor_config": "5cdbd0ce46b59953b61602d67d367d0797822f3b6d1a0e0c83cf85774a98ce7a",
     "sampling": "14611aaeffcbf18681da063ef284d286848d04b7060d4746ab74322d194c678c",
     "static": "308e95888298d8945ba55cc037e4788c8205b2b22178523d3cea92558cf1b47b",

@@ -2,10 +2,12 @@
 
 Three contracts, each exercised on real simulations:
 
-* **bit-identity** -- attaching the observability layer (ledger append,
+* **bit-identity** -- attaching the post-run observers (ledger append,
   anomaly detection, or both) to a session must leave the simulated
   results counter-for-counter identical to a plain run; a disabled
-  ``ObsConfig`` must keep the serialized report blob byte-identical too.
+  ``TelemetryConfig`` must keep the serialized report blob byte-identical
+  too.  Alerts work from the library as from the CLI: they bring their
+  own metrics windows when no interval is given.
 * **zero drift** -- two runs of the same spec produce the same
   fingerprint, and ``diff`` over their ledger entries reports
   ``identical`` with zero changed counters (exit 0 under
@@ -22,27 +24,24 @@ import json
 import pytest
 
 from repro import cli
-from repro.accel import SamplingConfig
+from repro.accel import SamplingConfig, ShardConfig
 from repro.config import scaled_config
 from repro.core.policies import policy_by_name
 from repro.core.reuse_predictor import PredictorConfig
 from repro.experiments.jobs import JobSpec
-from repro.obs import (
-    AlertConfig,
-    BenchMeasurement,
-    ObsConfig,
-    RunLedger,
-    append_history,
-)
-from repro.session import SimulationSession
+from repro.obs import BenchMeasurement, RunLedger, append_history
+from repro.session import SimulationSession, simulate
+from repro.streams import StreamConfig, mix_by_name
+from repro.telemetry import TelemetryConfig
+from repro.telemetry.config import ALERT_METRICS_INTERVAL
 from repro.workloads.registry import get_workload
 
 CONFIG = scaled_config(2)
 SCALE = 0.1
 
 
-def _run(obs: ObsConfig | None = None, workload: str = "FwSoft"):
-    session = SimulationSession(policy="CacheRW", config=CONFIG, obs=obs)
+def _run(telemetry: TelemetryConfig | None = None, workload: str = "FwSoft"):
+    session = SimulationSession(policy="CacheRW", config=CONFIG, telemetry=telemetry)
     report = session.run(get_workload(workload, scale=SCALE))
     return session, report
 
@@ -50,32 +49,102 @@ def _run(obs: ObsConfig | None = None, workload: str = "FwSoft"):
 class TestObsBitIdentity:
     def test_full_obs_run_is_counter_identical(self, tmp_path):
         _, baseline = _run()
-        obs = ObsConfig(
-            ledger_path=str(tmp_path / "ledger.jsonl"), alerts=AlertConfig()
-        )
-        _, observed = _run(obs=obs)
+        telemetry = TelemetryConfig(ledger_path=str(tmp_path / "ledger.jsonl"), alerts=True)
+        _, observed = _run(telemetry=telemetry)
         assert observed.cycles == baseline.cycles
         assert observed.counters == baseline.counters
 
     def test_disabled_obs_blob_is_byte_identical(self):
         _, baseline = _run()
-        _, observed = _run(obs=ObsConfig())
+        _, observed = _run(telemetry=TelemetryConfig())
         assert json.dumps(observed.to_dict(), sort_keys=True) == json.dumps(
             baseline.to_dict(), sort_keys=True
         )
 
     def test_ledger_only_obs_adds_no_report_keys(self, tmp_path):
         _, baseline = _run()
-        _, observed = _run(obs=ObsConfig(ledger_path=str(tmp_path / "l.jsonl")))
+        _, observed = _run(telemetry=TelemetryConfig(ledger_path=str(tmp_path / "l.jsonl")))
         assert observed.to_dict() == baseline.to_dict()
+
+
+class TestLibraryAlerts:
+    """``TelemetryConfig(alerts=True)`` alone gives the detectors windows."""
+
+    @staticmethod
+    def _serve(**telemetry):
+        return simulate(
+            policy="CacheRW",
+            streams=mix_by_name("mha+fwlstm"),
+            config=scaled_config(4),
+            telemetry=TelemetryConfig(**telemetry),
+        )
+
+    def test_alerts_without_an_interval_match_the_default_windows(self):
+        implied = self._serve(alerts=True)
+        explicit = self._serve(alerts=True, metrics_interval=ALERT_METRICS_INTERVAL)
+        assert implied.metrics and implied.metrics == explicit.metrics
+        assert implied.alerts == explicit.alerts
+        kinds = {alert["kind"] for alert in implied.alerts}
+        assert kinds == {"hit_rate_cliff", "stream_starvation"}
+
+    def test_an_explicit_interval_wins(self):
+        report = self._serve(alerts=True, metrics_interval=2 * ALERT_METRICS_INTERVAL)
+        assert report.metrics[0]["end"] - report.metrics[0]["start"] == 2 * ALERT_METRICS_INTERVAL
+
+    def test_ledger_only_run_writes_no_telemetry_block(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        _run(telemetry=TelemetryConfig(ledger_path=str(path)))
+        _run(telemetry=TelemetryConfig(ledger_path=str(path), alerts=True))
+        ledger_only, alerted = RunLedger(path).entries()
+        assert "telemetry" not in ledger_only
+        assert alerted["telemetry"]["metrics_windows"] > 0
+        assert alerted["telemetry"]["trace"] is False
+
+    def test_alerts_land_on_the_trace_timeline(self):
+        session = SimulationSession(
+            policy="CacheRW",
+            streams=mix_by_name("mha+fwlstm"),
+            config=scaled_config(4),
+            telemetry=TelemetryConfig(trace=True, alerts=True),
+        )
+        report = session.run()
+        assert session.recorder is not None and report.alerts
+        instants = [
+            (event["name"], event["ts"])
+            for event in session.recorder.to_dict()["traceEvents"]
+            if event.get("cat") == "alert"
+        ]
+        assert instants == [(alert["kind"], alert["cycle"]) for alert in report.alerts]
+
+    @pytest.mark.parametrize("entry", [simulate, SimulationSession])
+    @pytest.mark.parametrize("retired", ["obs", "dbi_max_rows"])
+    def test_retired_keywords_are_refused_not_ignored(self, entry, retired):
+        with pytest.raises(TypeError, match=retired):
+            entry(policy="CacheRW", config=CONFIG, **{retired: None})
+
+    @pytest.mark.parametrize(
+        "telemetry",
+        [TelemetryConfig(alerts=True), TelemetryConfig(ledger_path="ledger.jsonl")],
+        ids=["alerts", "ledger"],
+    )
+    def test_sharded_runs_refuse_post_run_observers(self, telemetry):
+        tenants = (StreamConfig(workload="FwSoft", scale=0.1, cu_share="partitioned"),) * 2
+        with pytest.raises(ValueError, match="telemetry observers"):
+            simulate(
+                policy="CacheRW",
+                streams=tenants,
+                shards=ShardConfig(num_shards=2),
+                config=CONFIG,
+                telemetry=telemetry,
+            )
 
 
 class TestLedgerZeroDrift:
     def test_same_spec_runs_share_fingerprint_and_diff_clean(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        obs = ObsConfig(ledger_path=str(path))
-        _run(obs=obs)
-        _run(obs=obs)
+        telemetry = TelemetryConfig(ledger_path=str(path))
+        _run(telemetry=telemetry)
+        _run(telemetry=telemetry)
 
         ledger = RunLedger(path)
         entries = ledger.entries()
@@ -87,9 +156,9 @@ class TestLedgerZeroDrift:
 
     def test_different_policy_changes_fingerprint(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        obs = ObsConfig(ledger_path=str(path))
-        _run(obs=obs)
-        session = SimulationSession(policy="CacheR", config=CONFIG, obs=obs)
+        telemetry = TelemetryConfig(ledger_path=str(path))
+        _run(telemetry=telemetry)
+        session = SimulationSession(policy="CacheR", config=CONFIG, telemetry=telemetry)
         session.run(get_workload("FwSoft", scale=SCALE))
         a, b = RunLedger(path).entries()
         assert a["fingerprint"] != b["fingerprint"]
@@ -103,7 +172,7 @@ class TestLedgerRunIdentity:
     def _fingerprint(tmp_path, workload="FwSoft", scale=SCALE, **axes):
         path = tmp_path / "ledger.jsonl"
         session = SimulationSession(
-            config=CONFIG, obs=ObsConfig(ledger_path=str(path)), **axes
+            config=CONFIG, telemetry=TelemetryConfig(ledger_path=str(path)), **axes
         )
         session.run(get_workload(workload, scale=scale))
         return RunLedger(path).entries()[-1]["fingerprint"]
@@ -117,7 +186,6 @@ class TestLedgerRunIdentity:
                 "CacheRW-PCby",
                 {"predictor_config": PredictorConfig(table_entries=64)},
             ),
-            ("dbi_max_rows", "CacheRW-CR", {"dbi_max_rows": 4}),
         ],
     )
     def test_each_axis_splits_the_fingerprint(self, tmp_path, label, policy, axes):
@@ -276,6 +344,27 @@ class TestCliAlerts:
         # is announced on stderr, never stdout
         assert payload.get("alerts", []) == []
         assert "alerts" in captured.err
+
+    def test_run_alerts_sample_the_default_windows(self, capsys):
+        argv = ["--scale", "0.6", "--cus", "2", "run", "--workload", "FwSoft"]
+        code = cli.main([*argv, "--policy", "CacheRW", "--alerts", "--json"])
+        windows = json.loads(capsys.readouterr().out)["metrics"]
+        assert code == 0 and len(windows) > 2
+        starts = [window["start"] for window in windows]
+        assert starts == [index * ALERT_METRICS_INTERVAL for index in range(len(windows))]
+
+    def test_cli_ledger_only_run_writes_no_telemetry_block(self, tmp_path, capsys):
+        assert _cli_run(tmp_path / "ledger.jsonl") == 0
+        assert _cli_run(tmp_path / "ledger.jsonl", extra=("--alerts",)) == 0
+        capsys.readouterr()
+        plain, alerted = RunLedger(tmp_path / "ledger.jsonl").entries()
+        assert "telemetry" not in plain
+        assert alerted["telemetry"] == {
+            "metrics_windows": 1,
+            "profile": False,
+            "trace": False,
+            "trace_truncated": False,
+        }
 
     def test_alerted_run_counters_match_plain_run(self, tmp_path, capsys):
         for extra in ((), ("--alerts",)):

@@ -21,7 +21,7 @@ import pytest
 from repro import cli
 from repro.config import scaled_config
 from repro.adaptive import AdaptiveConfig
-from repro.core.policies import CACHE_R, CACHE_RW, STATIC_POLICIES, UNCACHED
+from repro.core.policies import CACHE_R, CACHE_RW, CACHE_RW_CR, STATIC_POLICIES, UNCACHED
 from repro.experiments import ExperimentRunner, SCALING_COLUMNS, figure_scaling, summarize
 from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.store import ResultStore
@@ -98,6 +98,21 @@ class TestMultiDeviceRuns:
         description = session.hierarchy.describe()
         assert description["num_devices"] == 4
         assert description["cus_per_device"] == TINY.gpu.num_cus
+
+    @pytest.mark.parametrize(("policy", "indexes"), [(CACHE_RW, 0), (CACHE_RW_CR, 2)])
+    def test_each_slice_gets_its_own_dirty_block_index(self, policy, indexes):
+        session = SimulationSession(policy=policy, config=TINY, topology=DUAL)
+        dbis = session.hierarchy.slice_dbis
+        assert len(dbis) == indexes
+        assert [l2.dbi for l2 in session.hierarchy.l2s] == (dbis or [None, None])
+        # slice-local row ids: the engine's global index would alias them
+        assert session.policy_engine.dirty_block_index is None
+
+    def test_a_single_device_l2_uses_the_engines_index(self):
+        session = SimulationSession(policy=CACHE_RW_CR, config=TINY)
+        engine_dbi = session.policy_engine.dirty_block_index
+        assert engine_dbi is not None and session.hierarchy.l2.dbi is engine_dbi
+        assert session.hierarchy.slice_dbis == []
 
     def test_multi_device_row_ids_never_collide_across_devices(self):
         session = SimulationSession(policy=CACHE_RW, config=TINY, topology=DUAL)

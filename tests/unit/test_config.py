@@ -28,10 +28,6 @@ class TestGpuConfig:
         gpu = GpuConfig(simd_per_cu=4, max_waves_per_simd=10)
         assert gpu.max_waves_per_cu == 40
 
-    def test_cycle_time(self):
-        gpu = GpuConfig(clock_ghz=2.0)
-        assert gpu.cycle_time_ns == pytest.approx(0.5)
-
 
 class TestCacheConfig:
     def test_paper_l1_geometry(self):
@@ -59,10 +55,6 @@ class TestCacheConfig:
 
 
 class TestDramConfig:
-    def test_total_banks(self):
-        dram = DramConfig(channels=4, banks_per_channel=8)
-        assert dram.total_banks == 32
-
     def test_latency_ordering(self):
         dram = DramConfig()
         assert dram.row_hit_cycles < dram.row_miss_cycles < dram.row_conflict_cycles

@@ -27,8 +27,8 @@ from repro.memory.request import AccessType, MemoryRequest
 
 class TestPolicySpecs:
     def test_uncached_bypasses_everything(self):
-        assert not UNCACHED.caches_loads
-        assert not UNCACHED.caches_stores
+        assert not (UNCACHED.cache_loads_l1 or UNCACHED.cache_loads_l2)
+        assert not UNCACHED.cache_stores_l2
 
     def test_cache_r_caches_loads_only(self):
         assert CACHE_R.cache_loads_l1 and CACHE_R.cache_loads_l2
@@ -39,7 +39,7 @@ class TestPolicySpecs:
 
     def test_static_policies_have_no_optimizations(self):
         for policy in STATIC_POLICIES:
-            assert policy.is_static
+            assert not (policy.allocation_bypass or policy.cache_rinsing or policy.pc_bypass)
 
     def test_optimizations_stack_cumulatively(self):
         assert CACHE_RW_AB.allocation_bypass and not CACHE_RW_AB.cache_rinsing
@@ -66,10 +66,6 @@ class TestPolicySpecs:
 
 
 class TestAllocationBypassSpec:
-    def test_paper_default_is_immediate_conversion(self):
-        spec = AllocationBypassSpec.paper_default()
-        assert spec.enabled and spec.retry_budget == 0
-
     def test_disabled_spec(self):
         spec = AllocationBypassSpec.disabled()
         assert not spec.enabled and not spec.apply_to_loads
@@ -104,29 +100,28 @@ class TestDirtyBlockIndex:
         dbi.mark_dirty(64)
         assert dbi.dirty_count() == 1
 
-    def test_rows_by_dirtiness_orders_descending(self):
+    def test_row_lines_come_back_sorted_whatever_the_marking_order(self):
         dbi = DirtyBlockIndex(row_of=lambda a: a // 1024)
-        for address in (0, 64, 128, 1024):
+        for address in (960, 64, 512, 0):
             dbi.mark_dirty(address)
-        ranking = dbi.rows_by_dirtiness()
-        assert ranking[0] == (0, 3)
-        assert ranking[1] == (1, 1)
+        assert dbi.dirty_lines_in_row(0) == [0, 64, 512, 960]
+        assert dbi.dirty_lines_in_row(7) == []
 
-    def test_capacity_overflow_evicts_oldest_row(self):
-        overflowed = []
-        dbi = DirtyBlockIndex(
-            row_of=lambda a: a // 1024, max_rows=2, on_overflow=overflowed.append
-        )
-        dbi.mark_dirty(0)       # row 0
-        dbi.mark_dirty(1024)    # row 1
-        dbi.mark_dirty(2048)    # row 2 -> evicts row 0
-        assert dbi.overflows == 1
-        assert overflowed == [[0]]
-        assert not dbi.is_dirty(0)
+    def test_unbounded_rows_are_all_kept(self):
+        # the index is idealized: no row is ever dropped to make room
+        dbi = DirtyBlockIndex(row_of=lambda a: a // 1024)
+        for row in range(256):
+            dbi.mark_dirty(row * 1024)
+        assert len(dbi) == 256
+        assert all(dbi.is_dirty(row * 1024) for row in range(256))
 
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            DirtyBlockIndex(row_of=lambda a: 0, max_rows=0)
+    def test_clearing_a_rows_last_line_drops_the_row(self):
+        dbi = DirtyBlockIndex(row_of=lambda a: a // 1024)
+        dbi.mark_dirty(0)
+        dbi.mark_dirty(1024)
+        dbi.clear(0)
+        assert list(dbi.rows()) == [1]
+        assert (dbi.marks, dbi.clears) == (2, 1)
 
 
 class TestReusePredictor:

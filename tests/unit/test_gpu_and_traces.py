@@ -87,10 +87,6 @@ class TestTensorAndAddressSpace:
         tensor = Tensor("x", num_elements=10, element_bytes=4, base_address=0)
         assert tensor.address_of(12) == tensor.address_of(2)
 
-    def test_element_range(self):
-        tensor = Tensor("x", num_elements=100, element_bytes=8, base_address=0)
-        assert tensor.element_range(2, 3) == [16, 24, 32]
-
     def test_lines_rounds_up(self):
         tensor = Tensor("x", num_elements=17, element_bytes=4, base_address=0)
         assert tensor.lines(64) == 2
@@ -103,12 +99,6 @@ class TestTensorAndAddressSpace:
         assert b.base_address % 4096 == 0
         assert b.base_address >= a.end_address
         assert space.overlapping() == []
-
-    def test_allocate_like_copies_shape(self):
-        space = AddressSpace()
-        a = space.allocate("a", 128, element_bytes=8)
-        b = space.allocate_like("b", a)
-        assert b.num_elements == 128 and b.element_bytes == 8
 
     def test_invalid_tensor_rejected(self):
         with pytest.raises(ValueError):

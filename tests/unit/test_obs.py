@@ -15,14 +15,19 @@ import pytest
 
 from repro.ioutil import append_jsonl, read_jsonl
 from repro.log import StructuredLogger, configure, get_logger, reset
-from repro.obs.alerts import Alert, AlertConfig, detect_anomalies
+from repro.obs.alerts import (
+    HIT_RATE_CLIFF,
+    MIN_WINDOW_ACCESSES,
+    STARVATION_SHARE,
+    Alert,
+    detect_anomalies,
+)
 from repro.obs.bench import (
     BenchMeasurement,
     append_history,
     committed_baseline,
     load_history,
 )
-from repro.obs.config import ObsConfig
 from repro.obs.diff import diff_reports, render_diff_markdown, render_diff_table, resolve_report
 from repro.obs.ledger import RunLedger, run_entry
 from repro.stats.regression import check_regression, mad, median, robust_floor
@@ -277,39 +282,7 @@ def _report(windows: list[dict], counters: dict | None = None, cycles: int = 100
     )
 
 
-class TestAlertConfig:
-    def test_defaults_validate(self):
-        assert AlertConfig().hit_rate_cliff == 0.25
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"hit_rate_cliff": 0.0},
-            {"hit_rate_cliff": 1.5},
-            {"starvation_share": 1.0},
-            {"min_window_accesses": 0},
-            {"min_window_traffic": 0},
-            {"default_metrics_interval": 0},
-        ],
-    )
-    def test_bad_thresholds_rejected(self, overrides):
-        with pytest.raises(ValueError):
-            AlertConfig(**overrides)
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"hit_rate_cliff": 1.0},
-            {"min_window_accesses": 1},
-            {"min_window_traffic": 1},
-            {"default_metrics_interval": 1},
-        ],
-    )
-    def test_inclusive_bounds_accepted(self, overrides):
-        config = AlertConfig(**overrides)
-        for name, value in overrides.items():
-            assert getattr(config, name) == value
-
+class TestRetiredCounters:
     def test_counters_of_a_retired_axis_raise_no_alert(self):
         # reports stored before the fault axis was removed still carry its
         # counters; no detector reads them any more
@@ -332,6 +305,17 @@ class TestHitRateCliff:
         assert alert.cycle == 200
         assert alert.value == pytest.approx(0.1)
         assert "0.80 -> 0.10" in alert.message
+
+    def test_a_drop_of_exactly_the_threshold_at_minimum_traffic_fires(self):
+        # both bounds are inclusive: 0.75 -> 0.50 over 64-access windows
+        accesses = MIN_WINDOW_ACCESSES
+        windows = [
+            _window(0, 100, **{"l2.accesses": accesses, "l2.hits": accesses * 3 // 4}),
+            _window(100, 200, **{"l2.accesses": accesses, "l2.hits": accesses // 2}),
+        ]
+        (alert,) = detect_anomalies(_report(windows))
+        assert alert.threshold == HIT_RATE_CLIFF == 0.25
+        assert alert.value == 0.5
 
     def test_thin_windows_not_judged(self):
         # same collapse, but the second window has too little traffic
@@ -372,6 +356,12 @@ class TestStarvation:
         assert [a.kind for a in alerts] == ["stream_starvation"] * 2
         assert all(a.stream == 1 for a in alerts)
         assert [a.cycle for a in alerts] == [200, 300]
+
+    def test_threshold_is_a_fraction_of_the_fair_share(self):
+        alerts = detect_anomalies(_report(self._mix_windows()))
+        # two tenants: fair share 1/2, starvation below a quarter of it
+        assert {a.threshold for a in alerts} == {STARVATION_SHARE / 2}
+        assert all(a.value < STARVATION_SHARE / 2 for a in alerts)
 
     def test_partitioned_dispatch_gates_detector(self):
         assert detect_anomalies(_report(self._mix_windows()), shared_dispatch=False) == []
@@ -626,9 +616,3 @@ class TestBenchHistory:
         assert committed_baseline(path) == 123000
         assert committed_baseline(tmp_path / "absent.json") is None
 
-
-class TestObsConfig:
-    def test_enabled(self):
-        assert not ObsConfig().enabled
-        assert ObsConfig(ledger_path="x").enabled
-        assert ObsConfig(alerts=AlertConfig()).enabled

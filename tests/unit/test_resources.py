@@ -43,11 +43,6 @@ class TestThroughputResource:
         with pytest.raises(ValueError):
             simd.grant_duration(0, -1)
 
-    def test_peek_does_not_book(self):
-        port = ThroughputResource("port", cycles_per_grant=1.0)
-        assert port.peek(3) == 3
-        assert port.grant(3) == 3
-
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             ThroughputResource("bad", cycles_per_grant=0)

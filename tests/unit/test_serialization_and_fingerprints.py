@@ -134,7 +134,6 @@ class TestJobSpecFingerprints:
             {"scale": 0.25},
             {"config": scaled_config(4)},
             {"predictor_config": PredictorConfig(table_entries=256)},
-            {"dbi_max_rows": 8},
         ],
         ids=lambda change: next(iter(change)),
     )
@@ -204,9 +203,6 @@ PINNED_JOBS = {
             table_entries=16, counter_bits=2, bypass_threshold=2, initial_value=3
         ),
     ),
-    "dbi_max_rows": dict(
-        workload="FwAct", scale=0.2, policy=policy_by_name("CacheRW-CR"), dbi_max_rows=1
-    ),
 }
 
 #: store keys under a fixed code digest; a change to any of them orphans
@@ -219,7 +215,6 @@ PINNED_KEYS = {
     "sampling": "b6806326026f7e5c21966bcb4a618891594d4df3e2a2579e31386def823025fc",
     "shards": "576ce3bae4a999e14b8859c1b113cd62c133182d29b39c73e0cc1eeace48eb24",
     "predictor_config": "d94478369e49d79522a2e74c879b3bd73b20db856132d9affaaa74bb431adc9d",
-    "dbi_max_rows": "787c17e45c238135aca03c9fe556757ab53a5ab010a61562e5372eb6ecfed1b9",
 }
 
 
@@ -240,7 +235,8 @@ class TestPinnedStoreKeys:
         job = JobSpec(config=scaled_config(2), **PINNED_JOBS[axis])
         assert job.fingerprint() == PINNED_KEYS[axis]
 
-    def test_payload_keeps_the_retired_fault_axis_as_none(self, monkeypatch):
+    @pytest.mark.parametrize("axis", ["faults", "dbi_max_rows"])
+    def test_payload_keeps_the_retired_axis_as_none(self, monkeypatch, axis):
         import repro.spec
 
         payloads = []
@@ -251,7 +247,7 @@ class TestPinnedStoreKeys:
         )
         JobSpec(config=scaled_config(2), **PINNED_JOBS["static"]).fingerprint()
         (payload,) = payloads
-        assert "faults" in payload and payload["faults"] is None
+        assert axis in payload and payload[axis] is None
 
 
 class TestCodeStaleness:

@@ -21,6 +21,7 @@ from repro.telemetry import (
     validate_trace,
     windows_total,
 )
+from repro.telemetry.config import ALERT_METRICS_INTERVAL
 from repro.telemetry.profiler import module_table, profiling_active
 from repro.telemetry.trace import PID_STREAMS, WAVE_LANE_STRIDE
 
@@ -39,10 +40,29 @@ class TestTelemetryConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"trace": True}, {"metrics_interval": 100}, {"profile": True}],
+        [
+            {"trace": True},
+            {"metrics_interval": 100},
+            {"profile": True},
+            {"ledger_path": "ledger.jsonl"},
+            {"alerts": True},
+        ],
     )
     def test_any_observer_enables(self, kwargs):
         assert TelemetryConfig(**kwargs).enabled
+
+    @pytest.mark.parametrize(
+        ("kwargs", "window_cycles"),
+        [
+            ({}, 0),
+            ({"metrics_interval": 700}, 700),
+            ({"alerts": True}, ALERT_METRICS_INTERVAL),
+            ({"alerts": True, "metrics_interval": 700}, 700),
+            ({"ledger_path": "ledger.jsonl"}, 0),
+        ],
+    )
+    def test_alerts_imply_windows_unless_an_interval_is_given(self, kwargs, window_cycles):
+        assert TelemetryConfig(**kwargs).window_cycles == window_cycles
 
     def test_rejects_negative_interval(self):
         with pytest.raises(ValueError):
