@@ -14,7 +14,9 @@ equivalence check (which lives in ``test_core_equivalence.py``):
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -113,6 +115,27 @@ class TestMultiDeviceRuns:
         engine_dbi = session.policy_engine.dirty_block_index
         assert engine_dbi is not None and session.hierarchy.l2.dbi is engine_dbi
         assert session.hierarchy.slice_dbis == []
+
+    def test_multi_device_rinsing_is_pinned(self):
+        """Per-slice cache rinsing on two devices: counts and report digest.
+
+        A 16 KB L2 slice forces dirty evictions, so every rinse goes
+        through a slice's own dirty-block index keyed by its own DRAM rows.
+        """
+        config = replace(TINY, l2=replace(TINY.l2, size_bytes=16 * 1024))
+        report = simulate(
+            get_workload("FwAct", scale=0.2),
+            CACHE_RW_CR,
+            config=config,
+            topology=topology_by_name("dual-chiplet"),
+        )
+        assert report.cycles == 9306
+        assert report.get("l2.rinse_writebacks") == 1307
+        assert report.get("l2.eviction_writebacks") == 419
+        encoded = json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(encoded.encode("utf-8")).hexdigest() == (
+            "12e71aac62df5ae3b3c4596276760b6c10e9b1c7af8de24aca32ed439f608c03"
+        )
 
     def test_multi_device_row_ids_never_collide_across_devices(self):
         session = SimulationSession(policy=CACHE_RW, config=TINY, topology=DUAL)
