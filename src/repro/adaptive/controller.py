@@ -45,10 +45,6 @@ class DynamicPolicyEngine(PolicyEngine):
         adaptive: the adaptive configuration (candidates, leader geometry).
         l2_config: geometry of the monitored L2 (leader sets are L2 sets).
         stats: shared counter store for the embedded dueling monitor.
-        row_of: DRAM row mapping, required when the candidates enable cache
-            rinsing (all candidates share optimization flags by
-            construction, so the optimization components are created once,
-            exactly as the static engine would).
         predictor_config: optional reuse-predictor override, forwarded to
             :class:`PolicyEngine`.
         address_to_set: optional override of the address -> monitored-set
@@ -67,13 +63,11 @@ class DynamicPolicyEngine(PolicyEngine):
         adaptive: AdaptiveConfig,
         l2_config: CacheConfig,
         stats: StatsCollector,
-        row_of: Optional[Callable[[int], int]] = None,
         predictor_config: Optional[PredictorConfig] = None,
         address_to_set: Optional[Callable[[int], int]] = None,
     ) -> None:
         super().__init__(
             adaptive.initial_policy,
-            row_of=row_of,
             predictor_config=predictor_config,
         )
         self.adaptive = adaptive

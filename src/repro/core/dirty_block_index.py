@@ -25,23 +25,21 @@ class DirtyBlockIndex:
     """Tracks dirty cache lines grouped by DRAM row.
 
     Args:
-        row_of: maps a line address to a globally unique DRAM row id.
+        row_of: maps a line address to its DRAM row id; kept as the
+            ``row_of`` attribute, which the owning cache reads to rinse
+            and flush row by row.
     """
 
     def __init__(self, row_of: Callable[[int], int]) -> None:
-        self._row_of = row_of
+        self.row_of = row_of
         self._rows: dict[int, set[int]] = {}
         self.marks = 0
         self.clears = 0
 
     # ------------------------------------------------------------------
-    def row_of(self, line_address: int) -> int:
-        """DRAM row id of ``line_address`` (delegates to the mapping)."""
-        return self._row_of(line_address)
-
     def mark_dirty(self, line_address: int) -> None:
         """Record that ``line_address`` now holds dirty data."""
-        row = self._row_of(line_address)
+        row = self.row_of(line_address)
         entry = self._rows.get(row)
         if entry is None:
             entry = self._rows[row] = set()
@@ -50,7 +48,7 @@ class DirtyBlockIndex:
 
     def clear(self, line_address: int) -> None:
         """Record that ``line_address`` is no longer dirty (idempotent)."""
-        row = self._row_of(line_address)
+        row = self.row_of(line_address)
         entry = self._rows.get(row)
         if entry is None:
             return
@@ -61,7 +59,7 @@ class DirtyBlockIndex:
 
     def is_dirty(self, line_address: int) -> bool:
         """Whether ``line_address`` is currently tracked as dirty."""
-        entry = self._rows.get(self._row_of(line_address))
+        entry = self._rows.get(self.row_of(line_address))
         return bool(entry) and line_address in entry
 
     def dirty_lines_in_row(self, row: int) -> list[int]:

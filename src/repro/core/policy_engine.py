@@ -3,8 +3,9 @@
 The :class:`PolicyEngine` is the glue between a static
 :class:`~repro.core.policies.PolicySpec` and the memory hierarchy: it stamps
 each request with its bypass flags before the request enters the L1, and it
-owns the optimization components (the PC-based reuse predictor and the
-dirty-block index) that the L2 consults.
+owns the PC-based reuse predictor that the L2 consults.  The dirty-block
+index of cache rinsing belongs to each L2 itself, keyed by that L2's own
+DRAM rows (see :class:`~repro.memory.hierarchy.MemoryHierarchy`).
 
 Separating the decision logic from the cache timing model keeps the cache
 reusable (the same class models L1 and L2) and makes the policy matrix easy
@@ -13,9 +14,8 @@ to test in isolation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.dirty_block_index import DirtyBlockIndex
 from repro.core.policies import PolicySpec
 from repro.core.reuse_predictor import PredictorConfig, ReusePredictor
 
@@ -30,8 +30,6 @@ class PolicyEngine:
 
     Args:
         policy: the caching policy to enforce.
-        row_of: line-address -> DRAM-row mapping, required when the policy
-            enables cache rinsing.
         predictor_config: optional override of the reuse-predictor geometry
             (used by the ablation benchmarks).
     """
@@ -39,21 +37,12 @@ class PolicyEngine:
     def __init__(
         self,
         policy: PolicySpec,
-        row_of: Optional[Callable[[int], int]] = None,
         predictor_config: Optional[PredictorConfig] = None,
     ) -> None:
         self.policy = policy
         self.reuse_predictor: Optional[ReusePredictor] = None
-        self.dirty_block_index: Optional[DirtyBlockIndex] = None
         if policy.pc_bypass:
             self.reuse_predictor = ReusePredictor(predictor_config)
-        if policy.cache_rinsing:
-            if row_of is None:
-                raise ValueError(
-                    f"policy {policy.name} enables cache rinsing, which requires a "
-                    "DRAM row mapping (row_of)"
-                )
-            self.dirty_block_index = DirtyBlockIndex(row_of)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -98,8 +87,5 @@ class PolicyEngine:
             "pc_bypass": self.policy.pc_bypass,
             "predictor_bypass_fraction": (
                 self.reuse_predictor.bypass_fraction() if self.reuse_predictor else None
-            ),
-            "dbi_tracked_rows": (
-                len(self.dirty_block_index) if self.dirty_block_index else None
             ),
         }

@@ -92,26 +92,19 @@ class Gpu:
         sim: Simulator,
         stats: StatsCollector,
         hierarchy: MemoryHierarchy,
-        cus_per_device: Optional[int] = None,
     ) -> None:
-        """``cus_per_device`` activates device-affine dispatch: CU block
+        """``config`` is the *per-device* configuration: each of the
+        hierarchy's devices gets ``config.gpu.num_cus`` CUs, and CU block
         ``[d*cus_per_device, (d+1)*cus_per_device)`` belongs to device
-        ``d`` and only runs wavefronts tagged for it.  ``None`` (every
-        single-device run) keeps the plain global round-robin."""
+        ``d`` and runs only the wavefronts tagged for it (untagged ones are
+        spread round-robin over the devices).  A single-device system is
+        the one-block case: the plain global round-robin."""
         self.config = config
         self.sim = sim
         self.stats = stats
         self.hierarchy = hierarchy
-        self.cus_per_device = cus_per_device
-        if cus_per_device is None:
-            self._num_devices = 1
-        else:
-            if cus_per_device < 1 or config.gpu.num_cus % cus_per_device != 0:
-                raise ValueError(
-                    f"cus_per_device {cus_per_device} must evenly divide "
-                    f"{config.gpu.num_cus} CUs"
-                )
-            self._num_devices = config.gpu.num_cus // cus_per_device
+        self.cus_per_device = config.gpu.num_cus
+        self._num_devices = hierarchy.num_devices
         self.cus = [
             ComputeUnit(
                 cu_id=cu,
@@ -121,7 +114,7 @@ class Gpu:
                 hierarchy=hierarchy,
                 on_wavefront_finished=self._on_wavefront_finished,
             )
-            for cu in range(config.gpu.num_cus)
+            for cu in range(hierarchy.total_cus)
         ]
         self._wavefront_ids = itertools.count()
         self._streams: list[_StreamState] = []
@@ -130,10 +123,8 @@ class Gpu:
         #: stream-scoped kernel boundaries + per-stream counters; enabled
         #: by the serving API, off for legacy single-workload runs
         self._serving = False
-        # round-robin pointers of the shared dispatch modes: one CU pointer
-        # and one stream pointer per device (index 0 doubles as the global
-        # pointer of the no-topology path)
-        self._next_cu = 0
+        # round-robin pointers of the shared dispatch mode: one CU pointer
+        # and one stream pointer per device
         self._next_cu_of_device = [0] * self._num_devices
         self._next_stream_of_device = [0] * self._num_devices
         self._on_workload_complete: Optional[Callable[[], None]] = None
@@ -153,9 +144,7 @@ class Gpu:
     def attach_trace(self, recorder) -> None:
         """Attach a telemetry trace recorder to the GPU and its CUs."""
         self.trace = recorder
-        recorder.set_topology(
-            self._num_devices, self.cus_per_device or len(self.cus)
-        )
+        recorder.set_topology(self._num_devices, self.cus_per_device)
         for cu in self.cus:
             cu.trace = recorder
 
@@ -223,18 +212,15 @@ class Gpu:
             if trace.num_kernels == 0:
                 raise ValueError(f"workload {trace.name!r} has no kernels")
         partitioned = mode == "partitioned" and len(workloads) > 1
-        if partitioned:
-            cus_per_device = self.cus_per_device or len(self.cus)
-            if cus_per_device < len(workloads):
-                raise ValueError(
-                    f"cannot partition {cus_per_device} CUs per device across "
-                    f"{len(workloads)} streams (each stream needs at least one CU)"
-                )
+        if partitioned and self.cus_per_device < len(workloads):
+            raise ValueError(
+                f"cannot partition {self.cus_per_device} CUs per device across "
+                f"{len(workloads)} streams (each stream needs at least one CU)"
+            )
         self._running = True
         self._serving = serving
         self._partitioned = partitioned
         self._on_workload_complete = on_complete
-        self._next_cu = 0
         self._next_cu_of_device = [0] * self._num_devices
         self._next_stream_of_device = [0] * self._num_devices
         self._streams = []
@@ -261,7 +247,7 @@ class Gpu:
         :meth:`_start` before any state changed.
         """
         num_streams = len(self._streams)
-        cus_per_device = self.cus_per_device or len(self.cus)
+        cus_per_device = self.cus_per_device
         base_share, extra = divmod(cus_per_device, num_streams)
         for stream in self._streams:
             stream.cu_ranges = []
@@ -306,25 +292,19 @@ class Gpu:
         if kernel.num_wavefronts == 0:
             raise ValueError(f"kernel {kernel.name!r} has no wavefronts")
         stream.outstanding = kernel.num_wavefronts
-        if self.cus_per_device is None:
-            stream.pending[0].extend(
-                (next(self._wavefront_ids), stream.kernel_index, program)
-                for program in kernel.wavefronts
-            )
-        else:
-            num_devices = self._num_devices
-            for index, program in enumerate(kernel.wavefronts):
-                # untagged wavefronts (a raw trace run on a multi-device
-                # system) are spread round-robin so no device sits idle
-                device = program.device if program.device is not None else index % num_devices
-                if not (0 <= device < num_devices):
-                    raise ValueError(
-                        f"wavefront tagged for device {device}, but the system "
-                        f"has {num_devices} devices"
-                    )
-                stream.pending[device].append(
-                    (next(self._wavefront_ids), stream.kernel_index, program)
+        num_devices = self._num_devices
+        for index, program in enumerate(kernel.wavefronts):
+            # untagged wavefronts (a raw trace run on a multi-device
+            # system) are spread round-robin so no device sits idle
+            device = program.device if program.device is not None else index % num_devices
+            if not (0 <= device < num_devices):
+                raise ValueError(
+                    f"wavefront tagged for device {device}, but the system "
+                    f"has {num_devices} devices"
                 )
+            stream.pending[device].append(
+                (next(self._wavefront_ids), stream.kernel_index, program)
+            )
         self._fill_cus()
 
     def _skip_dispatch_rotation(self, stream: _StreamState, kernel) -> None:
@@ -338,38 +318,25 @@ class Gpu:
         per-CU attribution (link transfers, contention) drifts even
         though the global totals stay exact.
         """
-        if self._partitioned or self.cus_per_device is not None:
-            # mirror the enqueue path's per-device spread (device tags,
-            # round-robin for untagged wavefronts)
-            num_devices = self._num_devices
-            per_device = [0] * num_devices
-            if self.cus_per_device is None:
-                per_device[0] = kernel.num_wavefronts
-            else:
-                for index, program in enumerate(kernel.wavefronts):
-                    device = (
-                        program.device
-                        if program.device is not None
-                        else index % num_devices
-                    )
-                    per_device[device % num_devices] += 1
-            if self._partitioned:
-                for device, share in enumerate(per_device):
-                    _, count = stream.cu_ranges[device]
-                    if count:
-                        stream.next_cu_in_range[device] = (
-                            stream.next_cu_in_range[device] + share
-                        ) % count
-            else:
-                cus_per_device = self.cus_per_device
-                for device, share in enumerate(per_device):
-                    self._next_cu_of_device[device] = (
-                        self._next_cu_of_device[device] + share
-                    ) % cus_per_device
+        # mirror the enqueue path's per-device spread (device tags,
+        # round-robin for untagged wavefronts)
+        num_devices = self._num_devices
+        per_device = [0] * num_devices
+        for index, program in enumerate(kernel.wavefronts):
+            device = program.device if program.device is not None else index % num_devices
+            per_device[device % num_devices] += 1
+        if self._partitioned:
+            for device, share in enumerate(per_device):
+                _, count = stream.cu_ranges[device]
+                if count:
+                    stream.next_cu_in_range[device] = (
+                        stream.next_cu_in_range[device] + share
+                    ) % count
         else:
-            self._next_cu = (
-                self._next_cu + kernel.num_wavefronts
-            ) % len(self.cus)
+            for device, share in enumerate(per_device):
+                self._next_cu_of_device[device] = (
+                    self._next_cu_of_device[device] + share
+                ) % self.cus_per_device
 
     def _stream_finished(self, stream: _StreamState) -> None:
         stream.active = False
@@ -422,8 +389,6 @@ class Gpu:
         """Dispatch queued wavefronts onto CUs with free slots, round robin."""
         if self._partitioned:
             self._fill_partitioned()
-        elif self.cus_per_device is not None:
-            self._fill_shared_devices()
         else:
             self._fill_shared()
 
@@ -452,26 +417,9 @@ class Gpu:
         return False
 
     def _fill_shared(self) -> None:
-        """Shared dispatch, single device: one global CU pointer; streams
-        interleave round-robin.  With one stream this is exactly the
-        historical global round-robin."""
-        if not self._any_pending(0):
-            return
-        cus = self.cus
-        num_cus = len(cus)
-        attempts = 0
-        while self._any_pending(0) and attempts < num_cus:
-            cu = cus[self._next_cu]
-            self._next_cu = (self._next_cu + 1) % num_cus
-            if cu.has_free_slot:
-                self._start_wavefront(cu, self._next_stream_with_work(0), 0)
-                attempts = 0
-            else:
-                attempts += 1
-
-    def _fill_shared_devices(self) -> None:
-        """Shared dispatch with device affinity: each device's queues feed
-        its CU block; streams interleave round-robin per device."""
+        """Shared dispatch: each device's queues feed its CU block; streams
+        interleave round-robin per device.  With one device and one stream
+        this is exactly the historical global round-robin."""
         cus_per_device = self.cus_per_device
         cus = self.cus
         for device in range(self._num_devices):

@@ -120,7 +120,9 @@ class DeviceInterleave:
     occupies the next free chunk slot, so each device sees a dense local
     address space starting at zero.  All three operations are O(1)
     arithmetic and the mapping is a bijection between global addresses and
-    (device, local address) pairs.
+    (device, local address) pairs.  Everything behind a device's L2 slice
+    -- its DRAM rows and, under cache rinsing, its dirty-block index --
+    works on local addresses only, so no row id spans devices.
 
     Args:
         num_devices: number of DRAM partitions.
@@ -164,18 +166,6 @@ class DeviceInterleave:
             raise ValueError("local_address must be non-negative")
         chunk, offset = divmod(local_address, self._chunk_bytes)
         return (chunk * self.num_devices + device) * self._chunk_bytes + offset
-
-    def global_row_id(self, mapping: AddressMapping, address: int) -> int:
-        """Globally-unique DRAM row id of a *global* address.
-
-        Resolves ``address`` to its home partition, takes the local row id
-        under that partition's ``mapping`` (partitions share one geometry),
-        and tags it with the device so rows on different devices never
-        collide.  The single definition of the multi-device row formula --
-        used by both the hierarchy and the session-level policy engine.
-        """
-        device = self.device_of(address)
-        return mapping.row_id(self.to_local(address)) * self.num_devices + device
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -149,9 +149,8 @@ class Cache:
             so per-CU L1s aggregate naturally.
         allocation_bypass: enable the section VII.A optimization.
         reuse_predictor: optional PC-based reuse predictor (section VII.C).
-        dirty_block_index: optional DBI used for cache rinsing (VII.B).
-        row_of: maps a line address to its DRAM row identifier (required when
-            a DBI is attached).
+        dirty_block_index: optional DBI used for cache rinsing (VII.B); its
+            ``row_of`` maps a line address to its DRAM row.
         replacement: ``"lru"`` (default) or ``"random"``.
     """
 
@@ -173,7 +172,6 @@ class Cache:
         allocation_bypass: bool = False,
         reuse_predictor: Optional["ReusePredictor"] = None,
         dirty_block_index: Optional["DirtyBlockIndex"] = None,
-        row_of: Optional[Callable[[int], int]] = None,
         replacement: str = "lru",
     ) -> None:
         self.name = name
@@ -185,9 +183,6 @@ class Cache:
         self.allocation_bypass = allocation_bypass
         self.reuse_predictor = reuse_predictor
         self.dbi = dirty_block_index
-        self.row_of = row_of
-        if self.dbi is not None and self.row_of is None:
-            raise ValueError("a dirty-block index requires a row_of mapping function")
 
         self.sets: list[list[CacheLine]] = [
             [CacheLine() for _ in range(config.assoc)] for _ in range(config.num_sets)
@@ -333,7 +328,7 @@ class Cache:
             self._queue.schedule(0, on_complete)
             return 0
         if self.dbi is not None:
-            dirty.sort(key=lambda sw: self.row_of(self._line_address(*sw)))
+            dirty.sort(key=lambda sw: self.dbi.row_of(self._line_address(*sw)))
         outstanding = len(dirty)
 
         def writeback_done(_req: MemoryRequest) -> None:
@@ -665,7 +660,7 @@ class Cache:
 
     def _rinse_row(self, evicted_address: int) -> None:
         """Write back the evicted dirty line plus all dirty lines in its DRAM row."""
-        row = self.row_of(evicted_address)
+        row = self.dbi.row_of(evicted_address)
         victims = [evicted_address]
         for address in self.dbi.dirty_lines_in_row(row):
             if address != evicted_address:

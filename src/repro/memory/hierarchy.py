@@ -23,7 +23,9 @@ across the partitions (:class:`~repro.memory.address_mapping
 crosses a directed fabric link that adds the topology's remote latency and
 contends for its bandwidth.  L2 slices operate on *local* partition
 addresses (so slice sets and DRAM coordinates stay dense per device);
-requests are re-addressed once at the L1-to-slice boundary.  The
+requests are re-addressed once at the L1-to-slice boundary.  Under a
+rinsing policy every slice owns its dirty-block index, keyed by its own
+DRAM partition's rows, so row ids never alias across devices.  The
 one-device topology takes the exact wiring of the plain hierarchy --
 same component names, same callbacks, no fabric, no re-addressing -- which
 is what makes it bit-identical (enforced by
@@ -122,9 +124,7 @@ class MemoryHierarchy:
         self.directories: list[Directory] = []
         self._l2_dir_links: list[Link] = []
         self.l2s: list[Cache] = []
-        #: per-slice dirty-block indices (multi-device rinse policies);
-        #: the authoritative rinse state, surfaced by describe()
-        self.slice_dbis: list[DirtyBlockIndex] = []
+        rinsing = policy_engine.policy.cache_rinsing
         for device in range(self.num_devices):
             dram = DramSystem(config.dram, sim, stats, line_bytes=config.l2.line_bytes)
             directory = Directory(
@@ -148,20 +148,13 @@ class MemoryHierarchy:
                     stat_prefix="l2",
                     allocation_bypass=policy_engine.allocation_bypass,
                     reuse_predictor=policy_engine.reuse_predictor,
-                    dirty_block_index=self._slice_dbi(device),
-                    row_of=dram.row_id,
+                    dirty_block_index=DirtyBlockIndex(dram.row_id) if rinsing else None,
                 )
             )
         self.dram = self.drams[0]
         self.directory = self.directories[0]
         self.l2 = self.l2s[0]
         self._l2_dir_link = self._l2_dir_links[0]
-        if not single and policy_engine.dirty_block_index is not None:
-            # every slice now owns a private local-row DBI; drop the
-            # engine-level instance (keyed by global rows, never marked
-            # by any cache here) so describe()/debuggers see the truth
-            # rather than a permanently empty index
-            policy_engine.dirty_block_index = None
 
         # directed inter-device fabric links (multi-device only)
         self._fabric: dict[tuple[int, int], Link] = {}
@@ -203,23 +196,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # wiring helpers
     # ------------------------------------------------------------------
-    def _slice_dbi(self, device: int) -> Optional[DirtyBlockIndex]:
-        """The dirty-block index attached to ``device``'s L2 slice.
-
-        Single-device systems use the policy engine's own DBI (unchanged
-        behaviour).  Multi-device systems need one DBI per slice keyed by
-        *local* row ids -- slices see local addresses, and sharing one
-        index would alias row ids across partitions -- so when the engine
-        has a DBI each slice gets a private instance over its own
-        partition's row mapping.
-        """
-        engine_dbi = self.policy_engine.dirty_block_index
-        if engine_dbi is None or self.num_devices == 1:
-            return engine_dbi
-        dbi = DirtyBlockIndex(self.drams[device].row_id)
-        self.slice_dbis.append(dbi)
-        return dbi
-
     def _make_l1_downstream(self, cu: int):
         """The L1's downstream: its link, delivering to the home L2 slice."""
         link = self._l1_l2_links[cu]
@@ -375,39 +351,28 @@ class MemoryHierarchy:
             return 0
         return self._interleave.device_of(address)
 
-    def row_of(self, line_address: int) -> int:
-        """DRAM row id of a *global* line address (globally unique).
-
-        Single-device systems delegate straight to the DRAM mapping.  In a
-        multi-device system the address is resolved to its home partition
-        first and the local row id is tagged with the device, so two rows
-        on different devices never collide.
-        """
-        if self._interleave is None:
-            return self.dram.row_id(line_address)
-        # partitions share one geometry, so device 0's mapping serves all
-        return self._interleave.global_row_id(self.dram.mapping, line_address)
-
     def describe(self) -> dict[str, object]:
         """Human-readable summary used by the CLI and examples."""
         # aggregate like num_cus: the system totals, with per-device
         # breakdowns only when there is more than one device
+        dbis = [l2.dbi for l2 in self.l2s if l2.dbi is not None]
         summary: dict[str, object] = {
             "policy": self.policy_engine.policy.name,
             "num_cus": self.total_cus,
             "l1_kb_per_cu": self.config.l1.size_bytes // 1024,
             "l2_kb": self.num_devices * self.config.l2.size_bytes // 1024,
             "dram_channels": self.num_devices * self.config.dram.channels,
+            # rows the rinsing slices' dirty-block indices track (None
+            # when the policy does not rinse)
+            "dbi_tracked_rows": sum(len(dbi) for dbi in dbis) if dbis else None,
         }
         if self.num_devices > 1:
             summary["num_devices"] = self.num_devices
             summary["cus_per_device"] = self.cus_per_device
             summary["l2_kb_per_device"] = self.config.l2.size_bytes // 1024
             summary["remote_latency_cycles"] = self.topology.remote_latency_cycles
-            if self.slice_dbis:
-                summary["dbi_tracked_rows_per_device"] = [
-                    len(dbi) for dbi in self.slice_dbis
-                ]
+            if dbis:
+                summary["dbi_tracked_rows_per_device"] = [len(dbi) for dbi in dbis]
         return summary
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.policy_engine import PolicyEngine
 from repro.engine.simulator import Simulator
 from repro.gpu.gpu import Gpu
-from repro.memory.address_mapping import AddressMapping, DeviceInterleave
+from repro.memory.address_mapping import DeviceInterleave
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.spec import JobSpec, as_spec
 from repro.stats.counters import StatsCollector
@@ -90,25 +90,14 @@ class SimulationSession:
         #: address -> monitored-L2-set override for the dueling engine;
         #: stays None on the single-device path (plain global formula)
         address_to_set = None
-        if num_devices == 1:
-            row_of = AddressMapping(config.dram, line_bytes=line_bytes).row_id
-        else:
-            # globally-unique row ids over the partitioned address space;
-            # the per-slice components use their own local mappings (see
-            # MemoryHierarchy), this one serves engine-level consumers
-            interleave = DeviceInterleave(
-                num_devices, line_bytes=line_bytes, chunk_lines=topology.interleave_lines
-            )
-            local_mapping = AddressMapping(config.dram, line_bytes=line_bytes)
-
-            def row_of(address: int) -> int:
-                return interleave.global_row_id(local_mapping, address)
-
+        if num_devices > 1:
             # the slices see re-addressed local partition addresses, so
             # the duel must key leader lookups by the slice-local set
             # index -- the same one the slice hooks charge
+            to_local = DeviceInterleave(
+                num_devices, line_bytes=line_bytes, chunk_lines=topology.interleave_lines
+            ).to_local
             num_sets = config.l2.num_sets
-            to_local = interleave.to_local
 
             def address_to_set(address: int) -> int:
                 return (to_local(address) // line_bytes) % num_sets
@@ -125,7 +114,6 @@ class SimulationSession:
                 adaptive,
                 l2_config=config.l2,
                 stats=self.stats,
-                row_of=row_of,
                 predictor_config=spec.predictor_config,
                 address_to_set=address_to_set,
             )
@@ -133,25 +121,13 @@ class SimulationSession:
         else:
             self.policy_label = spec.policy.name
             self.policy_engine = PolicyEngine(
-                spec.policy,
-                row_of=row_of,
-                predictor_config=spec.predictor_config,
+                spec.policy, predictor_config=spec.predictor_config
             )
 
         self.hierarchy = MemoryHierarchy(
             config, self.sim, self.stats, self.policy_engine, topology=topology
         )
-        if num_devices == 1:
-            gpu_config = config
-            cus_per_device = None
-        else:
-            gpu_config = dc_replace(
-                config, gpu=dc_replace(config.gpu, num_cus=self.hierarchy.total_cus)
-            )
-            cus_per_device = config.gpu.num_cus
-        self.gpu = Gpu(
-            gpu_config, self.sim, self.stats, self.hierarchy, cus_per_device=cus_per_device
-        )
+        self.gpu = Gpu(config, self.sim, self.stats, self.hierarchy)
 
         if adaptive is not None:
             from repro.adaptive.controller import DynamicPolicyController

@@ -107,3 +107,13 @@ class TestPcBypass:
         description = session.policy_engine.describe()
         assert description["pc_bypass"] is True
         assert description["predictor_bypass_fraction"] is not None
+
+    @pytest.mark.parametrize(("policy", "tracked"), [(CACHE_RW_CR, 0), (CACHE_RW, None)])
+    def test_dbi_rows_exposed_via_hierarchy(self, policy, tracked):
+        # an empty index (every dirty line flushed at the last kernel
+        # boundary) reports 0 rows; a policy without rinsing has no index
+        from repro.session import SimulationSession
+
+        session = SimulationSession(policy=policy, config=TINY)
+        session.run(get_workload("FwAct", scale=0.1))
+        assert session.hierarchy.describe()["dbi_tracked_rows"] == tracked

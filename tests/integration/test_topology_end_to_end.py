@@ -29,6 +29,7 @@ from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.store import ResultStore
 from repro.session import SimulationSession, simulate
 from repro.topology import TopologyConfig, topology_by_name
+from repro.topology.partition import partition_trace
 from repro.workloads.registry import get_workload
 
 TINY = scaled_config(2)
@@ -96,25 +97,34 @@ class TestMultiDeviceRuns:
         assert len(session.hierarchy.l2s) == 4
         assert len(session.hierarchy.drams) == 4
         assert len(session.hierarchy.l1s) == 4 * TINY.gpu.num_cus
-        assert session.gpu.config.gpu.num_cus == 4 * TINY.gpu.num_cus
+        assert len(session.gpu.cus) == 4 * TINY.gpu.num_cus
         description = session.hierarchy.describe()
         assert description["num_devices"] == 4
         assert description["cus_per_device"] == TINY.gpu.num_cus
 
-    @pytest.mark.parametrize(("policy", "indexes"), [(CACHE_RW, 0), (CACHE_RW_CR, 2)])
-    def test_each_slice_gets_its_own_dirty_block_index(self, policy, indexes):
-        session = SimulationSession(policy=policy, config=TINY, topology=DUAL)
-        dbis = session.hierarchy.slice_dbis
-        assert len(dbis) == indexes
-        assert [l2.dbi for l2 in session.hierarchy.l2s] == (dbis or [None, None])
-        # slice-local row ids: the engine's global index would alias them
-        assert session.policy_engine.dirty_block_index is None
+    @pytest.mark.parametrize("devices", [1, 2])
+    @pytest.mark.parametrize("policy", [CACHE_RW, CACHE_RW_CR])
+    def test_each_l2_owns_its_dirty_block_index(self, policy, devices):
+        topology = None if devices == 1 else TopologyConfig(num_devices=devices)
+        session = SimulationSession(policy=policy, config=TINY, topology=topology)
+        hierarchy = session.hierarchy
+        assert len(hierarchy.l2s) == devices
+        for l2, dram in zip(hierarchy.l2s, hierarchy.drams):
+            if policy.cache_rinsing:
+                # keyed by the slice's own DRAM rows, so rows never alias
+                # across devices
+                assert l2.dbi is not None and l2.dbi.row_of == dram.row_id
+            else:
+                assert l2.dbi is None
 
-    def test_a_single_device_l2_uses_the_engines_index(self):
-        session = SimulationSession(policy=CACHE_RW_CR, config=TINY)
-        engine_dbi = session.policy_engine.dirty_block_index
-        assert engine_dbi is not None and session.hierarchy.l2.dbi is engine_dbi
-        assert session.hierarchy.slice_dbis == []
+    def test_a_device_tagged_trace_is_rejected_on_one_device(self):
+        trace = partition_trace(
+            get_workload("SGEMM", scale=0.1).build_trace(),
+            topology_by_name("dual-chiplet"),
+        )
+        session = SimulationSession(policy=CACHE_RW, config=TINY)
+        with pytest.raises(ValueError, match="wavefront tagged for device 1"):
+            session.run(trace)
 
     def test_multi_device_rinsing_is_pinned(self):
         """Per-slice cache rinsing on two devices: counts and report digest.
@@ -136,15 +146,6 @@ class TestMultiDeviceRuns:
         assert hashlib.sha256(encoded.encode("utf-8")).hexdigest() == (
             "12e71aac62df5ae3b3c4596276760b6c10e9b1c7af8de24aca32ed439f608c03"
         )
-
-    def test_multi_device_row_ids_never_collide_across_devices(self):
-        session = SimulationSession(policy=CACHE_RW, config=TINY, topology=DUAL)
-        rows = [session.hierarchy.row_of(line * 64) for line in range(4096)]
-        by_device = {}
-        for line, row in enumerate(rows):
-            device = session.hierarchy.device_of(line * 64)
-            by_device.setdefault(row, set()).add(device)
-        assert all(len(devices) == 1 for devices in by_device.values())
 
 
 class TestAdaptiveOnTopology:

@@ -302,8 +302,7 @@ def _run_serving(shapes, cu_share: str):
     """Assemble a 2-CU system and run one synthetic stream per shape."""
     sim = Simulator()
     stats = StatsCollector()
-    mapping = AddressMapping(_SERVING_CONFIG.dram, line_bytes=_SERVING_CONFIG.l2.line_bytes)
-    engine = PolicyEngine(CACHE_RW, row_of=mapping.row_id)
+    engine = PolicyEngine(CACHE_RW)
     hierarchy = MemoryHierarchy(_SERVING_CONFIG, sim, stats, engine)
     gpu = Gpu(_SERVING_CONFIG, sim, stats, hierarchy)
     gpu.dispatch_log = []

@@ -381,7 +381,6 @@ class TestInvalidationAndFlush:
             stats,
             config=config,
             dirty_block_index=DirtyBlockIndex(row_of=row_of),
-            row_of=row_of,
         )
         for set_index in (3, 15, 7):
             run_access(sim, cache, store(set_index * 64))
@@ -454,9 +453,7 @@ class TestOptimizationHooks:
         # map every line to the same DRAM row so a dirty eviction rinses peers
         dbi = DirtyBlockIndex(row_of=lambda addr: 0)
         config = small_config(size_bytes=4 * 64, assoc=4, writeback=True)
-        cache, backend = build_cache(
-            sim, stats, config=config, dirty_block_index=dbi, row_of=lambda addr: 0
-        )
+        cache, backend = build_cache(sim, stats, config=config, dirty_block_index=dbi)
         for i in range(4):
             run_access(sim, cache, store(i * 64))
             sim.run()
@@ -483,18 +480,6 @@ class TestOptimizationHooks:
         sim.run()
         assert stats.get("l1.predictor_bypasses", 0) == 0
         assert 0 in cache.contents()
-
-    def test_dbi_requires_row_mapping(self, sim, stats):
-        with pytest.raises(ValueError):
-            Cache(
-                name="bad",
-                config=small_config(),
-                sim=sim,
-                stats=stats,
-                downstream=lambda r, cb: None,
-                stat_prefix="l1",
-                dirty_block_index=DirtyBlockIndex(row_of=lambda a: 0),
-            )
 
 
 class TestIndexedGeometry:

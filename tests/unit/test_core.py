@@ -204,20 +204,15 @@ class TestPolicyEngine:
 
     def test_stores_always_bypass_l1(self):
         for policy in ALL_POLICIES:
-            engine = PolicyEngine(policy, row_of=lambda a: 0)
+            engine = PolicyEngine(policy)
             assert engine.annotate(self._store()).bypass_l1
 
     def test_optimization_components_created_on_demand(self):
         plain = PolicyEngine(CACHE_RW)
-        assert plain.reuse_predictor is None and plain.dirty_block_index is None
-        optimized = PolicyEngine(CACHE_RW_PCBY, row_of=lambda a: 0)
+        assert plain.reuse_predictor is None
+        optimized = PolicyEngine(CACHE_RW_PCBY)
         assert optimized.reuse_predictor is not None
-        assert optimized.dirty_block_index is not None
         assert optimized.allocation_bypass
-
-    def test_rinsing_requires_row_mapping(self):
-        with pytest.raises(ValueError):
-            PolicyEngine(CACHE_RW_CR)
 
     def test_describe_reports_policy_name(self):
         engine = PolicyEngine(CACHE_R)
