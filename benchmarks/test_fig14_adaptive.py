@@ -32,7 +32,7 @@ from repro.workloads.registry import WORKLOAD_NAMES
 
 from benchmarks.conftest import run_once
 
-#: figure data lands next to BENCH_core.json for the CI artifact upload
+#: figure data lands at the repository root, where CI uploads it as an artifact
 FIG14_PATH = Path(__file__).resolve().parents[1] / "adaptive_figure.json"
 
 

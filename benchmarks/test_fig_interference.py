@@ -28,7 +28,7 @@ from repro.streams import SERVING_MIXES
 
 from benchmarks.conftest import run_once
 
-#: figure data lands next to BENCH_core.json for the CI artifact upload
+#: figure data lands at the repository root, where CI uploads it as an artifact
 INTERFERENCE_PATH = Path(__file__).resolve().parents[1] / "interference_figure.json"
 
 

@@ -31,7 +31,7 @@ from repro.experiments.scaling import SCALING_DEVICES, SCALING_WORKLOADS
 
 from benchmarks.conftest import run_once
 
-#: figure data lands next to BENCH_core.json for the CI artifact upload
+#: figure data lands at the repository root, where CI uploads it as an artifact
 SCALING_PATH = Path(__file__).resolve().parents[1] / "scaling_figure.json"
 
 

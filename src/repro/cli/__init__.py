@@ -15,7 +15,7 @@ compiles only its own module and the modules its run uses:
 * :mod:`repro.cli.figures`: ``sweep``, ``sweep-all`` and ``figure``;
 * :mod:`repro.cli.studies`: ``adaptive``, ``topology`` and ``serve``;
 * :mod:`repro.cli.runs`: ``run`` and ``trace``;
-* :mod:`repro.cli.records`: ``cache``, ``ledger``, ``diff`` and ``bench``.
+* :mod:`repro.cli.records`: ``cache``, ``ledger`` and ``diff``.
 
 This module holds what they share: the global options and the runner,
 store and closing helpers.  The global ``--jobs N`` flag fans independent
@@ -82,8 +82,6 @@ COMMANDS: dict[str, Command] = {
                       "records", "ledger_arguments", "ledger_command"),
     "diff": Command("counter-for-counter comparison of two runs",
                     "records", "diff_arguments", "diff_command"),
-    "bench": Command("throughput regression sentinel (record/check)",
-                     "records", "bench_arguments", "bench_command"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Stored results and run records: ``cache``, ``ledger``, ``diff``, ``bench``.
+"""Stored results and run records: ``cache``, ``ledger`` and ``diff``.
 
 * ``cache``  -- persistent result-store lifecycle: ``stats``, ``clear``,
   ``prune --max-age-days N``.
@@ -7,9 +7,6 @@
   ``--ledger`` (or ``$REPRO_LEDGER``).
 * ``diff``   -- counter-for-counter comparison of two runs (report files,
   store fingerprints or ledger references); ``--fail-on-drift`` for CI.
-* ``bench``  -- the regression sentinel: ``record`` a median-of-N
-  throughput measurement into ``BENCH_history.jsonl``, ``check`` it against
-  the committed baseline and the history's robust (median - k*MAD) floor.
 """
 
 from __future__ import annotations
@@ -251,115 +248,4 @@ def diff_command(args: argparse.Namespace) -> int:
     if args.fail_on_drift and not diff["identical"]:
         print("[diff] drift detected (--fail-on-drift)", file=sys.stderr)
         return 1
-    return 0
-
-
-def bench_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("action", choices=["record", "check"])
-    parser.add_argument(
-        "--benchmark", choices=["core", "effective"], default="core",
-        help="which sentinel to measure: the exact core run, or the "
-        "accelerated (sampled + sharded) effective-throughput run "
-        "(default: core)",
-    )
-    parser.add_argument(
-        "--samples", type=int, default=3, metavar="N",
-        help="timed repetitions; the median is the measurement (default: 3)",
-    )
-    parser.add_argument(
-        "--history", default=None, metavar="FILE",
-        help="bench history file (default: $REPRO_BENCH_HISTORY or "
-        "BENCH_history.jsonl at the repo root)",
-    )
-    parser.add_argument(
-        "--use-last", action="store_true",
-        help="check: judge the newest recorded history entry instead of "
-        "re-measuring",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=0.25, metavar="FRAC",
-        help="flat floor: fail below (1 - FRAC) x the committed baseline "
-        "(default: 0.25)",
-    )
-    parser.add_argument(
-        "--mad-factor", type=float, default=4.0, metavar="K",
-        help="robust floor: fail below history median - K * 1.4826 * MAD "
-        "(default: 4.0)",
-    )
-    parser.add_argument(
-        "--min-history", type=int, default=5, metavar="N",
-        help="history samples needed before the MAD gate arms (default: 5)",
-    )
-    parser.add_argument("--json", action="store_true", help="emit the verdict as JSON")
-
-
-def bench_command(args: argparse.Namespace) -> int:
-    """The regression sentinel: record throughput history, check floors.
-
-    ``record`` appends a median-of-N measurement to the history file;
-    ``check`` judges a measurement (fresh, or ``--use-last`` for the
-    newest recorded one) against the committed-baseline flat floor and the
-    history's robust median - k*MAD floor, exiting 1 on regression.
-    """
-    if args.samples < 1:
-        return fail(f"--samples must be at least 1, got {args.samples}")
-    import repro.obs.bench as bench
-
-    history_path = (
-        Path(args.history).expanduser() if args.history else bench.default_history_path()
-    )
-    effective = args.benchmark == "effective"
-    measure = bench.measure_effective_throughput if effective else bench.measure_core_throughput
-    benchmark_name = bench.EFFECTIVE_BENCHMARK if effective else bench.CORE_BENCHMARK
-    baseline_section = "effective" if effective else None
-    if args.action == "record":
-        measurement = measure(samples=args.samples)
-        entry = bench.append_history(history_path, measurement)
-        if args.json:
-            print(json.dumps(entry, indent=1, sort_keys=True))
-        else:
-            shown = {
-                key: entry[key]
-                for key in ("benchmark", "events_per_sec", "median_seconds", "samples")
-            }
-            shown["history"] = str(history_path)
-            history = bench.load_history(history_path, benchmark=benchmark_name)
-            shown["history_entries"] = len(history)
-            print(render_kv_table("Bench record", shown))
-        return 0
-    # check
-    history = bench.load_history(history_path, benchmark=benchmark_name)
-    if args.use_last:
-        if not history:
-            return fail(f"no bench history at {history_path}; run 'bench record' first")
-        value, prior = history[-1], history[:-1]
-    else:
-        measurement = measure(samples=args.samples)
-        value, prior = measurement.events_per_sec, history
-    verdict = bench.evaluate_measurement(
-        value,
-        history=prior,
-        baseline=bench.committed_baseline(section=baseline_section),
-        max_regression=args.max_regression,
-        mad_factor=args.mad_factor,
-        min_history=args.min_history,
-    )
-    payload = dict(verdict.as_dict())
-    payload["history_path"] = str(history_path)
-    payload["history_samples_used"] = len(prior)
-    if args.json:
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        shown = {
-            key: ("-" if value is None else value)
-            for key, value in payload.items()
-            if key != "reasons"
-        }
-        print(render_kv_table("Bench check", shown))
-    for reason in verdict.reasons:
-        print(f"[bench] {reason}", file=sys.stderr)
-    if not verdict.ok:
-        print("[bench] REGRESSION: throughput below floor", file=sys.stderr)
-        return 1
-    print("[bench] ok", file=sys.stderr)
     return 0

@@ -74,13 +74,12 @@ def append_jsonl(path: str | os.PathLike[str], record: object, fsync: bool = Tru
     """Append one compact JSON line to ``path`` durably.
 
     The append-only counterpart of :func:`atomic_write_json` for growing
-    logs (the run ledger, the bench history): the whole record is
-    serialized first and written in a single ``write`` on an ``O_APPEND``
-    handle, so concurrent appenders interleave whole lines, and the handle
-    is flushed + fsynced before close so a power cut cannot lose an
-    acknowledged entry.  Readers tolerate a torn trailing line (see
-    :func:`read_jsonl`), so even a crash mid-``write`` only costs the
-    entry being written.
+    logs (the run ledger): the whole record is serialized first and
+    written in a single ``write`` on an ``O_APPEND`` handle, so concurrent
+    appenders interleave whole lines, and the handle is flushed + fsynced
+    before close so a power cut cannot lose an acknowledged entry.
+    Readers tolerate a torn trailing line (see :func:`read_jsonl`), so
+    even a crash mid-``write`` only costs the entry being written.
 
     Args:
         path: destination file; parent directories are created.

@@ -1,11 +1,10 @@
-"""Cross-run observability: run ledger, counter diffing, regression
-sentinel support, and anomaly alerts.
+"""Cross-run observability: run ledger, counter diffing and anomaly alerts.
 
 The telemetry package answers "what happened *inside* this run"; this
 package answers the fleet-level questions that need more than one run:
 *which* runs happened (``ledger``), what changed between two of them
-(``diff``), whether the simulator got slower (``bench``), and whether a
-run crossed an operational red line (``alerts``).
+(``diff``), and whether a run crossed an operational red line
+(``alerts``).
 
 A session switches the ledger and the detectors on through its
 :class:`~repro.telemetry.config.TelemetryConfig` (``ledger_path``,
@@ -22,18 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.obs.alerts": ("Alert", "detect_anomalies"),
-        "repro.obs.bench": (
-            "BenchMeasurement",
-            "CORE_BENCHMARK",
-            "EFFECTIVE_BENCHMARK",
-            "append_history",
-            "committed_baseline",
-            "default_history_path",
-            "evaluate_measurement",
-            "load_history",
-            "measure_core_throughput",
-            "measure_effective_throughput",
-        ),
         "repro.obs.diff": (
             "diff_reports",
             "render_diff_markdown",

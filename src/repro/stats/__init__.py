@@ -22,12 +22,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "static_best",
             "static_worst",
         ),
-        "repro.stats.regression": (
-            "RegressionVerdict",
-            "check_regression",
-            "mad",
-            "median",
-            "robust_floor",
-        ),
     },
 )

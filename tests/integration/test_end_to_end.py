@@ -13,7 +13,9 @@ from repro.core.policies import (
     UNCACHED,
 )
 from repro.session import SimulationSession, simulate
+from repro.topology import TopologyConfig
 from repro.workloads.registry import get_workload
+from repro.workloads.trace import WorkloadTrace
 
 from tests.conftest import reuse_trace, single_wave_trace, streaming_trace
 
@@ -32,19 +34,33 @@ class TestBasicExecution:
         report = simulate(streaming_trace(200), UNCACHED, config=TINY)
         assert report.dram_accesses == 200
 
-    def test_simulation_is_deterministic(self):
-        first = simulate(streaming_trace(256), CACHE_R, config=TINY)
-        second = simulate(streaming_trace(256), CACHE_R, config=TINY)
-        assert first.cycles == second.cycles
-        assert first.counters == second.counters
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.name)
+    @pytest.mark.parametrize(
+        "topology", [None, TopologyConfig(num_devices=2)], ids=["one-device", "two-device"]
+    )
+    def test_simulation_is_deterministic(self, topology, policy):
+        # one pre-built trace through two fresh sessions: the trace is not
+        # consumed by a run, and the second run repeats the first event
+        # for event.  A read-reuse kernel then a store kernel, so hits,
+        # fills, write-allocates, rinses and writebacks all take part.
+        trace = WorkloadTrace(
+            name="mixed",
+            kernels=[reuse_trace(96).kernels[0], streaming_trace(160, stores=True).kernels[0]],
+        )
+        runs = []
+        for _ in range(2):
+            session = SimulationSession(policy=policy, config=TINY, topology=topology)
+            report = session.run(trace)
+            runs.append((session.sim.queue.executed, report.cycles, report.counters))
+        first, second = runs
+        assert first[0] > 0
+        assert first == second
 
     def test_store_stream_completes(self):
         report = simulate(streaming_trace(128, stores=True), CACHE_RW, config=TINY)
         assert report.dram_writes == 128  # flushed at the kernel boundary
 
     def test_empty_workload_rejected(self):
-        from repro.workloads.trace import WorkloadTrace
-
         with pytest.raises(ValueError):
             simulate(WorkloadTrace(name="empty"), UNCACHED, config=TINY)
 

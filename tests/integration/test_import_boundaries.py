@@ -46,9 +46,7 @@ STATIC_RUN_FORBIDDEN = (
     "pstats",
     "repro.accel.sampling",
     "repro.adaptive.controller",
-    "repro.obs.bench",
     "repro.obs.diff",
-    "repro.stats.regression",
     "repro.telemetry.profiler",
     "repro.telemetry.trace",
     "repro.topology.partition",

@@ -12,9 +12,8 @@ Three contracts, each exercised on real simulations:
   fingerprint, and ``diff`` over their ledger entries reports
   ``identical`` with zero changed counters (exit 0 under
   ``--fail-on-drift``).
-* **CLI round trip** -- ``run --ledger`` feeds ``ledger list/show``,
-  ``diff`` and ``bench record/check`` work through ``main()`` with real
-  exit codes.
+* **CLI round trip** -- ``run --ledger`` feeds ``ledger list/show``, and
+  ``diff`` works through ``main()`` with real exit codes.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.config import scaled_config
 from repro.core.policies import policy_by_name
 from repro.core.reuse_predictor import PredictorConfig
 from repro.experiments.jobs import JobSpec
-from repro.obs import BenchMeasurement, RunLedger, append_history
+from repro.obs import RunLedger
 from repro.session import SimulationSession, simulate
 from repro.streams import StreamConfig, mix_by_name
 from repro.telemetry import TelemetryConfig
@@ -373,67 +372,6 @@ class TestCliAlerts:
         a, b = RunLedger(tmp_path / "ledger.jsonl").entries()
         assert a["fingerprint"] == b["fingerprint"]
         assert a["counters"] == b["counters"]
-
-
-class TestCliBench:
-    def test_record_then_check(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_SAMPLES", "1")
-        history = tmp_path / "history.jsonl"
-        assert (
-            cli.main(
-                ["bench", "record", "--samples", "1", "--history", str(history), "--json"]
-            )
-            == 0
-        )
-        record = json.loads(capsys.readouterr().out)
-        assert record["events_per_sec"] > 0
-        assert history.exists()
-
-        # judge the entry just recorded against the committed baseline only
-        # (one sample of history is below min-history, so the MAD gate stays
-        # unarmed); disable the flat gate so the check is hermetic on any
-        # machine
-        code = cli.main(
-            [
-                "bench",
-                "check",
-                "--use-last",
-                "--history",
-                str(history),
-                "--max-regression",
-                "0",
-            ]
-        )
-        capsys.readouterr()
-        assert code == 0
-
-    def test_check_flags_a_collapse(self, tmp_path, capsys):
-        history = tmp_path / "history.jsonl"
-        # fabricate a stable history, then a collapsed final sample
-        for seconds in (0.50, 0.51, 0.49, 0.50, 0.50, 5.0):
-            append_history(
-                history,
-                BenchMeasurement(
-                    benchmark="core_events_per_second",
-                    events=100_000,
-                    cycles=50_000,
-                    seconds=(seconds,),
-                ),
-            )
-        code = cli.main(
-            [
-                "bench",
-                "check",
-                "--use-last",
-                "--history",
-                str(history),
-                "--max-regression",
-                "0",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "robust history floor" in captured.err or "floor" in captured.err
 
 
 class TestSweepLedger:

@@ -80,7 +80,7 @@ def _deferred_imports() -> list[tuple[str, int, str, str]]:
 def test_deferred_imports_name_existing_attributes():
     deferred = _deferred_imports()
     modules = {module for _source, _line, module, _name in deferred}
-    assert {"repro.session", "repro.telemetry.trace", "repro.obs.bench"} <= modules
+    assert {"repro.session", "repro.telemetry.trace", "repro.obs.diff"} <= modules
     missing = []
     for source, line, module, name in deferred:
         imported = importlib.import_module(module)

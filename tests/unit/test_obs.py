@@ -1,10 +1,10 @@
 """Unit tests for the cross-run observability layer (:mod:`repro.obs`).
 
-Covers the four pieces the layer is built from -- robust regression
-statistics, the append-only run ledger, counter diffing, and the anomaly
-detectors -- plus the run-scoped structured logger they share.  Every
-test here is synthetic (no simulations): the end-to-end behaviour on real
-runs is pinned by ``tests/integration/test_obs_end_to_end.py``.
+Covers the pieces the layer is built from -- the append-only run ledger,
+counter diffing and the anomaly detectors -- plus the JSONL plumbing and
+the run-scoped structured logger they share.  Every test here is
+synthetic (no simulations): the end-to-end behaviour on real runs is
+pinned by ``tests/integration/test_obs_end_to_end.py``.
 """
 
 from __future__ import annotations
@@ -22,90 +22,9 @@ from repro.obs.alerts import (
     Alert,
     detect_anomalies,
 )
-from repro.obs.bench import (
-    BenchMeasurement,
-    append_history,
-    committed_baseline,
-    load_history,
-)
 from repro.obs.diff import diff_reports, render_diff_markdown, render_diff_table, resolve_report
 from repro.obs.ledger import RunLedger, run_entry
-from repro.stats.regression import check_regression, mad, median, robust_floor
 from repro.stats.report import RunReport
-
-MAD_TO_SIGMA = 1.4826
-
-
-# ----------------------------------------------------------------------
-# robust regression statistics
-# ----------------------------------------------------------------------
-class TestRegressionStats:
-    def test_median_odd_and_even(self):
-        assert median([3.0, 1.0, 2.0]) == 2.0
-        assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
-        with pytest.raises(ValueError):
-            median([])
-
-    def test_mad_measures_spread_around_median(self):
-        assert mad([1.0, 1.0, 1.0]) == 0.0
-        # deviations from median 2: [1, 0, 1] -> median 1
-        assert mad([1.0, 2.0, 3.0]) == 1.0
-
-    def test_mad_shrugs_off_an_outlier(self):
-        # one wild sample moves the mean wildly but not the MAD
-        clean = mad([100.0, 101.0, 99.0, 100.0, 100.0])
-        dirty = mad([100.0, 101.0, 99.0, 100.0, 1000.0])
-        assert dirty <= clean + 1.0
-
-    def test_robust_floor_zero_spread_history(self):
-        # identical samples: the min_mad_fraction floor keeps the gate open
-        floor = robust_floor([100.0] * 5, mad_factor=4.0, min_mad_fraction=0.02)
-        assert floor == pytest.approx(100.0 - 4.0 * MAD_TO_SIGMA * 2.0)
-        with pytest.raises(ValueError):
-            robust_floor([])
-
-    def test_check_regression_nothing_armed_passes(self):
-        verdict = check_regression(50.0)
-        assert verdict.ok
-        assert verdict.reasons == []
-        assert verdict.baseline_floor is None
-        assert verdict.history_floor is None
-
-    def test_check_regression_committed_gate(self):
-        ok = check_regression(95.0, committed_baseline=100.0, max_regression=0.1)
-        assert ok.ok and ok.baseline_floor == pytest.approx(90.0)
-        bad = check_regression(80.0, committed_baseline=100.0, max_regression=0.1)
-        assert not bad.ok
-        assert "committed-baseline floor" in bad.reasons[0]
-
-    def test_check_regression_history_gate_arms_at_min_history(self):
-        history = [100.0] * 4
-        verdict = check_regression(10.0, history=history, min_history=5)
-        assert verdict.ok  # four samples: gate not armed yet
-        assert verdict.history_floor is None
-        verdict = check_regression(10.0, history=history + [100.0], min_history=5)
-        assert not verdict.ok
-        assert verdict.history_floor is not None
-        assert verdict.history_samples == 5
-
-    def test_check_regression_history_gate_is_outlier_robust(self):
-        # one crazy-fast historical sample must not drag the floor up
-        history = [100.0, 101.0, 99.0, 100.0, 1000.0]
-        verdict = check_regression(95.0, history=history)
-        assert verdict.ok, verdict.reasons
-
-    def test_check_regression_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            check_regression(1.0, max_regression=-0.1)
-        with pytest.raises(ValueError):
-            check_regression(1.0, min_history=0)
-
-    def test_verdict_as_dict_round_trips_json(self):
-        verdict = check_regression(60.0, committed_baseline=100.0, history=[90.0] * 6)
-        blob = json.loads(json.dumps(verdict.as_dict()))
-        assert blob["ok"] is False
-        assert blob["history_samples"] == 6
-        assert isinstance(blob["reasons"], list) and blob["reasons"]
 
 
 # ----------------------------------------------------------------------
@@ -568,51 +487,3 @@ class TestResolveReport:
     def test_unresolvable_reference(self, tmp_path):
         with pytest.raises(ValueError):
             resolve_report("no-such-thing", ledger=RunLedger(tmp_path / "l.jsonl"))
-
-
-# ----------------------------------------------------------------------
-# bench history (the fast parts; measurement itself is integration-tested)
-# ----------------------------------------------------------------------
-class TestBenchHistory:
-    def _measurement(self, events: int = 1000, seconds=(0.5, 0.4, 0.6)) -> BenchMeasurement:
-        return BenchMeasurement(
-            benchmark="core_events_per_second",
-            events=events,
-            cycles=500,
-            seconds=tuple(seconds),
-        )
-
-    def test_median_of_samples(self):
-        measurement = self._measurement()
-        assert measurement.samples == 3
-        assert measurement.median_seconds == 0.5
-        assert measurement.events_per_sec == pytest.approx(2000.0)
-
-    def test_append_and_load(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        entry = append_history(path, self._measurement(seconds=(0.5,)))
-        assert entry["schema"] == 1
-        assert entry["events_per_sec"] == pytest.approx(2000.0)
-        append_history(path, self._measurement(seconds=(0.25,)))
-        assert load_history(path) == [pytest.approx(2000.0), pytest.approx(4000.0)]
-
-    def test_model_change_starts_fresh_history(self, tmp_path):
-        # entries recorded under a different event count (older model) are
-        # not comparable and must be dropped, not averaged in
-        path = tmp_path / "history.jsonl"
-        append_history(path, self._measurement(events=1000, seconds=(0.5,)))
-        append_history(path, self._measurement(events=2000, seconds=(0.5,)))
-        assert load_history(path) == [pytest.approx(4000.0)]
-
-    def test_history_cap(self, tmp_path):
-        path = tmp_path / "history.jsonl"
-        for index in range(5):
-            append_history(path, self._measurement(seconds=(0.1 + index,)), limit=3)
-        assert len(load_history(path)) == 3
-
-    def test_committed_baseline_reads_key(self, tmp_path):
-        path = tmp_path / "BENCH_core.json"
-        path.write_text(json.dumps({"regression_baseline": 123000}))
-        assert committed_baseline(path) == 123000
-        assert committed_baseline(tmp_path / "absent.json") is None
-
