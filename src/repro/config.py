@@ -49,9 +49,9 @@ class GpuConfig:
         issue_width: instructions a CU may issue per cycle across its SIMDs.
         max_outstanding_mem_per_wave: memory instructions a single wavefront
             may have in flight before it must stall waiting for responses.
-        lds_bytes: local data share capacity per CU, used by the LDS reuse
-            filter (scratchpad staging captures nearby-work-item reuse even
-            when caches are bypassed).
+        lds_bytes: local data share capacity per CU.  No model reads it:
+            the workload generators emit traffic with LDS reuse already
+            removed.  It stays a field so existing store keys hold.
         kernel_launch_cycles: fixed host-side cost of launching one kernel;
             visible mainly in the many-kernel RNN and Composed Model
             workloads.

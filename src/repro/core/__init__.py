@@ -33,7 +33,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "OPTIMIZED_POLICIES",
             "policy_by_name",
         ),
-        "repro.core.allocation_bypass": ("AllocationBypassSpec",),
         "repro.core.dirty_block_index": ("DirtyBlockIndex",),
         "repro.core.reuse_predictor": ("ReusePredictor",),
         "repro.core.policy_engine": ("PolicyEngine",),

@@ -140,32 +140,6 @@ class EventQueue:
         """
         self.at[time].append(callback)
 
-    def _next(self) -> Callable[[], Any] | None:
-        """Take the earliest queued callback (advancing ``now``), or None."""
-        times = self._times
-        buckets = self.at
-        while times:
-            time = times[0]
-            bucket = buckets[time]
-            index = self._cursor
-            if index < len(bucket):
-                self._cursor = index + 1
-                self.now = time
-                return bucket[index]
-            heappop(times)
-            del buckets[time]
-            self._cursor = 0
-        return None
-
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the queue is empty."""
-        callback = self._next()
-        if callback is None:
-            return False
-        self._executed += 1
-        callback()
-        return True
-
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Drain the queue.
 

@@ -47,7 +47,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "JobFailure",
             "SerialBackend",
             "ProcessPoolBackend",
-            "SweepCheckpoint",
             "SweepExecutor",
             "execute_job",
         ),

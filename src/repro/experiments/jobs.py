@@ -24,16 +24,11 @@ computed in a worker process) is bit-identical to one computed inline.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
 from repro.experiments.store import ResultStore
-from repro.fingerprint import SCHEMA_VERSION, fingerprint
-from repro.ioutil import atomic_write_json
 from repro.log import get_logger
 from repro.spec import JobSpec
 from repro.stats.report import RunReport
@@ -47,7 +42,6 @@ __all__ = [
     "ExecutorStats",
     "SerialBackend",
     "ProcessPoolBackend",
-    "SweepCheckpoint",
     "SweepExecutor",
     "execute_job",
 ]
@@ -471,88 +465,6 @@ class ExecutorStats:
         }
 
 
-class SweepCheckpoint:
-    """Crash-safe progress record for one sweep: which cells finished.
-
-    The persistent :class:`~repro.experiments.store.ResultStore` already
-    holds every finished report; what it cannot say is *which sweep* those
-    entries belong to or how far that sweep got.  A checkpoint records the
-    sweep's identity (a fingerprint over its sorted job keys) and the set
-    of completed keys, rewritten atomically after every completion -- so a
-    SIGKILLed sweep re-run with the same checkpoint path resumes exactly
-    where it died: already-done cells come back as store hits and the
-    checkpoint proves none of them were re-simulated.
-
-    A checkpoint file for a *different* sweep (or a torn/alien file) is
-    ignored and overwritten rather than trusted: resuming is an
-    optimization, never a correctness hazard.
-    """
-
-    def __init__(self, path: str | os.PathLike[str], keys: Sequence[str]) -> None:
-        self.path = Path(path)
-        unique = sorted(set(keys))
-        self.sweep_id = fingerprint(unique, kind="SweepCheckpoint")
-        self.total = len(unique)
-        self._keys = set(unique)
-        self.done: set[str] = set()
-        #: True when a prior run's progress was loaded from ``path``
-        self.resumed = False
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            blob = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return  # missing or torn: start fresh
-        if not isinstance(blob, dict) or blob.get("schema") != SCHEMA_VERSION:
-            return
-        if blob.get("sweep") != self.sweep_id:
-            return  # different sweep: do not inherit its progress
-        done = blob.get("done")
-        if not isinstance(done, list):
-            return
-        self.done = {str(key) for key in done} & self._keys
-        self.resumed = bool(self.done)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.done) >= self.total
-
-    @property
-    def remaining(self) -> int:
-        return self.total - len(self.done)
-
-    def mark_done(self, key: str) -> None:
-        """Record one finished cell and persist the file atomically."""
-        if key in self.done:
-            return
-        self.done.add(key)
-        self.write()
-
-    def write(self) -> None:
-        blob = {
-            "schema": SCHEMA_VERSION,
-            "sweep": self.sweep_id,
-            "total": self.total,
-            "done": sorted(self.done),
-            "completed": self.complete,
-        }
-        atomic_write_json(
-            self.path,
-            blob,
-            indent=None,
-            sort_keys=True,
-            trailing_newline=False,
-            tmp_prefix=self.path.name + ".",
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SweepCheckpoint({str(self.path)!r}, done={len(self.done)}/"
-            f"{self.total}, resumed={self.resumed})"
-        )
-
-
 class SweepExecutor:
     """A backend plus an optional persistent store, with hit accounting.
 
@@ -609,23 +521,16 @@ class SweepExecutor:
         attempts = getattr(self.backend, "last_attempts", 1)
         stats.retry_attempts += max(0, attempts - 1)
 
-    def run(
-        self,
-        jobs: Sequence[JobSpec],
-        checkpoint: Optional[SweepCheckpoint] = None,
-    ) -> list[RunReport]:
+    def run(self, jobs: Sequence[JobSpec]) -> list[RunReport]:
         """Resolve every job to a report, in input order.
 
         Store hits are loaded; the rest are simulated on the backend in one
         batch (the parallel fan-out point) and written back to the store as
         each one finishes, so even an interrupted sweep keeps its completed
-        cells.  Duplicate jobs within a batch are simulated only once.
-
-        When ``checkpoint`` is given, every completion (loaded or
-        simulated) is recorded in it as it happens; an interrupted sweep
-        re-run against the same checkpoint path resumes with its finished
-        cells as store hits.  Failed jobs are recorded on
-        ``stats.failures`` before the error propagates.
+        cells: re-running it loads those as store hits and simulates only
+        the rest.  Duplicate jobs within a batch are simulated only once.
+        Failed jobs are recorded on ``stats.failures`` before the error
+        propagates.
         """
         jobs = list(jobs)
         reports: list[Optional[RunReport]] = [None] * len(jobs)
@@ -644,8 +549,6 @@ class SweepExecutor:
                 loaded[key] = cached
                 reports[index] = cached
                 self.stats.runs_loaded += 1
-                if checkpoint is not None:
-                    checkpoint.mark_done(key)
             else:
                 pending[key] = [index]
         if pending:
@@ -657,8 +560,6 @@ class SweepExecutor:
                 key = keys[batch_index]
                 if self.store is not None:
                     self.store.save(key, report, job=batch[batch_index].summary())
-                if checkpoint is not None:
-                    checkpoint.mark_done(key)
                 if self.ledger is not None:
                     from repro.obs.ledger import run_entry
 
@@ -688,8 +589,6 @@ class SweepExecutor:
             for key, report in zip(keys, fresh):
                 for index in pending[key]:
                     reports[index] = report
-        elif checkpoint is not None and not checkpoint.done and not jobs:
-            checkpoint.write()
         assert all(report is not None for report in reports)
         return reports  # type: ignore[return-value]
 

@@ -5,9 +5,6 @@ against a :class:`~repro.memory.hierarchy.MemoryHierarchy`:
 
 * :mod:`repro.gpu.coalescer` -- per-wavefront memory coalescing (used at
   trace-generation time).
-* :mod:`repro.gpu.lds` -- local-data-share staging filter that removes
-  nearby-work-item reuse from the generated traffic (that reuse exists even
-  when GPU caches are bypassed, as the paper notes).
 * :mod:`repro.gpu.wavefront` -- the wavefront state machine.
 * :mod:`repro.gpu.compute_unit` -- a CU: issue bandwidth, SIMD occupancy,
   resident-wavefront slots.
@@ -21,7 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.gpu.coalescer": ("coalesce_addresses",),
-        "repro.gpu.lds": ("LdsFilter",),
         "repro.gpu.compute_unit": ("ComputeUnit",),
         "repro.gpu.gpu": ("Gpu",),
         "repro.gpu.wavefront": ("Wavefront",),

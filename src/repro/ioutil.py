@@ -1,14 +1,13 @@
-"""Atomic, durable JSON writes shared by the store, checkpoints and CLI.
+"""Atomic, durable JSON writes shared by the store, the CLI and telemetry.
 
-Every artifact this repository persists -- result-store blobs, sweep
-checkpoints, CLI figure JSON, telemetry traces -- must survive two failure
-modes: a reader racing the writer (it must never observe a torn file) and
-a crash or power cut mid-write (an existing good file must never be
-replaced by a truncated one).  :func:`atomic_write_json` is the one
-implementation of the temp-file + ``flush`` + ``fsync`` + ``os.replace``
-dance, extracted from :meth:`repro.experiments.store.ResultStore.save` so
-the CLI artifacts and the telemetry outputs get exactly the same
-guarantees.
+Every artifact this repository persists -- result-store blobs, CLI
+figure JSON, telemetry traces -- must survive two failure modes: a reader
+racing the writer (it must never observe a torn file) and a crash or
+power cut mid-write (an existing good file must never be replaced by a
+truncated one).  :func:`atomic_write_json` is the one implementation of
+the temp-file + ``flush`` + ``fsync`` + ``os.replace`` dance, extracted
+from :meth:`repro.experiments.store.ResultStore.save` so the CLI
+artifacts and the telemetry outputs get exactly the same guarantees.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.config import CacheConfig
 from repro.engine import EventQueue, Simulator, ThroughputResource, WaitQueue
 from repro.memory.mshr import MshrFile
-from repro.memory.replacement import make_replacement
+from repro.memory.replacement import LruReplacement
 from repro.memory.request import AccessType, MemoryRequest
 from repro.stats import StatsCollector
 
@@ -151,7 +151,9 @@ class Cache:
         reuse_predictor: optional PC-based reuse predictor (section VII.C).
         dirty_block_index: optional DBI used for cache rinsing (VII.B); its
             ``row_of`` maps a line address to its DRAM row.
-        replacement: ``"lru"`` (default) or ``"random"``.
+
+    Replacement is LRU; an ablation may swap :attr:`replacement` for
+    another policy before the first access.
     """
 
     #: blocked-on-MSHR requests poll for a free entry on this period; the
@@ -172,7 +174,6 @@ class Cache:
         allocation_bypass: bool = False,
         reuse_predictor: Optional["ReusePredictor"] = None,
         dirty_block_index: Optional["DirtyBlockIndex"] = None,
-        replacement: str = "lru",
     ) -> None:
         self.name = name
         self.config = config
@@ -194,7 +195,7 @@ class Cache:
         #: transition to DIRTY adds its set, a flush prunes), so a flush
         #: visits those sets instead of every line of the cache
         self._dirty_sets: set[int] = set()
-        self.replacement = make_replacement(replacement, config.num_sets, config.assoc)
+        self.replacement = LruReplacement(config.num_sets, config.assoc)
         self.mshrs = MshrFile(config.mshrs)
         self._mshr_entries = self.mshrs.entries
         self._mshr_capacity = self.mshrs.capacity

@@ -121,7 +121,7 @@ class RandomReplacement(ReplacementPolicy):
 
 
 def make_replacement(kind: str, num_sets: int, assoc: int) -> ReplacementPolicy:
-    """Factory used by cache construction.
+    """Build a replacement policy by name.
 
     Args:
         kind: ``"lru"`` or ``"random"``.

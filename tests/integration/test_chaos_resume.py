@@ -3,17 +3,15 @@
 The fault injector chaos-tests the *simulated* fleet; this module
 chaos-tests the *real* execution layer that runs the sweeps:
 
-* a sweep SIGKILLed mid-flight resumes from its checkpoint with zero
-  re-simulation of the cells that had finished (the store plus the
-  checkpoint together are crash-safe);
+* a sweep SIGKILLed mid-flight resumes from its store alone: the re-run
+  loads every cell that had finished and simulates only the rest;
 * a pool worker SIGKILLed mid-job poisons only one pool generation: the
   retry logic re-runs the unfinished jobs on a fresh pool and the batch
   completes with no failure records;
 * a hung worker trips the batch timeout, is abandoned, and the retry
   completes the job;
 * a writer crashing between the temp-file write and the atomic rename
-  never leaves a torn or half-visible store entry;
-* torn or alien checkpoint files are ignored, never trusted.
+  never leaves a torn or half-visible store entry.
 
 The worker-kill tests fork the test process, so they are skipped on
 platforms whose multiprocessing start method is not ``fork``.
@@ -21,7 +19,6 @@ platforms whose multiprocessing start method is not ``fork``.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import signal
@@ -35,12 +32,7 @@ import pytest
 from repro.config import scaled_config
 from repro.core.policies import STATIC_POLICIES
 from repro.experiments import jobs as jobs_module
-from repro.experiments.jobs import (
-    JobSpec,
-    ProcessPoolBackend,
-    SweepCheckpoint,
-    SweepExecutor,
-)
+from repro.experiments.jobs import JobSpec, ProcessPoolBackend, SweepExecutor
 from repro.experiments.store import ResultStore
 from repro.stats.report import RunReport
 
@@ -62,13 +54,13 @@ def sweep_jobs() -> list[JobSpec]:
     ]
 
 
-#: the child re-runs exactly the parent's sweep, then exits 0
+#: the child runs exactly the parent's sweep, then exits 0
 _CHILD_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
 from repro.config import scaled_config
 from repro.core.policies import STATIC_POLICIES
-from repro.experiments.jobs import JobSpec, SweepCheckpoint, SweepExecutor
+from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.store import ResultStore
 
 TINY = scaled_config(2)
@@ -77,81 +69,42 @@ jobs = [
     for workload, scale in (("DGEMM", 0.5), ("FwLSTM", 0.1))
     for policy in STATIC_POLICIES
 ]
-checkpoint = SweepCheckpoint({ckpt!r}, [job.fingerprint() for job in jobs])
-executor = SweepExecutor(store=ResultStore({store!r}))
-executor.run(jobs, checkpoint=checkpoint)
+SweepExecutor(store=ResultStore({store!r})).run(jobs)
 """
 
 
 class TestSigkillResume:
     def test_sigkilled_sweep_resumes_without_resimulating_warm_cells(self, tmp_path):
         store_dir = str(tmp_path / "store")
-        ckpt = str(tmp_path / "sweep.ckpt")
-        script = _CHILD_SCRIPT.format(src=str(SRC), ckpt=ckpt, store=store_dir)
+        script = _CHILD_SCRIPT.format(src=str(SRC), store=store_dir)
         child = subprocess.Popen([sys.executable, "-c", script])
         try:
-            # wait for the first completion, then kill without warning
+            # wait for the first stored cell, then kill without warning
             deadline = time.time() + 60.0
-            done_before = 0
-            while time.time() < deadline:
-                if child.poll() is not None:
-                    break  # finished everything before we could kill it
-                try:
-                    blob = json.loads(Path(ckpt).read_text())
-                    done_before = len(blob["done"])
-                except (OSError, ValueError, KeyError):
-                    done_before = 0
-                if done_before >= 1:
+            while time.time() < deadline and child.poll() is None:
+                if len(ResultStore(store_dir)):
                     break
                 time.sleep(0.02)
-            assert done_before >= 1, "child never completed a single cell"
-            if child.poll() is None:
-                child.send_signal(signal.SIGKILL)
+            assert child.poll() is None, "the sweep finished before it was killed"
+            assert len(ResultStore(store_dir)) >= 1, "child never stored a cell"
+            child.send_signal(signal.SIGKILL)
             child.wait(timeout=30)
         finally:
             if child.poll() is None:  # pragma: no cover - cleanup on failure
                 child.kill()
                 child.wait()
+        assert child.returncode == -signal.SIGKILL
 
-        # the checkpoint on disk is valid JSON despite the kill (atomic
-        # writes) and the resumed run loads every finished cell
+        # atomic writes leave only whole entries behind the kill; the
+        # re-run loads each of them and simulates only the missing cells
         jobs = sweep_jobs()
-        keys = [job.fingerprint() for job in jobs]
-        checkpoint = SweepCheckpoint(ckpt, keys)
-        assert checkpoint.resumed
-        done_before = len(checkpoint.done)
-        assert done_before >= 1
-
+        stored = set(ResultStore(store_dir).keys())
+        assert stored <= {job.fingerprint() for job in jobs}
         executor = SweepExecutor(store=ResultStore(store_dir))
-        reports = executor.run(jobs, checkpoint=checkpoint)
+        reports = executor.run(jobs)
         assert len(reports) == len(jobs)
-        # zero checkpointed (warm) cells re-simulate; the store may hold
-        # one extra cell if the kill landed between a save and its
-        # checkpoint mark, and that one is a free store hit too
-        assert executor.stats.runs_loaded >= done_before, (
-            "every checkpointed cell must come back as a store hit"
-        )
-        assert (
-            executor.stats.runs_simulated
-            == len(jobs) - executor.stats.runs_loaded
-            <= len(jobs) - done_before
-        ), "the resumed sweep must simulate only the missing cells"
-        assert checkpoint.complete
-        assert json.loads(Path(ckpt).read_text())["completed"] is True
-
-    def test_completed_checkpoint_makes_rerun_free(self, tmp_path):
-        jobs = sweep_jobs()[:2]
-        keys = [job.fingerprint() for job in jobs]
-        ckpt = str(tmp_path / "sweep.ckpt")
-        store = ResultStore(tmp_path / "store")
-        first = SweepExecutor(store=store)
-        first.run(jobs, checkpoint=SweepCheckpoint(ckpt, keys))
-
-        resumed = SweepCheckpoint(ckpt, keys)
-        assert resumed.resumed and resumed.complete and resumed.remaining == 0
-        second = SweepExecutor(store=store)
-        second.run(jobs, checkpoint=resumed)
-        assert second.stats.runs_simulated == 0
+        assert executor.stats.runs_loaded == len(stored)
+        assert executor.stats.runs_simulated == len(jobs) - len(stored)
 
 
 def _suicidal_payload(job):
@@ -280,36 +233,3 @@ class TestAtomicStoreWrites:
         assert list(store.keys()) == []
         assert store.stats()["entries"] == 0
         assert store.stats()["stale_tmp"] == 1
-
-
-class TestCheckpointRobustness:
-    def test_torn_checkpoint_is_ignored(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        path.write_text("{torn json", encoding="utf-8")
-        checkpoint = SweepCheckpoint(path, ["k1", "k2"])
-        assert not checkpoint.resumed and checkpoint.done == set()
-
-    def test_checkpoint_of_a_different_sweep_is_ignored(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        first = SweepCheckpoint(path, ["a1", "a2"])
-        first.mark_done("a1")
-        second = SweepCheckpoint(path, ["b1", "b2"])
-        assert not second.resumed and second.done == set()
-
-    def test_checkpoint_drops_keys_the_new_sweep_does_not_have(self, tmp_path):
-        path = tmp_path / "sweep.ckpt"
-        checkpoint = SweepCheckpoint(path, ["k1", "k2"])
-        checkpoint.mark_done("k1")
-        blob = json.loads(path.read_text())
-        blob["done"].append("k1")  # duplicate entries must not double-count
-        path.write_text(json.dumps(blob), encoding="utf-8")
-        resumed = SweepCheckpoint(path, ["k1", "k2"])
-        assert resumed.resumed and resumed.done == {"k1"}
-        assert resumed.remaining == 1
-
-    def test_checkpoint_write_is_atomic_and_fsynced(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path / "sweep.ckpt", ["k1"])
-        checkpoint.mark_done("k1")
-        blob = json.loads((tmp_path / "sweep.ckpt").read_text())
-        assert blob["completed"] is True and blob["done"] == ["k1"]
-        assert not list(tmp_path.glob("*.tmp")), "no temp files left behind"

@@ -183,6 +183,102 @@ class TestStoreReuse:
         assert executor.stats.runs_simulated == 1
         assert first.to_dict() == second.to_dict()
 
+    def test_duplicates_of_a_store_hit_load_once(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = JobSpec(workload="FwSoft", policy=CACHE_R, scale=SCALE, config=TINY)
+        SweepExecutor(store=store).run([job])
+        warm = SweepExecutor(store=store)
+        first, second = warm.run([job, job])
+        assert warm.stats.runs_loaded == 1
+        assert warm.stats.runs_simulated == 0
+        assert first.to_dict() == second.to_dict()
+
+    def test_mixed_hits_and_misses_come_back_in_input_order(self, tmp_path):
+        store = ResultStore(tmp_path)
+        soft = JobSpec(workload="FwSoft", policy=CACHE_R, scale=SCALE, config=TINY)
+        act = JobSpec(workload="FwAct", policy=CACHE_R, scale=SCALE, config=TINY)
+        soft_rw = JobSpec(workload="FwSoft", policy=CACHE_RW, scale=SCALE, config=TINY)
+        (warm_soft,) = SweepExecutor(store=store).run([soft])
+        executor = SweepExecutor(store=store)
+        reports = executor.run([act, soft, soft_rw])
+        assert executor.stats.runs_loaded == 1 and executor.stats.runs_simulated == 2
+        assert [(r.workload, r.policy) for r in reports] == [
+            ("FwAct", CACHE_R.name),
+            ("FwSoft", CACHE_R.name),
+            ("FwSoft", CACHE_RW.name),
+        ]
+        assert reports[1].to_dict() == warm_soft.to_dict()
+
+    def test_executor_without_store_simulates_every_run(self):
+        executor = SweepExecutor()
+        job = JobSpec(workload="FwSoft", policy=CACHE_R, scale=SCALE, config=TINY)
+        (first,) = executor.run([job])
+        (second,) = executor.run([job])
+        assert executor.stats.runs_simulated == 2 and executor.stats.runs_loaded == 0
+        assert first.to_dict() == second.to_dict()
+
+    def test_simulated_cells_are_stored_with_their_job_summary(self, tmp_path):
+        import json
+
+        job = JobSpec(workload="FwSoft", policy=CACHE_R, scale=SCALE, config=TINY)
+        (report,) = SweepExecutor(store=ResultStore(tmp_path)).run([job])
+        blob = json.loads((tmp_path / f"{job.fingerprint()}.json").read_text(encoding="utf-8"))
+        assert blob["key"] == job.fingerprint()
+        assert blob["job"] == job.summary()
+        assert blob["report"] == report.to_dict()
+
+    def test_run_one_is_a_batch_of_one(self, tmp_path):
+        job = JobSpec(workload="FwSoft", policy=CACHE_R, scale=SCALE, config=TINY)
+        executor = SweepExecutor(store=ResultStore(tmp_path))
+        single = executor.run_one(job)
+        (batched,) = SweepExecutor(store=ResultStore(tmp_path / "other")).run([job])
+        assert single.to_dict() == batched.to_dict()
+        assert executor.stats.runs_simulated == 1 and executor.stats.batches == 1
+
+
+class TestExecutorStats:
+    @staticmethod
+    def _job() -> JobSpec:
+        return JobSpec(workload="FwSoft", policy=CACHE_R, scale=SCALE, config=TINY)
+
+    def test_cold_batch_is_timed(self):
+        executor = SweepExecutor()
+        executor.run([self._job()])
+        stats = executor.stats
+        assert stats.total == 1
+        assert stats.batches == 1 and stats.jobs_timed == 1
+        assert stats.job_seconds > 0.0
+        assert stats.max_job_seconds == stats.job_seconds == stats.mean_job_seconds
+        assert stats.batch_seconds >= stats.job_seconds
+        assert stats.retry_attempts == 0
+
+    def test_store_only_sweep_dispatches_no_batch(self, tmp_path):
+        store = ResultStore(tmp_path)
+        SweepExecutor(store=store).run([self._job()])
+        warm = SweepExecutor(store=store)
+        warm.run([self._job()])
+        stats = warm.stats
+        assert stats.batches == 0 and stats.batch_seconds == 0.0
+        assert stats.jobs_timed == 0 and stats.mean_job_seconds == 0.0
+        assert stats.worker_utilization() == 0.0
+        assert stats.telemetry()["store_hit_rate"] == 1.0
+
+    def test_worker_utilization_of_a_serial_batch_is_a_fraction(self):
+        executor = SweepExecutor()
+        executor.run([self._job()])
+        one = executor.stats.worker_utilization(1)
+        assert 0.0 < one <= 1.0
+        assert executor.stats.worker_utilization(4) == pytest.approx(one / 4)
+
+    def test_worker_utilization_rejects_nonpositive_workers(self):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            SweepExecutor().stats.worker_utilization(0)
+
+    def test_record_sweep_without_a_ledger_records_nothing(self):
+        executor = SweepExecutor()
+        executor.run([self._job()])
+        assert executor.record_sweep() is None
+
 
 class TestRunnerMemo:
     def test_memo_absorbs_repeats_without_touching_executor(self):

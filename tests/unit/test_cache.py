@@ -11,6 +11,7 @@ from repro.core.dirty_block_index import DirtyBlockIndex
 from repro.core.reuse_predictor import PredictorConfig, ReusePredictor
 from repro.engine import Simulator
 from repro.memory.cache import BYPASS_LATENCY, Cache, LineState
+from repro.memory.replacement import INVALID, PENDING, LruReplacement
 from repro.memory.request import AccessType, MemoryRequest
 from repro.stats import StatsCollector
 
@@ -134,6 +135,26 @@ class TestEvictionAndCapacity:
         contents = cache.contents()
         assert 0 not in contents  # line 0 was least recently used
         assert 4 * 64 in contents
+
+    def test_replacement_swapped_before_first_access_picks_the_victims(self, sim, stats):
+        class MostRecentlyUsed(LruReplacement):
+            def victim(self, set_index):
+                stamps = self._stamps[set_index]
+                if INVALID in stamps:
+                    return stamps.index(INVALID)
+                settled = [stamp for stamp in stamps if stamp != PENDING]
+                return stamps.index(max(settled)) if settled else None
+
+        config = small_config(size_bytes=4 * 64, assoc=4)  # one set, four ways
+        cache, backend = build_cache(sim, stats, config=config)
+        assert type(cache.replacement) is LruReplacement
+        cache.replacement = MostRecentlyUsed(config.num_sets, config.assoc)
+        for i in range(5):
+            run_access(sim, cache, load(i * 64))
+            sim.run()
+        contents = cache.contents()
+        assert 3 * 64 not in contents  # the swapped policy evicts the newest line
+        assert {0, 64, 128, 4 * 64} <= set(contents)
 
     def test_dirty_eviction_writes_back(self, sim, stats):
         config = small_config(size_bytes=4 * 64, assoc=4, writeback=True)

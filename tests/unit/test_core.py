@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.advisor import PolicyAdvisor, WorkloadProfile, static_best_policy, static_worst_policy
-from repro.core.allocation_bypass import AllocationBypassSpec
 from repro.core.classification import PAPER_CATEGORIES, WorkloadCategory, classify
 from repro.core.dirty_block_index import DirtyBlockIndex
 from repro.core.policies import (
@@ -63,16 +62,6 @@ class TestPolicySpecs:
     def test_all_policies_have_unique_names(self):
         names = [p.name for p in ALL_POLICIES]
         assert len(names) == len(set(names))
-
-
-class TestAllocationBypassSpec:
-    def test_disabled_spec(self):
-        spec = AllocationBypassSpec.disabled()
-        assert not spec.enabled and not spec.apply_to_loads
-
-    def test_negative_retry_budget_rejected(self):
-        with pytest.raises(ValueError):
-            AllocationBypassSpec(retry_budget=-1)
 
 
 class TestDirtyBlockIndex:

@@ -63,9 +63,6 @@ class TestScheduling:
 
 
 class TestExecution:
-    def test_step_returns_false_when_empty(self):
-        assert EventQueue().step() is False
-
     def test_events_scheduled_during_execution_run(self):
         queue = EventQueue()
         order = []
@@ -100,6 +97,36 @@ class TestExecution:
         queue.run(max_events=25)
         assert queue.executed == 25
 
+    def test_run_on_an_empty_queue_executes_nothing(self):
+        queue = EventQueue()
+        assert queue.run() == 0
+        assert queue.executed == 0 and queue.now == 0
+
+    def test_run_until_with_events_left_stops_at_until(self):
+        queue = EventQueue()
+        queue.schedule(50, lambda: None)
+        assert queue.run(until=10) == 10
+        assert queue.now == 10 and queue.executed == 0
+        assert queue.pending == 1
+
+    def test_max_events_zero_executes_nothing(self):
+        queue = EventQueue()
+        fired = []
+        queue.schedule(1, lambda: fired.append(1))
+        queue.run(max_events=0)
+        assert fired == [] and queue.executed == 0
+        assert queue.pending == 1
+
+    def test_max_events_counts_from_the_events_already_run(self):
+        queue = EventQueue()
+        fired = []
+        for tick in range(1, 8):
+            queue.schedule(tick, lambda tick=tick: fired.append(tick))
+        queue.run(max_events=3)
+        queue.run(max_events=3)
+        assert fired == [1, 2, 3, 4, 5, 6]
+        assert queue.executed == 6 and queue.pending == 1
+
 
 class TestCycleBuckets:
     """Events of one cycle share a bucket; the firing order must still be
@@ -132,16 +159,6 @@ class TestCycleBuckets:
         queue.run()
         assert order == list("abcdef")
         assert queue.pending == 0
-
-    def test_step_and_run_interleave(self):
-        queue = EventQueue()
-        order = []
-        for label, time in (("a", 1), ("b", 1), ("c", 2)):
-            queue.schedule(time, lambda label=label: order.append(label))
-        assert queue.step() is True
-        assert order == ["a"] and queue.pending == 2
-        queue.run()
-        assert order == ["a", "b", "c"]
 
     def test_raising_callback_consumes_its_event(self):
         queue = EventQueue()
@@ -224,10 +241,9 @@ class TestBucketMap:
         with pytest.raises(ValueError, match="current time is 0"):
             queue.at[-1]
         queue.schedule_at(5, lambda: None)
-        queue.step()  # now = 5 with bucket 5 still live (drained lazily)
+        queue.run(max_events=1)
         with pytest.raises(ValueError, match="current time is 5"):
             queue.at[4]
-        assert list(queue.at) == [5]
 
     def test_past_time_raises_after_run(self):
         queue = EventQueue()

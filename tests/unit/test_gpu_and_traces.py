@@ -1,11 +1,10 @@
-"""Tests for the coalescer, LDS filter, trace data model and tensors."""
+"""Tests for the coalescer, trace data model and tensors."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.gpu.coalescer import coalesce_addresses, coalesced_lines_for_stride, strided_lane_addresses
-from repro.gpu.lds import LdsFilter
 from repro.memory.request import AccessType
 from repro.workloads.tensor import AddressSpace, Tensor
 from repro.workloads.trace import (
@@ -46,35 +45,6 @@ class TestCoalescer:
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             coalesce_addresses([-4])
-
-
-class TestLdsFilter:
-    def test_first_touch_misses_then_hits(self):
-        lds = LdsFilter(capacity_bytes=1024)
-        assert lds.access(0) is False
-        assert lds.access(16) is True  # same line staged
-        assert lds.hits == 1 and lds.misses == 1
-
-    def test_capacity_eviction_is_fifo(self):
-        lds = LdsFilter(capacity_bytes=2 * 64)
-        lds.access(0)
-        lds.access(64)
-        lds.access(128)  # evicts line 0
-        assert lds.access(0) is False
-
-    def test_reset_forgets_everything(self):
-        lds = LdsFilter(capacity_bytes=1024)
-        lds.access(0)
-        lds.reset()
-        assert lds.access(0) is False
-        assert lds.staged_lines == 1
-
-    def test_hit_rate(self):
-        lds = LdsFilter(capacity_bytes=1024)
-        lds.access(0)
-        lds.access(0)
-        lds.access(0)
-        assert lds.hit_rate == pytest.approx(2 / 3)
 
 
 class TestTensorAndAddressSpace:

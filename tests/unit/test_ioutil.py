@@ -1,6 +1,6 @@
 """Unit tests for the durable JSON writers in :mod:`repro.ioutil`.
 
-The result store, sweep checkpoints, CLI artifacts and the run ledger all
+The result store, CLI artifacts and the run ledger all
 persist through these three functions, so their guarantees are pinned
 here directly: the exact bytes each form writes, that a failed write
 leaves the previous file and no temp debris behind, and that the JSONL
