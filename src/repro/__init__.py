@@ -65,7 +65,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.core.policy_engine": ("PolicyEngine",),
         "repro.core.dirty_block_index": ("DirtyBlockIndex",),
         "repro.core.reuse_predictor": ("ReusePredictor",),
-        "repro.core.advisor": ("PolicyAdvisor",),
         "repro.core.classification": ("WorkloadCategory", "classify"),
         # online adaptive policy selection
         "repro.adaptive.config": ("AdaptiveConfig",),

@@ -1,10 +1,10 @@
 """Online adaptive cache-policy selection.
 
 The paper's conclusion calls for "smart and adaptive cache policies" for MI
-workloads; the offline :class:`~repro.core.advisor.PolicyAdvisor` already
-recommends a static policy from pre-measured profiles.  This package closes
-the loop *at runtime*: a simulation can start with no knowledge of the
-workload and converge on the right caching policy while it executes.
+workloads.  A static sweep finds each workload's best policy by running them
+all (:meth:`~repro.stats.comparison.PolicyComparison.static_best`); this
+package finds it *at runtime*: a simulation can start with no knowledge of
+the workload and converge on the right caching policy while it executes.
 
 Three cooperating components implement the mechanism:
 

@@ -49,9 +49,6 @@ class GpuConfig:
         issue_width: instructions a CU may issue per cycle across its SIMDs.
         max_outstanding_mem_per_wave: memory instructions a single wavefront
             may have in flight before it must stall waiting for responses.
-        lds_bytes: local data share capacity per CU.  No model reads it:
-            the workload generators emit traffic with LDS reuse already
-            removed.  It stays a field so existing store keys hold.
         kernel_launch_cycles: fixed host-side cost of launching one kernel;
             visible mainly in the many-kernel RNN and Composed Model
             workloads.
@@ -64,7 +61,6 @@ class GpuConfig:
     max_waves_per_simd: int = 10
     issue_width: int = 1
     max_outstanding_mem_per_wave: int = 4
-    lds_bytes: int = 64 * 1024
     kernel_launch_cycles: int = 300
 
     @property

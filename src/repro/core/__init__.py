@@ -12,8 +12,6 @@
   policy with the optimizations.
 * :mod:`repro.core.classification` -- the memory-insensitive /
   reuse-sensitive / throughput-sensitive workload classifier (section VI.A).
-* :mod:`repro.core.advisor` -- static-best/static-worst selection and a
-  simple adaptive policy advisor.
 """
 
 from repro._exports import lazy_exports
@@ -37,10 +35,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.core.reuse_predictor": ("ReusePredictor",),
         "repro.core.policy_engine": ("PolicyEngine",),
         "repro.core.classification": ("WorkloadCategory", "classify"),
-        "repro.core.advisor": (
-            "PolicyAdvisor",
-            "static_best_policy",
-            "static_worst_policy",
-        ),
     },
 )

@@ -207,9 +207,6 @@ class JobSpec:
                 "policy": self.policy,
                 "config": self.config,
                 "predictor_config": self.predictor_config,
-                # retired dirty-block-index bound: held constant so no
-                # store key moves
-                "dbi_max_rows": None,
                 "adaptive": self.adaptive,
                 "topology": None if self.topology is None else self.topology.describe(),
                 "streams": (
@@ -217,8 +214,6 @@ class JobSpec:
                     if self.streams is None
                     else [stream.describe() for stream in self.streams]
                 ),
-                # retired fault axis: held constant so no store key moves
-                "faults": None,
                 "sampling": None if self.sampling is None else self.sampling.describe(),
                 "shards": None if self.shards is None else self.shards.describe(),
             },

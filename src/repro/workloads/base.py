@@ -3,9 +3,7 @@
 A :class:`Workload` is a generator of synthetic traces for one of the MI
 benchmarks in the paper's Table 2.  It carries the paper's metadata (suite,
 input configuration, kernel counts, GPU footprint) alongside the scaled
-parameters actually used for trace generation, and can describe itself as a
-:class:`~repro.core.advisor.WorkloadProfile` for the adaptive-policy
-advisor example.
+parameters actually used for trace generation.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import abc
 import math
 from dataclasses import dataclass
 
-from repro.core.advisor import WorkloadProfile
 from repro.core.classification import WorkloadCategory
 from repro.workloads.trace import WorkloadTrace
 
@@ -77,10 +74,6 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def build_trace(self) -> WorkloadTrace:
         """Generate the workload's kernel traces."""
-
-    @abc.abstractmethod
-    def profile(self) -> WorkloadProfile:
-        """Rough characteristics used by the adaptive policy advisor."""
 
     # ------------------------------------------------------------------
     def scaled(self, value: int, minimum: int = 1) -> int:

@@ -11,7 +11,6 @@ the paper's moderately reuse-sensitive class.
 
 from __future__ import annotations
 
-from repro.core.advisor import WorkloadProfile
 from repro.core.classification import WorkloadCategory
 from repro.workloads.base import Workload, WorkloadMetadata
 from repro.workloads.layers.gemm import gemm_kernel
@@ -76,16 +75,6 @@ class Sgemm(Workload):
         )
         return trace
 
-    def profile(self) -> WorkloadProfile:
-        bytes_touched = (self.m * self.k + self.n * self.k + self.m * self.n) * 4
-        flops = 2 * self.m * self.n * self.k
-        return WorkloadProfile(
-            arithmetic_intensity=flops / bytes_touched,
-            load_reuse_fraction=0.7,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=bytes_touched,
-        )
-
 
 class Dgemm(Workload):
     """DGEMM: double-precision GEMM, compute bound (half the FP32 rate)."""
@@ -131,16 +120,6 @@ class Dgemm(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        bytes_touched = (self.m * self.k + self.n * self.k + self.m * self.n) * 8
-        flops = 2 * self.m * self.n * self.k
-        return WorkloadProfile(
-            arithmetic_intensity=flops / bytes_touched,
-            load_reuse_fraction=0.7,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=bytes_touched,
-        )
 
 
 class RnnForward(Workload):
@@ -224,15 +203,6 @@ class RnnForward(Workload):
             trace.add_kernel(pointwise)
         return trace
 
-    def profile(self) -> WorkloadProfile:
-        weight_bytes = self.num_gates * self.hidden * 2 * self.hidden * 4
-        return WorkloadProfile(
-            arithmetic_intensity=2.0,
-            load_reuse_fraction=0.15,
-            store_coalescing_fraction=0.05,
-            footprint_bytes=weight_bytes + 6 * self.hidden * 4,
-        )
-
 
 class RnnForwardBackward(RnnForward):
     """FwBwLSTM / FwBwGRU: RNN training -- adds backward kernels per timestep."""
@@ -289,12 +259,3 @@ class RnnForwardBackward(RnnForward):
         for _timestep in range(self.sequence_length):
             trace.add_kernel(backward)
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        base = super().profile()
-        return WorkloadProfile(
-            arithmetic_intensity=base.arithmetic_intensity,
-            load_reuse_fraction=0.25,
-            store_coalescing_fraction=0.35,
-            footprint_bytes=base.footprint_bytes * 2,
-        )

@@ -8,7 +8,6 @@ documents the substitution and the scaling.
 
 from __future__ import annotations
 
-from repro.core.advisor import WorkloadProfile
 from repro.core.classification import WorkloadCategory
 from repro.workloads.base import Workload, WorkloadMetadata
 from repro.workloads.layers.elementwise import elementwise_kernel
@@ -74,14 +73,6 @@ class ForwardActivation(Workload):
         )
         return trace
 
-    def profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            arithmetic_intensity=0.25,
-            load_reuse_fraction=0.0,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=self.scaled(144 * 1024) * 8,
-        )
-
 
 class BackwardActivation(Workload):
     """BwAct: backward ReLU -- two streaming reads, one streaming write."""
@@ -117,14 +108,6 @@ class BackwardActivation(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            arithmetic_intensity=0.2,
-            load_reuse_fraction=0.0,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=self.scaled(96 * 1024) * 12,
-        )
 
 
 class ForwardLrn(Workload):
@@ -163,14 +146,6 @@ class ForwardLrn(Workload):
         )
         return trace
 
-    def profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            arithmetic_intensity=0.4,
-            load_reuse_fraction=0.0,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=self.scaled(80 * 1024) * 12,
-        )
-
 
 class ForwardBatchNorm(Workload):
     """FwBN: forward batch normalization -- intra-kernel re-read of the input."""
@@ -208,14 +183,6 @@ class ForwardBatchNorm(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            arithmetic_intensity=0.8,
-            load_reuse_fraction=0.5,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=self.scaled(80 * 1024) * 8,
-        )
 
 
 class BackwardBatchNorm(Workload):
@@ -259,14 +226,6 @@ class BackwardBatchNorm(Workload):
         )
         return trace
 
-    def profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            arithmetic_intensity=1.0,
-            load_reuse_fraction=0.5,
-            store_coalescing_fraction=0.6,
-            footprint_bytes=self.scaled(40 * 1024) * 12,
-        )
-
 
 class ForwardPooling(Workload):
     """FwPool: 3x3/stride-2 max pooling -- window reuse between nearby rows."""
@@ -303,15 +262,6 @@ class ForwardPooling(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        side = self.scaled(256, minimum=16)
-        return WorkloadProfile(
-            arithmetic_intensity=0.5,
-            load_reuse_fraction=0.3,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=side * side * 5,
-        )
 
 
 class BackwardPooling(Workload):
@@ -352,15 +302,6 @@ class BackwardPooling(Workload):
         )
         return trace
 
-    def profile(self) -> WorkloadProfile:
-        side = self.scaled(256, minimum=16)
-        return WorkloadProfile(
-            arithmetic_intensity=0.4,
-            load_reuse_fraction=0.2,
-            store_coalescing_fraction=0.5,
-            footprint_bytes=side * side * 6,
-        )
-
 
 class ForwardSoftmax(Workload):
     """FwSoft: small-footprint classifier output layer with three read passes."""
@@ -394,14 +335,6 @@ class ForwardSoftmax(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            arithmetic_intensity=1.0,
-            load_reuse_fraction=0.66,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=self.scaled(32 * 1024) * 8,
-        )
 
 
 class BackwardSoftmax(Workload):
@@ -438,14 +371,6 @@ class BackwardSoftmax(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            arithmetic_intensity=1.0,
-            load_reuse_fraction=0.5,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=self.scaled(24 * 1024) * 12,
-        )
 
 
 class ForwardFullyConnected(Workload):
@@ -491,15 +416,6 @@ class ForwardFullyConnected(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        weight_bytes = self.out_features * self.in_features * 4
-        return WorkloadProfile(
-            arithmetic_intensity=4.0,
-            load_reuse_fraction=0.6,
-            store_coalescing_fraction=0.0,
-            footprint_bytes=weight_bytes + self.batch * (self.in_features + self.out_features) * 4,
-        )
 
 
 class ComposedModel(Workload):
@@ -599,11 +515,3 @@ class ComposedModel(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            arithmetic_intensity=12.0,
-            load_reuse_fraction=0.4,
-            store_coalescing_fraction=0.1,
-            footprint_bytes=12 * 1024 * 1024 // 64,
-        )

@@ -12,7 +12,6 @@ short-reuse-distance softmax passes, streaming probability matrices).
 
 from __future__ import annotations
 
-from repro.core.advisor import WorkloadProfile
 from repro.core.classification import WorkloadCategory
 from repro.workloads.base import Workload, WorkloadMetadata
 from repro.workloads.layers.attention import (
@@ -129,18 +128,3 @@ class MultiHeadAttention(Workload):
             )
         )
         return trace
-
-    def profile(self) -> WorkloadProfile:
-        seq, model_dim = self.seq, self.model_dim
-        # MACs: QK^T and PV are seq^2 * model_dim each; projection is
-        # seq * model_dim^2; traffic is dominated by the score/prob matrices
-        macs = 2 * seq * seq * model_dim + seq * model_dim * model_dim
-        footprint = (
-            4 * seq * model_dim + 2 * self.num_heads * seq * seq + model_dim * model_dim
-        ) * 4
-        return WorkloadProfile(
-            arithmetic_intensity=macs / max(footprint, 1),
-            load_reuse_fraction=0.45,
-            store_coalescing_fraction=0.25,
-            footprint_bytes=footprint,
-        )

@@ -22,7 +22,6 @@ EXAMPLES_DIR = REPO_ROOT / "examples"
 #: script name -> tiny-scale argv (keeps each run to a few seconds)
 EXAMPLES = {
     "quickstart.py": ["FwFc", "0.05"],
-    "policy_advisor.py": ["0.05"],
     "streaming_inference_study.py": ["0.05"],
     "rnn_translation_sweep.py": ["0.05"],
 }

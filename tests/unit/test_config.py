@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -13,6 +15,25 @@ from repro.config import (
     paper_config,
     scaled_config,
 )
+from repro.session import SimulationSession
+from repro.workloads.registry import get_workload
+
+#: one changed value per GpuConfig field; each moves the small run below
+GPU_FIELD_CHANGES = {
+    "clock_ghz": 3.2,
+    "num_cus": 1,
+    "simd_per_cu": 2,
+    "wavefront_size": 32,
+    "max_waves_per_simd": 1,
+    "issue_width": 2,
+    "max_outstanding_mem_per_wave": 2,
+    "kernel_launch_cycles": 600,
+}
+
+
+def run_fwact(config: SystemConfig) -> dict[str, object]:
+    session = SimulationSession(policy="CacheRW", config=config)
+    return session.run(get_workload("FwAct", scale=0.1)).to_dict()
 
 
 class TestGpuConfig:
@@ -27,6 +48,25 @@ class TestGpuConfig:
     def test_max_waves_per_cu(self):
         gpu = GpuConfig(simd_per_cu=4, max_waves_per_simd=10)
         assert gpu.max_waves_per_cu == 40
+
+
+class TestGpuFieldsAreRead:
+    """Every GpuConfig field reaches the simulated result.
+
+    A field no model reads still splits store keys and changes no result.
+    """
+
+    def test_every_field_has_a_changed_value(self):
+        assert set(GPU_FIELD_CHANGES) == {field.name for field in dataclasses.fields(GpuConfig)}
+
+    @pytest.mark.parametrize("name", sorted(GPU_FIELD_CHANGES))
+    def test_changing_the_field_changes_the_report(self, name):
+        base = scaled_config(2)
+        changed = dataclasses.replace(
+            base, gpu=dataclasses.replace(base.gpu, **{name: GPU_FIELD_CHANGES[name]})
+        )
+        assert getattr(changed.gpu, name) != getattr(base.gpu, name)
+        assert run_fwact(changed) != run_fwact(base)
 
 
 class TestCacheConfig:

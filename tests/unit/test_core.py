@@ -1,11 +1,10 @@
-"""Tests for the core policy machinery: policies, DBI, predictor, engine,
-classification and the advisor."""
+"""Tests for the core policy machinery: policies, DBI, predictor, engine
+and classification."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.advisor import PolicyAdvisor, WorkloadProfile, static_best_policy, static_worst_policy
 from repro.core.classification import PAPER_CATEGORIES, WorkloadCategory, classify
 from repro.core.dirty_block_index import DirtyBlockIndex
 from repro.core.policies import (
@@ -242,44 +241,3 @@ class TestClassification:
         assert PAPER_CATEGORIES["SGEMM"] is WorkloadCategory.MEMORY_INSENSITIVE
         assert PAPER_CATEGORIES["FwFc"] is WorkloadCategory.REUSE_SENSITIVE
         assert PAPER_CATEGORIES["MHA"] is WorkloadCategory.REUSE_SENSITIVE
-
-
-class TestAdvisor:
-    def test_static_best_and_worst(self):
-        times = {"Uncached": 10.0, "CacheR": 8.0, "CacheRW": 12.0}
-        assert static_best_policy(times) == "CacheR"
-        assert static_worst_policy(times) == "CacheRW"
-
-    def test_empty_results_rejected(self):
-        with pytest.raises(ValueError):
-            static_best_policy({})
-
-    def test_compute_bound_profile_gets_cache_r(self):
-        advisor = PolicyAdvisor()
-        profile = WorkloadProfile(20.0, 0.7, 0.0, 1 << 20)
-        assert advisor.recommend(profile) is CACHE_R
-        assert advisor.expected_category(profile) is WorkloadCategory.MEMORY_INSENSITIVE
-
-    def test_streaming_profile_gets_uncached(self):
-        advisor = PolicyAdvisor()
-        profile = WorkloadProfile(0.3, 0.02, 0.0, 1 << 30)
-        assert advisor.recommend(profile) is UNCACHED
-        assert advisor.expected_category(profile) is WorkloadCategory.THROUGHPUT_SENSITIVE
-
-    def test_write_coalescing_profile_gets_cache_rw(self):
-        advisor = PolicyAdvisor()
-        profile = WorkloadProfile(1.0, 0.5, 0.5, 1 << 22)
-        assert advisor.recommend(profile) is CACHE_RW
-
-    def test_read_reuse_profile_gets_cache_r(self):
-        advisor = PolicyAdvisor()
-        profile = WorkloadProfile(1.0, 0.5, 0.05, 1 << 22)
-        assert advisor.recommend(profile) is CACHE_R
-
-    def test_profile_validation(self):
-        with pytest.raises(ValueError):
-            WorkloadProfile(1.0, 1.5, 0.0, 0)
-        with pytest.raises(ValueError):
-            WorkloadProfile(1.0, 0.5, -0.1, 0)
-        with pytest.raises(ValueError):
-            WorkloadProfile(1.0, 0.5, 0.1, -5)

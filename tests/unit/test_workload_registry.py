@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.advisor import WorkloadProfile
 from repro.core.classification import PAPER_CATEGORIES
 from repro.workloads.base import Workload
 from repro.workloads.registry import (
@@ -74,9 +73,17 @@ class TestWorkloadMetadata:
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_profile_is_valid(self, name):
-        profile = get_workload(name, scale=TEST_SCALE).profile()
-        assert isinstance(profile, WorkloadProfile)
-        assert profile.arithmetic_intensity > 0
+        # the profile is measured from the generated trace, not typed in
+        trace = get_workload(name, scale=TEST_SCALE).build_trace()
+        profile = trace.summary()
+        assert profile["name"] == name
+        assert 1 <= profile["unique_kernels"] <= profile["kernels"] <= profile["wavefronts"]
+        assert profile["vector_ops"] > 0
+        loads = sum(kernel.load_lines for kernel in trace.kernels)
+        stores = sum(kernel.store_lines for kernel in trace.kernels)
+        assert loads + stores == profile["line_requests"] > 0
+        assert 0 < profile["footprint_bytes"] <= 64 * profile["line_requests"]
+        assert profile["footprint_bytes"] % 64 == 0
 
     def test_metadata_table_has_one_row_per_workload(self):
         rows = workload_metadata_table(scale=TEST_SCALE)
