@@ -22,7 +22,6 @@ exact baselines keep their warm result-store cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["SamplingConfig", "ShardConfig"]
 
@@ -106,14 +105,10 @@ class ShardConfig:
             serving streams; 1 is exact mode and fingerprints as ``None``.
         axis: ``"streams"`` or ``"auto"``, which mean the same: the
             serving streams are the only seam a run is sharded along.
-        timeout_seconds: wall-clock seconds the shards may run without
-            any of them finishing (the sweep backend's batch timeout);
-            ``None`` waits forever.
     """
 
     num_shards: int = 1
     axis: str = "auto"
-    timeout_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -125,10 +120,6 @@ class ShardConfig:
             )
         if self.axis not in SHARD_AXES:
             raise ValueError(f"axis must be one of {SHARD_AXES}, got {self.axis!r}")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError(
-                f"timeout_seconds must be positive, got {self.timeout_seconds}"
-            )
 
     @property
     def empty(self) -> bool:
@@ -138,8 +129,7 @@ class ShardConfig:
     def describe(self) -> dict[str, object]:
         """Stable description for fingerprinting.
 
-        ``axis`` has a single meaning and ``timeout_seconds`` is a
-        host-side execution knob; neither can change simulated results,
-        so both stay out of the identity.
+        ``axis`` has a single meaning, so it cannot change simulated
+        results and stays out of the identity.
         """
         return {"num_shards": self.num_shards}

@@ -12,9 +12,9 @@ Nothing crosses a shard boundary while the shards run, so each shard is
 an ordinary, unsharded copy of the run's :class:`~repro.spec.JobSpec`
 executed to completion on the sweep backend
 (:class:`~repro.experiments.jobs.ProcessPoolBackend`, one worker per
-shard).  The backend's lifecycle contract carries over unchanged:
-timeouts, no worker left running once the run returns or fails, and
-structured :class:`~repro.experiments.jobs.JobFailure` records on a
+shard).  The backend's lifecycle contract carries over unchanged: no
+worker left running once the run returns or fails, and structured
+:class:`~repro.experiments.jobs.JobFailure` records on a
 :class:`ShardExecutionError`.  :func:`_merge_reports` then folds the
 per-shard reports into one.
 
@@ -43,7 +43,7 @@ _STREAM_PREFIX = "stream"
 
 
 class ShardExecutionError(RuntimeError):
-    """A shard failed (crash, timeout, error) during a sharded run.
+    """A shard failed (crash or error) during a sharded run.
 
     Carries structured :class:`~repro.experiments.jobs.JobFailure`
     records on :attr:`failures`, one per shard that could not complete --
@@ -186,9 +186,7 @@ def run_sharded(job: JobSpec) -> RunReport:
     if job.shards is None:
         raise ValueError("run_sharded needs a JobSpec with shards (num_shards > 1)")
     jobs, assignment = _stream_tasks(job)
-    backend = ProcessPoolBackend(
-        max_workers=len(jobs), timeout=job.shards.timeout_seconds
-    )
+    backend = ProcessPoolBackend(max_workers=len(jobs))
     try:
         reports = backend.run_jobs(jobs)
     except Exception as exc:

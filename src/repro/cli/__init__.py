@@ -23,9 +23,7 @@ simulations out across ``N`` worker processes, and ``--cache-dir`` points
 sweeps at a persistent result store so repeated invocations never
 re-simulate a finished grid cell (``sweep-all`` and the studies default to
 the conventional ``~/.cache/repro-gpu-cache`` store; pass ``--no-cache``
-to opt out).  ``--log-level``/``--log-file``/``--log-json`` enable
-run-scoped structured logging (executor retries); logging
-is off by default and changes no results.
+to opt out).
 """
 
 from __future__ import annotations
@@ -127,16 +125,6 @@ _EXECUTOR_FLAGS: tuple[tuple[str, object, dict[str, object]], ...] = (
     ("--jobs", 1, dict(
         type=int, metavar="N", help="worker processes for sweeps (default: 1, serial)",
     )),
-    ("--job-timeout", None, dict(
-        type=float, metavar="SECS",
-        help="with --jobs > 1, abandon a batch's stragglers after SECS "
-        "seconds (default: no timeout)",
-    )),
-    ("--job-retries", 0, dict(
-        type=int, metavar="N",
-        help="with --jobs > 1, retry dead or hung jobs N times on a "
-        "fresh pool (default: 0)",
-    )),
     ("--cache-dir", None, dict(
         metavar="DIR",
         help="persistent result store directory (default: none for run, "
@@ -146,7 +134,7 @@ _EXECUTOR_FLAGS: tuple[tuple[str, object, dict[str, object]], ...] = (
     ("--telemetry-out", None, dict(
         metavar="FILE",
         help="write executor telemetry (per-job wall times, worker "
-        "utilization, store hits, retries) as JSON",
+        "utilization, store hits) as JSON",
     )),
     ("--ledger", None, dict(
         metavar="FILE",
@@ -207,19 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
     parser.add_argument("--cus", type=int, default=None, help="number of compute units")
     add_executor_options(parser, top_level=True)
-    parser.add_argument(
-        "--log-level", default=None, choices=["debug", "info", "warning", "error"],
-        help="enable run-scoped structured logging at this severity "
-        "(default: logging off; results are identical either way)",
-    )
-    parser.add_argument(
-        "--log-file", default=None, metavar="FILE",
-        help="append structured log lines to FILE (implies --log-level info)",
-    )
-    parser.add_argument(
-        "--log-json", action="store_true",
-        help="structured log lines as JSON objects, one per line",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
     for name, command in COMMANDS.items():
         subparsers.add_parser(name, help=command.help, command=name)
@@ -266,8 +241,6 @@ def make_runner(
         workload_names=workload_names,
         jobs=args.jobs,
         cache_dir=store_dir(args, default_to_conventional=default_store),
-        job_timeout=args.job_timeout,
-        job_retries=args.job_retries,
         ledger_path=args.ledger,
     )
 
@@ -332,19 +305,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--cus must be at least 1, got {args.cus}")
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        parser.error(f"--job-timeout must be positive, got {args.job_timeout}")
-    if args.job_retries < 0:
-        parser.error(f"--job-retries must be >= 0, got {args.job_retries}")
     interval = getattr(args, "metrics_interval", None)
     if interval is not None and interval < 0:
         parser.error(f"--metrics-interval must be non-negative, got {interval}")
-    if args.log_level or args.log_file or args.log_json:
-        # structured logging is an observer: it never touches results, so
-        # enabling it here is safe for every subcommand
-        from repro.log import configure
-
-        configure(level=args.log_level or "info", path=args.log_file, json_lines=args.log_json)
     command = COMMANDS[args.command]
     try:
         return _function(command.module, command.handler)(args)

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
 
 from repro.experiments.store import ResultStore
-from repro.log import get_logger
 from repro.spec import JobSpec
 from repro.stats.report import RunReport
 
@@ -45,10 +44,6 @@ __all__ = [
     "SweepExecutor",
     "execute_job",
 ]
-
-#: run-scoped structured logger (silent unless repro.log.configure ran)
-_log = get_logger("executor")
-
 
 def execute_job(job: JobSpec) -> RunReport:
     """Simulate one job to completion (the unit of work for all backends).
@@ -84,11 +79,10 @@ ResultCallback = Callable[[int, RunReport], None]
 class JobFailure:
     """Structured record of one job that a backend could not complete.
 
-    Backends keep the batch draining when a worker dies, times out or
-    raises; every job still unfinished after the final retry becomes one
-    of these on ``backend.failures`` (and, via the executor, on
-    ``ExecutorStats.failures``) -- a worker crash is data, not a silent
-    hole in the sweep.
+    Backends keep the batch draining when a job raises or its worker
+    dies; every such job becomes one of these on ``backend.failures``
+    (and, via the executor, on ``ExecutorStats.failures``) -- a worker
+    crash is data, not a silent hole in the sweep.
     """
 
     #: position of the job in the submitted batch
@@ -97,10 +91,8 @@ class JobFailure:
     fingerprint: str
     #: human-readable job inputs (:meth:`JobSpec.summary`)
     job: dict[str, object]
-    #: ``repr`` of the final exception (a TimeoutError for hung jobs)
+    #: ``repr`` of the exception (a BrokenProcessPool for a dead worker)
     error: str
-    #: batch attempts made before giving up (1 = no retries)
-    attempts: int
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -108,7 +100,6 @@ class JobFailure:
             "fingerprint": self.fingerprint,
             "job": dict(self.job),
             "error": self.error,
-            "attempts": self.attempts,
         }
 
 
@@ -127,14 +118,35 @@ class SweepBackend(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _failure(job: JobSpec, index: int, exc: BaseException, attempts: int) -> JobFailure:
+def _failure(job: JobSpec, index: int, exc: BaseException) -> JobFailure:
     return JobFailure(
-        index=index,
-        fingerprint=job.fingerprint(),
-        job=job.summary(),
-        error=repr(exc),
-        attempts=attempts,
+        index=index, fingerprint=job.fingerprint(), job=job.summary(), error=repr(exc)
     )
+
+
+def _run_inline(
+    jobs: Sequence[JobSpec],
+    on_result: Optional[ResultCallback],
+    failures: list[JobFailure],
+    job_seconds: dict[int, float],
+) -> list[RunReport]:
+    """Run ``jobs`` one after another in the calling process.
+
+    A raising job stops the batch once its failure is on ``failures``.
+    """
+    reports = []
+    for index, job in enumerate(jobs):
+        started = time.perf_counter()
+        try:
+            report = execute_job(job)
+        except BaseException as exc:
+            failures.append(_failure(job, index, exc))
+            raise
+        job_seconds[index] = time.perf_counter() - started
+        if on_result is not None:
+            on_result(index, report)
+        reports.append(report)
+    return reports
 
 
 class SerialBackend:
@@ -150,27 +162,13 @@ class SerialBackend:
         self.failures: list[JobFailure] = []
         #: per-batch wall seconds of each finished job, by batch index
         self.job_seconds: dict[int, float] = {}
-        #: batch attempts of the last run (serial never retries)
-        self.last_attempts = 1
 
     def run_jobs(
         self, jobs: Sequence[JobSpec], on_result: Optional[ResultCallback] = None
     ) -> list[RunReport]:
         self.failures = []
         self.job_seconds = {}
-        reports = []
-        for index, job in enumerate(jobs):
-            started = time.perf_counter()
-            try:
-                report = execute_job(job)
-            except BaseException as exc:
-                self.failures.append(_failure(job, index, exc, attempts=1))
-                raise
-            self.job_seconds[index] = time.perf_counter() - started
-            if on_result is not None:
-                on_result(index, report)
-            reports.append(report)
-        return reports
+        return _run_inline(jobs, on_result, self.failures, self.job_seconds)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SerialBackend()"
@@ -183,58 +181,31 @@ class ProcessPoolBackend:
         max_workers: worker process count (``None`` lets
             :class:`~concurrent.futures.ProcessPoolExecutor` use one per
             core).
-        timeout: wall-clock seconds the whole batch may go without any job
-            finishing before the remaining jobs are declared hung and the
-            pool abandoned, its workers stopped (``None`` waits forever).
-            Hung jobs are retried like crashed ones.
-        retries: extra whole-pool attempts for jobs that crash, hang or
-            raise.  A worker killed by the OS (OOM, SIGKILL) poisons the
-            entire pool, so each retry starts a fresh pool containing only
-            the still-unfinished jobs.
-        retry_backoff: base seconds slept before retry ``n`` (exponential:
-            ``retry_backoff * 2**(n-1)``); ``0`` retries immediately.
 
-    The pool is created per attempt rather than held open: sweep batches
-    are coarse (each job is a whole simulation), so the fork cost is noise,
-    a short-lived pool cannot leak workers into test runners or the CLI,
-    and a broken pool (dead worker) never contaminates the retry.
+    The pool is created per batch rather than held open: sweep batches
+    are coarse (each job is a whole simulation), so the fork cost is
+    noise, and a short-lived pool cannot leak workers into test runners
+    or the CLI.  A batch of one job runs in-process, as on
+    :class:`SerialBackend`.
 
-    After every batch, jobs that still failed after the final attempt are
-    recorded on :attr:`failures` as :class:`JobFailure` entries; the first
-    error is then re-raised so callers that expect exceptions keep working.
-    Finished jobs were already delivered through ``on_result``, so a sweep
-    with a persistent store loses nothing but the failed cells.
+    A job that raises (or whose worker dies) is recorded on
+    :attr:`failures` as a :class:`JobFailure` while the batch keeps
+    draining, so every finished job still reaches ``on_result`` -- and a
+    sweep with a persistent store loses nothing but the failed cells.
+    The first error is then re-raised.  An exception escaping the drain
+    (an ``on_result`` that raises, Ctrl-C) cancels the jobs not yet
+    started and waits for the running ones: at most ``max_workers``,
+    each bounded by the simulator's event budget.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-        retry_backoff: float = 0.5,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
         self.max_workers = max_workers
-        self.timeout = timeout
-        self.retries = retries
-        self.retry_backoff = retry_backoff
-        #: structured records of jobs unfinished after the final attempt
+        #: structured records of the last batch's failed jobs
         self.failures: list[JobFailure] = []
         #: per-batch worker-side wall seconds of each finished job
         self.job_seconds: dict[int, float] = {}
-        #: pool attempts the last batch needed (1 = no retries)
-        self.last_attempts = 1
-
-    def _sleep_before_retry(self, attempt: int) -> None:
-        if self.retry_backoff > 0:
-            time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
 
     def run_jobs(
         self, jobs: Sequence[JobSpec], on_result: Optional[ResultCallback] = None
@@ -242,164 +213,57 @@ class ProcessPoolBackend:
         jobs = list(jobs)
         self.failures = []
         self.job_seconds = {}
-        self.last_attempts = 1
-        if not jobs:
-            return []
-        if len(jobs) == 1:
-            return self._run_single(jobs[0], on_result)
-        reports: list[Optional[RunReport]] = [None] * len(jobs)
-        pending = list(range(len(jobs)))
-        errors: dict[int, BaseException] = {}
-        attempt = 0
-        while pending:
-            attempt += 1
-            self.last_attempts = attempt
-            if attempt > 1:
-                self._sleep_before_retry(attempt - 1)
-            errors_now = self._run_attempt(
-                jobs, pending, reports, on_result, attempt
-            )
-            errors.update(errors_now)
-            pending = sorted(errors_now)
-            if pending and _log.enabled:
-                _log.warning(
-                    "batch_attempt_failed",
-                    attempt=attempt,
-                    failed=len(pending),
-                    retries_left=max(0, self.retries + 1 - attempt),
-                    first_error=repr(errors[pending[0]]),
-                )
-            if attempt >= self.retries + 1:
-                break
-        if pending:
-            for index in pending:
-                self.failures.append(
-                    _failure(jobs[index], index, errors[index], attempts=attempt)
-                )
-            _log.error(
-                "jobs_failed",
-                count=len(pending),
-                attempts=attempt,
-                error=repr(errors[pending[0]]),
-            )
-            raise errors[pending[0]]
-        assert all(report is not None for report in reports)
-        return reports  # type: ignore[return-value]
-
-    def _run_single(
-        self, job: JobSpec, on_result: Optional[ResultCallback]
-    ) -> list[RunReport]:
-        # a pool fork for a single job is pure overhead: run in-process,
-        # still honouring the retry budget (timeouts need a pool; a single
-        # in-process job cannot be interrupted, so none is enforced here)
-        attempt = 0
-        while True:
-            attempt += 1
-            self.last_attempts = attempt
-            started = time.perf_counter()
-            try:
-                report = execute_job(job)
-                break
-            except BaseException as exc:
-                if attempt >= self.retries + 1:
-                    self.failures.append(_failure(job, 0, exc, attempts=attempt))
-                    _log.error("job_failed", attempts=attempt, error=repr(exc))
-                    raise
-                _log.warning(
-                    "job_retry",
-                    attempt=attempt,
-                    retries_left=self.retries + 1 - attempt,
-                    error=repr(exc),
-                )
-                self._sleep_before_retry(attempt)
-        self.job_seconds[0] = time.perf_counter() - started
-        if on_result is not None:
-            on_result(0, report)
-        return [report]
-
-    def _run_attempt(
-        self,
-        jobs: Sequence[JobSpec],
-        pending: Sequence[int],
-        reports: list[Optional[RunReport]],
-        on_result: Optional[ResultCallback],
-        attempt: int,
-    ) -> dict[int, BaseException]:
-        """One fresh pool over the still-unfinished jobs; returns its errors."""
+        if len(jobs) <= 1:  # a pool fork for a single job is pure overhead
+            return _run_inline(jobs, on_result, self.failures, self.job_seconds)
         # the pool machinery (multiprocessing) loads only when a batch
         # fans out, so a sweep served from the store never imports it
         from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures import TimeoutError as FuturesTimeoutError
 
         workers = self.max_workers
         if workers is not None:
-            workers = min(workers, len(pending))
-        errors: dict[int, BaseException] = {}
-        abandon = False
+            workers = min(workers, len(jobs))
+        reports: list[Optional[RunReport]] = [None] * len(jobs)
+        errors: dict[int, Exception] = {}
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             # submit + as_completed (rather than pool.map) so the callback
             # fires the moment any job lands, in completion order -- a slow
             # or failing early job cannot hold finished results hostage
             futures = {
-                pool.submit(_execute_job_payload, jobs[index]): index
-                for index in pending
+                pool.submit(_execute_job_payload, job): index
+                for index, job in enumerate(jobs)
             }
-            try:
-                for future in as_completed(futures, timeout=self.timeout):
-                    index = futures[future]
-                    try:
-                        payload = future.result()
-                        report = RunReport.from_dict(payload["report"])
-                    except BaseException as exc:  # keep draining the batch
-                        errors[index] = exc
-                        continue
-                    self.job_seconds[index] = float(
-                        payload.get("elapsed_seconds", 0.0)
-                    )
-                    reports[index] = report
-                    if on_result is not None:
-                        on_result(index, report)
-            except FuturesTimeoutError:
-                abandon = True
-                for index in futures.values():
-                    if reports[index] is None and index not in errors:
-                        errors[index] = FuturesTimeoutError(
-                            f"job did not finish within {self.timeout}s "
-                            f"(attempt {attempt})"
-                        )
-            except BaseException:
-                # a non-job exception escaping the drain loop (an
-                # on_result callback raising, KeyboardInterrupt, ...)
-                # must not wait on still-running -- possibly stuck --
-                # workers either; abandon the pool and let it propagate
-                abandon = True
-                raise
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    payload = future.result()
+                    report = RunReport.from_dict(payload["report"])
+                except Exception as exc:  # keep draining the batch
+                    errors[index] = exc
+                    continue
+                self.job_seconds[index] = payload["elapsed_seconds"]
+                reports[index] = report
+                if on_result is not None:
+                    on_result(index, report)
         finally:
-            # never hold the sweep hostage for a pool being discarded:
-            # on timeout or any escaping exception, stop its workers (a
-            # hung one would otherwise outlive the sweep), shut down
-            # without waiting and let a fresh pool run the retry
-            if abandon:
-                # no public API stops running workers before 3.14's terminate_workers()
-                for process in list(pool._processes.values()):
-                    process.terminate()
-                    process.join()
-            pool.shutdown(wait=not abandon, cancel_futures=True)
-        return errors
+            # the stdlib's ``with`` exit waits without cancelling, which
+            # would run the whole rest of an interrupted batch
+            pool.shutdown(wait=True, cancel_futures=True)
+        if errors:
+            for index in sorted(errors):
+                self.failures.append(_failure(jobs[index], index, errors[index]))
+            raise errors[min(errors)]
+        return reports  # type: ignore[return-value]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcessPoolBackend(max_workers={self.max_workers}, "
-            f"timeout={self.timeout}, retries={self.retries})"
-        )
+        return f"ProcessPoolBackend(max_workers={self.max_workers})"
 
 
 @dataclass
 class ExecutorStats:
     """Where the executor's reports came from (cumulative), plus the sweep
-    telemetry: batch and per-job wall time, retry pressure, and the worker
-    utilization they imply."""
+    telemetry: batch and per-job wall time and the worker utilization they
+    imply."""
 
     runs_simulated: int = 0
     runs_loaded: int = 0
@@ -416,8 +280,6 @@ class ExecutorStats:
     jobs_timed: int = 0
     #: slowest single job observed (the sweep's straggler)
     max_job_seconds: float = 0.0
-    #: extra batch attempts beyond the first (crashes, hangs, retries)
-    retry_attempts: int = 0
 
     @property
     def total(self) -> int:
@@ -439,13 +301,6 @@ class ExecutorStats:
         capacity = self.batch_seconds * workers
         return self.job_seconds / capacity if capacity > 0 else 0.0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "runs_simulated": self.runs_simulated,
-            "runs_loaded": self.runs_loaded,
-            "runs_failed": self.runs_failed,
-        }
-
     def telemetry(self, workers: int = 1) -> dict[str, object]:
         """JSON-ready sweep profile (the ``--telemetry-out`` artifact)."""
         return {
@@ -459,7 +314,10 @@ class ExecutorStats:
             "jobs_timed": self.jobs_timed,
             "mean_job_seconds": self.mean_job_seconds,
             "max_job_seconds": self.max_job_seconds,
-            "retry_attempts": self.retry_attempts,
+            # always 0 (backends never retry); kept because the end-to-end
+            # benchmark's per-layer metrics (benchmarks/e2e/run.py,
+            # program_counts) still read it
+            "retry_attempts": 0,
             "workers": workers,
             "worker_utilization": self.worker_utilization(workers),
         }
@@ -506,7 +364,7 @@ class SweepExecutor:
         """Harvest one batch's timing telemetry into the stats.
 
         Tolerant of third-party backends: a backend without ``job_seconds``
-        / ``last_attempts`` still gets batch-level accounting.
+        still gets batch-level accounting.
         """
         stats = self.stats
         stats.batches += 1
@@ -518,8 +376,6 @@ class SweepExecutor:
                 stats.jobs_timed += 1
                 if value > stats.max_job_seconds:
                     stats.max_job_seconds = value
-        attempts = getattr(self.backend, "last_attempts", 1)
-        stats.retry_attempts += max(0, attempts - 1)
 
     def run(self, jobs: Sequence[JobSpec]) -> list[RunReport]:
         """Resolve every job to a report, in input order.
@@ -529,8 +385,9 @@ class SweepExecutor:
         each one finishes, so even an interrupted sweep keeps its completed
         cells: re-running it loads those as store hits and simulates only
         the rest.  Duplicate jobs within a batch are simulated only once.
-        Failed jobs are recorded on ``stats.failures`` before the error
-        propagates.
+        A failed job is recorded on ``stats.failures`` before its error
+        propagates; on a :class:`ProcessPoolBackend` the rest of the batch
+        still finishes and is stored first.
         """
         jobs = list(jobs)
         reports: list[Optional[RunReport]] = [None] * len(jobs)
@@ -602,7 +459,7 @@ class SweepExecutor:
         """Append one sweep-level aggregate entry to the ledger.
 
         Carries the executor telemetry (simulated/loaded/failed counts,
-        store hit rate, batch and job wall time, retry pressure, worker
+        store hit rate, batch and job wall time, worker
         utilization) -- the fleet-level record of how the sweep *executed*,
         complementing the per-cell ``job`` entries of what it computed.
         Returns the recorded entry, or ``None`` without a ledger.

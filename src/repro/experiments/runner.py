@@ -92,11 +92,6 @@ class ExperimentRunner:
             :class:`ProcessPoolBackend` that fans the grid out across cores.
         cache_dir: directory for the persistent result store; ``None``
             keeps results in-process only (the pre-existing behaviour).
-        job_timeout: with a process pool, seconds each batch may run
-            before its stragglers are abandoned (and retried, if
-            ``job_retries`` allows).
-        job_retries: with a process pool, how many times a dead or hung
-            job is retried on a fresh pool before its failure is raised.
         ledger_path: run-ledger JSONL file every simulated cell (and the
             sweep aggregate, via ``executor.record_sweep``) is recorded
             into; ``None`` disables provenance recording.  Ignored when an
@@ -111,8 +106,6 @@ class ExperimentRunner:
         executor: Optional[SweepExecutor] = None,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        job_timeout: Optional[float] = None,
-        job_retries: int = 0,
         ledger_path: Optional[str] = None,
     ) -> None:
         self.scale = scale
@@ -120,9 +113,7 @@ class ExperimentRunner:
         self.workload_names = tuple(workload_names or WORKLOAD_NAMES)
         if executor is None:
             backend = (
-                ProcessPoolBackend(
-                    max_workers=jobs, timeout=job_timeout, retries=job_retries
-                )
+                ProcessPoolBackend(max_workers=jobs)
                 if jobs is not None and jobs > 1
                 else SerialBackend()
             )

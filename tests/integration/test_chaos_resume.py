@@ -5,11 +5,9 @@ chaos-tests the *real* execution layer that runs the sweeps:
 
 * a sweep SIGKILLed mid-flight resumes from its store alone: the re-run
   loads every cell that had finished and simulates only the rest;
-* a pool worker SIGKILLed mid-job poisons only one pool generation: the
-  retry logic re-runs the unfinished jobs on a fresh pool and the batch
-  completes with no failure records;
-* a hung worker trips the batch timeout, is abandoned, and the retry
-  completes the job;
+* a pool worker SIGKILLed mid-job fails the batch's unfinished jobs as
+  structured records while its finished ones are kept, and the re-run
+  simulates only the failed cells;
 * a writer crashing between the temp-file write and the atomic rename
   never leaves a torn or half-visible store entry.
 
@@ -25,24 +23,23 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+from repro.accel import ShardConfig
+from repro.accel.shard import ShardExecutionError, run_sharded
 from repro.config import scaled_config
-from repro.core.policies import STATIC_POLICIES
+from repro.core.policies import CACHE_RW, STATIC_POLICIES
 from repro.experiments import jobs as jobs_module
 from repro.experiments.jobs import JobSpec, ProcessPoolBackend, SweepExecutor
 from repro.experiments.store import ResultStore
 from repro.stats.report import RunReport
+from repro.streams import StreamConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 TINY = scaled_config(2)
-
-fork_only = pytest.mark.skipif(
-    multiprocessing.get_start_method(allow_none=False) != "fork",
-    reason="worker-kill chaos needs the fork start method",
-)
 
 
 def sweep_jobs() -> list[JobSpec]:
@@ -58,9 +55,12 @@ def sweep_jobs() -> list[JobSpec]:
 _CHILD_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
+from repro.accel import ShardConfig
+from repro.accel.shard import ShardExecutionError, run_sharded
 from repro.config import scaled_config
-from repro.core.policies import STATIC_POLICIES
-from repro.experiments.jobs import JobSpec, SweepExecutor
+from repro.core.policies import CACHE_RW, STATIC_POLICIES
+from repro.experiments import jobs as jobs_module
+from repro.experiments.jobs import JobSpec, ProcessPoolBackend, SweepExecutor
 from repro.experiments.store import ResultStore
 
 TINY = scaled_config(2)
@@ -107,95 +107,75 @@ class TestSigkillResume:
         assert executor.stats.runs_simulated == len(jobs) - len(stored)
 
 
-def _suicidal_payload(job):
-    """First worker to run without the sentinel dies mid-job (SIGKILL)."""
-    sentinel = Path(os.environ["CHAOS_SENTINEL"])
-    if not sentinel.exists():
-        sentinel.write_text("dead")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return _real_payload(job)
-
-
 _real_payload = jobs_module._execute_job_payload
 
 
-def _hanging_payload(job):
-    """The first worker generation hangs; later generations run clean."""
-    sentinel = Path(os.environ["CHAOS_SENTINEL"])
-    if not sentinel.exists():
-        sentinel.write_text("hung")
-        time.sleep(3.0)
-    return _real_payload(job)
+def _suicidal_payload(job):
+    """The first job to start kills its worker (SIGKILL); the rest run."""
+    try:
+        os.close(os.open(os.environ["CHAOS_SENTINEL"], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _real_payload(job)
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
-@fork_only
-class TestWorkerChaos:
-    def test_sigkilled_worker_is_retried_on_a_fresh_pool(
-        self, tmp_path, monkeypatch
-    ):
-        """One murdered worker poisons one pool generation, not the sweep."""
+@pytest.mark.skipif(
+    multiprocessing.get_start_method(allow_none=False) != "fork",
+    reason="worker-kill chaos needs the fork start method",
+)
+class TestDeadWorker:
+    @pytest.fixture
+    def jobs(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CHAOS_SENTINEL", str(tmp_path / "sentinel"))
         monkeypatch.setattr(jobs_module, "_execute_job_payload", _suicidal_payload)
-        jobs = [
+        return [
             JobSpec(workload="FwSoft", policy=policy, scale=0.1, config=TINY)
             for policy in STATIC_POLICIES
         ]
-        backend = ProcessPoolBackend(max_workers=2, retries=2, retry_backoff=0.0)
-        reports = backend.run_jobs(jobs)
-        assert len(reports) == len(jobs)
-        assert backend.failures == []
-        # bit-identical to an undisturbed run despite the murder
-        expected = [_real_payload(job)["report"] for job in jobs]
-        assert [r.to_dict() for r in reports] == expected
 
-    def test_sigkilled_worker_without_retries_is_a_recorded_failure(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("CHAOS_SENTINEL", str(tmp_path / "sentinel"))
-        monkeypatch.setattr(jobs_module, "_execute_job_payload", _suicidal_payload)
-        jobs = [
-            JobSpec(workload="FwSoft", policy=policy, scale=0.1, config=TINY)
-            for policy in STATIC_POLICIES
-        ]
-        backend = ProcessPoolBackend(max_workers=2, retries=0)
-        with pytest.raises(BaseException):
-            backend.run_jobs(jobs)
-        assert backend.failures, "a dead worker must leave failure records"
-        for failure in backend.failures:
-            assert failure.attempts == 1
-            assert failure.error
+    def test_unfinished_jobs_become_failures_and_finished_ones_are_kept(self, jobs):
+        backend = ProcessPoolBackend(max_workers=2)
+        finished: dict[int, RunReport] = {}
+        with pytest.raises(BrokenProcessPool):
+            backend.run_jobs(jobs, on_result=finished.setdefault)
+        failed = [failure.index for failure in backend.failures]
+        assert failed and failed == sorted(failed)
+        assert sorted(failed + list(finished)) == list(range(len(jobs)))
+        assert all("BrokenProcessPool" in failure.error for failure in backend.failures)
+        assert multiprocessing.active_children() == []
 
-    def test_hung_worker_trips_the_timeout_and_the_retry_completes(
-        self, tmp_path, monkeypatch
-    ):
-        sentinel = tmp_path / "sentinel"
-        monkeypatch.setenv("CHAOS_SENTINEL", str(sentinel))
-        monkeypatch.setattr(jobs_module, "_execute_job_payload", _hanging_payload)
-        jobs = [
-            JobSpec(workload="FwSoft", policy=policy, scale=0.1, config=TINY)
-            for policy in STATIC_POLICIES[:2]
-        ]
-        backend = ProcessPoolBackend(
-            max_workers=2, timeout=0.75, retries=1, retry_backoff=0.0
+    def test_the_rerun_simulates_only_the_failed_cells(self, jobs, tmp_path):
+        store_dir = str(tmp_path / "store")
+        executor = SweepExecutor(
+            backend=ProcessPoolBackend(max_workers=2), store=ResultStore(store_dir)
         )
-        reports = backend.run_jobs(jobs)
-        assert len(reports) == len(jobs)
-        assert backend.failures == []
+        with pytest.raises(BrokenProcessPool):
+            executor.run(jobs)
+        stats = executor.stats
+        assert stats.runs_failed == len(stats.failures) >= 1
+        assert stats.runs_simulated + stats.runs_failed == len(jobs)
+        rerun = SweepExecutor(store=ResultStore(store_dir))
+        rerun.run(jobs)
+        assert rerun.stats.runs_loaded == stats.runs_simulated
+        assert rerun.stats.runs_simulated == stats.runs_failed
 
-    def test_hung_worker_without_retries_reports_a_timeout(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("CHAOS_SENTINEL", str(tmp_path / "sentinel"))
-        monkeypatch.setattr(jobs_module, "_execute_job_payload", _hanging_payload)
-        jobs = [
-            JobSpec(workload="FwSoft", policy=policy, scale=0.1, config=TINY)
-            for policy in STATIC_POLICIES[:2]
+    def test_a_dead_shard_worker_fails_the_sharded_run(self, jobs):
+        streams = [
+            StreamConfig(workload=name, scale=0.2, cu_share="partitioned")
+            for name in ("FwSoft", "FwAct")
         ]
-        backend = ProcessPoolBackend(max_workers=2, timeout=0.5, retries=0)
-        with pytest.raises(BaseException):
-            backend.run_jobs(jobs)
-        assert backend.failures
-        assert any("did not finish" in failure.error for failure in backend.failures)
+        with pytest.raises(ShardExecutionError) as excinfo:
+            run_sharded(
+                JobSpec(
+                    policy=CACHE_RW,
+                    config=scaled_config(4),
+                    streams=streams,
+                    shards=ShardConfig(num_shards=2),
+                )
+            )
+        assert isinstance(excinfo.value.__cause__, BrokenProcessPool)
+        assert excinfo.value.failures
+        assert multiprocessing.active_children() == []
 
 
 class TestAtomicStoreWrites:

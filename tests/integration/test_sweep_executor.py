@@ -14,6 +14,8 @@ The guarantees the sweep executor rests on:
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.accel import SamplingConfig
@@ -27,6 +29,7 @@ from repro.experiments import (
     SerialBackend,
     SweepExecutor,
 )
+from repro.experiments.jobs import ExecutorStats
 from repro.streams import StreamConfig
 from repro.topology import TOPOLOGIES
 
@@ -250,7 +253,25 @@ class TestExecutorStats:
         assert stats.job_seconds > 0.0
         assert stats.max_job_seconds == stats.job_seconds == stats.mean_job_seconds
         assert stats.batch_seconds >= stats.job_seconds
-        assert stats.retry_attempts == 0
+        assert stats.telemetry()["retry_attempts"] == 0
+
+    def test_telemetry_keys_are_the_ones_the_benchmark_reads(self):
+        # benchmarks/e2e/run.py indexes these keys in every sweep sample
+        assert set(ExecutorStats().telemetry()) == {
+            "runs_simulated",
+            "runs_loaded",
+            "runs_failed",
+            "store_hit_rate",
+            "batches",
+            "batch_seconds",
+            "job_seconds",
+            "jobs_timed",
+            "mean_job_seconds",
+            "max_job_seconds",
+            "retry_attempts",
+            "workers",
+            "worker_utilization",
+        }
 
     def test_store_only_sweep_dispatches_no_batch(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -313,13 +334,11 @@ class TestRunnerMemo:
 
 
 class TestPoolRelease:
-    """The per-attempt pool must be released on *every* exit path.
+    """The per-batch pool must be released on *every* exit path.
 
-    Regression: an ``on_result`` callback raising out of the drain loop
-    used to reach ``pool.shutdown(wait=True)``, blocking the sweep on
-    still-running -- possibly stuck -- workers and leaking the pool past
-    the attempt.  The abandon path now stops the pool's workers, shuts
-    down without waiting and cancels unstarted futures.
+    An exception escaping the drain loop (an ``on_result`` callback
+    raising, Ctrl-C) cancels the jobs not yet started and waits for the
+    running ones, so no worker outlives the batch.
     """
 
     @staticmethod
@@ -329,6 +348,13 @@ class TestPoolRelease:
         calls: list[dict[str, bool]] = []
 
         class RecordingPool(ProcessPoolExecutor):
+            #: ``max_workers`` of every pool built
+            sizes: list[object] = []
+
+            def __init__(self, max_workers=None, **options):
+                self.sizes.append(max_workers)
+                super().__init__(max_workers, **options)
+
             def shutdown(self, wait=True, *, cancel_futures=False):
                 calls.append({"wait": wait, "cancel_futures": cancel_futures})
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)
@@ -341,18 +367,24 @@ class TestPoolRelease:
             for name in ("FwSoft", "FwAct", "FwSoft")
         ]
 
-    def test_raising_callback_abandons_the_pool_without_waiting(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "error", [RuntimeError("result sink is full"), KeyboardInterrupt()], ids=repr
+    )
+    def test_raising_callback_cancels_pending_jobs_and_joins_the_pool(
+        self, monkeypatch, error
+    ):
         pool_class, calls = self._recording_pool()
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_class)
         backend = ProcessPoolBackend(max_workers=1)
 
         def sink(index, report):
-            raise RuntimeError("result sink is full")
+            raise error
 
-        with pytest.raises(RuntimeError, match="result sink is full"):
+        with pytest.raises(type(error)):
             backend.run_jobs(self._specs(), on_result=sink)
         assert calls, "the pool was never shut down"
-        assert calls[-1] == {"wait": False, "cancel_futures": True}
+        assert calls[-1] == {"wait": True, "cancel_futures": True}
+        assert multiprocessing.active_children() == []
 
     def test_happy_path_still_waits_for_a_clean_shutdown(self, monkeypatch):
         pool_class, calls = self._recording_pool()
@@ -361,6 +393,13 @@ class TestPoolRelease:
         reports = backend.run_jobs(self._specs())
         assert all(report is not None for report in reports)
         assert calls[-1] == {"wait": True, "cancel_futures": True}
+
+    @pytest.mark.parametrize("max_workers, built", [(8, 3), (None, None)])
+    def test_pool_is_no_wider_than_the_batch(self, monkeypatch, max_workers, built):
+        pool_class, _calls = self._recording_pool()
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_class)
+        ProcessPoolBackend(max_workers=max_workers).run_jobs(self._specs())
+        assert pool_class.sizes == [built]
 
 
 class TestBackendFailureRecords:
@@ -371,10 +410,18 @@ class TestBackendFailureRecords:
             backend.run_jobs([bad])
         (failure,) = backend.failures
         assert failure.index == 0
-        assert failure.attempts == 1
         assert "NotAWorkload" in failure.error
         assert failure.fingerprint == bad.fingerprint()
         assert failure.as_dict()["job"]["workload"] == "NotAWorkload"
+
+    def test_serial_backend_stops_at_the_first_failure(self):
+        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        good = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.1, config=TINY)
+        finished: dict[int, object] = {}
+        backend = SerialBackend()
+        with pytest.raises(KeyError):
+            backend.run_jobs([bad, good], on_result=finished.setdefault)
+        assert finished == {} and backend.job_seconds == {}
 
     def test_pool_backend_records_failures_and_keeps_survivors(self, tmp_path):
         good = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.1, config=TINY)
@@ -393,16 +440,56 @@ class TestBackendFailureRecords:
         # the healthy jobs were delivered despite the dead one
         assert set(finished) == {0, 2}
 
-    def test_pool_backend_retries_transient_failures(self):
-        # a deterministic failure exhausts the retry budget: attempts
-        # reflects every pool generation that tried the job
-        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+    def test_pool_backend_raises_the_first_failure_of_the_batch(self):
         good = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.1, config=TINY)
-        backend = ProcessPoolBackend(max_workers=2, retries=2, retry_backoff=0.0)
+        first = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        second = JobSpec(workload="NorThisOne", policy=CACHE_R, scale=0.1, config=TINY)
+        backend = ProcessPoolBackend(max_workers=2)
+        with pytest.raises(KeyError, match="NotAWorkload"):
+            backend.run_jobs([first, good, second])
+        assert [failure.index for failure in backend.failures] == [0, 2]
+        assert "NotAWorkload" in backend.failures[0].error
+        assert "NorThisOne" in backend.failures[1].error
+
+    def test_pool_backend_runs_a_lone_job_inline_and_records_its_failure(
+        self, monkeypatch
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a single job must not build a pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        backend = ProcessPoolBackend(max_workers=2)
         with pytest.raises(KeyError):
-            backend.run_jobs([good, bad])
+            backend.run_jobs([bad])
         (failure,) = backend.failures
-        assert failure.attempts == 3
+        assert failure.index == 0
+        assert failure.fingerprint == bad.fingerprint()
+
+    def test_pool_backend_times_every_finished_job(self):
+        jobs = [
+            JobSpec(workload=name, policy=CACHE_R, scale=0.1, config=TINY)
+            for name in SUBSET
+        ]
+        backend = ProcessPoolBackend(max_workers=2)
+        backend.run_jobs(jobs)
+        assert set(backend.job_seconds) == {0, 1}
+        assert all(seconds > 0.0 for seconds in backend.job_seconds.values())
+
+    def test_pool_sweep_stores_every_finished_cell_past_a_failure(self, tmp_path):
+        """Unlike the serial path, a failed first job stops nothing."""
+        store = ResultStore(tmp_path)
+        executor = SweepExecutor(backend=ProcessPoolBackend(max_workers=2), store=store)
+        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        good = [
+            JobSpec(workload=name, policy=CACHE_R, scale=0.1, config=TINY)
+            for name in SUBSET
+        ]
+        with pytest.raises(KeyError):
+            executor.run([bad, *good])
+        stats = executor.stats
+        assert (stats.runs_simulated, stats.runs_failed, stats.jobs_timed) == (2, 1, 2)
+        assert {job.fingerprint() for job in good} == set(store.keys())
 
     def test_executor_accounts_failures_in_stats(self):
         executor = SweepExecutor(backend=SerialBackend())
@@ -412,11 +499,3 @@ class TestBackendFailureRecords:
         assert executor.stats.runs_failed == 1
         (failure,) = executor.stats.failures
         assert failure.fingerprint == bad.fingerprint()
-
-    def test_backend_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(timeout=0)
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(retries=-1)
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(retry_backoff=-0.1)

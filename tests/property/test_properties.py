@@ -18,7 +18,7 @@ from repro.core.reuse_predictor import PredictorConfig, ReusePredictor
 from repro.engine import Simulator
 from repro.engine.event_queue import EventQueue
 from repro.gpu.coalescer import coalesce_addresses
-from repro.memory.address_mapping import AddressMapping
+from repro.memory.address_mapping import AddressMapping, DramCoordinates
 from repro.memory.cache import Cache
 from repro.memory.replacement import LruReplacement
 from repro.memory.request import AccessType, MemoryRequest
@@ -89,14 +89,16 @@ class TestAddressMappingProperties:
         mapping = AddressMapping(config, line_bytes=64)
         address = line_index * 64
         loc = mapping.locate(address)
-        peers = [
-            other
-            for other in range(0, (line_index + 64) * 64, 64)
-            if mapping.locate(other).channel == loc.channel
-            and mapping.locate(other).bank == loc.bank
-            and mapping.locate(other).row == loc.row
-        ]
-        assert all(mapping.row_id(peer) == mapping.row_id(address) for peer in peers)
+        # every line of the row, enumerated from its coordinates
+        for column in range(mapping.lines_per_row):
+            peer = mapping.address_of(DramCoordinates(loc.channel, loc.bank, loc.row, column))
+            peer_loc = mapping.locate(peer)
+            assert (peer_loc.channel, peer_loc.bank, peer_loc.row) == (
+                loc.channel,
+                loc.bank,
+                loc.row,
+            )
+            assert mapping.row_id(peer) == mapping.row_id(address)
 
 
 class TestDirtyBlockIndexProperties:

@@ -65,7 +65,6 @@ class TestShardConfigValidation:
         [
             {"num_shards": 0},
             {"axis": "bogus"},
-            {"timeout_seconds": 0.0},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -76,9 +75,8 @@ class TestShardConfigValidation:
         for axis in SHARD_AXES:
             assert ShardConfig(num_shards=2, axis=axis).axis == axis
 
-    def test_describe_excludes_the_host_side_timeout(self):
-        described = ShardConfig(num_shards=2, timeout_seconds=30.0).describe()
-        assert set(described) == {"num_shards"}
+    def test_describe_is_the_shard_count(self):
+        assert ShardConfig(num_shards=2, axis="streams").describe() == {"num_shards": 2}
 
     def test_axis_spellings_share_an_identity(self):
         """``auto`` and ``streams`` name the same seam."""

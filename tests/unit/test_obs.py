@@ -1,8 +1,8 @@
 """Unit tests for the cross-run observability layer (:mod:`repro.obs`).
 
 Covers the pieces the layer is built from -- the append-only run ledger,
-counter diffing and the anomaly detectors -- plus the JSONL plumbing and
-the run-scoped structured logger they share.  Every test here is
+counter diffing and the anomaly detectors -- plus the JSONL plumbing
+they share.  Every test here is
 synthetic (no simulations): the end-to-end behaviour on real runs is
 pinned by ``tests/integration/test_obs_end_to_end.py``.
 """
@@ -14,7 +14,6 @@ import json
 import pytest
 
 from repro.ioutil import append_jsonl, read_jsonl
-from repro.log import StructuredLogger, configure, get_logger, reset
 from repro.obs.alerts import (
     HIT_RATE_CLIFF,
     MIN_WINDOW_ACCESSES,
@@ -46,60 +45,6 @@ class TestJsonlPlumbing:
 
     def test_read_missing_file_is_empty(self, tmp_path):
         assert read_jsonl(tmp_path / "absent.jsonl") == []
-
-
-# ----------------------------------------------------------------------
-# structured logging
-# ----------------------------------------------------------------------
-class TestStructuredLog:
-    @pytest.fixture(autouse=True)
-    def _clean_logging_state(self):
-        reset()
-        yield
-        reset()
-
-    def test_disabled_by_default(self, tmp_path, capsys):
-        log = get_logger("test")
-        assert not log.enabled
-        log.warning("something", n=1)
-        assert capsys.readouterr().err == ""
-
-    def test_json_lines_to_file(self, tmp_path):
-        path = tmp_path / "run.log"
-        configure(level="info", path=str(path), json_lines=True)
-        log = get_logger("executor", sweep="demo")
-        assert log.enabled
-        log.warning("batch_attempt_failed", failed=3)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["event"] == "batch_attempt_failed"
-        assert record["level"] == "warning"
-        assert record["logger"] == "executor"
-        assert record["failed"] == 3
-        assert record["sweep"] == "demo"  # bound field rides along
-        assert isinstance(record["ts"], float)
-
-    def test_level_filtering(self, tmp_path):
-        path = tmp_path / "run.log"
-        configure(level="warning", path=str(path), json_lines=True)
-        log = get_logger("test")
-        log.info("quiet")
-        log.error("loud")
-        events = [json.loads(line)["event"] for line in path.read_text().splitlines()]
-        assert events == ["loud"]
-
-    def test_reset_disables(self, tmp_path):
-        path = tmp_path / "run.log"
-        configure(level="info", path=str(path))
-        assert get_logger("x").enabled
-        reset()
-        assert not get_logger("x").enabled
-        get_logger("x").error("dropped")
-        assert not path.exists() or "dropped" not in path.read_text()
-
-    def test_logger_type(self):
-        assert isinstance(get_logger("anything"), StructuredLogger)
 
 
 # ----------------------------------------------------------------------
