@@ -12,11 +12,13 @@ a warm store instead of paying for every simulation again.  Each benchmark
 prints the rendered figure, so the captured output (``bench_output.txt``)
 doubles as the reproduction record referenced from EXPERIMENTS.md.
 
+The harness always runs at :data:`BENCH_SCALE` on :data:`BENCH_CUS` CUs:
+the figure assertions are claims about that configuration, and some of
+them do not hold at smaller scales (EXPERIMENTS.md, "Scale dependence").
+Smaller figure data comes from the CLI's ``--scale``/``--cus`` flags.
+
 Environment knobs:
 
-* ``REPRO_BENCH_SCALE``     -- workload scale factor (default 1.0).
-* ``REPRO_BENCH_CUS``       -- number of CUs (default 8, the scaled system
-  of DESIGN.md).
 * ``REPRO_BENCH_JOBS``      -- worker processes for the sweeps (default 1;
   values above 1 fan the grid out with a process pool).
 * ``REPRO_BENCH_CACHE_DIR`` -- result-store directory; set to the empty
@@ -34,8 +36,10 @@ import pytest
 from repro.config import scaled_config
 from repro.experiments import ExperimentRunner
 
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-BENCH_CUS = int(os.environ.get("REPRO_BENCH_CUS", "8"))
+#: workload scale factor the figure assertions are stated for
+BENCH_SCALE = 1.0
+#: CUs of the scaled system the assertions are stated for
+BENCH_CUS = 8
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 #: default store lives next to the harness; "" disables persistence
 BENCH_CACHE_DIR = os.environ.get(

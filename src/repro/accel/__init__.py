@@ -9,7 +9,7 @@ Two composable ways to trade a little fidelity for a lot of wall-clock:
   into independent per-shard worker processes and merge their reports
   (:mod:`repro.accel.shard`).
 
-Both default to *off*; exact mode (sampling disabled, one shard) is
+Both default to *off*; exact mode (``sampling=None``, one shard) is
 bit-identical to a run that never heard of this package.
 """
 

@@ -5,16 +5,19 @@ into :class:`~repro.spec.JobSpec` identities:
 
 * :class:`SamplingConfig` -- phase-sampled fast-forward.  Repeated
   instances of the same kernel are measured a few times; once their
-  windowed phase metrics (the :mod:`repro.adaptive.phase` signals) are
-  steady, the remaining instances are skipped and their counters
-  extrapolated with warmup correction, with a per-counter error bound
-  reported on the run report.
+  windowed phase metrics (the :mod:`repro.adaptive.phase` signals, under
+  the phase detector's own thresholds) and cycle counts are steady, the
+  remaining instances are skipped and their counters extrapolated with
+  warmup correction, with a per-counter error bound reported on the run
+  report.  Only the instance counts are settable; the steadiness
+  thresholds are constants of :mod:`repro.adaptive.phase` and
+  :mod:`repro.accel.sampling`.
 * :class:`ShardConfig` -- sharded multi-process execution.  A serving
   mix of partitioned tenants is split along its streams into
   independent shard runs, one worker process each, whose reports are
   merged.
 
-Exact mode -- sampling disabled and a single shard -- is bit-identical to
+Exact mode -- ``sampling=None`` and a single shard -- is bit-identical to
 the historical simulator and hashes as ``None`` in fingerprints, so
 exact baselines keep their warm result-store cells.
 """
@@ -33,9 +36,10 @@ SHARD_AXES = ("auto", "streams")
 class SamplingConfig:
     """Phase-sampled fast-forward of steady-state kernel repeats.
 
+    A run is sampled exactly when its spec carries one of these; exact
+    mode is ``sampling=None``.
+
     Args:
-        enabled: master switch; a disabled config is exact mode and
-            fingerprints as ``None``.
         warmup_instances: executed instances per kernel signature whose
             counter deltas are *excluded* from the extrapolation basis
             (cold caches make the first instance unrepresentative).
@@ -43,22 +47,10 @@ class SamplingConfig:
             form the extrapolation basis; skipping can only begin once
             ``warmup_instances + measure_instances`` instances ran and
             the last two look phase-steady.
-        intensity_delta: relative arithmetic-intensity threshold of the
-            steadiness test (same meaning as the phase detector's).
-        hit_rate_delta: absolute L2-hit-rate threshold.
-        write_fraction_delta: absolute write-fraction threshold.
-        cycle_delta: maximum relative spread between the last two
-            measured cycle deltas for a signature to count as steady --
-            the direct guard on extrapolated-cycle error.
     """
 
-    enabled: bool = True
     warmup_instances: int = 1
     measure_instances: int = 2
-    intensity_delta: float = 0.5
-    hit_rate_delta: float = 0.15
-    write_fraction_delta: float = 0.15
-    cycle_delta: float = 0.10
 
     def __post_init__(self) -> None:
         if self.warmup_instances < 0:
@@ -74,25 +66,12 @@ class SamplingConfig:
                 "need at least two executed instances per signature "
                 "(warmup_instances + measure_instances >= 2) to judge steadiness"
             )
-        for name in ("intensity_delta", "hit_rate_delta", "write_fraction_delta", "cycle_delta"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-
-    @property
-    def empty(self) -> bool:
-        """True when this config changes nothing (exact mode)."""
-        return not self.enabled
 
     def describe(self) -> dict[str, object]:
         """Stable description for fingerprinting."""
         return {
             "warmup_instances": self.warmup_instances,
             "measure_instances": self.measure_instances,
-            "intensity_delta": self.intensity_delta,
-            "hit_rate_delta": self.hit_rate_delta,
-            "write_fraction_delta": self.write_fraction_delta,
-            "cycle_delta": self.cycle_delta,
         }
 
 

@@ -13,7 +13,7 @@ shape, and an address-stream digest):
 2. declares the signature **steady** once the last two measured deltas
    agree under the phase-detector thresholds
    (:func:`repro.adaptive.phase.phase_changed`) and their cycle deltas
-   agree within ``cycle_delta``;
+   agree within :data:`CYCLE_DELTA`;
 3. skips every later instance of a steady signature (the launch event
    simply advances to the next kernel);
 4. at finalize, extrapolates the skipped instances' contribution from
@@ -45,6 +45,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.trace import KernelTrace
 
 __all__ = ["ExtrapolationResult", "KernelSampler", "extrapolate", "kernel_signature"]
+
+#: maximum relative spread between the last two measured cycle deltas for
+#: a signature to count as steady -- the direct guard on extrapolated-cycle
+#: error
+CYCLE_DELTA = 0.10
 
 #: static identity of a kernel instance; instances sharing a signature
 #: issue the identical memory/compute stream and are extrapolation peers
@@ -335,18 +340,11 @@ class KernelSampler:
     def _steady(self, group: _GroupState) -> bool:
         """Do the last two measured instances look like the same phase?"""
         previous, latest = group.deltas[-2], group.deltas[-1]
-        config = self.config
-        if phase_changed(
-            _group_metrics(previous),
-            _group_metrics(latest),
-            intensity_delta=config.intensity_delta,
-            hit_rate_delta=config.hit_rate_delta,
-            write_fraction_delta=config.write_fraction_delta,
-        ):
+        if phase_changed(_group_metrics(previous), _group_metrics(latest)):
             return False
         cycles_a, cycles_b = group.cycle_deltas[-2], group.cycle_deltas[-1]
         base = max(cycles_a, cycles_b, 1)
-        return abs(cycles_a - cycles_b) / base <= config.cycle_delta
+        return abs(cycles_a - cycles_b) / base <= CYCLE_DELTA
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         skipped = sum(group.skipped for group in self._groups.values())

@@ -2,8 +2,16 @@
 
 An :class:`AdaptiveConfig` fully describes one dynamic-policy run: the
 candidate policies the set-dueling monitor arbitrates between, the leader
-set allocation, the decision cadence and hysteresis, and the phase-detector
-thresholds.  It is a frozen dataclass of primitives (plus nested
+set allocation, the decision cadence, evidence floor and hysteresis, and
+whether a phase change may swap mid-kernel.  The knobs no run varies are
+module constants beside the code that reads them: the duel's decay period
+(:data:`repro.adaptive.controller.DECAY_PERIOD`), its stall-to-traffic
+rate (:data:`repro.adaptive.set_dueling.STALL_HALFLINE_CYCLES`), and the
+phase-change thresholds and window floor shared with the fast-forward
+sampler (:mod:`repro.adaptive.phase`).  The duel is evaluated at every
+kernel boundary and every ``epoch_cycles``.
+
+It is a frozen dataclass of primitives (plus nested
 :class:`~repro.core.policies.PolicySpec` values), so
 :func:`repro.fingerprint.fingerprint` gives it a stable content hash and
 adaptive runs key into the persistent result store exactly like static
@@ -18,7 +26,10 @@ from typing import Optional
 from repro.core.policies import STATIC_POLICIES, PolicySpec
 from repro.fingerprint import fingerprint
 
-__all__ = ["AdaptiveConfig"]
+__all__ = ["AdaptiveConfig", "DYNAMIC"]
+
+#: display name stamped on adaptive run reports and Figure 14's series
+DYNAMIC = "Dynamic"
 
 
 def _default_candidates() -> tuple[PolicySpec, ...]:
@@ -46,11 +57,6 @@ class AdaptiveConfig:
         min_leader_accesses: accesses a candidate's leader sets must have
             seen in the current window before its score counts as evidence;
             decisions where any candidate is below this keep the incumbent.
-        decay_period: decisions between halvings of the windowed duel
-            accumulators.  Decaying every decision would starve the leader
-            slices (each sees well under 1% of all requests); decaying
-            every few decisions gives an exponential moving window several
-            epochs wide.
         commit_decisions: consecutive fully-evidenced decisions confirming
             the incumbent after which the controller *commits*: leader
             overrides and duel scoring switch off and the whole cache obeys
@@ -60,50 +66,23 @@ class AdaptiveConfig:
             exploration.  0 disables committing (duel forever).
         hysteresis: relative score margin a challenger must win by before
             the controller switches (0.1 = 10% lower cost per access).
-        stall_halfline_cycles: blocked-allocation cycles at a leader set
-            that cost as much as moving one half-line downstream; this is
-            what lets the duel see the caching-hurts-throughput failure
-            mode of the paper's section VI (stalls), not just traffic.
-        switch_at_kernel_boundaries: evaluate the duel and (possibly) swap
-            the follower policy at every kernel boundary.
-        duel_epoch_decisions: additionally re-evaluate the duel every
-            ``epoch_cycles`` while a kernel runs.  This is what makes the
-            controller converge inside the many single-kernel MI workloads
-            (classic set dueling consults its PSEL counter continuously);
-            disable it to restrict swaps to kernel boundaries.
         mid_kernel_switching: additionally swap when the phase detector
             fires mid-kernel.
         epoch_cycles: phase-detector sampling period in GPU cycles, also
-            the cadence of epoch duel decisions.
-        phase_min_requests: memory requests a sampling window must contain
-            before its metrics are trusted; thinner windows are merged into
-            the next sample.
-        phase_intensity_delta: relative arithmetic-intensity change that
-            constitutes a phase change.
-        phase_hit_rate_delta: absolute L2 hit-rate change that constitutes
-            a phase change.
-        phase_write_fraction_delta: absolute store-fraction change that
-            constitutes a phase change.
-        name: display name stamped on run reports ("Dynamic" in figures).
+            the cadence of the epoch duel decisions that let the
+            controller converge inside the many single-kernel MI
+            workloads (classic set dueling consults its PSEL counter
+            continuously).
     """
 
     candidates: tuple[PolicySpec, ...] = field(default_factory=_default_candidates)
     initial_index: Optional[int] = None
     leader_sets_per_policy: int = 16
     min_leader_accesses: int = 32
-    decay_period: int = 4
     commit_decisions: int = 2
     hysteresis: float = 0.05
-    stall_halfline_cycles: int = 25
-    switch_at_kernel_boundaries: bool = True
-    duel_epoch_decisions: bool = True
     mid_kernel_switching: bool = False
     epoch_cycles: int = 1_000
-    phase_min_requests: int = 256
-    phase_intensity_delta: float = 0.5
-    phase_hit_rate_delta: float = 0.15
-    phase_write_fraction_delta: float = 0.15
-    name: str = "Dynamic"
 
     def __post_init__(self) -> None:
         if not self.candidates:
@@ -131,25 +110,12 @@ class AdaptiveConfig:
             raise ValueError("leader_sets_per_policy must be at least 1")
         if self.min_leader_accesses < 1:
             raise ValueError("min_leader_accesses must be at least 1")
-        if self.decay_period < 1:
-            raise ValueError("decay_period must be at least 1")
         if self.commit_decisions < 0:
             raise ValueError("commit_decisions must be non-negative")
         if self.hysteresis < 0:
             raise ValueError("hysteresis must be non-negative")
-        if self.stall_halfline_cycles < 1:
-            raise ValueError("stall_halfline_cycles must be positive")
         if self.epoch_cycles < 1:
             raise ValueError("epoch_cycles must be positive")
-        if self.phase_min_requests < 1:
-            raise ValueError("phase_min_requests must be at least 1")
-        for threshold in (
-            self.phase_intensity_delta,
-            self.phase_hit_rate_delta,
-            self.phase_write_fraction_delta,
-        ):
-            if threshold <= 0:
-                raise ValueError("phase-change thresholds must be positive")
 
     # ------------------------------------------------------------------
     @property

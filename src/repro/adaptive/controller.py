@@ -11,8 +11,8 @@ Two classes close the adaptive loop:
 * :class:`DynamicPolicyController` consumes the set-dueling scores and the
   phase-detector events and performs the actual swaps: at every kernel
   boundary (where the coherence protocol flushes dirty data anyway, making
-  a policy change free of correctness concerns) and, optionally, mid-kernel
-  when a phase change fires.
+  a policy change free of correctness concerns), every ``epoch_cycles``
+  while a kernel runs, and, optionally, when a phase change fires.
 
 A controller whose configuration has a single candidate is *pinned*: it
 never swaps, and the annotated flags are identical to the static engine's
@@ -36,6 +36,12 @@ from repro.engine import Simulator
 from repro.stats import StatsCollector
 
 __all__ = ["DynamicPolicyEngine", "DynamicPolicyController"]
+
+#: decisions between halvings of the windowed duel accumulators.  Decaying
+#: every decision would starve the leader slices (each sees well under 1%
+#: of all requests); decaying every few decisions gives an exponential
+#: moving window several epochs wide.
+DECAY_PERIOD = 4
 
 
 class DynamicPolicyEngine(PolicyEngine):
@@ -77,7 +83,6 @@ class DynamicPolicyEngine(PolicyEngine):
             stats=stats,
             leader_sets_per_policy=adaptive.leader_sets_per_policy,
             writeback=l2_config.writeback,
-            stall_halfline_cycles=adaptive.stall_halfline_cycles,
         )
         self._leader_specs: dict[int, PolicySpec] = self.monitor.leader_policies()
         self._leader_index: dict[int, int] = {
@@ -219,7 +224,7 @@ class DynamicPolicyController:
         holds, so it cannot keep the event queue from draining.
         """
         self.phase_detector.start(is_active)
-        if self.config.duel_epoch_decisions and not self.config.pinned:
+        if not self.config.pinned:
 
             def tick() -> None:
                 if not is_active():
@@ -244,7 +249,7 @@ class DynamicPolicyController:
             return
         if not self.engine.exploring:
             self._explore()
-        elif self.config.switch_at_kernel_boundaries:
+        else:
             self._decide()
 
     def _on_phase_change(self, sample: PhaseSample) -> None:
@@ -309,7 +314,7 @@ class DynamicPolicyController:
                     self._commit()
                     return
         self._decisions_since_decay += 1
-        if self._decisions_since_decay >= self.config.decay_period:
+        if self._decisions_since_decay >= DECAY_PERIOD:
             self._decisions_since_decay = 0
             self.monitor.decay()
 

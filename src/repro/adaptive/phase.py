@@ -12,10 +12,14 @@ store on a fixed cycle period, derives three windowed metrics --
   write-coalescing opportunity),
 
 -- and compares them against the metrics of the current phase.  When any
-metric moves beyond its configured threshold the detector declares a phase
-change and notifies its listeners *via the simulator's event queue* (a
-zero-delay event), so listeners observe the change at a well-defined point
-in simulated time.
+metric moves beyond its threshold (:data:`INTENSITY_DELTA`,
+:data:`HIT_RATE_DELTA`, :data:`WRITE_FRACTION_DELTA`) the detector declares
+a phase change and notifies its listeners *via the simulator's event
+queue* (a zero-delay event), so listeners observe the change at a
+well-defined point in simulated time.  The fast-forward sampler of
+:mod:`repro.accel.sampling` judges kernel repeats steady with the same
+:func:`phase_changed` test, so the controller and the sampler share one
+set of thresholds.
 
 The detector only ever *reads* pre-bound counter handles; it writes its own
 ``adaptive.phase_*`` counters through handles resolved once in
@@ -34,6 +38,16 @@ from repro.stats import StatsCollector
 
 __all__ = ["PhaseDetector", "PhaseSample", "phase_changed"]
 
+#: relative arithmetic-intensity change that constitutes a phase change
+INTENSITY_DELTA = 0.5
+#: absolute L2 hit-rate change that constitutes a phase change
+HIT_RATE_DELTA = 0.15
+#: absolute store-fraction change that constitutes a phase change
+WRITE_FRACTION_DELTA = 0.15
+#: memory requests a sampling window must contain before its metrics are
+#: trusted; thinner windows are merged into the next sample
+MIN_REQUESTS = 256
+
 
 @dataclass(frozen=True)
 class PhaseSample:
@@ -46,31 +60,25 @@ class PhaseSample:
     write_fraction: float
 
 
-def phase_changed(
-    reference: PhaseSample,
-    sample: PhaseSample,
-    intensity_delta: float,
-    hit_rate_delta: float,
-    write_fraction_delta: float,
-) -> bool:
+def phase_changed(reference: PhaseSample, sample: PhaseSample) -> bool:
     """Whether ``sample`` represents a different phase than ``reference``.
 
     Arithmetic intensity is compared relatively (intensities span orders
     of magnitude across layers); hit rate and write fraction are bounded
     ratios and compare absolutely.  Shared by :class:`PhaseDetector` and
     the fast-forward sampler in :mod:`repro.accel.sampling`, which uses
-    the same thresholds to decide when repeated kernels are steady.
+    it to decide when repeated kernels are steady.
     """
     base_intensity = max(reference.arithmetic_intensity, 1e-9)
     relative_intensity = (
         abs(sample.arithmetic_intensity - reference.arithmetic_intensity)
         / base_intensity
     )
-    if relative_intensity > intensity_delta:
+    if relative_intensity > INTENSITY_DELTA:
         return True
-    if abs(sample.hit_rate - reference.hit_rate) > hit_rate_delta:
+    if abs(sample.hit_rate - reference.hit_rate) > HIT_RATE_DELTA:
         return True
-    return abs(sample.write_fraction - reference.write_fraction) > write_fraction_delta
+    return abs(sample.write_fraction - reference.write_fraction) > WRITE_FRACTION_DELTA
 
 
 class PhaseDetector:
@@ -83,20 +91,14 @@ class PhaseDetector:
         epoch_cycles: sampling period in GPU cycles.
         min_requests: memory requests a window must contain before its
             metrics are trusted; thinner windows merge into the next one.
-        intensity_delta: relative arithmetic-intensity change that fires.
-        hit_rate_delta: absolute hit-rate change that fires.
-        write_fraction_delta: absolute write-fraction change that fires.
     """
 
     def __init__(
         self,
         sim: Simulator,
         stats: StatsCollector,
-        epoch_cycles: int = 20_000,
-        min_requests: int = 256,
-        intensity_delta: float = 0.5,
-        hit_rate_delta: float = 0.15,
-        write_fraction_delta: float = 0.15,
+        epoch_cycles: int,
+        min_requests: int = MIN_REQUESTS,
     ) -> None:
         if epoch_cycles < 1:
             raise ValueError("epoch_cycles must be positive")
@@ -105,9 +107,6 @@ class PhaseDetector:
         self.sim = sim
         self.epoch_cycles = epoch_cycles
         self.min_requests = min_requests
-        self.intensity_delta = intensity_delta
-        self.hit_rate_delta = hit_rate_delta
-        self.write_fraction_delta = write_fraction_delta
 
         counter = stats.counter
         # inputs (read-only handles; reading never marks a counter touched)
@@ -187,22 +186,13 @@ class PhaseDetector:
         if reference is None:
             self._phase = sample
             return
-        if self._changed(reference, sample):
+        if phase_changed(reference, sample):
             self._phase = sample
             self._c_changes.add()
             for listener in self._listeners:
                 # notify through the event queue so listeners run at a
                 # well-defined simulated time, after this sampling event
                 self.sim.schedule(0, lambda cb=listener: cb(sample))
-
-    def _changed(self, reference: PhaseSample, sample: PhaseSample) -> bool:
-        return phase_changed(
-            reference,
-            sample,
-            intensity_delta=self.intensity_delta,
-            hit_rate_delta=self.hit_rate_delta,
-            write_fraction_delta=self.write_fraction_delta,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PhaseDetector(epoch={self.epoch_cycles}, listeners={len(self._listeners)})"

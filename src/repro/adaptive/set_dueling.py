@@ -31,7 +31,7 @@ bypass (load or store)    one line moved past the cache          2
 ========================  =====================================  =======
 
 Stall cycles observed at a leader set (a blocked allocation) are converted
-into the same units at ``stall_halfline_cycles`` cycles per half-line --
+into the same units at :data:`STALL_HALFLINE_CYCLES` cycles per half-line --
 roughly the data-bus occupancy a line transfer costs -- so one score,
 ``(traffic + stalls) / demand accesses``, ranks both failure modes and a
 lower score wins.  All accounting goes through pre-bound
@@ -54,8 +54,8 @@ __all__ = ["DuelScore", "SetDuelingMonitor"]
 COST_FETCH = 2
 #: amortized downstream cost of a write-combining store allocate
 COST_STORE_ALLOCATE = 1
-#: default stall-to-traffic conversion: this many blocked cycles at a
-#: leader set cost as much as moving one half-line downstream
+#: stall-to-traffic conversion: this many blocked cycles at a leader set
+#: cost as much as moving one half-line downstream
 STALL_HALFLINE_CYCLES = 25
 #: extra half-lines a *remote* (cross-fabric) access costs on top of its
 #: traffic: the request crosses the inter-device fabric once regardless of
@@ -97,8 +97,6 @@ class SetDuelingMonitor:
         writeback: whether the monitored cache holds dirty lines (store
             hits and allocates are then free at observation time, their
             writeback cost amortized by :data:`COST_STORE_ALLOCATE`).
-        stall_halfline_cycles: blocked-allocation cycles equivalent to one
-            half-line of downstream traffic in the score.
     """
 
     def __init__(
@@ -108,18 +106,14 @@ class SetDuelingMonitor:
         stats: StatsCollector,
         leader_sets_per_policy: int = 4,
         writeback: bool = True,
-        stall_halfline_cycles: int = STALL_HALFLINE_CYCLES,
     ) -> None:
         if not candidates:
             raise ValueError("set dueling needs at least one candidate policy")
         if leader_sets_per_policy < 1:
             raise ValueError("leader_sets_per_policy must be at least 1")
-        if stall_halfline_cycles < 1:
-            raise ValueError("stall_halfline_cycles must be positive")
         self.candidates = tuple(candidates)
         self.num_sets = num_sets
         self.writeback = writeback
-        self.stall_halfline_cycles = stall_halfline_cycles
         #: cost recording is active only during exploration windows; the
         #: controller disables it while committed, when "leader" sets obey
         #: the active policy and their traffic is not candidate evidence
@@ -259,7 +253,7 @@ class SetDuelingMonitor:
                 policy=policy.name,
                 accesses=accesses,
                 traffic=traffic,
-                stall_halflines=stalls // self.stall_halfline_cycles,
+                stall_halflines=stalls // STALL_HALFLINE_CYCLES,
                 remote_halflines=remote,
             )
             for policy, accesses, traffic, stalls, remote in zip(

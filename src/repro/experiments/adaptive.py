@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from repro.adaptive.config import AdaptiveConfig
+from repro.adaptive.config import DYNAMIC, AdaptiveConfig
 from repro.core.classification import PAPER_CATEGORIES, WorkloadCategory
 from repro.core.policies import CACHE_RW_PCBY, STATIC_POLICIES
 from repro.experiments.jobs import JobSpec
@@ -39,10 +39,6 @@ __all__ = [
     "adaptive_summary",
     "geomean",
 ]
-
-#: series label of the online adaptive runs in Figure 14
-DYNAMIC = "Dynamic"
-
 
 def adaptive_sweep(
     runner: ExperimentRunner,

@@ -94,14 +94,6 @@ class JobFailure:
     #: ``repr`` of the exception (a BrokenProcessPool for a dead worker)
     error: str
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "index": self.index,
-            "fingerprint": self.fingerprint,
-            "job": dict(self.job),
-            "error": self.error,
-        }
-
 
 class SweepBackend(Protocol):
     """Anything that can turn a batch of jobs into reports, in order.

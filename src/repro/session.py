@@ -107,9 +107,10 @@ class SimulationSession:
         if adaptive is not None:
             # each optional subsystem is imported only by the runs that
             # enable it, so a plain run loads none of their modules
+            from repro.adaptive.config import DYNAMIC
             from repro.adaptive.controller import DynamicPolicyEngine
 
-            self.policy_label = adaptive.name
+            self.policy_label = DYNAMIC
             engine = DynamicPolicyEngine(
                 adaptive,
                 l2_config=config.l2,
@@ -141,21 +142,15 @@ class SimulationSession:
             for l2 in self.hierarchy.l2s:
                 l2.set_monitor = engine.monitor
             self.phase_detector = PhaseDetector(
-                self.sim,
-                self.stats,
-                epoch_cycles=adaptive.epoch_cycles,
-                min_requests=adaptive.phase_min_requests,
-                intensity_delta=adaptive.phase_intensity_delta,
-                hit_rate_delta=adaptive.phase_hit_rate_delta,
-                write_fraction_delta=adaptive.phase_write_fraction_delta,
+                self.sim, self.stats, epoch_cycles=adaptive.epoch_cycles
             )
             self.controller = DynamicPolicyController(
                 engine, self.phase_detector, self.sim, self.stats
             )
             self.hierarchy.add_kernel_boundary_hook(self.controller.on_kernel_boundary)
 
-        # fast-forward sampling: only an *enabled* config reaches the spec,
-        # so exact runs never pay the one-None-test-per-launch filter hook
+        # fast-forward sampling: exact runs carry no config, so they never
+        # pay the one-None-test-per-launch filter hook
         self.kernel_sampler: Optional[KernelSampler] = None
         if spec.sampling is not None:
             from repro.accel.sampling import KernelSampler
@@ -174,9 +169,7 @@ class SimulationSession:
             if telemetry.trace:
                 from repro.telemetry.trace import TraceRecorder
 
-                self.recorder = TraceRecorder(
-                    self.sim, max_events=telemetry.max_trace_events
-                )
+                self.recorder = TraceRecorder(self.sim)
                 self.gpu.attach_trace(self.recorder)
                 self.hierarchy.trace = self.recorder
                 if self.controller is not None:

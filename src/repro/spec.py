@@ -72,15 +72,15 @@ class JobSpec:
             ``scale`` are then not.  A single-entry stream list is
             bit-identical to the plain run of that workload (modulo the
             extra ``stream0.*`` counters).
-        sampling: when given (an enabled
+        sampling: when given (a
             :class:`~repro.accel.config.SamplingConfig`), fast-forward
             steady-state kernel repeats: after a few measured instances
             per kernel signature the remaining repeats are skipped and
             their counters extrapolated with warmup correction, with
             per-counter error bounds on ``report.error_estimates`` and a
             summary on ``report.sampling``.  Sampled results are
-            approximations, so the parameters are fingerprinted; a
-            disabled config is exact mode and stored as ``None``.
+            approximations, so the parameters are fingerprinted; exact
+            mode is ``None``.
         shards: when given (and ``num_shards > 1``), a serving mix of
             partitioned streams runs as independent per-shard worker
             processes whose reports are merged
@@ -127,13 +127,11 @@ class JobSpec:
                 raise ValueError("a serving run needs at least one stream")
             put("streams", streams)
             put("workload", self.workload or label)
-        # disabled sampling and a single shard are bit-identical to no
-        # config at all: store them as None, so equal simulations compare
-        # (and memoize) equal and fingerprint alike
-        for name in ("sampling", "shards"):
-            value = getattr(self, name)
-            if value is not None and value.empty:
-                put(name, None)
+        # a single shard is bit-identical to no shard config at all: store
+        # it as None, so equal simulations compare (and memoize) equal and
+        # fingerprint alike
+        if self.shards is not None and self.shards.empty:
+            put("shards", None)
         if self.sampling is not None:
             self._check_sampling()
         if self.shards is not None:
@@ -230,7 +228,9 @@ class JobSpec:
             "num_cus": self.config.gpu.num_cus,
         }
         if self.adaptive is not None:
-            summary["adaptive"] = self.adaptive.name
+            from repro.adaptive.config import DYNAMIC
+
+            summary["adaptive"] = DYNAMIC
             summary["candidates"] = [p.name for p in self.adaptive.candidates]
         if self.topology is not None:
             summary["topology"] = self.topology.label

@@ -6,7 +6,9 @@ to switch on any combination of the observers.  Three watch the run from
 inside:
 
 * ``trace`` -- a :class:`~repro.telemetry.trace.TraceRecorder` capturing a
-  Chrome/Perfetto trace-event timeline of the run;
+  Chrome/Perfetto trace-event timeline of the run (it stops recording,
+  and flags the trace as truncated, at its fixed ``max_events`` bound
+  rather than exhausting memory on a huge run);
 * ``metrics_interval`` -- a
   :class:`~repro.telemetry.metrics.MetricsSampler` snapshotting the counter
   store every N cycles into per-window time-series;
@@ -58,9 +60,6 @@ class TelemetryConfig:
             session's whole ``run``, trace build and report included.  It
             roughly triples the run's wall time; leave this off for
             production sweeps.
-        max_trace_events: safety bound on recorded trace events; beyond
-            it the recorder stops recording (and flags the trace as
-            truncated) instead of exhausting memory on a huge run.
         ledger_path: append the run's provenance entry to this JSONL run
             ledger (``None`` records nothing).
         alerts: run the anomaly detectors (L2 hit-rate cliffs, tenant
@@ -71,7 +70,6 @@ class TelemetryConfig:
     trace: bool = False
     metrics_interval: int = 0
     profile: bool = False
-    max_trace_events: int = 1_000_000
     ledger_path: Optional[str] = None
     alerts: bool = False
 
@@ -79,10 +77,6 @@ class TelemetryConfig:
         if self.metrics_interval < 0:
             raise ValueError(
                 f"metrics_interval must be >= 0, got {self.metrics_interval}"
-            )
-        if self.max_trace_events < 1:
-            raise ValueError(
-                f"max_trace_events must be positive, got {self.max_trace_events}"
             )
 
     @property

@@ -13,6 +13,11 @@ frozen dataclass of primitives: :func:`repro.fingerprint.fingerprint`
 gives it a stable content hash, and topology runs key into the persistent
 result store exactly like static and adaptive runs.
 
+The workload partitioner (:mod:`repro.topology.partition`) has one mode:
+each kernel's wavefronts are split across the devices data-parallel
+style, so the mode is not a field; ``replicate_weights`` is its only
+option.
+
 ``num_devices == 1`` is the degenerate topology: no fabric, no remote
 accesses, and -- by construction, enforced per golden scenario in
 ``tests/integration/test_core_equivalence.py`` -- bit-identical behaviour
@@ -32,10 +37,6 @@ __all__ = [
     "topology_by_name",
     "single_device",
 ]
-
-#: modes the workload partitioner understands
-PARTITION_MODES = ("data_parallel",)
-
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -72,7 +73,6 @@ class TopologyConfig:
     interleave_lines: int = 32
     remote_latency_cycles: int = 100
     fabric_requests_per_cycle: float = 0.5
-    partition: str = "data_parallel"
     replicate_weights: bool = False
     name: str = ""
 
@@ -87,11 +87,6 @@ class TopologyConfig:
             raise ValueError("remote_latency_cycles must be non-negative")
         if self.fabric_requests_per_cycle <= 0:
             raise ValueError("fabric_requests_per_cycle must be positive")
-        if self.partition not in PARTITION_MODES:
-            raise ValueError(
-                f"unknown partition mode {self.partition!r}; "
-                f"known modes: {', '.join(PARTITION_MODES)}"
-            )
 
     # ------------------------------------------------------------------
     @property
@@ -132,7 +127,6 @@ class TopologyConfig:
             "interleave_lines": self.interleave_lines,
             "remote_latency_cycles": self.remote_latency_cycles,
             "fabric_requests_per_cycle": self.fabric_requests_per_cycle,
-            "partition": self.partition,
             "replicate_weights": self.replicate_weights,
         }
 

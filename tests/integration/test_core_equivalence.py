@@ -97,13 +97,17 @@ PINNED_TOPOLOGY = TopologyConfig(
     replicate_weights=True,
 )
 
+#: a sampling config whose warmup no scenario's kernel repeats can outlast:
+#: the sampler measures every launch and never fast-forwards one
+UNSKIPPED_SAMPLING = SamplingConfig(warmup_instances=10**6, measure_instances=1)
+
 
 def run_scenario(
     name: str,
     pinned_dynamic: bool = False,
     pinned_topology: bool = False,
     pinned_stream: bool = False,
-    disabled_sampling: bool = False,
+    unskipped_sampling: bool = False,
 ) -> dict[str, object]:
     """Run one scenario and return its full ``RunReport.to_dict()``.
 
@@ -115,7 +119,9 @@ def run_scenario(
     one-device :data:`PINNED_TOPOLOGY`.  With ``pinned_stream`` it runs
     through the serving subsystem as a one-stream mix: the stream
     scheduler, scoped kernel boundaries and per-stream accounting are all
-    active, with nobody to interfere with.
+    active, with nobody to interfere with.  With ``unskipped_sampling`` the
+    fast-forward sampler gates every launch under
+    :data:`UNSKIPPED_SAMPLING`, so it measures but never skips.
     """
     workload_name, scale, policy_name, replacement, config_factory = SCENARIOS[name]
     policy = policy_by_name(policy_name)
@@ -123,7 +129,7 @@ def run_scenario(
     streams = (
         (StreamConfig(workload=workload_name, scale=scale),) if pinned_stream else None
     )
-    sampling = SamplingConfig(enabled=False) if disabled_sampling else None
+    sampling = UNSKIPPED_SAMPLING if unskipped_sampling else None
     if pinned_dynamic:
         session = SimulationSession(
             adaptive=AdaptiveConfig(candidates=(policy,)),
@@ -355,48 +361,35 @@ class TestCoreEquivalence:
         assert first == second == golden[name]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_disabled_sampling_is_bit_identical(self, golden, name):
-        """A ``SamplingConfig(enabled=False)`` run is the exact run.
+    def test_unskipped_sampling_is_bit_identical(self, golden, name):
+        """A sampled run that skips nothing is the exact run.
 
-        Disabled sampling must normalize away entirely: no kernel filter
-        installed, no ``error_estimates``/``sampling`` blocks on the
-        report, every counter identical to the golden fixture -- the
-        "exact mode hashes as None" contract at the behaviour level.
+        The sampler only reads counters between launches, so until it
+        fast-forwards a kernel it must be a pure observer: every counter
+        and the cycle count match the golden fixture, and the report only
+        gains its ``sampling`` summary (no ``error_estimates``, because
+        nothing was extrapolated).
         """
-        report = run_scenario(name, disabled_sampling=True)
-        expected = golden[name]
-        assert "sampling" not in report and "error_estimates" not in report
-        assert report == expected
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_disabled_sampling_composes_with_pinned_dynamic(self, golden, name):
-        """Disabled sampling + one-candidate adaptive: golden timing.
-
-        Enabled sampling legitimately refuses to compose with adaptive
-        control; *disabled* sampling must compose with everything,
-        because it is indistinguishable from no sampling at all.
-        """
-        report = run_scenario(name, disabled_sampling=True, pinned_dynamic=True)
-        expected = golden[name]
-        assert report["cycles"] == expected["cycles"]
-        simulated_counters = {
-            key: value
-            for key, value in report["counters"].items()
-            if not key.startswith("adaptive.")
-        }
-        assert simulated_counters == expected["counters"]
-
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_disabled_sampling_composes_with_pinned_topology(self, golden, name):
-        """Disabled sampling + one-device topology: bit-identical."""
-        report = run_scenario(name, disabled_sampling=True, pinned_topology=True)
+        report = run_scenario(name, unskipped_sampling=True)
+        summary = report.pop("sampling")
+        assert summary["skipped_kernels"] == 0 and summary["executed_kernels"] > 0
+        assert "error_estimates" not in report
         assert report == golden[name]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_disabled_sampling_composes_with_pinned_stream(self, golden, name):
-        """Disabled sampling + one-stream serving: golden timing."""
-        report = run_scenario(name, disabled_sampling=True, pinned_stream=True)
+    def test_unskipped_sampling_composes_with_pinned_topology(self, golden, name):
+        """Unskipped sampling + one-device topology: bit-identical."""
+        report = run_scenario(name, unskipped_sampling=True, pinned_topology=True)
+        assert report.pop("sampling")["skipped_kernels"] == 0
+        assert "error_estimates" not in report
+        assert report == golden[name]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_unskipped_sampling_composes_with_pinned_stream(self, golden, name):
+        """Unskipped sampling + one-stream serving: golden timing."""
+        report = run_scenario(name, unskipped_sampling=True, pinned_stream=True)
         expected = golden[name]
+        assert report["sampling"]["skipped_kernels"] == 0
         assert report["cycles"] == expected["cycles"]
         simulated_counters = {
             key: value
@@ -406,22 +399,23 @@ class TestCoreEquivalence:
         assert simulated_counters == expected["counters"]
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_disabled_sampling_composes_with_every_pin(self, golden, name):
-        """Disabled sampling + stream, topology and adaptive pins: golden timing."""
+    def test_unskipped_sampling_composes_with_every_pin(self, golden, name):
+        """Unskipped sampling + stream and topology pins: golden timing.
+
+        The adaptive pin is left out: sampling refuses to compose with
+        adaptive control, whose controller must see every kernel boundary.
+        """
         report = run_scenario(
-            name,
-            disabled_sampling=True,
-            pinned_stream=True,
-            pinned_topology=True,
-            pinned_dynamic=True,
+            name, unskipped_sampling=True, pinned_stream=True, pinned_topology=True
         )
         expected = golden[name]
+        assert report["sampling"]["skipped_kernels"] == 0
+        assert "error_estimates" not in report
         assert report["cycles"] == expected["cycles"]
-        assert "sampling" not in report and "error_estimates" not in report
         simulated_counters = {
             key: value
             for key, value in report["counters"].items()
-            if not (key.startswith("stream") or key.startswith("adaptive."))
+            if not key.startswith("stream")
         }
         assert simulated_counters == expected["counters"]
 
@@ -444,7 +438,6 @@ class TestCoreEquivalence:
             get_workload(workload_name, scale=scale),
             policy_by_name(policy_name),
             config=config_factory(),
-            sampling=SamplingConfig(enabled=False),
             shards=ShardConfig(num_shards=1),
         ).to_dict()
         assert "sampling" not in report and "error_estimates" not in report

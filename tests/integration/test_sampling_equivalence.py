@@ -132,14 +132,6 @@ class TestSamplingComposability:
         report = _run_single_stream()
         assert report["sampling"]["mode"] == "phase_sampled"
 
-    def test_disabled_config_composes_with_everything(self):
-        """A disabled SamplingConfig is exact mode, so the rejections
-        above must not fire (disabled configs normalize to None)."""
-        session = SimulationSession(
-            adaptive=AdaptiveConfig(), sampling=SamplingConfig(enabled=False)
-        )
-        assert session.kernel_sampler is None
-
 
 def _run_single_stream():
     session = SimulationSession(

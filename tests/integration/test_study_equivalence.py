@@ -120,16 +120,16 @@ COMMANDS: dict[str, list[str]] = {
 #: digest of the study's result)
 EXPECTED_STUDIES: dict[str, tuple[int, str, str]] = {
     "sweep": (4, "840213a99a9bc5791d2e83f786082ad706bb8c7446daa98b3373d218d920bbab", "bf06c69fa634fff257868fab63a49c283c5fe175cfea189eb27583499e6d1ac8"),
-    "figure14_adaptive": (10, "d06698986f4733927e5e97ddeab1b1291b3e23665f5ba1e3b3ca4106ce4d81cc", "fa5b47e82c1d8ef4738497034b465093e5db8348820f41f0dda0292d0a6ea10b"),
-    "figure_scaling": (4, "1e673814d3b7f31fd056b960034c914b16a3bfbeb5975a25a03141e2514f9065", "2fa552075ded7402b69b0582b4ee9605d85d5f26857e9d99199f50b71d82db53"),
+    "figure14_adaptive": (10, "c9a5661b6fd08db516cbf483a9c7096c1323b00e2dc0ebfcbd87b4730f0b07ce", "fa5b47e82c1d8ef4738497034b465093e5db8348820f41f0dda0292d0a6ea10b"),
+    "figure_scaling": (4, "2e0b313501bbdbc7a84fd3b16c83c2d983b1c02f26399099421123ca86e43875", "2fa552075ded7402b69b0582b4ee9605d85d5f26857e9d99199f50b71d82db53"),
     "figure_interference": (8, "470ebc64f464c4f45396d8e10cf0f5a71fa3e4cc9095d38dcb9ec805c399143b", "d037bcf8efa2ddf18d8c826691ca9a1b46d6c38d54aaa2be2a34b18bd577abef"),
 }
 
 #: command -> (stdout digest, --json-out digest or None, stderr stats line)
 EXPECTED_COMMANDS: dict[str, tuple[str, str | None, str]] = {
     "sweep-all": ("1d8cb442f8cb8887bc5421578dbba18fdc7d3adcf36a818af7c75a2d61199778", None, "[sweep-all] grid=2x6 jobs=1 store=disabled simulated=12 loaded=0"),
-    "adaptive": ("4cafb9b3054ac0ec75b52e6df178b2d3e645a9cf8c68cea953ef998cee971abc", "307e046f69ecc032ca848f7d5ebd16b15843c677c7595d701e4f485987c3272d", "[adaptive] workloads=1 jobs=1 store=disabled simulated=5 loaded=0"),
-    "topology": ("d436af60c2e00c0d5c1caa1f9a3dc0725198391e2110030d66e7c2a873b20c96", "0ceeebd6c8dd246d7461710434c22f914bb302e016a894a188468bfa5bce242c", "[topology] grid=1x1x2 jobs=1 store=disabled simulated=2 loaded=0"),
+    "adaptive": ("4cafb9b3054ac0ec75b52e6df178b2d3e645a9cf8c68cea953ef998cee971abc", "1b3e0c6296bbfd40bd102c46e4e520654b03718c9c58bf7c6dcc502defa2c7f4", "[adaptive] workloads=1 jobs=1 store=disabled simulated=5 loaded=0"),
+    "topology": ("d436af60c2e00c0d5c1caa1f9a3dc0725198391e2110030d66e7c2a873b20c96", "47a1fd5b404309291f49f99e0e816363a2e2db776423154b9c572ef2bd6f8548", "[topology] grid=1x1x2 jobs=1 store=disabled simulated=2 loaded=0"),
     "serve": ("85cb3f0bca54c393caa04bcc8dc072816c9ed6ff98e79e39e68945a07064aedd", "2c1923410122a5d5b4d9ecaca0b6abb2f1f0b8d6137be39f005a76766f5a20dd", "[serve] grid=1x1x2 jobs=1 store=disabled simulated=4 loaded=0"),
 }
 

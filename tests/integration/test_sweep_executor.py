@@ -412,7 +412,7 @@ class TestBackendFailureRecords:
         assert failure.index == 0
         assert "NotAWorkload" in failure.error
         assert failure.fingerprint == bad.fingerprint()
-        assert failure.as_dict()["job"]["workload"] == "NotAWorkload"
+        assert failure.job["workload"] == "NotAWorkload"
 
     def test_serial_backend_stops_at_the_first_failure(self):
         bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)

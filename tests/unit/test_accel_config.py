@@ -1,15 +1,16 @@
 """Validation and fingerprint semantics of the acceleration configs.
 
 The load-bearing contract is the "exact mode hashes as None" idiom on
-:meth:`repro.spec.JobSpec.fingerprint`: a job with no
-acceleration, a job with a *disabled* :class:`SamplingConfig`, and a job
-with a one-shard :class:`ShardConfig` must all produce the identical
+:meth:`repro.spec.JobSpec.fingerprint`: a job with no acceleration and a
+job with a one-shard :class:`ShardConfig` must produce the identical
 fingerprint (so exact results interchange in the store), while any
-*enabled* acceleration must change it (so sampled results can never be
-served where exact ones were asked for).
+:class:`SamplingConfig` or real sharding must change it (so sampled
+results can never be served where exact ones were asked for).
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -20,12 +21,9 @@ from repro.streams import StreamConfig
 
 
 class TestSamplingConfigValidation:
-    def test_defaults_are_enabled_and_valid(self):
+    def test_defaults_are_valid(self):
         config = SamplingConfig()
-        assert config.enabled and not config.empty
-
-    def test_disabled_config_is_empty(self):
-        assert SamplingConfig(enabled=False).empty
+        assert (config.warmup_instances, config.measure_instances) == (1, 2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -33,25 +31,17 @@ class TestSamplingConfigValidation:
             {"warmup_instances": -1},
             {"measure_instances": 0},
             {"warmup_instances": 0, "measure_instances": 1},  # sum < 2
-            {"intensity_delta": 0.0},
-            {"hit_rate_delta": -0.1},
-            {"write_fraction_delta": 0.0},
-            {"cycle_delta": 0.0},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SamplingConfig(**kwargs)
 
-    def test_describe_covers_the_thresholds(self):
+    def test_payload_names_exactly_the_live_fields(self):
+        # no retired knob lingers in the identity and no new one is left out
         described = SamplingConfig().describe()
         assert set(described) == {
-            "warmup_instances",
-            "measure_instances",
-            "intensity_delta",
-            "hit_rate_delta",
-            "write_fraction_delta",
-            "cycle_delta",
+            field.name for field in dataclasses.fields(SamplingConfig)
         }
 
 
@@ -102,17 +92,9 @@ class TestJobSpecAccelFingerprint:
         )
 
     def test_exact_modes_hash_as_none(self):
-        """No config, disabled sampling and one shard all hash identically."""
+        """No config and one shard hash identically."""
         plain = self._job().fingerprint()
-        assert self._job(sampling=SamplingConfig(enabled=False)).fingerprint() == plain
         assert self._job(shards=ShardConfig(num_shards=1)).fingerprint() == plain
-        assert (
-            self._job(
-                sampling=SamplingConfig(enabled=False),
-                shards=ShardConfig(num_shards=1),
-            ).fingerprint()
-            == plain
-        )
 
     def test_enabled_sampling_changes_the_fingerprint(self):
         plain = self._job().fingerprint()

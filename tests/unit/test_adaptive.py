@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.adaptive import (
@@ -10,6 +12,13 @@ from repro.adaptive import (
     DynamicPolicyEngine,
     PhaseDetector,
     SetDuelingMonitor,
+)
+from repro.adaptive.phase import (
+    HIT_RATE_DELTA,
+    INTENSITY_DELTA,
+    WRITE_FRACTION_DELTA,
+    PhaseSample,
+    phase_changed,
 )
 from repro.adaptive.set_dueling import COST_FETCH, COST_STORE_ALLOCATE
 from repro.config import CacheConfig
@@ -79,13 +88,9 @@ class TestAdaptiveConfig:
         [
             ("leader_sets_per_policy", 0),
             ("min_leader_accesses", 0),
-            ("decay_period", 0),
             ("commit_decisions", -1),
             ("hysteresis", -0.1),
-            ("stall_halfline_cycles", 0),
             ("epoch_cycles", 0),
-            ("phase_min_requests", 0),
-            ("phase_hit_rate_delta", 0.0),
         ],
     )
     def test_rejects_bad_knobs(self, field, value):
@@ -193,7 +198,7 @@ class TestPhaseDetector:
 
     def test_detects_a_hit_rate_phase_change(self):
         sim, stats = Simulator(), StatsCollector()
-        detector = self.make(sim, stats, hit_rate_delta=0.2)
+        detector = self.make(sim, stats)
         changes: list = []
         detector.add_listener(changes.append)
 
@@ -209,7 +214,13 @@ class TestPhaseDetector:
         accesses.add(100)
         sim.run(until=150)
         assert detector.current_phase is not None
-        # window 2: hit rate collapses -> phase change event on the queue
+        # window 2: a drop just inside the threshold is the same phase
+        requests.add(100)
+        hits.add(int(100 * (1.0 - HIT_RATE_DELTA)) + 1)
+        accesses.add(100)
+        sim.run(until=250)
+        assert not changes
+        # window 3: hit rate collapses -> phase change event on the queue
         requests.add(100)
         accesses.add(100)
         sim.run()
@@ -252,6 +263,52 @@ class TestPhaseDetector:
         detector.start(lambda: False)
         with pytest.raises(RuntimeError):
             detector.start(lambda: False)
+
+
+#: the reference phase the shared phase test is probed around
+REFERENCE = PhaseSample(
+    cycle=1_000, requests=500, arithmetic_intensity=2.0, hit_rate=0.5, write_fraction=0.3
+)
+
+
+def shifted(metric: str, sign: int, fraction_of_threshold: float) -> PhaseSample:
+    """REFERENCE with one metric moved by a fraction of its threshold."""
+    if metric == "arithmetic_intensity":  # relative threshold
+        step = REFERENCE.arithmetic_intensity * INTENSITY_DELTA
+    elif metric == "hit_rate":
+        step = HIT_RATE_DELTA
+    else:
+        step = WRITE_FRACTION_DELTA
+    value = getattr(REFERENCE, metric) + sign * step * fraction_of_threshold
+    return replace(REFERENCE, **{metric: value})
+
+
+class TestPhaseChanged:
+    """The one phase test the detector and the fast-forward sampler share."""
+
+    @pytest.mark.parametrize(
+        "fraction,fires", [(0.9, False), (1.1, True)], ids=["inside", "beyond"]
+    )
+    @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+    @pytest.mark.parametrize("metric", ["arithmetic_intensity", "hit_rate", "write_fraction"])
+    def test_each_metric_fires_only_beyond_its_threshold(self, metric, sign, fraction, fires):
+        assert phase_changed(REFERENCE, shifted(metric, sign, fraction)) is fires
+
+    def test_identical_metrics_are_one_phase(self):
+        assert not phase_changed(REFERENCE, REFERENCE)
+
+    def test_window_position_and_size_are_not_metrics(self):
+        later = replace(REFERENCE, cycle=10**9, requests=10**6)
+        assert not phase_changed(REFERENCE, later)
+
+    def test_intensity_compares_relatively_down_to_a_tiny_floor(self):
+        """A compute-free reference phase compares against a tiny floor,
+        not zero, and small intensities still compare relatively."""
+        idle = replace(REFERENCE, arithmetic_intensity=0.0)
+        assert not phase_changed(idle, replace(idle, arithmetic_intensity=1e-10))
+        assert phase_changed(idle, replace(idle, arithmetic_intensity=1.0))
+        sparse = replace(REFERENCE, arithmetic_intensity=0.01)
+        assert phase_changed(sparse, replace(sparse, arithmetic_intensity=0.02))
 
 
 def make_engine(adaptive: AdaptiveConfig, stats=None) -> DynamicPolicyEngine:
@@ -411,7 +468,7 @@ class TestDynamicPolicyController:
         assert stats.get("adaptive.kernels_under.CacheRW") == 1
 
     def test_kernel_accounting_follows_the_active_policy(self):
-        config = AdaptiveConfig(initial_index=0, switch_at_kernel_boundaries=False)
+        config = AdaptiveConfig(initial_index=0)
         controller, engine, stats = self.make(config)
         controller.on_kernel_boundary()
         engine.set_active(2)

@@ -56,7 +56,6 @@ class TestNormalisation:
     @pytest.mark.parametrize(
         ("name", "empty"),
         [
-            ("sampling", SamplingConfig(enabled=False)),
             ("shards", ShardConfig(num_shards=1)),
         ],
     )

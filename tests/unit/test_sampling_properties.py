@@ -16,11 +16,19 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from repro.accel import SamplingConfig
 from repro.accel.sampling import (
+    CYCLE_DELTA,
+    KernelSampler,
     _GroupState,
     extrapolate,
     kernel_signature,
 )
+from repro.adaptive.phase import HIT_RATE_DELTA, INTENSITY_DELTA, WRITE_FRACTION_DELTA
+from repro.engine import Simulator
+from repro.stats import StatsCollector
 from repro.memory.request import AccessType
 from repro.workloads.trace import KernelTrace, MemInstr, WavefrontProgram
 
@@ -160,6 +168,57 @@ class TestPerCuGroupBound:
         deltas = [{"l2.accesses": 10}] * 3
         result = extrapolate({SIG: _group(deltas, skipped=9)}, 1)
         assert "l2.accesses" not in result.error_bounds_abs
+
+
+#: one measured instance: intensity 2.0, L2 hit rate 0.5, write fraction 0.3
+STEADY = {
+    "gpu.mem_requests": 1000,
+    "gpu.vector_ops": 2000,
+    "gpu.store_requests": 300,
+    "l2.accesses": 1000,
+    "l2.hits": 500,
+}
+
+
+def _moved(counter, fraction_of_threshold):
+    """STEADY with one phase metric moved by a fraction of its threshold."""
+    threshold = {
+        "gpu.vector_ops": INTENSITY_DELTA * 2.0,  # relative to intensity 2.0
+        "l2.hits": HIT_RATE_DELTA,
+        "gpu.store_requests": WRITE_FRACTION_DELTA,
+    }[counter]
+    delta = dict(STEADY)
+    delta[counter] += round(1000 * threshold * fraction_of_threshold)
+    return delta
+
+
+def _steady(deltas, cycles):
+    sampler = KernelSampler(SamplingConfig(), Simulator(), StatsCollector())
+    return sampler._steady(_group(deltas, cycles=cycles))
+
+
+class TestSteadiness:
+    """When the sampler judges a kernel's repeats steady enough to skip."""
+
+    @pytest.mark.parametrize(
+        "fraction,steady", [(0.9, True), (1.1, False)], ids=["inside", "beyond"]
+    )
+    def test_cycle_counts_must_agree_within_the_cycle_delta(self, fraction, steady):
+        cycles = [1000, round(1000 * (1 - CYCLE_DELTA * fraction))]
+        assert _steady([STEADY, STEADY], cycles) is steady
+
+    @pytest.mark.parametrize(
+        "fraction,steady", [(0.9, True), (1.1, False)], ids=["inside", "beyond"]
+    )
+    @pytest.mark.parametrize("counter", ["gpu.vector_ops", "l2.hits", "gpu.store_requests"])
+    def test_phase_metrics_use_the_detectors_thresholds(self, counter, fraction, steady):
+        """Equal cycle counts are not enough: a phase shift the detector
+        would report also keeps the sampler measuring."""
+        assert _steady([STEADY, _moved(counter, fraction)], [1000, 1000]) is steady
+
+    def test_only_the_last_two_instances_are_compared(self):
+        cold = _moved("l2.hits", -3.0)  # a cold first instance
+        assert _steady([cold, STEADY, STEADY], [5000, 1000, 1000])
 
 
 def _kernel(name, line_addresses_per_wf):

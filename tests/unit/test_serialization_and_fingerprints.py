@@ -154,7 +154,6 @@ class TestJobSpecFingerprints:
     @pytest.mark.parametrize(
         "axis,empty,active,streams",
         [
-            ("sampling", SamplingConfig(enabled=False), SamplingConfig(), None),
             # only a mix of partitioned tenants can be sharded
             (
                 "shards",
@@ -219,10 +218,10 @@ PINNED_JOBS = {
 #: job of that axis is now identified by different inputs
 PINNED_KEYS = {
     "static": "f0b06865bc0fd0427273076f14e65242e0c70e09f2932912e39ab117da49742e",
-    "adaptive": "4f3c39c9ca4829e19a92355e302d9ee87b960106ef9813a5e233b4fdca957732",
-    "topology": "55e2d9bab4855471cfcc1b8be1e97ca6630ced0e20ecc5bf75ef3e227c0ead25",
+    "adaptive": "8405e9875b095210d594339830acdd4de5b89b64073fcbc56fe81d14d4e7481c",
+    "topology": "2cc784313c9a715e4f9d83a91acf97a60d6f30c1a9e1dfb28f5ea98d1858c001",
     "streams": "50eeafb7717ca3b7b9a128e4e059da9380f00ddf69de00bf13a85e0cacebd949",
-    "sampling": "2eec92c3ab7c7f072ba6e1d75f8fdbe7087632f909b21601dffa661fe6c39202",
+    "sampling": "49ddda4ef02190edc776cec5bd17d2aedf715aada9b122abe81b47dbe8d1e974",
     "shards": "ed23396ca2ecda37725c3531f7eaa2fe7b4a160a6a976a625dcdf0c453e825fa",
     "predictor_config": "d7148ee5d287443dab197432334a4ecae7f5d6a5a5b37c8ace33f68572bc0ef1",
 }

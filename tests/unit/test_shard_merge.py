@@ -108,13 +108,6 @@ class TestStreamTasks:
             # a shard job is an ordinary exact run: it never re-shards
             assert job.shards is None
 
-    def test_disabled_sampling_fingerprints_like_none(self):
-        plain, _ = _tasks(_streams(2))
-        disabled, _ = _tasks(_streams(2), sampling=SamplingConfig(enabled=False))
-        assert [job.fingerprint() for job in disabled] == [
-            job.fingerprint() for job in plain
-        ]
-
 
 class TestRemapStreamCounter:
     @pytest.mark.parametrize(

@@ -68,10 +68,6 @@ class TestTelemetryConfig:
         with pytest.raises(ValueError):
             TelemetryConfig(metrics_interval=-1)
 
-    def test_rejects_nonpositive_event_cap(self):
-        with pytest.raises(ValueError):
-            TelemetryConfig(max_trace_events=0)
-
 
 class TestTraceRecorder:
     def test_kernel_span(self):

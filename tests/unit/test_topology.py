@@ -10,6 +10,8 @@ behaviour.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import DramConfig
@@ -167,6 +169,14 @@ class TestTopologyConfig:
         ):
             assert changed.fingerprint() != base.fingerprint()
 
+    def test_payload_names_exactly_the_live_fields(self):
+        # no retired knob lingers in the identity and no new one is left
+        # out; the display-only name stays out of it
+        described = TopologyConfig(num_devices=2).describe()
+        assert set(described) == {
+            field.name for field in dataclasses.fields(TopologyConfig)
+        } - {"name"}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TopologyConfig(num_devices=0)
@@ -176,8 +186,6 @@ class TestTopologyConfig:
             TopologyConfig(remote_latency_cycles=-1)
         with pytest.raises(ValueError):
             TopologyConfig(fabric_requests_per_cycle=0.0)
-        with pytest.raises(ValueError):
-            TopologyConfig(partition="model_parallel")
 
     def test_with_devices_keeps_fabric_and_drops_name(self):
         quad = topology_by_name("quad-gpu").with_devices(2)
