@@ -6,7 +6,8 @@ Two composable ways to trade a little fidelity for a lot of wall-clock:
   extrapolate their counters with per-counter error estimates
   (:mod:`repro.accel.sampling`).
 * :class:`ShardConfig` -- split a serving mix of partitioned tenants
-  into independent per-shard worker processes and merge their reports
+  into independent shard runs (one worker process per distinct shard,
+  equal shards simulated once) and merge their reports
   (:mod:`repro.accel.shard`).
 
 Both default to *off*; exact mode (``sampling=None``, one shard) is

@@ -14,8 +14,8 @@ into :class:`~repro.spec.JobSpec` identities:
   :mod:`repro.accel.sampling`.
 * :class:`ShardConfig` -- sharded multi-process execution.  A serving
   mix of partitioned tenants is split along its streams into
-  independent shard runs, one worker process each, whose reports are
-  merged.
+  independent shard runs whose reports are merged; distinct shards run
+  one worker process each, equal shards are simulated once.
 
 Exact mode -- ``sampling=None`` and a single shard -- is bit-identical to
 the historical simulator and hashes as ``None`` in fingerprints, so
@@ -80,8 +80,9 @@ class ShardConfig:
     """Sharded multi-process execution of one big run.
 
     Args:
-        num_shards: worker processes, each owning a subset of the
-            serving streams; 1 is exact mode and fingerprints as ``None``.
+        num_shards: shards, each owning a subset of the serving streams
+            (distinct shards run one worker process each, equal ones are
+            simulated once); 1 is exact mode and fingerprints as ``None``.
         axis: ``"streams"`` or ``"auto"``, which mean the same: the
             serving streams are the only seam a run is sharded along.
     """

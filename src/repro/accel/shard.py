@@ -1,4 +1,4 @@
-"""Sharded multi-process simulation: one serving mix, independent shards.
+"""Sharded simulation: one serving mix, independent shards.
 
 A serving mix of N partitioned tenants is one monolithic event queue.
 :func:`run_sharded` splits it along its streams: each shard owns a
@@ -9,14 +9,19 @@ use ``cu_share="partitioned"``: shared dispatch couples tenants through
 the CU scheduler, which a process boundary cannot reproduce.
 
 Nothing crosses a shard boundary while the shards run, so each shard is
-an ordinary, unsharded copy of the run's :class:`~repro.spec.JobSpec`
-executed to completion on the sweep backend
-(:class:`~repro.experiments.jobs.ProcessPoolBackend`, one worker per
-shard).  The backend's lifecycle contract carries over unchanged: no
+an ordinary, unsharded copy of the run's :class:`~repro.spec.JobSpec`,
+and the shards are one batch for the sweep executor
+(:class:`~repro.experiments.jobs.SweepExecutor` on a
+:class:`~repro.experiments.jobs.ProcessPoolBackend`, no store, no
+ledger).  Shards with equal fingerprints (replicated tenants) are
+simulated once, and a batch that collapses to one distinct shard runs
+in-process without starting a pool; distinct shards fan out one worker
+each.  The backend's lifecycle contract carries over unchanged: no
 worker left running once the run returns or fails, and structured
-:class:`~repro.experiments.jobs.JobFailure` records on a
-:class:`ShardExecutionError`.  :func:`_merge_reports` then folds the
-per-shard reports into one.
+:class:`~repro.experiments.jobs.JobFailure` records (one per distinct
+failed shard) on a :class:`ShardExecutionError`.
+:func:`_merge_reports` then folds the per-shard reports into one, so a
+deduplicated shard still counts once per shard it stands for.
 
 Exact mode (``num_shards == 1``) never reaches this module: the spec
 stores a single shard as ``None``, and :func:`repro.session.simulate`
@@ -31,7 +36,7 @@ from dataclasses import replace as dc_replace
 from typing import Sequence
 
 from repro.config import SystemConfig
-from repro.experiments.jobs import ProcessPoolBackend
+from repro.experiments.jobs import ProcessPoolBackend, SweepExecutor
 from repro.spec import JobSpec
 from repro.stats.report import RunReport
 
@@ -46,9 +51,10 @@ class ShardExecutionError(RuntimeError):
     """A shard failed (crash or error) during a sharded run.
 
     Carries structured :class:`~repro.experiments.jobs.JobFailure`
-    records on :attr:`failures`, one per shard that could not complete --
-    the same contract sweep backends use, so fleet tooling can treat a
-    failed shard like a failed job.
+    records on :attr:`failures`, one per distinct shard that could not
+    complete (equal shards are simulated, and fail, once) -- the same
+    contract sweep backends use, so fleet tooling can treat a failed
+    shard like a failed job.
     """
 
     def __init__(self, message: str, failures: Sequence[object]) -> None:
@@ -180,18 +186,23 @@ def _merge_reports(
 
 
 def run_sharded(job: JobSpec) -> RunReport:
-    """Execute one sharded serving spec as independent shard processes and
-    merge their reports (:func:`repro.session.simulate` dispatches here
-    for a spec with ``shards``)."""
+    """Execute one sharded serving spec as independent shards and merge
+    their reports (:func:`repro.session.simulate` dispatches here for a
+    spec with ``shards``).
+
+    Equal shards are simulated once; distinct ones run in one worker
+    process each, and a single distinct shard runs in-process.
+    """
     if job.shards is None:
         raise ValueError("run_sharded needs a JobSpec with shards (num_shards > 1)")
     jobs, assignment = _stream_tasks(job)
-    backend = ProcessPoolBackend(max_workers=len(jobs))
+    executor = SweepExecutor(backend=ProcessPoolBackend(max_workers=len(jobs)))
     try:
-        reports = backend.run_jobs(jobs)
+        reports = executor.run(jobs)
     except Exception as exc:
+        failures = executor.stats.failures
         raise ShardExecutionError(
-            f"{len(backend.failures)} of {len(jobs)} shard(s) failed: {exc!r}",
-            backend.failures,
+            f"{len(failures)} distinct shard(s) of {len(jobs)} failed: {exc!r}",
+            failures,
         ) from exc
     return _merge_reports(reports, assignment, job.workload, job.config)

@@ -104,8 +104,8 @@ class SetDuelingMonitor:
         candidates: Sequence[PolicySpec],
         num_sets: int,
         stats: StatsCollector,
-        leader_sets_per_policy: int = 4,
-        writeback: bool = True,
+        leader_sets_per_policy: int,
+        writeback: bool,
     ) -> None:
         if not candidates:
             raise ValueError("set dueling needs at least one candidate policy")

@@ -170,15 +170,17 @@ class ProcessPoolBackend:
     """Fan independent jobs out across worker processes.
 
     Args:
-        max_workers: worker process count (``None`` lets
-            :class:`~concurrent.futures.ProcessPoolExecutor` use one per
-            core).
+        max_workers: the most worker processes a batch starts (a positive
+            int); a batch of fewer jobs starts one worker per job.
 
-    The pool is created per batch rather than held open: sweep batches
-    are coarse (each job is a whole simulation), so the fork cost is
-    noise, and a short-lived pool cannot leak workers into test runners
-    or the CLI.  A batch of one job runs in-process, as on
-    :class:`SerialBackend`.
+    The pool is created per batch rather than held open, so a
+    short-lived pool cannot leak workers into test runners or the CLI.
+    That costs a pool round trip per batch, which is not noise for short
+    jobs: on a shared 2-vCPU Xeon VM the two shards of the end-to-end
+    benchmark's ``accel-sampled`` run took 0.14-0.24 s as one pooled
+    batch, against 0.06-0.09 s to simulate one of them in-process.  So a
+    batch of one job runs in-process, as on :class:`SerialBackend`, and
+    :class:`SweepExecutor` hands the backend each distinct job once.
 
     A job that raises (or whose worker dies) is recorded on
     :attr:`failures` as a :class:`JobFailure` while the batch keeps
@@ -190,8 +192,8 @@ class ProcessPoolBackend:
     each bounded by the simulator's event budget.
     """
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
+    def __init__(self, max_workers: int) -> None:
+        if max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
         self.max_workers = max_workers
         #: structured records of the last batch's failed jobs
@@ -211,9 +213,7 @@ class ProcessPoolBackend:
         # fans out, so a sweep served from the store never imports it
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        workers = self.max_workers
-        if workers is not None:
-            workers = min(workers, len(jobs))
+        workers = min(self.max_workers, len(jobs))
         reports: list[Optional[RunReport]] = [None] * len(jobs)
         errors: dict[int, Exception] = {}
         pool = ProcessPoolExecutor(max_workers=workers)

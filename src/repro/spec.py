@@ -82,9 +82,9 @@ class JobSpec:
             approximations, so the parameters are fingerprinted; exact
             mode is ``None``.
         shards: when given (and ``num_shards > 1``), a serving mix of
-            partitioned streams runs as independent per-shard worker
-            processes whose reports are merged
-            (:mod:`repro.accel.shard`).  Merged reports differ from
+            partitioned streams runs as independent shards (one worker
+            process per distinct shard, equal shards simulated once)
+            whose reports are merged (:mod:`repro.accel.shard`).  Merged reports differ from
             monolithic ones (each shard simulates its own slice of the
             machine, plus a ``shard.count`` counter), so the shard count
             is fingerprinted; a single shard is stored as ``None``.

@@ -53,6 +53,10 @@ STATIC_RUN_FORBIDDEN = (
     "repro.experiments",
 )
 
+#: the process-pool machinery: a sharded run whose shards are all equal
+#: simulates its one distinct shard in-process and never starts a pool
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
 #: prints every module the scenario loaded as the last stdout line
 _REPORT = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
@@ -103,3 +107,16 @@ def test_static_exact_run_loads_no_optional_subsystem():
     loaded = _loaded_modules(script)
     assert "repro.memory.cache" in loaded  # the simulator really ran
     assert sorted(loaded.intersection(STATIC_RUN_FORBIDDEN)) == []
+
+
+def test_identical_shards_load_no_process_pool():
+    script = (
+        "from repro import ShardConfig, StreamConfig, scaled_config, simulate\n"
+        "streams = [StreamConfig('FwSoft', scale=0.1, cu_share='partitioned')] * 2\n"
+        "report = simulate(policy='CacheR', config=scaled_config(2), streams=streams,\n"
+        "                  shards=ShardConfig(num_shards=2))\n"
+        "assert report.counters['shard.count'] == 2\n"
+    )
+    loaded = _loaded_modules(script)
+    assert "repro.accel.shard" in loaded  # the sharded path really ran
+    assert sorted(loaded.intersection(POOL_MODULES)) == []

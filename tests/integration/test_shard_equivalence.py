@@ -6,9 +6,11 @@ contract tested here: traffic-driven totals (DRAM/L2 accesses, GPU work)
 are *conserved exactly* -- the same memory requests happen, just in
 different processes -- while timing-coupled counters (queue stalls,
 row-buffer locality, contention) may drift because the shards no longer
-interleave in one clock.  Failure paths surface as
-:class:`ShardExecutionError` carrying the same structured ``JobFailure``
-records sweep backends use, and no worker process outlives the run.
+interleave in one clock.  Equal shards (replicated tenants) are
+simulated once, in-process, and merged once per shard they stand for.
+Failure paths surface as :class:`ShardExecutionError` carrying the same
+structured ``JobFailure`` records sweep backends use, and no worker
+process outlives the run.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.accel import SamplingConfig, ShardConfig
 from repro.accel.shard import ShardExecutionError, run_sharded
 from repro.config import scaled_config
 from repro.core.policies import policy_by_name
+from repro.experiments import jobs as jobs_module
 from repro.session import SimulationSession, simulate
 from repro.spec import JobSpec
 from repro.streams import StreamConfig
@@ -203,4 +206,99 @@ class TestShardProcesses:
             run_sharded(
                 JobSpec(policy=CACHE_RW, streams=streams, shards=ShardConfig(num_shards=2))
             )
+        assert multiprocessing.active_children() == []
+
+
+def _partitioned(*workloads):
+    return [
+        StreamConfig(workload=name, scale=0.1, cu_share="partitioned")
+        for name in workloads
+    ]
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail any attempt to start a process pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+
+
+@pytest.fixture
+def simulated(monkeypatch):
+    """Every job the sweep backends simulate, in call order."""
+    jobs: list[JobSpec] = []
+    real = jobs_module.execute_job
+
+    def record(job):
+        jobs.append(job)
+        return real(job)
+
+    monkeypatch.setattr(jobs_module, "execute_job", record)
+    return jobs
+
+
+class TestIdenticalShards:
+    def test_identical_tenants_simulate_once_without_a_pool(self, no_pool, simulated):
+        report = simulate(
+            policy=CACHE_RW,
+            config=scaled_config(2),
+            streams=_partitioned("FwSoft", "FwSoft"),
+            shards=ShardConfig(num_shards=2),
+        )
+        assert len(simulated) == 1
+        assert simulated[0].shards is None and len(simulated[0].streams) == 1
+        shard_report = simulate(simulated[0])
+        # the one simulated shard is merged once per shard it stands for
+        for name in CONSERVED:
+            assert report.get(name) == 2 * shard_report.get(name), name
+        assert report.cycles == shard_report.cycles
+        assert report.counters["shard.count"] == 2
+        for stream_index in (0, 1):
+            assert (
+                report.counters[f"stream{stream_index}.kernels_launched"]
+                == shard_report.counters["stream0.kernels_launched"]
+            )
+
+    def test_identical_multi_stream_shards_remap_to_every_global_index(
+        self, no_pool, simulated
+    ):
+        # streams are dealt round-robin, so both shards get (FwSoft, FwAct)
+        report = simulate(
+            policy=CACHE_RW,
+            config=scaled_config(4),
+            streams=_partitioned("FwSoft", "FwSoft", "FwAct", "FwAct"),
+            shards=ShardConfig(num_shards=2),
+        )
+        assert len(simulated) == 1
+        assert [stream.workload for stream in simulated[0].streams] == ["FwSoft", "FwAct"]
+        shard_counters = simulate(simulated[0]).counters
+        stream_counters = {
+            name: value
+            for name, value in report.counters.items()
+            if name.startswith("stream")
+        }
+        assert {name.partition(".")[0] for name in stream_counters} == {
+            f"stream{index}" for index in range(4)
+        }
+        # global stream g came from local stream g // 2 of the shared shard
+        for name, value in stream_counters.items():
+            head, _, tail = name.partition(".")
+            local = int(head[len("stream"):]) // 2
+            assert value == shard_counters[f"stream{local}.{tail}"], name
+
+    def test_a_failing_identical_shard_is_one_failure(self, no_pool):
+        streams = [
+            StreamConfig(workload="NoSuchWorkload", cu_share="partitioned")
+            for _ in range(2)
+        ]
+        with pytest.raises(ShardExecutionError) as excinfo:
+            run_sharded(
+                JobSpec(policy=CACHE_RW, streams=streams, shards=ShardConfig(num_shards=2))
+            )
+        (failure,) = excinfo.value.failures
+        assert "NoSuchWorkload" in failure.error
+        assert failure.index == 0
         assert multiprocessing.active_children() == []

@@ -394,7 +394,7 @@ class TestPoolRelease:
         assert all(report is not None for report in reports)
         assert calls[-1] == {"wait": True, "cancel_futures": True}
 
-    @pytest.mark.parametrize("max_workers, built", [(8, 3), (None, None)])
+    @pytest.mark.parametrize("max_workers, built", [(8, 3)])
     def test_pool_is_no_wider_than_the_batch(self, monkeypatch, max_workers, built):
         pool_class, _calls = self._recording_pool()
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_class)

@@ -116,6 +116,7 @@ class TestSetDuelingMonitor:
             num_sets=num_sets,
             stats=StatsCollector(),
             leader_sets_per_policy=leaders,
+            writeback=True,
         )
 
     def test_every_candidate_gets_the_requested_leaders(self):
@@ -143,12 +144,19 @@ class TestSetDuelingMonitor:
             num_sets=16,
             stats=StatsCollector(),
             leader_sets_per_policy=16,
+            writeback=True,
         )
         assert monitor.leader_sets_per_policy == 2  # 16 // (2 * 3)
 
     def test_too_few_sets_to_duel_raises(self):
         with pytest.raises(ValueError):
-            SetDuelingMonitor(STATIC_POLICIES, num_sets=4, stats=StatsCollector())
+            SetDuelingMonitor(
+                STATIC_POLICIES,
+                num_sets=4,
+                stats=StatsCollector(),
+                leader_sets_per_policy=1,
+                writeback=True,
+            )
 
     def test_costs_and_demand_accumulate_per_candidate(self):
         monitor = self.make(leaders=1)
