@@ -2,7 +2,7 @@
 
 The harness regenerates every table and figure of the paper's evaluation.
 All figure benchmarks share one session-scoped
-:class:`~repro.experiments.runner.ExperimentRunner` built on one shared
+:class:`~repro.experiments.runner.ExperimentRunner` and so its one
 :class:`~repro.experiments.jobs.SweepExecutor`: the runner's in-process
 memo dedupes (workload, policy) cells within the session, and the
 executor's persistent :class:`~repro.experiments.store.ResultStore` (under
@@ -58,8 +58,9 @@ def no_child_process_left():
 def bench_runner() -> ExperimentRunner:
     """The shared, memoizing experiment runner used by every figure bench.
 
-    The runner wires its own executor: a process-pool backend when
-    ``REPRO_BENCH_JOBS`` > 1 and a persistent store at ``BENCH_CACHE_DIR``.
+    The runner wires its own executor: ``REPRO_BENCH_JOBS`` workers (a
+    process pool per batch when above 1) and a persistent store at
+    ``BENCH_CACHE_DIR``.
     """
     return ExperimentRunner(
         scale=BENCH_SCALE,

@@ -1,4 +1,4 @@
-"""Cache-effectiveness assertions for the shared executor and store.
+"""Cache-effectiveness assertions for the harness runner and its store.
 
 The figure benchmarks all pull from one session-scoped runner; this module
 asserts that sharing actually works: re-requesting an already-materialized

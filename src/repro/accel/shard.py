@@ -11,15 +11,14 @@ the CU scheduler, which a process boundary cannot reproduce.
 Nothing crosses a shard boundary while the shards run, so each shard is
 an ordinary, unsharded copy of the run's :class:`~repro.spec.JobSpec`,
 and the shards are one batch for the sweep executor
-(:class:`~repro.experiments.jobs.SweepExecutor` on a
-:class:`~repro.experiments.jobs.ProcessPoolBackend`, no store, no
-ledger).  Shards with equal fingerprints (replicated tenants) are
-simulated once, and a batch that collapses to one distinct shard runs
-in-process without starting a pool; distinct shards fan out one worker
-each.  The backend's lifecycle contract carries over unchanged: no
-worker left running once the run returns or fails, and structured
-:class:`~repro.experiments.jobs.JobFailure` records (one per distinct
-failed shard) on a :class:`ShardExecutionError`.
+(:class:`~repro.experiments.jobs.SweepExecutor` with one worker per
+shard, no store, no ledger).  Shards with equal fingerprints (replicated
+tenants) are simulated once, and a batch that collapses to one distinct
+shard runs in-process without starting a pool; distinct shards fan out
+one worker each.  The executor's lifecycle contract carries over
+unchanged: no worker left running once the run returns or fails, and
+structured :class:`~repro.experiments.jobs.JobFailure` records (one per
+distinct failed shard) on a :class:`ShardExecutionError`.
 :func:`_merge_reports` then folds the per-shard reports into one, so a
 deduplicated shard still counts once per shard it stands for.
 
@@ -36,7 +35,7 @@ from dataclasses import replace as dc_replace
 from typing import Sequence
 
 from repro.config import SystemConfig
-from repro.experiments.jobs import ProcessPoolBackend, SweepExecutor
+from repro.experiments.jobs import SweepExecutor
 from repro.spec import JobSpec
 from repro.stats.report import RunReport
 
@@ -53,7 +52,7 @@ class ShardExecutionError(RuntimeError):
     Carries structured :class:`~repro.experiments.jobs.JobFailure`
     records on :attr:`failures`, one per distinct shard that could not
     complete (equal shards are simulated, and fail, once) -- the same
-    contract sweep backends use, so fleet tooling can treat a failed
+    contract the sweep executor uses, so fleet tooling can treat a failed
     shard like a failed job.
     """
 
@@ -196,7 +195,7 @@ def run_sharded(job: JobSpec) -> RunReport:
     if job.shards is None:
         raise ValueError("run_sharded needs a JobSpec with shards (num_shards > 1)")
     jobs, assignment = _stream_tasks(job)
-    executor = SweepExecutor(backend=ProcessPoolBackend(max_workers=len(jobs)))
+    executor = SweepExecutor(workers=len(jobs))
     try:
         reports = executor.run(jobs)
     except Exception as exc:

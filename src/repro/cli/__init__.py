@@ -275,7 +275,7 @@ def finish(
             file=sys.stderr,
         )
     if executor.ledger is not None:
-        executor.record_sweep(label=args.command, workers=args.jobs)
+        executor.record_sweep(label=args.command)
     if args.telemetry_out:
         telemetry = {
             "schema": 1,

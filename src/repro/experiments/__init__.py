@@ -25,15 +25,15 @@ Each module corresponds to a block of the paper's evaluation:
   shares: ``series`` (one metric as a table), ``summarize`` (per-series
   statistics) and ``artifact`` (the ``--json-out`` blob).
 * :mod:`repro.experiments.jobs` -- the job-based sweep executor:
-  :class:`JobSpec` grid cells, serial and process-pool backends, and the
-  store-aware :class:`SweepExecutor`.
+  :class:`JobSpec` grid cells and the store-aware :class:`SweepExecutor`,
+  which simulates a batch in-process or on a per-batch process pool.
 * :mod:`repro.experiments.store` -- the persistent on-disk result store
   keyed by job fingerprints.
 * :mod:`repro.experiments.runner` -- :class:`ExperimentRunner`, the
   memoizing front-end used by all of the above and the benchmark harness.
   Its one grid method, :meth:`ExperimentRunner.run`, takes the
   :class:`JobSpec` cells a study builds and returns their reports in
-  order; ``sweep`` and ``run_one`` are static-grid shorthands over it.
+  order; ``sweep`` is the static-grid shorthand over it.
 """
 
 from repro._exports import lazy_exports
@@ -42,14 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.experiments.runner": ("ExperimentRunner", "SweepResult"),
-        "repro.experiments.jobs": (
-            "JobSpec",
-            "JobFailure",
-            "SerialBackend",
-            "ProcessPoolBackend",
-            "SweepExecutor",
-            "execute_job",
-        ),
+        "repro.experiments.jobs": ("JobSpec", "JobFailure", "SweepExecutor"),
         "repro.experiments.store": ("ResultStore", "default_cache_dir"),
         "repro.experiments.characterization": ("figure4_gvops", "figure5_gmrs"),
         "repro.experiments.static_policies": (

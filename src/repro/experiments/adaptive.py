@@ -47,8 +47,8 @@ def adaptive_sweep(
 ) -> dict[str, RunReport]:
     """One dynamic run per workload, through the runner's executor.
 
-    The jobs are submitted as a single batch, so a process-pool backend
-    runs them concurrently and the persistent store caches them under the
+    The jobs are submitted as a single batch, so an executor with several
+    workers runs them concurrently and the persistent store caches them under the
     adaptive configuration's fingerprint.  Each job records the initial
     policy; differently tuned adaptive studies never share a cell.
     """

@@ -1,22 +1,17 @@
 """Job-based sweep execution: one job per (workload, policy) grid cell.
 
-The experiment drivers used to run every simulation inline and serially.
-This module splits the *what* from the *how*:
-
 * :class:`~repro.spec.JobSpec` names one simulation -- workload, scale,
   policy, system configuration and run axes -- and derives a stable
   content fingerprint from those inputs, which doubles as the key in the
   persistent :class:`~repro.experiments.store.ResultStore`.
-* Backends turn a batch of jobs into reports: :class:`SerialBackend` runs
-  them in-process (no overhead, deterministic ordering), while
-  :class:`ProcessPoolBackend` fans independent jobs out across worker
-  processes with :class:`concurrent.futures.ProcessPoolExecutor`.  Grid
-  cells share no state, so the parallel speedup is essentially linear
-  until the machine runs out of cores.
-* :class:`SweepExecutor` composes a backend with an optional store:
-  store hits are loaded, misses are simulated on the backend and written
-  back, and both counts are tracked so callers can assert cache
-  effectiveness.
+* :class:`SweepExecutor` resolves a batch of jobs to reports: store hits
+  are loaded, and the misses are simulated in-process or, with
+  ``workers > 1``, fanned out across worker processes with
+  :class:`concurrent.futures.ProcessPoolExecutor`.  Grid cells share no
+  state, so the parallel speedup is essentially linear until the machine
+  runs out of cores.  Each finished cell is written back to the store as
+  it lands, and the simulated and loaded counts are tracked so callers
+  can assert cache effectiveness.
 
 Every simulation is deterministic, so a report loaded from the store (or
 computed in a worker process) is bit-identical to one computed inline.
@@ -26,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.experiments.store import ResultStore
 from repro.spec import JobSpec
@@ -35,29 +30,12 @@ from repro.stats.report import RunReport
 if TYPE_CHECKING:
     from repro.obs.ledger import RunLedger
 
-__all__ = [
-    "JobSpec",
-    "JobFailure",
-    "ExecutorStats",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "SweepExecutor",
-    "execute_job",
-]
-
-def execute_job(job: JobSpec) -> RunReport:
-    """Simulate one job to completion (the unit of work for all backends).
-
-    The simulator is imported here, by the first job that needs it, so a
-    sweep served entirely from the store never loads it.
-    """
-    from repro.session import simulate
-
-    return simulate(job)
+__all__ = ["JobSpec", "JobFailure", "ExecutorStats", "SweepExecutor"]
 
 
 def _execute_job_payload(job: JobSpec) -> dict[str, object]:
-    """Worker-side entry point: ship the report back as primitives.
+    """Worker-side entry point: simulate one job, ship the report back as
+    primitives.
 
     Returning ``to_dict()`` output instead of the dataclass keeps the
     parent<->worker contract identical to the store's JSON contract, so a
@@ -67,22 +45,19 @@ def _execute_job_payload(job: JobSpec) -> dict[str, object]:
     telemetry's worker-utilization accounting.
     """
     started = time.perf_counter()
-    report = execute_job(job).to_dict()
+    from repro.session import simulate
+
+    report = simulate(job).to_dict()
     return {"report": report, "elapsed_seconds": time.perf_counter() - started}
-
-
-#: per-result callback: (index within the batch, finished report)
-ResultCallback = Callable[[int, RunReport], None]
 
 
 @dataclass(frozen=True)
 class JobFailure:
-    """Structured record of one job that a backend could not complete.
+    """Structured record of one job the executor could not complete.
 
-    Backends keep the batch draining when a job raises or its worker
-    dies; every such job becomes one of these on ``backend.failures``
-    (and, via the executor, on ``ExecutorStats.failures``) -- a worker
-    crash is data, not a silent hole in the sweep.
+    A batch keeps running when a job raises or its worker dies; every
+    such job becomes one of these on ``ExecutorStats.failures`` -- a
+    worker crash is data, not a silent hole in the sweep.
     """
 
     #: position of the job in the submitted batch
@@ -93,162 +68,6 @@ class JobFailure:
     job: dict[str, object]
     #: ``repr`` of the exception (a BrokenProcessPool for a dead worker)
     error: str
-
-
-class SweepBackend(Protocol):
-    """Anything that can turn a batch of jobs into reports, in order.
-
-    ``on_result`` (when given) is invoked in the *calling* process as each
-    job finishes, before the batch completes -- the executor uses it to
-    persist results incrementally, so an interrupted sweep keeps every
-    cell that finished.
-    """
-
-    def run_jobs(
-        self, jobs: Sequence[JobSpec], on_result: Optional[ResultCallback] = None
-    ) -> list[RunReport]:
-        ...  # pragma: no cover - protocol
-
-
-def _failure(job: JobSpec, index: int, exc: BaseException) -> JobFailure:
-    return JobFailure(
-        index=index, fingerprint=job.fingerprint(), job=job.summary(), error=repr(exc)
-    )
-
-
-def _run_inline(
-    jobs: Sequence[JobSpec],
-    on_result: Optional[ResultCallback],
-    failures: list[JobFailure],
-    job_seconds: dict[int, float],
-) -> list[RunReport]:
-    """Run ``jobs`` one after another in the calling process.
-
-    A raising job stops the batch once its failure is on ``failures``.
-    """
-    reports = []
-    for index, job in enumerate(jobs):
-        started = time.perf_counter()
-        try:
-            report = execute_job(job)
-        except BaseException as exc:
-            failures.append(_failure(job, index, exc))
-            raise
-        job_seconds[index] = time.perf_counter() - started
-        if on_result is not None:
-            on_result(index, report)
-        reports.append(report)
-    return reports
-
-
-class SerialBackend:
-    """Run every job in the calling process, one after another.
-
-    A raising job still stops the batch (serial runs are the debugging
-    path; fail fast, keep the traceback), but the failure is recorded on
-    :attr:`failures` first so the executor can account for it.
-    """
-
-    def __init__(self) -> None:
-        #: structured records of jobs that raised, reset per batch
-        self.failures: list[JobFailure] = []
-        #: per-batch wall seconds of each finished job, by batch index
-        self.job_seconds: dict[int, float] = {}
-
-    def run_jobs(
-        self, jobs: Sequence[JobSpec], on_result: Optional[ResultCallback] = None
-    ) -> list[RunReport]:
-        self.failures = []
-        self.job_seconds = {}
-        return _run_inline(jobs, on_result, self.failures, self.job_seconds)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "SerialBackend()"
-
-
-class ProcessPoolBackend:
-    """Fan independent jobs out across worker processes.
-
-    Args:
-        max_workers: the most worker processes a batch starts (a positive
-            int); a batch of fewer jobs starts one worker per job.
-
-    The pool is created per batch rather than held open, so a
-    short-lived pool cannot leak workers into test runners or the CLI.
-    That costs a pool round trip per batch, which is not noise for short
-    jobs: on a shared 2-vCPU Xeon VM the two shards of the end-to-end
-    benchmark's ``accel-sampled`` run took 0.14-0.24 s as one pooled
-    batch, against 0.06-0.09 s to simulate one of them in-process.  So a
-    batch of one job runs in-process, as on :class:`SerialBackend`, and
-    :class:`SweepExecutor` hands the backend each distinct job once.
-
-    A job that raises (or whose worker dies) is recorded on
-    :attr:`failures` as a :class:`JobFailure` while the batch keeps
-    draining, so every finished job still reaches ``on_result`` -- and a
-    sweep with a persistent store loses nothing but the failed cells.
-    The first error is then re-raised.  An exception escaping the drain
-    (an ``on_result`` that raises, Ctrl-C) cancels the jobs not yet
-    started and waits for the running ones: at most ``max_workers``,
-    each bounded by the simulator's event budget.
-    """
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
-        #: structured records of the last batch's failed jobs
-        self.failures: list[JobFailure] = []
-        #: per-batch worker-side wall seconds of each finished job
-        self.job_seconds: dict[int, float] = {}
-
-    def run_jobs(
-        self, jobs: Sequence[JobSpec], on_result: Optional[ResultCallback] = None
-    ) -> list[RunReport]:
-        jobs = list(jobs)
-        self.failures = []
-        self.job_seconds = {}
-        if len(jobs) <= 1:  # a pool fork for a single job is pure overhead
-            return _run_inline(jobs, on_result, self.failures, self.job_seconds)
-        # the pool machinery (multiprocessing) loads only when a batch
-        # fans out, so a sweep served from the store never imports it
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        workers = min(self.max_workers, len(jobs))
-        reports: list[Optional[RunReport]] = [None] * len(jobs)
-        errors: dict[int, Exception] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            # submit + as_completed (rather than pool.map) so the callback
-            # fires the moment any job lands, in completion order -- a slow
-            # or failing early job cannot hold finished results hostage
-            futures = {
-                pool.submit(_execute_job_payload, job): index
-                for index, job in enumerate(jobs)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    payload = future.result()
-                    report = RunReport.from_dict(payload["report"])
-                except Exception as exc:  # keep draining the batch
-                    errors[index] = exc
-                    continue
-                self.job_seconds[index] = payload["elapsed_seconds"]
-                reports[index] = report
-                if on_result is not None:
-                    on_result(index, report)
-        finally:
-            # the stdlib's ``with`` exit waits without cancelling, which
-            # would run the whole rest of an interrupted batch
-            pool.shutdown(wait=True, cancel_futures=True)
-        if errors:
-            for index in sorted(errors):
-                self.failures.append(_failure(jobs[index], index, errors[index]))
-            raise errors[min(errors)]
-        return reports  # type: ignore[return-value]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessPoolBackend(max_workers={self.max_workers})"
 
 
 @dataclass
@@ -262,9 +81,9 @@ class ExecutorStats:
     runs_failed: int = 0
     #: structured records behind :attr:`runs_failed` (cumulative)
     failures: list[JobFailure] = field(default_factory=list)
-    #: backend batches dispatched (store-only sweeps dispatch none)
+    #: batches simulated (store-only sweeps simulate none)
     batches: int = 0
-    #: wall seconds spent inside backend batches, end to end
+    #: wall seconds spent inside batches, end to end
     batch_seconds: float = 0.0
     #: summed per-job wall seconds (worker-side, so pool overhead excluded)
     job_seconds: float = 0.0
@@ -306,7 +125,7 @@ class ExecutorStats:
             "jobs_timed": self.jobs_timed,
             "mean_job_seconds": self.mean_job_seconds,
             "max_job_seconds": self.max_job_seconds,
-            # always 0 (backends never retry); kept because the end-to-end
+            # always 0 (the executor never retries); kept because the end-to-end
             # benchmark's per-layer metrics (benchmarks/e2e/run.py,
             # program_counts) still read it
             "retry_attempts": 0,
@@ -316,10 +135,13 @@ class ExecutorStats:
 
 
 class SweepExecutor:
-    """A backend plus an optional persistent store, with hit accounting.
+    """Simulates batches of jobs, with an optional persistent store.
 
     Args:
-        backend: how cache-missing jobs are simulated (default: serial).
+        workers: the most worker processes a batch starts (a positive
+            int).  A batch runs in-process when ``workers == 1`` or it
+            holds one distinct job; otherwise it runs on one pool of
+            ``min(workers, len(batch))`` processes.
         store: persistent result store consulted before simulating and
             updated afterwards; ``None`` disables persistence.
         ledger: run ledger every *simulated* cell is recorded into as it
@@ -328,58 +150,44 @@ class SweepExecutor:
             does not duplicate its whole history).  ``None`` disables
             recording.
 
-    One executor may be shared by any number of
-    :class:`~repro.experiments.runner.ExperimentRunner` instances (the
-    benchmark harness does exactly that), in which case its statistics
-    aggregate across all of them.
+    The pool is created per batch rather than held open, so a
+    short-lived pool cannot leak workers into test runners or the CLI.
+    That costs a pool round trip per batch, which is not noise for short
+    jobs: on a shared 2-vCPU Xeon VM the two shards of the end-to-end
+    benchmark's ``accel-sampled`` run took 0.14-0.24 s as one pooled
+    batch, against 0.06-0.09 s to simulate one of them in-process -- hence
+    the in-process path for a batch of one.
+
+    Statistics accumulate over every batch the executor runs.
     """
 
     def __init__(
         self,
-        backend: Optional[SweepBackend] = None,
+        workers: int = 1,
         store: Optional[ResultStore] = None,
         ledger: Optional[RunLedger] = None,
     ) -> None:
-        self.backend: SweepBackend = backend or SerialBackend()
+        if workers < 1:
+            raise ValueError(f"workers must be positive, got {workers}")
+        self.workers = workers
         self.store = store
         self.ledger = ledger
         self.stats = ExecutorStats()
 
-    def _record_failures(self) -> None:
-        """Harvest the backend's per-batch failure records into the stats."""
-        failures = getattr(self.backend, "failures", None)
-        if failures:
-            self.stats.failures.extend(failures)
-            self.stats.runs_failed += len(failures)
-
-    def _record_batch(self, seconds: float) -> None:
-        """Harvest one batch's timing telemetry into the stats.
-
-        Tolerant of third-party backends: a backend without ``job_seconds``
-        still gets batch-level accounting.
-        """
-        stats = self.stats
-        stats.batches += 1
-        stats.batch_seconds += seconds
-        job_seconds = getattr(self.backend, "job_seconds", None)
-        if job_seconds:
-            for value in job_seconds.values():
-                stats.job_seconds += value
-                stats.jobs_timed += 1
-                if value > stats.max_job_seconds:
-                    stats.max_job_seconds = value
-
     def run(self, jobs: Sequence[JobSpec]) -> list[RunReport]:
         """Resolve every job to a report, in input order.
 
-        Store hits are loaded; the rest are simulated on the backend in one
-        batch (the parallel fan-out point) and written back to the store as
-        each one finishes, so even an interrupted sweep keeps its completed
-        cells: re-running it loads those as store hits and simulates only
-        the rest.  Duplicate jobs within a batch are simulated only once.
-        A failed job is recorded on ``stats.failures`` before its error
-        propagates; on a :class:`ProcessPoolBackend` the rest of the batch
-        still finishes and is stored first.
+        Store hits are loaded; the rest are simulated in one batch (the
+        parallel fan-out point) and written back to the store as each one
+        finishes, so even an interrupted sweep keeps its completed cells:
+        re-running it loads those as store hits and simulates only the
+        rest.  Duplicate jobs within a batch are simulated only once.
+
+        Every job of the batch runs even when some fail: each failure is
+        recorded on ``stats.failures``, and once the batch is done the
+        error of the lowest failed batch index is re-raised.  An exception
+        outside :class:`Exception` (Ctrl-C), or a failing store write,
+        stops the batch at once; failures caught before it stay recorded.
         """
         jobs = list(jobs)
         reports: list[Optional[RunReport]] = [None] * len(jobs)
@@ -403,51 +211,134 @@ class SweepExecutor:
         if pending:
             keys = list(pending)
             batch = [jobs[pending[key][0]] for key in keys]
-
-            def persist(batch_index: int, report: RunReport) -> None:
-                self.stats.runs_simulated += 1
-                key = keys[batch_index]
-                if self.store is not None:
-                    self.store.save(key, report, job=batch[batch_index].summary())
-                if self.ledger is not None:
-                    from repro.obs.ledger import run_entry
-
-                    # both backends set job_seconds[batch_index] before the
-                    # callback fires, so wall time is available here
-                    seconds = getattr(self.backend, "job_seconds", {}).get(batch_index)
-                    self.ledger.record(
-                        run_entry(
-                            kind="job",
-                            fingerprint_hex=key,
-                            workload=report.workload,
-                            policy=report.policy,
-                            cycles=report.cycles,
-                            counters=report.counters,
-                            wall_seconds=seconds,
-                            source="executor",
-                            extra={"job": batch[batch_index].summary()},
-                        )
-                    )
-
-            batch_started = time.perf_counter()
+            started = time.perf_counter()
             try:
-                fresh = self.backend.run_jobs(batch, on_result=persist)
+                fresh = self._simulate(keys, batch)
             finally:
-                self._record_failures()
-                self._record_batch(time.perf_counter() - batch_started)
+                self.stats.batches += 1
+                self.stats.batch_seconds += time.perf_counter() - started
             for key, report in zip(keys, fresh):
                 for index in pending[key]:
                     reports[index] = report
         assert all(report is not None for report in reports)
         return reports  # type: ignore[return-value]
 
-    def run_one(self, job: JobSpec) -> RunReport:
-        """Convenience wrapper for a single job."""
-        return self.run([job])[0]
+    def _simulate(self, keys: list[str], batch: list[JobSpec]) -> list[RunReport]:
+        """Simulate every job of ``batch`` (store keys ``keys``), in order."""
+        reports: list[Optional[RunReport]] = [None] * len(batch)
+        errors: dict[int, str] = {}
+        # only the error to re-raise is kept: an in-process exception's
+        # traceback pins the failed run's whole simulator
+        lowest: Optional[tuple[int, Exception]] = None
 
-    def record_sweep(
-        self, label: str = "sweep", workers: int = 1
-    ) -> Optional[dict[str, object]]:
+        def finish(index: int, report: RunReport, seconds: float) -> None:
+            reports[index] = report
+            self._persist(keys[index], batch[index], report, seconds)
+
+        def fail(index: int, exc: Exception) -> None:
+            nonlocal lowest
+            errors[index] = repr(exc)
+            if lowest is None or index < lowest[0]:
+                lowest = (index, exc)
+
+        try:
+            if self.workers == 1 or len(batch) == 1:
+                from repro.session import simulate
+
+                for index, job in enumerate(batch):
+                    started = time.perf_counter()
+                    try:
+                        report = simulate(job)
+                    except Exception as exc:  # keep running the batch
+                        fail(index, exc)
+                        continue
+                    finish(index, report, time.perf_counter() - started)
+            else:
+                self._run_pool(batch, finish, fail)
+        finally:
+            # failures caught before an escaping error (a failing store
+            # write, Ctrl-C) are still accounted
+            for index in sorted(errors):
+                job = batch[index]
+                self.stats.failures.append(
+                    JobFailure(
+                        index=index,
+                        fingerprint=job.fingerprint(),
+                        job=job.summary(),
+                        error=errors[index],
+                    )
+                )
+            self.stats.runs_failed += len(errors)
+        if lowest is not None:
+            raise lowest[1]
+        return reports  # type: ignore[return-value]
+
+    def _run_pool(
+        self,
+        batch: list[JobSpec],
+        finish: Callable[[int, RunReport, float], None],
+        fail: Callable[[int, Exception], None],
+    ) -> None:
+        """Fan ``batch`` out on one pool; a failed job goes to ``fail``.
+
+        An exception escaping the drain (a failing store write, Ctrl-C)
+        cancels the jobs not yet started and waits for the running ones:
+        at most ``workers``, each bounded by the simulator's event budget.
+        """
+        # the pool machinery (multiprocessing) loads only when a batch
+        # fans out, so a sweep served from the store never imports it
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(batch)))
+        try:
+            # submit + as_completed (rather than pool.map) so each result
+            # is stored the moment it lands, in completion order -- a slow
+            # or failing early job cannot hold finished results hostage
+            futures = {
+                pool.submit(_execute_job_payload, job): index
+                for index, job in enumerate(batch)
+            }
+            for future in as_completed(futures):
+                index = futures[future]
+                try:
+                    payload = future.result()
+                    report = RunReport.from_dict(payload["report"])
+                except Exception as exc:  # keep draining the batch
+                    fail(index, exc)
+                    continue
+                finish(index, report, payload["elapsed_seconds"])
+        finally:
+            # the stdlib's ``with`` exit waits without cancelling, which
+            # would run the whole rest of an interrupted batch
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _persist(self, key: str, job: JobSpec, report: RunReport, seconds: float) -> None:
+        """Account one finished job and write it to the store and ledger."""
+        stats = self.stats
+        stats.runs_simulated += 1
+        stats.job_seconds += seconds
+        stats.jobs_timed += 1
+        stats.max_job_seconds = max(stats.max_job_seconds, seconds)
+        if self.store is not None:
+            self.store.save(key, report, job=job.summary())
+        if self.ledger is not None:
+            from repro.obs.ledger import run_entry
+
+            self.ledger.record(
+                run_entry(
+                    kind="job",
+                    fingerprint_hex=key,
+                    workload=report.workload,
+                    policy=report.policy,
+                    cycles=report.cycles,
+                    counters=report.counters,
+                    wall_seconds=seconds,
+                    source="executor",
+                    extra={"job": job.summary()},
+                )
+            )
+
+    def record_sweep(self, label: str = "sweep") -> Optional[dict[str, object]]:
         """Append one sweep-level aggregate entry to the ledger.
 
         Carries the executor telemetry (simulated/loaded/failed counts,
@@ -466,7 +357,7 @@ class SweepExecutor:
                 fingerprint_hex=None,
                 workload=label,
                 policy="*",
-                telemetry=self.stats.telemetry(workers),
+                telemetry=self.stats.telemetry(self.workers),
                 source="executor",
             )
         )

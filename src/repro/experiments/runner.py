@@ -21,12 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.config import SystemConfig, default_config
 from repro.core.policies import STATIC_POLICIES, PolicySpec
-from repro.experiments.jobs import (
-    JobSpec,
-    ProcessPoolBackend,
-    SerialBackend,
-    SweepExecutor,
-)
+from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.store import ResultStore
 from repro.stats.comparison import PolicyComparison
 from repro.stats.report import RunReport
@@ -84,18 +79,17 @@ class ExperimentRunner:
     Args:
         scale: workload scale factor passed to the trace generators.
         config: system configuration (defaults to the scaled 8-CU system).
-        workload_names: subset of workloads to evaluate (defaults to all 17).
-        executor: a (possibly shared) :class:`SweepExecutor`.  When given,
-            ``jobs`` and ``cache_dir`` are ignored -- the executor already
-            fixes the backend and store.
-        jobs: worker process count; values above 1 select a
-            :class:`ProcessPoolBackend` that fans the grid out across cores.
+        workload_names: subset of workloads to evaluate (defaults to all 18).
+        jobs: worker process count (a positive int); values above 1 fan
+            each batch of grid cells out across that many processes.
         cache_dir: directory for the persistent result store; ``None``
-            keeps results in-process only (the pre-existing behaviour).
+            keeps results in-process only.
         ledger_path: run-ledger JSONL file every simulated cell (and the
             sweep aggregate, via ``executor.record_sweep``) is recorded
-            into; ``None`` disables provenance recording.  Ignored when an
-            ``executor`` is supplied.
+            into; ``None`` disables provenance recording.
+
+    The runner builds its own :class:`SweepExecutor` from ``jobs``,
+    ``cache_dir`` and ``ledger_path``.
     """
 
     def __init__(
@@ -103,28 +97,23 @@ class ExperimentRunner:
         scale: float = 1.0,
         config: Optional[SystemConfig] = None,
         workload_names: Optional[Sequence[str]] = None,
-        executor: Optional[SweepExecutor] = None,
-        jobs: Optional[int] = None,
+        jobs: int = 1,
         cache_dir: Optional[str] = None,
         ledger_path: Optional[str] = None,
     ) -> None:
         self.scale = scale
         self.config = config or default_config()
         self.workload_names = tuple(workload_names or WORKLOAD_NAMES)
-        if executor is None:
-            backend = (
-                ProcessPoolBackend(max_workers=jobs)
-                if jobs is not None and jobs > 1
-                else SerialBackend()
-            )
-            store = ResultStore(cache_dir) if cache_dir is not None else None
-            ledger = None
-            if ledger_path is not None:
-                from repro.obs.ledger import RunLedger
+        ledger = None
+        if ledger_path is not None:
+            from repro.obs.ledger import RunLedger
 
-                ledger = RunLedger(ledger_path)
-            executor = SweepExecutor(backend=backend, store=store, ledger=ledger)
-        self.executor = executor
+            ledger = RunLedger(ledger_path)
+        self.executor = SweepExecutor(
+            workers=jobs,
+            store=ResultStore(cache_dir) if cache_dir is not None else None,
+            ledger=ledger,
+        )
         self._cache: dict[JobSpec, RunReport] = {}
         self._memo_hits = 0
 
@@ -148,11 +137,6 @@ class ExperimentRunner:
             return reports  # type: ignore[return-value]
         self._cache.update(zip(pending, self.executor.run(pending)))
         return [self._cache[job] for job in jobs]
-
-    def run_one(self, workload_name: str, policy: PolicySpec) -> RunReport:
-        """Simulate one (workload, policy) pair, memoized."""
-        job = JobSpec(workload=workload_name, policy=policy, scale=self.scale, config=self.config)
-        return self.run([job])[0]
 
     def sweep(
         self,
@@ -192,12 +176,7 @@ class ExperimentRunner:
         return self._memo_hits
 
     def stats(self) -> dict[str, int]:
-        """Cache-effectiveness accounting for benchmarks and the CLI.
-
-        Note: ``runs_simulated``/``runs_loaded`` come from the executor, so
-        when several runners share one executor (the benchmark harness)
-        they aggregate across all of them.
-        """
+        """Cache-effectiveness accounting for benchmarks and the CLI."""
         return {
             "runs_simulated": self.runs_simulated,
             "runs_loaded": self.runs_loaded,

@@ -4,7 +4,7 @@ The paper evaluates its policies on one GPU; modern MI training runs on
 multi-chiplet packages and multi-GPU nodes where the local-vs-remote
 asymmetry of a distributed L2 dominates how much a caching policy can pay
 off.  This driver sweeps (workload x policy x device count) through the
-shared :class:`~repro.experiments.jobs.SweepExecutor` -- every cell is an
+runner's :class:`~repro.experiments.jobs.SweepExecutor` -- every cell is an
 ordinary :class:`~repro.spec.JobSpec` whose fingerprint
 includes the :class:`~repro.topology.config.TopologyConfig`, so the cells
 parallelize across worker processes and persist in the result store

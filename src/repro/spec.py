@@ -8,7 +8,7 @@ the run's stable fingerprint (the result-store key and the ledger
 identity).  :func:`repro.session.simulate`,
 :class:`repro.session.SimulationSession`,
 :func:`repro.accel.shard.run_sharded` and
-:func:`repro.experiments.jobs.execute_job` all consume it.
+:class:`repro.experiments.jobs.SweepExecutor` all consume it.
 """
 
 from __future__ import annotations

@@ -83,8 +83,8 @@ class RunReport:
         Unlike :meth:`as_dict` (the *derived* figure metrics), this captures
         the raw fields, so ``RunReport.from_dict(report.to_dict())`` compares
         equal to ``report`` and reproduces every derived metric exactly.
-        The persistent result store and the process-pool backend both ship
-        reports across process boundaries in this form.
+        The persistent result store and the sweep executor's worker
+        processes both ship reports across process boundaries in this form.
         """
         blob: dict[str, object] = {
             "workload": self.workload,

@@ -32,6 +32,16 @@ def no_child_process_left():
 
 
 @pytest.fixture
+def no_pool(monkeypatch):
+    """Fail any attempt to start a process pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+
+
+@pytest.fixture
 def sim() -> Simulator:
     """A fresh simulator/event queue."""
     return Simulator()

@@ -22,7 +22,7 @@ from repro.experiments import (
     figure14_adaptive,
 )
 from repro.experiments.adaptive import DYNAMIC, geomean
-from repro.experiments.jobs import execute_job
+from repro.experiments.jobs import SweepExecutor
 from repro.session import SimulationSession, simulate
 from repro.workloads.registry import get_workload
 
@@ -116,10 +116,10 @@ class TestAdaptiveJobs:
         assert adaptive.fingerprint() != retuned.fingerprint()
         assert adaptive.summary()["adaptive"] == "Dynamic"
 
-    def test_execute_job_honours_the_adaptive_field(self):
+    def test_the_executor_honours_the_adaptive_field(self):
         job = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.2, config=TINY,
                       adaptive=FAST)
-        report = execute_job(job)
+        (report,) = SweepExecutor().run([job])
         assert report.policy == "Dynamic"
 
 

@@ -3,8 +3,8 @@
 A run is one (workload, policy, system) cell plus optional axes.  Each
 entry of :data:`SPECS` is one such cell exercising one axis; it is run
 three ways -- :func:`repro.session.simulate`,
-``SimulationSession(...).run`` and
-:func:`repro.experiments.jobs.execute_job` -- and the full
+``SimulationSession(...).run`` and a one-job batch of
+:class:`repro.experiments.jobs.SweepExecutor` -- and the full
 ``RunReport.to_dict()`` of every path must hash to the pinned digest.  A
 change to how the entry points build, normalise or forward a run cannot
 alter a result without failing here.
@@ -26,7 +26,7 @@ from repro.adaptive import AdaptiveConfig
 from repro.config import scaled_config
 from repro.core.policies import policy_by_name
 from repro.core.reuse_predictor import PredictorConfig
-from repro.experiments.jobs import JobSpec, execute_job
+from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.session import SimulationSession, simulate
 from repro.streams import StreamConfig
 from repro.topology import TOPOLOGIES
@@ -82,7 +82,7 @@ EXPECTED = {
     "topology": "1680c7c185a9bb93e695e4bfa4c16325beaa4c9b29299e00325000ef0f74f44f",
 }
 
-PATHS = ("simulate", "session", "execute_job")
+PATHS = ("simulate", "session", "executor")
 
 
 def run(name: str, path: str):
@@ -92,7 +92,8 @@ def run(name: str, path: str):
         return simulate(workload, config=TINY, **axes)
     if path == "session":
         return SimulationSession(config=TINY, **axes).run(workload)
-    return execute_job(JobSpec(workload=workload_name, scale=scale, config=TINY, **axes))
+    job = JobSpec(workload=workload_name, scale=scale, config=TINY, **axes)
+    return SweepExecutor().run([job])[0]
 
 
 def report_digest(name: str, path: str) -> str:

@@ -33,7 +33,7 @@ from repro.accel.shard import ShardExecutionError, run_sharded
 from repro.config import scaled_config
 from repro.core.policies import CACHE_RW, STATIC_POLICIES
 from repro.experiments import jobs as jobs_module
-from repro.experiments.jobs import JobSpec, ProcessPoolBackend, SweepExecutor
+from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.store import ResultStore
 from repro.stats.report import RunReport
 from repro.streams import StreamConfig
@@ -60,7 +60,7 @@ from repro.accel.shard import ShardExecutionError, run_sharded
 from repro.config import scaled_config
 from repro.core.policies import CACHE_RW, STATIC_POLICIES
 from repro.experiments import jobs as jobs_module
-from repro.experiments.jobs import JobSpec, ProcessPoolBackend, SweepExecutor
+from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.store import ResultStore
 
 TINY = scaled_config(2)
@@ -133,22 +133,23 @@ class TestDeadWorker:
             for policy in STATIC_POLICIES
         ]
 
-    def test_unfinished_jobs_become_failures_and_finished_ones_are_kept(self, jobs):
-        backend = ProcessPoolBackend(max_workers=2)
-        finished: dict[int, RunReport] = {}
+    def test_unfinished_jobs_become_failures_and_finished_ones_are_kept(self, jobs, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        executor = SweepExecutor(workers=2, store=store)
         with pytest.raises(BrokenProcessPool):
-            backend.run_jobs(jobs, on_result=finished.setdefault)
-        failed = [failure.index for failure in backend.failures]
+            executor.run(jobs)
+        failures = executor.stats.failures
+        failed = [failure.index for failure in failures]
         assert failed and failed == sorted(failed)
-        assert sorted(failed + list(finished)) == list(range(len(jobs)))
-        assert all("BrokenProcessPool" in failure.error for failure in backend.failures)
+        stored = set(store.keys())
+        finished = [index for index, job in enumerate(jobs) if job.fingerprint() in stored]
+        assert sorted(failed + finished) == list(range(len(jobs)))
+        assert all("BrokenProcessPool" in failure.error for failure in failures)
         assert multiprocessing.active_children() == []
 
     def test_the_rerun_simulates_only_the_failed_cells(self, jobs, tmp_path):
         store_dir = str(tmp_path / "store")
-        executor = SweepExecutor(
-            backend=ProcessPoolBackend(max_workers=2), store=ResultStore(store_dir)
-        )
+        executor = SweepExecutor(workers=2, store=ResultStore(store_dir))
         with pytest.raises(BrokenProcessPool):
             executor.run(jobs)
         stats = executor.stats

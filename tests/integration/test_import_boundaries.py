@@ -53,8 +53,9 @@ STATIC_RUN_FORBIDDEN = (
     "repro.experiments",
 )
 
-#: the process-pool machinery: a sharded run whose shards are all equal
-#: simulates its one distinct shard in-process and never starts a pool
+#: the process-pool machinery: a warm sweep simulates nothing, and a
+#: sharded run whose shards are all equal simulates its one distinct
+#: shard in-process, so neither starts a pool
 POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
 
 #: prints every module the scenario loaded as the last stdout line
@@ -95,7 +96,7 @@ def test_warm_sweep_all_loads_no_simulator(tmp_path):
     )
     assert json.loads(telemetry.read_text())["executor"]["runs_simulated"] == 0
     assert "repro.experiments.runner" in loaded  # the sweep really ran
-    assert sorted(loaded.intersection(SWEEP_FORBIDDEN)) == []
+    assert sorted(loaded.intersection((*SWEEP_FORBIDDEN, *POOL_MODULES))) == []
 
 
 def test_static_exact_run_loads_no_optional_subsystem():

@@ -9,7 +9,7 @@ row-buffer locality, contention) may drift because the shards no longer
 interleave in one clock.  Equal shards (replicated tenants) are
 simulated once, in-process, and merged once per shard they stand for.
 Failure paths surface as :class:`ShardExecutionError` carrying the same
-structured ``JobFailure`` records sweep backends use, and no worker
+structured ``JobFailure`` records the sweep executor uses, and no worker
 process outlives the run.
 """
 
@@ -19,11 +19,11 @@ import multiprocessing
 
 import pytest
 
+import repro.session
 from repro.accel import SamplingConfig, ShardConfig
 from repro.accel.shard import ShardExecutionError, run_sharded
 from repro.config import scaled_config
 from repro.core.policies import policy_by_name
-from repro.experiments import jobs as jobs_module
 from repro.session import SimulationSession, simulate
 from repro.spec import JobSpec
 from repro.streams import StreamConfig
@@ -158,7 +158,7 @@ class TestShardValidation:
 class TestShardFailureRecords:
     def test_worker_failure_surfaces_structured_job_failures(self):
         """A shard that cannot even build its session (unknown workload
-        name) fails with the sweep-backend failure contract: structured
+        name) fails with the sweep executor's failure contract: structured
         records, not a bare traceback."""
         streams = [
             StreamConfig(
@@ -217,26 +217,16 @@ def _partitioned(*workloads):
 
 
 @pytest.fixture
-def no_pool(monkeypatch):
-    """Fail any attempt to start a process pool."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
-
-
-@pytest.fixture
 def simulated(monkeypatch):
-    """Every job the sweep backends simulate, in call order."""
+    """Every job the sweep executor simulates in-process, in call order."""
     jobs: list[JobSpec] = []
-    real = jobs_module.execute_job
+    real = repro.session.simulate
 
     def record(job):
         jobs.append(job)
         return real(job)
 
-    monkeypatch.setattr(jobs_module, "execute_job", record)
+    monkeypatch.setattr(repro.session, "simulate", record)
     return jobs
 
 

@@ -17,9 +17,8 @@ import pytest
 from repro.config import scaled_config
 from repro.core.policies import CACHE_RW, UNCACHED
 from repro.experiments.interference import INTERFERENCE_COLUMNS, figure_interference
-from repro.experiments.jobs import JobSpec, SweepExecutor, execute_job
+from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.store import ResultStore
 from repro.experiments.study import summarize
 from repro.session import SimulationSession, simulate
 from repro.streams import (
@@ -403,9 +402,9 @@ class TestServingJobsAndStore:
         )
         assert "streams" in base.summary()
 
-    def test_execute_job_runs_the_mix(self):
-        report = execute_job(
-            JobSpec(workload="mix", policy=CACHE_RW, config=TINY, streams=TWO_TENANTS)
+    def test_the_executor_runs_the_mix(self):
+        (report,) = SweepExecutor().run(
+            [JobSpec(workload="mix", policy=CACHE_RW, config=TINY, streams=TWO_TENANTS)]
         )
         assert report.num_streams == 2
 
@@ -421,10 +420,7 @@ class TestServingJobsAndStore:
         ]
 
         def build_runner():
-            return ExperimentRunner(
-                config=TINY,
-                executor=SweepExecutor(store=ResultStore(tmp_path / "store")),
-            )
+            return ExperimentRunner(config=TINY, cache_dir=str(tmp_path / "store"))
 
         cold = build_runner()
         figure = figure_interference(cold, mixes=mixes, policies=(CACHE_RW,))

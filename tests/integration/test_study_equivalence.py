@@ -4,8 +4,9 @@ The studies (static sweeps, Figure 14, device scaling, interference)
 and the CLI commands that print them share one grid path.
 Two things must survive any change to that path:
 
-* the store keys: the sorted fingerprints of the jobs each study hands to
-  the executor's backend, so each study asks for the same jobs;
+* the store keys: the sorted fingerprints of the jobs each study's
+  executor simulates (its ledger's ``job`` entries), so each study asks
+  for the same jobs;
 * the CLI output: stdout, the ``--json-out`` artifact and the stderr
   ``simulated=`` accounting line of ``sweep-all``, ``adaptive``,
   ``topology`` and ``serve``.
@@ -38,29 +39,16 @@ from repro.config import scaled_config
 from repro.core.policies import CACHE_R, CACHE_RW, UNCACHED
 from repro.experiments import (
     ExperimentRunner,
-    SerialBackend,
-    SweepExecutor,
     figure14_adaptive,
     figure_interference,
     figure_scaling,
 )
+from repro.obs.ledger import RunLedger
 from repro.streams import mix_by_name
 
 TINY = scaled_config(2)
 FAST = AdaptiveConfig(epoch_cycles=500, min_leader_accesses=8)
 FIXED_CODE_DIGEST = "0" * 64
-
-
-class RecordingBackend(SerialBackend):
-    """A serial backend that remembers the store key of every job it runs."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.keys: list[str] = []
-
-    def run_jobs(self, jobs, on_result=None):
-        self.keys.extend(job.fingerprint() for job in jobs)
-        return super().run_jobs(jobs, on_result)
 
 
 def _digest(obj: object) -> str:
@@ -135,10 +123,12 @@ EXPECTED_COMMANDS: dict[str, tuple[str, str | None, str]] = {
 
 
 def record_study(name: str, tmp: Path) -> tuple[int, str, str]:
-    backend = RecordingBackend()
-    runner = ExperimentRunner(scale=0.1, config=TINY, executor=SweepExecutor(backend))
+    ledger = tmp / f"{name}.ledger.jsonl"
+    runner = ExperimentRunner(scale=0.1, config=TINY, ledger_path=str(ledger))
     result = STUDIES[name](runner, tmp)
-    keys = sorted(backend.keys)
+    keys = sorted(
+        entry["fingerprint"] for entry in RunLedger(ledger).entries() if entry["kind"] == "job"
+    )
     return len(keys), _digest(keys), _digest(result)
 
 

@@ -2,14 +2,15 @@
 
 The guarantees the sweep executor rests on:
 
-* a :class:`ProcessPoolBackend` sweep produces *bitwise-identical* reports
-  to a :class:`SerialBackend` sweep of the same grid (simulations are
+* a sweep on a process pool (``workers > 1``) produces *bitwise-identical*
+  reports to an in-process sweep of the same grid (simulations are
   deterministic and the worker/store serialization is lossless);
 * a second sweep against a warm store performs zero new simulations;
 * the runner's in-process memo answers repeats without touching the
   executor at all;
-* backends record structured failures instead of silently swallowing
-  dead workers.
+* both paths run every job of a batch, record structured failures
+  instead of silently swallowing dead workers, and raise the error of
+  the lowest failed index.
 """
 
 from __future__ import annotations
@@ -21,15 +22,9 @@ import pytest
 from repro.accel import SamplingConfig
 from repro.config import scaled_config
 from repro.core.policies import CACHE_R, CACHE_RW, STATIC_POLICIES, UNCACHED
-from repro.experiments import (
-    ExperimentRunner,
-    JobSpec,
-    ProcessPoolBackend,
-    ResultStore,
-    SerialBackend,
-    SweepExecutor,
-)
+from repro.experiments import ExperimentRunner, JobSpec, ResultStore, SweepExecutor
 from repro.experiments.jobs import ExecutorStats
+from repro.obs.ledger import RunLedger
 from repro.streams import StreamConfig
 from repro.topology import TOPOLOGIES
 
@@ -67,12 +62,12 @@ class TestBackendEquivalence:
         parallel = make_runner(jobs=4).sweep(policies=STATIC_POLICIES)
         assert grid_dicts(parallel) == grid_dicts(serial)
 
-    def test_single_job_short_circuits_the_pool(self):
-        backend = ProcessPoolBackend(max_workers=2)
+    def test_single_job_short_circuits_the_pool(self, no_pool):
         job = JobSpec(workload="FwSoft", policy=CACHE_R, scale=SCALE, config=TINY)
-        (pooled,) = backend.run_jobs([job])
-        (serial,) = SerialBackend().run_jobs([job])
-        assert pooled.to_dict() == serial.to_dict()
+        # a repeated job is one distinct job: still no pool
+        pooled, repeat = SweepExecutor(workers=2).run([job, job])
+        (serial,) = SweepExecutor().run([job])
+        assert pooled.to_dict() == repeat.to_dict() == serial.to_dict()
 
     @pytest.mark.parametrize("axis", sorted(AXES))
     def test_pool_matches_serial_on_every_run_axis(self, axis):
@@ -80,13 +75,13 @@ class TestBackendEquivalence:
             JobSpec(policy=policy, config=TINY, **AXES[axis])
             for policy in (CACHE_R, CACHE_RW)
         ]
-        pooled = ProcessPoolBackend(max_workers=2).run_jobs(jobs)
-        serial = SerialBackend().run_jobs(jobs)
+        pooled = SweepExecutor(workers=2).run(jobs)
+        serial = SweepExecutor().run(jobs)
         assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
 
     def test_pool_rejects_nonpositive_workers(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(max_workers=0)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            SweepExecutor(workers=0)
 
 
 class TestStoreReuse:
@@ -230,14 +225,6 @@ class TestStoreReuse:
         assert blob["job"] == job.summary()
         assert blob["report"] == report.to_dict()
 
-    def test_run_one_is_a_batch_of_one(self, tmp_path):
-        job = JobSpec(workload="FwSoft", policy=CACHE_R, scale=SCALE, config=TINY)
-        executor = SweepExecutor(store=ResultStore(tmp_path))
-        single = executor.run_one(job)
-        (batched,) = SweepExecutor(store=ResultStore(tmp_path / "other")).run([job])
-        assert single.to_dict() == batched.to_dict()
-        assert executor.stats.runs_simulated == 1 and executor.stats.batches == 1
-
 
 class TestExecutorStats:
     @staticmethod
@@ -300,6 +287,12 @@ class TestExecutorStats:
         executor.run([self._job()])
         assert executor.record_sweep() is None
 
+    def test_record_sweep_reports_the_executor_workers(self, tmp_path):
+        executor = SweepExecutor(workers=3, ledger=RunLedger(tmp_path / "ledger.jsonl"))
+        entry = executor.record_sweep(label="grid")
+        assert entry is not None and entry["workload"] == "grid"
+        assert entry["telemetry"]["workers"] == 3
+
 
 class TestRunnerMemo:
     def test_memo_absorbs_repeats_without_touching_executor(self):
@@ -307,19 +300,14 @@ class TestRunnerMemo:
         runner.sweep(policies=STATIC_POLICIES)
         simulated = runner.runs_simulated
         runner.sweep(policies=STATIC_POLICIES)
-        runner.run_one(SUBSET[0], STATIC_POLICIES[0])
+        runner.run([JobSpec(workload=SUBSET[0], policy=CACHE_R, scale=SCALE, config=TINY)])
         assert runner.runs_simulated == simulated
         assert runner.memo_hits >= len(SUBSET) * len(STATIC_POLICIES) + 1
 
-    def test_shared_executor_aggregates_across_runners(self, tmp_path):
-        executor = SweepExecutor(store=ResultStore(tmp_path))
-        one = make_runner(executor=executor)
-        two = make_runner(executor=executor)
-        one.sweep(policies=(CACHE_R,))
-        two.sweep(policies=(CACHE_R,))
-        # the second runner has a cold memo but a warm shared store
-        assert executor.stats.runs_simulated == len(SUBSET)
-        assert executor.stats.runs_loaded == len(SUBSET)
+    def test_zero_jobs_is_rejected_up_front(self):
+        # REPRO_BENCH_JOBS=0 reaches the benchmark runner as jobs=0
+        with pytest.raises(ValueError, match="workers must be positive"):
+            make_runner(jobs=0)
 
     def test_stats_keys(self):
         runner = make_runner()
@@ -336,9 +324,9 @@ class TestRunnerMemo:
 class TestPoolRelease:
     """The per-batch pool must be released on *every* exit path.
 
-    An exception escaping the drain loop (an ``on_result`` callback
-    raising, Ctrl-C) cancels the jobs not yet started and waits for the
-    running ones, so no worker outlives the batch.
+    An exception escaping the drain loop (a store write raising, Ctrl-C)
+    cancels the jobs not yet started and waits for the running ones, so
+    no worker outlives the batch.
     """
 
     @staticmethod
@@ -362,6 +350,7 @@ class TestPoolRelease:
         return RecordingPool, calls
 
     def _specs(self):
+        """Three jobs, two distinct: the executor's batch holds two."""
         return [
             JobSpec(workload=name, policy=CACHE_R, scale=SCALE, config=TINY)
             for name in ("FwSoft", "FwAct", "FwSoft")
@@ -370,132 +359,133 @@ class TestPoolRelease:
     @pytest.mark.parametrize(
         "error", [RuntimeError("result sink is full"), KeyboardInterrupt()], ids=repr
     )
-    def test_raising_callback_cancels_pending_jobs_and_joins_the_pool(
-        self, monkeypatch, error
+    def test_raising_store_write_cancels_pending_jobs_and_joins_the_pool(
+        self, monkeypatch, tmp_path, error
     ):
         pool_class, calls = self._recording_pool()
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_class)
-        backend = ProcessPoolBackend(max_workers=1)
 
-        def sink(index, report):
-            raise error
+        class FullStore(ResultStore):
+            def save(self, *args, **kwargs):
+                raise error
 
+        executor = SweepExecutor(workers=2, store=FullStore(tmp_path))
         with pytest.raises(type(error)):
-            backend.run_jobs(self._specs(), on_result=sink)
+            executor.run(self._specs())
         assert calls, "the pool was never shut down"
         assert calls[-1] == {"wait": True, "cancel_futures": True}
         assert multiprocessing.active_children() == []
+        assert executor.stats.failures == []
 
     def test_happy_path_still_waits_for_a_clean_shutdown(self, monkeypatch):
         pool_class, calls = self._recording_pool()
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_class)
-        backend = ProcessPoolBackend(max_workers=1)
-        reports = backend.run_jobs(self._specs())
+        reports = SweepExecutor(workers=2).run(self._specs())
         assert all(report is not None for report in reports)
         assert calls[-1] == {"wait": True, "cancel_futures": True}
 
-    @pytest.mark.parametrize("max_workers, built", [(8, 3)])
-    def test_pool_is_no_wider_than_the_batch(self, monkeypatch, max_workers, built):
+    @pytest.mark.parametrize("workers, built", [(8, 2)])
+    def test_pool_is_no_wider_than_the_batch(self, monkeypatch, workers, built):
         pool_class, _calls = self._recording_pool()
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_class)
-        ProcessPoolBackend(max_workers=max_workers).run_jobs(self._specs())
+        SweepExecutor(workers=workers).run(self._specs())
         assert pool_class.sizes == [built]
 
 
-class TestBackendFailureRecords:
-    def test_serial_backend_records_the_failure_it_raises(self):
-        backend = SerialBackend()
-        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
-        with pytest.raises(KeyError):
-            backend.run_jobs([bad])
-        (failure,) = backend.failures
-        assert failure.index == 0
-        assert "NotAWorkload" in failure.error
-        assert failure.fingerprint == bad.fingerprint()
-        assert failure.job["workload"] == "NotAWorkload"
+BAD = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+GOOD = [JobSpec(workload=name, policy=CACHE_R, scale=0.1, config=TINY) for name in SUBSET]
 
-    def test_serial_backend_stops_at_the_first_failure(self):
-        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
-        good = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.1, config=TINY)
-        finished: dict[int, object] = {}
-        backend = SerialBackend()
-        with pytest.raises(KeyError):
-            backend.run_jobs([bad, good], on_result=finished.setdefault)
-        assert finished == {} and backend.job_seconds == {}
 
-    def test_pool_backend_records_failures_and_keeps_survivors(self, tmp_path):
-        good = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.1, config=TINY)
-        other = JobSpec(workload="FwAct", policy=CACHE_R, scale=0.1, config=TINY)
-        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
-        backend = ProcessPoolBackend(max_workers=2)
-        finished: dict[int, object] = {}
-        with pytest.raises(KeyError):
-            backend.run_jobs(
-                [good, bad, other],
-                on_result=lambda index, report: finished.setdefault(index, report),
-            )
-        (failure,) = backend.failures
-        assert failure.index == 1
-        assert "NotAWorkload" in failure.error
-        # the healthy jobs were delivered despite the dead one
-        assert set(finished) == {0, 2}
+class TestFailureContract:
+    """In-process and pooled batches fail the same way: every job runs,
+    every failure is recorded, finished cells are stored, and the error of
+    the lowest failed batch index is raised."""
 
-    def test_pool_backend_raises_the_first_failure_of_the_batch(self):
-        good = JobSpec(workload="FwSoft", policy=CACHE_R, scale=0.1, config=TINY)
-        first = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
-        second = JobSpec(workload="NorThisOne", policy=CACHE_R, scale=0.1, config=TINY)
-        backend = ProcessPoolBackend(max_workers=2)
-        with pytest.raises(KeyError, match="NotAWorkload"):
-            backend.run_jobs([first, good, second])
-        assert [failure.index for failure in backend.failures] == [0, 2]
-        assert "NotAWorkload" in backend.failures[0].error
-        assert "NorThisOne" in backend.failures[1].error
-
-    def test_pool_backend_runs_a_lone_job_inline_and_records_its_failure(
-        self, monkeypatch
-    ):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a single job must not build a pool")
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
-        backend = ProcessPoolBackend(max_workers=2)
-        with pytest.raises(KeyError):
-            backend.run_jobs([bad])
-        (failure,) = backend.failures
-        assert failure.index == 0
-        assert failure.fingerprint == bad.fingerprint()
-
-    def test_pool_backend_times_every_finished_job(self):
-        jobs = [
-            JobSpec(workload=name, policy=CACHE_R, scale=0.1, config=TINY)
-            for name in SUBSET
-        ]
-        backend = ProcessPoolBackend(max_workers=2)
-        backend.run_jobs(jobs)
-        assert set(backend.job_seconds) == {0, 1}
-        assert all(seconds > 0.0 for seconds in backend.job_seconds.values())
-
-    def test_pool_sweep_stores_every_finished_cell_past_a_failure(self, tmp_path):
-        """Unlike the serial path, a failed first job stops nothing."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_finished_cell_is_stored_past_a_failure(self, tmp_path, workers):
         store = ResultStore(tmp_path)
-        executor = SweepExecutor(backend=ProcessPoolBackend(max_workers=2), store=store)
-        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
-        good = [
-            JobSpec(workload=name, policy=CACHE_R, scale=0.1, config=TINY)
-            for name in SUBSET
-        ]
-        with pytest.raises(KeyError):
-            executor.run([bad, *good])
+        executor = SweepExecutor(workers=workers, store=store)
+        with pytest.raises(KeyError, match="NotAWorkload"):
+            executor.run([BAD, *GOOD])
         stats = executor.stats
         assert (stats.runs_simulated, stats.runs_failed, stats.jobs_timed) == (2, 1, 2)
-        assert {job.fingerprint() for job in good} == set(store.keys())
+        (failure,) = stats.failures
+        assert failure.index == 0 and failure.fingerprint == BAD.fingerprint()
+        assert {job.fingerprint() for job in GOOD} == set(store.keys())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_lowest_failed_index_is_raised(self, workers):
+        second = JobSpec(workload="NorThisOne", policy=CACHE_R, scale=0.1, config=TINY)
+        executor = SweepExecutor(workers=workers)
+        with pytest.raises(KeyError, match="NotAWorkload"):
+            executor.run([BAD, GOOD[0], second])
+        failures = executor.stats.failures
+        assert [failure.index for failure in failures] == [0, 2]
+        assert "NotAWorkload" in failures[0].error
+        assert "NorThisOne" in failures[1].error
+
+    def test_a_lone_job_runs_inline_and_records_its_failure(self, no_pool):
+        executor = SweepExecutor(workers=2)
+        with pytest.raises(KeyError):
+            executor.run([BAD])
+        (failure,) = executor.stats.failures
+        assert failure.index == 0
+        assert failure.fingerprint == BAD.fingerprint()
+
+    def test_ctrl_c_stops_an_in_process_batch_at_once(self, monkeypatch, tmp_path):
+        """A ``BaseException`` is no job failure: nothing after it runs."""
+        import repro.session
+
+        simulate = repro.session.simulate
+        ran: list[str] = []
+
+        def interrupt_second(job):
+            ran.append(job.workload)
+            if len(ran) == 2:
+                raise KeyboardInterrupt
+            return simulate(job)
+
+        monkeypatch.setattr("repro.session.simulate", interrupt_second)
+        store = ResultStore(tmp_path)
+        third = JobSpec(workload="FwLSTM", policy=CACHE_R, scale=0.1, config=TINY)
+        executor = SweepExecutor(store=store)
+        with pytest.raises(KeyboardInterrupt):
+            executor.run([*GOOD, third])
+        assert ran == list(SUBSET)
+        assert executor.stats.failures == [] and executor.stats.runs_failed == 0
+        assert set(store.keys()) == {GOOD[0].fingerprint()}
+
+    def test_failures_survive_a_store_write_that_escapes(self, tmp_path):
+        """A failing store write ends the batch, yet the job that failed
+        before it is still on ``stats.failures``."""
+
+        class FullStore(ResultStore):
+            def save(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        executor = SweepExecutor(store=FullStore(tmp_path))
+        with pytest.raises(OSError, match="no space"):
+            executor.run([BAD, GOOD[0]])
+        (failure,) = executor.stats.failures
+        assert failure.index == 0 and "NotAWorkload" in failure.error
+        assert executor.stats.runs_failed == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_finished_job_is_timed(self, workers):
+        executor = SweepExecutor(workers=workers)
+        executor.run(GOOD)
+        stats = executor.stats
+        assert stats.jobs_timed == 2 and stats.batches == 1
+        # with two jobs, the sum exceeds the max only if both are positive
+        assert stats.max_job_seconds > 0.0 and stats.job_seconds > stats.max_job_seconds
 
     def test_executor_accounts_failures_in_stats(self):
-        executor = SweepExecutor(backend=SerialBackend())
-        bad = JobSpec(workload="NotAWorkload", policy=CACHE_R, scale=0.1, config=TINY)
+        executor = SweepExecutor()
         with pytest.raises(KeyError):
-            executor.run([bad])
+            executor.run([BAD])
         assert executor.stats.runs_failed == 1
         (failure,) = executor.stats.failures
-        assert failure.fingerprint == bad.fingerprint()
+        assert failure.index == 0
+        assert "NotAWorkload" in failure.error
+        assert failure.fingerprint == BAD.fingerprint()
+        assert failure.job["workload"] == "NotAWorkload"

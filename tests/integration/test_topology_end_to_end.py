@@ -5,7 +5,7 @@ equivalence check (which lives in ``test_core_equivalence.py``):
 
 * multi-device runs complete, produce remote/local traffic accounting and
   per-fabric-link counters, and respond to the fabric parameters;
-* the scaling sweep runs through the shared :class:`SweepExecutor` with
+* the scaling sweep runs through the runner's :class:`SweepExecutor` with
   fingerprinted topologies, and a warm repeat performs zero simulations;
 * the adaptive subsystem composes with a topology (slices share the
   set-dueling monitor, remote traffic feeds the duel);

@@ -1,8 +1,8 @@
 """Unit tests for the in-process halves of a sharded run.
 
 :func:`repro.accel.shard.run_sharded` splits a serving mix into one
-:class:`~repro.spec.JobSpec` per shard, runs them on the
-process-pool backend and folds the reports back together.  The split
+:class:`~repro.spec.JobSpec` per shard, runs them as one sweep-executor
+batch and folds the reports back together.  The split
 (:func:`_share_config`, :func:`_stream_tasks`) and the fold
 (:func:`_merge_reports`) are pure functions; these tests pin them
 without starting a worker process.
