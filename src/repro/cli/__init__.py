@@ -280,7 +280,7 @@ def finish(
         telemetry = {
             "schema": 1,
             "command": args.command,
-            "executor": executor.stats.telemetry(workers=args.jobs),
+            "executor": executor.stats.telemetry(workers=executor.workers),
         }
         atomic_write_json(args.telemetry_out, telemetry)
         print(

@@ -6,11 +6,12 @@
   timeline (``--out``), optional windowed counter metrics, and host-side
   simulator profiling (always on; ``--telemetry-out``).
 
-``--alerts`` (on ``run``/``serve``/``trace``) runs the anomaly detectors
+``trace`` is the one command that attaches the in-run observers (trace
+recorder, custom metrics windows, profiler); the study commands attach
+none.  ``--alerts`` (on ``run`` and ``trace``) runs the anomaly detectors
 -- L2 hit-rate cliffs and per-tenant starvation under shared dispatch --
-over the run and surfaces the findings in the report/summary.  The
-studies' ``--trace-out``/``--alerts`` replay of one cell shares this
-module's observer helpers.
+over the run and surfaces the findings in the report/summary; it samples
+the default metrics windows when ``--metrics-interval`` picks none.
 """
 
 from __future__ import annotations
@@ -34,50 +35,21 @@ if TYPE_CHECKING:
 TOP_MODULES = 8
 
 
-def add_trace_options(parser: argparse.ArgumentParser, replay: bool = False) -> None:
-    """The per-run telemetry flags ``run`` and ``serve`` share.
+def _telemetry_config(args: argparse.Namespace, traced: bool = False) -> TelemetryConfig | None:
+    """The observers the flags request (``None``: a plain ``run``).
 
-    On the study commands (``replay=True``) the flags drive an inline
-    traced replay of the study's first runnable cell after the sweep
-    itself finishes -- sweep cells execute in worker processes (and may be
-    served from the store), so the trace comes from one designated
-    re-simulation instead.
+    ``traced`` (the ``trace`` command) attaches every in-run observer;
+    ``--ledger`` and ``--alerts`` add the post-run ones.
     """
-    target = "a traced replay of the first runnable cell" if replay else "the run"
-    parser.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help=f"record a Chrome/Perfetto trace of {target} into FILE",
-    )
-    parser.add_argument(
-        "--metrics-interval", type=int, default=None, metavar="CYCLES",
-        help="sample windowed counter time-series every CYCLES cycles "
-        + (
-            "(embedded in the trace artifact; needs --trace-out)"
-            if replay
-            else "(attached to the report's 'metrics' field)"
-        ),
-    )
-    parser.add_argument(
-        "--alerts", action="store_true",
-        help=f"run the anomaly detectors (hit-rate cliffs, tenant starvation) "
-        f"over {target} and surface the findings (implies windowed metrics sampling)",
-    )
-
-
-def _telemetry_config(
-    args: argparse.Namespace, trace: bool, profile: bool = False
-) -> TelemetryConfig | None:
-    """The :class:`TelemetryConfig` the run-level flags request (or None)."""
-    interval = args.metrics_interval or 0
     ledger = getattr(args, "ledger", None)
-    if not (trace or interval or profile or ledger or args.alerts):
+    if not (traced or ledger or args.alerts):
         return None
     from repro.telemetry.config import TelemetryConfig
 
     return TelemetryConfig(
-        trace=trace,
-        metrics_interval=interval,
-        profile=profile,
+        trace=traced,
+        metrics_interval=getattr(args, "metrics_interval", None) or 0,
+        profile=traced,
         ledger_path=ledger,
         alerts=args.alerts,
     )
@@ -97,7 +69,7 @@ def _print_alerts(report, command: str) -> None:
         )
 
 
-def _write_trace(path: str, session: SimulationSession, command: str) -> None:
+def _write_trace(path: str, session: SimulationSession) -> None:
     """Validate and atomically write the session's recorded trace.
 
     When the session also sampled windowed metrics, the windows ride along
@@ -108,7 +80,7 @@ def _write_trace(path: str, session: SimulationSession, command: str) -> None:
     from repro.telemetry.trace import validate_trace
 
     recorder = session.recorder
-    assert recorder is not None  # callers only trace with trace=True
+    assert recorder is not None  # ``trace`` always records
     blob = recorder.to_dict()
     if session.sampler is not None:
         other = blob["otherData"]
@@ -119,37 +91,17 @@ def _write_trace(path: str, session: SimulationSession, command: str) -> None:
     events = blob["traceEvents"]
     assert isinstance(events, list)
     print(
-        f"[{command}] wrote {len(events)} trace events to {path}"
+        f"[trace] wrote {len(events)} trace events to {path}"
         + (" (truncated)" if recorder.truncated else ""),
         file=sys.stderr,
     )
     if recorder.truncated:
         print(
-            f"[{command}] warning: the trace hit the {recorder.max_events}-event "
+            f"[trace] warning: the trace hit the {recorder.max_events}-event "
             "cap and later events were dropped; reduce --scale or trace a "
             "narrower run for a complete timeline",
             file=sys.stderr,
         )
-
-
-def replay(args: argparse.Namespace, label: str, **axes: object) -> None:
-    """Re-simulate one study cell inline for ``--trace-out``/``--alerts``.
-
-    The study's cells ran in workers (or came from the store), so the
-    trace and alert observers attach to one designated replay instead.
-    """
-    from repro.session import SimulationSession
-    from repro.spec import JobSpec
-
-    spec = JobSpec(config=system_config(args), **axes)  # type: ignore[arg-type]
-    session = SimulationSession(spec, telemetry=_telemetry_config(args, bool(args.trace_out)))
-    report = session.run()
-    if args.trace_out:
-        _write_trace(args.trace_out, session, args.command)
-    verb = "traced" if args.trace_out else "replayed"
-    print(f"[{args.command}] {verb} {label}", file=sys.stderr)
-    if args.alerts:
-        _print_alerts(report, args.command)
 
 
 def run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -170,7 +122,11 @@ def run_arguments(parser: argparse.ArgumentParser) -> None:
         "--ledger", default=argparse.SUPPRESS, metavar="FILE",
         help="append this run's provenance entry to the JSONL run ledger",
     )
-    add_trace_options(parser)
+    parser.add_argument(
+        "--alerts", action="store_true",
+        help="run the anomaly detectors (hit-rate cliffs, tenant starvation) "
+        "over the run and surface the findings (implies windowed metrics sampling)",
+    )
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -187,17 +143,14 @@ def run_command(args: argparse.Namespace) -> int:
         topology=topology_by_name(args.topology) if args.topology else None,
         sampling=SamplingConfig() if args.sampling else None,
     )
-    session = SimulationSession(spec, telemetry=_telemetry_config(args, bool(args.trace_out)))
-    report = session.run()
-    if args.trace_out:
-        _write_trace(args.trace_out, session, "run")
+    report = SimulationSession(spec, telemetry=_telemetry_config(args)).run()
     label = f"{args.workload} under {spec.policy.name}"
     if spec.topology is not None:
         label += f" on {spec.topology.label}"
     payload = report.as_dict()
     if report.metrics:
-        # windowed time-series only exist when --metrics-interval asked for
-        # them, so plain runs keep the historical flat payload byte-for-byte
+        # windowed time-series only exist when --alerts sampled them, so
+        # plain runs keep the historical flat payload byte-for-byte
         payload["metrics"] = report.metrics
     if report.alerts:
         # same touched-gating: only --alerts runs can populate this
@@ -281,7 +234,7 @@ def trace_command(args: argparse.Namespace) -> int:
     from repro.streams.config import mix_by_name
     from repro.topology.config import topology_by_name
 
-    telemetry = _telemetry_config(args, trace=True, profile=True)
+    telemetry = _telemetry_config(args, traced=True)
     try:
         spec = JobSpec(
             workload=args.workload or "",
@@ -295,7 +248,7 @@ def trace_command(args: argparse.Namespace) -> int:
         report = session.run()
     except ValueError as exc:  # a run the simulator rejects up front
         return fail(str(exc))
-    _write_trace(args.out, session, "trace")
+    _write_trace(args.out, session)
 
     recorder, profiler = session.recorder, session.profiler
     assert recorder is not None and profiler is not None

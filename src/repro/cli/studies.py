@@ -12,7 +12,9 @@
 One builder, :func:`study_arguments`, makes all three parsers from
 :data:`STUDIES`.  Each study's options come from a function that imports
 the study constants behind their defaults and choices, so parsing one
-study loads that study's module and no other.
+study loads that study's module and no other.  The studies attach no
+in-run observers: their cells run in workers or come from the store, so
+``trace --mix``/``--workload`` records one run of a cell instead.
 """
 
 from __future__ import annotations
@@ -122,24 +124,18 @@ def _serve_options(parser: argparse.ArgumentParser) -> None:
     _json_out(parser)
 
 
-#: study command -> (adds its own options, in --help order; whether
-#: --trace-out/--alerts replay one of its cells).  Every study also takes
-#: the executor flags.
-STUDIES: dict[str, tuple[Callable[[argparse.ArgumentParser], None], bool]] = {
-    "adaptive": (_adaptive_options, False),
-    "topology": (_topology_options, False),
-    "serve": (_serve_options, True),
+#: study command -> adds its own options, in --help order.  Every study
+#: also takes the executor flags.
+STUDIES: dict[str, Callable[[argparse.ArgumentParser], None]] = {
+    "adaptive": _adaptive_options,
+    "topology": _topology_options,
+    "serve": _serve_options,
 }
 
 
 def study_arguments(parser: CommandParser) -> None:
     """Build one study command's parser from :data:`STUDIES`."""
-    options, replays = STUDIES[parser.command]
-    options(parser)
-    if replays:
-        from repro.cli.runs import add_trace_options
-
-        add_trace_options(parser, replay=True)
+    STUDIES[parser.command](parser)
     add_executor_options(parser)
 
 
@@ -270,7 +266,6 @@ def serve_command(args: argparse.Namespace) -> int:
     the solo baselines are plain single-workload cells shared with the
     ordinary sweeps, so a warm repeat simulates nothing.
     """
-    from repro.cli.runs import replay
     from repro.experiments.interference import (
         CU_MODES,
         INTERFERENCE_COLUMNS,
@@ -309,21 +304,6 @@ def serve_command(args: argparse.Namespace) -> int:
         ],
         "Serving summary (geomean slowdown / mean unfairness)",
     )
-    if args.trace_out or args.alerts:
-        # the first runnable cell of the grid (figure_interference has
-        # already rejected a grid without one)
-        mix, mode = next(
-            (mix, mode)
-            for mix in mixes
-            for mode in modes
-            if mode != "partitioned" or mix_is_partitionable(mix, cus)
-        )
-        replay(
-            args,
-            f"{mix.name} under {policies[0].name} ({mode} CUs)",
-            policy=policies[0],
-            streams=mix.with_cu_share(mode).scaled(args.scale),
-        )
     blob = artifact(
         "figure_interference",
         figure,

@@ -37,10 +37,6 @@ class DramCoordinates:
     row: int
     column: int
 
-    def global_bank(self, banks_per_channel: int) -> int:
-        """Bank id unique across channels."""
-        return self.channel * banks_per_channel + self.bank
-
 
 class AddressMapping:
     """Maps byte addresses to (channel, bank, row, column) coordinates."""

@@ -121,3 +121,14 @@ def test_identical_shards_load_no_process_pool():
     loaded = _loaded_modules(script)
     assert "repro.accel.shard" in loaded  # the sharded path really ran
     assert sorted(loaded.intersection(POOL_MODULES)) == []
+
+
+def test_parsing_serve_loads_no_run_commands():
+    script = (
+        "import repro.cli\n"
+        "args = repro.cli.build_parser().parse_args(['serve', '--mix', 'mha+fwlstm'])\n"
+        "assert args.mix == ['mha+fwlstm']\n"
+    )
+    loaded = _loaded_modules(script)
+    assert "repro.cli.studies" in loaded  # the serve parser really built
+    assert "repro.cli.runs" not in loaded

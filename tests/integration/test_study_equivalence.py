@@ -84,7 +84,7 @@ STUDIES: dict[str, Callable[[ExperimentRunner, Path], object]] = {
 }
 
 #: argv per CLI command (--no-cache keeps the stderr line free of paths);
-#: JSON_OUT / TRACE_OUT are replaced by files under a temporary directory
+#: JSON_OUT is replaced by a file under a temporary directory
 COMMON = ["--scale", "0.2", "--cus", "2"]
 COMMANDS: dict[str, list[str]] = {
     "sweep-all": [
@@ -100,7 +100,7 @@ COMMANDS: dict[str, list[str]] = {
     ],
     "serve": [
         *COMMON, "serve", "--no-cache", "--mix", "mha+fwlstm", "--policies", "CacheRW",
-        "--trace-out", "TRACE_OUT", "--json-out", "JSON_OUT",
+        "--json-out", "JSON_OUT",
     ],
 }
 
@@ -133,11 +133,8 @@ def record_study(name: str, tmp: Path) -> tuple[int, str, str]:
 
 
 def record_command(name: str, tmp: Path) -> tuple[str, str | None, str]:
-    json_out, trace_out = tmp / "out.json", tmp / "trace.json"
-    argv = [
-        {"JSON_OUT": str(json_out), "TRACE_OUT": str(trace_out)}.get(arg, arg)
-        for arg in COMMANDS[name]
-    ]
+    json_out = tmp / "out.json"
+    argv = [str(json_out) if arg == "JSON_OUT" else arg for arg in COMMANDS[name]]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         assert cli.main(argv) == 0

@@ -220,19 +220,19 @@ class TestCliTelemetry:
         assert "Host self time, top modules" in out
         assert "memory/cache.py" in out
 
-    def test_run_trace_out_and_metrics(self, tmp_path, capsys):
-        trace_path = tmp_path / "run-trace.json"
+    def test_trace_mix_records_windows_and_alerts(self, tmp_path, capsys):
+        trace_path = tmp_path / "mix.json"
         code = cli.main([
             "--scale", "0.1", "--cus", "2",
-            "run", "--workload", "FwSoft", "--policy", "CacheRW",
-            "--trace-out", str(trace_path),
-            "--metrics-interval", "2000", "--json",
+            "trace", "--mix", "mha+fwlstm",
+            "--metrics-interval", "2000", "--alerts",
+            "--out", str(trace_path), "--json",
         ])
         assert code == 0
-        assert trace_errors(json.loads(trace_path.read_text())) == []
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["metrics"]
-        assert windows_total(payload["metrics"])
+        blob = json.loads(trace_path.read_text())
+        assert trace_errors(blob) == []
+        assert blob["otherData"]["metricsWindows"]
+        assert "alerts" in json.loads(capsys.readouterr().out)
 
     def test_run_without_telemetry_flags_matches_plain_run(self, capsys):
         argv = ["--scale", "0.1", "--cus", "2",
@@ -244,26 +244,35 @@ class TestCliTelemetry:
     def test_metrics_interval_must_be_non_negative(self):
         with pytest.raises(SystemExit):
             cli.main([
-                "run", "--workload", "FwSoft", "--policy", "CacheRW",
-                "--metrics-interval", "-5",
+                "trace", "--workload", "FwSoft", "--metrics-interval", "-5",
             ])
 
-    def test_serve_traced_replay(self, tmp_path):
-        trace_path = tmp_path / "serve.json"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--workload", "FwSoft", "--policy", "CacheRW", "--trace-out", "t.json"],
+            ["run", "--workload", "FwSoft", "--policy", "CacheRW", "--metrics-interval", "2000"],
+            ["serve", "--mix", "mha+fwlstm", "--trace-out", "t.json"],
+            ["serve", "--mix", "mha+fwlstm", "--metrics-interval", "2000"],
+            ["serve", "--mix", "mha+fwlstm", "--alerts"],
+        ],
+    )
+    def test_only_trace_attaches_in_run_observers(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_telemetry_reports_the_executor_workers(self, tmp_path, capsys):
         telemetry_path = tmp_path / "exec.json"
         code = cli.main([
             "--scale", "0.1", "--cus", "2", "--no-cache",
-            "serve", "--mix", "mha+fwlstm", "--policies", "CacheRW",
-            "--cu-partition", "shared",
-            "--trace-out", str(trace_path),
-            "--metrics-interval", "2000",
+            "sweep-all", "--jobs", "2", "--workloads", "FwSoft",
             "--telemetry-out", str(telemetry_path),
         ])
         assert code == 0
-        blob = json.loads(trace_path.read_text())
-        assert trace_errors(blob) == []
-        assert blob["otherData"]["metricsWindows"]
         executor = json.loads(telemetry_path.read_text())["executor"]
+        assert executor["workers"] == 2
         assert executor["runs_simulated"] > 0
         assert executor["jobs_timed"] == executor["runs_simulated"]
         assert 0.0 <= executor["worker_utilization"] <= 1.0
