@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from repro.experiments import figure4_gvops, figure5_gmrs, render_series_table
+from repro.experiments import figure, render_series_table
 from repro.workloads.registry import WORKLOAD_NAMES
 
 from benchmarks.conftest import run_once
 
 
 def test_figure4_compute_bandwidth(benchmark, bench_runner):
-    data = run_once(benchmark, figure4_gvops, bench_runner)
+    data = run_once(benchmark, figure, 4, bench_runner)
     print()
     print(render_series_table("Figure 4: compute bandwidth (GVOPS), CacheR", data,
                               value_format="{:.1f}", workload_order=WORKLOAD_NAMES))
@@ -19,7 +19,7 @@ def test_figure4_compute_bandwidth(benchmark, bench_runner):
 
 
 def test_figure5_memory_request_bandwidth(benchmark, bench_runner):
-    data = run_once(benchmark, figure5_gmrs, bench_runner)
+    data = run_once(benchmark, figure, 5, bench_runner)
     print()
     print(render_series_table("Figure 5: memory request bandwidth (GMR/s), CacheR", data,
                               value_format="{:.4f}", workload_order=WORKLOAD_NAMES))

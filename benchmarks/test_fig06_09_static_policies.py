@@ -14,30 +14,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core.classification import PAPER_CATEGORIES, WorkloadCategory
-from repro.experiments import (
-    figure6_execution_time,
-    figure7_dram_accesses,
-    figure8_cache_stalls,
-    figure9_row_hit_rate,
-    render_series_table,
-)
-from repro.experiments.static_policies import measured_categories, static_policy_sweep
+from repro.experiments import figure, measured_categories, render_series_table
 from repro.workloads.registry import WORKLOAD_NAMES
 
 from benchmarks.conftest import run_once
 
 
-@pytest.fixture(scope="module")
-def static_sweep(bench_runner):
-    return static_policy_sweep(bench_runner)
-
-
-def test_figure6_execution_time(benchmark, bench_runner, static_sweep):
-    data = run_once(benchmark, figure6_execution_time, sweep=static_sweep)
+def test_figure6_execution_time(benchmark, bench_runner):
+    data = run_once(benchmark, figure, 6, bench_runner)
     print()
     print(render_series_table("Figure 6: execution time normalized to Uncached", data,
                               workload_order=WORKLOAD_NAMES))
-    categories = measured_categories(static_sweep)
+    categories = measured_categories(bench_runner)
     print("Measured categories vs paper:")
     matches = 0
     for name in WORKLOAD_NAMES:
@@ -54,8 +42,8 @@ def test_figure6_execution_time(benchmark, bench_runner, static_sweep):
     assert data["SGEMM"]["CacheR"] == pytest.approx(1.0, abs=0.06)
 
 
-def test_figure7_dram_accesses(benchmark, bench_runner, static_sweep):
-    data = run_once(benchmark, figure7_dram_accesses, sweep=static_sweep)
+def test_figure7_dram_accesses(benchmark, bench_runner):
+    data = run_once(benchmark, figure, 7, bench_runner)
     print()
     print(render_series_table("Figure 7: DRAM accesses normalized to Uncached", data,
                               workload_order=WORKLOAD_NAMES))
@@ -70,8 +58,8 @@ def test_figure7_dram_accesses(benchmark, bench_runner, static_sweep):
     assert data["BwBN"]["CacheRW"] < data["BwBN"]["CacheR"]
 
 
-def test_figure8_cache_stalls(benchmark, bench_runner, static_sweep):
-    data = run_once(benchmark, figure8_cache_stalls, sweep=static_sweep)
+def test_figure8_cache_stalls(benchmark, bench_runner):
+    data = run_once(benchmark, figure, 8, bench_runner)
     print()
     print(render_series_table("Figure 8: cache stalls per GPU memory request", data,
                               workload_order=WORKLOAD_NAMES))
@@ -82,8 +70,8 @@ def test_figure8_cache_stalls(benchmark, bench_runner, static_sweep):
     assert data["FwAct"]["CacheR"] > 100 * max(data["FwAct"]["Uncached"], 0.001)
 
 
-def test_figure9_row_hit_rate(benchmark, bench_runner, static_sweep):
-    data = run_once(benchmark, figure9_row_hit_rate, sweep=static_sweep)
+def test_figure9_row_hit_rate(benchmark, bench_runner):
+    data = run_once(benchmark, figure, 9, bench_runner)
     print()
     print(render_series_table("Figure 9: DRAM row-buffer hit ratio", data,
                               workload_order=WORKLOAD_NAMES))

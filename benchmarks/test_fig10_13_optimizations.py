@@ -7,28 +7,14 @@ nearly every workload while avoiding the worst-case penalties.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.experiments import (
-    figure10_execution_time,
-    figure11_dram_accesses,
-    figure12_cache_stalls,
-    figure13_row_hit_rate,
-    render_series_table,
-)
-from repro.experiments.optimizations import STATIC_BEST, STATIC_WORST, optimization_sweep
+from repro.experiments import STATIC_WORST, figure, render_series_table
 from repro.workloads.registry import WORKLOAD_NAMES
 
 from benchmarks.conftest import run_once
 
 
-@pytest.fixture(scope="module")
-def opt_sweep(bench_runner):
-    return optimization_sweep(bench_runner)
-
-
-def test_figure10_execution_time(benchmark, bench_runner, opt_sweep):
-    data = run_once(benchmark, figure10_execution_time, sweep=opt_sweep)
+def test_figure10_execution_time(benchmark, bench_runner):
+    data = run_once(benchmark, figure, 10, bench_runner)
     print()
     print(render_series_table("Figure 10: execution time normalized to best static policy",
                               data, workload_order=WORKLOAD_NAMES))
@@ -45,8 +31,8 @@ def test_figure10_execution_time(benchmark, bench_runner, opt_sweep):
         assert data[name]["CacheRW-PCby"] <= max(1.25, 1.1 * data[name][STATIC_WORST])
 
 
-def test_figure11_dram_accesses(benchmark, bench_runner, opt_sweep):
-    data = run_once(benchmark, figure11_dram_accesses, sweep=opt_sweep)
+def test_figure11_dram_accesses(benchmark, bench_runner):
+    data = run_once(benchmark, figure, 11, bench_runner)
     print()
     print(render_series_table("Figure 11: DRAM accesses normalized to Uncached", data,
                               workload_order=WORKLOAD_NAMES))
@@ -55,8 +41,8 @@ def test_figure11_dram_accesses(benchmark, bench_runner, opt_sweep):
         assert data[name]["CacheRW-PCby"] < 1.0
 
 
-def test_figure12_cache_stalls(benchmark, bench_runner, opt_sweep):
-    data = run_once(benchmark, figure12_cache_stalls, sweep=opt_sweep)
+def test_figure12_cache_stalls(benchmark, bench_runner):
+    data = run_once(benchmark, figure, 12, bench_runner)
     print()
     print(render_series_table("Figure 12: cache stalls per GPU memory request", data,
                               workload_order=WORKLOAD_NAMES))
@@ -65,8 +51,8 @@ def test_figure12_cache_stalls(benchmark, bench_runner, opt_sweep):
         assert data[name]["CacheRW-AB"] < data[name][STATIC_WORST]
 
 
-def test_figure13_row_hit_rate(benchmark, bench_runner, opt_sweep):
-    data = run_once(benchmark, figure13_row_hit_rate, sweep=opt_sweep)
+def test_figure13_row_hit_rate(benchmark, bench_runner):
+    data = run_once(benchmark, figure, 13, bench_runner)
     print()
     print(render_series_table("Figure 13: DRAM row-buffer hit ratio", data,
                               workload_order=WORKLOAD_NAMES))

@@ -21,13 +21,13 @@ import pytest
 from repro.adaptive import AdaptiveConfig
 from repro.core.classification import PAPER_CATEGORIES, WorkloadCategory
 from repro.experiments import (
+    STATIC_WORST,
     adaptive_summary,
     artifact,
     figure14_adaptive,
     render_series_table,
 )
 from repro.experiments.adaptive import DYNAMIC
-from repro.experiments.optimizations import STATIC_WORST
 from repro.workloads.registry import WORKLOAD_NAMES
 
 from benchmarks.conftest import run_once

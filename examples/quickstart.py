@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Quickstart: simulate one MI workload under the three static GPU cache policies.
 
-This reproduces, for a single workload, the experiment behind Figure 6 of
+This reproduces, for a single workload, the experiment behind Figures 6-9 of
 "Optimizing GPU Cache Policies for MI Workloads" (IISWC 2019): the forward
 fully-connected layer (FwFc) is run under Uncached, CacheR and CacheRW, and
 the execution time, DRAM traffic, cache stalls and DRAM row-buffer locality
@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import sys
 
-from repro import (
-    STATIC_POLICIES,
-    PolicyComparison,
-    default_config,
-    get_workload,
-    simulate,
-)
+from repro import default_config, get_workload
+from repro.experiments import FIGURES, ExperimentRunner, figure
 from repro.experiments.render import render_kv_table, render_series_table
 
 
@@ -39,30 +34,17 @@ def main() -> int:
           f"{trace.line_requests} line requests, "
           f"{trace.footprint_bytes() / 1024:.0f} KiB footprint\n")
 
-    comparison = PolicyComparison(workload=workload.name)
-    for policy in STATIC_POLICIES:
-        print(f"simulating {workload.name} under {policy.name} ...")
-        comparison.add(simulate(get_workload(workload_name, scale=scale), policy, config=config))
-
-    print()
-    print(render_series_table(
-        "Execution time (normalized to Uncached)",
-        {workload.name: comparison.normalized_exec_time()},
-    ))
-    print(render_series_table(
-        "DRAM accesses (normalized to Uncached)",
-        {workload.name: comparison.normalized_dram_accesses()},
-    ))
-    print(render_series_table(
-        "Cache stalls per memory request",
-        {workload.name: comparison.stalls_per_request()},
-    ))
-    print(render_series_table(
-        "DRAM row-buffer hit rate",
-        {workload.name: comparison.row_hit_rates()},
-    ))
-    best = comparison.static_best()
-    print(f"Best static policy for {workload.name}: {best}")
+    # Figures 6-9 share the three static-policy runs: the runner simulates
+    # each (workload, policy) cell once and serves the later figures from
+    # its memo
+    runner = ExperimentRunner(scale=scale, config=config, workload_names=[workload.name])
+    for number in (6, 7, 8, 9):
+        spec = FIGURES[number]
+        print(render_series_table(spec.title, figure(number, runner),
+                                  value_format=spec.value_format))
+    times = figure(6, runner)[workload.name]
+    print(f"Best static policy for {workload.name}: {min(times, key=times.get)}")
+    print(f"({runner.runs_simulated} simulations, {runner.memo_hits} memo hits)")
     return 0
 
 

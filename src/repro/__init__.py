@@ -92,7 +92,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.spec": ("JobSpec",),
         "repro.session": ("SimulationSession", "simulate"),
         "repro.stats.report": ("RunReport",),
-        "repro.stats.comparison": ("PolicyComparison",),
         # telemetry / observability
         "repro.telemetry.config": ("TelemetryConfig",),
         "repro.telemetry.trace": ("TraceRecorder", "validate_trace"),

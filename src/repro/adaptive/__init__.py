@@ -2,8 +2,8 @@
 
 The paper's conclusion calls for "smart and adaptive cache policies" for MI
 workloads.  A static sweep finds each workload's best policy by running them
-all (:meth:`~repro.stats.comparison.PolicyComparison.static_best`); this
-package finds it *at runtime*: a simulation can start with no knowledge of
+all (the ``StaticBest`` series of :data:`repro.experiments.figures.FIGURES`);
+this package finds it *at runtime*: a simulation can start with no knowledge of
 the workload and converge on the right caching policy while it executes.
 
 Three cooperating components implement the mechanism:

@@ -138,8 +138,10 @@ class AdaptiveConfig:
     def fingerprint(self) -> str:
         """Stable content hash over every adaptive parameter.
 
-        Used by :meth:`repro.spec.JobSpec.fingerprint` so that
-        two adaptive runs differing in any knob (candidates, leader sets,
-        thresholds, ...) never share a result-store entry.
+        The ``adaptive`` command records it in its JSON artifact.  Store
+        keys do not call it: :meth:`repro.spec.JobSpec.fingerprint` hashes
+        the configuration's fields directly, so two adaptive runs
+        differing in any knob (candidates, leader sets, thresholds, ...)
+        still never share a result-store entry.
         """
         return fingerprint(self)

@@ -10,6 +10,7 @@
 from __future__ import annotations
 
 import argparse
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.cli import (
@@ -20,26 +21,15 @@ from repro.cli import (
     make_runner,
 )
 from repro.core.policies import ALL_POLICIES, STATIC_POLICIES, policy_by_name
+from repro.experiments.figures import FIGURES, FigureSpec, figure, own_series, tabulate
 from repro.experiments.render import render_series_table
 from repro.workloads.registry import WORKLOAD_NAMES
 
 if TYPE_CHECKING:
     from repro.experiments.runner import ExperimentRunner
 
-#: figure number -> (title, builder in :mod:`repro.experiments`, value
-#: format); the builder's study module is imported when the figure is drawn
-FIGURES = {
-    "4": ("Figure 4: compute bandwidth (GVOPS), CacheR", "figure4_gvops", "{:.1f}"),
-    "5": ("Figure 5: memory request bandwidth (GMR/s), CacheR", "figure5_gmrs", "{:.3f}"),
-    "6": ("Figure 6: execution time normalized to Uncached", "figure6_execution_time", "{:.3f}"),
-    "7": ("Figure 7: DRAM accesses normalized to Uncached", "figure7_dram_accesses", "{:.3f}"),
-    "8": ("Figure 8: cache stalls per memory request", "figure8_cache_stalls", "{:.3f}"),
-    "9": ("Figure 9: DRAM row-buffer hit ratio", "figure9_row_hit_rate", "{:.3f}"),
-    "10": ("Figure 10: execution time normalized to best static", "figure10_execution_time", "{:.3f}"),
-    "11": ("Figure 11: DRAM accesses normalized to Uncached", "figure11_dram_accesses", "{:.3f}"),
-    "12": ("Figure 12: cache stalls per memory request", "figure12_cache_stalls", "{:.3f}"),
-    "13": ("Figure 13: DRAM row-buffer hit ratio", "figure13_row_hit_rate", "{:.3f}"),
-}
+#: the figure numbers ``figure`` and ``sweep-all --figures`` accept
+FIGURE_NUMBERS = [str(number) for number in FIGURES]
 
 
 def sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -54,16 +44,18 @@ def sweep_arguments(parser: argparse.ArgumentParser) -> None:
 def sweep_command(args: argparse.Namespace) -> int:
     workload_name = args.workload
     runner = make_runner(args, [workload_name], default_store=False)
-    sweep = runner.sweep(policies=[policy_by_name(name) for name in args.policies])
-    comparison = sweep.comparison(workload_name)
-    data = {
-        workload_name: comparison.normalized_exec_time(
-            baseline=args.policies[0] if "Uncached" not in comparison.reports else "Uncached"
-        )
-    }
-    print(render_series_table(f"Execution time for {workload_name} (normalized)", data))
-    dram = {workload_name: comparison.metric(lambda r: float(r.dram_accesses))}
-    print(render_series_table(f"DRAM accesses for {workload_name}", dram, value_format="{:.0f}"))
+    policies = tuple(policy_by_name(name) for name in args.policies)
+    sweep = runner.sweep(policies=policies)
+    series = own_series(*args.policies)
+    baseline = "Uncached" if "Uncached" in args.policies else args.policies[0]
+    for spec in (
+        FigureSpec(f"Execution time for {workload_name} (normalized)", "{:.3f}",
+                   policies, series, attrgetter("cycles"), baseline),
+        FigureSpec(f"DRAM accesses for {workload_name}", "{:.0f}",
+                   policies, series, attrgetter("dram_accesses")),
+    ):
+        print(render_series_table(spec.title, tabulate(spec, sweep),
+                                  value_format=spec.value_format))
     return finish(args, runner)
 
 
@@ -75,8 +67,8 @@ def sweep_all_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--figures",
         nargs="+",
-        default=sorted(FIGURES, key=int),
-        choices=sorted(FIGURES, key=int),
+        default=FIGURE_NUMBERS,
+        choices=FIGURE_NUMBERS,
         metavar="N",
         help="figures to print after the sweep (default: 4-13)",
     )
@@ -84,11 +76,9 @@ def sweep_all_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_figure(number: str, runner: ExperimentRunner) -> None:
-    from repro import experiments
-
-    title, builder, fmt = FIGURES[number]
-    figure = getattr(experiments, builder)(runner)
-    print(render_series_table(title, figure, value_format=fmt))
+    spec = FIGURES[int(number)]
+    print(render_series_table(spec.title, figure(int(number), runner),
+                              value_format=spec.value_format))
 
 
 def sweep_all_command(args: argparse.Namespace) -> int:
@@ -108,7 +98,7 @@ def sweep_all_command(args: argparse.Namespace) -> int:
 
 
 def figure_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("number", choices=sorted(FIGURES, key=int))
+    parser.add_argument("number", choices=FIGURE_NUMBERS)
     add_workloads_option(parser, "all 18")
     add_executor_options(parser)
 

@@ -186,8 +186,9 @@ class SystemConfig:
 
         Two configurations with identical parameters produce the same
         fingerprint in any process; changing any field (even a nested one,
-        e.g. an L2 MSHR count) changes it.  Used by the persistent result
-        store to key cached simulation results.
+        e.g. an L2 MSHR count) changes it.  Store keys do not call it:
+        :meth:`repro.spec.JobSpec.fingerprint` hashes the configuration's
+        fields directly, with the same effect.
         """
         return fingerprint(self)
 

@@ -4,14 +4,11 @@ Each module corresponds to a block of the paper's evaluation:
 
 * :mod:`repro.experiments.tables` -- Table 1 (system configuration) and
   Table 2 (workload inventory).
-* :mod:`repro.experiments.characterization` -- Figure 4 (GVOPS) and
-  Figure 5 (GMR/s), measured under the CacheR policy.
-* :mod:`repro.experiments.static_policies` -- Figures 6-9: execution time,
-  DRAM accesses, cache stalls and DRAM row-hit rate for the three static
-  policies, normalized to Uncached.
-* :mod:`repro.experiments.optimizations` -- Figures 10-13: the same metrics
-  for the best/worst static policies and the cumulative optimization stack
-  (CacheRW-AB, CacheRW-CR, CacheRW-PCby).
+* :mod:`repro.experiments.figures` -- Figures 4-13 as one table of views
+  over the (workload x policy) grid: ``figure(number, runner)`` returns
+  one figure's ``{workload: {series: value}}`` data (GVOPS and GMR/s
+  under CacheR; the static policies normalized to Uncached; the
+  best/worst static policy next to the cumulative optimization stack).
 * :mod:`repro.experiments.adaptive` -- Figure 14: the online dynamic
   policy (set dueling + phase detection) against the static envelope and
   the optimization stack.
@@ -44,20 +41,12 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.experiments.runner": ("ExperimentRunner", "SweepResult"),
         "repro.experiments.jobs": ("JobSpec", "JobFailure", "SweepExecutor"),
         "repro.experiments.store": ("ResultStore", "default_cache_dir"),
-        "repro.experiments.characterization": ("figure4_gvops", "figure5_gmrs"),
-        "repro.experiments.static_policies": (
-            "figure6_execution_time",
-            "figure7_dram_accesses",
-            "figure8_cache_stalls",
-            "figure9_row_hit_rate",
-            "static_policy_sweep",
-        ),
-        "repro.experiments.optimizations": (
-            "figure10_execution_time",
-            "figure11_dram_accesses",
-            "figure12_cache_stalls",
-            "figure13_row_hit_rate",
-            "optimization_sweep",
+        "repro.experiments.figures": (
+            "FIGURES",
+            "figure",
+            "measured_categories",
+            "STATIC_BEST",
+            "STATIC_WORST",
         ),
         "repro.experiments.adaptive": (
             "adaptive_sweep",

@@ -21,13 +21,20 @@ in the result store exactly like static runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping, Optional, Sequence
 
 from repro.adaptive.config import DYNAMIC, AdaptiveConfig
 from repro.core.classification import PAPER_CATEGORIES, WorkloadCategory
 from repro.core.policies import CACHE_RW_PCBY, STATIC_POLICIES
+from repro.experiments.figures import (
+    FIGURES,
+    STATIC_BEST,
+    STATIC_WORST,
+    own_series,
+    tabulate,
+)
 from repro.experiments.jobs import JobSpec
-from repro.experiments.optimizations import STATIC_BEST, STATIC_WORST
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.study import geomean
 from repro.stats.report import RunReport
@@ -74,30 +81,21 @@ def figure14_adaptive(
 ) -> dict[str, dict[str, float]]:
     """Figure 14: execution time normalized to the best static policy.
 
-    Series: StaticBest (1.0 by construction), StaticWorst, the paper's
-    full optimization stack (CacheRW-PCby), and the online Dynamic policy.
+    Figure 10's view (:data:`~repro.experiments.figures.FIGURES`) over
+    StaticBest (1.0 by construction), StaticWorst, the paper's full
+    optimization stack (CacheRW-PCby) and the online Dynamic policy.
     """
     runner = runner or ExperimentRunner()
     names = tuple(workload_names or runner.workload_names)
-    static = runner.sweep(policies=STATIC_POLICIES, workload_names=names)
-    optimized = runner.sweep(policies=(CACHE_RW_PCBY,), workload_names=names)
-    dynamic = adaptive_sweep(runner, adaptive_config, names)
-
-    static_names = [policy.name for policy in STATIC_POLICIES]
-    result: dict[str, dict[str, float]] = {}
-    for workload in names:
-        comparison = static.comparison(workload)
-        best = comparison.static_best(static_names)
-        worst = comparison.static_worst(static_names)
-        baseline = static.get(workload, best).cycles
-        result[workload] = {
-            STATIC_BEST: 1.0,
-            STATIC_WORST: static.get(workload, worst).cycles / baseline,
-            CACHE_RW_PCBY.name: optimized.get(workload, CACHE_RW_PCBY.name).cycles
-            / baseline,
-            DYNAMIC: dynamic[workload].cycles / baseline,
-        }
-    return result
+    spec = replace(
+        FIGURES[10],
+        policies=STATIC_POLICIES + (CACHE_RW_PCBY,),
+        series=own_series(STATIC_BEST, STATIC_WORST, CACHE_RW_PCBY.name, DYNAMIC),
+    )
+    sweep = runner.sweep(spec.policies, names)
+    for report in adaptive_sweep(runner, adaptive_config, names).values():
+        sweep.add(report)
+    return tabulate(spec, sweep)
 
 
 def adaptive_summary(

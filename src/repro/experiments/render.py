@@ -16,7 +16,6 @@ __all__ = ["render_series_table", "render_kv_table"]
 def render_series_table(
     title: str,
     data: Mapping[str, Mapping[str, float]],
-    series: Sequence[str] | None = None,
     value_format: str = "{:.3f}",
     workload_order: Sequence[str] | None = None,
 ) -> str:
@@ -25,20 +24,14 @@ def render_series_table(
     Args:
         title: heading line.
         data: per-workload, per-series values.
-        series: column order; defaults to the union of all series seen.
         value_format: format applied to each value.
         workload_order: row order; defaults to insertion order of ``data``.
     """
     if not data:
         return f"{title}\n(no data)\n"
     workloads = list(workload_order) if workload_order else list(data.keys())
-    if series is None:
-        seen: list[str] = []
-        for row in data.values():
-            for name in row:
-                if name not in seen:
-                    seen.append(name)
-        series = seen
+    # columns: every series seen, in first-seen order
+    series = list(dict.fromkeys(name for row in data.values() for name in row))
 
     name_width = max(len("Workload"), max(len(w) for w in workloads))
     col_widths = [

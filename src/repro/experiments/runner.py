@@ -23,7 +23,6 @@ from repro.config import SystemConfig, default_config
 from repro.core.policies import STATIC_POLICIES, PolicySpec
 from repro.experiments.jobs import JobSpec, SweepExecutor
 from repro.experiments.store import ResultStore
-from repro.stats.comparison import PolicyComparison
 from repro.stats.report import RunReport
 from repro.workloads.registry import WORKLOAD_NAMES
 
@@ -55,22 +54,6 @@ class SweepResult:
             if policy not in seen:
                 seen.append(policy)
         return seen
-
-    def comparison(self, workload: str) -> PolicyComparison:
-        """All of one workload's reports as a :class:`PolicyComparison`."""
-        comparison = PolicyComparison(workload=workload)
-        for (name, _policy), report in self.reports.items():
-            if name == workload:
-                comparison.add(report)
-        if not comparison.reports:
-            raise KeyError(f"no reports recorded for workload {workload!r}")
-        return comparison
-
-    def merged(self, other: "SweepResult") -> "SweepResult":
-        """Union of two sweeps (other wins on conflicts)."""
-        merged = SweepResult(reports=dict(self.reports))
-        merged.reports.update(other.reports)
-        return merged
 
 
 class ExperimentRunner:

@@ -111,12 +111,14 @@ class TopologyConfig:
     def fingerprint(self) -> str:
         """Stable content hash over every *physical* topology parameter.
 
-        Used by :meth:`repro.spec.JobSpec.fingerprint` so two
-        runs differing in any knob (device count, fabric latency,
-        interleave granularity, ...) never share a result-store entry.
-        The display-only ``name`` is excluded: a registered topology and
-        an ad-hoc one with identical physics simulate identically and
-        must share cached results.
+        The hash covers :meth:`describe`, which leaves out the
+        display-only ``name``.  The ``topology`` command records one per
+        device count in its JSON artifact.  Store keys do not call it:
+        :meth:`repro.spec.JobSpec.fingerprint` hashes the same
+        :meth:`describe` payload directly, so runs differing in any knob
+        (device count, fabric latency, interleave granularity, ...) never
+        share a result-store entry, while a registered topology and an
+        ad-hoc one with identical physics do.
         """
         return fingerprint(self.describe(), kind="TopologyConfig")
 

@@ -9,26 +9,16 @@ import pytest
 from repro.config import scaled_config
 from repro.core.policies import STATIC_POLICIES, UNCACHED
 from repro.experiments import (
+    STATIC_BEST,
+    STATIC_WORST,
     ExperimentRunner,
-    figure4_gvops,
-    figure5_gmrs,
-    figure6_execution_time,
-    figure7_dram_accesses,
-    figure8_cache_stalls,
-    figure9_row_hit_rate,
-    figure10_execution_time,
-    figure11_dram_accesses,
-    figure12_cache_stalls,
-    figure13_row_hit_rate,
-    optimization_sweep,
+    figure,
+    measured_categories,
     render_series_table,
-    static_policy_sweep,
     table1_system_configuration,
     table2_workloads,
 )
-from repro.experiments.optimizations import STATIC_BEST, STATIC_WORST
 from repro.experiments.render import render_kv_table
-from repro.experiments.static_policies import measured_categories
 from repro import cli
 
 #: a small but behaviourally diverse subset keeps integration tests fast
@@ -43,12 +33,7 @@ def runner() -> ExperimentRunner:
 
 @pytest.fixture(scope="module")
 def static_sweep(runner):
-    return static_policy_sweep(runner)
-
-
-@pytest.fixture(scope="module")
-def full_sweep(runner):
-    return optimization_sweep(runner)
+    return runner.sweep(policies=STATIC_POLICIES)
 
 
 class TestRunner:
@@ -61,62 +46,63 @@ class TestRunner:
         runner.sweep(policies=STATIC_POLICIES)
         assert runner.cached_runs() == before
 
-    def test_comparison_for_unknown_workload_raises(self, static_sweep):
-        with pytest.raises(KeyError):
-            static_sweep.comparison("NotAWorkload")
+    def test_figure_for_unknown_workload_raises(self):
+        unknown = ExperimentRunner(scale=0.15, config=TINY, workload_names=["NotAWorkload"])
+        with pytest.raises(KeyError, match="unknown workload 'NotAWorkload'"):
+            figure(6, unknown)
 
 
 class TestStaticFigures:
-    def test_figure6_normalizes_to_uncached(self, static_sweep):
-        data = figure6_execution_time(sweep=static_sweep)
+    def test_figure6_normalizes_to_uncached(self, runner):
+        data = figure(6, runner)
         for workload, series in data.items():
             assert series[UNCACHED.name] == pytest.approx(1.0)
             assert set(series) == {p.name for p in STATIC_POLICIES}
 
-    def test_figure7_values_are_fractions_of_uncached(self, static_sweep):
-        data = figure7_dram_accesses(sweep=static_sweep)
+    def test_figure7_values_are_fractions_of_uncached(self, runner):
+        data = figure(7, runner)
         for series in data.values():
             assert series[UNCACHED.name] == pytest.approx(1.0)
             assert all(value >= 0 for value in series.values())
 
-    def test_figure8_uncached_has_fewest_stalls(self, static_sweep):
-        data = figure8_cache_stalls(sweep=static_sweep)
+    def test_figure8_uncached_has_fewest_stalls(self, runner):
+        data = figure(8, runner)
         for series in data.values():
             assert series[UNCACHED.name] <= min(series.values()) + 1e-9
 
-    def test_figure9_rates_are_probabilities(self, static_sweep):
-        data = figure9_row_hit_rate(sweep=static_sweep)
+    def test_figure9_rates_are_probabilities(self, runner):
+        data = figure(9, runner)
         for series in data.values():
             assert all(0.0 <= value <= 1.0 for value in series.values())
 
-    def test_measured_categories_cover_subset(self, static_sweep):
-        categories = measured_categories(static_sweep)
+    def test_measured_categories_cover_subset(self, runner):
+        categories = measured_categories(runner)
         assert set(categories) == set(SUBSET)
 
     def test_characterization_figures(self, runner):
-        gvops = figure4_gvops(runner)
-        gmrs = figure5_gmrs(runner)
+        gvops = figure(4, runner)
+        gmrs = figure(5, runner)
         assert set(gvops) == set(SUBSET)
         assert all(row["GVOPS"] >= 0 for row in gvops.values())
         assert all(row["GMR/s"] > 0 for row in gmrs.values())
 
 
 class TestOptimizationFigures:
-    def test_figure10_series_and_baseline(self, full_sweep):
-        data = figure10_execution_time(sweep=full_sweep)
+    def test_figure10_series_and_baseline(self, runner):
+        data = figure(10, runner)
         for series in data.values():
             assert series[STATIC_BEST] == pytest.approx(1.0)
             assert series[STATIC_WORST] >= series[STATIC_BEST] - 1e-9
             assert "CacheRW-PCby" in series
 
-    def test_figure11_normalized_to_uncached(self, full_sweep):
-        data = figure11_dram_accesses(sweep=full_sweep)
+    def test_figure11_normalized_to_uncached(self, runner):
+        data = figure(11, runner)
         for series in data.values():
             assert all(value >= 0 for value in series.values())
 
-    def test_figure12_and_13_shapes(self, full_sweep):
-        stalls = figure12_cache_stalls(sweep=full_sweep)
-        rows = figure13_row_hit_rate(sweep=full_sweep)
+    def test_figure12_and_13_shapes(self, runner):
+        stalls = figure(12, runner)
+        rows = figure(13, runner)
         assert set(stalls) == set(SUBSET) and set(rows) == set(SUBSET)
         for series in rows.values():
             assert all(0.0 <= value <= 1.0 for value in series.values())
@@ -138,8 +124,12 @@ class TestTablesAndRendering:
         assert "Title" in text and "FwAct" in text and "0.250" in text
 
     def test_render_handles_missing_series(self):
-        text = render_series_table("T", {"W": {"A": 1.0}}, series=["A", "B"])
-        assert "-" in text
+        text = render_series_table("T", {"W": {"A": 1.0}, "X": {"B": 2.0}})
+        # the columns are every series seen; a row without one shows "-"
+        assert text.splitlines()[3:] == [
+            "W         1.000      -",
+            "X             -  2.000",
+        ]
 
     def test_render_kv_table(self):
         text = render_kv_table("Config", {"# of CUs": 8})

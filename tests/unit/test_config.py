@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -18,22 +19,67 @@ from repro.config import (
 from repro.session import SimulationSession
 from repro.workloads.registry import get_workload
 
-#: one changed value per GpuConfig field; each moves the small run below
-GPU_FIELD_CHANGES = {
-    "clock_ghz": 3.2,
-    "num_cus": 1,
-    "simd_per_cu": 2,
-    "wavefront_size": 32,
-    "max_waves_per_simd": 1,
-    "issue_width": 2,
-    "max_outstanding_mem_per_wave": 2,
-    "kernel_launch_cycles": 600,
+#: the config sections a run reads
+SECTIONS = ("gpu", "l1", "l2", "dram", "interconnect")
+
+#: one changed value per config field; each moves a small CacheRW run
+#: (FwAct at scale 0.1 on 2 CUs unless FIELD_RUNS names another)
+FIELD_CHANGES = {
+    "gpu.clock_ghz": 3.2,
+    "gpu.num_cus": 1,
+    "gpu.simd_per_cu": 2,
+    "gpu.wavefront_size": 32,
+    "gpu.max_waves_per_simd": 1,
+    "gpu.issue_width": 2,
+    "gpu.max_outstanding_mem_per_wave": 2,
+    "gpu.kernel_launch_cycles": 600,
+    "l1.size_bytes": 4096,
+    "l1.line_bytes": 128,
+    "l1.assoc": 4,
+    "l1.hit_latency": 20,
+    "l1.mshrs": 4,
+    "l1.ports": 4,
+    "l2.size_bytes": 32 * 1024,
+    "l2.line_bytes": 128,
+    "l2.assoc": 4,
+    "l2.hit_latency": 20,
+    "l2.mshrs": 16,
+    "l2.ports": 8,
+    "l2.writeback": False,
+    "dram.channels": 1,
+    "dram.banks_per_channel": 4,
+    "dram.row_bytes": 512,
+    "dram.row_hit_cycles": 20,
+    "dram.row_miss_cycles": 200,
+    "dram.row_conflict_cycles": 300,
+    "dram.burst_cycles": 8,
+    "dram.queue_depth": 2,
+    "interconnect.l1_to_l2_cycles": 5,
+    "interconnect.l2_to_dir_cycles": 5,
+    "interconnect.dir_to_dram_cycles": 40,
+    "interconnect.l2_banks": 1,
+}
+
+#: field -> (workload, CUs, scale) of the run its change moves
+FIELD_RUNS = {
+    # FwAct streams, so L1 associativity changes nothing there
+    "l1.assoc": ("SGEMM", 2, 0.1),
+    # MemoryHierarchy raises l2.ports to interconnect.l2_banks, so only a
+    # value above the bank count counts, and it shows once enough CUs
+    # contend for the L2's tag lookups
+    "l2.ports": ("FwAct", 4, 0.2),
+}
+
+#: fields no run reads, each with the reason
+UNREAD_FIELDS = {
+    "l1.writeback": "PolicyEngine.stamp sends every store around the L1",
 }
 
 
-def run_fwact(config: SystemConfig) -> dict[str, object]:
+@functools.lru_cache(maxsize=None)
+def run(config: SystemConfig, workload: str, scale: float) -> dict[str, object]:
     session = SimulationSession(policy="CacheRW", config=config)
-    return session.run(get_workload("FwAct", scale=0.1)).to_dict()
+    return session.run(get_workload(workload, scale=scale)).to_dict()
 
 
 class TestGpuConfig:
@@ -50,23 +96,34 @@ class TestGpuConfig:
         assert gpu.max_waves_per_cu == 40
 
 
-class TestGpuFieldsAreRead:
-    """Every GpuConfig field reaches the simulated result.
+class TestConfigFieldsAreRead:
+    """Every GPU and memory config field reaches the simulated result.
 
     A field no model reads still splits store keys and changes no result.
+    ``l1.writeback`` is the one such field; it stays a named exemption,
+    with its reason, until the model reads it or drops it.
     """
 
-    def test_every_field_has_a_changed_value(self):
-        assert set(GPU_FIELD_CHANGES) == {field.name for field in dataclasses.fields(GpuConfig)}
+    def test_every_field_has_a_changed_value_or_an_exemption(self):
+        base = SystemConfig()
+        fields = {
+            f"{section}.{field.name}"
+            for section in SECTIONS
+            for field in dataclasses.fields(getattr(base, section))
+        }
+        assert set(FIELD_CHANGES) | set(UNREAD_FIELDS) == fields
+        assert not set(FIELD_CHANGES) & set(UNREAD_FIELDS)
+        assert set(UNREAD_FIELDS) == {"l1.writeback"}
 
-    @pytest.mark.parametrize("name", sorted(GPU_FIELD_CHANGES))
+    @pytest.mark.parametrize("name", sorted(FIELD_CHANGES))
     def test_changing_the_field_changes_the_report(self, name):
-        base = scaled_config(2)
-        changed = dataclasses.replace(
-            base, gpu=dataclasses.replace(base.gpu, **{name: GPU_FIELD_CHANGES[name]})
-        )
-        assert getattr(changed.gpu, name) != getattr(base.gpu, name)
-        assert run_fwact(changed) != run_fwact(base)
+        workload, cus, scale = FIELD_RUNS.get(name, ("FwAct", 2, 0.1))
+        section, field = name.split(".")
+        base = scaled_config(cus)
+        part = dataclasses.replace(getattr(base, section), **{field: FIELD_CHANGES[name]})
+        changed = dataclasses.replace(base, **{section: part})
+        assert getattr(part, field) != getattr(getattr(base, section), field)
+        assert run(changed, workload, scale) != run(base, workload, scale)
 
 
 class TestCacheConfig:

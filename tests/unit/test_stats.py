@@ -1,11 +1,12 @@
-"""Tests for the statistics collector, run reports and comparisons."""
+"""Tests for the statistics collector and run reports."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import default_config
-from repro.stats.comparison import PolicyComparison, normalize_to, static_best, static_worst
+from repro.experiments.figures import FIGURES, STATIC_BEST, tabulate
+from repro.experiments.runner import SweepResult
 from repro.stats.counters import StatsCollector
 from repro.stats.report import RunReport
 
@@ -284,53 +285,42 @@ class TestRunReport:
         assert report.gpu_mem_requests == 10
 
 
-class TestComparison:
-    def test_normalize_to(self):
-        assert normalize_to({"a": 2.0, "b": 4.0}, "a") == {"a": 1.0, "b": 2.0}
+class TestStatsCollectorMerge:
+    def test_merge_adds_shared_histogram_buckets(self):
+        a = StatsCollector()
+        b = StatsCollector()
+        for value in (10, 10, 30):
+            a.observe("gpu.mem_latency", value)
+        for value in (10, 20):
+            b.observe("gpu.mem_latency", value)
+        a.merge(b)
+        assert a.histogram("gpu.mem_latency") == {10: 3, 20: 1, 30: 1}
+        # percentiles see the merged population
+        assert a.histogram_percentile("gpu.mem_latency", 50) == 10.0
+        assert a.histogram_percentile("gpu.mem_latency", 100) == 30.0
 
-    def test_normalize_missing_baseline(self):
-        with pytest.raises(KeyError):
-            normalize_to({"a": 1.0}, "b")
+    def test_merge_keeps_disjoint_histograms(self):
+        a = StatsCollector()
+        b = StatsCollector()
+        a.observe("l1.lat", 1)
+        b.observe("l2.lat", 2)
+        a.merge(b)
+        assert a.histogram("l1.lat") == {1: 1}
+        assert a.histogram("l2.lat") == {2: 1}
 
-    def test_normalize_zero_baseline(self):
-        with pytest.raises(ValueError):
-            normalize_to({"a": 0.0, "b": 1.0}, "a")
+    def test_merged_collectors_feed_the_figure_table(self):
+        # two shards of one run merge, then compare against the other policies
+        shard1, shard2 = StatsCollector(), StatsCollector()
+        shard1.add("dram.accesses", 300)
+        shard2.add("dram.accesses", 100)
+        shard1.merge(shard2)
+        merged = RunReport.from_stats("W", "CacheR", 80, shard1, default_config())
 
-    def test_static_best_and_worst(self):
-        times = {"Uncached": 5.0, "CacheR": 3.0, "CacheRW": 9.0}
-        assert static_best(times) == "CacheR"
-        assert static_worst(times) == "CacheRW"
-
-    def _comparison(self) -> PolicyComparison:
-        comparison = PolicyComparison(workload="W")
-        comparison.add(_report("Uncached", cycles=1000, **{"dram.accesses": 1000}))
-        comparison.add(_report("CacheR", cycles=800, **{"dram.accesses": 600}))
-        comparison.add(_report("CacheRW", cycles=1100, **{"dram.accesses": 500}))
-        return comparison
-
-    def test_normalized_exec_time(self):
-        normalized = self._comparison().normalized_exec_time("Uncached")
-        assert normalized["Uncached"] == pytest.approx(1.0)
-        assert normalized["CacheR"] == pytest.approx(0.8)
-        assert normalized["CacheRW"] == pytest.approx(1.1)
-
-    def test_normalized_dram(self):
-        normalized = self._comparison().normalized_dram_accesses("Uncached")
-        assert normalized["CacheRW"] == pytest.approx(0.5)
-
-    def test_best_and_worst_selection(self):
-        comparison = self._comparison()
-        assert comparison.static_best() == "CacheR"
-        assert comparison.static_worst() == "CacheRW"
-        assert comparison.static_best(["Uncached", "CacheRW"]) == "Uncached"
-
-    def test_add_rejects_other_workload(self):
-        comparison = PolicyComparison(workload="W")
-        other = RunReport(workload="X", policy="Uncached", cycles=1, counters={})
-        with pytest.raises(ValueError):
-            comparison.add(other)
-
-    def test_row_hit_rates_and_stalls(self):
-        comparison = self._comparison()
-        assert set(comparison.row_hit_rates()) == {"Uncached", "CacheR", "CacheRW"}
-        assert all(v >= 0 for v in comparison.stalls_per_request().values())
+        sweep = SweepResult()
+        sweep.add(_report("Uncached", cycles=100, **{"dram.accesses": 800}))
+        sweep.add(merged)
+        for policy in ("CacheRW", "CacheRW-AB", "CacheRW-CR", "CacheRW-PCby"):
+            sweep.add(_report(policy, cycles=120))
+        assert tabulate(FIGURES[7], sweep)["W"]["CacheR"] == pytest.approx(0.5)
+        # the merged CacheR run is the best static policy
+        assert tabulate(FIGURES[11], sweep)["W"][STATIC_BEST] == pytest.approx(0.5)
