@@ -12,7 +12,7 @@ handlers live in one module per command group, so a command imports and
 compiles only its own module and the modules its run uses:
 
 * :mod:`repro.cli.catalog`: ``list`` and ``table``;
-* :mod:`repro.cli.figures`: ``sweep``, ``sweep-all`` and ``figure``;
+* :mod:`repro.cli.figures`: ``sweep-all``, which prints Figures 4-13;
 * :mod:`repro.cli.studies`: ``adaptive``, ``topology`` and ``serve``;
 * :mod:`repro.cli.runs`: ``run`` and ``trace``;
 * :mod:`repro.cli.records`: ``cache``, ``ledger`` and ``diff``.
@@ -21,7 +21,7 @@ This module holds what they share: the global options and the runner,
 store and closing helpers.  The global ``--jobs N`` flag fans independent
 simulations out across ``N`` worker processes, and ``--cache-dir`` points
 sweeps at a persistent result store so repeated invocations never
-re-simulate a finished grid cell (``sweep-all`` and the studies default to
+re-simulate a finished grid cell (every sweep-style command defaults to
 the conventional ``~/.cache/repro-gpu-cache`` store; pass ``--no-cache``
 to opt out).
 """
@@ -59,9 +59,7 @@ COMMANDS: dict[str, Command] = {
                     "catalog", "list_arguments", "list_command"),
     "run": Command("simulate one workload under one policy",
                    "runs", "run_arguments", "run_command"),
-    "sweep": Command("compare several policies on one workload",
-                     "figures", "sweep_arguments", "sweep_command"),
-    "sweep-all": Command("materialize the full workload x policy grid and print its figures",
+    "sweep-all": Command("materialize the workload x policy grid and print its figures",
                          "figures", "sweep_all_arguments", "sweep_all_command"),
     "adaptive": Command("run the online dynamic-policy study (Figure 14)",
                         "studies", "study_arguments", "adaptive_command"),
@@ -73,8 +71,6 @@ COMMANDS: dict[str, Command] = {
                      "runs", "trace_arguments", "trace_command"),
     "cache": Command("persistent result-store lifecycle (stats/clear/prune)",
                      "records", "cache_arguments", "cache_command"),
-    "figure": Command("regenerate one of the paper's figures",
-                      "figures", "figure_arguments", "figure_command"),
     "table": Command("print Table 1 or Table 2", "catalog", "table_arguments", "table_command"),
     "ledger": Command("cross-run provenance ledger (list/show/prune)",
                       "records", "ledger_arguments", "ledger_command"),
@@ -127,8 +123,7 @@ _EXECUTOR_FLAGS: tuple[tuple[str, object, dict[str, object]], ...] = (
     )),
     ("--cache-dir", None, dict(
         metavar="DIR",
-        help="persistent result store directory (default: none for run, "
-        "sweep and figure; the conventional store for the studies)",
+        help="persistent result store directory (default: the conventional store)",
     )),
     ("--no-cache", False, dict(action="store_true", help="disable the persistent result store")),
     ("--telemetry-out", None, dict(
@@ -209,30 +204,22 @@ def system_config(args: argparse.Namespace) -> SystemConfig:
     return default_config()
 
 
-def store_dir(args: argparse.Namespace, default_to_conventional: bool = False) -> str | None:
-    """Resolve the store directory from --cache-dir / --no-cache."""
+def store_dir(args: argparse.Namespace) -> str | None:
+    """The store directory: ``--cache-dir``, none with ``--no-cache``,
+    else the conventional store."""
     if args.no_cache:
         return None
     if args.cache_dir is not None:
         return args.cache_dir
-    if default_to_conventional:
-        from repro.experiments.store import default_cache_dir
+    from repro.experiments.store import default_cache_dir
 
-        return str(default_cache_dir())
-    return None
+    return str(default_cache_dir())
 
 
 def make_runner(
-    args: argparse.Namespace,
-    workload_names: Sequence[str] | None = None,
-    default_store: bool = True,
+    args: argparse.Namespace, workload_names: Sequence[str] | None = None
 ) -> ExperimentRunner:
-    """Build the experiment runner every sweep-style command shares.
-
-    With neither ``--cache-dir`` nor ``--no-cache``, ``default_store``
-    picks the conventional persistent store (the studies); ``sweep`` and
-    ``figure`` keep results in-process unless asked.
-    """
+    """Build the experiment runner every sweep-style command shares."""
     from repro.experiments.runner import ExperimentRunner
 
     return ExperimentRunner(
@@ -240,7 +227,7 @@ def make_runner(
         config=system_config(args),
         workload_names=workload_names,
         jobs=args.jobs,
-        cache_dir=store_dir(args, default_to_conventional=default_store),
+        cache_dir=store_dir(args),
         ledger_path=args.ledger,
     )
 
@@ -248,16 +235,15 @@ def make_runner(
 def finish(
     args: argparse.Namespace,
     runner: ExperimentRunner,
-    grid: str | None = None,
+    grid: str,
     blob: dict[str, object] | None = None,
 ) -> int:
     """The closing step every sweep-style command shares; returns 0.
 
-    Writes ``blob`` to ``--json-out``; when ``grid`` describes the study,
-    prints the stats line on stderr (so stdout stays byte-identical
-    between cold and warm runs; only the studies pass ``grid``, and they
-    all default to the conventional store); appends the sweep aggregate
-    to the ledger; writes the ``--telemetry-out`` executor artifact.
+    Writes ``blob`` to ``--json-out``; prints the stats line, headed by
+    ``grid``, on stderr (so stdout stays byte-identical between cold and
+    warm runs); appends the sweep aggregate to the ledger; writes the
+    ``--telemetry-out`` executor artifact.
     """
     from repro.ioutil import atomic_write_json
 
@@ -266,14 +252,12 @@ def finish(
         atomic_write_json(json_out, blob)
         print(f"[{args.command}] wrote figure data to {json_out}", file=sys.stderr)
     executor = runner.executor
-    if grid is not None:
-        stats = executor.stats
-        store = store_dir(args, default_to_conventional=True) or "disabled"
-        print(
-            f"[{args.command}] {grid} jobs={args.jobs} store={store} "
-            f"simulated={stats.runs_simulated} loaded={stats.runs_loaded}",
-            file=sys.stderr,
-        )
+    stats = executor.stats
+    print(
+        f"[{args.command}] {grid} jobs={args.jobs} store={store_dir(args) or 'disabled'} "
+        f"simulated={stats.runs_simulated} loaded={stats.runs_loaded}",
+        file=sys.stderr,
+    )
     if executor.ledger is not None:
         executor.record_sweep(label=args.command)
     if args.telemetry_out:

@@ -38,7 +38,7 @@ def cache_arguments(parser: argparse.ArgumentParser) -> None:
 
 def cache_command(args: argparse.Namespace) -> int:
     """Result-store lifecycle: occupancy stats, full clear, age-based prune."""
-    cache_dir = store_dir(args, default_to_conventional=True)
+    cache_dir = store_dir(args)
     if cache_dir is None:
         return fail("cache command needs a store (--cache-dir)")
     if not Path(cache_dir).expanduser().is_dir():
@@ -199,11 +199,7 @@ def diff_arguments(parser: argparse.ArgumentParser) -> None:
         "--fail-on-drift", action="store_true",
         help="exit 1 unless the runs are counter-for-counter identical (CI gate)",
     )
-    formats = parser.add_mutually_exclusive_group()
-    formats.add_argument("--json", action="store_true", help="emit the diff as JSON")
-    formats.add_argument(
-        "--markdown", action="store_true", help="emit the diff as Markdown tables"
-    )
+    parser.add_argument("--json", action="store_true", help="emit the diff as JSON")
     add_executor_options(parser)
 
 
@@ -219,15 +215,10 @@ def diff_command(args: argparse.Namespace) -> int:
     if args.threshold < 0:
         return fail(f"--threshold must be non-negative, got {args.threshold}")
     from repro.experiments.store import ResultStore
-    from repro.obs.diff import (
-        diff_reports,
-        render_diff_markdown,
-        render_diff_table,
-        resolve_report,
-    )
+    from repro.obs.diff import diff_reports, render_diff_table, resolve_report
 
     store = None
-    cache_dir = store_dir(args, default_to_conventional=True)
+    cache_dir = store_dir(args)
     if cache_dir is not None and Path(cache_dir).expanduser().is_dir():
         store = ResultStore(cache_dir)
     ledger = _ledger_for(args)
@@ -241,8 +232,6 @@ def diff_command(args: argparse.Namespace) -> int:
     )
     if args.json:
         print(json.dumps(diff, indent=1, sort_keys=True))
-    elif args.markdown:
-        print(render_diff_markdown(diff))
     else:
         print(render_diff_table(diff))
     if args.fail_on_drift and not diff["identical"]:

@@ -58,10 +58,6 @@ def _adaptive_options(parser: argparse.ArgumentParser) -> None:
         help="phase-sampling / duel-decision period in cycles",
     )
     parser.add_argument(
-        "--leader-sets", type=int, default=None, metavar="N",
-        help="L2 leader sets per candidate policy",
-    )
-    parser.add_argument(
         "--mid-kernel", action="store_true",
         help="also swap the policy mid-kernel when the phase detector fires",
     )
@@ -84,18 +80,6 @@ def _topology_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fabric", default=None, choices=list(TOPOLOGY_NAMES), metavar="NAME",
         help="registered topology whose fabric parameters the sweep holds fixed",
-    )
-    parser.add_argument(
-        "--remote-latency", type=int, default=None, metavar="CYCLES",
-        help="one-way fabric latency override",
-    )
-    parser.add_argument(
-        "--fabric-bandwidth", type=float, default=None, metavar="RPC",
-        help="fabric link bandwidth override (requests/cycle)",
-    )
-    parser.add_argument(
-        "--interleave-lines", type=int, default=None, metavar="N",
-        help="cache lines per device interleave chunk",
     )
     parser.add_argument(
         "--replicate-weights", action="store_true",
@@ -168,8 +152,6 @@ def adaptive_command(args: argparse.Namespace) -> int:
     }
     if args.epoch_cycles is not None:
         overrides["epoch_cycles"] = args.epoch_cycles
-    if args.leader_sets is not None:
-        overrides["leader_sets_per_policy"] = args.leader_sets
     adaptive_config = AdaptiveConfig(**overrides)  # type: ignore[arg-type]
 
     runner = make_runner(args, args.workloads)
@@ -216,17 +198,8 @@ def topology_command(args: argparse.Namespace) -> int:
     if any(count < 1 for count in devices):
         return fail("device counts must be positive")
     base = topology_by_name(args.fabric) if args.fabric else TopologyConfig()
-    overrides: dict[str, object] = {}
-    if args.remote_latency is not None:
-        overrides["remote_latency_cycles"] = args.remote_latency
-    if args.fabric_bandwidth is not None:
-        overrides["fabric_requests_per_cycle"] = args.fabric_bandwidth
-    if args.interleave_lines is not None:
-        overrides["interleave_lines"] = args.interleave_lines
     if args.replicate_weights:
-        overrides["replicate_weights"] = True
-    if overrides:
-        base = dataclasses.replace(base, **overrides)
+        base = dataclasses.replace(base, replicate_weights=True)
 
     workload_names = tuple(args.workloads) if args.workloads else SCALING_WORKLOADS
     runner = make_runner(args, workload_names)

@@ -21,12 +21,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.obs.alerts": ("Alert", "detect_anomalies"),
-        "repro.obs.diff": (
-            "diff_reports",
-            "render_diff_markdown",
-            "render_diff_table",
-            "resolve_report",
-        ),
+        "repro.obs.diff": ("diff_reports", "render_diff_table", "resolve_report"),
         "repro.obs.ledger": ("RunLedger", "default_ledger_path", "run_entry"),
     },
 )

@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> jobs -> ses
 
 __all__ = [
     "diff_reports",
-    "render_diff_markdown",
     "render_diff_table",
     "resolve_report",
 ]
@@ -273,50 +272,5 @@ def render_diff_table(diff: Mapping[str, object]) -> str:
         lines.append(
             f"    {name:24s}  {values['a']:.4f} -> {values['b']:.4f}  "
             f"({values['delta']:+.4f})"
-        )
-    return "\n".join(lines)
-
-
-def render_diff_markdown(diff: Mapping[str, object]) -> str:
-    """GitHub-flavoured markdown rendering (for PR comments and reports)."""
-    a, b = diff["a"], diff["b"]
-    assert isinstance(a, Mapping) and isinstance(b, Mapping)
-    cycles = diff["cycles"]
-    counters = diff["counters"]
-    derived = diff["derived"]
-    assert isinstance(cycles, Mapping) and isinstance(counters, Mapping)
-    assert isinstance(derived, Mapping)
-    lines = [
-        f"## Run diff: `{a['label']}` vs `{b['label']}`",
-        "",
-        f"- A: **{a['workload']}** / {a['policy']} ({a['cycles']} cycles)",
-        f"- B: **{b['workload']}** / {b['policy']} ({b['cycles']} cycles)",
-        f"- identical: **{'yes' if diff['identical'] else 'no'}**",
-        f"- counters changed: {counters['changed']} of {counters['total']} "
-        f"(threshold {diff['threshold']:.2%})",
-        "",
-    ]
-    rows = counters["rows"]
-    assert isinstance(rows, list)
-    if rows:
-        lines += [
-            "| counter | A | B | delta | rel |",
-            "|---|---:|---:|---:|---:|",
-        ]
-        for row in rows:
-            lines.append(
-                f"| `{row['counter']}` | {row['a']} | {row['b']} | "
-                f"{row['delta']:+d} | {_fmt_rel(row['rel'])} |"
-            )
-        lines.append("")
-    lines += [
-        "| derived signal | A | B | delta |",
-        "|---|---:|---:|---:|",
-    ]
-    for name, values in derived.items():
-        assert isinstance(values, Mapping)
-        lines.append(
-            f"| {name} | {values['a']:.4f} | {values['b']:.4f} | "
-            f"{values['delta']:+.4f} |"
         )
     return "\n".join(lines)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.experiments import (
     table1_system_configuration,
     table2_workloads,
 )
+from repro.experiments.figures import FigureSpec, own_series, tabulate
 from repro.experiments.render import render_kv_table
 from repro import cli
 
@@ -154,18 +156,30 @@ class TestCli:
         assert data["policy"] == "CacheR"
         assert data["cycles"] > 0
 
-    def test_sweep_command(self, capsys):
-        code = cli.main(["--scale", "0.1", "--cus", "2", "sweep", "--workload", "FwSoft",
-                         "--policies", "Uncached", "CacheR"])
+    def test_sweep_all_simulates_only_the_requested_figures_policies(self, capsys):
+        # Figure 4 needs CacheR and Figure 6 the three static policies:
+        # three cells, not the six of the full grid
+        code = cli.main(["--scale", "0.1", "--cus", "2", "sweep-all", "--no-cache",
+                         "--workloads", "FwSoft", "--figures", "4", "6"])
         assert code == 0
-        output = capsys.readouterr().out
-        assert "FwSoft" in output and "CacheR" in output
+        captured = capsys.readouterr()
+        assert "Figure 4" in captured.out and "Figure 6" in captured.out
+        assert "Figure 5" not in captured.out
+        assert "[sweep-all] grid=1x3 jobs=1 store=disabled simulated=3 loaded=0" in captured.err
 
-    def test_figure_command_with_subset(self, capsys):
-        code = cli.main(["--scale", "0.1", "--cus", "2", "figure", "6",
-                         "--workloads", "FwSoft"])
+    @pytest.mark.parametrize("policy", [UNCACHED.name, "CacheR"])
+    def test_run_json_dram_accesses_match_a_tabulated_sweep(self, policy, static_sweep, capsys):
+        # raw DRAM counts per policy come from ``run --json`` on the CLI and
+        # from ``runner.sweep`` + ``tabulate`` in Python; both read one report
+        code = cli.main(["--scale", "0.15", "--cus", "2", "run", "--workload", "FwSoft",
+                         "--policy", policy, "--json"])
         assert code == 0
-        assert "Figure 6" in capsys.readouterr().out
+        reported = json.loads(capsys.readouterr().out)["dram_accesses"]
+        spec = FigureSpec("DRAM accesses", "{:.0f}", STATIC_POLICIES,
+                          own_series(*(p.name for p in STATIC_POLICIES)),
+                          attrgetter("dram_accesses"))
+        assert reported > 0
+        assert reported == tabulate(spec, static_sweep)["FwSoft"][policy]
 
     def test_table_commands(self, capsys):
         assert cli.main(["table", "1"]) == 0
@@ -182,10 +196,8 @@ class TestCli:
         [
             ["run", "--workload", "FwSoft", "--policy", "Bogus"],
             ["trace", "--workload", "FwSoft", "--policy", "Bogus"],
-            ["sweep", "--workload", "FwSoft", "--policies", "Bogus"],
-            ["sweep-all", "--policies", "CacheR", "Bogus"],
             ["sweep-all", "--workloads", "Bogus"],
-            ["figure", "6", "--workloads", "Bogus"],
+            ["sweep-all", "--figures", "Bogus"],
             ["adaptive", "--candidates", "Bogus"],
             ["adaptive", "--workloads", "Bogus"],
             ["topology", "--policies", "Bogus"],
@@ -206,10 +218,38 @@ class TestCli:
         assert "invalid choice: 'Bogus'" in capsys.readouterr().err
 
     def test_policy_names_stay_case_insensitive(self, capsys):
-        code = cli.main(["--scale", "0.1", "--cus", "2", "sweep", "--workload", "FwSoft",
-                         "--policies", "cacher", "UNCACHED"])
+        code = cli.main(["--scale", "0.1", "--cus", "2", "run", "--workload", "FwSoft",
+                         "--policy", "cacher", "--json"])
         assert code == 0
-        assert "CacheR" in capsys.readouterr().out
+        assert json.loads(capsys.readouterr().out)["policy"] == "CacheR"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "6"],
+            ["sweep", "--workload", "FwSoft"],
+            ["sweep-all", "--policies", "CacheR"],
+            ["diff", "-1", "-2", "--markdown"],
+            ["topology", "--remote-latency", "10"],
+            ["topology", "--fabric-bandwidth", "1.0"],
+            ["topology", "--interleave-lines", "4"],
+            ["adaptive", "--leader-sets", "2"],
+        ],
+        ids=[
+            "figure", "sweep", "sweep-all-policies", "diff-markdown", "topology-remote-latency",
+            "topology-fabric-bandwidth", "topology-interleave-lines", "adaptive-leader-sets",
+        ],
+    )
+    def test_retired_commands_and_flags_exit_2(self, argv, monkeypatch, capsys):
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("simulated a retired command line")
+
+        monkeypatch.setattr("repro.session.SimulationSession.run", no_simulation)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--no-cache", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
 
     def test_list_json_payload_keys(self, capsys):
         assert cli.main(["list", "--json"]) == 0

@@ -383,12 +383,11 @@ class TestSweepLedger:
                 str(SCALE),
                 "--cus",
                 "2",
-                "sweep",
-                "--workload",
+                "sweep-all",
+                "--workloads",
                 "FwSoft",
-                "--policies",
-                "CacheR",
-                "CacheRW",
+                "--figures",
+                "6",
                 "--cache-dir",
                 str(tmp_path / "store"),
                 "--ledger",
@@ -399,10 +398,10 @@ class TestSweepLedger:
         assert code == 0
         entries = RunLedger(ledger_path).entries()
         kinds = [entry["kind"] for entry in entries]
-        assert kinds.count("job") == 2
+        assert kinds.count("job") == 3
         assert kinds.count("sweep") == 1
         sweep = [entry for entry in entries if entry["kind"] == "sweep"][-1]
-        assert sweep["telemetry"]["runs_simulated"] == 2
+        assert sweep["telemetry"]["runs_simulated"] == 3
         assert "worker_utilization" in sweep["telemetry"]
 
     def test_warm_sweep_skips_job_entries_but_logs_aggregate(self, tmp_path, capsys):
@@ -412,11 +411,11 @@ class TestSweepLedger:
             str(SCALE),
             "--cus",
             "2",
-            "sweep",
-            "--workload",
+            "sweep-all",
+            "--workloads",
             "FwSoft",
-            "--policies",
-            "CacheRW",
+            "--figures",
+            "4",
             "--cache-dir",
             str(tmp_path / "store"),
             "--ledger",

@@ -21,7 +21,7 @@ from repro.obs.alerts import (
     Alert,
     detect_anomalies,
 )
-from repro.obs.diff import diff_reports, render_diff_markdown, render_diff_table, resolve_report
+from repro.obs.diff import diff_reports, render_diff_table, resolve_report
 from repro.obs.ledger import RunLedger, run_entry
 from repro.stats.report import RunReport
 
@@ -381,8 +381,6 @@ class TestDiffReports:
         )
         text = render_diff_table(diff)
         assert "identical: no" in text.lower() and "l2.hits" in text
-        markdown = render_diff_markdown(diff)
-        assert markdown.startswith("## Run diff") and "| `l2.hits` |" in markdown
 
 
 class TestResolveReport:
