@@ -17,13 +17,15 @@ compiles only its own module and the modules its run uses:
 * :mod:`repro.cli.runs`: ``run`` and ``trace``;
 * :mod:`repro.cli.records`: ``cache``, ``ledger`` and ``diff``.
 
-This module holds what they share: the global options and the runner,
-store and closing helpers.  The global ``--jobs N`` flag fans independent
-simulations out across ``N`` worker processes, and ``--cache-dir`` points
-sweeps at a persistent result store so repeated invocations never
-re-simulate a finished grid cell (every sweep-style command defaults to
-the conventional ``~/.cache/repro-gpu-cache`` store; pass ``--no-cache``
-to opt out).
+This module holds what they share: the global options (``--scale`` and
+``--cus``, given before the command), the executor flags and the runner,
+store and closing helpers.  A command declares only the executor flags its
+handler reads, after its name.  The sweep-style commands take all of them:
+``--jobs N`` fans independent simulations out across ``N`` worker
+processes, and ``--cache-dir`` points them at a persistent result store so
+repeated invocations never re-simulate a finished grid cell (they default
+to the conventional ``~/.cache/repro-gpu-cache`` store; pass
+``--no-cache`` to opt out).
 """
 
 from __future__ import annotations
@@ -115,40 +117,46 @@ class CommandParser(argparse.ArgumentParser):
         return super().format_help()
 
 
-#: the executor flags, accepted before and after the subcommand:
-#: (flag, value before the subcommand when unset, add_argument keywords)
-_EXECUTOR_FLAGS: tuple[tuple[str, object, dict[str, object]], ...] = (
-    ("--jobs", 1, dict(
-        type=int, metavar="N", help="worker processes for sweeps (default: 1, serial)",
-    )),
-    ("--cache-dir", None, dict(
-        metavar="DIR",
+def _worker_count(text: str) -> int:
+    """``--jobs``: a whole number of worker processes, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return jobs
+
+
+#: the executor flags: flag -> add_argument keywords
+_EXECUTOR_FLAGS: dict[str, dict[str, object]] = {
+    "--jobs": dict(
+        type=_worker_count, default=1, metavar="N",
+        help="worker processes for sweeps (default: 1, serial)",
+    ),
+    "--cache-dir": dict(
+        default=None, metavar="DIR",
         help="persistent result store directory (default: the conventional store)",
-    )),
-    ("--no-cache", False, dict(action="store_true", help="disable the persistent result store")),
-    ("--telemetry-out", None, dict(
-        metavar="FILE",
+    ),
+    "--no-cache": dict(action="store_true", help="disable the persistent result store"),
+    "--telemetry-out": dict(
+        default=None, metavar="FILE",
         help="write executor telemetry (per-job wall times, worker "
         "utilization, store hits) as JSON",
-    )),
-    ("--ledger", None, dict(
-        metavar="FILE",
+    ),
+    "--ledger": dict(
+        default=None, metavar="FILE",
         help="append run/job provenance entries (plus a sweep aggregate) "
         "to this JSONL run ledger (inspect with the 'ledger' subcommand)",
-    )),
-)
+    ),
+}
 
 
-def add_executor_options(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
-    """Add the executor flags to the global parser or to one subcommand.
-
-    On a subcommand the default is ``SUPPRESS``, which keeps an unset
-    flag from clobbering the value the global parser already recorded, so
-    both ``repro-gpu-cache --jobs 4 sweep-all`` and
-    ``repro-gpu-cache sweep-all --jobs 4`` work.
-    """
-    for flag, default, options in _EXECUTOR_FLAGS:
-        parser.add_argument(flag, default=default if top_level else argparse.SUPPRESS, **options)
+def add_executor_options(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named executor flags to one command, or all of them when
+    none are named (the sweep-style commands)."""
+    for flag in flags or _EXECUTOR_FLAGS:
+        parser.add_argument(flag, **_EXECUTOR_FLAGS[flag])
 
 
 def add_policy_option(
@@ -189,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
     parser.add_argument("--cus", type=int, default=None, help="number of compute units")
-    add_executor_options(parser, top_level=True)
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
     for name, command in COMMANDS.items():
         subparsers.add_parser(name, help=command.help, command=name)
@@ -287,8 +294,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--scale must be a positive finite number, got {args.scale}")
     if args.cus is not None and args.cus < 1:
         parser.error(f"--cus must be at least 1, got {args.cus}")
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     interval = getattr(args, "metrics_interval", None)
     if interval is not None and interval < 0:
         parser.error(f"--metrics-interval must be non-negative, got {interval}")

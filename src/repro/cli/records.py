@@ -33,14 +33,14 @@ def cache_arguments(parser: argparse.ArgumentParser) -> None:
         help="prune: delete entries older than this many days (required)",
     )
     parser.add_argument("--json", action="store_true", help="emit the result as JSON")
-    add_executor_options(parser)
+    add_executor_options(parser, "--cache-dir")
 
 
 def cache_command(args: argparse.Namespace) -> int:
     """Result-store lifecycle: occupancy stats, full clear, age-based prune."""
-    cache_dir = store_dir(args)
-    if cache_dir is None:
-        return fail("cache command needs a store (--cache-dir)")
+    from repro.experiments.store import default_cache_dir
+
+    cache_dir = args.cache_dir if args.cache_dir is not None else str(default_cache_dir())
     if not Path(cache_dir).expanduser().is_dir():
         # the lifecycle commands inspect an existing store; creating a
         # directory as a side effect would make a typo look like a
@@ -91,8 +91,15 @@ def _ledger_for(args: argparse.Namespace) -> RunLedger:
     """The ledger the --ledger flag names (or the conventional default)."""
     from repro.obs.ledger import RunLedger
 
-    path = getattr(args, "ledger", None)
-    return RunLedger(path) if path else RunLedger()
+    return RunLedger(args.ledger) if args.ledger else RunLedger()
+
+
+def _ledger_option(parser: argparse.ArgumentParser) -> None:
+    """``--ledger`` for the commands that read a ledger."""
+    parser.add_argument(
+        "--ledger", default=None, metavar="FILE",
+        help="ledger file (default: $REPRO_LEDGER or <cache dir>/ledger.jsonl)",
+    )
 
 
 def _format_ts(ts: object) -> str:
@@ -109,10 +116,7 @@ def ledger_arguments(parser: argparse.ArgumentParser) -> None:
         help="show: entry reference -- an index (-1 is the newest, 0 the "
         "oldest) or a fingerprint hex prefix (default: -1)",
     )
-    parser.add_argument(
-        "--ledger", default=argparse.SUPPRESS, metavar="FILE",
-        help="ledger file (default: $REPRO_LEDGER or <cache dir>/ledger.jsonl)",
-    )
+    _ledger_option(parser)
     parser.add_argument(
         "--count", type=int, default=10, metavar="N",
         help="list: how many recent entries to show (default: 10)",
@@ -200,7 +204,8 @@ def diff_arguments(parser: argparse.ArgumentParser) -> None:
         help="exit 1 unless the runs are counter-for-counter identical (CI gate)",
     )
     parser.add_argument("--json", action="store_true", help="emit the diff as JSON")
-    add_executor_options(parser)
+    add_executor_options(parser, "--cache-dir", "--no-cache")
+    _ledger_option(parser)
 
 
 def diff_command(args: argparse.Namespace) -> int:

@@ -41,8 +41,7 @@ def _telemetry_config(args: argparse.Namespace, traced: bool = False) -> Telemet
     ``traced`` (the ``trace`` command) attaches every in-run observer;
     ``--ledger`` and ``--alerts`` add the post-run ones.
     """
-    ledger = getattr(args, "ledger", None)
-    if not (traced or ledger or args.alerts):
+    if not (traced or args.ledger or args.alerts):
         return None
     from repro.telemetry.config import TelemetryConfig
 
@@ -50,7 +49,7 @@ def _telemetry_config(args: argparse.Namespace, traced: bool = False) -> Telemet
         trace=traced,
         metrics_interval=getattr(args, "metrics_interval", None) or 0,
         profile=traced,
-        ledger_path=ledger,
+        ledger_path=args.ledger,
         alerts=args.alerts,
     )
 
@@ -119,7 +118,7 @@ def run_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--json", action="store_true", help="emit the report as JSON")
     parser.add_argument(
-        "--ledger", default=argparse.SUPPRESS, metavar="FILE",
+        "--ledger", default=None, metavar="FILE",
         help="append this run's provenance entry to the JSONL run ledger",
     )
     parser.add_argument(
@@ -203,13 +202,13 @@ def trace_arguments(parser: argparse.ArgumentParser) -> None:
         "(embedded in the trace artifact)",
     )
     parser.add_argument(
-        "--telemetry-out", default=argparse.SUPPRESS, metavar="FILE",
+        "--telemetry-out", default=None, metavar="FILE",
         help="write the host-side profiling summary (events/sec, "
         "self time per source module) as JSON",
     )
     parser.add_argument("--json", action="store_true", help="emit the run summary as JSON")
     parser.add_argument(
-        "--ledger", default=argparse.SUPPRESS, metavar="FILE",
+        "--ledger", default=None, metavar="FILE",
         help="append this run's provenance entry to the JSONL run ledger",
     )
     parser.add_argument(

@@ -33,8 +33,6 @@ class DirtyBlockIndex:
     def __init__(self, row_of: Callable[[int], int]) -> None:
         self.row_of = row_of
         self._rows: dict[int, set[int]] = {}
-        self.marks = 0
-        self.clears = 0
 
     # ------------------------------------------------------------------
     def mark_dirty(self, line_address: int) -> None:
@@ -44,7 +42,6 @@ class DirtyBlockIndex:
         if entry is None:
             entry = self._rows[row] = set()
         entry.add(line_address)
-        self.marks += 1
 
     def clear(self, line_address: int) -> None:
         """Record that ``line_address`` is no longer dirty (idempotent)."""
@@ -53,7 +50,6 @@ class DirtyBlockIndex:
         if entry is None:
             return
         entry.discard(line_address)
-        self.clears += 1
         if not entry:
             del self._rows[row]
 

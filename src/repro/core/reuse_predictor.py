@@ -23,7 +23,7 @@ detected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.fingerprint import fingerprint
 
@@ -83,14 +83,11 @@ class PredictorConfig:
 
 @dataclass
 class PredictorStats:
-    """Training and prediction counters (for reports and tests)."""
+    """Prediction counts, from which :meth:`ReusePredictor.bypass_fraction`
+    is computed.  Training keeps no counts: its effect is the counter table."""
 
     predictions: int = 0
     bypass_predictions: int = 0
-    reuse_trainings: int = 0
-    eviction_trainings: int = 0
-    insertions: int = 0
-    per_pc_outcomes: dict[int, list[int]] = field(default_factory=dict)
 
 
 class ReusePredictor:
@@ -120,21 +117,15 @@ class ReusePredictor:
             self.stats.bypass_predictions += 1
         return bypass
 
-    def record_insertion(self, pc: int) -> None:
-        """Note that a line was inserted on behalf of ``pc``."""
-        self.stats.insertions += 1
-
     def train_reuse(self, pc: int) -> None:
         """A line inserted by ``pc`` was reused: strengthen the counter."""
         index = self._index(pc)
         self._table[index] = min(
             self.config.max_value, self._table[index] + self.config.reuse_increment
         )
-        self.stats.reuse_trainings += 1
 
     def train_eviction(self, pc: int, reused: bool) -> None:
         """A line inserted by ``pc`` was evicted; ``reused`` says if it was touched."""
-        self.stats.eviction_trainings += 1
         index = self._index(pc)
         if reused:
             self._table[index] = min(
@@ -144,7 +135,6 @@ class ReusePredictor:
             self._table[index] = max(
                 0, self._table[index] - self.config.eviction_decrement
             )
-        self.stats.per_pc_outcomes.setdefault(pc, []).append(1 if reused else 0)
 
     # ------------------------------------------------------------------
     def bypass_fraction(self) -> float:

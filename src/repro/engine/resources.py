@@ -30,11 +30,12 @@ class ThroughputResource:
 
     The resource keeps a cursor of the next free cycle.  A request arriving
     at time ``t`` is granted at ``max(t, cursor)`` and the cursor advances.
-    The total wait accumulated across all grants is tracked so callers can
-    attribute contention (e.g. cache tag-port stalls).
+    The resource keeps no contention totals: a caller that reports stalls
+    (the caches' tag ports) compares the grant cycle with its own arrival
+    and counts them itself.
     """
 
-    __slots__ = ("name", "cycles_per_grant", "_next_free", "grants", "total_wait_cycles")
+    __slots__ = ("name", "cycles_per_grant", "_next_free")
 
     def __init__(self, name: str, cycles_per_grant: float = 1.0) -> None:
         if cycles_per_grant <= 0:
@@ -42,8 +43,6 @@ class ThroughputResource:
         self.name = name
         self.cycles_per_grant = cycles_per_grant
         self._next_free = 0.0
-        self.grants = 0
-        self.total_wait_cycles = 0
 
     def grant(self, now: int) -> int:
         """Book the next available slot at or after ``now``.
@@ -54,16 +53,11 @@ class ThroughputResource:
         previous ``max(float(now), ...)`` formulation did.
         """
         next_free = self._next_free
-        self.grants += 1
         if now >= next_free:
             self._next_free = now + self.cycles_per_grant
             return now
         self._next_free = next_free + self.cycles_per_grant
-        start = int(next_free)
-        wait = start - now
-        if wait > 0:
-            self.total_wait_cycles += wait
-        return start
+        return int(next_free)
 
     def grant_duration(self, now: int, duration: float) -> int:
         """Book the resource exclusively for ``duration`` cycles.
@@ -75,9 +69,6 @@ class ThroughputResource:
             raise ValueError("duration must be non-negative")
         start = max(float(now), self._next_free)
         self._next_free = start + duration
-        wait = int(start) - now
-        self.grants += 1
-        self.total_wait_cycles += max(0, wait)
         return int(round(start + duration))
 
 
@@ -89,15 +80,16 @@ class WaitQueue:
     queues.  Exhausted MSHRs do not wait here; blocked requests poll
     instead (see the module docstring).  The owner calls :meth:`wake_one` /
     :meth:`wake_all` when capacity frees up; each waiter callback receives
-    the wake-up time.
+    the wake-up time.  The queue keeps no count of past waiters; an owner
+    that reports blocking (a DRAM bank's queue-full stalls) counts it
+    itself.
     """
 
-    __slots__ = ("name", "_waiters", "total_enqueued")
+    __slots__ = ("name", "_waiters")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._waiters: deque[tuple[int, Callable[[int], None]]] = deque()
-        self.total_enqueued = 0
 
     def __len__(self) -> int:
         return len(self._waiters)
@@ -108,7 +100,6 @@ class WaitQueue:
     def wait(self, now: int, resume: Callable[[int], None]) -> None:
         """Register ``resume`` to be called when capacity becomes available."""
         self._waiters.append((now, resume))
-        self.total_enqueued += 1
 
     def wake_one(self, now: int) -> bool:
         """Wake the oldest waiter.  Returns True if one was woken."""

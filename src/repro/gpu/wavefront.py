@@ -38,8 +38,6 @@ class Wavefront:
         "_pending_lines",
         "_blocked",
         "_finished",
-        "issued_lines",
-        "issued_vector_ops",
         "_queue",
         "_at",
         "_instructions",
@@ -65,8 +63,6 @@ class Wavefront:
         self._pending_lines: dict[int, int] = {}  # mem-instr index -> lines outstanding
         self._blocked = False
         self._finished = False
-        self.issued_lines = 0
-        self.issued_vector_ops = 0
         queue = cu.sim.queue
         self._queue = queue
         self._at = queue.at
@@ -106,7 +102,6 @@ class Wavefront:
         now = self._queue.now
         vector_ops = instruction.vector_ops
         end = cu.book_compute(now, vector_ops)
-        self.issued_vector_ops += vector_ops
         cu._c_vector_ops.add(vector_ops)
         self._at[end if end > now else now].append(self._issue_next)
 
@@ -127,7 +122,6 @@ class Wavefront:
         hierarchy_access = cu.hierarchy.access
         # one response callback serves every line of this instruction
         on_response = partial(self._on_response, index)
-        self.issued_lines += len(line_addresses)
         for address in line_addresses:
             request = MemoryRequest(
                 access, address, pc, cu_id, wavefront_id, kernel_id, stream_id, now

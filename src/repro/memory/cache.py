@@ -180,7 +180,6 @@ class Cache:
         self.sim = sim
         self.stats = stats
         self.downstream = downstream
-        self.prefix = stat_prefix
         self.allocation_bypass = allocation_bypass
         self.reuse_predictor = reuse_predictor
         self.dbi = dirty_block_index
@@ -487,8 +486,6 @@ class Cache:
         self.replacement.on_pending(set_index, victim_way)
         now = self._queue.now
         self.mshrs.allocate(line_address, request, now, victim_way, on_done)
-        if self.reuse_predictor is not None:
-            self.reuse_predictor.record_insertion(request.pc)
 
         self._at[now + self._hit_latency].append(
             partial(
@@ -527,8 +524,6 @@ class Cache:
         self.replacement.on_fill(set_index, victim_way, self._queue.now)
         if self.dbi is not None:
             self.dbi.mark_dirty(line_address)
-        if self.reuse_predictor is not None:
-            self.reuse_predictor.record_insertion(request.pc)
         self._c_store_allocates.value += 1
         self._at[self._queue.now + self._hit_latency].append(partial(on_done, request))
 

@@ -40,7 +40,6 @@ FR_FCFS_STARVATION_LIMIT = 8
 class _QueuedAccess:
     request: MemoryRequest
     row: int
-    arrival: int
     on_done: Callable[[MemoryRequest], None]
 
 
@@ -75,7 +74,6 @@ class DramBank:
         self._c_reads = counter("dram.reads")
         self._c_writes = counter("dram.writes")
         self._c_accesses = counter("dram.accesses")
-        self._h_queue_delay = stats.histogram_handle("dram.queue_delay")
         queue = sim.queue
         self._queue = queue
         self._at = queue.at
@@ -84,7 +82,7 @@ class DramBank:
         self, request: MemoryRequest, row: int, on_done: Callable[[MemoryRequest], None]
     ) -> None:
         """Add an access to the bank queue and kick the scheduler."""
-        self.queue.append(_QueuedAccess(request, row, self._queue.now, on_done))
+        self.queue.append(_QueuedAccess(request, row, on_done))
         self._c_enqueued.value += 1
         if not self.busy:
             self._schedule_service()
@@ -138,7 +136,6 @@ class DramBank:
         else:
             self._c_writes.value += 1
         self._c_accesses.value += 1
-        self._h_queue_delay[now - access.arrival] += 1
 
         # the data transfer occupies the shared channel bus after the array access
         bus_start = self.data_bus.grant(now + latency)
@@ -165,7 +162,6 @@ class DramChannel:
         sim: Simulator,
         stats: StatsCollector,
     ) -> None:
-        self.channel_id = channel_id
         self.config = config
         self.sim = sim
         self.stats = stats

@@ -152,9 +152,7 @@ class MemoryHierarchy:
                 )
             )
         self.dram = self.drams[0]
-        self.directory = self.directories[0]
         self.l2 = self.l2s[0]
-        self._l2_dir_link = self._l2_dir_links[0]
 
         # directed inter-device fabric links (multi-device only)
         self._fabric: dict[tuple[int, int], Link] = {}

@@ -65,7 +65,6 @@ class MshrFile:
         #: instead of calling :attr:`full`
         self.entries: dict[int, MshrEntry] = {}
         self.peak_occupancy = 0
-        self.total_allocations = 0
         self.total_coalesced = 0
         self.lookup = self.entries.get
 
@@ -104,7 +103,6 @@ class MshrFile:
             raise RuntimeError("MSHR file is full")
         entry = MshrEntry(line_address, primary, allocate_way, cycle, [], [on_done])
         entries[line_address] = entry
-        self.total_allocations += 1
         if occupancy >= self.peak_occupancy:
             self.peak_occupancy = occupancy + 1
         return entry

@@ -213,7 +213,7 @@ class TestCli:
 
         monkeypatch.setattr("repro.session.SimulationSession.run", no_simulation)
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["--no-cache", *argv])
+            cli.main(argv)
         assert exit_info.value.code == 2
         assert "invalid choice: 'Bogus'" in capsys.readouterr().err
 
@@ -246,7 +246,7 @@ class TestCli:
 
         monkeypatch.setattr("repro.session.SimulationSession.run", no_simulation)
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["--no-cache", *argv])
+            cli.main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "invalid choice" in err or "unrecognized arguments" in err

@@ -266,8 +266,8 @@ class TestCliTelemetry:
     def test_sweep_telemetry_reports_the_executor_workers(self, tmp_path, capsys):
         telemetry_path = tmp_path / "exec.json"
         code = cli.main([
-            "--scale", "0.1", "--cus", "2", "--no-cache",
-            "sweep-all", "--jobs", "2", "--workloads", "FwSoft",
+            "--scale", "0.1", "--cus", "2",
+            "sweep-all", "--no-cache", "--jobs", "2", "--workloads", "FwSoft",
             "--telemetry-out", str(telemetry_path),
         ])
         assert code == 0

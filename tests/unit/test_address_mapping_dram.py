@@ -277,13 +277,6 @@ class TestDramBankService:
         # both arrays finish at 100; the second burst waits for the first
         assert log == [(0, 104), (1, 108)]
 
-    def test_queue_delay_histogram_records_each_wait(self):
-        sim, stats, bank = self._bank()
-        bank.enqueue(_load(0), 1, lambda _r: None)
-        bank.enqueue(_load(64), 1, lambda _r: None)
-        sim.run()
-        assert stats.histogram("dram.queue_delay") == {0: 1, 104: 1}
-
     def test_idle_bank_keeps_its_row_open_and_restarts_on_arrival(self):
         sim, _stats, bank = self._bank()
         log = []

@@ -112,6 +112,63 @@ def test_bad_scale_or_cus_is_a_usage_error(argv, message, command, capsys):
     assert f"error: {message}" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_bad_jobs_is_a_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep-all", "--no-cache", "--jobs", jobs])
+    assert exit_info.value.code == 2
+    message = f"error: argument --jobs: must be a whole number of at least 1, got '{jobs}'"
+    assert message in capsys.readouterr().err
+
+
+#: the executor flags, each with a value where it takes one
+EXECUTOR_FLAGS = {
+    "--jobs": ["2"], "--cache-dir": ["D"], "--no-cache": [], "--telemetry-out": ["T"],
+    "--ledger": ["L"],
+}
+#: a minimal command line per command, and the executor flags its handler reads
+COMMAND_LINES = {
+    "list": (["list"], ()),
+    "run": (["run", "--workload", "FwSoft", "--policy", "CacheR"], ("--ledger",)),
+    "sweep-all": (["sweep-all"], tuple(EXECUTOR_FLAGS)),
+    "adaptive": (["adaptive"], tuple(EXECUTOR_FLAGS)),
+    "topology": (["topology"], tuple(EXECUTOR_FLAGS)),
+    "serve": (["serve"], tuple(EXECUTOR_FLAGS)),
+    "trace": (["trace", "--workload", "FwSoft"], ("--telemetry-out", "--ledger")),
+    "cache": (["cache", "stats"], ("--cache-dir",)),
+    "table": (["table", "2"], ()),
+    "ledger": (["ledger", "list"], ("--ledger",)),
+    "diff": (["diff", "-1", "-2"], ("--cache-dir", "--no-cache", "--ledger")),
+}
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, (_argv, reads) in COMMAND_LINES.items()
+    for flag in EXECUTOR_FLAGS
+    if flag not in reads
+]
+
+
+def test_every_command_has_a_command_line():
+    assert list(COMMAND_LINES) == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+@pytest.mark.parametrize(("command", "flag"), UNREAD_FLAGS)
+def test_an_executor_flag_the_command_does_not_read_exits_2(command, flag, before, capsys):
+    argv, _reads = COMMAND_LINES[command]
+    option = [flag, *EXECUTOR_FLAGS[flag]]
+    line = [*option, *argv] if before else [*argv, *option]
+    # parse only: a wrongly accepted flag must not start a simulation
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(["--scale", "0.1", "--cus", "2", *line])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    if before:  # the global parser takes the flag's value, if any, for the command
+        assert "error: " in err
+    else:
+        assert f"error: unrecognized arguments: {' '.join(option)}" in err
+
+
 def test_registering_the_commands_adds_none_of_their_options():
     parser = cli.build_parser()
     (subparsers,) = [

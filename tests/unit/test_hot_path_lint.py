@@ -10,12 +10,24 @@ this test keeps both out of the hot modules one closure at a time:
   except in the allow-listed functions below, which run once per flush
   rather than once per request;
 * no ``partial(...)`` call with keyword arguments.
+
+A second lint keeps write-only state out of the whole package: bookkeeping
+that every run updates on a hot path and that no report, command or model
+decision reads.  It fails on an attribute name that ``src/repro`` assigns
+but never loads, or whose only use is to mutate a container its holder
+built (``.append``/``.setdefault``/``.add`` whose result is dropped, or a
+subscript assignment).  A handle obtained from elsewhere, such as a
+:class:`~repro.stats.counters.Counter` from ``StatsCollector.counter``, is
+shared storage read through its source, so mutating it is a write that
+shows.  Names are matched across the package, not per class, so the lint
+is conservative: a name read anywhere counts as read everywhere.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 
@@ -32,6 +44,18 @@ HOT_MODULES = (
 
 #: functions (by qualified name) allowed to hold a lambda
 ALLOWED_LAMBDAS = frozenset({"Cache.flush_dirty"})  # the rinse-order sort key
+
+#: methods that only add to their receiver when their result is dropped
+MUTATORS = frozenset({"append", "setdefault", "add"})
+#: calls that build a fresh container, owned by whatever it is assigned to
+CONTAINER_FACTORIES = frozenset({"list", "dict", "set", "defaultdict", "deque"})
+#: attribute names allowed to be written and never read in ``src/repro``
+ALLOWED_WRITE_ONLY = frozenset({
+    # MshrFile's count of merged requests: the end-to-end tests compare it
+    # with the caches' own coalesce counters, an independent check that
+    # store merges go through the MSHR file
+    "total_coalesced",
+})
 
 
 def _call_name(call: ast.Call) -> str:
@@ -84,9 +108,72 @@ def lint(source: str) -> list[str]:
     return visitor.findings
 
 
+def _builds_own_container(value: ast.expr | None) -> bool:
+    """Whether an assigned value is a new object rather than one shared with
+    another holder (a constant, a display or a container factory call)."""
+    if value is None or isinstance(
+        value, (ast.Constant, ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    ):
+        return True
+    return isinstance(value, ast.Call) and _call_name(value) in CONTAINER_FACTORIES
+
+
+def _only_mutates(node: ast.expr, parents: dict[ast.AST, ast.AST]) -> bool:
+    """Whether this load of ``node`` only adds to the object it yields."""
+    parent = parents[node]
+    if isinstance(parent, ast.Subscript):
+        return parent.value is node and isinstance(parent.ctx, ast.Store)
+    if isinstance(parent, ast.Attribute) and parent.attr in MUTATORS:
+        call = parents[parent]
+        if isinstance(call, ast.Call) and call.func is parent:
+            use = parents[call]
+            return isinstance(use, ast.Expr) or _only_mutates(call, parents)
+    return False
+
+
+def write_only_state(sources: Mapping[str, str]) -> list[str]:
+    """Attribute names in ``sources`` (module -> source) that are written
+    and never read, each with the place it is first written."""
+    written: dict[str, str] = {}
+    mutated: set[str] = set()
+    shared: set[str] = set()
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute) or isinstance(node.ctx, ast.Del):
+                continue
+            name = node.attr
+            if isinstance(node.ctx, ast.Store):
+                written.setdefault(name, f"{module}:{node.lineno}")
+                assignment = parents[node]
+                if isinstance(assignment, (ast.Assign, ast.AnnAssign)) and not _builds_own_container(
+                    assignment.value
+                ):
+                    shared.add(name)
+            elif _only_mutates(node, parents):
+                written.setdefault(name, f"{module}:{node.lineno}")
+                mutated.add(name)
+            else:
+                read.add(name)
+    return sorted(
+        f"{name} ({where})"
+        for name, where in written.items()
+        if name not in read
+        and name not in ALLOWED_WRITE_ONLY
+        and not (name in mutated and name in shared)
+    )
+
+
 @pytest.mark.parametrize("module", HOT_MODULES)
 def test_hot_module_has_no_lambdas_or_keyword_partials(module):
     assert lint((SRC / module).read_text()) == []
+
+
+def test_no_write_only_state():
+    sources = {str(path.relative_to(SRC)): path.read_text() for path in sorted(SRC.rglob("*.py"))}
+    assert write_only_state(sources) == []
 
 
 class TestLinter:
@@ -125,3 +212,50 @@ class TestLinter:
     def test_allow_list_is_by_function_not_by_method_name(self):
         source = "class Link:\n    def flush_dirty(self):\n        return lambda: None\n"
         assert lint(source) == ["line 3 in Link.flush_dirty: lambda"]
+
+
+class TestWriteOnlyLint:
+    """The write-only lint flags unread state and passes read or shared state."""
+
+    def test_flags_counters_and_containers_nobody_reads(self):
+        source = (
+            "class Port:\n"
+            "    def __init__(self):\n"
+            "        self.grants = 0\n"
+            "        self.log = []\n"
+            "    def grant(self, pc):\n"
+            "        self.grants += 1\n"
+            "        self.log.append(pc)\n"
+            "        self.stats.outcomes.setdefault(pc, []).append(1)\n"
+            "        self.seen[pc] = True\n"
+            "        self.first = self.pending[0]\n"
+        )
+        assert write_only_state({"port.py": source}) == [
+            "first (port.py:10)",
+            "grants (port.py:3)",
+            "log (port.py:4)",
+            "outcomes (port.py:8)",
+            "seen (port.py:9)",
+        ]
+
+    def test_read_and_shared_state_pass(self):
+        source = (
+            "class Port:\n"
+            "    def __init__(self, stats):\n"
+            "        self.grants = 0\n"
+            "        self._c_grants = stats.counter('port.grants')\n"
+            "        self.pending = {}\n"
+            "    def grant(self, pc):\n"
+            "        self.grants += 1\n"
+            "        self._c_grants.add()\n"
+            "        return self.pending.setdefault(pc, [])\n"
+            "    def __len__(self):\n"
+            "        return self.grants\n"
+        )
+        assert write_only_state({"port.py": source}) == []
+
+    def test_a_name_read_in_another_module_counts_as_read(self):
+        writer = "class A:\n    def __init__(self):\n        self.total = 0\n"
+        reader = "def report(a):\n    return a.total\n"
+        assert write_only_state({"a.py": writer}) == ["total (a.py:3)"]
+        assert write_only_state({"a.py": writer, "b.py": reader}) == []

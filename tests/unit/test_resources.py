@@ -27,10 +27,8 @@ class TestThroughputResource:
 
     def test_wait_cycles_accumulate(self):
         port = ThroughputResource("port", cycles_per_grant=2.0)
-        port.grant(0)
-        port.grant(0)  # waits 2 cycles
-        assert port.total_wait_cycles == 2
-        assert port.grants == 2
+        assert port.grant(0) == 0
+        assert port.grant(0) == 2  # waits 2 cycles
 
     def test_grant_duration_occupies_resource(self):
         simd = ThroughputResource("simd", cycles_per_grant=1.0)
@@ -83,4 +81,3 @@ class TestWaitQueue:
         assert not queue
         queue.wait(0, lambda t: None)
         assert queue
-        assert queue.total_enqueued == 1
