@@ -20,7 +20,8 @@ compiles only its own module and the modules its run uses:
 This module holds what they share: the global options (``--scale`` and
 ``--cus``, given before the command), the executor flags and the runner,
 store and closing helpers.  A command declares only the executor flags its
-handler reads, after its name.  The sweep-style commands take all of them:
+handler reads, after its name; one given before the name is a usage error
+that names the flag.  The sweep-style commands take all of them:
 ``--jobs N`` fans independent simulations out across ``N`` worker
 processes, and ``--cache-dir`` points them at a persistent result store so
 repeated invocations never re-simulate a finished grid cell (they default
@@ -152,6 +153,29 @@ _EXECUTOR_FLAGS: dict[str, dict[str, object]] = {
 }
 
 
+class _GlobalParser(argparse.ArgumentParser):
+    """The top-level parser: the global options, then a command name.
+
+    An executor flag given before the command name would otherwise leave
+    its value to be read as the command (``invalid choice: '2'``), so the
+    parser names the misplaced flag instead.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        tokens = iter(args)
+        for token in tokens:
+            if not token.startswith("-"):
+                break  # the command name
+            flag = token.split("=", 1)[0]
+            if flag in _EXECUTOR_FLAGS:
+                self.error(f"{flag} goes after the command name: {self.prog} COMMAND {flag} ...")
+            action = self._option_string_actions.get(token)
+            if action is not None and action.nargs != 0:
+                next(tokens, None)  # a global option's value
+        return super().parse_known_args(args, namespace)
+
+
 def add_executor_options(parser: argparse.ArgumentParser, *flags: str) -> None:
     """Add the named executor flags to one command, or all of them when
     none are named (the sweep-style commands)."""
@@ -191,7 +215,7 @@ def add_workloads_option(parser: argparse.ArgumentParser, default: str) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser: the global options and every command by name."""
-    parser = argparse.ArgumentParser(
+    parser = _GlobalParser(
         prog="repro-gpu-cache",
         description="GPU cache-policy reproduction for MI workloads (IISWC 2019)",
     )

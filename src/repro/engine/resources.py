@@ -35,12 +35,11 @@ class ThroughputResource:
     and counts them itself.
     """
 
-    __slots__ = ("name", "cycles_per_grant", "_next_free")
+    __slots__ = ("cycles_per_grant", "_next_free")
 
-    def __init__(self, name: str, cycles_per_grant: float = 1.0) -> None:
+    def __init__(self, cycles_per_grant: float = 1.0) -> None:
         if cycles_per_grant <= 0:
             raise ValueError("cycles_per_grant must be positive")
-        self.name = name
         self.cycles_per_grant = cycles_per_grant
         self._next_free = 0.0
 
@@ -80,16 +79,16 @@ class WaitQueue:
     queues.  Exhausted MSHRs do not wait here; blocked requests poll
     instead (see the module docstring).  The owner calls :meth:`wake_one` /
     :meth:`wake_all` when capacity frees up; each waiter callback receives
-    the wake-up time.  The queue keeps no count of past waiters; an owner
-    that reports blocking (a DRAM bank's queue-full stalls) counts it
-    itself.
+    the wake-up time.  The queue holds only the callbacks: it keeps no
+    arrival times and no count of past waiters, so an owner that reports
+    blocking (a cache's allocation stall cycles, a DRAM bank's queue-full
+    stalls) records the block itself, in the callback it registers.
     """
 
-    __slots__ = ("name", "_waiters")
+    __slots__ = ("_waiters",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._waiters: deque[tuple[int, Callable[[int], None]]] = deque()
+    def __init__(self) -> None:
+        self._waiters: deque[Callable[[int], None]] = deque()
 
     def __len__(self) -> int:
         return len(self._waiters)
@@ -97,16 +96,15 @@ class WaitQueue:
     def __bool__(self) -> bool:
         return bool(self._waiters)
 
-    def wait(self, now: int, resume: Callable[[int], None]) -> None:
+    def wait(self, resume: Callable[[int], None]) -> None:
         """Register ``resume`` to be called when capacity becomes available."""
-        self._waiters.append((now, resume))
+        self._waiters.append(resume)
 
     def wake_one(self, now: int) -> bool:
         """Wake the oldest waiter.  Returns True if one was woken."""
         if not self._waiters:
             return False
-        _, resume = self._waiters.popleft()
-        resume(now)
+        self._waiters.popleft()(now)
         return True
 
     def wake_all(self, now: int) -> int:

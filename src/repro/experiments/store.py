@@ -135,7 +135,6 @@ class ResultStore:
             path,
             blob,
             indent=None,
-            sort_keys=True,
             trailing_newline=False,
             tmp_prefix=".tmp-",
         )

@@ -47,14 +47,10 @@ class ComputeUnit:
         self.hierarchy = hierarchy
         self.on_wavefront_finished = on_wavefront_finished
 
-        self.issue_port = ThroughputResource(
-            f"cu{cu_id}.issue", cycles_per_grant=1.0 / config.issue_width
-        )
+        self.issue_port = ThroughputResource(cycles_per_grant=1.0 / config.issue_width)
         # aggregate SIMD throughput: one wavefront-wide vector op per cycle
         simd_cycles_per_op = (config.wavefront_size / 16.0) / config.simd_per_cu
-        self.simd_pool = ThroughputResource(
-            f"cu{cu_id}.simd", cycles_per_grant=max(simd_cycles_per_op, 0.25)
-        )
+        self.simd_pool = ThroughputResource(cycles_per_grant=max(simd_cycles_per_op, 0.25))
         self._cycles_per_vector_op = max(simd_cycles_per_op, 0.25)
         self.max_outstanding_mem = config.max_outstanding_mem_per_wave
         self._resident: dict[int, Wavefront] = {}
@@ -94,7 +90,6 @@ class ComputeUnit:
             raise RuntimeError(f"CU {self.cu_id} has no free wavefront slot")
         wavefront = Wavefront(
             wavefront_id=wavefront_id,
-            kernel_id=kernel_id,
             program=program,
             cu=self,
             on_finished=self._wavefront_finished,

@@ -28,7 +28,6 @@ class Wavefront:
 
     __slots__ = (
         "wavefront_id",
-        "kernel_id",
         "stream_id",
         "program",
         "cu",
@@ -46,14 +45,12 @@ class Wavefront:
     def __init__(
         self,
         wavefront_id: int,
-        kernel_id: int,
         program: WavefrontProgram,
         cu: "ComputeUnit",
         on_finished: Callable[["Wavefront"], None],
         stream_id: int = 0,
     ) -> None:
         self.wavefront_id = wavefront_id
-        self.kernel_id = kernel_id
         self.stream_id = stream_id
         self.program = program
         self.cu = cu
@@ -116,17 +113,14 @@ class Wavefront:
         access = instruction.access
         pc = instruction.pc
         cu_id = cu.cu_id
-        wavefront_id = self.wavefront_id
-        kernel_id = self.kernel_id
         stream_id = self.stream_id
         hierarchy_access = cu.hierarchy.access
         # one response callback serves every line of this instruction
         on_response = partial(self._on_response, index)
         for address in line_addresses:
-            request = MemoryRequest(
-                access, address, pc, cu_id, wavefront_id, kernel_id, stream_id, now
+            hierarchy_access(
+                cu_id, MemoryRequest(access, address, pc, stream_id, now), on_response
             )
-            hierarchy_access(cu_id, request, on_response)
         # keep issuing unless the in-flight window is now full
         if self._inflight_mem < cu.max_outstanding_mem:
             self._at[now + 1].append(self._issue_next)
@@ -161,7 +155,7 @@ class Wavefront:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Wavefront(id={self.wavefront_id}, kernel={self.kernel_id}, "
+            f"Wavefront(id={self.wavefront_id}, "
             f"instr={self._next_instr}/{len(self._instructions)}, "
             f"inflight={self._inflight_mem})"
         )

@@ -127,7 +127,7 @@ class DeviceInterleave:
             (:attr:`repro.topology.config.TopologyConfig.interleave_lines`).
     """
 
-    __slots__ = ("num_devices", "line_bytes", "chunk_lines", "_chunk_bytes")
+    __slots__ = ("num_devices", "_chunk_bytes")
 
     def __init__(self, num_devices: int, line_bytes: int = 64, chunk_lines: int = 32) -> None:
         if num_devices < 1:
@@ -137,8 +137,6 @@ class DeviceInterleave:
         if chunk_lines < 1:
             raise ValueError("chunk_lines must be positive")
         self.num_devices = num_devices
-        self.line_bytes = line_bytes
-        self.chunk_lines = chunk_lines
         self._chunk_bytes = line_bytes * chunk_lines
 
     def device_of(self, address: int) -> int:
@@ -166,5 +164,5 @@ class DeviceInterleave:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeviceInterleave(devices={self.num_devices}, "
-            f"chunk={self.chunk_lines}x{self.line_bytes}B)"
+            f"chunk={self._chunk_bytes}B)"
         )

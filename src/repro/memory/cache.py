@@ -122,10 +122,6 @@ class CacheLine:
         self.reused = reused
         self.stream_id = stream_id
 
-    @property
-    def busy(self) -> bool:
-        return self.state is _PENDING
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CacheLine({self.state.value}, tag=0x{self.tag:x})"
 
@@ -203,7 +199,7 @@ class Cache:
         #: sessions); when None -- every static run -- the hooks cost one
         #: attribute test per lookup and record nothing
         self.set_monitor: Optional["SetDuelingMonitor"] = None
-        self.port = ThroughputResource(f"{name}.port", cycles_per_grant=1.0 / config.ports)
+        self.port = ThroughputResource(cycles_per_grant=1.0 / config.ports)
         self._set_waiters: dict[int, WaitQueue] = {}
         # sampler sets always cache so the reuse predictor keeps training
         self._sampler_stride = 16
@@ -468,7 +464,6 @@ class Cache:
 
         if blocked_reason is not None:
             if self.allocation_bypass:
-                request.converted_bypass = True
                 self._c_allocation_bypasses.value += 1
                 self._bypass_access(request, on_done)
                 return
@@ -484,10 +479,9 @@ class Cache:
         victim.stream_id = request.stream_id
         self._tag_to_way[set_index][line_address] = victim_way
         self.replacement.on_pending(set_index, victim_way)
-        now = self._queue.now
-        self.mshrs.allocate(line_address, request, now, victim_way, on_done)
+        self.mshrs.allocate(line_address, request, on_done)
 
-        self._at[now + self._hit_latency].append(
+        self._at[self._queue.now + self._hit_latency].append(
             partial(
                 self.downstream,
                 request,
@@ -506,7 +500,6 @@ class Cache:
         victim_way = self.replacement.victim(set_index)
         if victim_way is None:
             if self.allocation_bypass:
-                request.converted_bypass = True
                 self._c_allocation_bypasses.value += 1
                 self._bypass_access(request, on_done)
                 return
@@ -573,12 +566,12 @@ class Cache:
             grant = self.port.grant(wake_time)
             self._at[grant].append(partial(self._lookup, request, on_done, False))
 
-        self._set_wait_queue(set_index).wait(blocked_at, resume)
+        self._set_wait_queue(set_index).wait(resume)
 
     def _set_wait_queue(self, set_index: int) -> WaitQueue:
         queue = self._set_waiters.get(set_index)
         if queue is None:
-            queue = WaitQueue(f"{self.name}.set{set_index}")
+            queue = WaitQueue()
             self._set_waiters[set_index] = queue
         return queue
 
@@ -689,9 +682,7 @@ class Cache:
         return None
 
     def _send_writeback(self, address: int, on_done: Callable[[MemoryRequest], None]) -> None:
-        writeback = MemoryRequest(
-            _STORE, address, 0, 0, 0, 0, 0, self._queue.now, 64, True, True
-        )
+        writeback = MemoryRequest(_STORE, address, 0, 0, self._queue.now, True, True)
         self._c_writebacks.value += 1
         self.downstream(writeback, on_done)
 
@@ -722,9 +713,8 @@ class Cache:
                 self.set_monitor.record_bypass(
                     (address // self._line_bytes) % self._num_sets, False
                 )
-            now = self._queue.now
-            self.bypass_pending.allocate(line_address, request, now, None, on_done)
-            self._at[now + BYPASS_LATENCY].append(
+            self.bypass_pending.allocate(line_address, request, on_done)
+            self._at[self._queue.now + BYPASS_LATENCY].append(
                 partial(self.downstream, request, partial(self._bypass_fill, line_address))
             )
             return

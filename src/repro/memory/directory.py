@@ -41,7 +41,7 @@ class Directory:
         self.stats = stats
         self.dram = dram
         self.dram_latency = dram_latency
-        self.port = ThroughputResource("directory.port", cycles_per_grant=1.0 / lookups_per_cycle)
+        self.port = ThroughputResource(cycles_per_grant=1.0 / lookups_per_cycle)
         self._c_lookups = stats.counter("directory.lookups")
         self._c_read_requests = stats.counter("directory.read_requests")
         self._c_write_requests = stats.counter("directory.write_requests")

@@ -63,7 +63,7 @@ class DramBank:
         self.queue: deque[_QueuedAccess] = deque()
         self.busy = False
         self._hits_in_a_row = 0
-        self.full_waiters = WaitQueue(f"{name}.full")
+        self.full_waiters = WaitQueue()
         # pre-bound handles: the counters are global ("dram.*"), so every
         # bank shares the same cells and they aggregate exactly as before
         counter = stats.counter
@@ -168,9 +168,7 @@ class DramChannel:
         self._queue = sim.queue
         self._c_queue_full_stalls = stats.counter("dram.queue_full_stalls")
         self._queue_depth = config.queue_depth
-        self.data_bus = ThroughputResource(
-            f"dram.ch{channel_id}.bus", cycles_per_grant=config.burst_cycles
-        )
+        self.data_bus = ThroughputResource(cycles_per_grant=config.burst_cycles)
         self.banks = [
             DramBank(f"dram.ch{channel_id}.bank{b}", config, sim, stats, self.data_bus)
             for b in range(config.banks_per_channel)
@@ -194,8 +192,7 @@ class DramChannel:
         if len(target.queue) >= self._queue_depth:
             self._c_queue_full_stalls.value += 1
             target.full_waiters.wait(
-                self._queue.now,
-                partial(self._retry, request, bank, row, on_done, on_accepted),
+                partial(self._retry, request, bank, row, on_done, on_accepted)
             )
             return
         if on_accepted is not None:

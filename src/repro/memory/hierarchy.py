@@ -225,15 +225,10 @@ class MemoryHierarchy:
                 request.access,
                 interleave.to_local(address),
                 request.pc,
-                request.cu_id,
-                request.wavefront_id,
-                request.kernel_id,
                 request.stream_id,
                 request.issue_cycle,
-                request.size,
                 request.bypass_l1,
                 request.bypass_l2,
-                request.converted_bypass,
             )
             if home == device:
                 c_local.value += 1

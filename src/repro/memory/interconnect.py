@@ -47,9 +47,7 @@ class Link:
         self.sim = sim
         self.stats = stats
         self.latency = latency
-        self.bandwidth = ThroughputResource(
-            f"{name}.bw", cycles_per_grant=1.0 / requests_per_cycle
-        )
+        self.bandwidth = ThroughputResource(cycles_per_grant=1.0 / requests_per_cycle)
         # per-send hot path: pre-bound counters and queue entry points
         self._c_transfers = stats.counter(f"link.{name}.transfers")
         self._c_contention_cycles = stats.counter(f"link.{name}.contention_cycles")

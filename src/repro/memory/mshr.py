@@ -29,15 +29,15 @@ ResponseFn = Callable[[MemoryRequest], None]
 class MshrEntry:
     """Bookkeeping for one outstanding line fill.
 
+    The entry holds only the requests and their response callbacks: the
+    :class:`MshrFile` keys it by line address, and the fill that releases
+    it is bound to its set and way when the miss is sent downstream.
     ``callbacks`` holds the response callback of the primary request and
     then of each waiter, in the order of :attr:`all_requests`, so a fill
     answers every request it carries without any per-request state.
     """
 
-    line_address: int
     primary: MemoryRequest
-    allocate_way: Optional[int] = None
-    issued_cycle: int = 0
     waiters: list[MemoryRequest] = field(default_factory=list)
     callbacks: list[Optional[ResponseFn]] = field(default_factory=list)
 
@@ -48,7 +48,11 @@ class MshrEntry:
 
 
 class MshrFile:
-    """Fixed-capacity table of outstanding misses keyed by line address."""
+    """Fixed-capacity table of outstanding misses keyed by line address.
+
+    Besides the entries it keeps one statistic, :attr:`total_coalesced`,
+    the number of requests merged into an outstanding miss.
+    """
 
     def __init__(self, capacity: Optional[int]) -> None:
         """Create an MSHR file.
@@ -64,7 +68,6 @@ class MshrFile:
         #: caches' hot paths test ``len(entries) >= capacity`` inline
         #: instead of calling :attr:`full`
         self.entries: dict[int, MshrEntry] = {}
-        self.peak_occupancy = 0
         self.total_coalesced = 0
         self.lookup = self.entries.get
 
@@ -86,8 +89,6 @@ class MshrFile:
         self,
         line_address: int,
         primary: MemoryRequest,
-        cycle: int,
-        allocate_way: Optional[int] = None,
         on_done: Optional[ResponseFn] = None,
     ) -> MshrEntry:
         """Allocate a new entry.  The caller must have checked :attr:`full`.
@@ -98,13 +99,9 @@ class MshrFile:
         entries = self.entries
         if line_address in entries:
             raise RuntimeError(f"MSHR already allocated for line 0x{line_address:x}")
-        occupancy = len(entries)
-        if self.capacity is not None and occupancy >= self.capacity:
+        if self.capacity is not None and len(entries) >= self.capacity:
             raise RuntimeError("MSHR file is full")
-        entry = MshrEntry(line_address, primary, allocate_way, cycle, [], [on_done])
-        entries[line_address] = entry
-        if occupancy >= self.peak_occupancy:
-            self.peak_occupancy = occupancy + 1
+        entry = entries[line_address] = MshrEntry(primary, [], [on_done])
         return entry
 
     def coalesce(

@@ -12,21 +12,20 @@ week and today is visible (``repro-gpu-cache diff ledger:-1 ledger:-2``),
 and the fleet's throughput trajectory accumulates instead of evaporating.
 
 Appends go through :func:`repro.ioutil.append_jsonl` (single ``O_APPEND``
-write + fsync), reads through the tolerant :func:`repro.ioutil.read_jsonl`
-(a torn tail from a crashed writer costs one entry, never the file).
+write + fsync), prunes through :func:`repro.ioutil.rewrite_jsonl`, reads
+through the tolerant :func:`repro.ioutil.read_jsonl` (a torn tail from a
+crashed writer costs one entry, never the file).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
-import tempfile
 import time
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from repro.ioutil import append_jsonl, read_jsonl
+from repro.ioutil import append_jsonl, read_jsonl, rewrite_jsonl
 
 __all__ = ["RunLedger", "default_ledger_path", "run_entry"]
 
@@ -185,8 +184,9 @@ class RunLedger:
         ``keep`` retains only the newest N entries; ``max_age_days`` drops
         entries whose timestamp is older than the cutoff.  Both may be
         combined (an entry must survive both to stay).  The survivors are
-        rewritten through the same temp-file + fsync + rename dance as
-        every other artifact, so a crash mid-prune never loses the ledger.
+        rewritten by :func:`repro.ioutil.rewrite_jsonl`, the same
+        temp-file + fsync + rename writer as every other artifact, so a
+        crash mid-prune never loses the ledger.
         """
         if keep is None and max_age_days is None:
             raise ValueError("prune needs keep=N and/or max_age_days=D")
@@ -208,24 +208,7 @@ class RunLedger:
         removed = len(entries) - len(survivors)
         if removed == 0:
             return 0
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.path.parent) or ".", prefix=f".{self.path.name}.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                for entry in survivors:
-                    handle.write(
-                        json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
-                    )
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        rewrite_jsonl(self.path, survivors)
         return removed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -26,7 +26,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "TOPOLOGIES",
             "TOPOLOGY_NAMES",
             "topology_by_name",
-            "single_device",
         ),
         "repro.topology.partition": (
             "partition_trace",

@@ -35,7 +35,6 @@ __all__ = [
     "TOPOLOGIES",
     "TOPOLOGY_NAMES",
     "topology_by_name",
-    "single_device",
 ]
 
 @dataclass(frozen=True)
@@ -90,11 +89,6 @@ class TopologyConfig:
 
     # ------------------------------------------------------------------
     @property
-    def single(self) -> bool:
-        """True for the degenerate one-device topology (no fabric)."""
-        return self.num_devices == 1
-
-    @property
     def label(self) -> str:
         """Display name used in figures and CLI output."""
         return self.name or f"{self.num_devices}dev"
@@ -131,11 +125,6 @@ class TopologyConfig:
             "fabric_requests_per_cycle": self.fabric_requests_per_cycle,
             "replicate_weights": self.replicate_weights,
         }
-
-
-def single_device() -> TopologyConfig:
-    """The degenerate topology (used by equivalence tests and as a default)."""
-    return TOPOLOGIES["single"]
 
 
 #: registered topologies: chiplet fabrics are low-latency and wide (on-

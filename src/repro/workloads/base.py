@@ -24,7 +24,6 @@ class WorkloadMetadata:
 
     Attributes:
         name: short name used in figures (e.g. ``"FwAct"``).
-        full_name: expanded benchmark name.
         suite: benchmark suite of origin (DNNMark, DeepBench, MIOpen-benchmark).
         paper_input: the input configuration used in the paper.
         unique_kernels: distinct GPU kernels in the paper's run.
@@ -35,7 +34,6 @@ class WorkloadMetadata:
     """
 
     name: str
-    full_name: str
     suite: str
     paper_input: str
     unique_kernels: int

@@ -35,7 +35,6 @@ class Sgemm(Workload):
 
     metadata = WorkloadMetadata(
         name="SGEMM",
-        full_name="Single-precision GEMM",
         suite="DeepBench",
         paper_input="4Kx128x4K",
         unique_kernels=1,
@@ -81,7 +80,6 @@ class Dgemm(Workload):
 
     metadata = WorkloadMetadata(
         name="DGEMM",
-        full_name="Double-precision GEMM",
         suite="DeepBench",
         paper_input="4Kx128x4K",
         unique_kernels=1,
@@ -127,7 +125,6 @@ class RnnForward(Workload):
 
     metadata = WorkloadMetadata(
         name="FwLSTM",
-        full_name="RNN Forward (LSTM/GRU)",
         suite="DeepBench / MIOpen-benchmark",
         paper_input="Batch 1, sequence length 16, hidden layer 128",
         unique_kernels=4,
@@ -156,7 +153,6 @@ class RnnForward(Workload):
         # present the right display name for the registry
         self.metadata = WorkloadMetadata(
             name="FwLSTM" if cell == "lstm" else "FwGRU",
-            full_name=f"RNN Forward ({cell.upper()})",
             suite=self.metadata.suite,
             paper_input=self.metadata.paper_input + f", {cell.upper()}",
             unique_kernels=self.metadata.unique_kernels,
@@ -225,7 +221,6 @@ class RnnForwardBackward(RnnForward):
         base = self.metadata
         self.metadata = WorkloadMetadata(
             name="FwBwLSTM" if self.cell == "lstm" else "FwBwGRU",
-            full_name=f"RNN Forward Backward ({self.cell.upper()})",
             suite=base.suite,
             paper_input=base.paper_input,
             unique_kernels=6,

@@ -42,7 +42,6 @@ class ForwardActivation(Workload):
 
     metadata = WorkloadMetadata(
         name="FwAct",
-        full_name="Forward Activation",
         suite="DNNMark",
         paper_input="Batch size 100",
         unique_kernels=1,
@@ -79,7 +78,6 @@ class BackwardActivation(Workload):
 
     metadata = WorkloadMetadata(
         name="BwAct",
-        full_name="Backward Activation",
         suite="DNNMark",
         paper_input="Batch size 100",
         unique_kernels=1,
@@ -115,7 +113,6 @@ class ForwardLrn(Workload):
 
     metadata = WorkloadMetadata(
         name="FwLRN",
-        full_name="Forward LRN",
         suite="DNNMark",
         paper_input="Batch size 100",
         unique_kernels=1,
@@ -152,7 +149,6 @@ class ForwardBatchNorm(Workload):
 
     metadata = WorkloadMetadata(
         name="FwBN",
-        full_name="Forward Batch Normalization",
         suite="DNNMark",
         paper_input="Batch size 256",
         unique_kernels=1,
@@ -190,7 +186,6 @@ class BackwardBatchNorm(Workload):
 
     metadata = WorkloadMetadata(
         name="BwBN",
-        full_name="Backward Batch Normalization",
         suite="DNNMark",
         paper_input="Batch size 512",
         unique_kernels=1,
@@ -232,7 +227,6 @@ class ForwardPooling(Workload):
 
     metadata = WorkloadMetadata(
         name="FwPool",
-        full_name="Forward Pool",
         suite="DNNMark",
         paper_input="Batch size 256",
         unique_kernels=1,
@@ -269,7 +263,6 @@ class BackwardPooling(Workload):
 
     metadata = WorkloadMetadata(
         name="BwPool",
-        full_name="Backward Pool",
         suite="DNNMark",
         paper_input="Batch size 256",
         unique_kernels=1,
@@ -308,7 +301,6 @@ class ForwardSoftmax(Workload):
 
     metadata = WorkloadMetadata(
         name="FwSoft",
-        full_name="Forward Softmax",
         suite="DNNMark",
         paper_input="Batch size 512",
         unique_kernels=1,
@@ -342,7 +334,6 @@ class BackwardSoftmax(Workload):
 
     metadata = WorkloadMetadata(
         name="BwSoft",
-        full_name="Backward Softmax",
         suite="DNNMark",
         paper_input="Batch size 512",
         unique_kernels=1,
@@ -378,7 +369,6 @@ class ForwardFullyConnected(Workload):
 
     metadata = WorkloadMetadata(
         name="FwFc",
-        full_name="Forward Fully Connected",
         suite="DNNMark",
         paper_input="Batch size 512",
         unique_kernels=1,
@@ -423,7 +413,6 @@ class ComposedModel(Workload):
 
     metadata = WorkloadMetadata(
         name="CM",
-        full_name="Composed Model",
         suite="DNNMark",
         paper_input="Batch size 64",
         unique_kernels=4,

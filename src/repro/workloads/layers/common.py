@@ -13,7 +13,7 @@ The two central helpers are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.gpu.coalescer import coalesce_addresses, coalesced_lines_for_stride
 from repro.memory.request import AccessType
@@ -151,31 +151,6 @@ class ProgramBuilder:
     ) -> "ProgramBuilder":
         """Emit a store access (see :meth:`access`)."""
         return self.access(site, AccessType.STORE, tensor, start_element, count, stride)
-
-    def gather(
-        self, site: str, tensor: Tensor, element_indices: Sequence[int]
-    ) -> "ProgramBuilder":
-        """Emit loads of arbitrary (possibly divergent) element indices."""
-        if not element_indices:
-            raise ValueError("gather needs at least one element index")
-        return self._indexed(site, AccessType.LOAD, tensor, element_indices)
-
-    def scatter(
-        self, site: str, tensor: Tensor, element_indices: Sequence[int]
-    ) -> "ProgramBuilder":
-        """Emit stores to arbitrary (possibly divergent) element indices."""
-        if not element_indices:
-            raise ValueError("scatter needs at least one element index")
-        return self._indexed(site, AccessType.STORE, tensor, element_indices)
-
-    def _indexed(
-        self, site: str, access: AccessType, tensor: Tensor, element_indices: Sequence[int]
-    ) -> "ProgramBuilder":
-        pc = self.pcs.pc(site)
-        for offset, lanes in chunks(len(element_indices), self.wavefront_size):
-            lines = self._lane_lines(tensor, element_indices[offset : offset + lanes])
-            self.program.append(MemInstr(access=access, line_addresses=lines, pc=pc))
-        return self
 
     def _lane_lines(self, tensor: Tensor, element_indices: Iterable[int]) -> tuple[int, ...]:
         """Coalesce per-lane element indices (wrapping modulo the tensor)."""

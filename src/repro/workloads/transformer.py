@@ -31,7 +31,6 @@ class MultiHeadAttention(Workload):
 
     metadata = WorkloadMetadata(
         name="MHA",
-        full_name="Multi-Head Attention (forward)",
         suite="Transformer microbench",
         paper_input="Sequence 64, 4 heads, d_model 64",
         unique_kernels=4,

@@ -59,14 +59,14 @@ def tiny_config() -> SystemConfig:
     return scaled_config(2)
 
 
-def make_load(address: int, pc: int = 0x100, cu: int = 0) -> MemoryRequest:
+def make_load(address: int, pc: int = 0x100) -> MemoryRequest:
     """Convenience constructor for a load request."""
-    return MemoryRequest(access=AccessType.LOAD, address=address, pc=pc, cu_id=cu)
+    return MemoryRequest(access=AccessType.LOAD, address=address, pc=pc)
 
 
-def make_store(address: int, pc: int = 0x200, cu: int = 0) -> MemoryRequest:
+def make_store(address: int, pc: int = 0x200) -> MemoryRequest:
     """Convenience constructor for a store request."""
-    return MemoryRequest(access=AccessType.STORE, address=address, pc=pc, cu_id=cu)
+    return MemoryRequest(access=AccessType.STORE, address=address, pc=pc)
 
 
 def single_wave_trace(instructions, name: str = "test") -> WorkloadTrace:

@@ -238,10 +238,10 @@ class TestCacheProperties:
                 request.bypass_l1 = True  # stores bypass the L1 in every policy
             else:
                 issued_loads += 1
-            cache.access(request, lambda r: completed.append(r.req_id))
+            cache.access(request, completed.append)
         sim.run()
         assert len(completed) == len(accesses)
-        assert len(set(completed)) == len(completed)
+        assert len({id(request) for request in completed}) == len(completed)
         assert len(backend_loads) <= issued_loads
 
 

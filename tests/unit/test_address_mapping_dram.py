@@ -203,7 +203,7 @@ class TestDramBankService:
     def _bank(self, name: str = "bank", bus: ThroughputResource | None = None):
         sim, stats = Simulator(), StatsCollector()
         config = DramConfig()
-        bus = bus or ThroughputResource("bus", cycles_per_grant=config.burst_cycles)
+        bus = bus or ThroughputResource(cycles_per_grant=config.burst_cycles)
         return sim, stats, DramBank(name, config, sim, stats, bus)
 
     @staticmethod
@@ -268,7 +268,7 @@ class TestDramBankService:
     def test_banks_sharing_a_bus_serialize_their_bursts(self):
         sim, stats = Simulator(), StatsCollector()
         config = DramConfig()
-        bus = ThroughputResource("bus", cycles_per_grant=config.burst_cycles)
+        bus = ThroughputResource(cycles_per_grant=config.burst_cycles)
         banks = [DramBank(f"b{i}", config, sim, stats, bus) for i in range(2)]
         log = []
         for index, bank in enumerate(banks):

@@ -163,10 +163,19 @@ def test_an_executor_flag_the_command_does_not_read_exits_2(command, flag, befor
         cli.build_parser().parse_args(["--scale", "0.1", "--cus", "2", *line])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    if before:  # the global parser takes the flag's value, if any, for the command
-        assert "error: " in err
+    if before:
+        assert f"error: {flag} goes after the command name: repro-gpu-cache COMMAND {flag}" in err
     else:
         assert f"error: unrecognized arguments: {' '.join(option)}" in err
+
+
+@pytest.mark.parametrize("option", [["--jobs", "2"], ["--jobs=2"], ["--no-cache"]])
+def test_an_executor_flag_before_the_command_that_reads_it_exits_2(option, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.build_parser().parse_args(["--scale", "0.1", "--cus", "2", *option, "sweep-all"])
+    assert exit_info.value.code == 2
+    flag = option[0].split("=")[0]
+    assert f"error: {flag} goes after the command name" in capsys.readouterr().err
 
 
 def test_registering_the_commands_adds_none_of_their_options():

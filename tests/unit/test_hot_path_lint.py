@@ -19,8 +19,14 @@ built (``.append``/``.setdefault``/``.add`` whose result is dropped, or a
 subscript assignment).  A handle obtained from elsewhere, such as a
 :class:`~repro.stats.counters.Counter` from ``StatsCollector.counter``, is
 shared storage read through its source, so mutating it is a write that
-shows.  Names are matched across the package, not per class, so the lint
-is conservative: a name read anywhere counts as read everywhere.
+shows.  A dataclass field declared in a class body counts as written.
+Three kinds of load are not reads: one inside a ``__repr__`` (a debugging
+aid), one passed to the constructor of a class that declares that
+attribute (a copy into the new object), and one that only feeds an
+assignment to the same attribute (``x = f(x)``, or an ``if`` on ``x``
+whose body only assigns ``x``).  Names are matched across the package, not
+per class, so the lint is conservative: a name read anywhere counts as
+read everywhere.
 """
 
 from __future__ import annotations
@@ -55,6 +61,13 @@ ALLOWED_WRITE_ONLY = frozenset({
     # with the caches' own coalesce counters, an independent check that
     # store merges go through the MSHR file
     "total_coalesced",
+    # JobFailure's job: the failure record a sweep hands its caller names
+    # the job that failed, for the caller to report or retry
+    "job",
+    # WavefrontProgram's workgroup id: the trace generators set it and the
+    # partitioner and the stream isolator copy it, so the trace-equivalence
+    # pin, which digests it, shows a change in how wavefronts are grouped
+    "workgroup_id",
 })
 
 
@@ -131,17 +144,98 @@ def _only_mutates(node: ast.expr, parents: dict[ast.AST, ast.AST]) -> bool:
     return False
 
 
+def _decorator_name(decorator: ast.expr) -> str:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    if isinstance(target, ast.Attribute):
+        return target.attr
+    return target.id if isinstance(target, ast.Name) else ""
+
+
+def _class_fields(cls: ast.ClassDef) -> list[ast.AnnAssign]:
+    """The annotated names declared in a class body (a dataclass's fields)."""
+    return [
+        stmt for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and "ClassVar" not in ast.unparse(stmt.annotation)
+    ]
+
+
+def _declared_attributes(tree: ast.AST) -> dict[str, set[str]]:
+    """Class name -> attributes it declares: body annotations and ``self.x`` stores."""
+    declared: dict[str, set[str]] = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            names = declared.setdefault(cls.name, set())
+            names.update(stmt.target.id for stmt in _class_fields(cls))
+            names.update(
+                node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"
+            )
+    return declared
+
+
+def _in_repr(node: ast.AST, parents: dict[ast.AST, ast.AST]) -> bool:
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name == "__repr__"
+    return False
+
+
+def _copied_into_constructor(
+    node: ast.Attribute, parents: dict[ast.AST, ast.AST], declared: dict[str, set[str]]
+) -> bool:
+    """Whether this load is an argument to the constructor of a class that
+    declares the same attribute, i.e. a copy into the new object."""
+    call = parents[node]
+    if isinstance(call, ast.keyword):
+        call = parents[call]
+    if not isinstance(call, ast.Call) or call.func is node:
+        return False
+    return node.attr in declared.get(_call_name(call), ())
+
+
+def _assigns_only(stmt: ast.stmt, name: str) -> bool:
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+        targets = [stmt.target]
+    else:
+        return False
+    return all(isinstance(target, ast.Attribute) and target.attr == name for target in targets)
+
+
+def _feeds_own_assignment(node: ast.Attribute, parents: dict[ast.AST, ast.AST]) -> bool:
+    """Whether this load only computes a new value for the same attribute."""
+    child, stmt = node, parents[node]
+    while not isinstance(stmt, ast.stmt):
+        child, stmt = stmt, parents[stmt]
+    if isinstance(stmt, ast.If) and child is stmt.test:
+        return all(_assigns_only(inner, node.attr) for inner in (*stmt.body, *stmt.orelse))
+    return _assigns_only(stmt, node.attr)
+
+
 def write_only_state(sources: Mapping[str, str]) -> list[str]:
     """Attribute names in ``sources`` (module -> source) that are written
     and never read, each with the place it is first written."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    declared: dict[str, set[str]] = {}
+    for tree in trees.values():
+        for cls, names in _declared_attributes(tree).items():
+            declared.setdefault(cls, set()).update(names)
     written: dict[str, str] = {}
     mutated: set[str] = set()
     shared: set[str] = set()
     read: set[str] = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
+    for module, tree in trees.items():
         parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                _decorator_name(decorator) == "dataclass" for decorator in node.decorator_list
+            ):
+                for stmt in _class_fields(node):
+                    written.setdefault(stmt.target.id, f"{module}:{stmt.lineno}")
             if not isinstance(node, ast.Attribute) or isinstance(node.ctx, ast.Del):
                 continue
             name = node.attr
@@ -155,7 +249,11 @@ def write_only_state(sources: Mapping[str, str]) -> list[str]:
             elif _only_mutates(node, parents):
                 written.setdefault(name, f"{module}:{node.lineno}")
                 mutated.add(name)
-            else:
+            elif not (
+                _in_repr(node, parents)
+                or _copied_into_constructor(node, parents, declared)
+                or _feeds_own_assignment(node, parents)
+            ):
                 read.add(name)
     return sorted(
         f"{name} ({where})"
@@ -259,3 +357,63 @@ class TestWriteOnlyLint:
         reader = "def report(a):\n    return a.total\n"
         assert write_only_state({"a.py": writer}) == ["total (a.py:3)"]
         assert write_only_state({"a.py": writer, "b.py": reader}) == []
+
+    def test_a_dataclass_field_counts_as_written(self):
+        source = (
+            "@dataclass(slots=True)\n"
+            "class Entry:\n"
+            "    primary: object\n"
+            "    issued_cycle: int = 0\n"
+            "    KIND: ClassVar[str] = 'mshr'\n"
+            "def fill(entry):\n"
+            "    return entry.primary\n"
+        )
+        assert write_only_state({"mshr.py": source}) == ["issued_cycle (mshr.py:4)"]
+
+    def test_a_load_in_repr_is_not_a_read(self):
+        source = (
+            "class Interleave:\n"
+            "    def __init__(self, chunk_lines):\n"
+            "        self.chunk_lines = chunk_lines\n"
+            "    def __repr__(self):\n"
+            "        return f'Interleave({self.chunk_lines})'\n"
+        )
+        assert write_only_state({"map.py": source}) == ["chunk_lines (map.py:3)"]
+
+    def test_a_copy_into_a_constructor_that_declares_it_is_not_a_read(self):
+        source = (
+            "class Request:\n"
+            "    def __init__(self, address, converted, stream):\n"
+            "        self.address = address\n"
+            "        self.converted = converted\n"
+            "        self.stream = stream\n"
+            "def readdress(request, other):\n"
+            "    clone = Request(request.address + 64, request.converted, stream=request.stream)\n"
+            "    print(request.address, other.converted_count)\n"
+            "    return clone\n"
+            "def handle(job):\n"
+            "    return Other(job.stream)\n"
+        )
+        # ``address`` is read; ``stream`` is also passed to a class that does not declare it
+        assert write_only_state({"request.py": source}) == ["converted (request.py:4)"]
+
+    def test_a_load_that_only_updates_itself_is_not_a_read(self):
+        source = (
+            "class Table:\n"
+            "    def __init__(self):\n"
+            "        self.peak = 0\n"
+            "        self.high = 0\n"
+            "        self.seen = 0\n"
+            "    def allocate(self, occupancy):\n"
+            "        if occupancy >= self.peak:\n"
+            "            self.peak = occupancy + 1\n"
+            "        self.high = max(self.high, occupancy)\n"
+            "        if self.seen:\n"
+            "            self.seen = 0\n"
+            "            return occupancy\n"
+        )
+        # ``seen`` is read: its ``if`` body does more than assign it
+        assert write_only_state({"table.py": source}) == [
+            "high (table.py:4)",
+            "peak (table.py:3)",
+        ]

@@ -1,7 +1,7 @@
 """Unit tests for the durable JSON writers in :mod:`repro.ioutil`.
 
 The result store, CLI artifacts and the run ledger all
-persist through these three functions, so their guarantees are pinned
+persist through these four functions, so their guarantees are pinned
 here directly: the exact bytes each form writes, that a failed write
 leaves the previous file and no temp debris behind, and that the JSONL
 reader skips what a crashed writer or a foreign line leaves in a log.
@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro import ioutil
-from repro.ioutil import append_jsonl, atomic_write_json, read_jsonl
+from repro.ioutil import append_jsonl, atomic_write_json, read_jsonl, rewrite_jsonl
 
 PAYLOAD = {"b": [1, 2], "a": {"z": None, "y": 1.5}}
 
@@ -106,16 +106,23 @@ class TestAppendJsonl:
             append_jsonl(path, {"bad": object()})
         assert path.read_text() == '{"a":1}\n'
 
-    @pytest.mark.parametrize("fsync, barriers", [(True, 1), (False, 0)])
-    def test_fsync_flag_sets_the_durability_barrier(
-        self, tmp_path, monkeypatch, fsync, barriers
-    ):
+    def test_every_append_is_one_durability_barrier(self, tmp_path, monkeypatch):
         calls = []
         monkeypatch.setattr(ioutil.os, "fsync", calls.append)
         path = tmp_path / "log.jsonl"
-        append_jsonl(path, {"a": 1}, fsync=fsync)
-        assert len(calls) == barriers
-        assert read_jsonl(path) == [{"a": 1}]
+        append_jsonl(path, {"a": 1})
+        append_jsonl(path, {"b": 2})
+        assert len(calls) == 2
+        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+
+
+class TestRewriteJsonl:
+    def test_replaces_the_log_with_compact_sorted_lines(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        append_jsonl(path, {"old": 1})
+        rewrite_jsonl(path, [{"b": 2, "a": 1}, {"c": 3}])
+        assert path.read_text() == '{"a":1,"b":2}\n{"c":3}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.jsonl"]
 
 
 class TestReadJsonl:

@@ -71,14 +71,6 @@ class TestProgramBuilder:
         assert program.vector_ops == 7
         assert program.memory_instructions[0].is_store
 
-    def test_gather_handles_divergent_indices(self):
-        space = AddressSpace()
-        x = space.allocate("x", 1 << 16)
-        builder = ProgramBuilder(PcAllocator())
-        builder.gather("gather_x", x, [i * 1024 for i in range(32)])
-        instr = builder.build().memory_instructions[0]
-        assert len(instr.line_addresses) == 32
-
     def test_empty_program_rejected(self):
         with pytest.raises(ValueError):
             ProgramBuilder(PcAllocator()).build()

@@ -16,44 +16,18 @@ class TestMemoryRequest:
         assert load.is_load and not load.is_store
         assert store.is_store and not store.is_load
 
-    def test_line_address(self):
-        req = MemoryRequest(access=AccessType.LOAD, address=200)
-        assert req.line_address(64) == 192
-
-    def test_request_ids_are_unique(self):
-        a = MemoryRequest(access=AccessType.LOAD, address=0)
-        b = MemoryRequest(access=AccessType.LOAD, address=0)
-        assert a.req_id != b.req_id
-
-    def test_complete_invokes_callback_once(self):
-        seen = []
-        req = MemoryRequest(access=AccessType.LOAD, address=0, issue_cycle=10)
-        req.on_complete = seen.append
-        req.complete(150)
-        assert seen == [req]
-        assert req.latency == 140
-        with pytest.raises(RuntimeError):
-            req.complete(200)
-
-    def test_latency_is_none_before_completion(self):
-        req = MemoryRequest(access=AccessType.LOAD, address=0)
-        assert req.latency is None
-
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError):
             MemoryRequest(access=AccessType.LOAD, address=-4)
 
-    def test_non_positive_size_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryRequest(access=AccessType.LOAD, address=0, size=0)
-
     def test_positional_construction_matches_keywords(self):
-        positional = MemoryRequest(AccessType.STORE, 128, 7, 1, 2, 3, 4, 50, req_id=9)
+        positional = MemoryRequest(AccessType.STORE, 128, 7, 4, 50, True, False)
         keywords = MemoryRequest(
-            access=AccessType.STORE, address=128, pc=7, cu_id=1, wavefront_id=2,
-            kernel_id=3, stream_id=4, issue_cycle=50, req_id=9,
+            access=AccessType.STORE, address=128, pc=7, stream_id=4, issue_cycle=50,
+            bypass_l1=True, bypass_l2=False,
         )
-        assert positional == keywords
+        fields = ("access", "address", "pc", "stream_id", "issue_cycle", "bypass_l1", "bypass_l2")
+        assert [getattr(positional, f) for f in fields] == [getattr(keywords, f) for f in fields]
         assert positional.is_store and not positional.is_load
 
 
@@ -151,28 +125,29 @@ def _req(address: int) -> MemoryRequest:
 class TestMshrFile:
     def test_allocate_and_lookup(self):
         mshrs = MshrFile(capacity=4)
-        entry = mshrs.allocate(0x1000, _req(0x1000), cycle=5, allocate_way=2)
+        request = _req(0x1000)
+        entry = mshrs.allocate(0x1000, request)
         assert mshrs.lookup(0x1000) is entry
-        assert entry.allocate_way == 2
+        assert entry.primary is request
         assert len(mshrs) == 1
 
     def test_full_detection(self):
         mshrs = MshrFile(capacity=2)
-        mshrs.allocate(0, _req(0), 0)
+        mshrs.allocate(0, _req(0))
         assert not mshrs.full
-        mshrs.allocate(64, _req(64), 0)
+        mshrs.allocate(64, _req(64))
         assert mshrs.full
 
     def test_unlimited_capacity_never_full(self):
         mshrs = MshrFile(capacity=None)
         for i in range(1000):
-            mshrs.allocate(i * 64, _req(i * 64), 0)
+            mshrs.allocate(i * 64, _req(i * 64))
         assert not mshrs.full
 
     def test_coalesce_attaches_waiters(self):
         mshrs = MshrFile(capacity=4)
         primary = _req(0)
-        mshrs.allocate(0, primary, 0)
+        mshrs.allocate(0, primary)
         waiter = _req(0)
         entry = mshrs.coalesce(0, waiter)
         assert entry.all_requests == [primary, waiter]
@@ -185,7 +160,7 @@ class TestMshrFile:
         primary, load, store = _req(0), _req(0), MemoryRequest(AccessType.STORE, 0)
         seen = []
         callbacks = [lambda r, tag=tag: seen.append((tag, r)) for tag in "pls"]
-        mshrs.allocate(0, primary, 0, allocate_way=1, on_done=callbacks[0])
+        mshrs.allocate(0, primary, on_done=callbacks[0])
         mshrs.coalesce(0, load, callbacks[1])
         entry = mshrs.coalesce(0, store, callbacks[2])
         assert entry.callbacks == callbacks
@@ -200,29 +175,22 @@ class TestMshrFile:
 
     def test_release_removes_entry(self):
         mshrs = MshrFile(capacity=2)
-        mshrs.allocate(0, _req(0), 0)
+        primary = _req(0)
+        mshrs.allocate(0, primary)
         entry = mshrs.release(0)
-        assert entry.line_address == 0
+        assert entry.primary is primary
         assert mshrs.lookup(0) is None
         with pytest.raises(KeyError):
             mshrs.release(0)
 
     def test_double_allocate_rejected(self):
         mshrs = MshrFile(capacity=4)
-        mshrs.allocate(0, _req(0), 0)
+        mshrs.allocate(0, _req(0))
         with pytest.raises(RuntimeError):
-            mshrs.allocate(0, _req(0), 0)
+            mshrs.allocate(0, _req(0))
 
     def test_allocate_when_full_rejected(self):
         mshrs = MshrFile(capacity=1)
-        mshrs.allocate(0, _req(0), 0)
+        mshrs.allocate(0, _req(0))
         with pytest.raises(RuntimeError):
-            mshrs.allocate(64, _req(64), 0)
-
-    def test_peak_occupancy_tracked(self):
-        mshrs = MshrFile(capacity=8)
-        for i in range(5):
-            mshrs.allocate(i * 64, _req(i * 64), 0)
-        for i in range(5):
-            mshrs.release(i * 64)
-        assert mshrs.peak_occupancy == 5
+            mshrs.allocate(64, _req(64))

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro import ioutil
 from repro.ioutil import append_jsonl, read_jsonl
 from repro.obs.alerts import (
     HIT_RATE_CLIFF,
@@ -107,6 +108,22 @@ class TestRunLedger:
         assert ledger.prune(keep=2) == 3
         assert [e["cycles"] for e in ledger.entries()] == [1003, 1004]
         assert ledger.prune(keep=2) == 0  # idempotent
+
+    def test_prune_whose_rename_fails_leaves_the_ledger_unchanged(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.jsonl"
+        ledger = RunLedger(path)
+        for index in range(3):
+            ledger.record(_entry(index))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(ioutil.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            ledger.prune(keep=1)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ledger.jsonl"]
 
     def test_prune_max_age_keeps_fresh_entries(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
